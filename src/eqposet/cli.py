@@ -13,7 +13,7 @@ from .model import (Flavor, ModelError, build_model, injective_profiles,
                     is_hereditary, radical_info)
 from .oracle import OracleError, run_verification
 from .pairing import pair_components
-from .poset import EquippedPoset, PosetError, load_poset, parse_poset, validate
+from .poset import EquippedPoset, PosetError, load_poset, validate
 
 
 # ---------------------------------------------------------------- emitters
@@ -63,17 +63,7 @@ def emit_dot(G: ComponentGraph) -> str:
 # ---------------------------------------------------------------- commands
 
 def cmd_validate(args) -> int:
-    try:
-        text = open(args.path, encoding="utf-8").read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        P = parse_poset(text, check=False)
-    except PosetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    report = validate(P)
+    report = validate(load_poset(args.path, check=False))
     print(report)
     return 0 if report.ok else 1
 
@@ -122,10 +112,24 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _max_sections(args) -> int:
+    """--max-sections, else EQPOSET_MAX_SECTIONS, else the default depth; a
+    bad value is a usage error."""
+    if args.max_sections is None:
+        try:
+            return max_sections_default()
+        except KnitError as e:
+            raise ParameterError(str(e)) from None
+    if args.max_sections < 1:
+        raise ParameterError("--max-sections must be >= 1")
+    return args.max_sections
+
+
 def cmd_knit(args) -> int:
+    max_sections = _max_sections(args)
     P = load_poset(args.path)
     M = build_model(P, Flavor(args.flavor))
-    G = knit(M, max_sections=args.max_sections)
+    G = knit(M, max_sections=max_sections)
     if args.format == "json":
         sys.stdout.write(emit_json(G))
     else:
@@ -134,11 +138,12 @@ def cmd_knit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    max_sections = _max_sections(args)
     P = load_poset(args.path)
     Mr = build_model(P, Flavor.R)
     Mc = build_model(P, Flavor.C)
-    Gr = knit(Mr, max_sections=args.max_sections)
-    Gc = knit(Mc, max_sections=args.max_sections)
+    Gr = knit(Mr, max_sections=max_sections)
+    Gc = knit(Mc, max_sections=max_sections)
     report = pair_components(Gr, Gc, Mr, Mc)
     print(report)
     return 0 if report.ok else 1

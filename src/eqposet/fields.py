@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GenericField, ModQ
+from .linalg import MAX_Q, GenericField, ModQ
 from .poset import _is_prime
 
 
@@ -45,6 +45,9 @@ class Tower:
             if spec.q is None or spec.c is None:
                 raise ParameterError("cyclic tower needs q and c")
             q, p = spec.q, spec.p
+            if q > MAX_Q:
+                raise ParameterError(f"q = {q} is too large: exact int64 arithmetic "
+                                     f"needs (q - 1)^2 < 2^63, so q <= {MAX_Q}")
             if not _is_prime(q):
                 raise ParameterError(f"q = {q} is not prime")
             if (q - 1) % p:
@@ -55,7 +58,7 @@ class Tower:
             self.q = q
             self.c = c
             self.lin = ModQ(q)
-            self.omega = next(a for a in range(2, q) if pow(a, p, q) == 1)
+            self.omega = _smallest_root_of_unity(p, q)
         elif spec.mode == "inseparable":
             from sympy.polys.domains import FF
             K = FF(spec.p).frac_field("t")
@@ -86,34 +89,19 @@ class Tower:
 
     def g_mul(self, a, b):
         """Product of two G-elements (coefficient vectors)."""
-        p = self.p
         lin = self.lin
-        if isinstance(lin, ModQ):
-            conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-            out = conv[:p].copy()
-            out[: p - 1] += self.c * conv[p:]
-            return out % lin.q
-        out = [lin.zero] * p
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                k = i + j
-                term = x * y
-                if k >= p:
-                    k -= p
-                    term = term * self.c
-                out[k] = out[k] + term
-        return out
+        return lin.rows(lin.matmul(lin.mat([list(a)]), lin.transpose(self.mu_mat(b))))[0]
 
     def mu_mat(self, g):
-        """Multiplication-by-g as a matrix (columns are g * xi^j)."""
-        cols = [self.g_mul(g, self.xi_pow(j)) for j in range(self.p)]
-        if isinstance(self.lin, ModQ):
-            return np.stack(cols, axis=1) % self.lin.q
-        return [[cols[j][i] for j in range(self.p)] for i in range(self.p)]
+        """Multiplication-by-g as a matrix (columns are g * xi^j).
+
+        Entry (r, j) is the coefficient of xi^r in g * xi^j: g_(r-j) when
+        j <= r, and c * g_(r-j+p) once the exponent wraps past xi^p = c."""
+        p, lin = self.p, self.lin
+        row = lin.mat([list(g)])
+        g, cg = lin.rows(row)[0], lin.rows(lin.smul(self.c, row))[0]
+        return lin.mat([[g[r - j] if j <= r else cg[r - j + p] for j in range(p)]
+                        for r in range(p)])
 
     def _theta_mat(self):
         p = self.p
@@ -168,6 +156,16 @@ class Tower:
         if isinstance(self.lin, ModQ):
             return np.stack(rows) if rows else np.zeros((0, self.p * self.p), dtype=np.int64)
         return rows
+
+
+def _smallest_root_of_unity(p: int, q: int) -> int:
+    """Smallest a >= 2 with a^p = 1 in F_q, for primes p | q - 1.
+
+    The p-th roots of unity are the powers of any one of them other than 1,
+    so this takes O(p) multiplications rather than a scan over F_q."""
+    e = (q - 1) // p
+    h = next(h for h in (pow(a, e, q) for a in range(2, q)) if h != 1)
+    return min(pow(h, k, q) for k in range(1, p))
 
 
 def build_tower(spec: TowerSpec) -> Tower:

@@ -1,22 +1,45 @@
 """Exact linear algebra over small fields.
 
-Two interchangeable drivers: a vectorized mod-q driver on numpy int64
-arrays (q a small prime) and a generic driver for any exact field whose
-elements support +, -, *, / and truthiness (used for rational-function
-coefficients).  Both produce reduced row echelon bases, so span bases are
-canonical and coordinate extraction reads off pivot columns.
+Two interchangeable drivers with one API: a vectorized mod-q driver on
+numpy int64 arrays (q a prime up to MAX_Q) and a generic driver on lists
+for any exact field whose elements support +, -, *, / and truthiness (used
+for rational-function coefficients).  Both produce reduced row echelon
+bases, so span bases are canonical and coordinate extraction reads off
+pivot columns.  No floating point is used.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
+# Residues mod q lie in [0, q).  A product of two of them, plus a residue
+# already accumulated, must fit in int64: (q - 1)^2 + (q - 1) <= 2^63 - 1,
+# which holds exactly when (q - 1)^2 < 2^63.
+INT64_MAX = 2**63 - 1
+MAX_Q = math.isqrt(INT64_MAX) + 1
+
+# rref takes rows in blocks of max(cols, RREF_MIN_BLOCK)
+RREF_MIN_BLOCK = 32
+
+
 class ModQ:
-    """Arithmetic driver for matrices over Z/q, q prime."""
+    """Arithmetic driver for matrices over Z/q, q prime and at most MAX_Q.
+
+    Every matrix handed in or out holds residues in [0, q).  All arithmetic
+    is exact int64: a product splits its inner dimension into chunks short
+    enough that no partial sum can overflow."""
 
     def __init__(self, q: int):
+        if q > MAX_Q:
+            raise ValueError(f"q = {q} is too large for int64 arithmetic (max {MAX_Q})")
         self.q = q
+        self.size = q
+        self.zero, self.one = 0, 1
+        # longest inner dimension of one int64 product, accumulator included
+        self.chunk = (INT64_MAX - (q - 1)) // (q - 1) ** 2
 
     def mat(self, rows) -> np.ndarray:
         m = np.array(rows, dtype=np.int64)
@@ -30,8 +53,30 @@ class ModQ:
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
+    def rows(self, A: np.ndarray) -> list:
+        return list(A)
+
+    def transpose(self, A: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(A.T)
+
+    def hstack(self, mats: list) -> np.ndarray:
+        return np.hstack(mats)
+
+    def vstack(self, mats: list) -> np.ndarray:
+        return np.vstack(mats)
+
+    def kron(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        (a0, a1), (b0, b1) = A.shape, B.shape
+        return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1) % self.q
+
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return (A @ B) % self.q
+        k, step = A.shape[1], self.chunk
+        if k <= step:
+            return (A @ B) % self.q
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for s in range(0, k, step):
+            out = (out + A[:, s:s + step] @ B[s:s + step]) % self.q
+        return out
 
     def add(self, A, B):
         return (A + B) % self.q
@@ -40,7 +85,7 @@ class ModQ:
         return (A - B) % self.q
 
     def smul(self, s: int, A):
-        return (s * A) % self.q
+        return ((s % self.q) * A) % self.q
 
     def eq(self, A, B) -> bool:
         return bool(np.array_equal(A % self.q, B % self.q))
@@ -49,7 +94,41 @@ class ModQ:
         return not (A % self.q).any()
 
     def rref(self, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        A = A.copy() % self.q
+        """Reduced row echelon basis of the row space of A, and its pivots.
+
+        Rows are taken in blocks of max(cols, RREF_MIN_BLOCK).  One product
+        X - X[:, piv] @ R, taken on the columns that are not yet pivots,
+        reduces a block X against the basis R found so far.  Per-pivot
+        elimination then runs on the nonzero rows left of that block alone,
+        and the basis is cleared at the new pivots by one more product."""
+        q = self.q
+        A = np.asarray(A, dtype=np.int64) % q
+        rows, cols = A.shape
+        step = max(cols, RREF_MIN_BLOCK)
+        if rows <= step:
+            return self._eliminate(A)
+        R, piv = self.zeros(0, cols), []
+        for start in range(0, rows, step):
+            free = np.setdiff1d(np.arange(cols), piv)
+            if free.size == 0:
+                break
+            X = A[start:start + step, free]
+            if piv:
+                X = (X - self.matmul(A[start:start + step, piv], R[:, free])) % q
+            Rf, pf = self._eliminate(X[X.any(axis=1)])
+            if pf:
+                new = free[pf]
+                R[:, free] = (R[:, free] - self.matmul(R[:, new], Rf)) % q
+                Rx = self.zeros(len(pf), cols)
+                Rx[:, free] = Rf
+                R = np.vstack([R, Rx])
+                piv += new.tolist()
+        order = np.argsort(piv, kind="stable")
+        return R[order], [piv[k] for k in order]
+
+    def _eliminate(self, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Per-pivot Gauss-Jordan elimination of a reduced matrix, in place."""
+        q = self.q
         rows, cols = A.shape
         piv: list[int] = []
         r = 0
@@ -62,10 +141,11 @@ class ModQ:
             i = r + int(nz[0])
             if i != r:
                 A[[r, i]] = A[[i, r]]
-            A[r] = (A[r] * pow(int(A[r, c]), -1, self.q)) % self.q
+            A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
             col = A[:, c].copy()
             col[r] = 0
-            A = (A - np.outer(col, A[r])) % self.q
+            A -= np.outer(col, A[r])
+            A %= q
             piv.append(c)
             r += 1
         return A[:r], piv
@@ -77,15 +157,12 @@ class ModQ:
 
     def nullspace(self, A: np.ndarray) -> np.ndarray:
         """Rows span {x : A x = 0}."""
-        rows, cols = A.shape
+        cols = A.shape[1]
         R, piv = self.rref(A)
-        pivset = set(piv)
-        free = [c for c in range(cols) if c not in pivset]
-        basis = np.zeros((len(free), cols), dtype=np.int64)
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for i, pc in enumerate(piv):
-                basis[k, pc] = (-int(R[i, fc])) % self.q
+        free = np.setdiff1d(np.arange(cols), piv)
+        basis = np.zeros((free.size, cols), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, piv] = (-R[:, free].T) % self.q
         return basis
 
     def reduce(self, R: np.ndarray, piv: list[int], v) -> np.ndarray:
@@ -104,9 +181,17 @@ class ModQ:
             raise ValueError("vector outside span")
         return np.array([v[pc] for pc in piv], dtype=np.int64) % self.q
 
+    def coords_rows(self, R: np.ndarray, piv: list[int], W: np.ndarray):
+        """Coefficients of every row of W in the rref basis R, one row each,
+        or None when some row of W is outside the span."""
+        C = W[:, piv] % self.q
+        return C if self.eq(self.matmul(C, R), W) else None
+
 
 class GenericField:
     """Same driver API over an arbitrary exact field (list-of-list matrices)."""
+
+    size = None  # the field is infinite
 
     def __init__(self, zero, one, convert=None):
         self.zero = zero
@@ -123,6 +208,27 @@ class GenericField:
 
     def eye(self, n):
         return [[self.one if i == j else self.zero for j in range(n)] for i in range(n)]
+
+    def rows(self, A) -> list:
+        return list(A)
+
+    def transpose(self, A):
+        return [list(col) for col in zip(*A)]
+
+    def hstack(self, mats):
+        return [[x for part in parts for x in part] for parts in zip(*mats)]
+
+    def vstack(self, mats):
+        return [row for m in mats for row in m]
+
+    def kron(self, A, B):
+        return [[self._mul(a, b) for a in ra for b in rb] for ra in A for rb in B]
+
+    def _mul(self, a, b):
+        # products with 0 and 1 are common here and costly for rational functions
+        if not (a and b):
+            return self.zero
+        return b if a == self.one else a if b == self.one else a * b
 
     def matmul(self, A, B):
         rb = len(B)
@@ -174,7 +280,7 @@ class GenericField:
             for i in range(rows):
                 if i != r and A[i][c]:
                     f = A[i][c]
-                    A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+                    A[i] = [x - f * y if y else x for x, y in zip(A[i], A[r])]
             piv.append(c)
             r += 1
         return A[:r], piv
@@ -214,3 +320,11 @@ class GenericField:
         if not self.in_span(R, piv, v):
             raise ValueError("vector outside span")
         return [v[pc] for pc in piv]
+
+    def coords_rows(self, R, piv, W):
+        out = []
+        for w in W:
+            if not self.in_span(R, piv, w):
+                return None
+            out.append([w[pc] for pc in piv])
+        return out

@@ -29,6 +29,10 @@ class RFamily:
     basis: dict[tuple[str, str], list] = field(default_factory=dict)
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
+    # products are computed once, on first use; the bases must not change after
+    _right: dict = field(default_factory=dict, repr=False)
+    _products: dict = field(default_factory=dict, repr=False)
+    _actions: dict = field(default_factory=dict, repr=False)
 
     def dim(self, x: str, y: str) -> int:
         b = self.basis.get((x, y))
@@ -47,8 +51,38 @@ class RFamily:
             return self.tower.lin.is_zero(self.tower.lin.mat([list(vec)]))
         return self.tower.lin.in_span(b, self.piv[(x, y)], vec)
 
-    def coords(self, x: str, y: str, vec):
-        return self.tower.lin.coords(self.basis[(x, y)], self.piv[(x, y)], vec)
+    def right_mults(self, y: str, z: str) -> list:
+        """For each basis element s of R_{y,z}, the matrix M with u * s = u M."""
+        if (y, z) not in self._right:
+            t = self.tower
+            lin = t.lin
+            if self.flavor is Flavor.R:
+                # u * s flattens S U, and U -> S U is kron(S^T, 1) on row-major rows
+                mats = [lin.kron(lin.transpose(t.unflatten(s)), lin.eye(t.p))
+                        for s in lin.rows(self.basis[(y, z)])]
+            else:
+                mats = [lin.transpose(t.mu_mat(s)) for s in lin.rows(self.basis[(y, z)])]
+            self._right[(y, z)] = mats
+        return self._right[(y, z)]
+
+    def products(self, x: str, y: str, z: str) -> list:
+        """For each basis element s of R_{y,z}, the rows b * s over the basis b of R_{x,y}."""
+        if (x, y, z) not in self._products:
+            lin = self.tower.lin
+            B = self.basis[(x, y)]
+            self._products[(x, y, z)] = [lin.matmul(B, M) for M in self.right_mults(y, z)]
+        return self._products[(x, y, z)]
+
+    def action(self, x: str, y: str, z: str) -> list:
+        """For each basis element s of R_{y,z}, the d_xy x d_xz matrix whose row
+        b holds the coordinates of b * s in R_{x,z}, or None when some b * s
+        leaves R_{x,z}."""
+        if (x, y, z) not in self._actions:
+            lin = self.tower.lin
+            R, piv = self.basis[(x, z)], self.piv[(x, z)]
+            self._actions[(x, y, z)] = [lin.coords_rows(R, piv, W)
+                                        for W in self.products(x, y, z)]
+        return self._actions[(x, y, z)]
 
 
 def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamily:
@@ -88,44 +122,17 @@ def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
     return bad
 
 
-def _row(lin, vec):
-    return lin.mat([list(vec)])[0]
-
-
 def _solve(lin, cols: list, rhs):
-    """One solution c of sum c_k cols[k] = rhs, or None."""
-    if not cols:
-        return None if not lin.is_zero(lin.mat([list(rhs)])) else []
-    rows = [list(v) for v in cols] + [list(rhs)]
-    # kernel vectors of the stacked matrix with a nonzero last coefficient
-    # encode solutions of the inhomogeneous system
-    ker = lin.nullspace(_transpose(lin, lin.mat(rows)))
-    for k in _iter_rows(ker):
-        last = k[len(cols)]
-        if last:
-            return [_neg_div(lin, k[i], last) for i in range(len(cols))]
-    return None
-
-
-def _transpose(lin, A):
-    import numpy as np
-    if isinstance(A, np.ndarray):
-        return A.T.copy()
-    return [list(col) for col in zip(*A)] if A else A
-
-
-def _iter_rows(M):
-    import numpy as np
-    if isinstance(M, np.ndarray):
-        return [M[i] for i in range(M.shape[0])]
-    return M
-
-
-def _neg_div(lin, a, b):
-    import numpy as np
-    if hasattr(lin, "q"):
-        return (-int(a) * pow(int(b), -1, lin.q)) % lin.q
-    return (lin.zero - a) / b
+    """The solution c of sum c_k cols[k] = rhs whose free coordinates are
+    zero, or None when there is none."""
+    d = len(cols)
+    R, piv = lin.rref(lin.transpose(lin.mat([list(v) for v in cols] + [list(rhs)])))
+    if d in piv:
+        return None
+    sol = [lin.zero] * d
+    for r, c in enumerate(piv):
+        sol[c] = R[r][d]
+    return sol
 
 
 MAX_DIVISION_ENUM = 5000
@@ -164,17 +171,8 @@ def verify_admissible(fam: RFamily) -> AdmReport:
     # A.1 — products land in the right member, including the reflexive cases
     for (x, y) in comp:
         for z in P.points:
-            if not P.leq(y, z):
-                continue
-            for u in _iter_rows(fam.basis[(x, y)]):
-                for v in _iter_rows(fam.basis[(y, z)]):
-                    w = fam.compose(u, v)
-                    if not fam.in_span(x, z, w):
-                        rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
-                        break
-                else:
-                    continue
-                break
+            if P.leq(y, z) and any(C is None for C in fam.action(x, y, z)):
+                rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
 
     # A.2 — units act as identities and every nonzero local element divides
     for x in P.points:
@@ -185,41 +183,37 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         for (a, y) in comp:
             if a != x:
                 continue
-            for u in _iter_rows(fam.basis[(x, y)]):
+            for u in lin.rows(fam.basis[(x, y)]):
                 if not lin.eq(lin.mat([list(fam.compose(ux, u))]), lin.mat([list(u)])):
                     rep.a2_failures.append(f"unit of R_{x} does not fix R_({x},{y}) on the left")
                 uy = fam.unit[y]
                 if not lin.eq(lin.mat([list(fam.compose(u, uy))]), lin.mat([list(u)])):
                     rep.a2_failures.append(f"unit of R_{y} does not fix R_({x},{y}) on the right")
-        basis = _iter_rows(fam.basis[(x, x)])
-        d = len(basis)
+        d = fam.dim(x, x)
         if d == 0:
             rep.a2_failures.append(f"R_{x} is zero")
             continue
-        if hasattr(lin, "q") and lin.q ** d <= MAX_DIVISION_ENUM:
-            coeff_sets = itertools.product(range(lin.q), repeat=d)
+        if lin.size is not None and lin.size ** d <= MAX_DIVISION_ENUM:
+            coeffs = [c for c in itertools.product(range(lin.size), repeat=d) if any(c)]
         else:
             rep.division_exhaustive = False
-            coeff_sets = (tuple(1 if i == k else 0 for i in range(d)) for k in range(d))
-        for coeffs in coeff_sets:
-            if not any(coeffs):
-                continue
-            e = None
-            for ck, bk in zip(coeffs, basis):
-                if not ck:
-                    continue
-                term = lin.smul(ck, lin.mat([list(bk)]))[0]
-                e = term if e is None else lin.add(lin.mat([list(e)]), lin.mat([list(term)]))[0]
-            cols = [fam.compose(e, bk) for bk in basis]
-            sol = _solve(lin, cols, ux)
+            coeffs = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        # Products of e = sum_a e_a b_a with the basis come from the table of
+        # basis products: e * b_k = sum_a e_a (b_a * b_k), b_k * e = sum_a e_a (b_k * b_a).
+        table = [lin.rows(W) for W in fam.products(x, x, x)]  # table[k][a] = b_a * b_k
+        E = lin.mat(coeffs)
+        e_b = [lin.rows(lin.matmul(E, W)) for W in fam.products(x, x, x)]
+        b_e = [lin.rows(lin.matmul(E, lin.mat([list(table[a][k]) for a in range(d)])))
+               for k in range(d)]
+        target = lin.mat([list(ux)])
+        for n in range(len(coeffs)):  # the n-th element e
+            sol = _solve(lin, [e_b[k][n] for k in range(d)], ux)
             if sol is None:
                 rep.a2_failures.append(f"element of R_{x} has no right inverse")
                 break
-            inv = None
-            for ck, bk in zip(sol, basis):
-                term = lin.smul(ck, lin.mat([list(bk)]))[0]
-                inv = term if inv is None else lin.add(lin.mat([list(inv)]), lin.mat([list(term)]))[0]
-            if not lin.eq(lin.mat([list(fam.compose(inv, e))]), lin.mat([list(ux)])):
+            # inv * e = sum_k sol_k (b_k * e)
+            inv_e = lin.matmul(lin.mat([sol]), lin.mat([list(b_e[k][n]) for k in range(d)]))
+            if not lin.eq(inv_e, target):
                 rep.a2_failures.append(f"right inverse in R_{x} is not two-sided")
                 break
 
@@ -227,84 +221,62 @@ def verify_admissible(fam: RFamily) -> AdmReport:
     for (x, y) in comp:
         if y == P.max:
             continue
-        uppers = [l for l in P.points if P.leq(y, l) and l != y]
         d = fam.dim(x, y)
         if d == 0:
             continue
-        rows = []
-        for u in _iter_rows(fam.basis[(x, y)]):
-            img: list = []
-            for l in uppers:
-                for v in _iter_rows(fam.basis[(y, l)]):
-                    img.extend(list(fam.compose(u, v)))
-            rows.append(img)
-        if not rows[0]:
+        images = [W for l in P.points if P.leq(y, l) and l != y
+                  for W in fam.products(x, y, l)]
+        if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
             continue
-        kernel = lin.nullspace(_transpose(lin, lin.mat(rows)))
-        if len(_iter_rows(kernel)) > 0:
+        if lin.rank(lin.hstack(images)) < d:
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
 
 
-def _action_matrix(fam: RFamily, base: str, l: str, lp: str, s):
-    """Right multiplication by s in R_{l,lp} from the (base,l) block to (base,lp)."""
-    P = fam.poset
-    if not P.leq(base, l):
-        return []
-    cols = []
-    for b in _iter_rows(fam.basis[(base, l)]):
-        w = fam.compose(b, s)
-        if not fam.in_span(base, lp, w):
-            raise OracleError(f"product from R_({base},{l}) by R_({l},{lp}) leaves the family")
-        cols.append(list(fam.coords(base, lp, w)))
-    # transpose: entry [r][c] maps basis c of block l to coefficient r in block lp
-    return [list(col) for col in zip(*cols)] if cols and cols[0] else [[] for _ in range(0)]
-
-
 def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
-    """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given."""
+    """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given.
+
+    The unknowns are the blocks phi_l (e_l x d_l, row-major).  Each basis
+    element s of R_{l,l'}, l <= l', gives the equations phi_l' S_i = S_j phi_l,
+    where S_i (d_l' x d_l) and S_j (e_l' x e_l) are the actions of s on the
+    blocks of e_i A and e_j A.  The answer is N minus the rank of the system."""
     P = fam.poset
     lin = fam.tower.lin
     d = {l: fam.dim(i, l) for l in blocks}
     e = {l: fam.dim(j, l) for l in blocks}
-    offset: dict[str, int] = {}
-    N = 0
-    for l in blocks:
-        offset[l] = N
-        N += e[l] * d[l]
+    N = sum(e[l] * d[l] for l in blocks)
     if N == 0:
         return 0
 
-    zero, one = 0, 1
-    generic = not hasattr(lin, "q")
-    if generic:
-        zero, one = lin.zero, lin.one
-
-    rows = []
+    groups = []
     for l in blocks:
         if d[l] == 0:
             continue
         for lp in blocks:
             if not P.leq(l, lp):
                 continue
-            for s in _iter_rows(fam.basis[(l, lp)]):
-                Si = _action_matrix(fam, i, l, lp, s)       # d[lp] x d[l]
-                Sj = _action_matrix(fam, j, l, lp, s) if e[l] else []  # e[lp] x e[l]
-                for rp in range(e[lp]):
-                    for c in range(d[l]):
-                        row = [zero] * N
-                        for k in range(d[lp]):
-                            row[offset[lp] + rp * d[lp] + k] = Si[k][c] if Si else zero
-                        for k in range(e[l]):
-                            val = Sj[rp][k]
-                            cur = row[offset[l] + k * d[l] + c]
-                            row[offset[l] + k * d[l] + c] = cur - val if generic else cur - int(val)
-                        rows.append(row)
-    if not rows:
+            Ci = fam.action(i, l, lp)                    # S_i^T per s
+            Cj = fam.action(j, l, lp) if e[l] else None  # S_j^T per s
+            for k in range(len(Ci)):
+                for base, C in ((i, Ci), (j, Cj)):
+                    if C is not None and C[k] is None:
+                        raise OracleError(f"product from R_({base},{l}) by R_({l},{lp}) "
+                                          "leaves the family")
+            if not Ci or e[lp] == 0:
+                continue
+            # row (s, r, c) is entry (r, c) of phi_l' S_i(s) - S_j(s) phi_l
+            n = len(Ci) * e[lp] * d[l]
+            parts = {m: lin.zeros(n, e[m] * d[m]) for m in blocks}
+            parts[lp] = lin.vstack([lin.kron(lin.eye(e[lp]), C) for C in Ci])
+            if e[l]:
+                eye = lin.eye(d[l])
+                parts[l] = lin.sub(parts[l], lin.vstack([lin.kron(lin.transpose(C), eye)
+                                                         for C in Cj]))
+            groups.append(lin.hstack([parts[m] for m in blocks]))
+    if not groups:
         return N
-    kernel = lin.nullspace(lin.mat(rows))
-    return len(_iter_rows(kernel))
+    return N - lin.rank(lin.vstack(groups))
 
 
 def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:

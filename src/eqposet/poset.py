@@ -389,8 +389,12 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
 
 
 def load_poset(path: str, check: bool = True) -> EquippedPoset:
-    with open(path, encoding="utf-8") as fh:
-        return parse_poset(fh.read(), check=check)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise PosetError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_poset(text, check=check)
 
 
 def is_slender(P: EquippedPoset) -> bool:

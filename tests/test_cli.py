@@ -92,8 +92,32 @@ def test_knit_max_sections_env(capsys, monkeypatch):
     assert main(["knit", fixture_path("vee2")]) == 0
     assert len(json.loads(capsys.readouterr().out)["sections"]) == 3
     monkeypatch.setenv("EQPOSET_MAX_SECTIONS", "junk")
-    assert main(["knit", fixture_path("vee2")]) == 1
+    assert main(["knit", fixture_path("vee2")]) == 2
     assert "EQPOSET_MAX_SECTIONS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env, fragment", [
+    (["validate", "{latin1}"], None, "not UTF-8"),
+    (["knit", "{latin1}"], None, "not UTF-8"),
+    (["oracle", "{latin1}"], None, "not UTF-8"),
+    (["knit", "{star2}", "--max-sections", "0"], None, "--max-sections must be >= 1"),
+    (["compare", "{star2}", "--max-sections", "-3"], None, "--max-sections must be >= 1"),
+    (["knit", "{star2}"], "abc", "EQPOSET_MAX_SECTIONS must be an integer"),
+    (["compare", "{star2}"], "0", "EQPOSET_MAX_SECTIONS must be >= 1"),
+    (["oracle", "{star2}", "--q", "4294967311", "--c", "3"], None, "too large"),
+])
+def test_malformed_input_exits_2(capsys, monkeypatch, tmp_path, argv, env, fragment):
+    latin1 = tmp_path / "latin1.eqp"
+    latin1.write_bytes("# caf\u00e9\np 2\npoint a weak\naugment\n".encode("latin-1"))
+    paths = {"{latin1}": str(latin1), "{star2}": fixture_path("star2")}
+    if env is None:
+        monkeypatch.delenv("EQPOSET_MAX_SECTIONS", raising=False)
+    else:
+        monkeypatch.setenv("EQPOSET_MAX_SECTIONS", env)
+    assert main([paths.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and fragment in out.err
+    assert out.out == ""
 
 
 def test_info_with_forms(capsys):

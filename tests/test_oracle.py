@@ -1,12 +1,16 @@
 """Field towers and the exact realization oracle."""
 
+import functools
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import load_fixture, model
-from eqposet import (OracleError, ParameterError, TowerSpec, build_family,
-                     build_tower, default_tower, oracle_hom_dim,
-                     oracle_radical, run_verification, verify_admissible,
-                     verify_dims)
+from eqposet import (Flavor, OracleError, ParameterError, TowerSpec,
+                     build_family, build_model, build_tower, default_tower,
+                     oracle_hom_dim, oracle_radical, parse_poset,
+                     run_verification, verify_admissible, verify_dims)
 
 
 # ---------------------------------------------------------------- towers
@@ -43,6 +47,8 @@ def test_tower_operator_basis_ranks():
     (TowerSpec(4, "cyclic", 5, 2), "not prime"),
     (TowerSpec(2, "weird"), "unknown tower mode"),
     (TowerSpec(2, "cyclic"), "needs q and c"),
+    # a prime whose residues overflow int64 in a single product
+    (TowerSpec(2, "cyclic", 4294967311, 3), "too large"),
 ])
 def test_bad_tower_parameters(spec, fragment):
     with pytest.raises(ParameterError, match=fragment):
@@ -154,3 +160,39 @@ def test_run_verification_inseparable():
     assert rep.ok, str(rep)
     assert not rep.adm.division_exhaustive
     assert "(structural division check)" in str(rep)
+
+
+# ---------------------------------------------------------------- pinned values
+
+# oracle_hom_dim for every ordered pair and oracle_radical for every point
+# below the maximum, per "fixture flavor mode", as the per-pivot elimination
+# computed them before products were cached and systems reduced blockwise
+PINNED = json.loads((Path(__file__).parent / "data" / "oracle_values.json").read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(p, mode):
+    return default_tower(p, mode)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_oracle_values_pinned(key):
+    name, flavor, mode = key.split()
+    P = load_fixture(name)
+    fam = build_family(_tower(P.p, mode), P, flavor)
+    want = PINNED[key]
+    assert {f"{i} {j}": oracle_hom_dim(fam, i, j)
+            for i in P.points for j in P.points} == want["hom"]
+    got = {}
+    for x in P.points:
+        if x != P.max:
+            r = oracle_radical(fam, x)
+            got[x] = [r.end_dim, r.block_dims, r.multiplicity, r.end_kind]
+    assert got == want["radical"]
+
+
+def test_p5_weak_chain_ell2_flavor_r_passes():
+    P = parse_poset("p 5\npoint a weak\npoint b weak\npoint c weak\n"
+                    "rel a b 2\nrel b c 2\nclosure\naugment\n")
+    rep = run_verification(build_model(P, Flavor.R), default_tower(5))
+    assert rep.ok, str(rep)
