@@ -1,4 +1,4 @@
-"""Exact rational coordinate vectors and the bilinear form of a model.
+"""Integer coordinate vectors and the bilinear form of a model.
 
 The Gram matrix of a model is its hom table with the first row (minus the
 diagonal entry) negated:
@@ -13,36 +13,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+
+def _exact(v: int | str | Fraction) -> int | Fraction:
+    """v as an int when it is integral; a Fraction only when it is not."""
+    if type(v) is int:
+        return v
+    f = Fraction(v)
+    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
 class RatVec:
-    entries: tuple[Fraction, ...]
+    """A vector of exact entries: ints, except where a non-integral value was
+    put in (a Fraction, whose str, == and hash agree with an equal int)."""
+
+    entries: tuple[int | Fraction, ...]
 
     @staticmethod
     def of(*vals: int | str | Fraction) -> "RatVec":
-        return RatVec(tuple(Fraction(v) for v in vals))
+        return RatVec.from_seq(vals)
 
     @staticmethod
     def from_seq(vals: Iterable[int | str | Fraction]) -> "RatVec":
-        return RatVec(tuple(Fraction(v) for v in vals))
+        return RatVec(tuple(_exact(v) for v in vals))
 
     @staticmethod
     def zeros(n: int) -> "RatVec":
-        return RatVec((Fraction(0),) * n)
+        return RatVec((0,) * n)
 
     @staticmethod
     def unit(n: int, k: int) -> "RatVec":
-        return RatVec(tuple(Fraction(1 if i == k else 0) for i in range(n)))
+        return RatVec(tuple(int(i == k) for i in range(n)))
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[int | Fraction]:
         return iter(self.entries)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int | Fraction:
         return self.entries[i]
 
     def __add__(self, other: "RatVec") -> "RatVec":
@@ -94,12 +105,12 @@ def gram_matrix(model) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def bilinear(model, d1: RatVec, d2: RatVec) -> Fraction:
+def bilinear(model, d1: RatVec, d2: RatVec) -> int | Fraction:
     B = gram_matrix(model)
     n = len(B)
     if len(d1) != n or len(d2) != n:
         raise ValueError("vector length does not match the model")
-    total = Fraction(0)
+    total = 0
     for i in range(n):
         if d1[i] == 0:
             continue
@@ -108,10 +119,10 @@ def bilinear(model, d1: RatVec, d2: RatVec) -> Fraction:
     return total
 
 
-def quadratic(model, d: RatVec) -> Fraction:
+def quadratic(model, d: RatVec) -> int | Fraction:
     return bilinear(model, d, d)
 
 
-def euler_pairing(model, cd_x: RatVec, cd_y: RatVec) -> Fraction:
+def euler_pairing(model, cd_x: RatVec, cd_y: RatVec) -> int | Fraction:
     """Pairing <X, Y> = dim Hom(X, Y) on coordinate vectors of projectives."""
     return bilinear(model, cd_y, cd_x)

@@ -11,6 +11,7 @@ summand just appeared.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -67,14 +68,27 @@ class ComponentGraph:
     sections: list[list[int]] = field(default_factory=list)
     tau_inv: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # adjacency index over `arrows`, kept up to date by add_arrow
+        self._out: defaultdict[int, list[ArArrow]] = defaultdict(list)
+        self._in: defaultdict[int, list[ArArrow]] = defaultdict(list)
+        arrows, self.arrows = self.arrows, []
+        for a in arrows:
+            self.add_arrow(a)
+
+    def add_arrow(self, a: ArArrow) -> None:
+        self.arrows.append(a)
+        self._out[a.src].append(a)
+        self._in[a.dst].append(a)
+
     def vertex(self, vid: int) -> ArVertex:
         return self.vertices[vid]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
-        return [a for a in self.arrows if a.src == vid]
+        return list(self._out.get(vid, ()))
 
     def in_arrows(self, vid: int) -> list[ArArrow]:
-        return [a for a in self.arrows if a.dst == vid]
+        return list(self._in.get(vid, ()))
 
 
 def max_sections_default() -> int:
@@ -107,28 +121,25 @@ def knit(M: AlgebraModel, max_sections: int | None = None) -> ComponentGraph:
     prof_key = {(pr.udimF, pr.label): x for x, pr in profiles.items()}
     homdiag = [M.hom[i][i] for i in range(P.n)]
     max_idx = P.index[P.max]
+    valuation = {(s, d): _valuation(M, s, d) for s in Label for d in Label}
 
     G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
     seen: dict[tuple[RatVec, Label], int] = {}
 
     def add_vertex(section: int, label: Label, udimF: RatVec,
                    cd: RatVec | None = None, proj_point: str | None = None) -> ArVertex:
-        if not (udimF.is_integral and udimF.is_nonnegative):
+        if not udimF.is_nonnegative:
             raise KnitError(f"mesh produced a bad dimension vector {udimF}")
         if udimF[max_idx] < 1:
             raise KnitError(f"dimension vector {udimF} misses the socle")
-        udim_entries = []
-        for k, v in enumerate(udimF):
-            q = v / homdiag[k]
-            if q.denominator != 1:
-                raise KnitError(f"dimension vector {udimF} is not divisible by the local dimensions")
-            udim_entries.append(q)
+        if any(e % h for e, h in zip(udimF, homdiag)):
+            raise KnitError(f"dimension vector {udimF} is not divisible by the local dimensions")
         key = (udimF, label)
         if key in seen:
             raise KnitError(f"vertex identity collision at {udimF} {label.value}")
+        udim = RatVec(tuple(e // h for e, h in zip(udimF, homdiag)))
         v = ArVertex(id=len(G.vertices), section=section, label=label, udimF=udimF,
-                     udim=RatVec(tuple(udim_entries)), cd=cd, proj_point=proj_point,
-                     inj_point=prof_key.get(key))
+                     udim=udim, cd=cd, proj_point=proj_point, inj_point=prof_key.get(key))
         seen[key] = v.id
         G.vertices.append(v)
         G.sections[section].append(v.id)
@@ -137,13 +148,13 @@ def knit(M: AlgebraModel, max_sections: int | None = None) -> ComponentGraph:
     def add_arrow(src: ArVertex, dst: ArVertex) -> ArArrow:
         if src.id >= dst.id:
             raise KnitError("arrow against creation order")
-        a, b = _valuation(M, src.label, dst.label)
-        ar = ArArrow(src.id, dst.id, a, b)
-        G.arrows.append(ar)
+        ar = ArArrow(src.id, dst.id, *valuation[src.label, dst.label])
+        G.add_arrow(ar)
         return ar
 
-    placed: set[str] = set()
-    inner = [x for x in P.points if x not in (P.zero,)]
+    placed: set[str] = {P.max}
+    inner = [x for x in P.points if x not in (P.zero, P.max)]
+    radicals = {j: radical_info(M, j) for j in inner}
 
     def attach_projectives(section: int) -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
@@ -152,9 +163,9 @@ def knit(M: AlgebraModel, max_sections: int | None = None) -> ComponentGraph:
         while changed:
             changed = False
             for j in inner:
-                if j in placed or j == P.max:
+                if j in placed:
                     continue
-                info = radical_info(M, j)
+                info = radicals[j]
                 target = seen.get((info.udimF, info.label))
                 if target is None:
                     continue
@@ -182,10 +193,8 @@ def knit(M: AlgebraModel, max_sections: int | None = None) -> ComponentGraph:
                 changed = True
 
     G.sections.append([])
-    root = add_vertex(0, Label.STRONG, projective_udimF(M, P.max),
-                      cd=projective_cd(M, P.max), proj_point=P.max)
-    placed.add(P.max)
-    assert root is not None
+    add_vertex(0, Label.STRONG, projective_udimF(M, P.max),
+               cd=projective_cd(M, P.max), proj_point=P.max)
     attach_projectives(0)
 
     cur = 0
@@ -201,19 +210,16 @@ def knit(M: AlgebraModel, max_sections: int | None = None) -> ComponentGraph:
         for X in sorted(section_vertices, key=lambda v: v.id):
             if X.inj_point is not None:
                 continue
-            middles = [G.vertices[a.dst] for a in G.out_arrows(X.id)]
-            total = RatVec.zeros(P.n)
-            for V in middles:
-                mult = M.p if (M.kdim(X.label) == M.p and M.kdim(V.label) == 1) else 1
-                total = total + mult * V.udimF
-            new_udimF = total - X.udimF
+            out = G.out_arrows(X.id)
+            # mesh: each middle term counts with its arrow's second valuation
+            new_udimF = sum((a.b * G.vertices[a.dst].udimF for a in out), -X.udimF)
             try:
                 Y = add_vertex(cur + 1, X.label, new_udimF)
             except KnitError as e:
                 raise KnitError(f"mesh at vertex {X.id} failed: {e}") from None
             G.tau_inv[X.id] = Y.id
-            for V in middles:
-                add_arrow(V, Y)
+            for a in out:
+                add_arrow(G.vertices[a.dst], Y)
         attach_projectives(cur + 1)
         cur += 1
     return G
@@ -231,10 +237,12 @@ def derive_v_level(G: ComponentGraph, M: AlgebraModel) -> ComponentGraph:
                          arrows=list(G.arrows),
                          sections=[list(s) for s in G.sections],
                          tau_inv=dict(G.tau_inv))
+    hmax = M.hom_dim(P.max, P.max)
     for v in G.vertices:
-        c = v.udimF[max_idx] / M.hom_dim(P.max, P.max)
-        if c.denominator != 1 or c < 1:
-            raise KnitError(f"socle multiplicity {c} at vertex {v.id} is not a positive integer")
+        c, r = divmod(v.udimF[max_idx], hmax)
+        if r or c < 1:
+            raise KnitError(f"socle multiplicity {Fraction(v.udimF[max_idx], hmax)} "
+                            f"at vertex {v.id} is not a positive integer")
         vdim = c * row0 - v.udimF
         if not vdim.is_nonnegative:
             raise KnitError(f"negative complementary dimensions at vertex {v.id}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 from .forms import RatVec
@@ -164,10 +163,9 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
     mult = p if tee else 1
 
     idx = P.index
-    udimF = [Fraction(0)] * P.n
+    udimF = [0] * P.n
     for y in uppers:
-        udimF[idx[y]] = Fraction(M.hom_dim(P.zero, y) if tee else M.hom_dim(x, y))
-    udimF = RatVec(tuple(udimF))
+        udimF[idx[y]] = M.hom_dim(P.zero, y) if tee else M.hom_dim(x, y)
 
     def hdim(x_: str, z: str, e: int) -> int:
         if e == 0:
@@ -182,20 +180,17 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
 
     # cover multiplicities of the radical: the part of each column not
     # already reached through a longer chain from x
-    cd = [Fraction(0)] * P.n
+    cd = [0] * P.n
     for z in uppers:
         between = [y for y in uppers if y != z and P.leq(y, z)]
         e_z = max((min(P.ell(x, y) + P.ell(y, z) - 1, p) for y in between), default=0)
         top = hdim(x, z, P.ell(x, z)) - hdim(x, z, e_z)
         if top < 0 or top % M.hom_dim(z, z):
             raise ModelError(f"cover multiplicity at ({x}, {z}) is not integral")
-        cd[idx[z]] = Fraction(top // M.hom_dim(z, z))
-    cd[0] = Fraction(_c_coeff(M, x))
-    cd = RatVec(tuple(cd))
-    if mult > 1:
-        cd = cd * Fraction(1, mult)
-        if not cd.is_integral:
-            raise ModelError(f"radical summand coordinates at {x} are not integral")
+        cd[idx[z]] = top // M.hom_dim(z, z)
+    cd[0] = _c_coeff(M, x)
+    if any(e % mult for e in cd):
+        raise ModelError(f"radical summand coordinates at {x} are not integral")
 
     succ = P.hasse[x]
     proj = None
@@ -203,7 +198,8 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
         j = succ[0]
         if all(P.ell(x, u) == P.ell(j, u) for u in P.points if P.leq(j, u)):
             proj = j
-    return RadicalInfo(x, mult, label, udimF, cd, proj)
+    return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
+                       RatVec(tuple(e // mult for e in cd)), proj)
 
 
 def is_hereditary(M: AlgebraModel, x: str) -> bool:

@@ -22,25 +22,33 @@ def strengths_of(P: EquippedPoset) -> tuple[bool, ...]:
     return tuple(P.is_strong(x) for x in P.points)
 
 
-def _scale(strengths: Sequence[bool], v: RatVec, on_strong: bool, factor: Fraction) -> RatVec:
-    return RatVec(tuple(x * factor if s == on_strong else x
+def _scale(strengths: Sequence[bool], v: RatVec, on_strong: bool, p: int,
+           divide: bool = False) -> RatVec:
+    """Multiply or divide the coordinates of one strength by p; a quotient is
+    an int when p divides the entry and a Fraction only when it does not."""
+    def f(x):
+        if not divide:
+            return x * p
+        q, r = divmod(x, p)
+        return Fraction(x, p) if r else q
+    return RatVec(tuple(f(x) if s == on_strong else x
                         for s, x in zip(strengths, v, strict=True)))
 
 
 def map_s(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=False, factor=Fraction(p))
+    return _scale(strengths, v, on_strong=False, p=p)
 
 
 def map_s_inv(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=False, factor=Fraction(1, p))
+    return _scale(strengths, v, on_strong=False, p=p, divide=True)
 
 
 def map_w(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=True, factor=Fraction(1, p))
+    return _scale(strengths, v, on_strong=True, p=p, divide=True)
 
 
 def map_w_inv(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=True, factor=Fraction(p))
+    return _scale(strengths, v, on_strong=True, p=p)
 
 
 @dataclass
@@ -155,7 +163,7 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                 pc.problems.append(
                     f"arrow valuations do not swap: ({ar.a},{ar.b}) vs ({br.a},{br.b})")
         out_r = {matched[a.dst] for a in Gr.out_arrows(x) if a.dst in matched}
-        out_c = {a.dst for a in Gc.arrows if a.src == y}
+        out_c = {a.dst for a in Gc.out_arrows(y)}
         if out_c - out_r:
             pc.problems.append(f"extra flavor-c arrows to {sorted(out_c - out_r)}")
     return report

@@ -1,10 +1,20 @@
-"""Command-line driver: exit codes, JSON/DOT output, option handling."""
+"""Command-line driver: exit codes, JSON/DOT output, option handling.
 
+Run as a script (`PYTHONPATH=src python tests/test_cli.py --record`) to
+re-record the stdout digests in data/knit_digests.json.
+"""
+
+import contextlib
+import hashlib
+import io
 import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, model
+from conftest import ALL_FIXTURES, fixture_path, model
 from eqposet import knit
 from eqposet.cli import component_to_dict, emit_dot, emit_json, main
 
@@ -163,3 +173,46 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- digests
+
+DIGESTS = Path(__file__).parent / "data" / "knit_digests.json"
+
+
+def digest_cases() -> dict[str, list[str]]:
+    """Every fixture under knit (json/dot, r/c) and compare, at the default
+    depth and at 200 sections; the key names the case, "{path}" the file."""
+    cases = {}
+    for name in ALL_FIXTURES:
+        for depth in ([], ["--max-sections", "200"]):
+            cmds = [["compare"]] + [["knit", "--format", fmt, "--flavor", fl]
+                                    for fmt in ("json", "dot") for fl in ("r", "c")]
+            for cmd in cmds:
+                argv = [cmd[0], "{path}"] + cmd[1:] + depth
+                cases[" ".join([name] + cmd + (depth or ["default"]))] = argv
+    return cases
+
+
+def digest_of(key: str, argv: list[str]) -> dict:
+    path = fixture_path(key.split()[0])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([path if a == "{path}" else a for a in argv])
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("key", sorted(digest_cases()))
+def test_stdout_matches_recorded_digest(monkeypatch, key):
+    """Knit and compare output keeps its bytes: every vector entry prints the
+    same whether it is held as an int or as an equal Fraction."""
+    monkeypatch.delenv("EQPOSET_MAX_SECTIONS", raising=False)
+    want = json.loads(DIGESTS.read_text())[key]
+    assert digest_of(key, digest_cases()[key]) == want
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    os.environ.pop("EQPOSET_MAX_SECTIONS", None)
+    recorded = {key: digest_of(key, argv) for key, argv in sorted(digest_cases().items())}
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} digests in {DIGESTS}")

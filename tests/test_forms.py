@@ -73,3 +73,13 @@ def test_rational_vector_arithmetic():
     assert (u + v).as_ints() == (1, 0, 3)
     assert u.as_strings() == ["1/2", "1", "0"]
     assert str(u + v) == "(1, 0, 3)"
+
+
+def test_integral_entries_are_ints():
+    v = RatVec.of(3, "4", Fraction(10, 5), "1/2")
+    assert [type(e) for e in v] == [int, int, int, Fraction]
+    assert all(type(e) is int for e in RatVec.zeros(3).entries + RatVec.unit(3, 1).entries)
+    # an int and an equal Fraction print, compare and hash alike
+    ints, fracs = RatVec.of(2, 0, -3), RatVec((Fraction(2), Fraction(0), Fraction(-3)))
+    assert str(ints) == str(fracs) and ints.as_strings() == fracs.as_strings()
+    assert ints == fracs and hash(ints) == hash(fracs)

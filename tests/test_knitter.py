@@ -3,7 +3,9 @@
 import pytest
 
 from conftest import ALL_FIXTURES, load_table, model
-from eqposet import (FINITE, TRUNCATED, KnitError, derive_v_level, knit)
+from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, build_model, derive_v_level,
+                     injective_profiles, knit, parse_poset, projective_cd,
+                     projective_udimF, radical_info)
 from eqposet.knitter import max_sections_default
 
 
@@ -277,6 +279,39 @@ def test_tau_inverse_preserves_labels():
             assert G.vertex(src).label == G.vertex(dst).label
 
 
+def all_ints(vec) -> bool:
+    return all(type(e) is int for e in vec)
+
+
+@pytest.mark.parametrize("sections", [12, 200])
+@pytest.mark.parametrize("fl", ["r", "c"])
+def test_vectors_hold_ints(fl, sections):
+    """Knitted and model vectors hold Python ints, never a Fraction or a
+    float, down to the deepest section."""
+    for name in ALL_FIXTURES:
+        M = model(name, fl)
+        P = M.poset
+        for v in knit(M, max_sections=sections).vertices:
+            vecs = [v.udimF, v.udim] + ([v.cd] if v.cd is not None else [])
+            assert all(all_ints(vec) for vec in vecs), (name, v.id)
+        for x in P.points:
+            assert all_ints(projective_udimF(M, x))
+            if x != P.zero:
+                assert all_ints(projective_cd(M, x))
+            if x != P.max:
+                info = radical_info(M, x)
+                assert all_ints(info.udimF) and all_ints(info.cd), (name, x)
+        assert all(all_ints(pr.udimF) for pr in injective_profiles(M).values())
+
+
+def test_negative_mesh_reports_integer_vector():
+    P = parse_poset("p 2\npoint x0 weak\npoint x1 weak\nrel x0 x1 2\nclosure\naugment\n")
+    with pytest.raises(KnitError) as exc:
+        knit(build_model(P, Flavor.R))
+    assert str(exc.value) == \
+        "mesh at vertex 2 failed: mesh produced a bad dimension vector (0, 0, -2, -1)"
+
+
 # ---------------------------------------------------------------- v-level
 
 def test_derive_v_level_star2():
@@ -297,6 +332,7 @@ def test_derive_v_level_properties():
             hmax = M.hom_dim(M.poset.max, M.poset.max)
             for v in G.vertices:
                 assert v.vdim is not None and v.vdim.is_nonnegative
-                c = v.udimF[-1] / hmax
+                c, r = divmod(v.udimF[-1], hmax)
+                assert r == 0
                 for j in range(len(row0)):
                     assert v.vdim[j] == c * row0[j] - v.udimF[j]

@@ -1,5 +1,7 @@
 """Scaling maps and the component correspondence between the two flavors."""
 
+from fractions import Fraction
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -34,6 +36,16 @@ def test_scaling_map_identities(data):
     # s = p * w as maps, so s . w^-1 scales everything by p
     assert map_s(p, strengths, v) == map_w(p, strengths, v) * p
     assert map_s(p, strengths, map_w_inv(p, strengths, v)) == v * p
+
+
+def test_scaling_maps_divide_exactly():
+    strengths = (True, False, True)
+    img = map_s_inv(2, strengths, RatVec.of(3, 4, 5))
+    assert img.entries == (3, 2, 5) and all(type(e) is int for e in img)
+    half = map_w(2, strengths, RatVec.of(3, 4, 5))
+    assert half.entries == (Fraction(3, 2), 4, Fraction(5, 2)) and not half.is_integral
+    assert [type(e) for e in half] == [Fraction, int, Fraction]
+    assert map_w_inv(2, strengths, half) == RatVec.of(3, 4, 5)
 
 
 def test_strengths_of_matches_points():
