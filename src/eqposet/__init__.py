@@ -2,7 +2,7 @@
 Auslander-Reiten components of the simple projective, with an exact
 finite-field oracle for everything the numerics claim."""
 
-from .fields import ParameterError, Tower, TowerSpec, build_tower, default_tower
+from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import RatVec, bilinear, euler_pairing, gram_matrix, quadratic
 from .knitter import (FINITE, TRUNCATED, ArArrow, ArVertex, ComponentGraph,
                       KnitError, derive_v_level, knit)
@@ -26,7 +26,7 @@ __all__ = [
     "OracleError", "OracleReport", "PairingReport", "ParameterError",
     "PosetError", "RFamily", "RadicalInfo", "RatVec", "TRUNCATED",
     "TableReport", "Tower", "TowerSpec", "ValidationReport", "Violation",
-    "augment", "bilinear", "build_family", "build_model", "build_tower",
+    "augment", "bilinear", "build_family", "build_model",
     "check_table_correspondence", "default_tower", "derive_v_level",
     "euler_pairing", "gram_matrix", "injective_profiles", "is_hereditary",
     "is_slender", "knit", "load_poset", "map_s", "map_s_inv", "map_w",

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .fields import ParameterError, TowerSpec, build_tower, default_tower
+from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import gram_matrix, quadratic
 from .knitter import ComponentGraph, KnitError, knit, max_sections_default
 from .model import (Flavor, ModelError, build_model, injective_profiles,
@@ -151,13 +151,14 @@ def cmd_compare(args) -> int:
 
 def cmd_oracle(args) -> int:
     P = load_poset(args.path)
-    if args.mode == "cyclic" and args.q is None and args.c is None:
-        tower = default_tower(P.p)
+    if args.q is None and args.c is None:
+        tower = default_tower(P.p, args.mode)
+    elif args.mode == "inseparable":
+        raise ParameterError("--q and --c apply to cyclic towers only")
+    elif args.q is None or args.c is None:
+        raise ParameterError("cyclic towers need both --q and --c")
     else:
-        if args.mode == "cyclic" and (args.q is None or args.c is None):
-            print("error: cyclic towers need both --q and --c", file=sys.stderr)
-            return 2
-        tower = build_tower(TowerSpec(P.p, args.mode, args.q, args.c))
+        tower = Tower(TowerSpec(P.p, "cyclic", args.q, args.c))
     flavors = [Flavor.R, Flavor.C] if args.flavor == "both" else [Flavor(args.flavor)]
     ok = True
     for fl in flavors:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linalg import MAX_Q, GenericField, ModQ
 from .poset import _is_prime
 
@@ -59,6 +57,9 @@ class Tower:
             self.c = c
             self.lin = ModQ(q)
             self.omega = _smallest_root_of_unity(p, q)
+            # sigma: xi^i -> omega^i xi^i
+            self.theta = self.lin.mat([[pow(self.omega, i, q) if j == i else 0 for j in range(p)]
+                                       for i in range(p)])
         elif spec.mode == "inseparable":
             from sympy.polys.domains import FF
             K = FF(spec.p).frac_field("t")
@@ -67,20 +68,17 @@ class Tower:
             self.c = t
             self.lin = GenericField(K.zero, K.one, convert=lambda x: x if hasattr(x, "ring") or hasattr(x, "field") else K.convert(x))
             self.omega = None
+            # delta: xi^i -> i xi^(i-1)
+            self.theta = self.lin.mat([[j if j == i + 1 else 0 for j in range(spec.p)]
+                                       for i in range(spec.p)])
         else:
             raise ParameterError(f"unknown tower mode {spec.mode!r}")
 
-        self.theta = self._theta_mat()
         a1 = self.a_ell_basis(1)
         if self.lin.rank(self.flatten_all(a1)) != self.p:
             raise ParameterError("operator basis is degenerate")
 
     # -- G arithmetic -------------------------------------------------------
-
-    def g_one(self):
-        vec = [0] * self.p
-        vec[0] = 1
-        return self.lin.mat([vec])[0]
 
     def xi_pow(self, j: int):
         vec = [0] * self.p
@@ -103,18 +101,6 @@ class Tower:
         return lin.mat([[g[r - j] if j <= r else cg[r - j + p] for j in range(p)]
                         for r in range(p)])
 
-    def _theta_mat(self):
-        p = self.p
-        if self.spec.mode == "cyclic":
-            m = np.zeros((p, p), dtype=np.int64)
-            for i in range(p):
-                m[i, i] = pow(self.omega, i, self.q)
-            return m
-        m = self.lin.zeros(p, p)
-        for i in range(1, p):
-            m[i - 1][i] = self.lin.convert(i)
-        return m
-
     # -- operator algebra ---------------------------------------------------
 
     def eps(self, strong: bool):
@@ -123,10 +109,7 @@ class Tower:
         if not strong:
             return self.lin.eye(self.p)
         e = self.lin.zeros(self.p, self.p)
-        if isinstance(self.lin, ModQ):
-            e[0, 0] = 1
-        else:
-            e[0][0] = self.lin.one
+        e[0][0] = self.lin.one
         return e
 
     def a_ell_basis(self, ell: int) -> list:
@@ -140,22 +123,16 @@ class Tower:
             theta_pow = lin.matmul(self.theta, theta_pow)
         return out
 
+    # operators flatten row-major into vectors of length p^2
+
     def flatten(self, m):
-        if isinstance(self.lin, ModQ):
-            return np.asarray(m, dtype=np.int64).reshape(-1) % self.lin.q
-        return [x for row in m for x in row]
+        return self.lin.reshape(m, 1, self.p * self.p)[0]
 
     def unflatten(self, v):
-        p = self.p
-        if isinstance(self.lin, ModQ):
-            return np.asarray(v, dtype=np.int64).reshape(p, p) % self.lin.q
-        return [list(v[i * p:(i + 1) * p]) for i in range(p)]
+        return self.lin.reshape(v, self.p, self.p)
 
     def flatten_all(self, mats: list):
-        rows = [self.flatten(m) for m in mats]
-        if isinstance(self.lin, ModQ):
-            return np.stack(rows) if rows else np.zeros((0, self.p * self.p), dtype=np.int64)
-        return rows
+        return self.lin.reshape(mats, len(mats), self.p * self.p)
 
 
 def _smallest_root_of_unity(p: int, q: int) -> int:
@@ -166,10 +143,6 @@ def _smallest_root_of_unity(p: int, q: int) -> int:
     e = (q - 1) // p
     h = next(h for h in (pow(a, e, q) for a in range(2, q)) if h != 1)
     return min(pow(h, k, q) for k in range(1, p))
-
-
-def build_tower(spec: TowerSpec) -> Tower:
-    return Tower(spec)
 
 
 def default_tower(p: int, mode: str = "cyclic") -> Tower:

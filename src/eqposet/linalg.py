@@ -42,10 +42,7 @@ class ModQ:
         self.chunk = (INT64_MAX - (q - 1)) // (q - 1) ** 2
 
     def mat(self, rows) -> np.ndarray:
-        m = np.array(rows, dtype=np.int64)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        return m % self.q
+        return np.array(rows, dtype=np.int64) % self.q
 
     def zeros(self, r: int, c: int) -> np.ndarray:
         return np.zeros((r, c), dtype=np.int64)
@@ -55,6 +52,11 @@ class ModQ:
 
     def rows(self, A: np.ndarray) -> list:
         return list(A)
+
+    def reshape(self, A, r: int, c: int) -> np.ndarray:
+        """The entries of A (a vector, a matrix or a list of matrices) in
+        row-major order, as an r x c matrix."""
+        return np.asarray(A, dtype=np.int64).reshape(r, c)
 
     def transpose(self, A: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(A.T)
@@ -78,9 +80,6 @@ class ModQ:
             out = (out + A[:, s:s + step] @ B[s:s + step]) % self.q
         return out
 
-    def add(self, A, B):
-        return (A + B) % self.q
-
     def sub(self, A, B):
         return (A - B) % self.q
 
@@ -89,9 +88,6 @@ class ModQ:
 
     def eq(self, A, B) -> bool:
         return bool(np.array_equal(A % self.q, B % self.q))
-
-    def is_zero(self, A) -> bool:
-        return not (A % self.q).any()
 
     def rref(self, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon basis of the row space of A, and its pivots.
@@ -199,8 +195,6 @@ class GenericField:
         self.convert = convert or (lambda x: x)
 
     def mat(self, rows):
-        if rows and not isinstance(rows[0], (list, tuple)):
-            rows = [rows]
         return [[self.convert(x) for x in row] for row in rows]
 
     def zeros(self, r, c):
@@ -211,6 +205,12 @@ class GenericField:
 
     def rows(self, A) -> list:
         return list(A)
+
+    def reshape(self, A, r, c):
+        flat = list(A)
+        while flat and isinstance(flat[0], (list, tuple)):
+            flat = [x for part in flat for x in part]
+        return [flat[i * c:(i + 1) * c] for i in range(r)]
 
     def transpose(self, A):
         return [list(col) for col in zip(*A)]
@@ -246,9 +246,6 @@ class GenericField:
             out.append(acc)
         return out
 
-    def add(self, A, B):
-        return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)]
-
     def sub(self, A, B):
         return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)]
 
@@ -258,9 +255,6 @@ class GenericField:
 
     def eq(self, A, B) -> bool:
         return all(x == y for r1, r2 in zip(A, B) for x, y in zip(r1, r2))
-
-    def is_zero(self, A) -> bool:
-        return all(not x for row in A for x in row)
 
     def rref(self, A):
         A = [list(row) for row in A]

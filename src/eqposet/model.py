@@ -78,17 +78,30 @@ class AlgebraModel:
 
     def kdim(self, label: Label) -> int:
         """Division-ring dimension attached to a vertex label (1 or p)."""
-        if self.flavor is Flavor.R:
-            return 1 if label is Label.STRONG else self.p
-        return self.p if label is Label.STRONG else 1
+        return _loc(self.flavor, label is Label.STRONG, self.p)
 
     def label_of_end(self, end_kind: str) -> Label:
         """Vertex label corresponding to an endomorphism ring F or G."""
         if end_kind not in ("F", "G"):
             raise ValueError(f"unknown endomorphism kind {end_kind!r}")
-        if self.flavor is Flavor.R:
-            return Label.STRONG if end_kind == "F" else Label.WEAK
-        return Label.WEAK if end_kind == "F" else Label.STRONG
+        dim = 1 if end_kind == "F" else self.p
+        return Label.STRONG if self.kdim(Label.STRONG) == dim else Label.WEAK
+
+
+def _loc(flavor: Flavor, strong: bool, p: int) -> int:
+    """F-dimension of the local division ring at a point: F (1) or G (p)."""
+    return p if strong == (flavor is Flavor.C) else 1
+
+
+def _hom_piece(flavor: Flavor, P: EquippedPoset, x: str, y: str, e: int) -> int:
+    """F-dimension of the part of e_x A e_y given by equipment e: e for
+    flavor c, e * loc(x) * loc(y) / p for flavor r."""
+    if flavor is Flavor.C:
+        return e
+    num = e * _loc(flavor, P.is_strong(x), P.p) * _loc(flavor, P.is_strong(y), P.p)
+    if num % P.p:
+        raise ModelError(f"non-integral hom dimension at ({x}, {y})")
+    return num // P.p
 
 
 def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
@@ -96,31 +109,10 @@ def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
     report = validate(P, require_bounds=True)
     if not report.ok:
         raise ModelError(f"cannot build a model on an invalid poset\n{report}")
-    p = P.p
-    pts = P.points
-    n = len(pts)
-
-    def loc(x: str) -> int:
-        # F-dimension of the local division ring at x
-        if flavor is Flavor.R:
-            return 1 if P.is_strong(x) else p
-        return p if P.is_strong(x) else 1
-
-    hom = [[0] * n for _ in range(n)]
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            if not P.leq(x, y):
-                continue
-            if i == j:
-                hom[i][j] = loc(x)
-            elif flavor is Flavor.R:
-                num = P.ell(x, y) * loc(x) * loc(y)
-                if num % p:
-                    raise ModelError(f"non-integral hom dimension at ({x}, {y})")
-                hom[i][j] = num // p
-            else:
-                hom[i][j] = P.ell(x, y)
-    return AlgebraModel(P, flavor, tuple(tuple(r) for r in hom))
+    # the diagonal is no special case: ell(x, x) is p on strong points, 1 on weak
+    hom = tuple(tuple(_hom_piece(flavor, P, x, y, P.ell(x, y)) if P.leq(x, y) else 0
+                      for y in P.points) for x in P.points)
+    return AlgebraModel(P, flavor, hom)
 
 
 def projective_udimF(M: AlgebraModel, x: str) -> RatVec:
@@ -167,24 +159,13 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
     for y in uppers:
         udimF[idx[y]] = M.hom_dim(P.zero, y) if tee else M.hom_dim(x, y)
 
-    def hdim(x_: str, z: str, e: int) -> int:
-        if e == 0:
-            return 0
-        if M.flavor is Flavor.C:
-            return e
-        lx = 1 if P.is_strong(x_) else p
-        lz = 1 if P.is_strong(z) else p
-        num = e * lx * lz
-        assert num % p == 0
-        return num // p
-
     # cover multiplicities of the radical: the part of each column not
     # already reached through a longer chain from x
     cd = [0] * P.n
     for z in uppers:
         between = [y for y in uppers if y != z and P.leq(y, z)]
         e_z = max((min(P.ell(x, y) + P.ell(y, z) - 1, p) for y in between), default=0)
-        top = hdim(x, z, P.ell(x, z)) - hdim(x, z, e_z)
+        top = _hom_piece(M.flavor, P, x, z, P.ell(x, z)) - _hom_piece(M.flavor, P, x, z, e_z)
         if top < 0 or top % M.hom_dim(z, z):
             raise ModelError(f"cover multiplicity at ({x}, {z}) is not integral")
         cd[idx[z]] = top // M.hom_dim(z, z)

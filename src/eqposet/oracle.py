@@ -46,10 +46,7 @@ class RFamily:
         return t.g_mul(u, v)
 
     def in_span(self, x: str, y: str, vec) -> bool:
-        b = self.basis.get((x, y))
-        if b is None or len(b) == 0:
-            return self.tower.lin.is_zero(self.tower.lin.mat([list(vec)]))
-        return self.tower.lin.in_span(b, self.piv[(x, y)], vec)
+        return self.tower.lin.in_span(self.basis[(x, y)], self.piv[(x, y)], vec)
 
     def right_mults(self, y: str, z: str) -> list:
         """For each basis element s of R_{y,z}, the matrix M with u * s = u M."""
@@ -108,7 +105,7 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
         if flavor is Flavor.R:
             fam.unit[x] = tower.flatten(tower.eps(P.is_strong(x)))
         else:
-            fam.unit[x] = list(tower.g_one())
+            fam.unit[x] = list(tower.xi_pow(0))
     return fam
 
 

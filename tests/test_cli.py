@@ -115,6 +115,9 @@ def test_knit_max_sections_env(capsys, monkeypatch):
     (["knit", "{star2}"], "abc", "EQPOSET_MAX_SECTIONS must be an integer"),
     (["compare", "{star2}"], "0", "EQPOSET_MAX_SECTIONS must be >= 1"),
     (["oracle", "{star2}", "--q", "4294967311", "--c", "3"], None, "too large"),
+    (["oracle", "{star2}", "--mode", "inseparable", "--q", "4", "--c", "0"], None,
+     "--q and --c apply to cyclic towers only"),
+    (["oracle", "{star2}", "--q", "3"], None, "cyclic towers need both --q and --c"),
 ])
 def test_malformed_input_exits_2(capsys, monkeypatch, tmp_path, argv, env, fragment):
     latin1 = tmp_path / "latin1.eqp"
@@ -157,11 +160,6 @@ def test_oracle_rejects_bad_parameters(capsys):
     assert "does not divide" in capsys.readouterr().err
 
 
-def test_oracle_needs_both_q_and_c(capsys):
-    assert main(["oracle", fixture_path("star2"), "--q", "3"]) == 2
-    assert "--q and --c" in capsys.readouterr().err
-
-
 def test_oracle_inseparable(capsys):
     code = main(["oracle", fixture_path("mixed3"), "--flavor", "r",
                  "--mode", "inseparable"])
@@ -182,7 +180,8 @@ DIGESTS = Path(__file__).parent / "data" / "knit_digests.json"
 
 def digest_cases() -> dict[str, list[str]]:
     """Every fixture under knit (json/dot, r/c) and compare, at the default
-    depth and at 200 sections; the key names the case, "{path}" the file."""
+    depth and at 200 sections, under info --forms (r, c) and under oracle on
+    the default cyclic tower; the key names the case, "{path}" the file."""
     cases = {}
     for name in ALL_FIXTURES:
         for depth in ([], ["--max-sections", "200"]):
@@ -191,6 +190,9 @@ def digest_cases() -> dict[str, list[str]]:
             for cmd in cmds:
                 argv = [cmd[0], "{path}"] + cmd[1:] + depth
                 cases[" ".join([name] + cmd + (depth or ["default"]))] = argv
+        for cmd in (["info", "--forms", "--flavor", "r"], ["info", "--forms", "--flavor", "c"],
+                    ["oracle", "--flavor", "both"]):
+            cases[" ".join([name] + cmd)] = [cmd[0], "{path}"] + cmd[1:]
     return cases
 
 
@@ -204,8 +206,7 @@ def digest_of(key: str, argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("key", sorted(digest_cases()))
 def test_stdout_matches_recorded_digest(monkeypatch, key):
-    """Knit and compare output keeps its bytes: every vector entry prints the
-    same whether it is held as an int or as an equal Fraction."""
+    """Knit, compare, info and oracle output keep their bytes."""
     monkeypatch.delenv("EQPOSET_MAX_SECTIONS", raising=False)
     want = json.loads(DIGESTS.read_text())[key]
     assert digest_of(key, digest_cases()[key]) == want

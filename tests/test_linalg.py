@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqposet import TowerSpec, build_tower
+from eqposet import Tower, TowerSpec
 from eqposet.linalg import MAX_Q, RREF_MIN_BLOCK, ModQ
 from eqposet.poset import _is_prime
 
@@ -116,7 +116,7 @@ def test_max_q_is_the_int64_bound():
 def test_tower_accepts_the_largest_q():
     q = LARGEST_Q
     c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) != 1)
-    t = build_tower(TowerSpec(2, "cyclic", q, c))
+    t = Tower(TowerSpec(2, "cyclic", q, c))
     assert t.omega == q - 1
     a, b = [q - 2, q - 3], [q - 5, q - 7]
     want = [(a[0] * b[0] + c * a[1] * b[1]) % q, (a[0] * b[1] + a[1] * b[0]) % q]
@@ -130,4 +130,4 @@ def test_omega_matches_the_scan(p):
             continue
         c = next(c for c in range(2, q) if pow(c, (q - 1) // p, q) != 1)
         scan = next(a for a in range(2, q) if pow(a, p, q) == 1)
-        assert build_tower(TowerSpec(p, "cyclic", q, c)).omega == scan, q
+        assert Tower(TowerSpec(p, "cyclic", q, c)).omega == scan, q

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import load_fixture, model
-from eqposet import (Flavor, OracleError, ParameterError, TowerSpec,
-                     build_family, build_model, build_tower, default_tower,
+from eqposet import (Flavor, OracleError, ParameterError, Tower, TowerSpec,
+                     build_family, build_model, default_tower,
                      oracle_hom_dim, oracle_radical, parse_poset,
                      run_verification, verify_admissible, verify_dims)
 
@@ -27,7 +27,7 @@ def test_default_tower_p3():
     assert (t.q, t.c, t.omega) == (7, 3, 2)
     xi = t.xi_pow(1)
     assert list(t.g_mul(t.g_mul(xi, xi), xi)) == [3, 0, 0]  # xi^3 = 3
-    assert list(t.g_mul(t.g_one(), xi)) == [0, 1, 0]
+    assert list(t.g_mul(t.xi_pow(0), xi)) == [0, 1, 0]
 
 
 def test_tower_operator_basis_ranks():
@@ -52,12 +52,42 @@ def test_tower_operator_basis_ranks():
 ])
 def test_bad_tower_parameters(spec, fragment):
     with pytest.raises(ParameterError, match=fragment):
-        build_tower(spec)
+        Tower(spec)
 
 
 def test_no_default_tower_for_p7():
     with pytest.raises(ParameterError, match="no default tower"):
         default_tower(7)
+
+
+def _entries(lin, A):
+    return [list(row) for row in lin.rows(A)]
+
+
+@pytest.mark.parametrize("p, mode", [(2, "cyclic"), (3, "cyclic"), (5, "cyclic"),
+                                     (2, "inseparable"), (3, "inseparable")])
+def test_driver_parity(p, mode):
+    """Both drivers flatten operators row-major, and the tower's fixed
+    operators are the same matrices under either driver."""
+    t = _tower(p, mode)
+    lin = t.lin
+    mats = t.a_ell_basis(p)
+    flat = t.flatten_all(mats)
+    assert len(lin.rows(flat)) == len(mats)
+    for k, m in enumerate(mats):
+        v = t.flatten(m)
+        assert list(v) == [x for row in _entries(lin, m) for x in row]
+        assert list(lin.rows(flat)[k]) == list(v)
+        assert _entries(lin, t.unflatten(v)) == _entries(lin, m)
+    assert lin.rows(t.flatten_all([])) == []
+    if mode == "cyclic":
+        theta = [[pow(t.omega, i, t.q) if j == i else 0 for j in range(p)] for i in range(p)]
+    else:
+        theta = [[j if j == i + 1 else 0 for j in range(p)] for i in range(p)]
+    assert _entries(lin, t.theta) == _entries(lin, lin.mat(theta))
+    corner = [[int(i == j == 0) for j in range(p)] for i in range(p)]
+    assert _entries(lin, t.eps(True)) == _entries(lin, lin.mat(corner))
+    assert _entries(lin, t.eps(False)) == _entries(lin, lin.eye(p))
 
 
 def test_inseparable_tower_arithmetic():
