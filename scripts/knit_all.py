@@ -12,12 +12,13 @@ from importlib import resources
 
 from eqposet import Flavor, build_model, knit, load_poset, pair_components
 from eqposet.cli import emit_dot
+from eqposet.knitter import DEFAULT_MAX_SECTIONS
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="write one DOT file per run here")
-    ap.add_argument("--max-sections", type=int, default=None)
+    ap.add_argument("--max-sections", type=int, default=DEFAULT_MAX_SECTIONS)
     args = ap.parse_args()
 
     out = pathlib.Path(args.out) if args.out else None

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import gram_matrix, quadratic
-from .knitter import ComponentGraph, KnitError, knit, max_sections_default
+from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, knit
 from .model import (Flavor, ModelError, build_model, injective_profiles,
                     is_hereditary, radical_info)
 from .oracle import OracleError, run_verification
@@ -115,14 +116,20 @@ def cmd_info(args) -> int:
 def _max_sections(args) -> int:
     """--max-sections, else EQPOSET_MAX_SECTIONS, else the default depth; a
     bad value is a usage error."""
-    if args.max_sections is None:
-        try:
-            return max_sections_default()
-        except KnitError as e:
-            raise ParameterError(str(e)) from None
-    if args.max_sections < 1:
-        raise ParameterError("--max-sections must be >= 1")
-    return args.max_sections
+    if args.max_sections is not None:
+        if args.max_sections < 1:
+            raise ParameterError("--max-sections must be >= 1")
+        return args.max_sections
+    env = os.environ.get("EQPOSET_MAX_SECTIONS")
+    if env is None:
+        return DEFAULT_MAX_SECTIONS
+    try:
+        v = int(env)
+    except ValueError:
+        raise ParameterError(f"EQPOSET_MAX_SECTIONS must be an integer, got {env!r}") from None
+    if v < 1:
+        raise ParameterError("EQPOSET_MAX_SECTIONS must be >= 1")
+    return v
 
 
 def cmd_knit(args) -> int:
@@ -212,10 +219,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (PosetError, ParameterError) as e:
+    except (OSError, PosetError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ModelError, KnitError, OracleError) as e:

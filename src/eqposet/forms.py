@@ -11,33 +11,25 @@ vertices and p on weak-type ones (flavor R; the roles swap for flavor C).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
-
-
-def _exact(v: int | str | Fraction) -> int | Fraction:
-    """v as an int when it is integral; a Fraction only when it is not."""
-    if type(v) is int:
-        return v
-    f = Fraction(v)
-    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
 class RatVec:
-    """A vector of exact entries: ints, except where a non-integral value was
-    put in (a Fraction, whose str, == and hash agree with an equal int)."""
+    """A vector of Python ints."""
 
-    entries: tuple[int | Fraction, ...]
+    entries: tuple[int, ...]
 
     @staticmethod
-    def of(*vals: int | str | Fraction) -> "RatVec":
+    def of(*vals: int) -> "RatVec":
         return RatVec.from_seq(vals)
 
     @staticmethod
-    def from_seq(vals: Iterable[int | str | Fraction]) -> "RatVec":
-        return RatVec(tuple(_exact(v) for v in vals))
+    def from_seq(vals: Iterable[int]) -> "RatVec":
+        """Each entry must be an integer: a str, float or rational raises TypeError."""
+        return RatVec(tuple(map(operator.index, vals)))
 
     @staticmethod
     def zeros(n: int) -> "RatVec":
@@ -50,10 +42,10 @@ class RatVec:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[int | Fraction]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 
-    def __getitem__(self, i: int) -> int | Fraction:
+    def __getitem__(self, i: int) -> int:
         return self.entries[i]
 
     def __add__(self, other: "RatVec") -> "RatVec":
@@ -62,7 +54,7 @@ class RatVec:
     def __sub__(self, other: "RatVec") -> "RatVec":
         return RatVec(tuple(a - b for a, b in zip(self.entries, other.entries, strict=True)))
 
-    def __mul__(self, s: int | Fraction) -> "RatVec":
+    def __mul__(self, s: int) -> "RatVec":
         return RatVec(tuple(a * s for a in self.entries))
 
     __rmul__ = __mul__
@@ -71,20 +63,11 @@ class RatVec:
         return RatVec(tuple(-a for a in self.entries))
 
     @property
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.entries)
-
-    @property
     def is_nonnegative(self) -> bool:
         return all(a >= 0 for a in self.entries)
 
     def as_strings(self) -> list[str]:
         return [str(a) for a in self.entries]
-
-    def as_ints(self) -> tuple[int, ...]:
-        if not self.is_integral:
-            raise ValueError(f"non-integral vector {self}")
-        return tuple(int(a) for a in self.entries)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.entries) + ")"
@@ -105,7 +88,7 @@ def gram_matrix(model) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def bilinear(model, d1: RatVec, d2: RatVec) -> int | Fraction:
+def bilinear(model, d1: RatVec, d2: RatVec) -> int:
     B = gram_matrix(model)
     n = len(B)
     if len(d1) != n or len(d2) != n:
@@ -119,10 +102,10 @@ def bilinear(model, d1: RatVec, d2: RatVec) -> int | Fraction:
     return total
 
 
-def quadratic(model, d: RatVec) -> int | Fraction:
+def quadratic(model, d: RatVec) -> int:
     return bilinear(model, d, d)
 
 
-def euler_pairing(model, cd_x: RatVec, cd_y: RatVec) -> int | Fraction:
+def euler_pairing(model, cd_x: RatVec, cd_y: RatVec) -> int:
     """Pairing <X, Y> = dim Hom(X, Y) on coordinate vectors of projectives."""
     return bilinear(model, cd_y, cd_x)

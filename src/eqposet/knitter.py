@@ -10,10 +10,8 @@ summand just appeared.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .forms import RatVec
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
@@ -91,19 +89,6 @@ class ComponentGraph:
         return list(self._in.get(vid, ()))
 
 
-def max_sections_default() -> int:
-    env = os.environ.get("EQPOSET_MAX_SECTIONS")
-    if env is None:
-        return DEFAULT_MAX_SECTIONS
-    try:
-        v = int(env)
-    except ValueError:
-        raise KnitError(f"EQPOSET_MAX_SECTIONS must be an integer, got {env!r}")
-    if v < 1:
-        raise KnitError("EQPOSET_MAX_SECTIONS must be >= 1")
-    return v
-
-
 def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
     p = M.p
     a = p if (M.kdim(dst) == p and M.kdim(src) == 1) else 1
@@ -111,9 +96,7 @@ def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
     return a, b
 
 
-def knit(M: AlgebraModel, max_sections: int | None = None) -> ComponentGraph:
-    if max_sections is None:
-        max_sections = max_sections_default()
+def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> ComponentGraph:
     if max_sections < 1:
         raise KnitError("max_sections must be >= 1")
     P = M.poset
@@ -241,7 +224,7 @@ def derive_v_level(G: ComponentGraph, M: AlgebraModel) -> ComponentGraph:
     for v in G.vertices:
         c, r = divmod(v.udimF[max_idx], hmax)
         if r or c < 1:
-            raise KnitError(f"socle multiplicity {Fraction(v.udimF[max_idx], hmax)} "
+            raise KnitError(f"socle multiplicity {v.udimF[max_idx]}/{hmax} "
                             f"at vertex {v.id} is not a positive integer")
         vdim = c * row0 - v.udimF
         if not vdim.is_nonnegative:

@@ -80,13 +80,6 @@ class AlgebraModel:
         """Division-ring dimension attached to a vertex label (1 or p)."""
         return _loc(self.flavor, label is Label.STRONG, self.p)
 
-    def label_of_end(self, end_kind: str) -> Label:
-        """Vertex label corresponding to an endomorphism ring F or G."""
-        if end_kind not in ("F", "G"):
-            raise ValueError(f"unknown endomorphism kind {end_kind!r}")
-        dim = 1 if end_kind == "F" else self.p
-        return Label.STRONG if self.kdim(Label.STRONG) == dim else Label.WEAK
-
 
 def _loc(flavor: Flavor, strong: bool, p: int) -> int:
     """F-dimension of the local division ring at a point: F (1) or G (p)."""

@@ -9,7 +9,6 @@ labels, both dimension-vector laws and arrow valuations all correspond.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .forms import RatVec
@@ -24,13 +23,15 @@ def strengths_of(P: EquippedPoset) -> tuple[bool, ...]:
 
 def _scale(strengths: Sequence[bool], v: RatVec, on_strong: bool, p: int,
            divide: bool = False) -> RatVec:
-    """Multiply or divide the coordinates of one strength by p; a quotient is
-    an int when p divides the entry and a Fraction only when it does not."""
+    """Multiply or divide the coordinates of one strength by p; a division
+    is exact and raises ValueError on a remainder."""
     def f(x):
         if not divide:
             return x * p
         q, r = divmod(x, p)
-        return Fraction(x, p) if r else q
+        if r:
+            raise ValueError(f"p = {p} does not divide {v}")
+        return q
     return RatVec(tuple(f(x) if s == on_strong else x
                         for s, x in zip(strengths, v, strict=True)))
 
@@ -145,12 +146,16 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         if vx.label != vy.label:
             pc.problems.append(f"labels differ: {vx.label.value} vs {vy.label.value}")
             continue
-        want_udimF = (map_w_inv if vx.label is Label.STRONG else map_s_inv)(p, strengths, vx.udimF)
-        if vy.udimF != want_udimF:
-            pc.problems.append(f"udimF law fails: expected {want_udimF}, got {vy.udimF}")
-        want_udim = (map_s if vx.label is Label.STRONG else map_w)(p, strengths, vx.udim)
-        if vy.udim != want_udim:
-            pc.problems.append(f"udim law fails: expected {want_udim}, got {vy.udim}")
+        strong = vx.label is Label.STRONG
+        for law, scale, v, got in (("udimF", map_w_inv if strong else map_s_inv, vx.udimF, vy.udimF),
+                                   ("udim", map_s if strong else map_w, vx.udim, vy.udim)):
+            try:
+                want = scale(p, strengths, v)
+            except ValueError as e:
+                pc.problems.append(f"{law} law fails: {e}, got {got}")
+                continue
+            if got != want:
+                pc.problems.append(f"{law} law fails: expected {want}, got {got}")
         if vx.section != vy.section:
             pc.problems.append(f"sections differ: {vx.section} vs {vy.section}")
         for ar in Gr.out_arrows(x):
@@ -197,10 +202,14 @@ def check_table_correspondence(table: dict) -> TableReport:
     for pair in table["pairs"]:
         rv = RatVec.from_seq(pair["r"])
         cv = RatVec.from_seq(pair["c"])
+        if not len(rv) == len(cv) == len(strengths):
+            raise ValueError(f"{pair['pos']}: vectors and strengths differ in length")
         label = Label(pair["label"])
-        want = (map_w_inv if label is Label.STRONG else map_s_inv)(p, strengths, rv)
+        try:
+            want = (map_w_inv if label is Label.STRONG else map_s_inv)(p, strengths, rv)
+        except ValueError:
+            rep.mismatches.append(f"{pair['pos']}: non-integral image of {rv}")
+            continue
         if want != cv:
             rep.mismatches.append(f"{pair['pos']}: expected {want}, got {cv}")
-        if not want.is_integral:
-            rep.mismatches.append(f"{pair['pos']}: non-integral image {want}")
     return rep

@@ -6,7 +6,6 @@ from conftest import ALL_FIXTURES, load_table, model
 from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, build_model, derive_v_level,
                      injective_profiles, knit, parse_poset, projective_cd,
                      projective_udimF, radical_info)
-from eqposet.knitter import max_sections_default
 
 
 def snap(G):
@@ -14,8 +13,8 @@ def snap(G):
         "status": G.status,
         "sections": [list(s) for s in G.sections],
         "vertices": [
-            (v.id, v.kind, v.label.letter, v.udimF.as_ints(), v.udim.as_ints(),
-             v.cd.as_ints() if v.cd is not None else None)
+            (v.id, v.kind, v.label.letter, v.udimF.entries, v.udim.entries,
+             v.cd.entries if v.cd is not None else None)
             for v in sorted(G.vertices, key=lambda v: v.id)
         ],
         "arrows": sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
@@ -170,7 +169,7 @@ def test_chain2_strong_both_flavors():
         "arrows": [(0, 1, 1, 1)],
     }
     Gc = knit(model("chain2_strong", "c"))
-    assert [v.udimF.as_ints() for v in Gc.vertices] == [(0, 0, 2), (0, 2, 2)]
+    assert [v.udimF.entries for v in Gc.vertices] == [(0, 0, 2), (0, 2, 2)]
     assert [(a.a, a.b) for a in Gc.arrows] == [(1, 1)]
 
 
@@ -181,7 +180,7 @@ def test_trivial_both_flavors():
         assert len(G.vertices) == 1 and not G.arrows
         v = G.vertices[0]
         assert v.kind == "ProjectiveInjective(m,0)"
-        assert v.udimF.as_ints() == vec
+        assert v.udimF.entries == vec
 
 
 # ---------------------------------------------------------------- truncation
@@ -215,19 +214,6 @@ def test_finite_component_ignores_max_sections():
     assert knit(M, max_sections=50).status == FINITE
 
 
-def test_max_sections_env_override(monkeypatch):
-    monkeypatch.setenv("EQPOSET_MAX_SECTIONS", "4")
-    assert max_sections_default() == 4
-    G = knit(model("vee2", "r"))
-    assert len(G.sections) == 4 and G.status == TRUNCATED
-    monkeypatch.setenv("EQPOSET_MAX_SECTIONS", "zero")
-    with pytest.raises(KnitError):
-        max_sections_default()
-    monkeypatch.setenv("EQPOSET_MAX_SECTIONS", "0")
-    with pytest.raises(KnitError):
-        max_sections_default()
-
-
 def test_max_sections_argument_must_be_positive():
     with pytest.raises(KnitError):
         knit(model("star2", "r"), max_sections=0)
@@ -245,7 +231,7 @@ def test_chain3_ell1_reproduces_published_grids():
         for sec in G.sections:
             for i in sec:
                 v = G.vertex(i)
-                got.append((list(v.udimF.as_ints()[1:]), v.label.value))
+                got.append((list(v.udimF.entries[1:]), v.label.value))
         want = [(pair[col], pair["label"]) for pair in table["pairs"]]
         assert got == want
 
@@ -317,7 +303,7 @@ def test_negative_mesh_reports_integer_vector():
 def test_derive_v_level_star2():
     M = model("star2", "r")
     G = derive_v_level(knit(M), M)
-    vd = {v.id: v.vdim.as_ints() for v in G.vertices}
+    vd = {v.id: v.vdim.entries for v in G.vertices}
     assert vd == {0: (1, 2, 0), 1: (2, 2, 0), 2: (1, 0, 0)}
 
 

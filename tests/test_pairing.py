@@ -1,7 +1,6 @@
 """Scaling maps and the component correspondence between the two flavors."""
 
-from fractions import Fraction
-
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,10 +30,10 @@ def test_scaling_map_identities(data):
     n = data.draw(st.integers(min_value=1, max_value=6))
     strengths = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     v = RatVec.from_seq(data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)))
-    assert map_s(p, strengths, map_s_inv(p, strengths, v)) == v
-    assert map_w_inv(p, strengths, map_w(p, strengths, v)) == v
-    # s = p * w as maps, so s . w^-1 scales everything by p
-    assert map_s(p, strengths, v) == map_w(p, strengths, v) * p
+    # the total directions: each inverse undoes its map, and s = p * w
+    assert map_s_inv(p, strengths, map_s(p, strengths, v)) == v
+    assert map_w(p, strengths, map_w_inv(p, strengths, v)) == v
+    assert map_s(p, strengths, v) == map_w(p, strengths, v * p)
     assert map_s(p, strengths, map_w_inv(p, strengths, v)) == v * p
 
 
@@ -42,10 +41,10 @@ def test_scaling_maps_divide_exactly():
     strengths = (True, False, True)
     img = map_s_inv(2, strengths, RatVec.of(3, 4, 5))
     assert img.entries == (3, 2, 5) and all(type(e) is int for e in img)
-    half = map_w(2, strengths, RatVec.of(3, 4, 5))
-    assert half.entries == (Fraction(3, 2), 4, Fraction(5, 2)) and not half.is_integral
-    assert [type(e) for e in half] == [Fraction, int, Fraction]
-    assert map_w_inv(2, strengths, half) == RatVec.of(3, 4, 5)
+    with pytest.raises(ValueError, match=r"^p = 2 does not divide \(3, 4, 5\)$"):
+        map_w(2, strengths, RatVec.of(3, 4, 5))
+    with pytest.raises(ValueError, match=r"^p = 3 does not divide \(3, 4, 5\)$"):
+        map_s_inv(3, strengths, RatVec.of(3, 4, 5))
 
 
 def test_strengths_of_matches_points():
@@ -75,6 +74,15 @@ def test_pairing_detects_dimension_tampering():
     assert not report.ok
     assert any("udimF law fails" in m for pc in report.pairs for m in pc.problems)
     assert "FAILS" in str(report)
+
+
+def test_pairing_reports_non_integral_image():
+    Gr, Gc, Mr, Mc = pair("star2")
+    assert Gr.vertex(1).label is Label.WEAK and Gc.vertex(1).udimF == RatVec.of(0, 1, 2)
+    Gr.vertex(1).udimF = RatVec.of(0, 3, 2)  # s^-1 halves the weak coordinate 3
+    report = pair_components(Gr, Gc, Mr, Mc)
+    assert [(pc.r_id, pc.problems) for pc in report.pairs if not pc.ok] == [
+        (1, ["udimF law fails: p = 2 does not divide (0, 3, 2), got (0, 1, 2)"])]
 
 
 def test_pairing_detects_label_tampering():
@@ -136,5 +144,11 @@ def test_table_flags_non_integral_image():
     table = {"name": "bad", "p": 2, "strengths": ["weak"],
              "pairs": [{"pos": "X", "label": "Weak", "r": [1], "c": [1]}]}
     rep = check_table_correspondence(table)
-    assert not rep.ok
-    assert any("non-integral" in m for m in rep.mismatches)
+    assert rep.mismatches == ["X: non-integral image of (1)"]
+
+
+def test_table_rejects_vector_of_wrong_length():
+    table = {"name": "bad", "p": 2, "strengths": ["weak"],
+             "pairs": [{"pos": "X", "label": "Weak", "r": [2, 2], "c": [1, 2]}]}
+    with pytest.raises(ValueError, match="X: vectors and strengths differ in length"):
+        check_table_correspondence(table)
