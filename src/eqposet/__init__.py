@@ -5,7 +5,7 @@ finite-field oracle for everything the numerics claim."""
 from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import RatVec, bilinear, euler_pairing, gram_matrix, quadratic
 from .knitter import (FINITE, TRUNCATED, ArArrow, ArVertex, ComponentGraph,
-                      KnitError, derive_v_level, knit)
+                      KnitError, knit)
 from .model import (AlgebraModel, Flavor, InjectiveProfile, Label, ModelError,
                     RadicalInfo, build_model, injective_profiles, is_hereditary,
                     projective_cd, projective_udimF, radical_info)
@@ -27,9 +27,8 @@ __all__ = [
     "PosetError", "RFamily", "RadicalInfo", "RatVec", "TRUNCATED",
     "TableReport", "Tower", "TowerSpec", "ValidationReport", "Violation",
     "augment", "bilinear", "build_family", "build_model",
-    "check_table_correspondence", "default_tower", "derive_v_level",
-    "euler_pairing", "gram_matrix", "injective_profiles", "is_hereditary",
-    "is_slender", "knit", "load_poset", "map_s", "map_s_inv", "map_w",
+    "check_table_correspondence", "default_tower", "euler_pairing",
+    "gram_matrix", "injective_profiles", "is_hereditary", "is_slender", "knit", "load_poset", "map_s", "map_s_inv", "map_w",
     "map_w_inv", "min_equipment_closure", "oracle_hom_dim", "oracle_radical",
     "pair_components", "parse_poset", "projective_cd", "projective_udimF",
     "quadratic", "radical_info", "run_verification", "validate",

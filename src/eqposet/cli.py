@@ -11,7 +11,7 @@ from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import gram_matrix, quadratic
 from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, knit
 from .model import (Flavor, ModelError, build_model, injective_profiles,
-                    is_hereditary, radical_info)
+                    is_hereditary, projective_cd, radical_info)
 from .oracle import OracleError, run_verification
 from .pairing import pair_components
 from .poset import EquippedPoset, PosetError, load_poset, validate
@@ -95,7 +95,6 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
     for x, prof in injective_profiles(M).items():
         print(f"  inj({x}): label {prof.label.value}, udimF {prof.udimF}")
     if forms:
-        from .model import projective_cd
         print("gram matrix:")
         for row in gram_matrix(M):
             print("  (" + ", ".join(str(v) for v in row) + ")")

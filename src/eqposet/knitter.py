@@ -11,7 +11,7 @@ summand just appeared.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .forms import RatVec
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
@@ -36,7 +36,6 @@ class ArVertex:
     cd: RatVec | None = None
     proj_point: str | None = None
     inj_point: str | None = None
-    vdim: RatVec | None = None
 
     @property
     def kind(self) -> str:
@@ -207,27 +206,3 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
         cur += 1
     return G
 
-
-def derive_v_level(G: ComponentGraph, M: AlgebraModel) -> ComponentGraph:
-    """Copy of the component with the complementary-level dimension vector set.
-
-    vdim(X) = c * udimF(e_0 A) - udimF(X) with c = udimF(X)(max)/hom(max, max).
-    """
-    P = M.poset
-    max_idx = P.index[P.max]
-    row0 = projective_udimF(M, P.zero)
-    out = ComponentGraph(flavor=G.flavor, status=G.status,
-                         arrows=list(G.arrows),
-                         sections=[list(s) for s in G.sections],
-                         tau_inv=dict(G.tau_inv))
-    hmax = M.hom_dim(P.max, P.max)
-    for v in G.vertices:
-        c, r = divmod(v.udimF[max_idx], hmax)
-        if r or c < 1:
-            raise KnitError(f"socle multiplicity {v.udimF[max_idx]}/{hmax} "
-                            f"at vertex {v.id} is not a positive integer")
-        vdim = c * row0 - v.udimF
-        if not vdim.is_nonnegative:
-            raise KnitError(f"negative complementary dimensions at vertex {v.id}")
-        out.vertices.append(replace(v, vdim=vdim))
-    return out

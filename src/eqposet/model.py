@@ -142,9 +142,10 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
         raise ModelError("the radical at the maximal point is zero")
     uppers = [y for y in P.points if P.leq(x, y) and y != x]
 
-    all_above_strong = all(P.is_strong(y) for y in uppers)
     label = Label.STRONG if (P.is_strong(x) or all(P.ell(x, y) == p for y in uppers)) else Label.WEAK
-    tee = M.flavor is Flavor.R and not P.is_strong(x) and all_above_strong
+    # flavor r splits rad(e_x A) into p copies exactly when x is weak and
+    # every relation above it has ell = p, the rule that gives the label
+    tee = M.flavor is Flavor.R and label is Label.STRONG and not P.is_strong(x)
     mult = p if tee else 1
 
     idx = P.index

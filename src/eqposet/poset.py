@@ -306,7 +306,6 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
     strong: set[str] = set()
     declared: dict[tuple[str, str], int] = {}
     flags: set[str] = set()
-    flag_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
@@ -366,7 +365,6 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
         elif head in ("closure", "augment"):
             need(1)
             flags.add(head)
-            flag_lines[head] = lineno
         else:
             raise PosetError(f"unknown directive {head!r}", lineno, col)
 

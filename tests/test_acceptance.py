@@ -4,16 +4,16 @@ The criteria below are exact (integer/rational arithmetic throughout); the
 only tolerances are the stated wall-clock budgets.
 """
 
-import itertools
 import random
 import time
 
-from conftest import ALL_FIXTURES, FINITE_FIXTURES, TABLE_NAMES, load_fixture, load_table, model
+from conftest import (ALL_FIXTURES, FINITE_FIXTURES, TABLE_NAMES, check_component_invariants,
+                      enumerate_equipped, load_fixture, load_table, model)
 from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model,
                      check_table_correspondence, default_tower, euler_pairing,
                      is_hereditary, is_slender, knit, oracle_hom_dim,
                      oracle_radical, pair_components, parse_poset,
-                     projective_cd, quadratic, run_verification, validate)
+                     projective_cd, run_verification, validate)
 from eqposet.forms import RatVec
 from eqposet.knitter import FINITE, TRUNCATED
 from eqposet.model import Label
@@ -37,39 +37,11 @@ def test_criterion_1_table_correspondence():
           f"{len(counts)} tables in {elapsed:.3f}s")
 
 
-def _enumerate_equipped(p: int, n: int):
-    """Every valid equipped poset on n labeled points (reflexive entries
-    filled in, equipment forced to p on pairs touching a strong point)."""
-    names = ("a", "b", "c")[:n]
-    arcs = [(x, y) for x in names for y in names if x < y or y < x]
-    for mask in itertools.product((False, True), repeat=len(arcs)):
-        rel_pairs = [pr for pr, keep in zip(arcs, mask) if keep]
-        rset = set(rel_pairs)
-        if any((y, x) in rset for (x, y) in rel_pairs):
-            continue
-        if any((x, z) not in rset
-               for (x, y) in rel_pairs for (y2, z) in rel_pairs
-               if y2 == y and x != z):
-            continue
-        for strong_mask in itertools.product((False, True), repeat=n):
-            strong = frozenset(x for x, s in zip(names, strong_mask) if s)
-            free = [pr for pr in rel_pairs if pr[0] not in strong and pr[1] not in strong]
-            forced = {pr: p for pr in rel_pairs if pr not in free}
-            for choice in itertools.product(range(1, p + 1), repeat=len(free)):
-                rel = dict(forced)
-                rel.update(zip(free, choice))
-                for x in names:
-                    rel[(x, x)] = p if x in strong else 1
-                P = EquippedPoset(p, names, strong, rel)
-                if validate(P).ok:
-                    yield P
-
-
 def test_criterion_2_heredity_equals_slenderness():
     posets = checked = 0
     for p in (2, 3):
         for n in (0, 1, 2, 3):
-            for P in _enumerate_equipped(p, n):
+            for P in enumerate_equipped(p, n):
                 posets += 1
                 A = augment(P)
                 Mr = build_model(A, Flavor.R)
@@ -179,40 +151,7 @@ def test_criterion_6_structural_invariants():
     for name in ALL_FIXTURES:
         for fl in ("r", "c"):
             M = model(name, fl)
-            G = knit(M)
-            p = M.p
-            n = len(G.vertices)
-            # acyclicity and id sanity
-            assert [v.id for v in G.vertices] == list(range(n))
-            for a in G.arrows:
-                assert 0 <= a.src < a.dst < n
-            # sections are disjoint and cover everything
-            flat = [i for sec in G.sections for i in sec]
-            assert sorted(flat) == list(range(n))
-            # tau-orbit label constancy
-            for x, y in G.tau_inv.items():
-                assert G.vertex(x).label == G.vertex(y).label
-            # mesh conservation, recomputed from arrows alone
-            for x, y in G.tau_inv.items():
-                total = RatVec.zeros(M.poset.n)
-                for a in G.in_arrows(y):
-                    total = total + a.a * G.vertex(a.src).udimF
-                assert total == G.vertex(x).udimF + G.vertex(y).udimF, (name, fl, x)
-            # q-label law at cd-bearing vertices
-            for v in G.vertices:
-                if v.cd is not None:
-                    q = quadratic(M, v.cd)
-                    assert q in (1, p)
-                    assert q == M.kdim(v.label), (name, fl, v.id)
-            # divisibility of udimF and the udim law
-            for v in G.vertices:
-                k = M.kdim(v.label)
-                assert all(e % k == 0 for e in v.udimF.entries)
-                for j, pt in enumerate(M.poset.points):
-                    assert v.udim[j] * M.hom_dim(pt, pt) == v.udimF[j]
-            # vertex identity is unique
-            keys = {(v.udimF, v.label) for v in G.vertices}
-            assert len(keys) == n
+            check_component_invariants(M, knit(M), (name, fl))
             components += 1
     print(f"criterion 6: PASS — invariant suite on {components} knitted components")
 

@@ -181,7 +181,8 @@ DIGESTS = Path(__file__).parent / "data" / "knit_digests.json"
 def digest_cases() -> dict[str, list[str]]:
     """Every fixture under knit (json/dot, r/c) and compare, at the default
     depth and at 200 sections, under info --forms (r, c) and under oracle on
-    the default cyclic tower; the key names the case, "{path}" the file."""
+    the default cyclic and inseparable towers; the key names the case,
+    "{path}" the file."""
     cases = {}
     for name in ALL_FIXTURES:
         for depth in ([], ["--max-sections", "200"]):
@@ -191,7 +192,8 @@ def digest_cases() -> dict[str, list[str]]:
                 argv = [cmd[0], "{path}"] + cmd[1:] + depth
                 cases[" ".join([name] + cmd + (depth or ["default"]))] = argv
         for cmd in (["info", "--forms", "--flavor", "r"], ["info", "--forms", "--flavor", "c"],
-                    ["oracle", "--flavor", "both"]):
+                    ["oracle", "--flavor", "both"],
+                    ["oracle", "--mode", "inseparable", "--flavor", "both"]):
             cases[" ".join([name] + cmd)] = [cmd[0], "{path}"] + cmd[1:]
     return cases
 

@@ -1,11 +1,14 @@
 """Knitted components: golden graphs, truncation, grid reproduction."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import ALL_FIXTURES, load_table, model
-from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, build_model, derive_v_level,
-                     injective_profiles, knit, parse_poset, projective_cd,
-                     projective_udimF, radical_info)
+from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, RatVec, build_model,
+                     default_tower, injective_profiles, knit, knitter, pair_components,
+                     parse_poset, projective_cd, projective_udimF, radical_info,
+                     run_verification)
 
 
 def snap(G):
@@ -290,35 +293,39 @@ def test_vectors_hold_ints(fl, sections):
         assert all(all_ints(pr.udimF) for pr in injective_profiles(M).values())
 
 
-def test_negative_mesh_reports_integer_vector():
-    P = parse_poset("p 2\npoint x0 weak\npoint x1 weak\nrel x0 x1 2\nclosure\naugment\n")
+WEAK_2CHAIN_ELL2 = "p 2\npoint x0 weak\npoint x1 weak\nrel x0 x1 2\nclosure\naugment\n"
+
+
+def test_weak_chain_at_ell_p_knits_in_both_flavors():
+    """x0 is weak with ell = p above it, so flavor r splits rad(e_x0 A) into
+    p copies; the model, the knit, the pairing and the oracle then agree."""
+    P = parse_poset(WEAK_2CHAIN_ELL2)
+    Mr, Mc = build_model(P, Flavor.R), build_model(P, Flavor.C)
+    info = radical_info(Mr, "x0")
+    assert (info.multiplicity, info.label) == (2, Label.STRONG)
+    assert pair_components(knit(Mr), knit(Mc), Mr, Mc).ok
+    for M in (Mr, Mc):
+        rep = run_verification(M, default_tower(2))
+        assert rep.ok, str(rep)
+
+
+def test_negative_mesh_reports_integer_vector(monkeypatch):
+    """The mesh error names the integer vector it produced.  It is reached
+    through the flavor-r radical of x0 that takes one copy of the summand
+    hom(x0, -) instead of p copies of hom(0, -)."""
+    P = parse_poset(WEAK_2CHAIN_ELL2)
+    M = build_model(P, Flavor.R)
+
+    def one_copy(M, x):
+        info = radical_info(M, x)
+        if x != "x0":
+            return info
+        above = [M.hom_dim(x, y) if P.leq(x, y) and y != x else 0 for y in P.points]
+        return replace(info, multiplicity=1, udimF=RatVec.from_seq(above),
+                       cd=info.multiplicity * info.cd)
+
+    monkeypatch.setattr(knitter, "radical_info", one_copy)
     with pytest.raises(KnitError) as exc:
-        knit(build_model(P, Flavor.R))
+        knit(M)
     assert str(exc.value) == \
         "mesh at vertex 2 failed: mesh produced a bad dimension vector (0, 0, -2, -1)"
-
-
-# ---------------------------------------------------------------- v-level
-
-def test_derive_v_level_star2():
-    M = model("star2", "r")
-    G = derive_v_level(knit(M), M)
-    vd = {v.id: v.vdim.entries for v in G.vertices}
-    assert vd == {0: (1, 2, 0), 1: (2, 2, 0), 2: (1, 0, 0)}
-
-
-def test_derive_v_level_properties():
-    for name in ("star3", "twochain2", "mixed3", "chain3_ell2"):
-        for fl in ("r", "c"):
-            M = model(name, fl)
-            G0 = knit(M)
-            G = derive_v_level(G0, M)
-            assert snap(G) == snap(G0)  # graph itself unchanged
-            row0 = [M.hom_dim(M.poset.zero, y) for y in M.poset.points]
-            hmax = M.hom_dim(M.poset.max, M.poset.max)
-            for v in G.vertices:
-                assert v.vdim is not None and v.vdim.is_nonnegative
-                c, r = divmod(v.udimF[-1], hmax)
-                assert r == 0
-                for j in range(len(row0)):
-                    assert v.vdim[j] == c * row0[j] - v.udimF[j]

@@ -1,14 +1,13 @@
 """Field towers and the exact realization oracle."""
 
-import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from conftest import load_fixture, model
+from conftest import cached_tower, load_fixture, model
 from eqposet import (Flavor, OracleError, ParameterError, Tower, TowerSpec,
-                     build_family, build_model, default_tower,
+                     build_family, build_model, default_tower, oracle,
                      oracle_hom_dim, oracle_radical, parse_poset,
                      run_verification, verify_admissible, verify_dims)
 
@@ -69,7 +68,7 @@ def _entries(lin, A):
 def test_driver_parity(p, mode):
     """Both drivers flatten operators row-major, and the tower's fixed
     operators are the same matrices under either driver."""
-    t = _tower(p, mode)
+    t = cached_tower(p, mode)
     lin = t.lin
     mats = t.a_ell_basis(p)
     flat = t.flatten_all(mats)
@@ -131,6 +130,34 @@ def test_admissibility_negative_control():
     rep = verify_admissible(fam)
     assert not rep.ok
     assert rep.a3_failures
+
+
+def _split_tower():
+    """The p = 2 tower with c = 1, set past Tower's check: G = F_3[xi]/(xi^2 - 1)
+    is no field, since (1 + xi)(1 - xi) = 0, yet its basis elements 1 and xi
+    are both units."""
+    t = default_tower(2)
+    t.c = 1
+    return t
+
+
+def test_division_check_finds_zero_divisors():
+    P = load_fixture("star2")
+    for fl, want in (("c", ["element of R_0 has no right inverse",
+                            "element of R_m has no right inverse"]),
+                     ("r", ["element of R_w has no right inverse"])):
+        rep = verify_admissible(build_family(_split_tower(), P, fl))
+        assert rep.a2_failures == want, fl
+        assert rep.a1_failures == rep.a3_failures == []
+        assert rep.division_exhaustive
+
+
+def test_basis_only_division_check_misses_zero_divisors(monkeypatch):
+    """Only a non-basis element shows the defect: testing the basis alone
+    passes flavor c."""
+    monkeypatch.setattr(oracle, "MAX_DIVISION_ENUM", 1)
+    rep = verify_admissible(build_family(_split_tower(), load_fixture("star2"), "c"))
+    assert rep.ok and not rep.division_exhaustive
 
 
 # ---------------------------------------------------------------- radicals
@@ -200,16 +227,11 @@ def test_run_verification_inseparable():
 PINNED = json.loads((Path(__file__).parent / "data" / "oracle_values.json").read_text())
 
 
-@functools.lru_cache(maxsize=None)
-def _tower(p, mode):
-    return default_tower(p, mode)
-
-
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_oracle_values_pinned(key):
     name, flavor, mode = key.split()
     P = load_fixture(name)
-    fam = build_family(_tower(P.p, mode), P, flavor)
+    fam = build_family(cached_tower(P.p, mode), P, flavor)
     want = PINNED[key]
     assert {f"{i} {j}": oracle_hom_dim(fam, i, j)
             for i in P.points for j in P.points} == want["hom"]
