@@ -2,8 +2,8 @@
 
 Cyclic mode: F = F_q (q prime, p | q - 1), c a non-p-th power, and the
 operator is the automorphism sigma(xi) = omega*xi for the smallest primitive
-p-th root of unity omega.  Inseparable mode: F = F_p(t), c = t, and the
-operator is the derivation delta(xi^i) = i*xi^(i-1).
+p-th root of unity omega.  Inseparable mode: F = F_p(t) (`RatFunc`), c = t,
+and the operator is the derivation delta(xi^i) = i*xi^(i-1).
 
 G-elements are coefficient vectors of length p in the basis 1, xi, ...,
 xi^(p-1); operators on G are p x p matrices over F acting on columns.
@@ -32,17 +32,104 @@ class TowerSpec:
 DEFAULT_TOWERS = {2: (3, -1), 3: (7, 3), 5: (11, 2)}
 
 
+# -- F_p(t): a polynomial over F_p is a tuple of residues, constant term first,
+# without trailing zeros (() is 0)
+
+def _pmul(a: tuple, b: tuple, p: int) -> tuple:
+    """a*b for a, b != 0; F_p has no zero divisors, so the top stays nonzero."""
+    if len(a) == 1:
+        return tuple(a[0] * y % p for y in b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(v % p for v in out)
+
+
+def _pdivmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by b != 0."""
+    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    r, q = list(a), [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv % p
+        for j, y in enumerate(b):
+            r[k + j] = (r[k + j] - c * y) % p
+    while len(r) > db or (r and not r[-1]):  # the cancelled top, then zeros
+        r.pop()
+    return tuple(q), tuple(r)
+
+
+def _frac(n: tuple, d: tuple, p: int) -> "RatFunc":
+    """n/d in lowest terms, for polynomials n and d, d monic."""
+    if any(d[:-1]):
+        g, r = d, n
+        while r:  # Euclid: g ends as a gcd of n and d; made monic, d/g stays monic
+            g, r = r, _pdivmod(g, r, p)[1]
+        g = _pmul((pow(g[-1], -1, p),), g, p)
+        n, d = _pdivmod(n, g, p)[0], _pdivmod(d, g, p)[0]
+    elif len(d) > 1:  # d = t^m: the common factor is the power of t dividing n
+        k = min(len(d) - 1, next((i for i, x in enumerate(n) if x), len(d)))
+        n, d = n[k:], d[k:]
+    return RatFunc(n, d, p)
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class RatFunc:
+    """n/d in F_p(t) with d monic and gcd(n, d) = 1, so equal elements have equal
+    (n, d).  Most tower entries are c t^k, and a gcd with t^m needs no Euclid."""
+
+    n: tuple
+    d: tuple
+    p: int
+
+    def __bool__(self) -> bool:
+        return bool(self.n)
+
+    def __neg__(self) -> RatFunc:
+        return RatFunc(_pmul((self.p - 1,), self.n, self.p), self.d, self.p)
+
+    def __add__(self, o: RatFunc, s: int = 1) -> RatFunc:
+        """self + s*o."""
+        p, a, b = self.p, self.d, o.d
+        if not (self.n and o.n):
+            return RatFunc(_pmul((s,), o.n, p), b, p) if o.n else self
+        x, y, d = (self.n, o.n, a) if a == b else (_pmul(self.n, b, p), _pmul(o.n, a, p), _pmul(a, b, p))
+        out = list(x) + [0] * (len(y) - len(x))
+        for i, v in enumerate(y):
+            out[i] = (out[i] + s * v) % p
+        while out and not out[-1]:
+            out.pop()
+        return _frac(tuple(out), d, p)
+
+    def __sub__(self, o: RatFunc) -> RatFunc:
+        return self.__add__(o, self.p - 1)
+
+    def __mul__(self, o: RatFunc) -> RatFunc:
+        p = self.p
+        if not (self.n and o.n):
+            return o if self.n else self  # the zero one
+        if self.d == o.d == (1,):
+            return RatFunc(_pmul(self.n, o.n, p), (1,), p)
+        return _frac(_pmul(self.n, o.n, p), _pmul(self.d, o.d, p), p)
+
+    def __truediv__(self, o: RatFunc) -> RatFunc:
+        if not o.n:
+            raise ZeroDivisionError("division by zero in F_p(t)")
+        inv = (pow(o.n[-1], -1, self.p),)
+        return self * RatFunc(_pmul(inv, o.d, self.p), _pmul(inv, o.n, self.p), self.p)
+
+
 class Tower:
     def __init__(self, spec: TowerSpec):
         if not _is_prime(spec.p):
             raise ParameterError(f"p = {spec.p} is not prime")
         self.spec = spec
-        self.p = spec.p
+        p = self.p = spec.p
 
         if spec.mode == "cyclic":
             if spec.q is None or spec.c is None:
                 raise ParameterError("cyclic tower needs q and c")
-            q, p = spec.q, spec.p
+            q = spec.q
             if q > MAX_Q:
                 raise ParameterError(f"q = {q} is too large: exact int64 arithmetic "
                                      f"needs (q - 1)^2 < 2^63, so q <= {MAX_Q}")
@@ -61,16 +148,12 @@ class Tower:
             self.theta = self.lin.mat([[pow(self.omega, i, q) if j == i else 0 for j in range(p)]
                                        for i in range(p)])
         elif spec.mode == "inseparable":
-            from sympy.polys.domains import FF
-            K = FF(spec.p).frac_field("t")
-            (t,) = K.gens
-            self.K = K
-            self.c = t
-            self.lin = GenericField(K.zero, K.one, convert=lambda x: x if hasattr(x, "ring") or hasattr(x, "field") else K.convert(x))
+            self.c = RatFunc((0, 1), (1,), p)
+            self.lin = GenericField(lambda x: x if isinstance(x, RatFunc)
+                                    else RatFunc((x % p,) if x % p else (), (1,), p))
             self.omega = None
             # delta: xi^i -> i xi^(i-1)
-            self.theta = self.lin.mat([[j if j == i + 1 else 0 for j in range(spec.p)]
-                                       for i in range(spec.p)])
+            self.theta = self.lin.mat([[j if j == i + 1 else 0 for j in range(p)] for i in range(p)])
         else:
             raise ParameterError(f"unknown tower mode {spec.mode!r}")
 

@@ -185,14 +185,14 @@ class ModQ:
 
 
 class GenericField:
-    """Same driver API over an arbitrary exact field (list-of-list matrices)."""
+    """Same driver API over an arbitrary exact field (list-of-list matrices);
+    convert maps an int or a field element to a field element."""
 
     size = None  # the field is infinite
 
-    def __init__(self, zero, one, convert=None):
-        self.zero = zero
-        self.one = one
-        self.convert = convert or (lambda x: x)
+    def __init__(self, convert):
+        self.convert = convert
+        self.zero, self.one = convert(0), convert(1)
 
     def mat(self, rows):
         return [[self.convert(x) for x in row] for row in rows]

@@ -99,6 +99,8 @@ class EquippedPoset:
     def is_strong(self, x: str) -> bool:
         return x in self.strong
 
+    violations = cached_property(lambda self: _structural_violations(self))
+
     @cached_property
     def zero(self) -> str | None:
         """The strong global minimum, when one exists."""
@@ -142,9 +144,20 @@ class EquippedPoset:
 
 
 def validate(P: EquippedPoset, require_bounds: bool = False) -> ValidationReport:
-    """Check every structural invariant; the report lists all violations found."""
-    report = ValidationReport()
-    add = report.violations.append
+    """Check every structural invariant (found once per poset: `P.violations`) and,
+    with require_bounds, a strong minimum and maximum; the report lists all violations."""
+    report = ValidationReport(list(P.violations))
+    if require_bounds:
+        if P.zero is None:
+            report.violations.append(Violation("missing-zero", "no strong global minimum"))
+        if P.max is None:
+            report.violations.append(Violation("missing-max", "no strong global maximum"))
+    return report
+
+
+def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
+    out: list[Violation] = []
+    add = out.append
 
     if not _is_prime(P.p):
         add(Violation("p-not-prime", f"p = {P.p} is not prime"))
@@ -185,13 +198,7 @@ def validate(P: EquippedPoset, require_bounds: bool = False) -> ValidationReport
             if got < need:
                 add(Violation("composition",
                               f"ell(x, z) = {got} < {need} forced by the chain", (x, y, z)))
-
-    if require_bounds:
-        if P.zero is None:
-            add(Violation("missing-zero", "no strong global minimum"))
-        if P.max is None:
-            add(Violation("missing-max", "no strong global maximum"))
-    return report
+    return tuple(out)
 
 
 def augment(P: EquippedPoset) -> EquippedPoset:

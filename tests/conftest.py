@@ -1,7 +1,9 @@
+import ast
 import functools
 import itertools
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,23 @@ ALL_FIXTURES = [
 FINITE_FIXTURES = ["trivial", "star2", "star3", "chain2_strong", "twochain2",
                    "twochain2_mixed", "chain3_ell2", "mixed3"]
 TABLE_NAMES = ["twopoint2", "twopoint3", "chain3", "reorient3", "wild3"]
+
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def src_imports() -> dict[str, set[str]]:
+    """For each module of the package, the top-level names of what it imports."""
+    out = {}
+    for path in sorted((SRC / "eqposet").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add((node.module or "").split(".")[0])
+        out[path.name] = names
+    return out
 
 
 def fixture_path(name: str) -> str:

@@ -1,14 +1,12 @@
 """Gram matrices, bilinear/quadratic forms, the hom pairing identity."""
 
-import ast
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIXTURES, model
+from conftest import ALL_FIXTURES, model, src_imports
 from eqposet import (RatVec, bilinear, euler_pairing, gram_matrix,
                      projective_cd, quadratic)
 
@@ -95,14 +93,7 @@ def test_non_integer_entries_raise(bad):
 
 def test_src_never_imports_fractions():
     """The package computes in the integers: no module of it imports fractions."""
-    modules = sorted((Path(__file__).parents[1] / "src" / "eqposet").glob("*.py"))
-    assert len(modules) >= 10
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert all(n.split(".")[0] != "fractions" for n in names), path.name
+    imports = src_imports()
+    assert len(imports) >= 10
+    for name, roots in imports.items():
+        assert "fractions" not in roots, name

@@ -90,10 +90,25 @@ def test_driver_parity(p, mode):
 
 
 def test_inseparable_tower_arithmetic():
-    t = default_tower(2, "inseparable")
-    xi = t.xi_pow(1)
-    sq = t.g_mul(xi, xi)  # xi^2 = t
-    assert sq[1] == t.lin.zero and sq[0] == t.c
+    """xi^p = t, and theta is a derivation: delta(uv) = delta(u) v + u delta(v)
+    on every product of basis elements xi^i xi^j."""
+    for p in (2, 3, 5):
+        t = default_tower(p, "inseparable")
+        lin = t.lin
+        xi, power = t.xi_pow(1), t.xi_pow(0)
+        for _ in range(p):
+            power = t.g_mul(power, xi)
+        assert list(power) == [t.c] + [lin.zero] * (p - 1)
+
+        def delta(g):
+            return lin.rows(lin.matmul(lin.mat([list(g)]), lin.transpose(t.theta)))[0]
+
+        for i in range(p):
+            for j in range(p):
+                u, v = t.xi_pow(i), t.xi_pow(j)
+                lhs = delta(t.g_mul(u, v))
+                rhs = [a + b for a, b in zip(t.g_mul(delta(u), v), t.g_mul(u, delta(v)))]
+                assert list(lhs) == rhs, (p, i, j)
 
 
 # ---------------------------------------------------------------- families
