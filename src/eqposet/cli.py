@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .fields import ParameterError, Tower, TowerSpec, default_tower
@@ -113,22 +112,9 @@ def cmd_info(args) -> int:
 
 
 def _max_sections(args) -> int:
-    """--max-sections, else EQPOSET_MAX_SECTIONS, else the default depth; a
-    bad value is a usage error."""
-    if args.max_sections is not None:
-        if args.max_sections < 1:
-            raise ParameterError("--max-sections must be >= 1")
-        return args.max_sections
-    env = os.environ.get("EQPOSET_MAX_SECTIONS")
-    if env is None:
-        return DEFAULT_MAX_SECTIONS
-    try:
-        v = int(env)
-    except ValueError:
-        raise ParameterError(f"EQPOSET_MAX_SECTIONS must be an integer, got {env!r}") from None
-    if v < 1:
-        raise ParameterError("EQPOSET_MAX_SECTIONS must be >= 1")
-    return v
+    if args.max_sections < 1:
+        raise ParameterError("--max-sections must be >= 1")
+    return args.max_sections
 
 
 def cmd_knit(args) -> int:
@@ -194,13 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("knit", help="knit the component of the simple projective")
     k.add_argument("path")
     k.add_argument("--flavor", choices=["r", "c"], default="r")
-    k.add_argument("--max-sections", type=int, default=None)
+    k.add_argument("--max-sections", type=int, default=DEFAULT_MAX_SECTIONS)
     k.add_argument("--format", choices=["json", "dot"], default="json")
     k.set_defaults(func=cmd_knit)
 
     c = sub.add_parser("compare", help="knit both flavors and verify the pairing")
     c.add_argument("path")
-    c.add_argument("--max-sections", type=int, default=None)
+    c.add_argument("--max-sections", type=int, default=DEFAULT_MAX_SECTIONS)
     c.set_defaults(func=cmd_compare)
 
     o = sub.add_parser("oracle", help="verify the model against an exact realization")

@@ -68,7 +68,6 @@ class ComponentGraph:
     def __post_init__(self) -> None:
         # adjacency index over `arrows`, kept up to date by add_arrow
         self._out: defaultdict[int, list[ArArrow]] = defaultdict(list)
-        self._in: defaultdict[int, list[ArArrow]] = defaultdict(list)
         arrows, self.arrows = self.arrows, []
         for a in arrows:
             self.add_arrow(a)
@@ -76,16 +75,12 @@ class ComponentGraph:
     def add_arrow(self, a: ArArrow) -> None:
         self.arrows.append(a)
         self._out[a.src].append(a)
-        self._in[a.dst].append(a)
 
     def vertex(self, vid: int) -> ArVertex:
         return self.vertices[vid]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
         return list(self._out.get(vid, ()))
-
-    def in_arrows(self, vid: int) -> list[ArArrow]:
-        return list(self._in.get(vid, ()))
 
 
 def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:

@@ -64,9 +64,6 @@ class AlgebraModel:
         idx = self.poset.index
         return self.hom[idx[x]][idx[y]]
 
-    def local_dim(self, x: str) -> int:
-        return self.hom_dim(x, x)
-
     @property
     def p(self) -> int:
         return self.poset.p

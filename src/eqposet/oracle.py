@@ -130,17 +130,6 @@ class AdmReport:
     def ok(self) -> bool:
         return not (self.a1_failures or self.a2_failures or self.a3_failures)
 
-    def __str__(self) -> str:
-        if self.ok:
-            mode = "exhaustive" if self.division_exhaustive else "structural"
-            return f"admissible (division check {mode})"
-        out = []
-        for tag, fails in (("A.1", self.a1_failures), ("A.2", self.a2_failures),
-                           ("A.3", self.a3_failures)):
-            for f in fails:
-                out.append(f"{tag}: {f}")
-        return "\n".join(out)
-
 
 def verify_admissible(fam: RFamily) -> AdmReport:
     P = fam.poset
@@ -309,8 +298,9 @@ class OracleReport:
         lines += [f"    {m}" for m in self.dim_mismatches]
         lines.append(f"  admissibility: {'ok' if self.adm.ok else 'FAIL'}"
                      + ("" if self.adm.division_exhaustive else " (structural division check)"))
-        if not self.adm.ok:
-            lines += [f"    {l}" for l in str(self.adm).splitlines()]
+        for tag, fails in (("A.1", self.adm.a1_failures), ("A.2", self.adm.a2_failures),
+                           ("A.3", self.adm.a3_failures)):
+            lines += [f"    {tag}: {f}" for f in fails]
         lines.append(f"  radicals: {'ok' if not self.radical_mismatches else 'FAIL'}")
         lines += [f"    {m}" for m in self.radical_mismatches]
         lines.append(f"  hom dimensions: {'ok' if not self.hom_mismatches else 'FAIL'}")

@@ -135,11 +135,8 @@ class EquippedPoset:
     def up_set(self, x: str) -> "EquippedPoset":
         """Restriction to {y : x <= y}, preserving declaration order."""
         keep = [y for y in self.points if self.leq(x, y)]
-        return self.restrict(keep)
-
-    def restrict(self, keep: list[str]) -> "EquippedPoset":
         ks = set(keep)
-        rel = {(x, y): l for (x, y), l in self.rel.items() if x in ks and y in ks}
+        rel = {(a, b): l for (a, b), l in self.rel.items() if a in ks and b in ks}
         return EquippedPoset(self.p, tuple(keep), self.strong & ks, rel)
 
 
@@ -298,6 +295,9 @@ def min_equipment_closure(P: EquippedPoset) -> EquippedPoset:
 
 
 _TOKEN = re.compile(r"\S+")
+# every tower needs a far smaller p, and below it trial division is short;
+# the digit count is tested first, as int() refuses very long strings
+P_LIMIT = 2 ** 31
 
 
 def parse_poset(text: str, check: bool = True) -> EquippedPoset:
@@ -333,6 +333,8 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
                 raise PosetError(f"p must be an integer, got {val!r}", lineno, vcol)
             if p is not None:
                 raise PosetError("duplicate p directive", lineno, col)
+            if len(val.lstrip("-0")) > 10 or int(val) >= P_LIMIT:
+                raise PosetError(f"p = {val} is out of range (p < 2^31)", lineno, vcol)
             p = int(val)
             if not _is_prime(p):
                 raise PosetError(f"p = {p} is not prime", lineno, vcol)

@@ -112,9 +112,8 @@ def check_component_invariants(M, G, where) -> None:
         assert G.vertex(x).label == G.vertex(y).label
     # mesh conservation, recomputed from arrows alone
     for x, y in G.tau_inv.items():
-        total = RatVec.zeros(M.poset.n)
-        for a in G.in_arrows(y):
-            total = total + a.a * G.vertex(a.src).udimF
+        total = sum((a.a * G.vertex(a.src).udimF for a in G.arrows if a.dst == y),
+                    RatVec.zeros(M.poset.n))
         assert total == G.vertex(x).udimF + G.vertex(y).udimF, (where, x)
     # q-label law at cd-bearing vertices
     for v in G.vertices:

@@ -9,12 +9,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import ALL_FIXTURES, fixture_path, model
+from conftest import ALL_FIXTURES, SRC, fixture_path, model
 from eqposet import knit
 from eqposet.cli import component_to_dict, emit_dot, emit_json, main
 
@@ -97,40 +98,56 @@ def test_knit_max_sections_flag(capsys):
     assert len(got["sections"]) == 3
 
 
-def test_knit_max_sections_env(capsys, monkeypatch):
-    monkeypatch.setenv("EQPOSET_MAX_SECTIONS", "3")
+def test_knit_options_ignore_the_environment(capsys, monkeypatch):
+    """Knit takes its options, the depth among them, from the command line
+    alone: variables named after them change nothing."""
     assert main(["knit", fixture_path("vee2")]) == 0
-    assert len(json.loads(capsys.readouterr().out)["sections"]) == 3
-    monkeypatch.setenv("EQPOSET_MAX_SECTIONS", "junk")
-    assert main(["knit", fixture_path("vee2")]) == 2
-    assert "EQPOSET_MAX_SECTIONS" in capsys.readouterr().err
+    want = capsys.readouterr().out
+    for opt, value in (("max-sections", "3"), ("flavor", "c"), ("format", "dot")):
+        monkeypatch.setenv("EQPOSET_" + opt.replace("-", "_").upper(), value)
+    assert main(["knit", fixture_path("vee2")]) == 0
+    assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("argv, env, fragment", [
-    (["validate", "{latin1}"], None, "not UTF-8"),
-    (["knit", "{latin1}"], None, "not UTF-8"),
-    (["oracle", "{latin1}"], None, "not UTF-8"),
-    (["knit", "{star2}", "--max-sections", "0"], None, "--max-sections must be >= 1"),
-    (["compare", "{star2}", "--max-sections", "-3"], None, "--max-sections must be >= 1"),
-    (["knit", "{star2}"], "abc", "EQPOSET_MAX_SECTIONS must be an integer"),
-    (["compare", "{star2}"], "0", "EQPOSET_MAX_SECTIONS must be >= 1"),
-    (["oracle", "{star2}", "--q", "4294967311", "--c", "3"], None, "too large"),
-    (["oracle", "{star2}", "--mode", "inseparable", "--q", "4", "--c", "0"], None,
-     "--q and --c apply to cyclic towers only"),
-    (["oracle", "{star2}", "--q", "3"], None, "cyclic towers need both --q and --c"),
+# ids keep the names these rows have always had
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(["validate", "{latin1}"], "not UTF-8", id="argv0-None-not UTF-8"),
+    pytest.param(["knit", "{latin1}"], "not UTF-8", id="argv1-None-not UTF-8"),
+    pytest.param(["oracle", "{latin1}"], "not UTF-8", id="argv2-None-not UTF-8"),
+    pytest.param(["knit", "{star2}", "--max-sections", "0"], "--max-sections must be >= 1",
+                 id="argv3-None---max-sections must be >= 1"),
+    pytest.param(["compare", "{star2}", "--max-sections", "-3"], "--max-sections must be >= 1",
+                 id="argv4-None---max-sections must be >= 1"),
+    pytest.param(["oracle", "{star2}", "--q", "4294967311", "--c", "3"], "too large",
+                 id="argv7-None-too large"),
+    pytest.param(["oracle", "{star2}", "--mode", "inseparable", "--q", "4", "--c", "0"],
+                 "--q and --c apply to cyclic towers only",
+                 id="argv8-None---q and --c apply to cyclic towers only"),
+    pytest.param(["oracle", "{star2}", "--q", "3"], "cyclic towers need both --q and --c",
+                 id="argv9-None-cyclic towers need both --q and --c"),
 ])
-def test_malformed_input_exits_2(capsys, monkeypatch, tmp_path, argv, env, fragment):
+def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     latin1 = tmp_path / "latin1.eqp"
     latin1.write_bytes("# caf\u00e9\np 2\npoint a weak\naugment\n".encode("latin-1"))
     paths = {"{latin1}": str(latin1), "{star2}": fixture_path("star2")}
-    if env is None:
-        monkeypatch.delenv("EQPOSET_MAX_SECTIONS", raising=False)
-    else:
-        monkeypatch.setenv("EQPOSET_MAX_SECTIONS", env)
     assert main([paths.get(a, a) for a in argv]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and fragment in out.err
     assert out.out == ""
+
+
+def test_huge_prime_p_exits_2_quickly(tmp_path):
+    """A prime p far beyond any tower is rejected at its token, before a
+    primality test that would take ~10^9 divisions."""
+    path = tmp_path / "huge_p.eqp"
+    path.write_text("p 1000000000000000003\npoint a weak\naugment\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-m", "eqposet", "validate", str(path)], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: line 1, col 3: ")
+    assert out.stdout == ""
 
 
 def test_info_with_forms(capsys):
@@ -207,15 +224,13 @@ def digest_of(key: str, argv: list[str]) -> dict:
 
 
 @pytest.mark.parametrize("key", sorted(digest_cases()))
-def test_stdout_matches_recorded_digest(monkeypatch, key):
+def test_stdout_matches_recorded_digest(key):
     """Knit, compare, info and oracle output keep their bytes."""
-    monkeypatch.delenv("EQPOSET_MAX_SECTIONS", raising=False)
     want = json.loads(DIGESTS.read_text())[key]
     assert digest_of(key, digest_cases()[key]) == want
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    os.environ.pop("EQPOSET_MAX_SECTIONS", None)
     recorded = {key: digest_of(key, argv) for key, argv in sorted(digest_cases().items())}
     DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} digests in {DIGESTS}")

@@ -59,10 +59,10 @@ def test_trivial_hom_tables():
 
 def test_local_dims_and_t_socle():
     Mr = model("star2", "r")
-    assert [Mr.local_dim(x) for x in Mr.poset.points] == [1, 2, 1]
+    assert [Mr.hom_dim(x, x) for x in Mr.poset.points] == [1, 2, 1]
     assert Mr.t_socle == 1
     Mc = model("star2", "c")
-    assert [Mc.local_dim(x) for x in Mc.poset.points] == [2, 1, 2]
+    assert [Mc.hom_dim(x, x) for x in Mc.poset.points] == [2, 1, 2]
     assert Mc.t_socle == 1
     assert model("chain3_ell2", "r").t_socle == 1
 

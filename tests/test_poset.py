@@ -38,6 +38,9 @@ def test_parse_comments_and_blank_lines():
     ("p 2\npoint a weak\npoint b weak\nrel a b 1\nrel a b 2\n", "duplicate"),
     ("p 2\nfrobnicate\n", "directive"),
     ("p 2\npoint a weak\npoint b weak\nrel b a bad\n", "integer"),
+    ("p 2147483648\n", "out of range"),
+    # past int()'s default digit limit
+    pytest.param("p " + "9" * 5000 + "\n", "out of range", id="p 5000 digits"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PosetError) as exc:
