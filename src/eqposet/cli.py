@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii as _quote  # the C escaper of json.dumps
 
 from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import gram_matrix, quadratic
@@ -18,33 +19,33 @@ from .poset import EquippedPoset, PosetError, load_poset, validate
 
 # ---------------------------------------------------------------- emitters
 
-def component_to_dict(G: ComponentGraph) -> dict:
-    vertices = []
-    for v in sorted(G.vertices, key=lambda v: v.id):
-        entry = {
-            "id": v.id,
-            "section": v.section,
-            "kind": v.kind,
-            "label": v.label.value,
-            "udimF": list(v.udimF.as_strings()),
-            "udim": list(v.udim.as_strings()),
-        }
-        if v.cd is not None:
-            entry["cd"] = list(v.cd.as_strings())
-        vertices.append(entry)
-    arrows = [{"src": a.src, "dst": a.dst, "a": a.a, "b": a.b}
-              for a in sorted(G.arrows, key=lambda a: (a.src, a.dst))]
-    return {
-        "flavor": G.flavor,
-        "status": G.status,
-        "sections": [list(s) for s in G.sections],
-        "vertices": vertices,
-        "arrows": arrows,
-    }
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items laid out as json.dumps(indent=2) lays it
+    out, its items indented by `pad`."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
 
 
 def emit_json(G: ComponentGraph) -> str:
-    return json.dumps(component_to_dict(G), indent=2) + "\n"
+    """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
+    def vec(v) -> str:
+        return _json_list([f'"{e}"' for e in v.entries], " " * 8)
+
+    vertices = []
+    for v in sorted(G.vertices, key=lambda v: v.id):
+        cd = "" if v.cd is None else f',\n      "cd": {vec(v.cd)}'
+        vertices.append(f'{{\n      "id": {v.id},\n      "section": {v.section},\n'
+                        f'      "kind": {_quote(v.kind)},\n      "label": {_quote(v.label.value)},\n'
+                        f'      "udimF": {vec(v.udimF)},\n      "udim": {vec(v.udim)}{cd}\n    }}')
+    arrows = [f'{{\n      "src": {a.src},\n      "dst": {a.dst},\n      "a": {a.a},\n'
+              f'      "b": {a.b}\n    }}'
+              for a in sorted(G.arrows, key=lambda a: (a.src, a.dst))]
+    sections = [_json_list([str(i) for i in s], " " * 6) for s in G.sections]
+    return (f'{{\n  "flavor": {_quote(G.flavor)},\n  "status": {_quote(G.status)},\n'
+            f'  "sections": {_json_list(sections, "    ")},\n'
+            f'  "vertices": {_json_list(vertices, "    ")},\n'
+            f'  "arrows": {_json_list(arrows, "    ")}\n}}\n')
 
 
 def emit_dot(G: ComponentGraph) -> str:
@@ -161,7 +162,9 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="eqposet",
                                  description="p-equipped posets, their algebras, "
                                              "and knitted translation-quiver components")
@@ -200,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, PosetError, ParameterError) as e:

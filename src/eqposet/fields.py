@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import MAX_Q, GenericField, ModQ
-from .poset import _is_prime
+from .poset import P_LIMIT, P_RANGE, _is_prime
 
 
 class ParameterError(ValueError):
@@ -121,6 +121,8 @@ class RatFunc:
 
 class Tower:
     def __init__(self, spec: TowerSpec):
+        if spec.p >= P_LIMIT:
+            raise ParameterError(f"p is {P_RANGE}")
         if not _is_prime(spec.p):
             raise ParameterError(f"p = {spec.p} is not prime")
         self.spec = spec

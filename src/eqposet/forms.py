@@ -62,13 +62,6 @@ class RatVec:
     def __neg__(self) -> "RatVec":
         return RatVec(tuple(-a for a in self.entries))
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.entries)
-
-    def as_strings(self) -> list[str]:
-        return [str(a) for a in self.entries]
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.entries) + ")"
 

@@ -105,18 +105,20 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
 
     def add_vertex(section: int, label: Label, udimF: RatVec,
                    cd: RatVec | None = None, proj_point: str | None = None) -> ArVertex:
-        if not udimF.is_nonnegative:
+        # one divmod pass; local dimensions are positive, so a quotient is
+        # negative exactly where its entry is
+        quot, rem = zip(*map(divmod, udimF.entries, homdiag))
+        if min(quot) < 0:
             raise KnitError(f"mesh produced a bad dimension vector {udimF}")
         if udimF[max_idx] < 1:
             raise KnitError(f"dimension vector {udimF} misses the socle")
-        if any(e % h for e, h in zip(udimF, homdiag)):
+        if any(rem):
             raise KnitError(f"dimension vector {udimF} is not divisible by the local dimensions")
         key = (udimF, label)
         if key in seen:
             raise KnitError(f"vertex identity collision at {udimF} {label.value}")
-        udim = RatVec(tuple(e // h for e, h in zip(udimF, homdiag)))
         v = ArVertex(id=len(G.vertices), section=section, label=label, udimF=udimF,
-                     udim=udim, cd=cd, proj_point=proj_point, inj_point=prof_key.get(key))
+                     udim=RatVec(quot), cd=cd, proj_point=proj_point, inj_point=prof_key.get(key))
         seen[key] = v.id
         G.vertices.append(v)
         G.sections[section].append(v.id)
@@ -189,9 +191,13 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 continue
             out = G.out_arrows(X.id)
             # mesh: each middle term counts with its arrow's second valuation
-            new_udimF = sum((a.b * G.vertices[a.dst].udimF for a in out), -X.udimF)
+            mesh = tuple(-e for e in X.udimF.entries)
+            for a in out:
+                b = a.b
+                mesh = tuple(s + b * e for s, e in
+                             zip(mesh, G.vertices[a.dst].udimF.entries, strict=True))
             try:
-                Y = add_vertex(cur + 1, X.label, new_udimF)
+                Y = add_vertex(cur + 1, X.label, RatVec(mesh))
             except KnitError as e:
                 raise KnitError(f"mesh at vertex {X.id} failed: {e}") from None
             G.tau_inv[X.id] = Y.id

@@ -55,6 +55,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# every tower needs a far smaller p, and below it trial division is short
+P_LIMIT = 2 ** 31
+P_RANGE = "out of range (p < 2^31)"
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -156,7 +161,9 @@ def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
     out: list[Violation] = []
     add = out.append
 
-    if not _is_prime(P.p):
+    if P.p >= P_LIMIT:
+        add(Violation("p-range", f"p is {P_RANGE}"))
+    elif not _is_prime(P.p):
         add(Violation("p-not-prime", f"p = {P.p} is not prime"))
 
     pts = set(P.points)
@@ -295,9 +302,6 @@ def min_equipment_closure(P: EquippedPoset) -> EquippedPoset:
 
 
 _TOKEN = re.compile(r"\S+")
-# every tower needs a far smaller p, and below it trial division is short;
-# the digit count is tested first, as int() refuses very long strings
-P_LIMIT = 2 ** 31
 
 
 def parse_poset(text: str, check: bool = True) -> EquippedPoset:
@@ -333,8 +337,11 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
                 raise PosetError(f"p must be an integer, got {val!r}", lineno, vcol)
             if p is not None:
                 raise PosetError("duplicate p directive", lineno, col)
+            # the digit count is tested first, as int() refuses very long strings
             if len(val.lstrip("-0")) > 10 or int(val) >= P_LIMIT:
-                raise PosetError(f"p = {val} is out of range (p < 2^31)", lineno, vcol)
+                digits = len(val.lstrip("-"))
+                shown = val if digits <= 20 else f"{val[:12]}... ({digits} digits)"
+                raise PosetError(f"p = {shown} is {P_RANGE}", lineno, vcol)
             p = int(val)
             if not _is_prime(p):
                 raise PosetError(f"p = {p} is not prime", lineno, vcol)

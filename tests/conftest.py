@@ -2,6 +2,9 @@ import ast
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -38,6 +41,15 @@ def src_imports() -> dict[str, set[str]]:
                 names.add((node.module or "").split(".")[0])
         out[path.name] = names
     return out
+
+
+def run_python(*args: str, timeout: float | None = None, **env: str):
+    """Run `python *args` in a fresh interpreter that imports the package
+    under test; returns the CompletedProcess with text stdout and stderr."""
+    environ = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=environ, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def fixture_path(name: str) -> str:

@@ -8,16 +8,18 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import ALL_FIXTURES, SRC, fixture_path, model
-from eqposet import knit
-from eqposet.cli import component_to_dict, emit_dot, emit_json, main
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import ALL_FIXTURES, fixture_path, model, run_python
+from eqposet import (EquippedPoset, Flavor, augment, build_model, knit,
+                     min_equipment_closure, validate)
+from eqposet.cli import build_parser, emit_dot, emit_json, main
 
 BAD_POSET = """\
 p 3
@@ -64,13 +66,92 @@ def test_knit_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def reference_dict(G) -> dict:
+    """The JSON schema of a component, as a dict in key order: json.dumps of
+    it with indent=2 gives the bytes emit_json must write."""
+    vertices = []
+    for v in sorted(G.vertices, key=lambda v: v.id):
+        entry = {
+            "id": v.id,
+            "section": v.section,
+            "kind": v.kind,
+            "label": v.label.value,
+            "udimF": [str(e) for e in v.udimF],
+            "udim": [str(e) for e in v.udim],
+        }
+        if v.cd is not None:
+            entry["cd"] = [str(e) for e in v.cd]
+        vertices.append(entry)
+    arrows = [{"src": a.src, "dst": a.dst, "a": a.a, "b": a.b}
+              for a in sorted(G.arrows, key=lambda a: (a.src, a.dst))]
+    return {
+        "flavor": G.flavor,
+        "status": G.status,
+        "sections": [list(s) for s in G.sections],
+        "vertices": vertices,
+        "arrows": arrows,
+    }
+
+
+def reference_json(G) -> str:
+    return json.dumps(reference_dict(G), indent=2) + "\n"
+
+
 def test_knit_json_matches_library(capsys):
     assert main(["knit", fixture_path("star2"), "--flavor", "r"]) == 0
-    got = json.loads(capsys.readouterr().out)
-    want = component_to_dict(knit(model("star2", "r")))
-    assert got == want
+    out = capsys.readouterr().out
+    assert out == reference_json(knit(model("star2", "r")))
+    got = json.loads(out)
     assert got["status"] == "Finite"
     assert got["vertices"][0]["udimF"] == ["0", "0", "1"]
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_emit_json_matches_json_dumps(name):
+    """emit_json writes the bytes of json.dumps(..., indent=2) at every depth,
+    truncated or finite."""
+    for fl in ("r", "c"):
+        M = model(name, fl)
+        for depth in (1, 2, 12, 200):
+            G = knit(M, max_sections=depth)
+            assert emit_json(G) == reference_json(G), (fl, depth)
+
+
+def test_emit_json_one_vertex_component():
+    G = knit(model("trivial", "r"))
+    assert len(G.vertices) == 1 and G.arrows == []
+    out = emit_json(G)
+    assert out.endswith('\n  "arrows": []\n}\n')
+    assert out == reference_json(G)
+
+
+# names with a quote, a backslash, non-ASCII text (one character beyond the
+# BMP) and control characters, which json.dumps escapes
+NAME_CHARS = ['"', "\\", "\u00e9", "\x01", "\x7f", "\u2028", "\U0001d54a", "a"]
+
+
+@st.composite
+def posets_with_odd_names(draw):
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    names = [f"x{i}" + draw(st.text(st.sampled_from(NAME_CHARS), min_size=1, max_size=3))
+             for i in range(n)]
+    strong = frozenset(x for x in names if draw(st.booleans()))
+    rel = {(x, x): p if x in strong else 1 for x in names}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                touch = names[i] in strong or names[j] in strong
+                rel[names[i], names[j]] = p if touch else draw(st.integers(1, p))
+    return augment(min_equipment_closure(EquippedPoset(p, tuple(names), strong, rel)))
+
+
+@given(posets_with_odd_names(), st.sampled_from(["r", "c"]))
+@settings(max_examples=60, deadline=None)
+def test_emit_json_escapes_names_as_json_dumps(P, fl):
+    assume(validate(P, require_bounds=True).ok)
+    G = knit(build_model(P, Flavor(fl)), max_sections=6)
+    assert emit_json(G) == reference_json(G)
 
 
 def test_emit_json_is_deterministic():
@@ -141,10 +222,7 @@ def test_huge_prime_p_exits_2_quickly(tmp_path):
     primality test that would take ~10^9 divisions."""
     path = tmp_path / "huge_p.eqp"
     path.write_text("p 1000000000000000003\npoint a weak\naugment\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-m", "eqposet", "validate", str(path)], env=env,
-                         capture_output=True, text=True, timeout=10)
+    out = run_python("-m", "eqposet", "validate", str(path), timeout=10)
     assert out.returncode == 2
     assert out.stderr.startswith("error: line 1, col 3: ")
     assert out.stdout == ""
@@ -188,6 +266,34 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_matches_fresh_runs(monkeypatch):
+    """main builds its parser once per process; a usage error, a refused
+    option or a non-default option in one call leaves the next untouched, so
+    each call prints what a fresh `python -m eqposet` prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    star2 = fixture_path("star2")
+    argvs = [["no-such-command"],
+             ["knit", star2, "--max-sections", "0"],
+             ["knit", star2, "--flavor", "c", "--max-sections", "2", "--format", "dot"],
+             ["knit", star2],
+             ["compare", star2],
+             ["knit"]]
+    for argv in argvs:
+        fresh = run_python("-m", "eqposet", *argv, timeout=60, COLUMNS="80")
+        assert run_in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------- digests

@@ -1,15 +1,11 @@
 """F_p(t) arithmetic of the inseparable tower, and the package's runtime
 dependencies."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SRC, src_imports
+from conftest import SRC, run_python, src_imports
 from eqposet.fields import RatFunc
 
 
@@ -127,11 +123,20 @@ def test_src_never_imports_sympy():
 def test_inseparable_tower_leaves_sympy_unloaded():
     code = ("import sys; from eqposet import default_tower; "
             "default_tower(2, 'inseparable'); print('sympy' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_tower_refuses_huge_p_quickly():
+    """A p of 2^31 or more is refused before trial division, which would take
+    ~10^9 steps on this prime."""
+    code = ("from eqposet.fields import ParameterError, Tower, TowerSpec\n"
+            "try:\n    Tower(TowerSpec(1000000000000000003, 'cyclic', 3, 2))\n"
+            "except ParameterError as e:\n    print(e)")
+    out = run_python("-c", code, timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "p is out of range (p < 2^31)\n"
 
 
 def test_runtime_dependencies_are_numpy_alone():

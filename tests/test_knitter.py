@@ -329,3 +329,39 @@ def test_negative_mesh_reports_integer_vector(monkeypatch):
         knit(M)
     assert str(exc.value) == \
         "mesh at vertex 2 failed: mesh produced a bad dimension vector (0, 0, -2, -1)"
+
+
+def hom_edited(name, fl, i, j, delta):
+    """The model of a fixture with one hom-table entry changed by delta."""
+    M = model(name, fl)
+    hom = [list(row) for row in M.hom]
+    hom[i][j] += delta
+    return replace(M, hom=tuple(map(tuple, hom)))
+
+
+@pytest.mark.parametrize("M, message", [
+    pytest.param(hom_edited("star2", "r", 1, 0, 1),
+                 "mesh at vertex 1 failed: dimension vector (1, 2, 0) misses the socle",
+                 id="socle"),
+    pytest.param(hom_edited("trivial", "c", 1, 0, 1),
+                 "dimension vector (1, 2) is not divisible by the local dimensions",
+                 id="divisibility"),
+])
+def test_bad_vertex_reports_its_vector(M, message):
+    """A hom table with e_w A reaching 0 gives a mesh vector without socle;
+    one with e_m A reaching 0 gives a root that the local dimension 2 does
+    not divide."""
+    with pytest.raises(KnitError) as exc:
+        knit(M)
+    assert str(exc.value) == message
+
+
+def test_vertex_identity_collision_is_an_error(monkeypatch):
+    """A model whose projective at s has the dimension vector of the root:
+    placing it would merge two vertices of the same label."""
+    M = model("chain2_strong", "r")
+    root_for_s = lambda M, x: projective_udimF(M, M.poset.max if x == "s" else x)
+    monkeypatch.setattr(knitter, "projective_udimF", root_for_s)
+    with pytest.raises(KnitError) as exc:
+        knit(M)
+    assert str(exc.value) == "vertex identity collision at (0, 0, 1) Strong"

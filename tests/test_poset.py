@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, load_fixture, run_python
 from eqposet import (EquippedPoset, PosetError, augment, is_slender,
                      min_equipment_closure, parse_poset, validate)
 from eqposet.poset import _is_prime
@@ -40,12 +40,15 @@ def test_parse_comments_and_blank_lines():
     ("p 2\npoint a weak\npoint b weak\nrel b a bad\n", "integer"),
     ("p 2147483648\n", "out of range"),
     # past int()'s default digit limit
-    pytest.param("p " + "9" * 5000 + "\n", "out of range", id="p 5000 digits"),
+    pytest.param("p " + "9" * 5000 + "\n", "p = 999999999999... (5000 digits) is out of range",
+                 id="p 5000 digits"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PosetError) as exc:
         parse_poset(text)
     assert fragment in str(exc.value)
+    # a long token is shortened: the 5000-digit p gives a one-line message
+    assert len(str(exc.value)) < 100
 
 
 def test_parse_errors_carry_line_numbers():
@@ -304,6 +307,17 @@ def test_closure_always_validates_and_is_stable(P):
 def test_augmented_closure_builds_a_model_poset(P):
     Q = augment(min_equipment_closure(P))
     assert validate(Q, require_bounds=True).ok
+
+
+def test_validate_refuses_huge_p_quickly():
+    """A p of 2^31 or more given through the library is a violation found
+    before trial division, which would take ~10^9 steps on this prime."""
+    code = ("from eqposet import EquippedPoset, validate\n"
+            "print(validate(EquippedPoset(1000000000000000003, ('a',), frozenset(), "
+            "{('a', 'a'): 1})))")
+    out = run_python("-c", code, timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 violation(s):\n  - p-range: p is out of range (p < 2^31)\n"
 
 
 def test_is_prime_small_values():
