@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
