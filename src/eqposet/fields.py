@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import MAX_Q, GenericField, ModQ
-from .poset import P_LIMIT, P_RANGE, _is_prime
+from .poset import P_LIMIT, P_RANGE, _is_prime, shown
 
 
 class ParameterError(ValueError):
@@ -124,7 +124,7 @@ class Tower:
         if spec.p >= P_LIMIT:
             raise ParameterError(f"p is {P_RANGE}")
         if not _is_prime(spec.p):
-            raise ParameterError(f"p = {spec.p} is not prime")
+            raise ParameterError(f"p = {shown(spec.p)} is not prime")
         self.spec = spec
         p = self.p = spec.p
 
@@ -133,15 +133,15 @@ class Tower:
                 raise ParameterError("cyclic tower needs q and c")
             q = spec.q
             if q > MAX_Q:
-                raise ParameterError(f"q = {q} is too large: exact int64 arithmetic "
+                raise ParameterError(f"q = {shown(q)} is too large: exact int64 arithmetic "
                                      f"needs (q - 1)^2 < 2^63, so q <= {MAX_Q}")
             if not _is_prime(q):
-                raise ParameterError(f"q = {q} is not prime")
+                raise ParameterError(f"q = {shown(q)} is not prime")
             if (q - 1) % p:
                 raise ParameterError(f"p = {p} does not divide q - 1 = {q - 1}")
             c = spec.c % q
             if c == 0 or pow(c, (q - 1) // p, q) == 1:
-                raise ParameterError(f"c = {spec.c} is a p-th power in F_{q}")
+                raise ParameterError(f"c = {shown(spec.c)} is a p-th power in F_{q}")
             self.q = q
             self.c = c
             self.lin = ModQ(q)

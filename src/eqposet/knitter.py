@@ -95,13 +95,13 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
         raise KnitError("max_sections must be >= 1")
     P = M.poset
     profiles = injective_profiles(M)
-    prof_key = {(pr.udimF, pr.label): x for x, pr in profiles.items()}
+    prof_key = {(pr.udimF.entries, pr.label): x for x, pr in profiles.items()}
     homdiag = [M.hom[i][i] for i in range(P.n)]
     max_idx = P.index[P.max]
     valuation = {(s, d): _valuation(M, s, d) for s in Label for d in Label}
 
     G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
-    seen: dict[tuple[RatVec, Label], int] = {}
+    seen: dict[tuple[tuple[int, ...], Label], int] = {}
 
     def add_vertex(section: int, label: Label, udimF: RatVec,
                    cd: RatVec | None = None, proj_point: str | None = None) -> ArVertex:
@@ -114,7 +114,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             raise KnitError(f"dimension vector {udimF} misses the socle")
         if any(rem):
             raise KnitError(f"dimension vector {udimF} is not divisible by the local dimensions")
-        key = (udimF, label)
+        key = (udimF.entries, label)
         if key in seen:
             raise KnitError(f"vertex identity collision at {udimF} {label.value}")
         v = ArVertex(id=len(G.vertices), section=section, label=label, udimF=udimF,
@@ -145,7 +145,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 if j in placed:
                     continue
                 info = radicals[j]
-                target = seen.get((info.udimF, info.label))
+                target = seen.get((info.udimF.entries, info.label))
                 if target is None:
                     continue
                 Z = G.vertices[target]

@@ -222,13 +222,15 @@ class GenericField:
         return [row for m in mats for row in m]
 
     def kron(self, A, B):
-        return [[self._mul(a, b) for a in ra for b in rb] for ra in A for rb in B]
+        return [[x for a in ra for x in self._scaled(a, rb)] for ra in A for rb in B]
 
-    def _mul(self, a, b):
-        # products with 0 and 1 are common here and costly for rational functions
-        if not (a and b):
-            return self.zero
-        return b if a == self.one else a if b == self.one else a * b
+    def _scaled(self, a, row):
+        # kron's factors are mostly 0 and 1, and products of rational functions are costly
+        if not a:
+            return [self.zero] * len(row)
+        if a == self.one:
+            return list(row)
+        return [(a if b == self.one else a * b) if b else self.zero for b in row]
 
     def matmul(self, A, B):
         rb = len(B)
@@ -269,12 +271,18 @@ class GenericField:
             if sel is None:
                 continue
             A[r], A[sel] = A[sel], A[r]
-            inv = self.one / A[r][c]
-            A[r] = [x * inv for x in A[r]]
+            row = A[r]
+            # entries left of c are zero in every row from r on
+            nz = [k for k in range(c, cols) if row[k]]
+            inv = self.one / row[c]
+            for k in nz:
+                row[k] = row[k] * inv
             for i in range(rows):
-                if i != r and A[i][c]:
-                    f = A[i][c]
-                    A[i] = [x - f * y if y else x for x, y in zip(A[i], A[r])]
+                f = A[i][c]
+                if f and i != r:
+                    Ai = A[i]
+                    for k in nz:
+                        Ai[k] = Ai[k] - f * row[k]
             piv.append(c)
             r += 1
         return A[:r], piv

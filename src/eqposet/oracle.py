@@ -4,7 +4,10 @@ Each comparable pair (x, y) gets a concrete F-subspace R_{x,y} (operators on
 G for flavor r, elements of G for flavor c) whose product is honest algebra
 multiplication.  Everything a model claims — hom table entries, the three
 axioms of an admissible family, radical shapes, hom dimensions between
-projectives — is then re-derived here by linear algebra alone.
+projectives — is then re-derived here by linear algebra alone.  Hom
+dimensions impose A-linearity on a generating set of the realized algebra
+only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
+modulo what the members inside [l, l'] generate (rad/rad^2).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class RFamily:
     _right: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
+    _generators: dict = field(default_factory=dict, repr=False)
 
     def dim(self, x: str, y: str) -> int:
         b = self.basis.get((x, y))
@@ -77,6 +81,39 @@ class RFamily:
             self._actions[(x, y, z)] = [lin.coords_rows(R, piv, W)
                                         for W in self.products(x, y, z)]
         return self._actions[(x, y, z)]
+
+    def generators(self, l: str, lp: str) -> list[int]:
+        """Indices of basis elements of R_{l,l'} that, with the members R_{a,b}
+        for l <= a <= b <= l' and (a, b) != (l, l'), generate R_{l,l'} under
+        sums and products; every index when some product involved leaves the
+        family."""
+        if (l, lp) not in self._generators:
+            lin, P, d = self.tower.lin, self.poset, self.dim(l, lp)
+            left, right = self.action(l, l, lp), self.action(l, lp, lp)
+            inner = [C for y in P.points if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)
+                     for C in self.action(l, y, lp)]
+            picks = list(range(d))
+            if all(C is not None for C in left + right + inner):
+                picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + inner))
+                for k in range(d):
+                    unit = lin.mat([[int(i == k) for i in range(d)]])
+                    if len(piv) == d or lin.in_span(R, piv, lin.rows(unit)[0]):
+                        continue
+                    picks.append(k)
+                    if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
+                        flat, size = lin.reshape(left, d, d * d), 0
+                        R, piv = lin.rref(lin.vstack([R, unit]))
+                        while len(piv) > size:
+                            size = len(piv)
+                            R, piv = lin.rref(lin.vstack(
+                                [R] + [lin.matmul(R, lin.reshape(m, d, d))
+                                       for m in lin.rows(lin.matmul(R, flat))]))
+                    else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
+                        rows = [unit, left[k]]
+                        R, piv = lin.rref(lin.vstack(
+                            [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
+            self._generators[(l, lp)] = picks
+        return self._generators[(l, lp)]
 
 
 def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamily:
@@ -202,10 +239,13 @@ def verify_admissible(fam: RFamily) -> AdmReport:
 def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given.
 
-    The unknowns are the blocks phi_l (e_l x d_l, row-major).  Each basis
-    element s of R_{l,l'}, l <= l', gives the equations phi_l' S_i = S_j phi_l,
-    where S_i (d_l' x d_l) and S_j (e_l' x e_l) are the actions of s on the
-    blocks of e_i A and e_j A.  The answer is N minus the rank of the system."""
+    The unknowns are the blocks phi_l (e_l x d_l, row-major).  Each generator
+    s of R_{l,l'}, l <= l' (`RFamily.generators`), gives the equations
+    phi_l' S_i = S_j phi_l, where S_i (d_l' x d_l) and S_j (e_l' x e_l) are the
+    actions of s on the blocks of e_i A and e_j A.  A map that commutes with s
+    and t commutes with s + t and s t, so the generators impose A-linearity.
+    Every basis element is still checked to act inside the family.  The answer
+    is N minus the rank of the system."""
     P = fam.poset
     lin = fam.tower.lin
     d = {l: fam.dim(i, l) for l in blocks}
@@ -228,8 +268,13 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
                     if C is not None and C[k] is None:
                         raise OracleError(f"product from R_({base},{l}) by R_({l},{lp}) "
                                           "leaves the family")
-            if not Ci or e[lp] == 0:
+            if e[lp] == 0:
                 continue
+            gens = fam.generators(l, lp)
+            if not gens:
+                continue
+            Ci = [Ci[k] for k in gens]
+            Cj = [Cj[k] for k in gens] if e[l] else None
             # row (s, r, c) is entry (r, c) of phi_l' S_i(s) - S_j(s) phi_l
             n = len(Ci) * e[lp] * d[l]
             parts = {m: lin.zeros(n, e[m] * d[m]) for m in blocks}

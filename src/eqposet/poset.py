@@ -60,6 +60,18 @@ P_LIMIT = 2 ** 31
 P_RANGE = "out of range (p < 2^31)"
 
 
+def shown(n: int | str) -> str:
+    """An integer, or its decimal text, for a message: past 20 digits only its
+    first 12 characters and its digit count."""
+    if isinstance(n, int):  # str() refuses huge ints: cut all but 20 or more leading digits
+        k = max(0, abs(n).bit_length() * 30102 // 100000 - 20)
+        lead = str(abs(n) // 10 ** k)
+        n, digits = "-" * (n < 0) + lead, len(lead) + k
+    else:
+        digits = len(n.lstrip("-"))
+    return n if digits <= 20 else f"{n[:12]}... ({digits} digits)"
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -164,7 +176,7 @@ def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
     if P.p >= P_LIMIT:
         add(Violation("p-range", f"p is {P_RANGE}"))
     elif not _is_prime(P.p):
-        add(Violation("p-not-prime", f"p = {P.p} is not prime"))
+        add(Violation("p-not-prime", f"p = {shown(P.p)} is not prime"))
 
     pts = set(P.points)
     if len(pts) != len(P.points):
@@ -173,7 +185,7 @@ def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
         if x not in pts or y not in pts:
             add(Violation("unknown-point", f"relation references unknown point", (x, y)))
         if not (1 <= l <= P.p):
-            add(Violation("ell-range", f"ell = {l} outside 1..{P.p}", (x, y)))
+            add(Violation("ell-range", f"ell = {shown(l)} outside 1..{shown(P.p)}", (x, y)))
 
     for x in P.points:
         want = P.p if P.is_strong(x) else 1
@@ -181,14 +193,14 @@ def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
         if got is None:
             add(Violation("reflexive", "missing reflexive relation", (x,)))
         elif got != want:
-            add(Violation("reflexive", f"reflexive ell = {got}, expected {want}", (x,)))
+            add(Violation("reflexive", f"reflexive ell = {shown(got)}, expected {shown(want)}", (x,)))
 
     for (x, y) in P.strict_pairs():
         if P.leq(y, x):
             add(Violation("antisymmetry", "both x <= y and y <= x", (x, y)))
         if (P.is_strong(x) or P.is_strong(y)) and P.rel[(x, y)] != P.p:
             add(Violation("strong-relation",
-                          f"relation touching a strong point has ell = {P.rel[(x, y)]} != p", (x, y)))
+                          f"relation touching a strong point has ell = {shown(P.rel[(x, y)])} != p", (x, y)))
 
     for (x, y) in P.strict_pairs():
         for z in P.points:
@@ -201,7 +213,7 @@ def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
             got = P.rel[(x, z)]
             if got < need:
                 add(Violation("composition",
-                              f"ell(x, z) = {got} < {need} forced by the chain", (x, y, z)))
+                              f"ell(x, z) = {shown(got)} < {shown(need)} forced by the chain", (x, y, z)))
     return tuple(out)
 
 
@@ -339,9 +351,7 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
                 raise PosetError("duplicate p directive", lineno, col)
             # the digit count is tested first, as int() refuses very long strings
             if len(val.lstrip("-0")) > 10 or int(val) >= P_LIMIT:
-                digits = len(val.lstrip("-"))
-                shown = val if digits <= 20 else f"{val[:12]}... ({digits} digits)"
-                raise PosetError(f"p = {shown} is {P_RANGE}", lineno, vcol)
+                raise PosetError(f"p = {shown(val)} is {P_RANGE}", lineno, vcol)
             p = int(val)
             if not _is_prime(p):
                 raise PosetError(f"p = {p} is not prime", lineno, vcol)

@@ -1,4 +1,5 @@
-"""The mod-q driver against a plain per-pivot elimination on Python ints."""
+"""The mod-q driver against a plain per-pivot elimination on Python ints, and
+the generic driver against its dense elimination over F_p(t)."""
 
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqposet import Tower, TowerSpec
+from eqposet.fields import RatFunc
 from eqposet.linalg import MAX_Q, RREF_MIN_BLOCK, ModQ
 from eqposet.poset import _is_prime
 
@@ -131,3 +133,49 @@ def test_omega_matches_the_scan(p):
         c = next(c for c in range(2, q) if pow(c, (q - 1) // p, q) != 1)
         scan = next(a for a in range(2, q) if pow(a, p, q) == 1)
         assert Tower(TowerSpec(p, "cyclic", q, c)).omega == scan, q
+
+
+def dense_generic_rref(lin, A):
+    """Gauss-Jordan elimination over whole rows, as the generic driver did
+    before it touched only the nonzero columns of each pivot row."""
+    A = [list(row) for row in A]
+    cols = len(A[0]) if A else 0
+    piv, r = [], 0
+    for c in range(cols):
+        sel = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        inv = lin.one / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv.append(c)
+        r += 1
+    return A[:r], piv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generic_rref_and_kron_match_dense_reference(data):
+    """Sparse matrices over F_3(t), with entries c t^k / (t + 1)^m."""
+    lin = Tower(TowerSpec(3, "inseparable")).lin
+    t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
+
+    def entry():
+        x = lin.convert(data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])))
+        for _ in range(data.draw(st.integers(0, 2))):
+            x = x * t
+        for _ in range(data.draw(st.integers(0, 1))):
+            x = x / t1
+        return x
+
+    def matrix():
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    A, B = matrix(), matrix()
+    assert lin.rref(A) == dense_generic_rref(lin, A)
+    assert lin.kron(A, B) == [[a * b for a in ra for b in rb] for ra in A for rb in B]

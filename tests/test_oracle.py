@@ -4,12 +4,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cached_tower, load_fixture, model
-from eqposet import (Flavor, OracleError, ParameterError, Tower, TowerSpec,
-                     build_family, build_model, default_tower, oracle,
-                     oracle_hom_dim, oracle_radical, parse_poset,
-                     run_verification, verify_admissible, verify_dims)
+from conftest import ALL_FIXTURES, cached_tower, load_fixture, model
+from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, Tower, TowerSpec,
+                     augment, build_family, build_model, default_tower,
+                     min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
+                     parse_poset, run_verification, verify_admissible, verify_dims)
 
 
 # ---------------------------------------------------------------- towers
@@ -52,6 +54,24 @@ def test_tower_operator_basis_ranks():
 def test_bad_tower_parameters(spec, fragment):
     with pytest.raises(ParameterError, match=fragment):
         Tower(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (TowerSpec(-10 ** 5000, "cyclic", 3, 2), "p = -10000000000... (5001 digits) is not prime"),
+    (TowerSpec(2, "cyclic", -10 ** 5000, 2), "q = -10000000000... (5001 digits) is not prime"),
+    (TowerSpec(2, "cyclic", 3, 3 * 10 ** 5000),
+     "c = 300000000000... (5001 digits) is a p-th power in F_3"),
+    (TowerSpec(2, "cyclic", 10 ** 5000, 3),
+     "q = 100000000000... (5001 digits) is too large: exact int64 arithmetic "
+     "needs (q - 1)^2 < 2^63, so q <= 3037000500"),
+], ids=["p", "q prime", "c", "q large"])
+def test_huge_tower_parameters_are_parameter_errors(spec, message):
+    """Integers past str()'s 4300-digit limit give the library's own error,
+    with the number shortened."""
+    with pytest.raises(ParameterError) as err:
+        Tower(spec)
+    assert str(err.value) == message
+    assert len(message) < 100 or "too large" in message
 
 
 def test_no_default_tower_for_p7():
@@ -287,3 +307,142 @@ def test_p5_weak_chain_ell2_flavor_r_passes():
                     "rel a b 2\nrel b c 2\nclosure\naugment\n")
     rep = run_verification(build_model(P, Flavor.R), default_tower(5))
     assert rep.ok, str(rep)
+
+
+# ---------------------------------------------------------------- generators
+
+def all_basis_hom_dim(fam, i, j, blocks):
+    """The reference: dim of the block-graded A-linear maps e_i A -> e_j A,
+    with one equation block for every basis element s of every R_{l,l'}."""
+    P = fam.poset
+    lin = fam.tower.lin
+    d = {l: fam.dim(i, l) for l in blocks}
+    e = {l: fam.dim(j, l) for l in blocks}
+    N = sum(e[l] * d[l] for l in blocks)
+    if N == 0:
+        return 0
+    groups = []
+    for l in blocks:
+        if d[l] == 0:
+            continue
+        for lp in blocks:
+            if not P.leq(l, lp):
+                continue
+            Ci = fam.action(i, l, lp)
+            Cj = fam.action(j, l, lp) if e[l] else None
+            if not Ci or e[lp] == 0:
+                continue
+            n = len(Ci) * e[lp] * d[l]
+            parts = {m: lin.zeros(n, e[m] * d[m]) for m in blocks}
+            parts[lp] = lin.vstack([lin.kron(lin.eye(e[lp]), C) for C in Ci])
+            if e[l]:
+                eye = lin.eye(d[l])
+                parts[l] = lin.sub(parts[l], lin.vstack([lin.kron(lin.transpose(C), eye)
+                                                         for C in Cj]))
+            groups.append(lin.hstack([parts[m] for m in blocks]))
+    if not groups:
+        return N
+    return N - lin.rank(lin.vstack(groups))
+
+
+def assert_reduced_systems_match(fam):
+    """oracle_hom_dim and oracle_radical's end_dim equal the all-basis systems."""
+    P = fam.poset
+    for i in P.points:
+        up = [l for l in P.points if P.leq(i, l)]
+        for j in P.points:
+            assert oracle_hom_dim(fam, i, j) == all_basis_hom_dim(fam, i, j, up), (i, j)
+        if i != P.max:
+            want = all_basis_hom_dim(fam, i, i, [l for l in up if l != i])
+            assert oracle_radical(fam, i).end_dim == want, i
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_reduced_systems_match_all_basis_systems(name, flavor, mode):
+    P = load_fixture(name)
+    assert_reduced_systems_match(build_family(cached_tower(P.p, mode), P, flavor))
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_reduced_systems_match_on_split_tower(flavor):
+    """The family of test_failing_report_text, whose local rings are not fields."""
+    assert_reduced_systems_match(build_family(_split_tower(), load_fixture("star2"), flavor))
+
+
+@st.composite
+def small_posets(draw):
+    """A valid augmented equipped poset with at most 3 inner points at p in {2, 3}."""
+    p = draw(st.sampled_from((2, 3)))
+    names = tuple(f"x{i}" for i in range(draw(st.integers(1, 3))))
+    strong = frozenset(x for x in names if draw(st.booleans()))
+    rel = {(x, x): p if x in strong else 1 for x in names}
+    for k, x in enumerate(names):
+        for y in names[k + 1:]:
+            if draw(st.booleans()):
+                weak = x not in strong and y not in strong
+                rel[(x, y)] = draw(st.integers(1, p)) if weak else p
+    return augment(min_equipment_closure(EquippedPoset(p, names, strong, rel)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_posets(), st.sampled_from(["r", "c"]))
+def test_reduced_systems_match_on_random_posets(P, flavor):
+    assert_reduced_systems_match(build_family(cached_tower(P.p, "cyclic"), P, flavor))
+
+
+def generated_spans(fam):
+    """Per comparable pair (a, b), an echelon basis of what the picks of
+    fam.generators generate in R_{a,b}: the closure of their spans under
+    products R_{a,y} R_{y,b}, taken by multiplying elements with compose."""
+    P, lin = fam.poset, fam.tower.lin
+    pairs = [(a, b) for a in P.points for b in P.points if P.leq(a, b)]
+
+    def echelon(vectors):
+        return lin.rows(lin.rref(lin.mat([list(v) for v in vectors]))[0]) if vectors else []
+
+    span = {ab: echelon([lin.rows(fam.basis[ab])[k] for k in fam.generators(*ab)])
+            for ab in pairs}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in pairs:
+            products = [fam.compose(u, v) for y in P.points if P.leq(a, y) and P.leq(y, b)
+                        for u in span[(a, y)] for v in span[(y, b)]]
+            new = echelon(span[(a, b)] + products)
+            grew |= len(new) > len(span[(a, b)])
+            span[(a, b)] = new
+    return span
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_generators_generate_every_member(name, flavor):
+    P = load_fixture(name)
+    fam = build_family(cached_tower(P.p, "cyclic"), P, flavor)
+    for ab, rows in generated_spans(fam).items():
+        assert len(rows) == fam.dim(*ab), ab
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_generators_drop_basis_elements_on_chain3_ell1(flavor, mode):
+    P = load_fixture("chain3_ell1")
+    fam = build_family(cached_tower(P.p, mode), P, flavor)
+    pairs = [(a, b) for a in P.points for b in P.points if P.leq(a, b)]
+    assert all(len(rows) == fam.dim(*ab) for ab, rows in generated_spans(fam).items())
+    assert sum(len(fam.generators(*ab)) for ab in pairs) < sum(fam.dim(*ab) for ab in pairs)
+
+
+def test_generators_keep_every_index_when_a_product_leaves_the_family():
+    """R_(0,b) of chain3_ell1 is generated by R_(0,a) R_(a,b); cut to two of
+    its three basis elements, those products leave it, and both stay."""
+    P = load_fixture("chain3_ell1")
+    fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
+    assert fam.generators("0", "b") == []
+    fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
+    fam.basis[("0", "b")] = fam.basis[("0", "b")][:2]
+    fam.piv[("0", "b")] = fam.piv[("0", "b")][:2]
+    assert any(C is None for C in fam.action("0", "a", "b"))
+    assert fam.generators("0", "b") == [0, 1]

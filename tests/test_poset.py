@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import ALL_FIXTURES, load_fixture, run_python
 from eqposet import (EquippedPoset, PosetError, augment, is_slender,
                      min_equipment_closure, parse_poset, validate)
-from eqposet.poset import _is_prime
+from eqposet.poset import _is_prime, shown
 
 
 # ---------------------------------------------------------------- parsing
@@ -322,3 +322,32 @@ def test_validate_refuses_huge_p_quickly():
 
 def test_is_prime_small_values():
     assert [n for n in range(2, 20) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_shown_shortens_long_integers():
+    """An int and its decimal text show alike; past 20 digits only the first
+    12 characters and the digit count remain."""
+    for n in (0, 7, -5, 10 ** 19, 10 ** 20 - 1, 10 ** 20, -10 ** 20, 2 ** 64, 10 ** 299 + 1):
+        assert shown(n) == shown(str(n)), n
+    assert shown(10 ** 20 - 1) == "9" * 20
+    assert shown(10 ** 20) == "100000000000... (21 digits)"
+    assert shown(-(10 ** 5000 - 1)) == "-99999999999... (5000 digits)"
+    assert shown("9" * 5000) == "999999999999... (5000 digits)"
+
+
+def test_validate_shortens_huge_integers():
+    """Violations that print a caller's integer past str()'s 4300-digit
+    limit show it shortened; the p-not-prime line stays under 100 characters."""
+    huge = 10 ** 5000
+    P = EquippedPoset(-huge, ("a",), frozenset(), {("a", "a"): 1})
+    assert [str(v) for v in validate(P).violations] == [
+        "p-not-prime: p = -10000000000... (5001 digits) is not prime",
+        "ell-range: ell = 1 outside 1..-10000000000... (5001 digits) [a, a]"]
+    P = EquippedPoset(5, ("a", "b"), frozenset("a"),
+                      {("a", "a"): huge, ("b", "b"): 1, ("a", "b"): huge})
+    shown_ell = "100000000000... (5001 digits)"
+    assert [str(v) for v in validate(P).violations] == [
+        f"ell-range: ell = {shown_ell} outside 1..5 [a, a]",
+        f"ell-range: ell = {shown_ell} outside 1..5 [a, b]",
+        f"reflexive: reflexive ell = {shown_ell}, expected 5 [a]",
+        f"strong-relation: relation touching a strong point has ell = {shown_ell} != p [a, b]"]
