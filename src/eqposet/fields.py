@@ -150,6 +150,8 @@ class Tower:
             self.theta = self.lin.mat([[pow(self.omega, i, q) if j == i else 0 for j in range(p)]
                                        for i in range(p)])
         elif spec.mode == "inseparable":
+            if spec.q is not None or spec.c is not None:
+                raise ParameterError("inseparable tower takes no q or c")
             self.c = RatFunc((0, 1), (1,), p)
             self.lin = GenericField(lambda x: x if isinstance(x, RatFunc)
                                     else RatFunc((x % p,) if x % p else (), (1,), p))
@@ -160,7 +162,7 @@ class Tower:
             raise ParameterError(f"unknown tower mode {spec.mode!r}")
 
         a1 = self.a_ell_basis(1)
-        if self.lin.rank(self.flatten_all(a1)) != self.p:
+        if len(self.lin.rref(self.flatten_all(a1))[1]) != self.p:
             raise ParameterError("operator basis is degenerate")
 
     # -- G arithmetic -------------------------------------------------------
@@ -231,8 +233,8 @@ def _smallest_root_of_unity(p: int, q: int) -> int:
 
 
 def default_tower(p: int, mode: str = "cyclic") -> Tower:
-    if mode == "inseparable":
-        return Tower(TowerSpec(p, "inseparable"))
+    if mode != "cyclic":  # Tower refuses a mode it does not know
+        return Tower(TowerSpec(p, mode))
     if p not in DEFAULT_TOWERS:
         raise ParameterError(f"no default tower for p = {p}; pass q and c explicitly")
     q, c = DEFAULT_TOWERS[p]

@@ -5,7 +5,8 @@ numpy int64 arrays (q a prime up to MAX_Q) and a generic driver on lists
 for any exact field whose elements support +, -, *, / and truthiness (used
 for rational-function coefficients).  Both produce reduced row echelon
 bases, so span bases are canonical and coordinate extraction reads off
-pivot columns.  No floating point is used.
+pivot columns.  Both share one sparse rank for systems given row by row.
+No floating point is used.
 """
 
 from __future__ import annotations
@@ -21,11 +22,35 @@ import numpy as np
 INT64_MAX = 2**63 - 1
 MAX_Q = math.isqrt(INT64_MAX) + 1
 
-# rref takes rows in blocks of max(cols, RREF_MIN_BLOCK)
-RREF_MIN_BLOCK = 32
+
+class _SparseRank:
+    """The rank both drivers share.  Each supplies `norm`, the canonical form
+    of an entry, and `inv`, the inverse of a nonzero one."""
+
+    def rank(self, rows) -> int:
+        """Rank of the rows, each a dict column -> entry.  Each row is reduced,
+        in the order given, against the pivot rows found so far, keyed by
+        their leading column, until it is zero or leads at a new column.  A
+        pivot row is kept without its leading entry, scaled by -1/lead, so
+        that reducing by it adds multiples.  Zero entries and rows drop out."""
+        norm, inv, zero, pivots = self.norm, self.inv, self.zero, {}
+        for row in rows:
+            row = {c: x for c, v in row.items() if (x := norm(v))}
+            while row:
+                c = min(row)
+                f = row.pop(c)
+                pr = pivots.get(c)
+                if pr is None:
+                    f = norm(-inv(f))
+                    pivots[c] = {k: norm(v * f) for k, v in row.items()}
+                    break
+                for k, v in pr.items():
+                    if x := norm(row.pop(k, zero) + f * v):
+                        row[k] = x
+        return len(pivots)
 
 
-class ModQ:
+class ModQ(_SparseRank):
     """Arithmetic driver for matrices over Z/q, q prime and at most MAX_Q.
 
     Every matrix handed in or out holds residues in [0, q).  All arithmetic
@@ -80,51 +105,23 @@ class ModQ:
             out = (out + A[:, s:s + step] @ B[s:s + step]) % self.q
         return out
 
-    def sub(self, A, B):
-        return (A - B) % self.q
-
     def smul(self, s: int, A):
         return ((s % self.q) * A) % self.q
+
+    def norm(self, x) -> int:
+        return int(x) % self.q
+
+    def inv(self, x: int) -> int:
+        return pow(x, -1, self.q)
 
     def eq(self, A, B) -> bool:
         return bool(np.array_equal(A % self.q, B % self.q))
 
     def rref(self, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon basis of the row space of A, and its pivots.
-
-        Rows are taken in blocks of max(cols, RREF_MIN_BLOCK).  One product
-        X - X[:, piv] @ R, taken on the columns that are not yet pivots,
-        reduces a block X against the basis R found so far.  Per-pivot
-        elimination then runs on the nonzero rows left of that block alone,
-        and the basis is cleared at the new pivots by one more product."""
+        """Reduced row echelon basis of the row space of A, and its pivots,
+        by per-pivot Gauss-Jordan elimination."""
         q = self.q
         A = np.asarray(A, dtype=np.int64) % q
-        rows, cols = A.shape
-        step = max(cols, RREF_MIN_BLOCK)
-        if rows <= step:
-            return self._eliminate(A)
-        R, piv = self.zeros(0, cols), []
-        for start in range(0, rows, step):
-            free = np.setdiff1d(np.arange(cols), piv)
-            if free.size == 0:
-                break
-            X = A[start:start + step, free]
-            if piv:
-                X = (X - self.matmul(A[start:start + step, piv], R[:, free])) % q
-            Rf, pf = self._eliminate(X[X.any(axis=1)])
-            if pf:
-                new = free[pf]
-                R[:, free] = (R[:, free] - self.matmul(R[:, new], Rf)) % q
-                Rx = self.zeros(len(pf), cols)
-                Rx[:, free] = Rf
-                R = np.vstack([R, Rx])
-                piv += new.tolist()
-        order = np.argsort(piv, kind="stable")
-        return R[order], [piv[k] for k in order]
-
-    def _eliminate(self, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Per-pivot Gauss-Jordan elimination of a reduced matrix, in place."""
-        q = self.q
         rows, cols = A.shape
         piv: list[int] = []
         r = 0
@@ -145,11 +142,6 @@ class ModQ:
             piv.append(c)
             r += 1
         return A[:r], piv
-
-    def rank(self, A: np.ndarray) -> int:
-        if A.size == 0:
-            return 0
-        return len(self.rref(A)[1])
 
     def nullspace(self, A: np.ndarray) -> np.ndarray:
         """Rows span {x : A x = 0}."""
@@ -184,7 +176,7 @@ class ModQ:
         return C if self.eq(self.matmul(C, R), W) else None
 
 
-class GenericField:
+class GenericField(_SparseRank):
     """Same driver API over an arbitrary exact field (list-of-list matrices);
     convert maps an int or a field element to a field element."""
 
@@ -248,12 +240,15 @@ class GenericField:
             out.append(acc)
         return out
 
-    def sub(self, A, B):
-        return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)]
-
     def smul(self, s, A):
         s = self.convert(s)
         return [[s * x for x in row] for row in A]
+
+    def norm(self, x):
+        return x
+
+    def inv(self, x):
+        return self.one / x
 
     def eq(self, A, B) -> bool:
         return all(x == y for r1, r2 in zip(A, B) for x, y in zip(r1, r2))
@@ -286,11 +281,6 @@ class GenericField:
             piv.append(c)
             r += 1
         return A[:r], piv
-
-    def rank(self, A) -> int:
-        if not A:
-            return 0
-        return len(self.rref(A)[1])
 
     def nullspace(self, A):
         rows = len(A)

@@ -215,7 +215,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         E = lin.mat(coeffs)
         e_b = [lin.rows(lin.matmul(E, W)) for W in fam.products(x, x, x)]
         for n in range(len(coeffs)):  # the n-th element e
-            if lin.rank(lin.mat([list(e_b[k][n]) for k in range(d)])) < d:
+            if lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) < d:
                 rep.a2_failures.append(f"element of R_{x} has no right inverse")
                 break
 
@@ -231,7 +231,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
             continue
-        if lin.rank(lin.hstack(images)) < d:
+        if lin.rank(dict(enumerate(row)) for row in lin.rows(lin.hstack(images))) < d:
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
 
@@ -239,22 +239,27 @@ def verify_admissible(fam: RFamily) -> AdmReport:
 def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given.
 
-    The unknowns are the blocks phi_l (e_l x d_l, row-major).  Each generator
-    s of R_{l,l'}, l <= l' (`RFamily.generators`), gives the equations
-    phi_l' S_i = S_j phi_l, where S_i (d_l' x d_l) and S_j (e_l' x e_l) are the
-    actions of s on the blocks of e_i A and e_j A.  A map that commutes with s
-    and t commutes with s + t and s t, so the generators impose A-linearity.
-    Every basis element is still checked to act inside the family.  The answer
-    is N minus the rank of the system."""
+    The unknowns are the blocks phi_l (e_l x d_l, row-major, from off[l]).
+    Each generator s of R_{l,l'}, l <= l' (`RFamily.generators`), gives the
+    equations phi_l' S_i = S_j phi_l, where S_i (d_l' x d_l) and S_j
+    (e_l' x e_l) are the actions of s on the blocks of e_i A and e_j A.  A map
+    that commutes with s and t commutes with s + t and s t, so the generators
+    impose A-linearity.  Every basis element is still checked to act inside
+    the family.  The answer is N minus the rank of the system."""
     P = fam.poset
     lin = fam.tower.lin
     d = {l: fam.dim(i, l) for l in blocks}
     e = {l: fam.dim(j, l) for l in blocks}
-    N = sum(e[l] * d[l] for l in blocks)
+    off, N = {}, 0
+    for l in blocks:
+        off[l], N = N, N + e[l] * d[l]
     if N == 0:
         return 0
 
-    groups = []
+    def nonzeros(A):
+        return [[(b, x) for b, x in enumerate(row) if x] for row in lin.rows(A)]
+
+    rows = []
     for l in blocks:
         if d[l] == 0:
             continue
@@ -270,23 +275,19 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
                                           "leaves the family")
             if e[lp] == 0:
                 continue
-            gens = fam.generators(l, lp)
-            if not gens:
-                continue
-            Ci = [Ci[k] for k in gens]
-            Cj = [Cj[k] for k in gens] if e[l] else None
-            # row (s, r, c) is entry (r, c) of phi_l' S_i(s) - S_j(s) phi_l
-            n = len(Ci) * e[lp] * d[l]
-            parts = {m: lin.zeros(n, e[m] * d[m]) for m in blocks}
-            parts[lp] = lin.vstack([lin.kron(lin.eye(e[lp]), C) for C in Ci])
-            if e[l]:
-                eye = lin.eye(d[l])
-                parts[l] = lin.sub(parts[l], lin.vstack([lin.kron(lin.transpose(C), eye)
-                                                         for C in Cj]))
-            groups.append(lin.hstack([parts[m] for m in blocks]))
-    if not groups:
-        return N
-    return N - lin.rank(lin.vstack(groups))
+            # row (s, r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
+            # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
+            for k in fam.generators(l, lp):
+                C = nonzeros(Ci[k])
+                Dt = nonzeros(lin.transpose(Cj[k])) if e[l] else [()] * e[lp]
+                for r in range(e[lp]):
+                    for a in range(d[l]):
+                        row = {off[lp] + r * d[lp] + b: x for b, x in C[a]}
+                        for u, x in Dt[r]:
+                            col = off[l] + u * d[l] + a
+                            row[col] = row[col] - x if col in row else -x
+                        rows.append(row)
+    return N - lin.rank(rows)
 
 
 def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:

@@ -345,7 +345,7 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
         if head == "p":
             need(2)
             val, vcol = toks[1]
-            if not val.lstrip("-").isdigit():
+            if not val.removeprefix("-").isdecimal():
                 raise PosetError(f"p must be an integer, got {val!r}", lineno, vcol)
             if p is not None:
                 raise PosetError("duplicate p directive", lineno, col)
@@ -380,11 +380,13 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
             if x == y:
                 raise PosetError("reflexive equipment is implicit; rel needs two distinct points",
                                  lineno, ycol)
-            if not lv.isdigit():
+            if not lv.isdecimal():
                 raise PosetError(f"ell must be a positive integer, got {lv!r}", lineno, lcol)
+            lv = lv.lstrip("0") or "0"
+            # as for p, the digit count is tested before int(): ell <= p < 2^31
+            if len(lv) > 10 or not 1 <= int(lv) <= p:
+                raise PosetError(f"ell = {shown(lv)} outside 1..{p}", lineno, lcol)
             l = int(lv)
-            if not (1 <= l <= p):
-                raise PosetError(f"ell = {l} outside 1..{p}", lineno, lcol)
             if (x, y) in declared:
                 raise PosetError(f"duplicate relation {x} <= {y}", lineno, col)
             declared[(x, y)] = l

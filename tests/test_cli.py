@@ -227,6 +227,16 @@ def test_huge_prime_p_exits_2_quickly(tmp_path):
     assert out.stdout == ""
 
 
+def test_huge_ell_exits_2(tmp_path):
+    """An ell past int()'s digit limit is an error at its token, not a crash."""
+    path = tmp_path / "huge_ell.eqp"
+    path.write_text("p 2\npoint a weak\npoint b weak\nrel a b " + "9" * 5000 + "\naugment\n")
+    out = run_python("-m", "eqposet", "validate", str(path), timeout=10)
+    assert out.returncode == 2
+    assert out.stderr == "error: line 4, col 9: ell = 999999999999... (5000 digits) outside 1..2\n"
+    assert out.stdout == ""
+
+
 def test_info_with_forms(capsys):
     assert main(["info", fixture_path("star2"), "--forms"]) == 0
     out = capsys.readouterr().out

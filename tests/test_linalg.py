@@ -1,5 +1,6 @@
-"""The mod-q driver against a plain per-pivot elimination on Python ints, and
-the generic driver against its dense elimination over F_p(t)."""
+"""The mod-q driver against a plain per-pivot elimination on Python ints, the
+generic driver against its dense elimination over F_p(t), and the sparse rank
+both drivers share against those references."""
 
 import random
 
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import src_imports
 from eqposet import Tower, TowerSpec
 from eqposet.fields import RatFunc
-from eqposet.linalg import MAX_Q, RREF_MIN_BLOCK, ModQ
+from eqposet.linalg import MAX_Q, ModQ
 from eqposet.poset import _is_prime
 
 LARGEST_Q = 3037000493  # the largest prime q <= MAX_Q; p = 2 divides q - 1
 QS = [3, 11, 1000003, LARGEST_Q]
+TALL = 32  # tall matrices have TALL + 1 to 4 * TALL rows
 
 
 def reference_rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -56,12 +59,12 @@ def reference_nullspace(rows, q, cols):
 def matrices(draw, q):
     """Tall, wide or rank-deficient matrices over Z/q.  Row i combines only
     the first few of k random basis rows, more of them further down, so new
-    pivots keep turning up in later row blocks."""
+    pivots keep turning up far down the matrix."""
     kind = draw(st.sampled_from(["tall", "wide", "deficient"]))
     if kind == "wide":
         rows, cols = draw(st.integers(1, 8)), draw(st.integers(9, 40))
     else:
-        rows = draw(st.integers(RREF_MIN_BLOCK + 1, 4 * RREF_MIN_BLOCK))
+        rows = draw(st.integers(TALL + 1, 4 * TALL))
         cols = draw(st.integers(1, 40))
     full = min(rows, cols)
     k = full if kind != "deficient" else draw(st.integers(0, full))
@@ -89,7 +92,7 @@ def test_rref_rank_nullspace_match_reference(q, data):
     R, piv = lin.rref(A)
     assert piv == piv_ref
     assert R.tolist() == R_ref
-    assert lin.rank(A) == len(piv_ref)
+    assert lin.rank(dict(enumerate(row)) for row in rows) == len(piv_ref)
     N = lin.nullspace(A)
     assert N.tolist() == reference_nullspace(rows, q, cols)
     # every basis vector is a kernel vector, checked on Python ints
@@ -179,3 +182,75 @@ def test_generic_rref_and_kron_match_dense_reference(data):
     A, B = matrix(), matrix()
     assert lin.rref(A) == dense_generic_rref(lin, A)
     assert lin.kron(A, B) == [[a * b for a in ra for b in rb] for ra in A for rb in B]
+
+
+@st.composite
+def fill_in_rows(draw, entries, zero):
+    """Dense rows over `entries` that fill in under elimination: dense and
+    sparse rows, zero rows, repeats of earlier rows and combinations of two
+    earlier rows, whose entries may cancel."""
+    cols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["dense", "sparse", "zero", "repeat", "combine"]))
+        if kind == "dense" or (kind in ("repeat", "combine") and not rows):
+            row = draw(st.lists(entries, min_size=cols, max_size=cols))
+        elif kind == "sparse":
+            keep = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+            row = [x if c in keep else zero for c, x in
+                   enumerate(draw(st.lists(entries, min_size=cols, max_size=cols)))]
+        elif kind == "zero":
+            row = [zero] * cols
+        elif kind == "repeat":
+            s = draw(entries)
+            row = [s * x for x in draw(st.sampled_from(rows))]
+        else:
+            a, b = draw(entries), draw(entries)
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = [a * x + b * y for x, y in zip(r1, r2)]
+        rows.append(row)
+    return rows
+
+
+def as_dicts(draw, rows, zero):
+    """The rows as dicts column -> entry; some zero entries are kept."""
+    return [{c: x for c, x in enumerate(row) if x != zero or draw(st.booleans())}
+            for row in rows]
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_rank_matches_reference_mod_q(q, data):
+    """Entries are any Python ints: the rank reduces them mod q, so q, -1
+    and q + 1 stand for 0, q - 1 and 1."""
+    entries = st.one_of(st.sampled_from([0, 1, -1, q, q + 1]), st.integers(0, q - 1))
+    rows = data.draw(fill_in_rows(entries, 0))
+    assert ModQ(q).rank(as_dicts(data.draw, rows, 0)) == len(reference_rref(rows, q)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_rank_matches_reference_over_f3t(data):
+    """Entries c t^k / (t + 1)^m over F_3(t)."""
+    lin = Tower(TowerSpec(3, "inseparable")).lin
+    t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
+
+    def entry(c, k, m):
+        x = lin.convert(c)
+        for _ in range(k):
+            x = x * t
+        for _ in range(m):
+            x = x / t1
+        return x
+
+    entries = st.builds(entry, st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+    rows = data.draw(fill_in_rows(entries, lin.zero))
+    assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(dense_generic_rref(lin, rows)[1])
+
+
+def test_only_linalg_imports_numpy():
+    """numpy stays behind the drivers: no other module of the package imports it."""
+    imports = src_imports()
+    assert "numpy" in imports["linalg.py"]
+    assert [name for name, roots in imports.items() if "numpy" in roots] == ["linalg.py"]

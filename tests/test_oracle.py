@@ -37,7 +37,7 @@ def test_tower_operator_basis_ranks():
         for ell in range(1, p + 1):
             mats = t.a_ell_basis(ell)
             assert len(mats) == p * ell
-            assert t.lin.rank(t.flatten_all(mats)) == p * ell
+            assert len(t.lin.rref(t.flatten_all(mats))[1]) == p * ell
 
 
 @pytest.mark.parametrize("spec, fragment", [
@@ -50,10 +50,17 @@ def test_tower_operator_basis_ranks():
     (TowerSpec(2, "cyclic"), "needs q and c"),
     # a prime whose residues overflow int64 in a single product
     (TowerSpec(2, "cyclic", 4294967311, 3), "too large"),
+    # below "weird" in spirit; here, so that the ids above keep their numbers
+    pytest.param(TowerSpec(3, "inseparable", q=7, c=3), "takes no q or c",
+                 id="inseparable-q-c"),
+    pytest.param(TowerSpec(3, "inseparable", c=3), "takes no q or c", id="inseparable-c"),
+    pytest.param(lambda: default_tower(2, "inseperable"), "unknown tower mode 'inseperable'",
+                 id="default-misspelled-mode"),
 ])
 def test_bad_tower_parameters(spec, fragment):
+    """A spec goes to Tower; a callable builds its tower itself."""
     with pytest.raises(ParameterError, match=fragment):
-        Tower(spec)
+        spec() if callable(spec) else Tower(spec)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -309,6 +316,18 @@ def test_p5_weak_chain_ell2_flavor_r_passes():
     assert rep.ok, str(rep)
 
 
+@pytest.mark.parametrize("n, ell", [(3, 5), (4, 2)])
+def test_p5_weak_chain_flavor_r_passes(n, ell):
+    """Two of the weak chains that perfbench's P5_SLOW set keeps out of its
+    p = 5 members: their hom systems run to thousands of rows."""
+    names = "abcd"[:n]
+    P = parse_poset("p 5\n" + "".join(f"point {x} weak\n" for x in names)
+                    + "".join(f"rel {x} {y} {ell}\n" for x, y in zip(names, names[1:]))
+                    + "closure\naugment\n")
+    rep = run_verification(build_model(P, Flavor.R), default_tower(5))
+    assert rep.ok, str(rep)
+
+
 # ---------------------------------------------------------------- generators
 
 def all_basis_hom_dim(fam, i, j, blocks):
@@ -337,12 +356,13 @@ def all_basis_hom_dim(fam, i, j, blocks):
             parts[lp] = lin.vstack([lin.kron(lin.eye(e[lp]), C) for C in Ci])
             if e[l]:
                 eye = lin.eye(d[l])
-                parts[l] = lin.sub(parts[l], lin.vstack([lin.kron(lin.transpose(C), eye)
-                                                         for C in Cj]))
+                S = lin.vstack([lin.kron(lin.transpose(C), eye) for C in Cj])
+                parts[l] = lin.mat([[x - y for x, y in zip(r1, r2)]
+                                    for r1, r2 in zip(lin.rows(parts[l]), lin.rows(S))])
             groups.append(lin.hstack([parts[m] for m in blocks]))
     if not groups:
         return N
-    return N - lin.rank(lin.vstack(groups))
+    return N - len(lin.rref(lin.vstack(groups))[1])
 
 
 def assert_reduced_systems_match(fam):

@@ -42,6 +42,14 @@ def test_parse_comments_and_blank_lines():
     # past int()'s default digit limit
     pytest.param("p " + "9" * 5000 + "\n", "p = 999999999999... (5000 digits) is out of range",
                  id="p 5000 digits"),
+    pytest.param("p 2\npoint a weak\npoint b weak\nrel a b 1" + "0" * 5000 + "\n",
+                 "line 4, col 9: ell = 100000000000... (5001 digits) outside 1..2",
+                 id="ell 5001 digits"),
+    # digits that int() does not read
+    pytest.param("p \u00b2\n", "p must be an integer", id="p superscript"),
+    pytest.param("p 2\npoint a weak\npoint b weak\nrel a b \u00b2\n",
+                 "ell must be a positive integer", id="ell superscript"),
+    pytest.param("p --5\n", "p must be an integer", id="p two minus signs"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(PosetError) as exc:
