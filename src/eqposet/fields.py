@@ -13,8 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import MAX_Q, GenericField, ModQ
+from .linalg import GenericField, ModQ
 from .poset import P_LIMIT, P_RANGE, _is_prime, shown
+
+# Parameter policy, not arithmetic limits: the primality of q is checked by
+# trial division, about sqrt(q) steps, and a tower's operators are p x p
+# matrices, so the oracle's hom systems have up to p^4 unknowns per block.
+MAX_Q = 3037000500
+MAX_TOWER_P = 31
 
 
 class ParameterError(ValueError):
@@ -125,6 +131,9 @@ class Tower:
             raise ParameterError(f"p is {P_RANGE}")
         if not _is_prime(spec.p):
             raise ParameterError(f"p = {shown(spec.p)} is not prime")
+        if spec.p > MAX_TOWER_P:
+            raise ParameterError(f"p = {spec.p} is too large for a tower: its operators "
+                                 f"are p x p matrices, so p <= {MAX_TOWER_P}")
         self.spec = spec
         p = self.p = spec.p
 
@@ -133,8 +142,8 @@ class Tower:
                 raise ParameterError("cyclic tower needs q and c")
             q = spec.q
             if q > MAX_Q:
-                raise ParameterError(f"q = {shown(q)} is too large: exact int64 arithmetic "
-                                     f"needs (q - 1)^2 < 2^63, so q <= {MAX_Q}")
+                raise ParameterError(f"q = {shown(q)} is too large: the primality of q is "
+                                     f"checked by trial division, so q <= {MAX_Q}")
             if not _is_prime(q):
                 raise ParameterError(f"q = {shown(q)} is not prime")
             if (q - 1) % p:
@@ -175,7 +184,7 @@ class Tower:
     def g_mul(self, a, b):
         """Product of two G-elements (coefficient vectors)."""
         lin = self.lin
-        return lin.rows(lin.matmul(lin.mat([list(a)]), lin.transpose(self.mu_mat(b))))[0]
+        return lin.matmul(lin.mat([list(a)]), lin.transpose(self.mu_mat(b)))[0]
 
     def mu_mat(self, g):
         """Multiplication-by-g as a matrix (columns are g * xi^j).
@@ -184,7 +193,7 @@ class Tower:
         j <= r, and c * g_(r-j+p) once the exponent wraps past xi^p = c."""
         p, lin = self.p, self.lin
         row = lin.mat([list(g)])
-        g, cg = lin.rows(row)[0], lin.rows(lin.smul(self.c, row))[0]
+        g, cg = row[0], lin.smul(self.c, row)[0]
         return lin.mat([[g[r - j] if j <= r else cg[r - j + p] for j in range(p)]
                         for r in range(p)])
 

@@ -57,9 +57,9 @@ class RFamily:
             if self.flavor is Flavor.R:
                 # u * s flattens S U, and U -> S U is kron(S^T, 1) on row-major rows
                 mats = [lin.kron(lin.transpose(t.unflatten(s)), lin.eye(t.p))
-                        for s in lin.rows(self.basis[(y, z)])]
+                        for s in self.basis[(y, z)]]
             else:
-                mats = [lin.transpose(t.mu_mat(s)) for s in lin.rows(self.basis[(y, z)])]
+                mats = [lin.transpose(t.mu_mat(s)) for s in self.basis[(y, z)]]
             self._right[(y, z)] = mats
         return self._right[(y, z)]
 
@@ -97,7 +97,7 @@ class RFamily:
                 picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + inner))
                 for k in range(d):
                     unit = lin.mat([[int(i == k) for i in range(d)]])
-                    if len(piv) == d or lin.in_span(R, piv, lin.rows(unit)[0]):
+                    if len(piv) == d or lin.in_span(R, piv, unit[0]):
                         continue
                     picks.append(k)
                     if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
@@ -107,7 +107,7 @@ class RFamily:
                             size = len(piv)
                             R, piv = lin.rref(lin.vstack(
                                 [R] + [lin.matmul(R, lin.reshape(m, d, d))
-                                       for m in lin.rows(lin.matmul(R, flat))]))
+                                       for m in lin.matmul(R, flat)]))
                     else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
                         rows = [unit, left[k]]
                         R, piv = lin.rref(lin.vstack(
@@ -131,7 +131,7 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
                 gens = [tower.flatten(lin.matmul(lin.matmul(ey, a), ex))
                         for a in tower.a_ell_basis(ell)]
             else:
-                gens = [list(tower.xi_pow(j)) for j in range(ell)]
+                gens = [tower.xi_pow(j) for j in range(ell)]
             B, piv = lin.rref(lin.mat(gens))
             fam.basis[(x, y)] = B
             fam.piv[(x, y)] = piv
@@ -139,7 +139,7 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
         if flavor is Flavor.R:
             fam.unit[x] = tower.flatten(tower.eps(P.is_strong(x)))
         else:
-            fam.unit[x] = list(tower.xi_pow(0))
+            fam.unit[x] = tower.xi_pow(0)
     return fam
 
 
@@ -190,11 +190,11 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         for y in P.points:
             if not P.leq(x, y):
                 continue
-            for u in lin.rows(fam.basis[(x, y)]):
-                if not lin.eq(lin.mat([list(fam.compose(ux, u))]), lin.mat([list(u)])):
+            for u in fam.basis[(x, y)]:
+                if fam.compose(ux, u) != u:
                     rep.a2_failures.append(f"unit of R_{x} does not fix R_({x},{y}) on the left")
                 uy = fam.unit[y]
-                if not lin.eq(lin.mat([list(fam.compose(u, uy))]), lin.mat([list(u)])):
+                if fam.compose(u, uy) != u:
                     rep.a2_failures.append(f"unit of R_{y} does not fix R_({x},{y}) on the right")
         d = fam.dim(x, x)
         if d == 0:
@@ -213,7 +213,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         # the same for every nonzero multiple of e.  The products come from
         # the table of basis products: e * b_k = sum_a e_a (b_a * b_k).
         E = lin.mat(coeffs)
-        e_b = [lin.rows(lin.matmul(E, W)) for W in fam.products(x, x, x)]
+        e_b = [lin.matmul(E, W) for W in fam.products(x, x, x)]
         for n in range(len(coeffs)):  # the n-th element e
             if lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) < d:
                 rep.a2_failures.append(f"element of R_{x} has no right inverse")
@@ -231,7 +231,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
             continue
-        if lin.rank(dict(enumerate(row)) for row in lin.rows(lin.hstack(images))) < d:
+        if lin.rank(dict(enumerate(row)) for row in lin.hstack(images)) < d:
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
 
@@ -257,7 +257,7 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
         return 0
 
     def nonzeros(A):
-        return [[(b, x) for b, x in enumerate(row) if x] for row in lin.rows(A)]
+        return [[(b, x) for b, x in enumerate(row) if x] for row in A]
 
     rows = []
     for l in blocks:

@@ -227,6 +227,18 @@ def test_huge_prime_p_exits_2_quickly(tmp_path):
     assert out.stdout == ""
 
 
+def test_prime_p_past_any_tower_exits_2(tmp_path):
+    """A valid poset whose p is too large for a tower: the oracle refuses it
+    before building p x p operators."""
+    path = tmp_path / "p31bit.eqp"
+    path.write_text("p 2147483647\npoint a weak\naugment\n")
+    out = run_python("-m", "eqposet", "oracle", str(path), "--mode", "inseparable", timeout=30)
+    assert out.returncode == 2
+    assert out.stderr == ("error: p = 2147483647 is too large for a tower: its operators "
+                          "are p x p matrices, so p <= 31\n")
+    assert out.stdout == ""
+
+
 def test_huge_ell_exits_2(tmp_path):
     """An ell past int()'s digit limit is an error at its token, not a crash."""
     path = tmp_path / "huge_ell.eqp"

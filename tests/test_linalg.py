@@ -1,18 +1,17 @@
-"""The mod-q driver against a plain per-pivot elimination on Python ints, the
-generic driver against its dense elimination over F_p(t), and the sparse rank
-both drivers share against those references."""
+"""The driver over F_q against a plain per-pivot elimination on Python ints,
+over F_p(t) against a dense elimination, and its sparse rank against those
+references."""
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import src_imports
-from eqposet import Tower, TowerSpec
-from eqposet.fields import RatFunc
-from eqposet.linalg import MAX_Q, ModQ
+from conftest import run_python, src_imports
+from eqposet import ParameterError, Tower, TowerSpec
+from eqposet.fields import MAX_Q, RatFunc
+from eqposet.linalg import ModQ
 from eqposet.poset import _is_prime
 
 LARGEST_Q = 3037000493  # the largest prime q <= MAX_Q; p = 2 divides q - 1
@@ -86,17 +85,16 @@ def matrices(draw, q):
 def test_rref_rank_nullspace_match_reference(q, data):
     rows = data.draw(matrices(q))
     lin = ModQ(q)
-    A = np.array(rows, dtype=np.int64)
-    cols = A.shape[1]
+    cols = len(rows[0])
     R_ref, piv_ref = reference_rref(rows, q)
-    R, piv = lin.rref(A)
+    R, piv = lin.rref(rows)
     assert piv == piv_ref
-    assert R.tolist() == R_ref
+    assert R == R_ref
     assert lin.rank(dict(enumerate(row)) for row in rows) == len(piv_ref)
-    N = lin.nullspace(A)
-    assert N.tolist() == reference_nullspace(rows, q, cols)
-    # every basis vector is a kernel vector, checked on Python ints
-    for v in N.tolist():
+    N = lin.nullspace(rows)
+    assert N == reference_nullspace(rows, q, cols)
+    # every basis vector is a kernel vector
+    for v in N:
         assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in rows)
 
 
@@ -107,15 +105,18 @@ def test_matmul_is_exact(q):
     A = [[rng.randrange(q) for _ in range(50)] for _ in range(3)]
     B = [[rng.randrange(q) for _ in range(4)] for _ in range(50)]
     want = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*B)] for row in A]
-    assert lin.matmul(np.array(A), np.array(B)).tolist() == want
+    assert lin.matmul(A, B) == want
 
 
-def test_max_q_is_the_int64_bound():
-    assert (MAX_Q - 1) ** 2 < 2**63 <= MAX_Q**2
+def test_tower_refuses_q_past_max_q():
+    """MAX_Q bounds trial division, not arithmetic: LARGEST_Q is the largest
+    prime a tower takes, and the first prime past MAX_Q is refused."""
+    assert MAX_Q == 3037000500
     assert _is_prime(LARGEST_Q)
     assert not any(_is_prime(q) for q in range(LARGEST_Q + 1, MAX_Q + 1))
-    with pytest.raises(ValueError, match="too large"):
-        ModQ(MAX_Q + 1)
+    q = next(q for q in range(MAX_Q + 1, MAX_Q + 100) if _is_prime(q))
+    with pytest.raises(ParameterError, match="too large"):
+        Tower(TowerSpec(2, "cyclic", q, 3))
 
 
 def test_tower_accepts_the_largest_q():
@@ -125,7 +126,7 @@ def test_tower_accepts_the_largest_q():
     assert t.omega == q - 1
     a, b = [q - 2, q - 3], [q - 5, q - 7]
     want = [(a[0] * b[0] + c * a[1] * b[1]) % q, (a[0] * b[1] + a[1] * b[0]) % q]
-    assert [int(x) for x in t.g_mul(t.lin.mat([a])[0], t.lin.mat([b])[0])] == want
+    assert t.g_mul(t.lin.mat([a])[0], t.lin.mat([b])[0]) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -249,8 +250,13 @@ def test_sparse_rank_matches_reference_over_f3t(data):
     assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(dense_generic_rref(lin, rows)[1])
 
 
-def test_only_linalg_imports_numpy():
-    """numpy stays behind the drivers: no other module of the package imports it."""
-    imports = src_imports()
-    assert "numpy" in imports["linalg.py"]
-    assert [name for name, roots in imports.items() if "numpy" in roots] == ["linalg.py"]
+def test_no_module_imports_numpy():
+    """The package runs on Python scalars: no module of it imports numpy."""
+    assert [name for name, roots in src_imports().items() if "numpy" in roots] == []
+
+
+def test_cli_leaves_numpy_unloaded():
+    code = "import sys, eqposet.cli; print('numpy' in sys.modules)"
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -48,7 +48,7 @@ def test_tower_operator_basis_ranks():
     (TowerSpec(4, "cyclic", 5, 2), "not prime"),
     (TowerSpec(2, "weird"), "unknown tower mode"),
     (TowerSpec(2, "cyclic"), "needs q and c"),
-    # a prime whose residues overflow int64 in a single product
+    # a prime past MAX_Q, the bound on q's trial division
     (TowerSpec(2, "cyclic", 4294967311, 3), "too large"),
     # below "weird" in spirit; here, so that the ids above keep their numbers
     pytest.param(TowerSpec(3, "inseparable", q=7, c=3), "takes no q or c",
@@ -56,6 +56,12 @@ def test_tower_operator_basis_ranks():
     pytest.param(TowerSpec(3, "inseparable", c=3), "takes no q or c", id="inseparable-c"),
     pytest.param(lambda: default_tower(2, "inseperable"), "unknown tower mode 'inseperable'",
                  id="default-misspelled-mode"),
+    pytest.param(TowerSpec(37, "cyclic", 149, 2), "p = 37 is too large for a tower",
+                 id="p-past-max-tower-p"),
+    # refused before the p x p operators are built: O(p^2) memory at this p
+    pytest.param(TowerSpec(2147483647, "inseparable"),
+                 "p = 2147483647 is too large for a tower: its operators are p x p matrices, "
+                 "so p <= 31", id="p-2^31-1-inseparable"),
 ])
 def test_bad_tower_parameters(spec, fragment):
     """A spec goes to Tower; a callable builds its tower itself."""
@@ -69,8 +75,8 @@ def test_bad_tower_parameters(spec, fragment):
     (TowerSpec(2, "cyclic", 3, 3 * 10 ** 5000),
      "c = 300000000000... (5001 digits) is a p-th power in F_3"),
     (TowerSpec(2, "cyclic", 10 ** 5000, 3),
-     "q = 100000000000... (5001 digits) is too large: exact int64 arithmetic "
-     "needs (q - 1)^2 < 2^63, so q <= 3037000500"),
+     "q = 100000000000... (5001 digits) is too large: the primality of q is "
+     "checked by trial division, so q <= 3037000500"),
 ], ids=["p", "q prime", "c", "q large"])
 def test_huge_tower_parameters_are_parameter_errors(spec, message):
     """Integers past str()'s 4300-digit limit give the library's own error,
@@ -87,7 +93,7 @@ def test_no_default_tower_for_p7():
 
 
 def _entries(lin, A):
-    return [list(row) for row in lin.rows(A)]
+    return [list(row) for row in A]
 
 
 @pytest.mark.parametrize("p, mode", [(2, "cyclic"), (3, "cyclic"), (5, "cyclic"),
@@ -99,13 +105,13 @@ def test_driver_parity(p, mode):
     lin = t.lin
     mats = t.a_ell_basis(p)
     flat = t.flatten_all(mats)
-    assert len(lin.rows(flat)) == len(mats)
+    assert len(flat) == len(mats)
     for k, m in enumerate(mats):
         v = t.flatten(m)
         assert list(v) == [x for row in _entries(lin, m) for x in row]
-        assert list(lin.rows(flat)[k]) == list(v)
+        assert list(flat[k]) == list(v)
         assert _entries(lin, t.unflatten(v)) == _entries(lin, m)
-    assert lin.rows(t.flatten_all([])) == []
+    assert t.flatten_all([]) == []
     if mode == "cyclic":
         theta = [[pow(t.omega, i, t.q) if j == i else 0 for j in range(p)] for i in range(p)]
     else:
@@ -128,7 +134,7 @@ def test_inseparable_tower_arithmetic():
         assert list(power) == [t.c] + [lin.zero] * (p - 1)
 
         def delta(g):
-            return lin.rows(lin.matmul(lin.mat([list(g)]), lin.transpose(t.theta)))[0]
+            return lin.matmul(lin.mat([list(g)]), lin.transpose(t.theta))[0]
 
         for i in range(p):
             for j in range(p):
@@ -358,7 +364,7 @@ def all_basis_hom_dim(fam, i, j, blocks):
                 eye = lin.eye(d[l])
                 S = lin.vstack([lin.kron(lin.transpose(C), eye) for C in Cj])
                 parts[l] = lin.mat([[x - y for x, y in zip(r1, r2)]
-                                    for r1, r2 in zip(lin.rows(parts[l]), lin.rows(S))])
+                                    for r1, r2 in zip(parts[l], S)])
             groups.append(lin.hstack([parts[m] for m in blocks]))
     if not groups:
         return N
@@ -420,9 +426,9 @@ def generated_spans(fam):
     pairs = [(a, b) for a in P.points for b in P.points if P.leq(a, b)]
 
     def echelon(vectors):
-        return lin.rows(lin.rref(lin.mat([list(v) for v in vectors]))[0]) if vectors else []
+        return lin.rref(lin.mat([list(v) for v in vectors]))[0] if vectors else []
 
-    span = {ab: echelon([lin.rows(fam.basis[ab])[k] for k in fam.generators(*ab)])
+    span = {ab: echelon([fam.basis[ab][k] for k in fam.generators(*ab)])
             for ab in pairs}
     grew = True
     while grew:

@@ -5,7 +5,7 @@ The paper puts C^(r) and C^(c) in bijection, so a flavor whose knit or
 oracle fails where the other succeeds is a model bug.  These tests run the
 whole pipeline on every valid equipped poset with at most three points at
 p in {2, 3} and at most one point at p = 5, augmented, and on random ones
-with four or five points.
+with four or five points, whose oracle runs over the default cyclic tower.
 """
 
 import pytest
@@ -69,3 +69,6 @@ def test_random_posets_knit_and_pair(P):
         check_component_invariants(M, G, (P, M.flavor.value))
     report = pair_components(Gr, Gc, Mr, Mc)
     assert report.ok, f"{P}:\n{report}"
+    for M in (Mr, Mc):
+        rep = run_verification(M, cached_tower(P.p, "cyclic"))
+        assert rep.ok, f"{P} cyclic:\n{rep}"
