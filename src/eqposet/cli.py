@@ -6,6 +6,7 @@ import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper of json.dumps
+from operator import attrgetter
 
 from .fields import ParameterError, Tower, TowerSpec, default_tower
 from .forms import gram_matrix, quadratic
@@ -27,21 +28,29 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
 
 
+def _json_vec(v) -> str:
+    """An integer vector as a JSON array of strings, laid out as a vertex
+    field of emit_json."""
+    if not v.entries:
+        return "[]"
+    return '[\n        "' + '",\n        "'.join(map(str, v.entries)) + '"\n      ]'
+
+
+_JSON_VERTEX = ('{\n      "id": %s,\n      "section": %s,\n      "kind": %s,\n'
+                '      "label": %s,\n      "udimF": %s,\n      "udim": %s%s\n    }')
+_JSON_ARROW = '{\n      "src": %s,\n      "dst": %s,\n      "a": %s,\n      "b": %s\n    }'
+_by_id = attrgetter("id")
+_by_ends = attrgetter("src", "dst")
+
+
 def emit_json(G: ComponentGraph) -> str:
     """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
-    def vec(v) -> str:
-        return _json_list([f'"{e}"' for e in v.entries], " " * 8)
-
-    vertices = []
-    for v in sorted(G.vertices, key=lambda v: v.id):
-        cd = "" if v.cd is None else f',\n      "cd": {vec(v.cd)}'
-        vertices.append(f'{{\n      "id": {v.id},\n      "section": {v.section},\n'
-                        f'      "kind": {_quote(v.kind)},\n      "label": {_quote(v.label.value)},\n'
-                        f'      "udimF": {vec(v.udimF)},\n      "udim": {vec(v.udim)}{cd}\n    }}')
-    arrows = [f'{{\n      "src": {a.src},\n      "dst": {a.dst},\n      "a": {a.a},\n'
-              f'      "b": {a.b}\n    }}'
-              for a in sorted(G.arrows, key=lambda a: (a.src, a.dst))]
-    sections = [_json_list([str(i) for i in s], " " * 6) for s in G.sections]
+    vertices = [_JSON_VERTEX % (v.id, v.section, _quote(v.kind), _quote(v.label.value),
+                                _json_vec(v.udimF), _json_vec(v.udim),
+                                "" if v.cd is None else f',\n      "cd": {_json_vec(v.cd)}')
+                for v in sorted(G.vertices, key=_by_id)]
+    arrows = [_JSON_ARROW % a for a in sorted(G.arrows, key=_by_ends)]
+    sections = [_json_list(list(map(str, s)), " " * 6) for s in G.sections]
     return (f'{{\n  "flavor": {_quote(G.flavor)},\n  "status": {_quote(G.status)},\n'
             f'  "sections": {_json_list(sections, "    ")},\n'
             f'  "vertices": {_json_list(vertices, "    ")},\n'
@@ -50,13 +59,10 @@ def emit_json(G: ComponentGraph) -> str:
 
 def emit_dot(G: ComponentGraph) -> str:
     lines = ["digraph component {", "  rankdir=LR;", "  node [shape=box];"]
-    for sec in G.sections:
-        names = " ".join(f"v{i};" for i in sec)
-        lines.append(f"  {{ rank=same; {names} }}")
-    for v in sorted(G.vertices, key=lambda v: v.id):
-        lines.append(f'  v{v.id} [label="{v.id}: {v.udimF} {v.label.letter}"];')
-    for a in sorted(G.arrows, key=lambda a: (a.src, a.dst)):
-        lines.append(f'  v{a.src} -> v{a.dst} [label="({a.a},{a.b})"];')
+    lines += ["  { rank=same; " + " ".join([f"v{i};" for i in sec]) + " }" for sec in G.sections]
+    lines += [f'  v{v.id} [label="{v.id}: (' + ", ".join(map(str, v.udimF.entries))
+              + f') {v.label.letter}"];' for v in sorted(G.vertices, key=_by_id)]
+    lines += ['  v%s -> v%s [label="(%s,%s)"];' % a for a in sorted(G.arrows, key=_by_ends)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

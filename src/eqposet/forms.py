@@ -1,9 +1,11 @@
 """Integer coordinate vectors and the bilinear form of a model.
 
-The Gram matrix of a model is its hom table with the first row (minus the
-diagonal entry) negated:
+The Gram matrix of a model is its hom table with the row of the strong
+minimum 0 (minus the diagonal entry) negated:
 
-    B[i][j] = hom_dim(i, j)        except   B[0][j] = -hom_dim(0, j)  for j > 0.
+    B[i][j] = hom_dim(i, j)        except   B[0][j] = -hom_dim(0, j)  for j != 0,
+
+where 0 stands for the minimum's index, wherever the file declares it.
 
 The quadratic form takes the value 1 on coordinate vectors of strong-type
 vertices and p on weak-type ones (flavor R; the roles swap for flavor C).
@@ -67,14 +69,15 @@ class RatVec:
 
 
 def gram_matrix(model) -> tuple[tuple[int, ...], ...]:
-    n = model.poset.n
+    P = model.poset
+    n, z = P.n, P.index[P.zero]
     hom = model.hom
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             v = hom[i][j]
-            if i == 0 and j > 0:
+            if i == z and j != z:
                 v = -v
             row.append(v)
         rows.append(tuple(row))

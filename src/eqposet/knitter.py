@@ -6,12 +6,24 @@ first section is the fixpoint of attaching projectives whose radical is a
 power of an already-placed projective; later sections alternate mesh
 completion (in id order) with attachment of projectives whose radical
 summand just appeared.
+
+While it knits, the knitter keeps what the mesh reads in lists indexed by
+vertex id: each vertex's udimF entries, its label and the (dst, b) pair of
+each arrow out of it.  The mesh at X is then -udimF(X) plus b * udimF(dst)
+over those pairs, summed entrywise.  One dict maps each vertex identity to
+its id; before a vertex takes an identity, the dict maps the identity of an
+injective profile to its point, so one lookup both finds a collision and
+names an injective vertex.  The returned `ComponentGraph` holds the
+`ArVertex` and `ArArrow` records built along the way, and nothing else
+indexes them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, floordiv, mod, mul, neg
+from typing import NamedTuple
 
 from .forms import RatVec
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
@@ -26,7 +38,7 @@ class KnitError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ArVertex:
     id: int
     section: int
@@ -48,8 +60,9 @@ class ArVertex:
         return "Regular"
 
 
-@dataclass(frozen=True)
-class ArArrow:
+class ArArrow(NamedTuple):
+    """An arrow src -> dst with valuation (a, b); immutable and hashable."""
+
     src: int
     dst: int
     a: int
@@ -65,22 +78,12 @@ class ComponentGraph:
     sections: list[list[int]] = field(default_factory=list)
     tau_inv: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # adjacency index over `arrows`, kept up to date by add_arrow
-        self._out: defaultdict[int, list[ArArrow]] = defaultdict(list)
-        arrows, self.arrows = self.arrows, []
-        for a in arrows:
-            self.add_arrow(a)
-
-    def add_arrow(self, a: ArArrow) -> None:
-        self.arrows.append(a)
-        self._out[a.src].append(a)
-
     def vertex(self, vid: int) -> ArVertex:
         return self.vertices[vid]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
-        return list(self._out.get(vid, ()))
+        """The arrows out of `vid`, in the order of `arrows`."""
+        return [a for a in self.arrows if a.src == vid]
 
 
 def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
@@ -90,50 +93,63 @@ def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
     return a, b
 
 
+# a vertex's label in the knitter's lists: its index here
+_LABELS = (Label.STRONG, Label.WEAK)
+
+
 def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> ComponentGraph:
     if max_sections < 1:
         raise KnitError("max_sections must be >= 1")
     P = M.poset
-    profiles = injective_profiles(M)
-    prof_key = {(pr.udimF.entries, pr.label): x for x, pr in profiles.items()}
-    homdiag = [M.hom[i][i] for i in range(P.n)]
+    code = {lab: c for c, lab in enumerate(_LABELS)}
+    # identity (udimF entries, label code) -> vertex id, or the point of an
+    # injective profile while no vertex has that identity
+    ident: dict[tuple[tuple[int, ...], int], int | str] = {
+        (pr.udimF.entries, code[pr.label]): x for x, pr in injective_profiles(M).items()}
+    homdiag = tuple(M.hom[i][i] for i in range(P.n))
     max_idx = P.index[P.max]
-    valuation = {(s, d): _valuation(M, s, d) for s in Label for d in Label}
+    valuation = [[_valuation(M, s, d) for d in _LABELS] for s in _LABELS]
+    new_arrow = tuple.__new__   # ArArrow's own __new__ is a Python call per arrow
 
     G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
-    seen: dict[tuple[tuple[int, ...], Label], int] = {}
+    vertices, arrows, sections, tau_inv = G.vertices, G.arrows, G.sections, G.tau_inv
+    ents: list[tuple[int, ...]] = []        # udimF entries, by vertex id
+    labs: list[int] = []                    # label codes
+    outs: list[list[tuple[int, int]]] = []  # (dst, b) of each arrow out
+    injs: list[str | None] = []             # injective points
 
-    def add_vertex(section: int, label: Label, udimF: RatVec,
-                   cd: RatVec | None = None, proj_point: str | None = None) -> ArVertex:
-        # one divmod pass; local dimensions are positive, so a quotient is
-        # negative exactly where its entry is
-        quot, rem = zip(*map(divmod, udimF.entries, homdiag))
-        if min(quot) < 0:
-            raise KnitError(f"mesh produced a bad dimension vector {udimF}")
-        if udimF[max_idx] < 1:
-            raise KnitError(f"dimension vector {udimF} misses the socle")
-        if any(rem):
-            raise KnitError(f"dimension vector {udimF} is not divisible by the local dimensions")
-        key = (udimF.entries, label)
-        if key in seen:
-            raise KnitError(f"vertex identity collision at {udimF} {label.value}")
-        v = ArVertex(id=len(G.vertices), section=section, label=label, udimF=udimF,
-                     udim=RatVec(quot), cd=cd, proj_point=proj_point, inj_point=prof_key.get(key))
-        seen[key] = v.id
-        G.vertices.append(v)
-        G.sections[section].append(v.id)
-        return v
-
-    def add_arrow(src: ArVertex, dst: ArVertex) -> ArArrow:
-        if src.id >= dst.id:
-            raise KnitError("arrow against creation order")
-        ar = ArArrow(src.id, dst.id, *valuation[src.label, dst.label])
-        G.add_arrow(ar)
-        return ar
+    def add_vertex(section: int, lab: int, ent: tuple[int, ...],
+                   cd: RatVec | None = None, proj_point: str | None = None) -> int:
+        # local dimensions are positive, so a quotient is negative exactly
+        # where its entry is
+        if min(ent) < 0:
+            raise KnitError(f"mesh produced a bad dimension vector {RatVec(ent)}")
+        if ent[max_idx] < 1:
+            raise KnitError(f"dimension vector {RatVec(ent)} misses the socle")
+        if any(map(mod, ent, homdiag)):
+            raise KnitError(f"dimension vector {RatVec(ent)} is not divisible by the local dimensions")
+        vid = len(vertices)
+        key = (ent, lab)
+        inj = ident.setdefault(key, vid)
+        if inj != vid:
+            if type(inj) is int:
+                raise KnitError(f"vertex identity collision at {RatVec(ent)} {_LABELS[lab].value}")
+            ident[key] = vid
+        else:
+            inj = None
+        vertices.append(ArVertex(vid, section, _LABELS[lab], RatVec(ent),
+                                 RatVec(tuple(map(floordiv, ent, homdiag))), cd, proj_point, inj))
+        sections[section].append(vid)
+        ents.append(ent)
+        labs.append(lab)
+        outs.append([])
+        injs.append(inj)
+        return vid
 
     placed: set[str] = {P.max}
     inner = [x for x in P.points if x not in (P.zero, P.max)]
     radicals = {j: radical_info(M, j) for j in inner}
+    rad_keys = {j: (info.udimF.entries, code[info.label]) for j, info in radicals.items()}
 
     def attach_projectives(section: int) -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
@@ -144,24 +160,28 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             for j in inner:
                 if j in placed:
                     continue
-                info = radicals[j]
-                target = seen.get((info.udimF.entries, info.label))
-                if target is None:
+                z = ident.get(rad_keys[j])
+                if type(z) is not int:   # no vertex, or only an injective profile
                     continue
-                Z = G.vertices[target]
+                Z = vertices[z]
                 if Z.section != section:
                     continue
+                info = radicals[j]
                 if Z.proj_point is not None and info.is_projective != Z.proj_point:
                     raise KnitError(
                         f"radical of {j} matches projective {Z.proj_point} by dimensions "
                         f"but not by equipment")
-                label = Label.STRONG if P.is_strong(j) else Label.WEAK
-                pj = add_vertex(section, label, projective_udimF(M, j),
+                lab = code[Label.STRONG if P.is_strong(j) else Label.WEAK]
+                pj = add_vertex(section, lab, projective_udimF(M, j).entries,
                                 cd=projective_cd(M, j), proj_point=j)
-                ar = add_arrow(Z, pj)
-                if ar.a != info.multiplicity:
+                if z >= pj:
+                    raise KnitError("arrow against creation order")
+                a, b = valuation[labs[z]][lab]
+                arrows.append(new_arrow(ArArrow, (z, pj, a, b)))
+                outs[z].append((pj, b))
+                if a != info.multiplicity:
                     raise KnitError(
-                        f"arrow valuation {ar.a} disagrees with radical multiplicity "
+                        f"arrow valuation {a} disagrees with radical multiplicity "
                         f"{info.multiplicity} at {j}")
                 if Z.cd is None:
                     Z.cd = info.cd
@@ -171,39 +191,40 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 placed.add(j)
                 changed = True
 
-    G.sections.append([])
-    add_vertex(0, Label.STRONG, projective_udimF(M, P.max),
+    sections.append([])
+    add_vertex(0, 0, projective_udimF(M, P.max).entries,
                cd=projective_cd(M, P.max), proj_point=P.max)
     attach_projectives(0)
 
     cur = 0
     while True:
-        section_vertices = [G.vertices[i] for i in G.sections[cur]]
-        if all(v.inj_point is not None for v in section_vertices):
+        todo = [x for x in sections[cur] if injs[x] is None]
+        if not todo:
             G.status = FINITE
             break
         if cur + 1 >= max_sections:
             G.status = TRUNCATED
             break
-        G.sections.append([])
-        for X in sorted(section_vertices, key=lambda v: v.id):
-            if X.inj_point is not None:
-                continue
-            out = G.out_arrows(X.id)
+        sections.append([])
+        for x in todo:
+            out = outs[x]
             # mesh: each middle term counts with its arrow's second valuation
-            mesh = tuple(-e for e in X.udimF.entries)
-            for a in out:
-                b = a.b
-                mesh = tuple(s + b * e for s, e in
-                             zip(mesh, G.vertices[a.dst].udimF.entries, strict=True))
+            acc = map(neg, ents[x])
+            for d, b in out:
+                e = ents[d]
+                acc = map(add, acc, e if b == 1 else map(mul, e, repeat(b)))
+            lab = labs[x]
             try:
-                Y = add_vertex(cur + 1, X.label, RatVec(mesh))
+                y = add_vertex(cur + 1, lab, tuple(acc))
             except KnitError as e:
-                raise KnitError(f"mesh at vertex {X.id} failed: {e}") from None
-            G.tau_inv[X.id] = Y.id
-            for a in out:
-                add_arrow(G.vertices[a.dst], Y)
+                raise KnitError(f"mesh at vertex {x} failed: {e}") from None
+            tau_inv[x] = y
+            for d, _ in out:
+                if d >= y:
+                    raise KnitError("arrow against creation order")
+                a, b = valuation[labs[d]][lab]
+                arrows.append(new_arrow(ArArrow, (d, y, a, b)))
+                outs[d].append((y, b))
         attach_projectives(cur + 1)
         cur += 1
     return G
-

@@ -129,7 +129,7 @@ def projective_cd(M: AlgebraModel, x: str) -> RatVec:
     if x == P.zero:
         raise ModelError("the minimal point carries no vertex projective")
     n = P.n
-    return RatVec.unit(n, P.index[x]) + _c_coeff(M, x) * RatVec.unit(n, 0)
+    return RatVec.unit(n, P.index[x]) + _c_coeff(M, x) * RatVec.unit(n, P.index[P.zero])
 
 
 def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
@@ -137,30 +137,32 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
     p = P.p
     if x == P.max:
         raise ModelError("the radical at the maximal point is zero")
-    uppers = [y for y in P.points if P.leq(x, y) and y != x]
+    rel, idx, hom = P.rel, P.index, M.hom
+    uppers = [y for y in P.points if (x, y) in rel and y != x]
 
-    label = Label.STRONG if (P.is_strong(x) or all(P.ell(x, y) == p for y in uppers)) else Label.WEAK
+    label = Label.STRONG if (x in P.strong or all(rel[x, y] == p for y in uppers)) else Label.WEAK
     # flavor r splits rad(e_x A) into p copies exactly when x is weak and
     # every relation above it has ell = p, the rule that gives the label
-    tee = M.flavor is Flavor.R and label is Label.STRONG and not P.is_strong(x)
+    tee = M.flavor is Flavor.R and label is Label.STRONG and x not in P.strong
     mult = p if tee else 1
 
-    idx = P.index
+    row = hom[idx[P.zero] if tee else idx[x]]
     udimF = [0] * P.n
     for y in uppers:
-        udimF[idx[y]] = M.hom_dim(P.zero, y) if tee else M.hom_dim(x, y)
+        udimF[idx[y]] = row[idx[y]]
 
     # cover multiplicities of the radical: the part of each column not
     # already reached through a longer chain from x
     cd = [0] * P.n
     for z in uppers:
-        between = [y for y in uppers if y != z and P.leq(y, z)]
-        e_z = max((min(P.ell(x, y) + P.ell(y, z) - 1, p) for y in between), default=0)
-        top = _hom_piece(M.flavor, P, x, z, P.ell(x, z)) - _hom_piece(M.flavor, P, x, z, e_z)
-        if top < 0 or top % M.hom_dim(z, z):
+        e_z = max((min(rel[x, y] + rel[y, z] - 1, p)
+                   for y in uppers if y != z and (y, z) in rel), default=0)
+        top = _hom_piece(M.flavor, P, x, z, rel[x, z]) - _hom_piece(M.flavor, P, x, z, e_z)
+        k = idx[z]
+        if top < 0 or top % hom[k][k]:
             raise ModelError(f"cover multiplicity at ({x}, {z}) is not integral")
-        cd[idx[z]] = top // M.hom_dim(z, z)
-    cd[0] = _c_coeff(M, x)
+        cd[k] = top // hom[k][k]
+    cd[idx[P.zero]] = _c_coeff(M, x)
     if any(e % mult for e in cd):
         raise ModelError(f"radical summand coordinates at {x} are not integral")
 
@@ -168,7 +170,7 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
     proj = None
     if len(succ) == 1:
         j = succ[0]
-        if all(P.ell(x, u) == P.ell(j, u) for u in P.points if P.leq(j, u)):
+        if all(rel[x, u] == rel[j, u] for u in P.points if (j, u) in rel):
             proj = j
     return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
                        RatVec(tuple(e // mult for e in cd)), proj)
@@ -189,6 +191,7 @@ def injective_profiles(M: AlgebraModel) -> dict[str, InjectiveProfile]:
     """Dimension vectors of the injective vertices, one per point below max."""
     P = M.poset
     idx = P.index
+    bottom = M.hom[idx[P.zero]]
     out: dict[str, InjectiveProfile] = {}
     seen: dict[tuple, str] = {}
     for x in P.points:
@@ -197,7 +200,7 @@ def injective_profiles(M: AlgebraModel) -> dict[str, InjectiveProfile]:
         c = _c_coeff(M, x)
         vals = []
         for j, y in enumerate(P.points):
-            v = c * M.hom[0][j] - M.hom_dim(y, x)
+            v = c * bottom[j] - M.hom_dim(y, x)
             if v < 0:
                 raise ModelError(f"negative injective profile entry at ({x}, {y})")
             vals.append(v)

@@ -9,10 +9,11 @@ labels, both dimension-vector laws and arrow valuations all correspond.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import floordiv, mod, mul
 from typing import Sequence
 
 from .forms import RatVec
-from .knitter import ComponentGraph
+from .knitter import ArArrow, ComponentGraph
 from .model import AlgebraModel, Label
 from .poset import EquippedPoset
 
@@ -21,35 +22,37 @@ def strengths_of(P: EquippedPoset) -> tuple[bool, ...]:
     return tuple(P.is_strong(x) for x in P.points)
 
 
-def _scale(strengths: Sequence[bool], v: RatVec, on_strong: bool, p: int,
-           divide: bool = False) -> RatVec:
-    """Multiply or divide the coordinates of one strength by p; a division
-    is exact and raises ValueError on a remainder."""
-    def f(x):
-        if not divide:
-            return x * p
-        q, r = divmod(x, p)
-        if r:
-            raise ValueError(f"p = {p} does not divide {v}")
-        return q
-    return RatVec(tuple(f(x) if s == on_strong else x
-                        for s, x in zip(strengths, v, strict=True)))
+def _scales(p: int, strengths: Sequence[bool], on_strong: bool) -> tuple[int, ...]:
+    """p at the coordinates of one strength, 1 elsewhere."""
+    return tuple(p if s == on_strong else 1 for s in strengths)
+
+
+def _scale(p: int, scale: tuple[int, ...], v: RatVec, divide: bool = False) -> RatVec:
+    """Multiply or divide each coordinate of v by its entry of `scale`; a
+    division is exact and raises ValueError on a remainder."""
+    if len(v) != len(scale):
+        raise ValueError(f"{v} and the strengths differ in length")
+    if not divide:
+        return RatVec(tuple(map(mul, v.entries, scale)))
+    if any(map(mod, v.entries, scale)):
+        raise ValueError(f"p = {p} does not divide {v}")
+    return RatVec(tuple(map(floordiv, v.entries, scale)))
 
 
 def map_s(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=False, p=p)
+    return _scale(p, _scales(p, strengths, False), v)
 
 
 def map_s_inv(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=False, p=p, divide=True)
+    return _scale(p, _scales(p, strengths, False), v, divide=True)
 
 
 def map_w(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=True, p=p, divide=True)
+    return _scale(p, _scales(p, strengths, True), v, divide=True)
 
 
 def map_w_inv(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(strengths, v, on_strong=True, p=p)
+    return _scale(p, _scales(p, strengths, True), v)
 
 
 @dataclass
@@ -84,12 +87,19 @@ class PairingReport:
         return "\n".join(lines)
 
 
+def _out_map(G: ComponentGraph) -> dict[int, list[ArArrow]]:
+    """The arrows out of each vertex, read from `G.arrows` in its order."""
+    out: dict[int, list[ArArrow]] = {}
+    for a in G.arrows:
+        out.setdefault(a.src, []).append(a)
+    return out
+
+
 def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                     Mr: AlgebraModel, Mc: AlgebraModel) -> PairingReport:
     report = PairingReport()
     P = Mr.poset
     p = P.p
-    strengths = strengths_of(P)
     if Mr.poset.points != Mc.poset.points:
         report.problems.append("models live on different posets")
         return report
@@ -135,10 +145,16 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
             f"pairing covers {len(matched)}/{len(Gr.vertices)} flavor-r vertices and "
             f"{len(set(matched.values()))}/{len(Gc.vertices)} flavor-c vertices")
 
+    # the scales of the two laws, by label: w^-1 on udimF and s on udim at a
+    # strong vertex, which multiply; s^-1 and w at a weak one, which divide
+    strengths = strengths_of(P)
+    on_strong, on_weak = _scales(p, strengths, True), _scales(p, strengths, False)
+    laws = {Label.STRONG: (on_strong, on_weak, False), Label.WEAK: (on_weak, on_strong, True)}
+    out_r, out_c = _out_map(Gr), _out_map(Gc)
     arrows_c = {(a.src, a.dst): a for a in Gc.arrows}
     for x in sorted(matched):
         y = matched[x]
-        vx, vy = Gr.vertex(x), Gc.vertex(y)
+        vx, vy = Gr.vertices[x], Gc.vertices[y]
         pc = PairCheck(x, y)
         report.pairs.append(pc)
         if vx.kind != vy.kind:
@@ -146,11 +162,11 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         if vx.label != vy.label:
             pc.problems.append(f"labels differ: {vx.label.value} vs {vy.label.value}")
             continue
-        strong = vx.label is Label.STRONG
-        for law, scale, v, got in (("udimF", map_w_inv if strong else map_s_inv, vx.udimF, vy.udimF),
-                                   ("udim", map_s if strong else map_w, vx.udim, vy.udim)):
+        udimF_scale, udim_scale, divide = laws[vx.label]
+        for law, scale, v, got in (("udimF", udimF_scale, vx.udimF, vy.udimF),
+                                   ("udim", udim_scale, vx.udim, vy.udim)):
             try:
-                want = scale(p, strengths, v)
+                want = _scale(p, scale, v, divide)
             except ValueError as e:
                 pc.problems.append(f"{law} law fails: {e}, got {got}")
                 continue
@@ -158,7 +174,8 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                 pc.problems.append(f"{law} law fails: expected {want}, got {got}")
         if vx.section != vy.section:
             pc.problems.append(f"sections differ: {vx.section} vs {vy.section}")
-        for ar in Gr.out_arrows(x):
+        ours = out_r.get(x, ())
+        for ar in ours:
             if ar.dst not in matched:
                 continue
             br = arrows_c.get((y, matched[ar.dst]))
@@ -167,10 +184,9 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
             elif (br.a, br.b) != (ar.b, ar.a):
                 pc.problems.append(
                     f"arrow valuations do not swap: ({ar.a},{ar.b}) vs ({br.a},{br.b})")
-        out_r = {matched[a.dst] for a in Gr.out_arrows(x) if a.dst in matched}
-        out_c = {a.dst for a in Gc.out_arrows(y)}
-        if out_c - out_r:
-            pc.problems.append(f"extra flavor-c arrows to {sorted(out_c - out_r)}")
+        extra = {a.dst for a in out_c.get(y, ())} - {matched[a.dst] for a in ours if a.dst in matched}
+        if extra:
+            pc.problems.append(f"extra flavor-c arrows to {sorted(extra)}")
     return report
 
 

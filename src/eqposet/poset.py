@@ -142,9 +142,10 @@ class EquippedPoset:
     @cached_property
     def hasse(self) -> dict[str, tuple[str, ...]]:
         """Covering successors of each point, in declaration order."""
+        rel = self.rel
         succ: dict[str, list[str]] = {x: [] for x in self.points}
         for (x, y) in self.strict_pairs():
-            if not any(self.leq(x, z) and self.leq(z, y) and z not in (x, y) for z in self.points):
+            if not any((x, z) in rel and (z, y) in rel and z not in (x, y) for z in self.points):
                 succ[x].append(y)
         order = self.index
         return {x: tuple(sorted(ys, key=order.__getitem__)) for x, ys in succ.items()}

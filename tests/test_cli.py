@@ -1,7 +1,8 @@
 """Command-line driver: exit codes, JSON/DOT output, option handling.
 
 Run as a script (`PYTHONPATH=src python tests/test_cli.py --record`) to
-re-record the stdout digests in data/knit_digests.json.
+re-record the stdout digests in data/knit_digests.json and
+data/deep_digests.json.
 """
 
 import contextlib
@@ -319,7 +320,14 @@ def test_parser_reuse_matches_fresh_runs(monkeypatch):
 
 # ---------------------------------------------------------------- digests
 
-DIGESTS = Path(__file__).parent / "data" / "knit_digests.json"
+DATA = Path(__file__).parent / "data"
+DIGESTS = DATA / "knit_digests.json"
+DEEP_DIGESTS = DATA / "deep_digests.json"
+# random p = 5 posets whose components reach entries of 635 to 905 bits at
+# 200 sections; no fixture passes 381 bits
+DEEP_POSETS = ["deep_p5_n6", "deep_p5_n7", "deep_p5_n8a", "deep_p5_n8b"]
+KNIT_COMMANDS = [["compare"]] + [["knit", "--format", fmt, "--flavor", fl]
+                                 for fmt in ("json", "dot") for fl in ("r", "c")]
 
 
 def digest_cases() -> dict[str, list[str]]:
@@ -330,9 +338,7 @@ def digest_cases() -> dict[str, list[str]]:
     cases = {}
     for name in ALL_FIXTURES:
         for depth in ([], ["--max-sections", "200"]):
-            cmds = [["compare"]] + [["knit", "--format", fmt, "--flavor", fl]
-                                    for fmt in ("json", "dot") for fl in ("r", "c")]
-            for cmd in cmds:
+            for cmd in KNIT_COMMANDS:
                 argv = [cmd[0], "{path}"] + cmd[1:] + depth
                 cases[" ".join([name] + cmd + (depth or ["default"]))] = argv
         for cmd in (["info", "--forms", "--flavor", "r"], ["info", "--forms", "--flavor", "c"],
@@ -342,22 +348,44 @@ def digest_cases() -> dict[str, list[str]]:
     return cases
 
 
-def digest_of(key: str, argv: list[str]) -> dict:
-    path = fixture_path(key.split()[0])
+def deep_cases() -> dict[str, list[str]]:
+    """Knit (json/dot, r/c) and compare at 200 sections on each DEEP_POSETS file."""
+    return {" ".join([name] + cmd): [cmd[0], "{path}"] + cmd[1:] + ["--max-sections", "200"]
+            for name in DEEP_POSETS for cmd in KNIT_COMMANDS}
+
+
+def digest_of(path: str, argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([path if a == "{path}" else a for a in argv])
     return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
+def fixture_digest(key: str, argv: list[str]) -> dict:
+    return digest_of(fixture_path(key.split()[0]), argv)
+
+
+def deep_digest(key: str, argv: list[str]) -> dict:
+    return digest_of(str(DATA / f"{key.split()[0]}.eqp"), argv)
+
+
 @pytest.mark.parametrize("key", sorted(digest_cases()))
 def test_stdout_matches_recorded_digest(key):
     """Knit, compare, info and oracle output keep their bytes."""
     want = json.loads(DIGESTS.read_text())[key]
-    assert digest_of(key, digest_cases()[key]) == want
+    assert fixture_digest(key, digest_cases()[key]) == want
+
+
+@pytest.mark.parametrize("key", sorted(deep_cases()))
+def test_deep_stdout_matches_recorded_digest(key):
+    """Knit and compare output keep their bytes on components with huge entries."""
+    want = json.loads(DEEP_DIGESTS.read_text())[key]
+    assert deep_digest(key, deep_cases()[key]) == want
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    recorded = {key: digest_of(key, argv) for key, argv in sorted(digest_cases().items())}
-    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} digests in {DIGESTS}")
+    for path, cases, digest in ((DIGESTS, digest_cases(), fixture_digest),
+                                (DEEP_DIGESTS, deep_cases(), deep_digest)):
+        recorded = {key: digest(key, argv) for key, argv in sorted(cases.items())}
+        path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(recorded)} digests in {path}")

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import ALL_FIXTURES, load_table, model
 from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, RatVec, build_model,
-                     default_tower, injective_profiles, knit, knitter, pair_components,
-                     parse_poset, projective_cd, projective_udimF, radical_info,
-                     run_verification)
+                     default_tower, gram_matrix, injective_profiles, knit, knitter,
+                     pair_components, parse_poset, projective_cd, projective_udimF,
+                     radical_info, run_verification)
 
 
 def snap(G):
@@ -365,3 +365,76 @@ def test_vertex_identity_collision_is_an_error(monkeypatch):
     with pytest.raises(KnitError) as exc:
         knit(M)
     assert str(exc.value) == "vertex identity collision at (0, 0, 1) Strong"
+
+
+def tampered_radical(point, **changes):
+    """radical_info with the fields in `changes` replaced at one point."""
+    def info(M, x):
+        real = radical_info(M, x)
+        return replace(real, **changes) if x == point else real
+    return info
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"is_projective": None},
+                 "radical of s matches projective m by dimensions but not by equipment",
+                 id="equipment"),
+    pytest.param({"multiplicity": 2},
+                 "arrow valuation 1 disagrees with radical multiplicity 2 at s",
+                 id="multiplicity"),
+    pytest.param({"cd": RatVec.of(9, 9, 9)},
+                 "coordinate vector mismatch at vertex 0: (1, 0, 1) vs (9, 9, 9)",
+                 id="coordinates"),
+])
+def test_attach_checks_the_radical_against_its_summand(monkeypatch, changes, message):
+    """rad(e_s A) is the root e_m A on chain2_strong; a radical that names
+    no projective, another multiplicity or other coordinates than the root's
+    stops the knit when e_s A is attached."""
+    monkeypatch.setattr(knitter, "radical_info", tampered_radical("s", **changes))
+    with pytest.raises(KnitError) as exc:
+        knit(model("chain2_strong", "r"))
+    assert str(exc.value) == message
+
+
+MINIMUM_SECOND = "p 2\npoint a weak\npoint z strong\npoint m strong\nrel z a 2\nrel a m 2\nrel z m 2\n"
+MINIMUM_FIRST = "p 2\npoint z strong\npoint a weak\npoint m strong\nrel z a 2\nrel a m 2\nrel z m 2\n"
+
+
+def test_strong_minimum_need_not_be_declared_first():
+    """Without `augment`, a file may declare its strong minimum z after
+    another point.  Both declaration orders give the same radicals,
+    injective profiles, Gram matrix, components and pairing verdict, up to
+    the order of the coordinates."""
+    late, early = parse_poset(MINIMUM_SECOND), parse_poset(MINIMUM_FIRST)
+    assert late.zero == early.zero == "z" and late.index["z"] == 1
+    perm = [late.index[x] for x in early.points]
+
+    def moved(vec):
+        """A vector of `late` in the coordinate order of `early`."""
+        return None if vec is None else tuple(vec.entries[i] for i in perm)
+
+    def kept(vec):
+        return None if vec is None else vec.entries
+
+    def shape(G, move):
+        return (G.status, G.sections, G.tau_inv, sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
+                [(v.kind, v.label, v.section, move(v.udimF), move(v.udim), move(v.cd))
+                 for v in G.vertices])
+
+    models = {}
+    for fl in ("r", "c"):
+        Ml, Me = build_model(late, fl), build_model(early, fl)
+        models[fl] = Ml, Me
+        for x in ("z", "a"):
+            rad_l, rad_e = radical_info(Ml, x), radical_info(Me, x)
+            assert (rad_l.multiplicity, rad_l.label, rad_l.is_projective) == \
+                (rad_e.multiplicity, rad_e.label, rad_e.is_projective)
+            assert (moved(rad_l.udimF), moved(rad_l.cd)) == (kept(rad_e.udimF), kept(rad_e.cd))
+        assert {x: moved(pr.udimF) for x, pr in injective_profiles(Ml).items()} == \
+            {x: kept(pr.udimF) for x, pr in injective_profiles(Me).items()}
+        Bl, Be = gram_matrix(Ml), gram_matrix(Me)
+        assert [[Bl[i][j] for j in perm] for i in perm] == [list(row) for row in Be]
+        assert shape(knit(Ml), moved) == shape(knit(Me), kept)
+    reports = [pair_components(knit(Mr), knit(Mc), Mr, Mc)
+               for Mr, Mc in zip(models["r"], models["c"])]
+    assert reports[0].ok and str(reports[0]) == str(reports[1])

@@ -102,6 +102,18 @@ def test_pairing_detects_valuation_tampering():
     assert any("valuations do not swap" in m for pc in report.pairs for m in pc.problems)
 
 
+def test_pairing_detects_flavor_r_valuation_tampering():
+    """Pairing reads the flavor-r arrows from `arrows` itself, as it reads
+    the flavor-c ones."""
+    Gr, Gc, Mr, Mc = pair("star2")
+    a = Gr.arrows[0]
+    Gr.arrows[0] = ArArrow(a.src, a.dst, a.b, a.a)
+    assert Gr.out_arrows(a.src) == [Gr.arrows[0]]
+    report = pair_components(Gr, Gc, Mr, Mc)
+    assert not report.ok
+    assert any("valuations do not swap" in m for pc in report.pairs for m in pc.problems)
+
+
 def test_pairing_detects_status_mismatch():
     Mr, Mc = model("vee2", "r"), model("vee2", "c")
     Gr = knit(Mr, max_sections=3)
