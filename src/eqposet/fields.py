@@ -6,7 +6,8 @@ p-th root of unity omega.  Inseparable mode: F = F_p(t) (`RatFunc`), c = t,
 and the operator is the derivation delta(xi^i) = i*xi^(i-1).
 
 G-elements are coefficient vectors of length p in the basis 1, xi, ...,
-xi^(p-1); operators on G are p x p matrices over F acting on columns.
+xi^(p-1), multiplied by convolution modulo xi^p - c (`Tower.g_mul`); operators
+on G are p x p matrices over F acting on columns.
 """
 
 from __future__ import annotations
@@ -177,25 +178,28 @@ class Tower:
     # -- G arithmetic -------------------------------------------------------
 
     def xi_pow(self, j: int):
-        vec = [0] * self.p
-        vec[j % self.p] = 1  # callers keep j < p
-        return self.lin.mat([vec])[0]
+        if not 0 <= j < self.p:
+            raise ValueError(f"xi_pow takes 0 <= j < p = {self.p}, not j = {j}")
+        return self.lin.mat([[int(i == j) for i in range(self.p)]])[0]
 
     def g_mul(self, a, b):
-        """Product of two G-elements (coefficient vectors)."""
-        lin = self.lin
-        return lin.matmul(lin.mat([list(a)]), lin.transpose(self.mu_mat(b)))[0]
+        """Product of two G-elements (coefficient vectors): their convolution,
+        with xi^(p+k) = c xi^k folded back in."""
+        p, norm = self.p, self.lin.norm
+        acc = [self.lin.zero] * (2 * p - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        acc[i + j] = norm(acc[i + j] + x * y)
+        for k in range(p - 1):
+            if acc[p + k]:
+                acc[k] = norm(acc[k] + self.c * acc[p + k])
+        return acc[:p]
 
     def mu_mat(self, g):
-        """Multiplication-by-g as a matrix (columns are g * xi^j).
-
-        Entry (r, j) is the coefficient of xi^r in g * xi^j: g_(r-j) when
-        j <= r, and c * g_(r-j+p) once the exponent wraps past xi^p = c."""
-        p, lin = self.p, self.lin
-        row = lin.mat([list(g)])
-        g, cg = row[0], lin.smul(self.c, row)[0]
-        return lin.mat([[g[r - j] if j <= r else cg[r - j + p] for j in range(p)]
-                        for r in range(p)])
+        """Multiplication-by-g as a matrix: column j is g * xi^j."""
+        return self.lin.transpose([self.g_mul(g, self.xi_pow(j)) for j in range(self.p)])
 
     # -- operator algebra ---------------------------------------------------
 
@@ -222,13 +226,13 @@ class Tower:
     # operators flatten row-major into vectors of length p^2
 
     def flatten(self, m):
-        return self.lin.reshape(m, 1, self.p * self.p)[0]
+        return [x for row in m for x in row]
 
     def unflatten(self, v):
-        return self.lin.reshape(v, self.p, self.p)
+        return [list(v[i:i + self.p]) for i in range(0, self.p * self.p, self.p)]
 
     def flatten_all(self, mats: list):
-        return self.lin.reshape(mats, len(mats), self.p * self.p)
+        return [self.flatten(m) for m in mats]
 
 
 def _smallest_root_of_unity(p: int, q: int) -> int:

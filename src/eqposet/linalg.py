@@ -39,14 +39,6 @@ class GenericField:
     def eye(self, n):
         return [[self.one if i == j else self.zero for j in range(n)] for i in range(n)]
 
-    def reshape(self, A, r, c):
-        """The entries of A (a vector, a matrix or a list of matrices) in
-        row-major order, as an r x c matrix."""
-        flat = list(A)
-        while flat and isinstance(flat[0], (list, tuple)):
-            flat = [x for part in flat for x in part]
-        return [flat[i * c:(i + 1) * c] for i in range(r)]
-
     def transpose(self, A):
         return [list(col) for col in zip(*A)]
 
@@ -55,17 +47,6 @@ class GenericField:
 
     def vstack(self, mats):
         return [row for m in mats for row in m]
-
-    def kron(self, A, B):
-        return [[x for a in ra for x in self._scaled(a, rb)] for ra in A for rb in B]
-
-    def _scaled(self, a, row):
-        # kron's factors are mostly 0 and 1, and products of rational functions are costly
-        if not a:
-            return [self.zero] * len(row)
-        if a == self.one:
-            return list(row)
-        return [(a if b == self.one else self.norm(a * b)) if b else self.zero for b in row]
 
     def matmul(self, A, B):
         """A B, skipping zero factors.  Most rows of B meet one row of A, so
@@ -82,10 +63,6 @@ class GenericField:
                             acc[j] = norm(acc[j] + x * y)
             out.append(acc)
         return out
-
-    def smul(self, s, A):
-        s = self.convert(s)
-        return [[self.norm(s * x) for x in row] for row in A]
 
     def rref(self, A):
         """Reduced row echelon basis of the row space of A, and its pivots, by

@@ -1,13 +1,14 @@
 """Exact realization of a model's algebra over a field tower.
 
 Each comparable pair (x, y) gets a concrete F-subspace R_{x,y} (operators on
-G for flavor r, elements of G for flavor c) whose product is honest algebra
-multiplication.  Everything a model claims — hom table entries, the three
-axioms of an admissible family, radical shapes, hom dimensions between
-projectives — is then re-derived here by linear algebra alone.  Hom
-dimensions impose A-linearity on a generating set of the realized algebra
-only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
-modulo what the members inside [l, l'] generate (rad/rad^2).
+G for flavor r, elements of G for flavor c) whose product, `RFamily.compose`,
+is honest algebra multiplication; every product table is built from it.
+Everything a model claims — hom table entries, the three axioms of an
+admissible family, radical shapes, hom dimensions between projectives — is
+then re-derived here by linear algebra alone.  Hom dimensions impose
+A-linearity on a generating set of the realized algebra only: algebra
+generators of each R_{x,x} and, for l < l', a basis of R_{l,l'} modulo what
+the members inside [l, l'] generate (rad/rad^2).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class RFamily:
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
     # products are computed once, on first use; the bases must not change after
-    _right: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
     _generators: dict = field(default_factory=dict, repr=False)
@@ -49,26 +49,12 @@ class RFamily:
             return t.flatten(t.lin.matmul(t.unflatten(v), t.unflatten(u)))
         return t.g_mul(u, v)
 
-    def right_mults(self, y: str, z: str) -> list:
-        """For each basis element s of R_{y,z}, the matrix M with u * s = u M."""
-        if (y, z) not in self._right:
-            t = self.tower
-            lin = t.lin
-            if self.flavor is Flavor.R:
-                # u * s flattens S U, and U -> S U is kron(S^T, 1) on row-major rows
-                mats = [lin.kron(lin.transpose(t.unflatten(s)), lin.eye(t.p))
-                        for s in self.basis[(y, z)]]
-            else:
-                mats = [lin.transpose(t.mu_mat(s)) for s in self.basis[(y, z)]]
-            self._right[(y, z)] = mats
-        return self._right[(y, z)]
-
     def products(self, x: str, y: str, z: str) -> list:
         """For each basis element s of R_{y,z}, the rows b * s over the basis b of R_{x,y}."""
         if (x, y, z) not in self._products:
-            lin = self.tower.lin
             B = self.basis[(x, y)]
-            self._products[(x, y, z)] = [lin.matmul(B, M) for M in self.right_mults(y, z)]
+            self._products[(x, y, z)] = [[self.compose(b, s) for b in B]
+                                         for s in self.basis[(y, z)]]
         return self._products[(x, y, z)]
 
     def action(self, x: str, y: str, z: str) -> list:
@@ -101,12 +87,12 @@ class RFamily:
                         continue
                     picks.append(k)
                     if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
-                        flat, size = lin.reshape(left, d, d * d), 0
+                        flat, size = [[x for row in C for x in row] for C in left], 0
                         R, piv = lin.rref(lin.vstack([R, unit]))
                         while len(piv) > size:
                             size = len(piv)
                             R, piv = lin.rref(lin.vstack(
-                                [R] + [lin.matmul(R, lin.reshape(m, d, d))
+                                [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
                                        for m in lin.matmul(R, flat)]))
                     else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
                         rows = [unit, left[k]]

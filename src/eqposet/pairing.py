@@ -15,7 +15,7 @@ from typing import Sequence
 from .forms import RatVec
 from .knitter import ArArrow, ComponentGraph
 from .model import AlgebraModel, Label
-from .poset import EquippedPoset
+from .poset import P_LIMIT, P_RANGE, EquippedPoset, _is_prime, shown
 
 
 def strengths_of(P: EquippedPoset) -> tuple[bool, ...]:
@@ -211,11 +211,19 @@ def check_table_correspondence(table: dict) -> TableReport:
 
     Table schema: {"name", "p", "strengths": ["weak"|"strong", ...],
     "pairs": [{"pos", "label": "Strong"|"Weak", "r": [...], "c": [...]}]}.
+    A p that is not a prime int, or a bad strength or entry, raises ValueError.
     """
     p = table["p"]
+    if type(p) is not int or p >= P_LIMIT or not _is_prime(p):
+        raise ValueError(f"p = {shown(p) if type(p) is int else repr(p)} is not a prime int "
+                         "below 2^31")
+    if bad := [s for s in table["strengths"] if s not in ("weak", "strong")]:
+        raise ValueError(f"strengths: {bad[0]!r} is neither 'weak' nor 'strong'")
     strengths = tuple(s == "strong" for s in table["strengths"])
     rep = TableReport(table["name"], len(table["pairs"]))
     for pair in table["pairs"]:
+        if bad := [k for k in ("r", "c") if any(type(x) is not int for x in pair[k])]:
+            raise ValueError(f"{pair['pos']}: {bad[0]} has an entry that is not an int")
         rv = RatVec.from_seq(pair["r"])
         cv = RatVec.from_seq(pair["c"])
         if not len(rv) == len(cv) == len(strengths):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python, src_imports
-from eqposet import ParameterError, Tower, TowerSpec
+from eqposet import ParameterError, Tower, TowerSpec, default_tower
 from eqposet.fields import MAX_Q, RatFunc
 from eqposet.linalg import ModQ
 from eqposet.poset import _is_prime
@@ -119,14 +119,68 @@ def test_tower_refuses_q_past_max_q():
         Tower(TowerSpec(2, "cyclic", q, 3))
 
 
-def test_tower_accepts_the_largest_q():
+def largest_q_tower():
     q = LARGEST_Q
     c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) != 1)
-    t = Tower(TowerSpec(2, "cyclic", q, c))
+    return Tower(TowerSpec(2, "cyclic", q, c))
+
+
+def test_tower_accepts_the_largest_q():
+    t = largest_q_tower()
+    q, c = LARGEST_Q, t.c
     assert t.omega == q - 1
     a, b = [q - 2, q - 3], [q - 5, q - 7]
     want = [(a[0] * b[0] + c * a[1] * b[1]) % q, (a[0] * b[1] + a[1] * b[0]) % q]
     assert t.g_mul(t.lin.mat([a])[0], t.lin.mat([b])[0]) == want
+
+
+def naive_g_mul(t, a, b):
+    """a b in F[xi]/(xi^p - c): the full product, of degree <= 2p - 2, then
+    long division by xi^p - c from the top coefficient down."""
+    lin, p = t.lin, t.p
+    out = [lin.zero] * (2 * p - 1)
+    for i in range(p):
+        for j in range(p):
+            out[i + j] = lin.norm(out[i + j] + a[i] * b[j])
+    for k in range(2 * p - 2, p - 1, -1):
+        out[k - p] = lin.norm(out[k - p] + t.c * out[k])
+    return out[:p]
+
+
+@pytest.mark.parametrize("tower", [
+    pytest.param(lambda: default_tower(2), id="cyclic-2"),
+    pytest.param(lambda: default_tower(3), id="cyclic-3"),
+    pytest.param(lambda: default_tower(5), id="cyclic-5"),
+    pytest.param(largest_q_tower, id="largest-q"),
+    pytest.param(lambda: default_tower(2, "inseparable"), id="inseparable-2"),
+    pytest.param(lambda: default_tower(3, "inseparable"), id="inseparable-3"),
+])
+def test_g_mul_matches_naive_product(tower):
+    """g_mul is the product modulo xi^p - c and commutes, and column j of
+    mu_mat(g) is g xi^j, on random elements with some zero coefficients."""
+    t = tower()
+    lin, p = t.lin, t.p
+    rng = random.Random(p)
+    x, x1 = RatFunc((0, 1), (1,), p), RatFunc((1, 1), (1,), p)  # t and t + 1 in F_p(t)
+
+    def entry():
+        """c t^k / (t + 1)^m over F_p(t), k < 3 and m < 2; over F_q, 0 or a residue."""
+        if lin.size is not None:
+            return rng.choice([0, rng.randrange(lin.size)])
+        e = lin.convert(rng.randrange(p))
+        for _ in range(rng.randrange(3)):
+            e = e * x
+        return e / x1 if rng.randrange(2) else e
+
+    for _ in range(30):
+        a, b = [entry() for _ in range(p)], [entry() for _ in range(p)]
+        ab = t.g_mul(a, b)
+        assert ab == naive_g_mul(t, a, b)
+        assert ab == t.g_mul(b, a)
+        mu = t.mu_mat(a)
+        for j in range(p):
+            xj = t.xi_pow(j)
+            assert [row[j] for row in mu] == t.g_mul(a, xj) == naive_g_mul(t, a, xj)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -163,7 +217,7 @@ def dense_generic_rref(lin, A):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_generic_rref_and_kron_match_dense_reference(data):
+def test_generic_rref_matches_dense_reference(data):
     """Sparse matrices over F_3(t), with entries c t^k / (t + 1)^m."""
     lin = Tower(TowerSpec(3, "inseparable")).lin
     t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
@@ -180,9 +234,8 @@ def test_generic_rref_and_kron_match_dense_reference(data):
         rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
         return [[entry() for _ in range(cols)] for _ in range(rows)]
 
-    A, B = matrix(), matrix()
+    A = matrix()
     assert lin.rref(A) == dense_generic_rref(lin, A)
-    assert lin.kron(A, B) == [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 @st.composite

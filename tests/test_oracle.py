@@ -1,5 +1,6 @@
 """Field towers and the exact realization oracle."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -29,6 +30,16 @@ def test_default_tower_p3():
     xi = t.xi_pow(1)
     assert list(t.g_mul(t.g_mul(xi, xi), xi)) == [3, 0, 0]  # xi^3 = 3
     assert list(t.g_mul(t.xi_pow(0), xi)) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_xi_pow_refuses_exponents_outside_0_to_p_minus_1(mode):
+    """xi^p = c and xi^-1 are not basis vectors, so no exponent wraps mod p."""
+    t = default_tower(2, mode)
+    assert [t.xi_pow(j) for j in range(2)] == t.lin.eye(2)
+    for j in (-1, 2, 3):
+        with pytest.raises(ValueError, match=f"0 <= j < p = 2, not j = {j}"):
+            t.xi_pow(j)
 
 
 def test_tower_operator_basis_ranks():
@@ -334,6 +345,40 @@ def test_p5_weak_chain_flavor_r_passes(n, ell):
     assert rep.ok, str(rep)
 
 
+# ---------------------------------------------------------------- products
+
+def kron(lin, A, B):
+    """The Kronecker product of A and B, with canonical entries."""
+    return [[lin.norm(a * b) for a in ra for b in rb] for ra in A for rb in B]
+
+
+def right_mults(fam, y, z):
+    """The reference product rule: for each basis element s of R_{y,z}, the
+    matrix M with u * s = u M.  For flavor r, u * s flattens S U, and
+    U -> S U is kron(S^T, 1) on row-major rows; for flavor c, M = mu_s^T."""
+    t = fam.tower
+    lin = t.lin
+    if fam.flavor is Flavor.R:
+        return [kron(lin, lin.transpose(t.unflatten(s)), lin.eye(t.p))
+                for s in fam.basis[(y, z)]]
+    return [lin.transpose(t.mu_mat(s)) for s in fam.basis[(y, z)]]
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_products_match_right_multiplication(name, flavor, mode):
+    """Every product table, built from RFamily.compose, is B M_s for the
+    basis B of R_{x,y} and the right multiplications M_s of R_{y,z}."""
+    P = load_fixture(name)
+    fam = build_family(cached_tower(P.p, mode), P, flavor)
+    lin = fam.tower.lin
+    for x, y, z in itertools.product(P.points, repeat=3):
+        if P.leq(x, y) and P.leq(y, z):
+            want = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
+            assert fam.products(x, y, z) == want, (x, y, z)
+
+
 # ---------------------------------------------------------------- generators
 
 def all_basis_hom_dim(fam, i, j, blocks):
@@ -359,10 +404,10 @@ def all_basis_hom_dim(fam, i, j, blocks):
                 continue
             n = len(Ci) * e[lp] * d[l]
             parts = {m: lin.zeros(n, e[m] * d[m]) for m in blocks}
-            parts[lp] = lin.vstack([lin.kron(lin.eye(e[lp]), C) for C in Ci])
+            parts[lp] = lin.vstack([kron(lin, lin.eye(e[lp]), C) for C in Ci])
             if e[l]:
                 eye = lin.eye(d[l])
-                S = lin.vstack([lin.kron(lin.transpose(C), eye) for C in Cj])
+                S = lin.vstack([kron(lin, lin.transpose(C), eye) for C in Cj])
                 parts[l] = lin.mat([[x - y for x, y in zip(r1, r2)]
                                     for r1, r2 in zip(parts[l], S)])
             groups.append(lin.hstack([parts[m] for m in blocks]))

@@ -159,6 +159,37 @@ def test_table_flags_non_integral_image():
     assert rep.mismatches == ["X: non-integral image of (1)"]
 
 
+def _twopoint2(**changes):
+    table = load_table("twopoint2")
+    table.update(changes)
+    return table
+
+
+def _entry(key, x):
+    table = load_table("twopoint2")
+    table["pairs"][1] = dict(table["pairs"][1], **{key: [x, 2]})
+    return table
+
+
+@pytest.mark.parametrize("table, message", [
+    pytest.param(_twopoint2(strengths=["weak", "stong"]),
+                 "strengths: 'stong' is neither 'weak' nor 'strong'", id="misspelt-strength"),
+    pytest.param(_twopoint2(p=1), "p = 1 is not a prime int below 2^31", id="p-1"),
+    pytest.param(_twopoint2(p=0), "p = 0 is not a prime int below 2^31", id="p-0"),
+    pytest.param(_twopoint2(p=True), "p = True is not a prime int below 2^31", id="p-true"),
+    pytest.param(_twopoint2(p=2.0), "p = 2.0 is not a prime int below 2^31", id="p-float"),
+    # a prime, but past the library's p < 2^31; refused before trial division
+    pytest.param(_twopoint2(p=2 ** 61 - 1), "p = 2305843009213693951 is not a prime int "
+                 "below 2^31", id="p-2^61-1"),
+    pytest.param(_entry("r", True), "P2: r has an entry that is not an int", id="r-true"),
+    pytest.param(_entry("c", 1.0), "P2: c has an entry that is not an int", id="c-float"),
+])
+def test_table_rejects_malformed_fields(table, message):
+    with pytest.raises(ValueError) as err:
+        check_table_correspondence(table)
+    assert str(err.value) == message
+
+
 def test_table_rejects_vector_of_wrong_length():
     table = {"name": "bad", "p": 2, "strengths": ["weak"],
              "pairs": [{"pos": "X", "label": "Weak", "r": [2, 2], "c": [1, 2]}]}
