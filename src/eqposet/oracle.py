@@ -2,7 +2,11 @@
 
 Each comparable pair (x, y) gets a concrete F-subspace R_{x,y} (operators on
 G for flavor r, elements of G for flavor c) whose product, `RFamily.compose`,
-is honest algebra multiplication; every product table is built from it.
+is honest algebra multiplication; every product table is built from it.  A
+member depends only on the strengths of x and y and on l(x, y) (flavor r),
+or on l(x, y) alone (flavor c), so each distinct member is built once per
+family and its product table, action table and A.2 verdict are shared by
+every pair that has it.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
 then re-derived here by linear algebra alone.  Hom dimensions impose
@@ -33,7 +37,10 @@ class RFamily:
     basis: dict[tuple[str, str], list] = field(default_factory=dict)
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
-    # products are computed once, on first use; the bases must not change after
+    # build_family gives equal members one basis list, and products and actions
+    # are cached by the identity of the bases involved, so equal members share
+    # their tables.  Replace a basis, never mutate it: a replaced basis gets
+    # tables of its own.
     _products: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
     _generators: dict = field(default_factory=dict, repr=False)
@@ -51,22 +58,21 @@ class RFamily:
 
     def products(self, x: str, y: str, z: str) -> list:
         """For each basis element s of R_{y,z}, the rows b * s over the basis b of R_{x,y}."""
-        if (x, y, z) not in self._products:
-            B = self.basis[(x, y)]
-            self._products[(x, y, z)] = [[self.compose(b, s) for b in B]
-                                         for s in self.basis[(y, z)]]
-        return self._products[(x, y, z)]
+        B, S = self.basis[(x, y)], self.basis[(y, z)]
+        return _shared(self._products, (B, S), lambda: [[self.compose(b, s) for b in B] for s in S])
 
     def action(self, x: str, y: str, z: str) -> list:
         """For each basis element s of R_{y,z}, the d_xy x d_xz matrix whose row
         b holds the coordinates of b * s in R_{x,z}, or None when some b * s
         leaves R_{x,z}."""
-        if (x, y, z) not in self._actions:
-            lin = self.tower.lin
-            R, piv = self.basis[(x, z)], self.piv[(x, z)]
-            self._actions[(x, y, z)] = [lin.coords_rows(R, piv, W)
-                                        for W in self.products(x, y, z)]
-        return self._actions[(x, y, z)]
+        # _shared, spelt out: the hom systems read an action per block
+        B, S, R = self.basis[(x, y)], self.basis[(y, z)], self.basis[(x, z)]
+        hit = self._actions.get((id(B), id(S), id(R)))
+        if hit is None:
+            piv, lin = self.piv[(x, z)], self.tower.lin
+            hit = self._actions[(id(B), id(S), id(R))] = (
+                (B, S, R), [lin.coords_rows(R, piv, W) for W in self.products(x, y, z)])
+        return hit[1]
 
     def generators(self, l: str, lp: str) -> list[int]:
         """Indices of basis elements of R_{l,l'} that, with the members R_{a,b}
@@ -81,14 +87,14 @@ class RFamily:
             picks = list(range(d))
             if all(C is not None for C in left + right + inner):
                 picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + inner))
+                flat = [[x for row in C for x in row] for C in left]
                 for k in range(d):
                     unit = lin.mat([[int(i == k) for i in range(d)]])
                     if len(piv) == d or lin.in_span(R, piv, unit[0]):
                         continue
                     picks.append(k)
                     if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
-                        flat, size = [[x for row in C for x in row] for C in left], 0
-                        R, piv = lin.rref(lin.vstack([R, unit]))
+                        size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
                         while len(piv) > size:
                             size = len(piv)
                             R, piv = lin.rref(lin.vstack(
@@ -102,30 +108,41 @@ class RFamily:
         return self._generators[(l, lp)]
 
 
+def _shared(cache: dict, objs: tuple, make):
+    """make(), computed once per identity of the objects in objs; the entry
+    keeps them alive, so that no id is reused."""
+    key = tuple(map(id, objs))
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = (objs, make())
+    return hit[1]
+
+
 def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamily:
+    """One basis and pivot list per (x strong?, y strong?, l(x, y)), or per l(x, y)."""
     flavor = Flavor(flavor)
-    lin = tower.lin
+    lin, r = tower.lin, flavor is Flavor.R
     fam = RFamily(tower, P, flavor)
+    ops = tower.a_ell_basis(P.p) if r else []  # a_ell_basis(ell) is ops[:ell * p]
+    members = {}
     for x in P.points:
         for y in P.points:
             if not P.leq(x, y):
                 continue
             ell = P.ell(x, y)
-            if flavor is Flavor.R:
-                ex = tower.eps(P.is_strong(x))
-                ey = tower.eps(P.is_strong(y))
-                gens = [tower.flatten(lin.matmul(lin.matmul(ey, a), ex))
-                        for a in tower.a_ell_basis(ell)]
-            else:
-                gens = [tower.xi_pow(j) for j in range(ell)]
-            B, piv = lin.rref(lin.mat(gens))
-            fam.basis[(x, y)] = B
-            fam.piv[(x, y)] = piv
+            key = (P.is_strong(x), P.is_strong(y), ell) if r else ell
+            if key not in members:
+                if r:
+                    ex, ey = tower.eps(key[0]), tower.eps(key[1])
+                    gens = [tower.flatten(lin.matmul(lin.matmul(ey, a), ex))
+                            for a in ops[:ell * tower.p]]
+                else:
+                    gens = [tower.xi_pow(j) for j in range(ell)]
+                members[key] = lin.rref(lin.mat(gens))
+            fam.basis[(x, y)], fam.piv[(x, y)] = members[key]
+    units = {s: tower.flatten(tower.eps(s)) if r else tower.xi_pow(0) for s in (False, True)}
     for x in P.points:
-        if flavor is Flavor.R:
-            fam.unit[x] = tower.flatten(tower.eps(P.is_strong(x)))
-        else:
-            fam.unit[x] = tower.xi_pow(0)
+        fam.unit[x] = units[r and P.is_strong(x)]
     return fam
 
 
@@ -167,7 +184,9 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             if P.leq(y, z) and any(C is None for C in fam.action(x, y, z)):
                 rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
 
-    # A.2 — units act as identities and every nonzero local element divides
+    # A.2 — units act as identities and every nonzero local element divides;
+    # each verdict is reached once per distinct (unit, member, unit) and R_x
+    fixes, divides = {}, {}
     for x in P.points:
         ux = fam.unit[x]
         if not lin.in_span(fam.basis[(x, x)], fam.piv[(x, x)], ux):
@@ -176,34 +195,21 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         for y in P.points:
             if not P.leq(x, y):
                 continue
-            for u in fam.basis[(x, y)]:
-                if fam.compose(ux, u) != u:
+            B, uy = fam.basis[(x, y)], fam.unit[y]
+            for left, right in _shared(fixes, (ux, B, uy), lambda: [
+                    (fam.compose(ux, u) == u, fam.compose(u, uy) == u) for u in B]):
+                if not left:
                     rep.a2_failures.append(f"unit of R_{x} does not fix R_({x},{y}) on the left")
-                uy = fam.unit[y]
-                if fam.compose(u, uy) != u:
+                if not right:
                     rep.a2_failures.append(f"unit of R_{y} does not fix R_({x},{y}) on the right")
         d = fam.dim(x, x)
         if d == 0:
             rep.a2_failures.append(f"R_{x} is zero")
             continue
-        if lin.size is not None and lin.size ** d <= MAX_DIVISION_ENUM:
-            # one element per line through 0: its first nonzero coordinate is 1
-            coeffs = [(0,) * i + (1,) + tail for i in range(d)
-                      for tail in itertools.product(range(lin.size), repeat=d - 1 - i)]
-        else:
-            rep.division_exhaustive = False
-            coeffs = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-        # e divides exactly when e * b_1, ..., e * b_d have rank d: then
-        # e R_x = R_x (A.1 puts it inside), so ef = 1 for some f, likewise
-        # fg = 1, and e = e(fg) = (ef)g = g makes f two-sided.  The rank is
-        # the same for every nonzero multiple of e.  The products come from
-        # the table of basis products: e * b_k = sum_a e_a (b_a * b_k).
-        E = lin.mat(coeffs)
-        e_b = [lin.matmul(E, W) for W in fam.products(x, x, x)]
-        for n in range(len(coeffs)):  # the n-th element e
-            if lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) < d:
-                rep.a2_failures.append(f"element of R_{x} has no right inverse")
-                break
+        exhaustive = lin.size is not None and lin.size ** d <= MAX_DIVISION_ENUM
+        rep.division_exhaustive &= exhaustive
+        if not _shared(divides, (fam.basis[(x, x)],), lambda: _divides(fam, x, d, exhaustive)):
+            rep.a2_failures.append(f"element of R_{x} has no right inverse")
 
     # A.3 — below the maximum, nothing multiplies everything above to zero
     for (x, y) in comp:
@@ -220,6 +226,27 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         if lin.rank(dict(enumerate(row)) for row in lin.hstack(images)) < d:
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
+
+
+def _divides(fam: RFamily, x: str, d: int, exhaustive: bool) -> bool:
+    """Whether every nonzero element of R_x (every basis element, when not
+    exhaustive) has a right inverse.
+
+    e divides exactly when e * b_1, ..., e * b_d have rank d: then e R_x = R_x
+    (A.1 puts it inside), so ef = 1 for some f, likewise fg = 1, and
+    e = e(fg) = (ef)g = g makes f two-sided.  The rank is the same for every
+    nonzero multiple of e.  The products come from the table of basis
+    products: e * b_k = sum_a e_a (b_a * b_k)."""
+    lin = fam.tower.lin
+    if exhaustive:  # one element per line through 0: its first nonzero coordinate is 1
+        coeffs = [(0,) * i + (1,) + tail for i in range(d)
+                  for tail in itertools.product(range(lin.size), repeat=d - 1 - i)]
+    else:
+        coeffs = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    E = lin.mat(coeffs)
+    e_b = [lin.matmul(E, W) for W in fam.products(x, x, x)]
+    return all(lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) == d
+               for n in range(len(coeffs)))
 
 
 def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:

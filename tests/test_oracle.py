@@ -43,12 +43,17 @@ def test_xi_pow_refuses_exponents_outside_0_to_p_minus_1(mode):
 
 
 def test_tower_operator_basis_ranks():
-    for p in (2, 3):
-        t = default_tower(p)
+    """a_ell_basis(ell) has rank p * ell and is the first ell * p operators of
+    a_ell_basis(p), which build_family slices once per family."""
+    for p, mode in [(2, "cyclic"), (3, "cyclic"), (5, "cyclic"),
+                    (2, "inseparable"), (3, "inseparable")]:
+        t = cached_tower(p, mode)
+        full = t.a_ell_basis(p)
         for ell in range(1, p + 1):
             mats = t.a_ell_basis(ell)
             assert len(mats) == p * ell
             assert len(t.lin.rref(t.flatten_all(mats))[1]) == p * ell
+            assert mats == full[:ell * p], (p, mode, ell)
 
 
 @pytest.mark.parametrize("spec, fragment", [
@@ -377,6 +382,35 @@ def test_products_match_right_multiplication(name, flavor, mode):
         if P.leq(x, y) and P.leq(y, z):
             want = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
             assert fam.products(x, y, z) == want, (x, y, z)
+
+
+@pytest.mark.parametrize("name, flavor, a, b, want", [
+    ("chain3_ell1", "r", ("0", "a"), ("0", "b"), ["R_(0,a) * R_(a,a) leaves R_(0,a)"]),
+    ("star2", "c", ("0", "w"), ("w", "m"), ["R_(0,0) * R_(0,w) leaves R_(0,w)"]),
+])
+def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, flavor, a, b,
+                                                                        want):
+    """Pairs a and b have equal members, so they share one basis and one
+    pivot list.  Once every table is built, R_a is replaced by a part of its
+    basis: the actions and A.1 see it at a only, and b keeps its products."""
+    P = load_fixture(name)
+    tower = cached_tower(P.p, "cyclic")
+    fam, fresh = build_family(tower, P, flavor), build_family(tower, P, flavor)
+    assert fam.basis[a] is fam.basis[b] and fam.piv[a] is fam.piv[b]
+    assert verify_admissible(fam).ok
+    triples = [t for t in itertools.product(P.points, repeat=3) if P.leq(*t[:2]) and P.leq(*t[1:])]
+    for t in triples:
+        fam.action(*t)
+    fam.basis[a], fam.piv[a] = fam.basis[a][:1], fam.piv[a][:1]
+    seen = [t for t in triples if fam.action(*t) != fresh.action(*t)]
+    assert seen and all(a in ((x, y), (y, z), (x, z)) for x, y, z in seen)
+    rep = verify_admissible(fam)
+    assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == (want, [], [])
+    lin = tower.lin
+    for x, y, z in triples:
+        if b in ((x, y), (y, z)) and a not in ((x, y), (y, z)):
+            want_b = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
+            assert fam.products(x, y, z) == want_b, (x, y, z)
 
 
 # ---------------------------------------------------------------- generators
