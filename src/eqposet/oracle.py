@@ -6,7 +6,8 @@ is honest algebra multiplication; every product table is built from it.  A
 member depends only on the strengths of x and y and on l(x, y) (flavor r),
 or on l(x, y) alone (flavor c), so each distinct member is built once per
 family and its product table, action table and A.2 verdict are shared by
-every pair that has it.
+every pair that has it; so are generator picks, the hom systems' equation
+blocks and the ranks of equal hom systems.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
 then re-derived here by linear algebra alone.  Hom dimensions impose
@@ -37,13 +38,16 @@ class RFamily:
     basis: dict[tuple[str, str], list] = field(default_factory=dict)
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
-    # build_family gives equal members one basis list, and products and actions
-    # are cached by the identity of the bases involved, so equal members share
-    # their tables.  Replace a basis, never mutate it: a replaced basis gets
-    # tables of its own.
+    # build_family gives equal members one basis list.  Products and actions are
+    # cached by the identity of the bases involved, and generator picks, equation
+    # blocks and hom-system ranks by that of the bases and action tables they read,
+    # so equal members share them.  Replace a basis, never mutate it.
     _products: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
-    _generators: dict = field(default_factory=dict, repr=False)
+    _generators: dict = field(default_factory=dict, repr=False)  # per (l, l')
+    _closures: dict = field(default_factory=dict, repr=False)    # per configuration
+    _blocks: dict = field(default_factory=dict, repr=False)      # per action table
+    _ranks: dict = field(default_factory=dict, repr=False)       # per hom system
 
     def dim(self, x: str, y: str) -> int:
         b = self.basis.get((x, y))
@@ -78,40 +82,48 @@ class RFamily:
         """Indices of basis elements of R_{l,l'} that, with the members R_{a,b}
         for l <= a <= b <= l' and (a, b) != (l, l'), generate R_{l,l'} under
         sums and products; every index when some product involved leaves the
-        family."""
-        if (l, lp) not in self._generators:
-            lin, P, d = self.tower.lin, self.poset, self.dim(l, lp)
-            left, right = self.action(l, l, lp), self.action(l, lp, lp)
-            inner = [C for y in P.points if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)
-                     for C in self.action(l, y, lp)]
-            picks = list(range(d))
-            if all(C is not None for C in left + right + inner):
-                picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + inner))
-                flat = [[x for row in C for x in row] for C in left]
-                for k in range(d):
-                    unit = lin.mat([[int(i == k) for i in range(d)]])
-                    if len(piv) == d or lin.in_span(R, piv, unit[0]):
-                        continue
-                    picks.append(k)
-                    if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
-                        size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
-                        while len(piv) > size:
-                            size = len(piv)
-                            R, piv = lin.rref(lin.vstack(
-                                [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
-                                       for m in lin.matmul(R, flat)]))
-                    else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
-                        rows = [unit, left[k]]
+        family.  One closure is run per distinct configuration: l == l', the
+        basis of R_{l,l'} and the action tables it reads."""
+        if (l, lp) in self._generators:
+            return self._generators[(l, lp)]
+        lin, P, B = self.tower.lin, self.poset, self.basis[(l, lp)]
+        left, right = self.action(l, l, lp), self.action(l, lp, lp)
+        inner = [self.action(l, y, lp) for y in P.points
+                 if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)]
+
+        def close():
+            d, ys = len(B), [C for T in inner for C in T]
+            if any(C is None for C in left + right + ys):
+                return list(range(d))
+            picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
+            flat = [[x for row in C for x in row] for C in left]
+            for k in range(d):
+                unit = lin.mat([[int(i == k) for i in range(d)]])
+                if len(piv) == d or lin.in_span(R, piv, unit[0]):
+                    continue
+                picks.append(k)
+                if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
+                    size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
+                    while len(piv) > size:
+                        size = len(piv)
                         R, piv = lin.rref(lin.vstack(
-                            [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
-            self._generators[(l, lp)] = picks
-        return self._generators[(l, lp)]
+                            [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
+                                   for m in lin.matmul(R, flat)]))
+                else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
+                    rows = [unit, left[k]]
+                    R, piv = lin.rref(lin.vstack(
+                        [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
+            return picks
+
+        picks = self._generators[(l, lp)] = _shared(
+            self._closures, (B, left, right, *inner), close, l == lp)
+        return picks
 
 
-def _shared(cache: dict, objs: tuple, make):
-    """make(), computed once per identity of the objects in objs; the entry
-    keeps them alive, so that no id is reused."""
-    key = tuple(map(id, objs))
+def _shared(cache: dict, objs, make, tag=None):
+    """make(), computed once per tag and identity of the objects in objs; the
+    entry keeps them alive, so that no id is reused."""
+    key = (tag, *map(id, objs))
     hit = cache.get(key)
     if hit is None:
         hit = cache[key] = (objs, make())
@@ -188,7 +200,10 @@ def verify_admissible(fam: RFamily) -> AdmReport:
     # each verdict is reached once per distinct (unit, member, unit) and R_x
     fixes, divides = {}, {}
     for x in P.points:
-        ux = fam.unit[x]
+        ux, d = fam.unit[x], fam.dim(x, x)
+        if d == 0:
+            rep.a2_failures.append(f"R_{x} is zero")
+            continue
         if not lin.in_span(fam.basis[(x, x)], fam.piv[(x, x)], ux):
             rep.a2_failures.append(f"unit of R_{x} is not in the member")
             continue
@@ -202,10 +217,6 @@ def verify_admissible(fam: RFamily) -> AdmReport:
                     rep.a2_failures.append(f"unit of R_{x} does not fix R_({x},{y}) on the left")
                 if not right:
                     rep.a2_failures.append(f"unit of R_{y} does not fix R_({x},{y}) on the right")
-        d = fam.dim(x, x)
-        if d == 0:
-            rep.a2_failures.append(f"R_{x} is zero")
-            continue
         exhaustive = lin.size is not None and lin.size ** d <= MAX_DIVISION_ENUM
         rep.division_exhaustive &= exhaustive
         if not _shared(divides, (fam.basis[(x, x)],), lambda: _divides(fam, x, d, exhaustive)):
@@ -249,6 +260,24 @@ def _divides(fam: RFamily, x: str, d: int, exhaustive: bool) -> bool:
                for n in range(len(coeffs)))
 
 
+def _table(fam: RFamily, C: list) -> list:
+    """The equation blocks of the action table C: its first index whose
+    product leaves the family, or None, and the entries of `_block`."""
+    return _shared(fam._blocks, (C,), lambda: [
+        next((k for k, S in enumerate(C) if S is None), None), {}])
+
+
+def _block(lin, table: list, C: list, k: int) -> tuple:
+    """Whether C[k] is the identity, and the nonzeros of its rows and columns."""
+    hit = table[1].get(k)
+    if hit is None:
+        rows = [[(b, x) for b, x in enumerate(row) if x] for row in C[k]]
+        cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*C[k])]
+        unit = len(rows) == len(cols) and all(r == [(a, lin.one)] for a, r in enumerate(rows))
+        hit = table[1][k] = (unit, rows, cols)
+    return hit
+
+
 def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given.
 
@@ -258,7 +287,10 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
     (e_l' x e_l) are the actions of s on the blocks of e_i A and e_j A.  A map
     that commutes with s and t commutes with s + t and s t, so the generators
     impose A-linearity.  Every basis element is still checked to act inside
-    the family.  The answer is N minus the rank of the system."""
+    the family.  The answer is N minus the rank of the system.  Equation
+    blocks come from each action table once per family; the rows of the unit
+    of R_{l,l}, the identity on both sides, and other zero rows are not kept;
+    each distinct system (layout, action tables, picks) is ranked once."""
     P = fam.poset
     lin = fam.tower.lin
     d = {l: fam.dim(i, l) for l in blocks}
@@ -268,11 +300,7 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
         off[l], N = N, N + e[l] * d[l]
     if N == 0:
         return 0
-
-    def nonzeros(A):
-        return [[(b, x) for b, x in enumerate(row) if x] for row in A]
-
-    rows = []
+    parts = []
     for l in blocks:
         if d[l] == 0:
             continue
@@ -281,26 +309,36 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
                 continue
             Ci = fam.action(i, l, lp)                    # S_i^T per s
             Cj = fam.action(j, l, lp) if e[l] else None  # S_j^T per s
-            for k in range(len(Ci)):
-                for base, C in ((i, Ci), (j, Cj)):
-                    if C is not None and C[k] is None:
-                        raise OracleError(f"product from R_({base},{l}) by R_({l},{lp}) "
-                                          "leaves the family")
-            if e[lp] == 0:
-                continue
-            # row (s, r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
-            # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
-            for k in fam.generators(l, lp):
-                C = nonzeros(Ci[k])
-                Dt = nonzeros(lin.transpose(Cj[k])) if e[l] else [()] * e[lp]
+            ti, tj = _table(fam, Ci), _table(fam, Cj) if e[l] else [None]
+            bad = [(t[0], base) for base, t in ((i, ti), (j, tj)) if t[0] is not None]
+            if bad:  # the smallest index, i before j
+                raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
+                                  f"by R_({l},{lp}) leaves the family")
+            if e[lp]:
+                parts.append((l, lp, Ci, Cj, ti, tj, tuple(fam.generators(l, lp))))
+
+    def rows():
+        for l, lp, Ci, Cj, ti, tj, picks in parts:
+            for k in picks:
+                unit_i, C, _ = _block(lin, ti, Ci, k)
+                unit_j, _, Dt = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
+                if l == lp and unit_i and unit_j:
+                    continue  # phi_l 1 - 1 phi_l
+                # row (s, r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
+                # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
                 for r in range(e[lp]):
                     for a in range(d[l]):
                         row = {off[lp] + r * d[lp] + b: x for b, x in C[a]}
                         for u, x in Dt[r]:
                             col = off[l] + u * d[l] + a
                             row[col] = row[col] - x if col in row else -x
-                        rows.append(row)
-    return N - lin.rank(rows)
+                        if any(row.values()):
+                            yield row
+
+    layout = tuple((off[l], off[lp], d[l], d[lp], e[l], e[lp], l == lp, picks)
+                   for l, lp, *_, picks in parts)
+    tables = [C for part in parts for C in part[2:4]]
+    return N - _shared(fam._ranks, tables, lambda: lin.rank(rows()), layout)
 
 
 def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:

@@ -215,6 +215,15 @@ def test_division_check_finds_zero_divisors():
         assert rep.division_exhaustive
 
 
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_a2_reports_a_zero_local_member(flavor):
+    """A zero R_x fails A.2 as zero, before its unit is looked for in it."""
+    fam = build_family(default_tower(2), load_fixture("star2"), flavor)
+    fam.basis[("w", "w")], fam.piv[("w", "w")] = [], []
+    rep = verify_admissible(fam)
+    assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == ([], ["R_w is zero"], [])
+
+
 def test_basis_only_division_check_misses_zero_divisors(monkeypatch):
     """Only a non-basis element shows the defect: testing the basis alone
     passes flavor c."""
@@ -471,6 +480,35 @@ def test_reduced_systems_match_all_basis_systems(name, flavor, mode):
 
 
 @pytest.mark.parametrize("flavor", ["r", "c"])
+def test_hom_systems_hold_no_zero_row_and_equal_systems_are_ranked_once(flavor, monkeypatch):
+    """On wide2, whose hom systems repeat, every row handed to rank has a
+    nonzero entry (the rows of a unit pick are not built), and there are
+    fewer rank calls than systems with unknowns."""
+    P = load_fixture("wide2")
+    fam = build_family(cached_tower(P.p, "cyclic"), P, flavor)
+    lin, calls = fam.tower.lin, []
+    rank = lin.rank
+
+    def spy(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(lin, "rank", spy)
+    systems = 0
+    for i in P.points:
+        up = [l for l in P.points if P.leq(i, l)]
+        for j in P.points:
+            systems += any(fam.dim(i, l) and fam.dim(j, l) for l in up)
+            oracle_hom_dim(fam, i, j)
+        if i != P.max:
+            systems += any(fam.dim(i, l) for l in up if l != i)
+            oracle_radical(fam, i)
+    assert all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
+    assert 0 < len(calls) < systems
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
 def test_reduced_systems_match_on_split_tower(flavor):
     """The family of test_failing_report_text, whose local rings are not fields."""
     assert_reduced_systems_match(build_family(_split_tower(), load_fixture("star2"), flavor))
@@ -551,3 +589,25 @@ def test_generators_keep_every_index_when_a_product_leaves_the_family():
     fam.piv[("0", "b")] = fam.piv[("0", "b")][:2]
     assert any(C is None for C in fam.action("0", "a", "b"))
     assert fam.generators("0", "b") == [0, 1]
+
+
+def test_hom_dim_errors_when_a_product_leaves_the_family():
+    """With R_(0,b) of chain3_ell1 cut as above, a hom system fails at the
+    first block pair whose action leaves the family, naming the base whose
+    product leaves it first."""
+    P = load_fixture("chain3_ell1")
+    fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
+    fam.basis[("0", "b")] = fam.basis[("0", "b")][:2]
+    fam.piv[("0", "b")] = fam.piv[("0", "b")][:2]
+    ab = "product from R_(0,a) by R_(a,b) leaves the family"
+    bb = "product from R_(0,b) by R_(b,b) leaves the family"
+    want = [[ab, ab, ab, ab], [ab, 3, 0, 0], [bb, 3, 3, 0], [1, 3, 3, 1]]
+    got = []
+    for i in P.points:
+        got.append([])
+        for j in P.points:
+            try:
+                got[-1].append(oracle_hom_dim(fam, i, j))
+            except OracleError as err:
+                got[-1].append(str(err))
+    assert P.points == ("0", "a", "b", "m") and got == want
