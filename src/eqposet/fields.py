@@ -8,10 +8,17 @@ and the operator is the derivation delta(xi^i) = i*xi^(i-1).
 G-elements are coefficient vectors of length p in the basis 1, xi, ...,
 xi^(p-1), multiplied by convolution modulo xi^p - c (`Tower.g_mul`); operators
 on G are p x p matrices over F acting on columns.
+
+An element of F_p(t) is a tuple: (n, d) in lowest terms with d monic, or ()
+for 0, so the truth tests, comparisons and hashes of the linear algebra run
+at C level.  Zero, constants and monomials c t^k (k in Z), which are nearly
+all the entries the oracle meets, take direct arithmetic paths; the rest
+reduce by Euclid's algorithm.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .linalg import GenericField, ModQ
@@ -66,8 +73,9 @@ def _pdivmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
     return tuple(q), tuple(r)
 
 
-def _frac(n: tuple, d: tuple, p: int) -> "RatFunc":
-    """n/d in lowest terms, for polynomials n and d, d monic."""
+def _frac(n: tuple, d: tuple, K: type) -> RatFunc:
+    """n/d in lowest terms, for polynomials n and d, d monic, in K's F_p(t)."""
+    p = K.p
     if any(d[:-1]):
         g, r = d, n
         while r:  # Euclid: g ends as a gcd of n and d; made monic, d/g stays monic
@@ -77,53 +85,148 @@ def _frac(n: tuple, d: tuple, p: int) -> "RatFunc":
     elif len(d) > 1:  # d = t^m: the common factor is the power of t dividing n
         k = min(len(d) - 1, next((i for i, x in enumerate(n) if x), len(d)))
         n, d = n[k:], d[k:]
-    return RatFunc(n, d, p)
+    return _new(K, (n, d) if n else ())
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RatFunc:
-    """n/d in F_p(t) with d monic and gcd(n, d) = 1, so equal elements have equal
-    (n, d).  Most tower entries are c t^k, and a gcd with t^m needs no Euclid."""
+def _monomial(n: tuple, d: tuple):
+    """(c, k) with n/d = c t^k, k in Z, for n/d != 0 in lowest terms, or None."""
+    if len(d) == 1:
+        if n.count(0) == len(n) - 1:  # the top coefficient is nonzero
+            return n[-1], len(n) - 1
+    elif len(n) == 1 and d.count(0) == len(d) - 1:
+        return n[0], 1 - len(d)
+    return None
 
-    n: tuple
-    d: tuple
-    p: int
 
-    def __bool__(self) -> bool:
-        return bool(self.n)
+def _mono(K: type, c: int, k: int) -> RatFunc:
+    """c t^k in K's F_p(t), for a residue c != 0 and k in Z."""
+    return _new(K, ((0,) * k + (c,), _ONE) if k >= 0 else ((c,), (0,) * -k + _ONE))
+
+
+_new, _ONE = tuple.__new__, (1,)
+
+
+class RatFunc(tuple):
+    """n/d in F_p(t), stored as the tuple (n, d) with d monic and gcd(n, d) = 1,
+    or as () for 0, so equal elements are equal tuples: truth, == and hash
+    are tuple's own.  `RatFunc(n, d, p)` takes n and d in that form and gives
+    an instance of the one subclass for p, which holds p.  Elements of
+    different p compare as tuples; they never meet, as a family works in one
+    tower.
+
+    Nearly every entry the oracle meets is 0, a constant or c t^k (k in Z).
+    Those operands are multiplied, divided, added and negated directly; any
+    other operand goes through `_frac`, where a gcd with t^m needs no Euclid."""
+
+    __slots__ = ()
+    p: int           # both set on each subclass:
+    consts: _Consts  # consts[c] is the constant c, 0 included
+
+    def __new__(cls, n: tuple, d: tuple, p: int) -> RatFunc:
+        return _new(_field(p), (n, d) if n else ())
+
+    @property
+    def n(self) -> tuple:
+        return self[0] if self else ()
+
+    @property
+    def d(self) -> tuple:
+        return self[1] if self else _ONE
+
+    def __repr__(self) -> str:
+        return f"RatFunc(n={self.n}, d={self.d}, p={self.p})"
+
+    def __reduce__(self):
+        return RatFunc, (self.n, self.d, self.p)
+
+    def __rmul__(self, o):  # not tuple's repetition: int * RatFunc raises TypeError
+        return NotImplemented
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(_pmul((self.p - 1,), self.n, self.p), self.d, self.p)
+        if not self:
+            return self
+        p, (n, d) = self.p, self
+        if len(n) == len(d) == 1:
+            return self.consts[-n[0] % p]
+        return _new(type(self), (tuple(-x % p for x in n), d))
 
-    def __add__(self, o: RatFunc, s: int = 1) -> RatFunc:
-        """self + s*o."""
-        p, a, b = self.p, self.d, o.d
-        if not (self.n and o.n):
-            return RatFunc(_pmul((s,), o.n, p), b, p) if o.n else self
-        x, y, d = (self.n, o.n, a) if a == b else (_pmul(self.n, b, p), _pmul(o.n, a, p), _pmul(a, b, p))
+    def __add__(self, o: RatFunc) -> RatFunc:
+        if not (self and o):
+            return self or o
+        p, (a, b), (c, e) = self.p, self, o
+        if len(a) == len(b) == len(c) == len(e) == 1:
+            return self.consts[(a[0] + c[0]) % p]
+        u, v = _monomial(a, b), _monomial(c, e)
+        if u and v:
+            (x, k), (y, j) = (u, v) if u[1] <= v[1] else (v, u)
+            if k == j:
+                x = (x + y) % p
+                return _mono(type(self), x, k) if x else self.consts[0]
+            n = (x,) + (0,) * (j - k - 1) + (y,)  # t^-k (x t^k + y t^j)
+            return _new(type(self), ((0,) * k + n, _ONE) if k >= 0 else (n, (0,) * -k + _ONE))
+        x, y, d = (a, c, b) if b == e else (_pmul(a, e, p), _pmul(c, b, p), _pmul(b, e, p))
         out = list(x) + [0] * (len(y) - len(x))
         for i, v in enumerate(y):
-            out[i] = (out[i] + s * v) % p
+            out[i] = (out[i] + v) % p
         while out and not out[-1]:
             out.pop()
-        return _frac(tuple(out), d, p)
+        return _frac(tuple(out), d, type(self))
 
     def __sub__(self, o: RatFunc) -> RatFunc:
-        return self.__add__(o, self.p - 1)
+        return self + -o
 
     def __mul__(self, o: RatFunc) -> RatFunc:
-        p = self.p
-        if not (self.n and o.n):
-            return o if self.n else self  # the zero one
-        if self.d == o.d == (1,):
-            return RatFunc(_pmul(self.n, o.n, p), (1,), p)
-        return _frac(_pmul(self.n, o.n, p), _pmul(self.d, o.d, p), p)
+        if not (self and o):
+            return o if self else self  # the zero one
+        p, (a, b), (c, e) = self.p, self, o
+        if len(a) == len(b) == 1:  # a constant times o: scale o's numerator
+            x = a[0]
+            if len(c) == len(e) == 1:
+                return self.consts[x * c[0] % p]
+            return _new(type(self), (tuple(x * y % p for y in c), e))
+        if len(c) == len(e) == 1:
+            return o * self
+        u, v = _monomial(a, b), _monomial(c, e)
+        if u and v:
+            return _mono(type(self), u[0] * v[0] % p, u[1] + v[1])
+        if len(b) == len(e) == 1:
+            return _new(type(self), (_pmul(a, c, p), _ONE))
+        return _frac(_pmul(a, c, p), _pmul(b, e, p), type(self))
 
     def __truediv__(self, o: RatFunc) -> RatFunc:
-        if not o.n:
+        if not o:
             raise ZeroDivisionError("division by zero in F_p(t)")
-        inv = (pow(o.n[-1], -1, self.p),)
-        return self * RatFunc(_pmul(inv, o.d, self.p), _pmul(inv, o.n, self.p), self.p)
+        if not self:
+            return self
+        p, (a, b), (c, e) = self.p, self, o
+        inv = pow(c[-1], -1, p)
+        if len(c) == len(e) == 1:
+            return self.consts[inv] * self
+        u, v = _monomial(a, b), _monomial(c, e)
+        if u and v:
+            return _mono(type(self), u[0] * inv % p, u[1] - v[1])
+        return self * _new(type(self), (_pmul((inv,), e, p), _pmul((inv,), c, p)))
+
+
+class _Consts(dict):
+    """consts[c] = c for the residues c of one F_p(t), each built on first use."""
+
+    __slots__ = ("K",)
+
+    def __init__(self, K: type):
+        self.K = K
+
+    def __missing__(self, c: int) -> RatFunc:
+        x = self[c] = _new(self.K, ((c,), _ONE) if c else ())
+        return x
+
+
+@functools.cache
+def _field(p: int) -> type:
+    """The subclass of `RatFunc` for F_p(t)."""
+    K = type(f"RatFunc{p}", (RatFunc,), {"__slots__": (), "p": p})
+    K.consts = _Consts(K)
+    return K
 
 
 class Tower:

@@ -19,6 +19,7 @@ the members inside [l, l'] generate (rad/rad^2).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .fields import ParameterError, Tower
@@ -83,13 +84,17 @@ class RFamily:
         for l <= a <= b <= l' and (a, b) != (l, l'), generate R_{l,l'} under
         sums and products; every index when some product involved leaves the
         family.  One closure is run per distinct configuration: l == l', the
-        basis of R_{l,l'} and the action tables it reads."""
-        if (l, lp) in self._generators:
-            return self._generators[(l, lp)]
+        basis of R_{l,l'} and the action tables it reads.  The answer for
+        (l, l') is kept while every basis those tables read is in place."""
+        hit = self._generators.get((l, lp))
+        if hit is not None and all(map(operator.is_, hit[0](self.basis), hit[1])):
+            return hit[2]
         lin, P, B = self.tower.lin, self.poset, self.basis[(l, lp)]
+        mid = [y for y in P.points if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)]
+        read = operator.itemgetter((l, l), (l, lp), (lp, lp),
+                                   *[k for y in mid for k in ((l, y), (y, lp))])
         left, right = self.action(l, l, lp), self.action(l, lp, lp)
-        inner = [self.action(l, y, lp) for y in P.points
-                 if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)]
+        inner = [self.action(l, y, lp) for y in mid]
 
         def close():
             d, ys = len(B), [C for T in inner for C in T]
@@ -115,8 +120,8 @@ class RFamily:
                         [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
             return picks
 
-        picks = self._generators[(l, lp)] = _shared(
-            self._closures, (B, left, right, *inner), close, l == lp)
+        picks = _shared(self._closures, (B, left, right, *inner), close, l == lp)
+        self._generators[(l, lp)] = (read, read(self.basis), picks)
         return picks
 
 

@@ -81,7 +81,7 @@ def star2():
 def enumerate_equipped(p: int, n: int):
     """Every valid equipped poset on n labeled points (reflexive entries
     filled in, equipment forced to p on pairs touching a strong point)."""
-    names = ("a", "b", "c")[:n]
+    names = ("a", "b", "c", "d")[:n]
     arcs = [(x, y) for x in names for y in names if x < y or y < x]
     for mask in itertools.product((False, True), repeat=len(arcs)):
         rel_pairs = [pr for pr, keep in zip(arcs, mask) if keep]

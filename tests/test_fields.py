@@ -1,6 +1,8 @@
 """F_p(t) arithmetic of the inseparable tower, and the package's runtime
 dependencies."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,12 +55,24 @@ def _eval(x: RatFunc, t0: int):
     return num * pow(den, -1, p) % p if den else None
 
 
+def _monomials(p: int):
+    """(num, den) of c t^k for a residue c != 0 and k in [-3, 3]."""
+    return st.tuples(st.integers(1, p - 1), st.integers(-3, 3)).map(
+        lambda ck: ([0] * max(ck[1], 0) + [ck[0]], [0] * max(-ck[1], 0) + [1]))
+
+
 @st.composite
 def quotients(draw, p: int):
-    """(num, den, num/den) for random polynomials num and den != 0 of low degree;
-    short coefficient lists make powers of t common denominators."""
-    num = draw(st.lists(st.integers(0, p - 1), max_size=4))
-    den = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3).filter(any))
+    """(num, den, num/den): zero, a constant, a monomial c t^k with k in
+    [-3, 3], which take RatFunc's direct paths, or random polynomials num
+    and den != 0 of low degree; short coefficient lists make powers of t
+    common denominators."""
+    num, den = draw(st.one_of(
+        st.just(([], [1])),
+        st.integers(1, p - 1).map(lambda c: ([c], [1])),
+        _monomials(p),
+        st.tuples(st.lists(st.integers(0, p - 1), max_size=4),
+                  st.lists(st.integers(0, p - 1), min_size=1, max_size=3).filter(any))))
     return num, den, _poly(num, p) / _poly(den, p)
 
 
@@ -77,6 +91,9 @@ def test_canonical_form(case):
     assert _ref_gcd_degree(x.n, x.d, p) == 0
     assert _ref_mul(x.n, den, p) == _ref_mul(num, x.d, p)
     assert bool(x) == any(num)
+    # residues stay in [0, p): -x negates each coefficient mod p
+    assert (-x).n == tuple(-c % p for c in x.n) and (-x).d == x.d
+    assert all(0 <= c < p for c in x.n + x.d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,6 +127,25 @@ def test_evaluation_is_a_homomorphism(case, t0):
     assert _eval(-a, t0) == -va % p
     if vb:
         assert _eval(a / b, t0) == va * pow(vb, -1, p) % p
+
+
+def test_truth_equality_and_hash_are_tuples():
+    """Truth, == and hash of an F_p(t) element are tuple's own C slots, not
+    Python-level methods; 0 is the empty tuple and keeps its p and d."""
+    for p in (2, 3, 5):
+        zero = RatFunc((), (1,), p)
+        for cls in (RatFunc, type(zero)):
+            assert not {"__bool__", "__eq__", "__hash__", "__len__"} & set(vars(cls))
+        assert not zero and zero == () and zero.p == p and zero.d == (1,) and zero.n == ()
+        t = RatFunc((0, 1), (1,), p)
+        assert t and t == ((0, 1), (1,)) and hash(t) == hash(((0, 1), (1,)))
+        assert type(t) is type(zero) and isinstance(t, RatFunc) and t.p == p
+        assert repr(t) == f"RatFunc(n=(0, 1), d=(1,), p={p})"
+        with pytest.raises(TypeError):
+            2 * t  # not tuple repetition
+        with pytest.raises(ZeroDivisionError):
+            t / zero
+        assert pickle.loads(pickle.dumps(t)) == t and pickle.loads(pickle.dumps(zero)).p == p
 
 
 def test_src_never_imports_sympy():
