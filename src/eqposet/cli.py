@@ -112,8 +112,17 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
             print(f"  q(cd P_{x}) = {quadratic(M, cd)}")
 
 
+def _model_poset(path: str) -> EquippedPoset:
+    """The poset at path, refused like any invalid one when it lacks the
+    strong minimum or maximum that a model needs."""
+    P = load_poset(path)
+    if P.zero is None or P.max is None:
+        raise PosetError(str(validate(P, require_bounds=True)))
+    return P
+
+
 def cmd_info(args) -> int:
-    P = load_poset(args.path)
+    P = _model_poset(args.path)
     _print_info(P, Flavor(args.flavor), args.forms)
     return 0
 
@@ -126,7 +135,7 @@ def _max_sections(args) -> int:
 
 def cmd_knit(args) -> int:
     max_sections = _max_sections(args)
-    P = load_poset(args.path)
+    P = _model_poset(args.path)
     M = build_model(P, Flavor(args.flavor))
     G = knit(M, max_sections=max_sections)
     if args.format == "json":
@@ -138,7 +147,7 @@ def cmd_knit(args) -> int:
 
 def cmd_compare(args) -> int:
     max_sections = _max_sections(args)
-    P = load_poset(args.path)
+    P = _model_poset(args.path)
     Mr = build_model(P, Flavor.R)
     Mc = build_model(P, Flavor.C)
     Gr = knit(Mr, max_sections=max_sections)
@@ -149,7 +158,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    P = load_poset(args.path)
+    P = _model_poset(args.path)
     if args.q is None and args.c is None:
         tower = default_tower(P.p, args.mode)
     elif args.mode == "inseparable":

@@ -6,8 +6,9 @@ is honest algebra multiplication; every product table is built from it.  A
 member depends only on the strengths of x and y and on l(x, y) (flavor r),
 or on l(x, y) alone (flavor c), so each distinct member is built once per
 family and its product table, action table and A.2 verdict are shared by
-every pair that has it; so are generator picks, the hom systems' equation
-blocks and the ranks of equal hom systems.
+every pair that has it; so are generator picks and the hom systems' equation
+blocks.  A hom system is looked up by the bases it reads and solved once per
+family; a new one reads each action table and pick list once per pass.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
 then re-derived here by linear algebra alone.  Hom dimensions impose
@@ -19,7 +20,6 @@ the members inside [l, l'] generate (rad/rad^2).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from .fields import ParameterError, Tower
@@ -39,16 +39,15 @@ class RFamily:
     basis: dict[tuple[str, str], list] = field(default_factory=dict)
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
-    # build_family gives equal members one basis list.  Products and actions are
-    # cached by the identity of the bases involved, and generator picks, equation
-    # blocks and hom-system ranks by that of the bases and action tables they read,
+    # build_family gives equal members one basis list.  Products, actions and hom
+    # systems are cached by the identity of the bases they read, and generator
+    # picks and equation blocks by that of the bases and action tables they read,
     # so equal members share them.  Replace a basis, never mutate it.
     _products: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
-    _generators: dict = field(default_factory=dict, repr=False)  # per (l, l')
     _closures: dict = field(default_factory=dict, repr=False)    # per configuration
     _blocks: dict = field(default_factory=dict, repr=False)      # per action table
-    _ranks: dict = field(default_factory=dict, repr=False)       # per hom system
+    _systems: dict = field(default_factory=dict, repr=False)     # per hom system
 
     def dim(self, x: str, y: str) -> int:
         b = self.basis.get((x, y))
@@ -70,29 +69,19 @@ class RFamily:
         """For each basis element s of R_{y,z}, the d_xy x d_xz matrix whose row
         b holds the coordinates of b * s in R_{x,z}, or None when some b * s
         leaves R_{x,z}."""
-        # _shared, spelt out: the hom systems read an action per block
-        B, S, R = self.basis[(x, y)], self.basis[(y, z)], self.basis[(x, z)]
-        hit = self._actions.get((id(B), id(S), id(R)))
-        if hit is None:
-            piv, lin = self.piv[(x, z)], self.tower.lin
-            hit = self._actions[(id(B), id(S), id(R))] = (
-                (B, S, R), [lin.coords_rows(R, piv, W) for W in self.products(x, y, z)])
-        return hit[1]
+        R = self.basis[(x, z)]
+        return _shared(self._actions, (self.basis[(x, y)], self.basis[(y, z)], R), lambda: [
+            self.tower.lin.coords_rows(R, self.piv[(x, z)], W) for W in self.products(x, y, z)])
 
     def generators(self, l: str, lp: str) -> list[int]:
         """Indices of basis elements of R_{l,l'} that, with the members R_{a,b}
         for l <= a <= b <= l' and (a, b) != (l, l'), generate R_{l,l'} under
         sums and products; every index when some product involved leaves the
         family.  One closure is run per distinct configuration: l == l', the
-        basis of R_{l,l'} and the action tables it reads.  The answer for
-        (l, l') is kept while every basis those tables read is in place."""
-        hit = self._generators.get((l, lp))
-        if hit is not None and all(map(operator.is_, hit[0](self.basis), hit[1])):
-            return hit[2]
+        basis of R_{l,l'} and the action tables it reads, each looked up by
+        identity on every call, so a replaced basis is seen."""
         lin, P, B = self.tower.lin, self.poset, self.basis[(l, lp)]
         mid = [y for y in P.points if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)]
-        read = operator.itemgetter((l, l), (l, lp), (lp, lp),
-                                   *[k for y in mid for k in ((l, y), (y, lp))])
         left, right = self.action(l, l, lp), self.action(l, lp, lp)
         inner = [self.action(l, y, lp) for y in mid]
 
@@ -120,9 +109,7 @@ class RFamily:
                         [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
             return picks
 
-        picks = _shared(self._closures, (B, left, right, *inner), close, l == lp)
-        self._generators[(l, lp)] = (read, read(self.basis), picks)
-        return picks
+        return _shared(self._closures, (B, left, right, *inner), close, l == lp)
 
 
 def _shared(cache: dict, objs, make, tag=None):
@@ -164,13 +151,9 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
 
 
 def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
-    bad = []
     P = fam.poset
-    for x in P.points:
-        for y in P.points:
-            if P.leq(x, y) and fam.dim(x, y) != M.hom_dim(x, y):
-                bad.append(f"dim R_({x},{y}) = {fam.dim(x, y)}, table says {M.hom_dim(x, y)}")
-    return bad
+    return [f"dim R_({x},{y}) = {fam.dim(x, y)}, table says {M.hom_dim(x, y)}"
+            for x in P.points for y in P.points if P.leq(x, y) and fam.dim(x, y) != M.hom_dim(x, y)]
 
 
 MAX_DIVISION_ENUM = 5000
@@ -189,10 +172,7 @@ class AdmReport:
 
 
 def verify_admissible(fam: RFamily) -> AdmReport:
-    P = fam.poset
-    lin = fam.tower.lin
-    rep = AdmReport()
-
+    P, lin, rep = fam.poset, fam.tower.lin, AdmReport()
     comp = [(x, y) for x in P.points for y in P.points if P.leq(x, y)]
 
     # A.1 — products land in the right member, including the reflexive cases
@@ -283,7 +263,8 @@ def _block(lin, table: list, C: list, k: int) -> tuple:
     return hit
 
 
-def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
+def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str],
+                              reads: dict | None) -> int:
     """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given.
 
     The unknowns are the blocks phi_l (e_l x d_l, row-major, from off[l]).
@@ -292,12 +273,22 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
     (e_l' x e_l) are the actions of s on the blocks of e_i A and e_j A.  A map
     that commutes with s and t commutes with s + t and s t, so the generators
     impose A-linearity.  Every basis element is still checked to act inside
-    the family.  The answer is N minus the rank of the system.  Equation
-    blocks come from each action table once per family; the rows of the unit
-    of R_{l,l}, the identity on both sides, and other zero rows are not kept;
-    each distinct system (layout, action tables, picks) is ranked once."""
-    P = fam.poset
-    lin = fam.tower.lin
+    the family.  The answer is N minus the rank of the system; the rows of
+    the unit of R_{l,l}, the identity on both sides, and other zero rows are
+    not kept.  The blocks are closed upward, so the system is fixed by the
+    bases R_{i,l}, R_{j,l} and R_{l,l'} (or None) for blocks l, l': they key
+    it, and each distinct system is solved once per family.  A new one reads
+    each action table with its equation blocks, per (x, l, l'), and each
+    pick list, per (l, l'), once per `reads`, a dict kept for one pass."""
+    get = fam.basis.get
+    bases = [get((x, l)) for l in blocks for x in (i, j)]
+    bases += [get((l, lp)) for l in blocks for lp in blocks]
+    return _shared(fam._systems, bases, lambda: _solve_hom_system(
+        fam, i, j, blocks, {} if reads is None else reads))
+
+
+def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str], reads: dict) -> int:
+    P, lin = fam.poset, fam.tower.lin
     d = {l: fam.dim(i, l) for l in blocks}
     e = {l: fam.dim(j, l) for l in blocks}
     off, N = {}, 0
@@ -305,6 +296,13 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
         off[l], N = N, N + e[l] * d[l]
     if N == 0:
         return 0
+
+    def side(x, l, lp):  # the action table of R_{l,l'} on R_{x,l} and its blocks
+        if (x, l, lp) not in reads:
+            C = fam.action(x, l, lp)
+            reads[(x, l, lp)] = C, _table(fam, C)
+        return reads[(x, l, lp)]
+
     parts = []
     for l in blocks:
         if d[l] == 0:
@@ -312,15 +310,16 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
         for lp in blocks:
             if not P.leq(l, lp):
                 continue
-            Ci = fam.action(i, l, lp)                    # S_i^T per s
-            Cj = fam.action(j, l, lp) if e[l] else None  # S_j^T per s
-            ti, tj = _table(fam, Ci), _table(fam, Cj) if e[l] else [None]
+            Ci, ti = side(i, l, lp)                            # S_i^T per s
+            Cj, tj = side(j, l, lp) if e[l] else (None, [None])  # S_j^T per s
             bad = [(t[0], base) for base, t in ((i, ti), (j, tj)) if t[0] is not None]
             if bad:  # the smallest index, i before j
                 raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
                                   f"by R_({l},{lp}) leaves the family")
             if e[lp]:
-                parts.append((l, lp, Ci, Cj, ti, tj, tuple(fam.generators(l, lp))))
+                if (l, lp) not in reads:
+                    reads[(l, lp)] = fam.generators(l, lp)
+                parts.append((l, lp, Ci, Cj, ti, tj, reads[(l, lp)]))
 
     def rows():
         for l, lp, Ci, Cj, ti, tj, picks in parts:
@@ -340,17 +339,15 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
                         if any(row.values()):
                             yield row
 
-    layout = tuple((off[l], off[lp], d[l], d[lp], e[l], e[lp], l == lp, picks)
-                   for l, lp, *_, picks in parts)
-    tables = [C for part in parts for C in part[2:4]]
-    return N - _shared(fam._ranks, tables, lambda: lin.rank(rows()), layout)
+    return N - lin.rank(rows())
 
 
-def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:
-    """dim Hom(e_i A, e_j A) recomputed from the realization alone."""
+def oracle_hom_dim(fam: RFamily, i: str, j: str, reads: dict | None = None) -> int:
+    """dim Hom(e_i A, e_j A) recomputed from the realization alone; `reads`
+    may be shared by the calls of one pass while no basis is replaced."""
     P = fam.poset
     blocks = [l for l in P.points if P.leq(i, l)]
-    return _grade_preserving_hom_dim(fam, i, j, blocks)
+    return _grade_preserving_hom_dim(fam, i, j, blocks, reads)
 
 
 @dataclass(frozen=True)
@@ -362,22 +359,14 @@ class OracleRadical:
     end_kind: str | None  # "F" | "G" | None when the shape is not recognized
 
 
-def oracle_radical(fam: RFamily, i: str) -> OracleRadical:
-    P = fam.poset
-    p = fam.tower.p
+def oracle_radical(fam: RFamily, i: str, reads: dict | None = None) -> OracleRadical:
+    P, p = fam.poset, fam.tower.p
     if i == P.max:
         raise OracleError("the radical at the maximal point is zero")
     blocks = [l for l in P.points if P.leq(i, l) and l != i]
-    end_dim = _grade_preserving_hom_dim(fam, i, i, blocks)
+    end_dim = _grade_preserving_hom_dim(fam, i, i, blocks, reads)
     dims = {l: fam.dim(i, l) for l in blocks}
-    if end_dim == p * p:
-        mult, kind = p, "F"
-    elif end_dim == p:
-        mult, kind = 1, "G"
-    elif end_dim == 1:
-        mult, kind = 1, "F"
-    else:
-        mult, kind = None, None
+    mult, kind = {p * p: (p, "F"), p: (1, "G"), 1: (1, "F")}.get(end_dim, (None, None))
     return OracleRadical(i, end_dim, dims, mult, kind)
 
 
@@ -418,11 +407,12 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
     rep = OracleReport(flavor=M.flavor.value)
     rep.dim_mismatches = verify_dims(fam, M)
     rep.adm = verify_admissible(fam)
+    reads = {}  # action tables and picks, read once for every system below
 
     for x in P.points:
         if x == P.max:
             continue
-        orad = oracle_radical(fam, x)
+        orad = oracle_radical(fam, x, reads)
         info = radical_info(M, x)
         for l, dim in orad.block_dims.items():
             want = info.multiplicity * info.udimF[P.index[l]]
@@ -438,7 +428,7 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
 
     for i in P.points:
         for j in P.points:
-            got = oracle_hom_dim(fam, i, j)
+            got = oracle_hom_dim(fam, i, j, reads)
             want = M.hom_dim(j, i)
             if got != want:
                 rep.hom_mismatches.append(

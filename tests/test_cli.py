@@ -217,6 +217,26 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     assert out.out == ""
 
 
+UNBOUNDED_POSET = "p 3\npoint a weak\npoint b weak\nrel a b 1\n"
+
+
+@pytest.mark.parametrize("command", ["info", "knit", "compare", "oracle"])
+def test_poset_without_strong_bounds_exits_2(capsys, tmp_path, command):
+    """A valid poset with no strong minimum or maximum carries no model: the
+    commands that build one refuse it as malformed input, while validate
+    accepts it."""
+    path = tmp_path / "unbounded.eqp"
+    path.write_text(UNBOUNDED_POSET)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == ("error: 2 violation(s):\n"
+                       "  - missing-zero: no strong global minimum\n"
+                       "  - missing-max: no strong global maximum\n")
+    assert out.out == ""
+
+
 def test_huge_prime_p_exits_2_quickly(tmp_path):
     """A prime p far beyond any tower is rejected at its token, before a
     primality test that would take ~10^9 divisions."""

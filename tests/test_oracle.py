@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_FIXTURES, cached_tower, load_fixture, model
-from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, Tower, TowerSpec,
+from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower, TowerSpec,
                      augment, build_family, build_model, default_tower,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      parse_poset, run_verification, verify_admissible, verify_dims)
@@ -612,3 +613,71 @@ def test_hom_dim_errors_when_a_product_leaves_the_family():
             except OracleError as err:
                 got[-1].append(str(err))
     assert P.points == ("0", "a", "b", "m") and got == want
+
+
+def _hom_answers(fam):
+    """Every oracle_hom_dim and radical end_dim of fam, or its OracleError text."""
+    P, out = fam.poset, []
+    calls = [(oracle_hom_dim, (i, j)) for i in P.points for j in P.points]
+    calls += [(lambda f, i: oracle_radical(f, i).end_dim, (i,)) for i in P.points if i != P.max]
+    for fn, args in calls:
+        try:
+            out.append(fn(fam, *args))
+        except OracleError as err:
+            out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_hom_systems_see_a_replaced_basis(flavor):
+    """Hom systems are looked up by the bases they read, not by point names:
+    once every system of a family is solved, R_(0,b) of chain3_ell1 is cut,
+    and every answer then equals that of a fresh family with the same cut."""
+    P = load_fixture("chain3_ell1")
+    tower = cached_tower(P.p, "cyclic")
+    fam, fresh = build_family(tower, P, flavor), build_family(tower, P, flavor)
+    before = _hom_answers(fam)
+    for f in (fam, fresh):
+        f.basis[("0", "b")] = f.basis[("0", "b")][:2]
+        f.piv[("0", "b")] = f.piv[("0", "b")][:2]
+    after = _hom_answers(fam)
+    assert after == _hom_answers(fresh) and after != before
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monkeypatch):
+    """Across one run_verification, after A.1, the hom systems read each
+    action table (x, l, l') at most once, outside the generator closures,
+    and each pick list (l, l') at most once.  Asked again afterwards, a
+    system already solved reads neither."""
+    reads, families, inside = Counter(), [], [0]
+    action, generators, verify = RFamily.action, RFamily.generators, oracle.verify_admissible
+
+    def spy_action(self, *xyz):
+        if families and not inside[0]:
+            reads[xyz] += 1
+        return action(self, *xyz)
+
+    def spy_generators(self, l, lp):
+        reads[(l, lp)] += 1
+        inside[0] += 1
+        try:
+            return generators(self, l, lp)
+        finally:
+            inside[0] -= 1
+
+    def spy_verify(fam):
+        rep = verify(fam)
+        families.append(fam)
+        return rep
+
+    monkeypatch.setattr(RFamily, "action", spy_action)
+    monkeypatch.setattr(RFamily, "generators", spy_generators)
+    monkeypatch.setattr(oracle, "verify_admissible", spy_verify)
+    P = load_fixture(name)
+    assert run_verification(model(name, flavor), cached_tower(P.p, "cyclic")).ok
+    assert len(families) == 1 and reads and max(reads.values()) == 1
+    reads.clear()
+    _hom_answers(families[0])
+    assert not reads
