@@ -43,6 +43,25 @@ _by_id = attrgetter("id")
 _by_ends = attrgetter("src", "dst")
 
 
+def _all_digits(emit):
+    """emit, run again with Python's global limit on the digits of int -> str
+    lifted, then restored, when an entry is past that limit."""
+    @functools.wraps(emit)
+    def wrapper(G: ComponentGraph) -> str:
+        try:
+            return emit(G)
+        except ValueError:
+            if not (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()):
+                raise  # no limit to lift: some other error
+            sys.set_int_max_str_digits(0)
+            try:
+                return emit(G)
+            finally:
+                sys.set_int_max_str_digits(limit)
+    return wrapper
+
+
+@_all_digits
 def emit_json(G: ComponentGraph) -> str:
     """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
     vertices = [_JSON_VERTEX % (v.id, v.section, _quote(v.kind), _quote(v.label.value),
@@ -57,6 +76,7 @@ def emit_json(G: ComponentGraph) -> str:
             f'  "arrows": {_json_list(arrows, "    ")}\n}}\n')
 
 
+@_all_digits
 def emit_dot(G: ComponentGraph) -> str:
     lines = ["digraph component {", "  rankdir=LR;", "  node [shape=box];"]
     lines += ["  { rank=same; " + " ".join([f"v{i};" for i in sec]) + " }" for sec in G.sections]
@@ -136,22 +156,16 @@ def _max_sections(args) -> int:
 def cmd_knit(args) -> int:
     max_sections = _max_sections(args)
     P = _model_poset(args.path)
-    M = build_model(P, Flavor(args.flavor))
-    G = knit(M, max_sections=max_sections)
-    if args.format == "json":
-        sys.stdout.write(emit_json(G))
-    else:
-        sys.stdout.write(emit_dot(G))
+    G = knit(build_model(P, Flavor(args.flavor)), max_sections=max_sections)
+    sys.stdout.write((emit_json if args.format == "json" else emit_dot)(G))
     return 0
 
 
 def cmd_compare(args) -> int:
     max_sections = _max_sections(args)
     P = _model_poset(args.path)
-    Mr = build_model(P, Flavor.R)
-    Mc = build_model(P, Flavor.C)
-    Gr = knit(Mr, max_sections=max_sections)
-    Gc = knit(Mc, max_sections=max_sections)
+    Mr, Mc = build_model(P, Flavor.R), build_model(P, Flavor.C)
+    Gr, Gc = knit(Mr, max_sections=max_sections), knit(Mc, max_sections=max_sections)
     report = pair_components(Gr, Gc, Mr, Mc)
     print(report)
     return 0 if report.ok else 1
@@ -170,8 +184,7 @@ def cmd_oracle(args) -> int:
     flavors = [Flavor.R, Flavor.C] if args.flavor == "both" else [Flavor(args.flavor)]
     ok = True
     for fl in flavors:
-        M = build_model(P, fl)
-        rep = run_verification(M, tower)
+        rep = run_verification(build_model(P, fl), tower)
         print(rep)
         ok = ok and rep.ok
     return 0 if ok else 1

@@ -353,5 +353,4 @@ def default_tower(p: int, mode: str = "cyclic") -> Tower:
         return Tower(TowerSpec(p, mode))
     if p not in DEFAULT_TOWERS:
         raise ParameterError(f"no default tower for p = {p}; pass q and c explicitly")
-    q, c = DEFAULT_TOWERS[p]
-    return Tower(TowerSpec(p, "cyclic", q, c))
+    return Tower(TowerSpec(p, "cyclic", *DEFAULT_TOWERS[p]))

@@ -11,20 +11,22 @@ blocks.  A hom system is looked up by the bases it reads and solved once per
 family; a new one reads each action table and pick list once per pass.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
-then re-derived here by linear algebra alone.  Hom dimensions impose
-A-linearity on a generating set of the realized algebra only: algebra
-generators of each R_{x,x} and, for l < l', a basis of R_{l,l'} modulo what
-the members inside [l, l'] generate (rad/rad^2).
+then re-derived here by linear algebra alone.  Over F_q, A.2 proves or
+refutes that each R_{x,x} is a field by Rabin's irreducibility test on the
+minimal polynomial of one element; over F_p(t) it tests basis elements only.
+Hom dimensions impose A-linearity on a generating set of the realized algebra
+only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
+modulo what the members inside [l, l'] generate (rad/rad^2).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
-from .fields import ParameterError, Tower
+from .fields import ParameterError, Tower, _pdivmod, _pmul
 from .model import AlgebraModel, Flavor, radical_info
-from .poset import EquippedPoset
+from .poset import EquippedPoset, _is_prime
 
 
 class OracleError(RuntimeError):
@@ -50,8 +52,7 @@ class RFamily:
     _systems: dict = field(default_factory=dict, repr=False)     # per hom system
 
     def dim(self, x: str, y: str) -> int:
-        b = self.basis.get((x, y))
-        return 0 if b is None else len(b)
+        return len(self.basis.get((x, y), ()))
 
     def compose(self, u, v):
         """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v)."""
@@ -156,14 +157,12 @@ def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
             for x in P.points for y in P.points if P.leq(x, y) and fam.dim(x, y) != M.hom_dim(x, y)]
 
 
-MAX_DIVISION_ENUM = 5000
-
-
 @dataclass
 class AdmReport:
     a1_failures: list[str] = field(default_factory=list)
     a2_failures: list[str] = field(default_factory=list)
     a3_failures: list[str] = field(default_factory=list)
+    # False once some R_x was tested on its basis alone (F_p(t)); true over F_q
     division_exhaustive: bool = True
 
     @property
@@ -182,7 +181,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
                 rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
 
     # A.2 — units act as identities and every nonzero local element divides;
-    # each verdict is reached once per distinct (unit, member, unit) and R_x
+    # each verdict is reached once per distinct (unit, member, unit) and (R_x, unit)
     fixes, divides = {}, {}
     for x in P.points:
         ux, d = fam.unit[x], fam.dim(x, x)
@@ -196,15 +195,21 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             if not P.leq(x, y):
                 continue
             B, uy = fam.basis[(x, y)], fam.unit[y]
-            for left, right in _shared(fixes, (ux, B, uy), lambda: [
-                    (fam.compose(ux, u) == u, fam.compose(u, uy) == u) for u in B]):
+            fix = _shared(fixes, (ux, B, uy), lambda: [
+                (fam.compose(ux, u) == u, fam.compose(u, uy) == u) for u in B])
+            for left, right in fix:
                 if not left:
                     rep.a2_failures.append(f"unit of R_{x} does not fix R_({x},{y}) on the left")
                 if not right:
                     rep.a2_failures.append(f"unit of R_{y} does not fix R_({x},{y}) on the right")
-        exhaustive = lin.size is not None and lin.size ** d <= MAX_DIVISION_ENUM
-        rep.division_exhaustive &= exhaustive
-        if not _shared(divides, (fam.basis[(x, x)],), lambda: _divides(fam, x, d, exhaustive)):
+            if y == x:
+                unital = all(map(all, fix))
+        rep.division_exhaustive &= lin.size is not None  # F_p(t): the basis alone
+        verdict = _shared(divides, (fam.basis[(x, x)], ux), lambda: _certify_division(
+            fam, x, unital) if lin.size else _basis_divides(fam, x))
+        if verdict is None:
+            rep.a2_failures.append(f"division in R_{x} not certified")
+        elif not verdict:
             rep.a2_failures.append(f"element of R_{x} has no right inverse")
 
     # A.3 — below the maximum, nothing multiplies everything above to zero
@@ -224,25 +229,58 @@ def verify_admissible(fam: RFamily) -> AdmReport:
     return rep
 
 
-def _divides(fam: RFamily, x: str, d: int, exhaustive: bool) -> bool:
-    """Whether every nonzero element of R_x (every basis element, when not
-    exhaustive) has a right inverse.
+def _basis_divides(fam: RFamily, x: str) -> bool:
+    """Whether each basis element b of R_x divides: exactly when b * b_1, ...,
+    b * b_d have rank d, as then bR_x = R_x (A.1 puts it inside), so bc = 1 and
+    cg = 1 for some c, g, and b = b(cg) = (bc)g = g.  Structural only."""
+    lin, W = fam.tower.lin, fam.products(x, x, x)  # W[k][n] = b_n * b_k
+    return all(lin.rank(dict(enumerate(S[n])) for S in W) == len(W) for n in range(len(W)))
 
-    e divides exactly when e * b_1, ..., e * b_d have rank d: then e R_x = R_x
-    (A.1 puts it inside), so ef = 1 for some f, likewise fg = 1, and
-    e = e(fg) = (ef)g = g makes f two-sided.  The rank is the same for every
-    nonzero multiple of e.  The products come from the table of basis
-    products: e * b_k = sum_a e_a (b_a * b_k)."""
-    lin = fam.tower.lin
-    if exhaustive:  # one element per line through 0: its first nonzero coordinate is 1
-        coeffs = [(0,) * i + (1,) + tail for i in range(d)
-                  for tail in itertools.product(range(lin.size), repeat=d - 1 - i)]
-    else:
-        coeffs = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-    E = lin.mat(coeffs)
-    e_b = [lin.matmul(E, W) for W in fam.products(x, x, x)]
-    return all(lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) == d
-               for n in range(len(coeffs)))
+
+def _certify_division(fam: RFamily, x: str, unital: bool) -> bool | None:
+    """Whether R_x, of dimension d over F_q, is a field, or None when the
+    certificate cannot be read: R_x's products leave it, its unit u does not
+    fix it, or d is neither 1 nor prime.  For d = 1, R_x is a field exactly
+    when b_1 b_1 != 0.  Otherwise let f be the minimal polynomial of e, the
+    first basis element outside F_q u.  A finite division ring is a field
+    (Wedderburn), and its subfield F_q[e] = F_q[X]/(f) has degree 1 or d, so
+    R_x is a field exactly when deg f = d (then R_x = F_q[e]) and f is
+    irreducible.  u, e, ..., e^d are read off R_x's action table, f by one rref."""
+    lin, d = fam.tower.lin, fam.dim(x, x)
+    if d == 1:
+        return any(fam.products(x, x, x)[0][0])
+    C = fam.action(x, x, x)
+    if not (unital and _is_prime(d)) or any(S is None for S in C):
+        return None
+    powers = [[fam.unit[x][c] for c in fam.piv[(x, x)]]]
+    k = next(k for k in range(d) if any(a for i, a in enumerate(powers[0]) if i != k))
+    for _ in range(d):
+        powers += lin.matmul(powers[-1:], C[k])  # e^(n+1) = e^n e
+    R, piv = lin.rref(lin.transpose(powers))  # pivots 0..n-1, e^n = sum_i R[i][n] e^i
+    return len(piv) == d and _irreducible(tuple(-R[i][d] % lin.q for i in range(d)) + (1,), lin.q)
+
+
+@functools.lru_cache(maxsize=1024)
+def _irreducible(f: tuple, q: int) -> bool:
+    """Whether the monic f over F_q (a tuple as in `fields._pmul`) of prime
+    degree d is irreducible.  Rabin's test: exactly when gcd(f, X^q - X) = 1
+    and X^(q^d) = X mod f.  Equal members of different families share f."""
+    if not f[0]:  # X divides f; otherwise X and its powers are units mod f
+        return False
+
+    def xpow(k):  # X^k mod f
+        out, sq = (1,), (0, 1)
+        while k:
+            out = _pdivmod(_pmul(out, sq, q), f, q)[1] if k & 1 else out
+            k, sq = k >> 1, _pdivmod(_pmul(sq, sq, q), f, q)[1]
+        return out
+
+    h = [*xpow(q), 0, 0]
+    h[1] = (h[1] - 1) % q
+    g, r = f, _pdivmod(h, f, q)[1]  # X^q - X mod f, without trailing zeros
+    while r:  # Euclid: g ends as a gcd of f and X^q - X
+        g, r = r, _pdivmod(g, r, q)[1]
+    return len(g) == 1 and xpow(q ** (len(f) - 1)) == (0, 1)
 
 
 def _table(fam: RFamily, C: list) -> list:
@@ -384,8 +422,8 @@ class OracleReport:
                     or self.hom_mismatches) and self.adm.ok
 
     def __str__(self) -> str:
-        lines = [f"flavor {self.flavor}:"]
-        lines.append(f"  member dimensions: {'ok' if not self.dim_mismatches else 'FAIL'}")
+        lines = [f"flavor {self.flavor}:",
+                 f"  member dimensions: {'ok' if not self.dim_mismatches else 'FAIL'}"]
         lines += [f"    {m}" for m in self.dim_mismatches]
         lines.append(f"  admissibility: {'ok' if self.adm.ok else 'FAIL'}"
                      + ("" if self.adm.division_exhaustive else " (structural division check)"))
@@ -415,22 +453,18 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
         orad = oracle_radical(fam, x, reads)
         info = radical_info(M, x)
         for l, dim in orad.block_dims.items():
-            want = info.multiplicity * info.udimF[P.index[l]]
-            if dim != want:
+            if dim != (want := info.multiplicity * info.udimF[P.index[l]]):
                 rep.radical_mismatches.append(
                     f"rad(e_{x} A) has dim {dim} at {l}, table says {want}")
         # m^2 * k with m, k in {1, p} determines (m, k): this one test also
         # covers the multiplicity and end kind that oracle_radical decides
-        expected_end = info.multiplicity ** 2 * M.kdim(info.label)
-        if orad.end_dim != expected_end:
+        if orad.end_dim != (expected_end := info.multiplicity ** 2 * M.kdim(info.label)):
             rep.radical_mismatches.append(
                 f"End rad(e_{x} A) has dim {orad.end_dim}, table says {expected_end}")
 
     for i in P.points:
         for j in P.points:
-            got = oracle_hom_dim(fam, i, j, reads)
-            want = M.hom_dim(j, i)
-            if got != want:
+            if (got := oracle_hom_dim(fam, i, j, reads)) != (want := M.hom_dim(j, i)):
                 rep.hom_mismatches.append(
                     f"dim Hom(e_{i} A, e_{j} A) = {got}, table says {want}")
     return rep

@@ -11,6 +11,7 @@ ell = p; reflexive equipment is 1 on weak points and p on strong ones.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,14 +74,7 @@ def shown(n: int | str) -> str:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from eqposet import (EquippedPoset, Flavor, RatVec, build_model, default_tower, load_poset,
-                     quadratic, validate)
+                     quadratic, validate, verify_admissible)
 
 FIXTURES = resources.files("eqposet") / "fixtures"
 TABLES = resources.files("eqposet") / "tables"
@@ -76,6 +76,31 @@ def cached_tower(p: int, mode: str):
 @pytest.fixture
 def star2():
     return load_fixture("star2")
+
+
+def enumerated_division(fam, x: str) -> bool:
+    """The reference for A.2's division verdict over F_q: whether every nonzero
+    element of R_x has a right inverse, found by one rank per line of R_x
+    through 0 (the element whose first nonzero coordinate is 1), so
+    (q^d - 1) / (q - 1) ranks for a d-dimensional R_x.  e divides exactly
+    when e * b_1, ..., e * b_d have rank d, and the products come from the
+    table of basis products: e * b_k = sum_a e_a (b_a * b_k)."""
+    lin, d = fam.tower.lin, fam.dim(x, x)
+    coeffs = [(0,) * i + (1,) + tail for i in range(d)
+              for tail in itertools.product(range(lin.size), repeat=d - 1 - i)]
+    e_b = [lin.matmul(coeffs, W) for W in fam.products(x, x, x)]
+    return all(lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) == d
+               for n in range(len(coeffs)))
+
+
+def assert_division_agrees(fam) -> None:
+    """A.2 certifies or refutes division in every R_x of a family over F_q,
+    and each verdict is the enumeration's."""
+    rep = verify_admissible(fam)
+    for x in fam.poset.points:
+        assert f"division in R_{x} not certified" not in rep.a2_failures, x
+        field = f"element of R_{x} has no right inverse" not in rep.a2_failures
+        assert field == enumerated_division(fam, x), (x, fam.flavor)
 
 
 def enumerate_equipped(p: int, n: int):

@@ -17,9 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_FIXTURES, fixture_path, model, run_python
-from eqposet import (EquippedPoset, Flavor, augment, build_model, knit,
+from eqposet import (EquippedPoset, Flavor, RatVec, augment, build_model, cli, knit,
                      min_equipment_closure, validate)
 from eqposet.cli import build_parser, emit_dot, emit_json, main
+from eqposet.knitter import ArVertex, ComponentGraph
+from eqposet.model import Label
 
 BAD_POSET = """\
 p 3
@@ -172,6 +174,49 @@ def test_knit_dot_output(capsys):
     assert out == emit_dot(G)
 
 
+HUGE = "1" + "0" * 4400  # 10**4400, past Python's default of 4300 digits for int -> str
+
+
+def _huge_component() -> ComponentGraph:
+    v = ArVertex(0, 0, Label.WEAK, RatVec.of(10 ** 4400, 1), RatVec.of(1, 10 ** 4400))
+    return ComponentGraph("r", "Finite", vertices=[v], sections=[[0]])
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on the digits of int -> str, where it has one,
+    for the test; the limit found before is put back afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old = limit and limit()
+    if limit:
+        sys.set_int_max_str_digits(4300)
+    yield
+    if limit:
+        assert sys.get_int_max_str_digits() == 4300  # the emitters restored it
+        sys.set_int_max_str_digits(old)
+
+
+def _check_huge(fmt: str, out: str) -> None:
+    if fmt == "json":
+        v = json.loads(out)["vertices"][0]
+        assert (v["udimF"], v["udim"]) == ([HUGE, "1"], ["1", HUGE])
+    else:
+        assert f'  v0 [label="0: ({HUGE}, 1) W"];\n' in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_emitters_print_entries_past_the_int_digit_limit(fmt, default_digit_limit):
+    _check_huge(fmt, (emit_json if fmt == "json" else emit_dot)(_huge_component()))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_knit_prints_entries_past_the_int_digit_limit(fmt, default_digit_limit,
+                                                      monkeypatch, capsys):
+    monkeypatch.setattr(cli, "knit", lambda M, max_sections: _huge_component())
+    assert main(["knit", fixture_path("star2"), "--format", fmt]) == 0
+    _check_huge(fmt, capsys.readouterr().out)
+
+
 def test_knit_max_sections_flag(capsys):
     assert main(["knit", fixture_path("vee2"), "--max-sections", "3"]) == 0
     got = json.loads(capsys.readouterr().out)
@@ -302,6 +347,17 @@ def test_oracle_inseparable(capsys):
                  "--mode", "inseparable"])
     assert code == 0
     assert "(structural division check)" in capsys.readouterr().out
+
+
+def test_oracle_certifies_division_at_p7_over_f29(tmp_path, capsys):
+    """At p = 7 over F_29, R_x of flavor c has 29^7 elements at each bound, far
+    too many to enumerate; A.2 proves it a field, so neither report says
+    "structural"."""
+    f = tmp_path / "bounds7.eqp"
+    f.write_text("p 7\naugment\n")
+    assert main(["oracle", str(f), "--q", "29", "--c", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n  admissibility: ok\n") == 2 and "structural" not in out
 
 
 def test_usage_error_exits_2():

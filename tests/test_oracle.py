@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIXTURES, cached_tower, load_fixture, model
+from conftest import (ALL_FIXTURES, assert_division_agrees, cached_tower,
+                      enumerated_division, load_fixture, model)
 from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower, TowerSpec,
                      augment, build_family, build_model, default_tower,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      parse_poset, run_verification, verify_admissible, verify_dims)
+from eqposet.fields import _pdivmod
 
 
 # ---------------------------------------------------------------- towers
@@ -196,11 +198,12 @@ def test_admissibility_negative_control():
     assert rep.a3_failures
 
 
-def _split_tower():
-    """The p = 2 tower with c = 1, set past Tower's check: G = F_3[xi]/(xi^2 - 1)
-    is no field, since (1 + xi)(1 - xi) = 0, yet its basis elements 1 and xi
-    are both units."""
-    t = default_tower(2)
+def _split_tower(p: int = 2):
+    """The default tower for p with c = 1, set past Tower's check:
+    G = F_q[xi]/(xi^p - 1) is no field.  At p = 2, G = F_3[xi]/(xi^2 - 1)
+    has (1 + xi)(1 - xi) = 0, yet its basis elements 1 and xi are both
+    units; at p = 3, xi^3 - 1 has the three roots 1, 2 and 4 in F_7."""
+    t = default_tower(p)
     t.c = 1
     return t
 
@@ -210,10 +213,103 @@ def test_division_check_finds_zero_divisors():
     for fl, want in (("c", ["element of R_0 has no right inverse",
                             "element of R_m has no right inverse"]),
                      ("r", ["element of R_w has no right inverse"])):
-        rep = verify_admissible(build_family(_split_tower(), P, fl))
+        fam = build_family(_split_tower(), P, fl)
+        rep = verify_admissible(fam)
         assert rep.a2_failures == want, fl
         assert rep.a1_failures == rep.a3_failures == []
         assert rep.division_exhaustive
+        assert_division_agrees(fam)
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_division_check_finds_zero_divisors_at_p3(flavor):
+    """F_7[xi]/(xi^3 - 1): every 3-dimensional R_x fails A.2, and nothing else."""
+    fam = build_family(_split_tower(3), load_fixture("star3"), flavor)
+    rep = verify_admissible(fam)
+    split = [x for x in fam.poset.points if fam.dim(x, x) == 3]
+    assert split and rep.a2_failures == [f"element of R_{x} has no right inverse" for x in split]
+    assert rep.a1_failures == rep.a3_failures == []
+    assert rep.division_exhaustive
+    assert_division_agrees(fam)
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_division_certificate_agrees_with_enumeration(name, flavor):
+    P = load_fixture(name)
+    assert_division_agrees(build_family(cached_tower(P.p, "cyclic"), P, flavor))
+
+
+def _monic(q: int, d: int):
+    """Every monic polynomial of degree d over F_q, constant term first."""
+    return [tuple(c) + (1,) for c in itertools.product(range(q), repeat=d)]
+
+
+@pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5),
+                                  (5, 3), (7, 2), (7, 3)])
+def test_rabin_test_matches_trial_division(q, d):
+    """f of prime degree d is irreducible exactly when no monic polynomial of
+    degree 1 to d // 2 divides it, and (q^d - q) / d such f exist.  Degree 5
+    over F_2 and F_3 reaches f with no root that is still reducible."""
+    factors = [g for k in range(1, d // 2 + 1) for g in _monic(q, k)]
+    got = [f for f in _monic(q, d) if oracle._irreducible(f, q)]
+    assert got == [f for f in _monic(q, d) if all(_pdivmod(f, g, q)[1] for g in factors)]
+    assert len(got) == (q ** d - q) // d
+
+
+def test_division_not_certified_when_the_unit_does_not_fix_r_x():
+    """2 * 1 lies in R_0 but fixes nothing, so no coordinates of powers can
+    be read: A.2 says so, and the report is no ok."""
+    fam = build_family(default_tower(2), load_fixture("star2"), "c")
+    fam.unit["0"] = [2, 0]
+    rep = verify_admissible(fam)
+    assert rep.a2_failures[-1] == "division in R_0 not certified"
+    assert "unit of R_0 does not fix R_(0,0) on the left" in rep.a2_failures
+    assert not rep.ok
+
+
+def test_division_not_certified_when_products_leave_r_x():
+    """R_w cut to span(1, sigma), which sigma^2 leaves: A.1 fails, and A.2
+    cannot read the powers of sigma."""
+    t = default_tower(3)
+    fam = build_family(t, load_fixture("star3"), "r")
+    fam.basis[("w", "w")], fam.piv[("w", "w")] = t.lin.rref(
+        [t.flatten(t.lin.eye(3)), t.flatten(t.theta)])
+    rep = verify_admissible(fam)
+    assert "R_(w,w) * R_(w,w) leaves R_(w,w)" in rep.a1_failures
+    assert rep.a2_failures == ["division in R_w not certified"]
+
+
+def test_division_refuted_when_e_spans_less_than_r_x():
+    """The diagonal 3 x 3 matrices over F_7 as R_w: e = diag(1, 0, 0) has
+    minimal polynomial X^2 - X, of degree 2 < 3, so R_w is no field."""
+    t = default_tower(3)
+    fam = build_family(t, load_fixture("star3"), "r")
+    fam.basis[("w", "w")], fam.piv[("w", "w")] = t.lin.rref(
+        [t.flatten([[int(i == j == k) for j in range(3)] for i in range(3)]) for k in range(3)])
+    assert "element of R_w has no right inverse" in verify_admissible(fam).a2_failures
+    assert_division_agrees(fam)
+
+
+def test_division_refuted_in_a_one_dimensional_r_x_that_squares_to_zero():
+    """R_0 = span(E_12) with E_12 as its unit: b_1 b_1 = 0, so R_0 is no field."""
+    t = default_tower(2)
+    fam = build_family(t, load_fixture("star2"), "r")
+    fam.unit["0"] = [0, 1, 0, 0]
+    fam.basis[("0", "0")], fam.piv[("0", "0")] = [fam.unit["0"]], [1]
+    assert "element of R_0 has no right inverse" in verify_admissible(fam).a2_failures
+    assert_division_agrees(fam)
+
+
+def test_division_not_certified_in_composite_dimension():
+    """All 2 x 2 matrices over F_3 as R_w: closed and unital, but of
+    dimension 4, where a subfield's degree need not be 1 or 4."""
+    t = default_tower(2)
+    fam = build_family(t, load_fixture("star2"), "r")
+    fam.basis[("w", "w")], fam.piv[("w", "w")] = t.lin.rref(t.lin.eye(4))
+    rep = verify_admissible(fam)
+    assert "division in R_w not certified" in rep.a2_failures
+    assert not enumerated_division(fam, "w")
 
 
 @pytest.mark.parametrize("flavor", ["r", "c"])
@@ -225,12 +321,12 @@ def test_a2_reports_a_zero_local_member(flavor):
     assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == ([], ["R_w is zero"], [])
 
 
-def test_basis_only_division_check_misses_zero_divisors(monkeypatch):
-    """Only a non-basis element shows the defect: testing the basis alone
-    passes flavor c."""
-    monkeypatch.setattr(oracle, "MAX_DIVISION_ENUM", 1)
-    rep = verify_admissible(build_family(_split_tower(), load_fixture("star2"), "c"))
-    assert rep.ok and not rep.division_exhaustive
+def test_basis_only_division_check_misses_zero_divisors():
+    """Only a non-basis element shows the defect: the basis-only check, which
+    F_p(t) towers still use, passes the split tower's R_0 in flavor c."""
+    fam = build_family(_split_tower(), load_fixture("star2"), "c")
+    assert oracle._basis_divides(fam, "0")
+    assert not enumerated_division(fam, "0")
 
 
 def test_failing_report_text():

@@ -7,16 +7,19 @@ whole pipeline on every valid equipped poset with at most three points at
 p in {2, 3} and at most one point at p = 5, augmented, and on random ones
 with four or five points.  The oracle runs over the default cyclic tower on
 all of them, and over the inseparable one too on all but the 3-point p = 3
-posets and the random ones at p = 5.
+posets and the random ones at p = 5.  On every poset of the sweep, A.2's
+division certificate over the cyclic tower agrees with the enumeration of
+each R_x.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_tower, check_component_invariants, enumerate_equipped
-from eqposet import (EquippedPoset, Flavor, augment, build_model, knit, min_equipment_closure,
-                     pair_components, run_verification)
+from conftest import (assert_division_agrees, cached_tower, check_component_invariants,
+                      enumerate_equipped)
+from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model, knit,
+                     min_equipment_closure, pair_components, run_verification)
 
 SIZES = [(p, n) for p in (2, 3) for n in (0, 1, 2, 3)] + [(5, 1)]
 
@@ -45,6 +48,9 @@ def test_every_small_poset_knits_pairs_and_passes_the_oracle(p, n):
             for M in (Mr, Mc):
                 rep = run_verification(M, cached_tower(p, mode))
                 assert rep.ok, f"{P} {mode}:\n{rep}"
+        if p in (2, 3):
+            for M in (Mr, Mc):
+                assert_division_agrees(build_family(cached_tower(p, "cyclic"), A, M.flavor))
 
 
 @st.composite
