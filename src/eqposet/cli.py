@@ -28,12 +28,20 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
 
 
-def _json_vec(v) -> str:
+class _Digits(dict):
+    """The decimal text of each int looked up, made once per emit: entries
+    repeat, and udim repeats udimF wherever the local dimension is 1."""
+    def __missing__(self, n: int) -> str:
+        s = self[n] = str(n)
+        return s
+
+
+def _json_vec(v, digits: _Digits) -> str:
     """An integer vector as a JSON array of strings, laid out as a vertex
     field of emit_json."""
     if not v.entries:
         return "[]"
-    return '[\n        "' + '",\n        "'.join(map(str, v.entries)) + '"\n      ]'
+    return '[\n        "' + '",\n        "'.join(map(digits.__getitem__, v.entries)) + '"\n      ]'
 
 
 _JSON_VERTEX = ('{\n      "id": %s,\n      "section": %s,\n      "kind": %s,\n'
@@ -64,9 +72,10 @@ def _all_digits(emit):
 @_all_digits
 def emit_json(G: ComponentGraph) -> str:
     """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
+    digits = _Digits()
     vertices = [_JSON_VERTEX % (v.id, v.section, _quote(v.kind), _quote(v.label.value),
-                                _json_vec(v.udimF), _json_vec(v.udim),
-                                "" if v.cd is None else f',\n      "cd": {_json_vec(v.cd)}')
+                                _json_vec(v.udimF, digits), _json_vec(v.udim, digits),
+                                "" if v.cd is None else f',\n      "cd": {_json_vec(v.cd, digits)}')
                 for v in sorted(G.vertices, key=_by_id)]
     arrows = [_JSON_ARROW % a for a in sorted(G.arrows, key=_by_ends)]
     sections = [_json_list(list(map(str, s)), " " * 6) for s in G.sections]

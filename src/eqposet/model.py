@@ -1,8 +1,12 @@
 """Numerical models of the two peak algebras attached to an equipped poset.
 
 A model fixes a flavor and tabulates hom_dim(i, j) = dim_F e_i A e_j over the
-augmented poset.  Everything downstream (radical shapes, injective profiles,
-coordinate vectors, knitting) is computed from this table and the equipment.
+augmented poset, from the ell rows of `EquippedPoset.view`.  Everything
+downstream is computed from this table and the equipment.  `AlgebraModel.table`
+holds the per-point part, made in one pass over the points: each socle
+coefficient, each radical shape with its Hasse covers, the injective profiles
+and the projective vectors.  A failed entry holds the text of the ModelError
+that the call for its point raises.
 """
 
 from __future__ import annotations
@@ -10,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
+from operator import floordiv, mul
+from typing import NamedTuple
 
 from .forms import RatVec
 from .poset import EquippedPoset, validate
@@ -54,6 +61,15 @@ class InjectiveProfile:
     udimF: RatVec
 
 
+class ModelTable(NamedTuple):
+    """A model's per-point data by point index; a str is a ModelError's text."""
+
+    radicals: tuple[RadicalInfo | str, ...]
+    profiles: dict[str, InjectiveProfile] | str
+    udimF: tuple[RatVec, ...]
+    cd: tuple[RatVec | str, ...]
+
+
 @dataclass(frozen=True)
 class AlgebraModel:
     poset: EquippedPoset
@@ -77,21 +93,12 @@ class AlgebraModel:
         """Division-ring dimension attached to a vertex label (1 or p)."""
         return _loc(self.flavor, label is Label.STRONG, self.p)
 
+    table = cached_property(lambda self: _tabulate(self))
+
 
 def _loc(flavor: Flavor, strong: bool, p: int) -> int:
     """F-dimension of the local division ring at a point: F (1) or G (p)."""
     return p if strong == (flavor is Flavor.C) else 1
-
-
-def _hom_piece(flavor: Flavor, P: EquippedPoset, x: str, y: str, e: int) -> int:
-    """F-dimension of the part of e_x A e_y given by equipment e: e for
-    flavor c, e * loc(x) * loc(y) / p for flavor r."""
-    if flavor is Flavor.C:
-        return e
-    num = e * _loc(flavor, P.is_strong(x), P.p) * _loc(flavor, P.is_strong(y), P.p)
-    if num % P.p:
-        raise ModelError(f"non-integral hom dimension at ({x}, {y})")
-    return num // P.p
 
 
 def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
@@ -99,118 +106,133 @@ def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
     report = validate(P, require_bounds=True)
     if not report.ok:
         raise ModelError(f"cannot build a model on an invalid poset\n{report}")
-    # the diagonal is no special case: ell(x, x) is p on strong points, 1 on weak
-    hom = tuple(tuple(_hom_piece(flavor, P, x, y, P.ell(x, y)) if P.leq(x, y) else 0
-                      for y in P.points) for x in P.points)
-    return AlgebraModel(P, flavor, hom)
+    if flavor is Flavor.C:
+        return AlgebraModel(P, flavor, P.view.ell)
+    # ell(x, y) * loc(x) * loc(y) / p, whole as ell = p on pairs touching a
+    # strong point; on the diagonal too, as ell(x, x) is p (strong) or 1 (weak)
+    loc = [_loc(flavor, s, P.p) for s in P.view.strong]
+    return AlgebraModel(P, flavor, tuple([tuple(map(floordiv, map(mul, row, loc), repeat(P.p // lx)))
+                                          for row, lx in zip(P.view.ell, loc)]))
+
+
+def _value(entry):
+    """A table entry, or its ModelError raised."""
+    if type(entry) is str:
+        raise ModelError(entry)
+    return entry
+
+
+def _tabulate(M: AlgebraModel) -> ModelTable:
+    P, hom, n = M.poset, M.hom, M.poset.n
+    pts, p = P.points, P.p
+    ell, strong, up = P.view
+    z0, top = P.index[P.zero], P.index[P.max]
+    bottom, b, b2 = hom[z0], hom[z0][z0], hom[top][top]
+    # equipment e gives a part of e_x A e_y of dimension e * w[x] * w[y] / d
+    flavor_r = M.flavor is Flavor.R
+    w, d = ([_loc(Flavor.R, s, p) for s in strong], p) if flavor_r else ([1] * n, 1)
+
+    # socle coefficients: hom(0, x)/hom(0, 0), which also equals hom(x, max)/hom(max, max)
+    cs: list[int | str] = []
+    for x, a, row in zip(pts, bottom, hom):
+        c = a // b
+        cs.append(f"socle coefficient at {x} is not integral" if a % b else c if row[top] == c * b2
+                  else f"socle coefficient mismatch at {x}: {a}/{b} vs {row[top]}/{b2}")
+
+    def radical(i: int) -> RadicalInfo:
+        x, row_ell, wi, uppers = pts[i], ell[i], w[i], up[i]
+        # ell <= p, so every relation above x has ell = p when they sum to that
+        label = Label.STRONG if strong[i] or sum(row_ell) - row_ell[i] == p * len(uppers) else Label.WEAK
+        # flavor r splits rad(e_x A) into p copies exactly when x is weak and
+        # every relation above it has ell = p, the rule that gives the label
+        tee = flavor_r and label is Label.STRONG and not strong[i]
+        mult, row = (p, bottom) if tee else (1, hom[i])
+        udimF = [v if row_ell[k] and k != i else 0 for k, v in enumerate(row)]
+        # e[k]: ell(x, z_k) forced by chains x < y < z_k, uncapped; 0 at a cover
+        e = [0] * n
+        for j in uppers:
+            lj, row_j = row_ell[j] - 1, ell[j]
+            for k in up[j]:
+                if (v := lj + row_j[k]) > e[k]:
+                    e[k] = v
+        # cover multiplicities of the radical: the part of each column not
+        # already reached through a longer chain from x
+        cd, covers = [0] * n, []
+        for k in uppers:
+            whole, reached = row_ell[k] * wi * w[k], min(e[k], p) * wi * w[k]
+            if whole % d or reached % d:
+                raise ModelError(f"non-integral hom dimension at ({x}, {pts[k]})")
+            t, hk = (whole - reached) // d, hom[k][k]
+            if t < 0 or t % hk:
+                raise ModelError(f"cover multiplicity at ({x}, {pts[k]}) is not integral")
+            cd[k] = t // hk
+            if not e[k]:
+                covers.append(k)
+        cd[z0] = _value(cs[i])
+        if mult > 1 and any(v % mult for v in cd):
+            raise ModelError(f"radical summand coordinates at {x} are not integral")
+        j = covers[0] if len(covers) == 1 else None
+        proj = pts[j] if j is not None and row_ell[j] == ell[j][j] and all(
+            row_ell[u] == ell[j][u] for u in up[j]) else None
+        return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
+                           RatVec(tuple([v // mult for v in cd]) if mult > 1 else tuple(cd)), proj)
+
+    def profiles() -> dict[str, InjectiveProfile]:
+        out: dict[str, InjectiveProfile] = {}
+        seen: dict[tuple, str] = {}   # (udimF entries, strong) -> point
+        for i, (x, col) in enumerate(zip(pts, zip(*hom))):
+            if i == top:
+                continue
+            c = _value(cs[i])
+            vals = tuple([c * v - h for v, h in zip(bottom, col)])
+            if min(vals) < 0:
+                y = next(y for y, v in zip(pts, vals) if v < 0)
+                raise ModelError(f"negative injective profile entry at ({x}, {y})")
+            if vals[top] <= 0:
+                raise ModelError(f"injective profile at {x} misses the socle")
+            if (other := seen.setdefault((vals, strong[i]), x)) != x:
+                raise ModelError(f"injective profiles collide: {other} vs {x}")
+            out[x] = InjectiveProfile(x, Label.STRONG if strong[i] else Label.WEAK, RatVec(vals))
+        return out
+
+    def settle(f, *args):
+        try:
+            return f(*args)
+        except ModelError as err:
+            return str(err)
+
+    return ModelTable(
+        tuple([settle(radical, i) if i != top else "the radical at the maximal point is zero"
+               for i in range(n)]),
+        settle(profiles), tuple([RatVec(tuple(row)) for row in hom]),
+        tuple(["the minimal point carries no vertex projective" if i == z0 else c if type(c) is str
+               else RatVec(tuple([1 if k == i else c if k == z0 else 0 for k in range(n)]))
+               for i, c in enumerate(cs)]))
 
 
 def projective_udimF(M: AlgebraModel, x: str) -> RatVec:
     """Dimension vector of e_x A: its row of the hom table."""
-    return RatVec.from_seq(M.hom[M.poset.index[x]])
-
-
-def _c_coeff(M: AlgebraModel, x: str) -> int:
-    """hom(0, x)/hom(0, 0), which also equals hom(x, max)/hom(max, max)."""
-    P = M.poset
-    a, b = M.hom_dim(P.zero, x), M.hom_dim(P.zero, P.zero)
-    if a % b:
-        raise ModelError(f"socle coefficient at {x} is not integral")
-    c = a // b
-    a2, b2 = M.hom_dim(x, P.max), M.hom_dim(P.max, P.max)
-    if a2 != c * b2:
-        raise ModelError(f"socle coefficient mismatch at {x}: {a}/{b} vs {a2}/{b2}")
-    return c
+    return M.table.udimF[M.poset.index[x]]
 
 
 def projective_cd(M: AlgebraModel, x: str) -> RatVec:
     """Coordinate vector e_x + c_x e_0 of the vertex attached to e_x A."""
-    P = M.poset
-    if x == P.zero:
-        raise ModelError("the minimal point carries no vertex projective")
-    n = P.n
-    return RatVec.unit(n, P.index[x]) + _c_coeff(M, x) * RatVec.unit(n, P.index[P.zero])
+    return _value(M.table.cd[M.poset.index[x]])
 
 
 def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
-    P = M.poset
-    p = P.p
-    if x == P.max:
-        raise ModelError("the radical at the maximal point is zero")
-    rel, idx, hom = P.rel, P.index, M.hom
-    uppers = [y for y in P.points if (x, y) in rel and y != x]
-
-    label = Label.STRONG if (x in P.strong or all(rel[x, y] == p for y in uppers)) else Label.WEAK
-    # flavor r splits rad(e_x A) into p copies exactly when x is weak and
-    # every relation above it has ell = p, the rule that gives the label
-    tee = M.flavor is Flavor.R and label is Label.STRONG and x not in P.strong
-    mult = p if tee else 1
-
-    row = hom[idx[P.zero] if tee else idx[x]]
-    udimF = [0] * P.n
-    for y in uppers:
-        udimF[idx[y]] = row[idx[y]]
-
-    # cover multiplicities of the radical: the part of each column not
-    # already reached through a longer chain from x
-    cd = [0] * P.n
-    for z in uppers:
-        e_z = max((min(rel[x, y] + rel[y, z] - 1, p)
-                   for y in uppers if y != z and (y, z) in rel), default=0)
-        top = _hom_piece(M.flavor, P, x, z, rel[x, z]) - _hom_piece(M.flavor, P, x, z, e_z)
-        k = idx[z]
-        if top < 0 or top % hom[k][k]:
-            raise ModelError(f"cover multiplicity at ({x}, {z}) is not integral")
-        cd[k] = top // hom[k][k]
-    cd[idx[P.zero]] = _c_coeff(M, x)
-    if any(e % mult for e in cd):
-        raise ModelError(f"radical summand coordinates at {x} are not integral")
-
-    succ = P.hasse[x]
-    proj = None
-    if len(succ) == 1:
-        j = succ[0]
-        if all(rel[x, u] == rel[j, u] for u in P.points if (j, u) in rel):
-            proj = j
-    return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
-                       RatVec(tuple(e // mult for e in cd)), proj)
+    """Shape of rad(e_x A); the radical at the maximal point is zero."""
+    return _value(M.table.radicals[M.poset.index[x]])
 
 
 def is_hereditary(M: AlgebraModel, x: str) -> bool:
     """Whether the radical chain above x consists of projectives all the way up."""
-    P = M.poset
-    while x != P.max:
-        info = radical_info(M, x)
-        if info.is_projective is None:
+    while x != M.poset.max:
+        if (x := radical_info(M, x).is_projective) is None:
             return False
-        x = info.is_projective
     return True
 
 
 def injective_profiles(M: AlgebraModel) -> dict[str, InjectiveProfile]:
     """Dimension vectors of the injective vertices, one per point below max."""
-    P = M.poset
-    idx = P.index
-    bottom = M.hom[idx[P.zero]]
-    out: dict[str, InjectiveProfile] = {}
-    seen: dict[tuple, str] = {}
-    for x in P.points:
-        if x == P.max:
-            continue
-        c = _c_coeff(M, x)
-        vals = []
-        for j, y in enumerate(P.points):
-            v = c * bottom[j] - M.hom_dim(y, x)
-            if v < 0:
-                raise ModelError(f"negative injective profile entry at ({x}, {y})")
-            vals.append(v)
-        if vals[idx[P.max]] <= 0:
-            raise ModelError(f"injective profile at {x} misses the socle")
-        label = Label.STRONG if P.is_strong(x) else Label.WEAK
-        prof = InjectiveProfile(x, label, RatVec.from_seq(vals))
-        key = (prof.udimF, label)
-        if key in seen:
-            raise ModelError(f"injective profiles collide: {seen[key]} vs {x}")
-        seen[key] = x
-        out[x] = prof
-    return out
+    return dict(_value(M.table.profiles))

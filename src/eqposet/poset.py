@@ -7,6 +7,10 @@ subject to the composition bound
 
 Points are weak or strong.  Relations touching a strong point always carry
 ell = p; reflexive equipment is 1 on weak points and p on strong ones.
+
+`EquippedPoset.view` indexes a poset by declaration order: ell rows, strength
+and the points strictly above each point.  Validation walks the chains
+x <= y <= z over those up-lists; model.py builds its tables on the same view.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import NamedTuple
 
 
 class PosetError(ValueError):
@@ -77,6 +81,14 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+class PosetView(NamedTuple):
+    """An equipped poset indexed by declaration order."""
+
+    ell: tuple[tuple[int, ...], ...]    # ell[i][j] = ell(x_i, x_j), 0 if x_i <= x_j fails
+    strong: tuple[bool, ...]
+    up: tuple[tuple[int, ...], ...]     # up[i]: each j != i with x_i <= x_j, in order
+
+
 @dataclass(frozen=True)
 class EquippedPoset:
     """Immutable equipped poset.
@@ -115,34 +127,23 @@ class EquippedPoset:
     @cached_property
     def zero(self) -> str | None:
         """The strong global minimum, when one exists."""
-        for x in self.points:
-            if x in self.strong and all(self.leq(x, y) for y in self.points):
-                return x
-        return None
+        return next((x for x in self.points if x in self.strong
+                     and all((x, y) in self.rel for y in self.points)), None)
 
     @cached_property
     def max(self) -> str | None:
         """The strong global maximum, when one exists."""
-        for x in self.points:
-            if x in self.strong and all(self.leq(y, x) for y in self.points):
-                return x
-        return None
-
-    def strict_pairs(self) -> Iterator[tuple[str, str]]:
-        for (x, y) in self.rel:
-            if x != y:
-                yield (x, y)
+        return next((x for x in self.points if x in self.strong
+                     and all((y, x) in self.rel for y in self.points)), None)
 
     @cached_property
-    def hasse(self) -> dict[str, tuple[str, ...]]:
-        """Covering successors of each point, in declaration order."""
-        rel = self.rel
-        succ: dict[str, list[str]] = {x: [] for x in self.points}
-        for (x, y) in self.strict_pairs():
-            if not any((x, z) in rel and (z, y) in rel and z not in (x, y) for z in self.points):
-                succ[x].append(y)
-        order = self.index
-        return {x: tuple(sorted(ys, key=order.__getitem__)) for x, ys in succ.items()}
+    def view(self) -> PosetView:
+        """The poset by point index; up-lists follow `rel`, whatever the ell."""
+        pts, rel, get = self.points, self.rel, self.rel.get
+        return PosetView(tuple([tuple([get((x, y), 0) for y in pts]) for x in pts]),
+                         tuple([x in self.strong for x in pts]),
+                         tuple([tuple([j for j, y in enumerate(pts) if (x, y) in rel and j != i])
+                                for i, x in enumerate(pts)]))
 
     def up_set(self, x: str) -> "EquippedPoset":
         """Restriction to {y : x <= y}, preserving declaration order."""
@@ -167,48 +168,54 @@ def validate(P: EquippedPoset, require_bounds: bool = False) -> ValidationReport
 def _structural_violations(P: EquippedPoset) -> tuple[Violation, ...]:
     out: list[Violation] = []
     add = out.append
+    pts, rel, strong, p, get = P.points, P.rel, P.strong, P.p, P.rel.get
 
-    if P.p >= P_LIMIT:
+    if p >= P_LIMIT:
         add(Violation("p-range", f"p is {P_RANGE}"))
-    elif not _is_prime(P.p):
-        add(Violation("p-not-prime", f"p = {shown(P.p)} is not prime"))
+    elif not _is_prime(p):
+        add(Violation("p-not-prime", f"p = {shown(p)} is not prime"))
 
-    pts = set(P.points)
-    if len(pts) != len(P.points):
+    names = set(pts)
+    if len(names) != len(pts):
         add(Violation("duplicate-point", "duplicate point names"))
-    for (x, y), l in P.rel.items():
-        if x not in pts or y not in pts:
+    for (x, y), l in rel.items():
+        if x not in names or y not in names:
             add(Violation("unknown-point", f"relation references unknown point", (x, y)))
-        if not (1 <= l <= P.p):
-            add(Violation("ell-range", f"ell = {shown(l)} outside 1..{shown(P.p)}", (x, y)))
+        if not (1 <= l <= p):
+            add(Violation("ell-range", f"ell = {shown(l)} outside 1..{shown(p)}", (x, y)))
 
-    for x in P.points:
-        want = P.p if P.is_strong(x) else 1
-        got = P.rel.get((x, x))
+    for x in pts:
+        want = p if x in strong else 1
+        got = get((x, x))
         if got is None:
             add(Violation("reflexive", "missing reflexive relation", (x,)))
         elif got != want:
             add(Violation("reflexive", f"reflexive ell = {shown(got)}, expected {shown(want)}", (x,)))
 
-    for (x, y) in P.strict_pairs():
-        if P.leq(y, x):
+    # the findings on chains x <= y <= z come after those on pairs x <= y, z
+    # in y's up-list (or, when y is no point, its relations) in declaration order
+    index, up = P.index, P.view.up
+    chains: list[Violation] = []
+    for (x, y), l in rel.items():
+        if x == y:
+            continue
+        if (y, x) in rel:
             add(Violation("antisymmetry", "both x <= y and y <= x", (x, y)))
-        if (P.is_strong(x) or P.is_strong(y)) and P.rel[(x, y)] != P.p:
+        if (x in strong or y in strong) and l != p:
             add(Violation("strong-relation",
-                          f"relation touching a strong point has ell = {shown(P.rel[(x, y)])} != p", (x, y)))
-
-    for (x, y) in P.strict_pairs():
-        for z in P.points:
-            if z in (x, y) or not P.leq(y, z):
+                          f"relation touching a strong point has ell = {shown(l)} != p", (x, y)))
+        j = index.get(y)
+        for z in [pts[k] for k in up[j]] if j is not None else [z for z in pts if (y, z) in rel]:
+            if z == x or z == y:
                 continue
-            if not P.leq(x, z):
-                add(Violation("transitivity", "x <= y <= z but x, z incomparable", (x, y, z)))
-                continue
-            need = min(P.rel[(x, y)] + P.rel[(y, z)] - 1, P.p)
-            got = P.rel[(x, z)]
-            if got < need:
-                add(Violation("composition",
-                              f"ell(x, z) = {shown(got)} < {shown(need)} forced by the chain", (x, y, z)))
+            got = get((x, z))
+            if got is None:
+                chains.append(Violation("transitivity", "x <= y <= z but x, z incomparable", (x, y, z)))
+            elif got < (need := min(l + rel[y, z] - 1, p)):
+                chains.append(Violation("composition",
+                                        f"ell(x, z) = {shown(got)} < {shown(need)} forced by the chain",
+                                        (x, y, z)))
+    out += chains
     return tuple(out)
 
 
@@ -220,13 +227,8 @@ def augment(P: EquippedPoset) -> EquippedPoset:
     already carrying that name — which necessarily failed to be adopted —
     conflicts and raises.  Idempotent.
     """
-    points = list(P.points)
-    strong = set(P.strong)
-    rel = dict(P.rel)
-    p = P.p
-
-    zero = P.zero
-    top = P.max
+    points, strong, rel, p = list(P.points), set(P.strong), dict(P.rel), P.p
+    zero, top = P.zero, P.max
     if zero is not None and zero == top:
         # a single strong point qualifies as both extremes; it can serve as
         # at most one bound, so keep it inner and adjoin both
@@ -235,8 +237,7 @@ def augment(P: EquippedPoset) -> EquippedPoset:
         if "0" in points:
             raise PosetError('point named "0" conflicts with augmentation (it is not a strong global minimum)')
         zero = "0"
-        for y in points:
-            rel[(zero, y)] = p
+        rel.update(((zero, y), p) for y in points)
         points.insert(0, zero)
         strong.add(zero)
         rel[(zero, zero)] = p
@@ -245,8 +246,7 @@ def augment(P: EquippedPoset) -> EquippedPoset:
         if "m" in points:
             raise PosetError('point named "m" conflicts with augmentation (it is not a strong global maximum)')
         top = "m"
-        for x in points:
-            rel[(x, top)] = p
+        rel.update(((x, top), p) for x in points)
         points.append(top)
         strong.add(top)
         rel[(top, top)] = p
@@ -264,47 +264,27 @@ def min_equipment_closure(P: EquippedPoset) -> EquippedPoset:
     edge with ell < p touching a strong point cannot be raised silently and
     is an error, as is any directed cycle.
     """
-    p = P.p
-    edges: dict[tuple[str, str], int] = {}
-    for (x, y) in P.strict_pairs():
-        l = P.rel[(x, y)]
-        if (P.is_strong(x) or P.is_strong(y)) and l != p:
+    p, n, idx = P.p, P.n, P.index
+    # longest paths over the edge DAG, edge weight ell - 1; None marks "no path"
+    dist: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for (x, y), l in P.rel.items():
+        if x == y:
+            continue
+        if (x in P.strong or y in P.strong) and l != p:
             raise PosetError(f"declared relation {x} <= {y} with ell = {l} touches a strong point (needs p)")
-        edges[(x, y)] = l
-
-    # longest-path DP over the edge DAG; NEG marks "no path"
-    NEG = None
-    idx = {x: i for i, x in enumerate(P.points)}
-    n = len(P.points)
-    dist: list[list[int | None]] = [[NEG] * n for _ in range(n)]
-    for (x, y), l in edges.items():
-        i, j = idx[x], idx[y]
-        if dist[i][j] is None or dist[i][j] < l - 1:
-            dist[i][j] = l - 1
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            row_k = dist[k]
-            for j in range(n):
-                dkj = row_k[j]
-                if dkj is None:
-                    continue
-                cand = dik + dkj
-                if dist[i][j] is None or dist[i][j] < cand:
-                    dist[i][j] = cand
+        dist[idx[x]][idx[y]] = l - 1
+    for k, row_k in enumerate(dist):
+        for row in dist:
+            if (dik := row[k]) is not None:
+                row[:] = [a if b is None or (a is not None and a >= dik + b) else dik + b
+                          for a, b in zip(row, row_k)]
     for i in range(n):
         if dist[i][i] is not None:
             raise PosetError(f"cycle through point {P.points[i]!r} in declared relations")
 
-    rel: dict[tuple[str, str], int] = {}
-    for x in P.points:
-        rel[(x, x)] = p if P.is_strong(x) else 1
-    for i, x in enumerate(P.points):
-        for j, y in enumerate(P.points):
-            if i != j and dist[i][j] is not None:
-                rel[(x, y)] = min(dist[i][j] + 1, p)
+    rel = {(x, x): p if x in P.strong else 1 for x in P.points}
+    rel.update(((x, P.points[j]), min(d + 1, p)) for i, x in enumerate(P.points)
+               for j, d in enumerate(dist[i]) if i != j and d is not None)
     return EquippedPoset(p, P.points, P.strong, rel)
 
 
@@ -420,22 +400,10 @@ def load_poset(path: str, check: bool = True) -> EquippedPoset:
 
 def is_slender(P: EquippedPoset) -> bool:
     """Chain whose weak points form a lower segment pairwise related by ell = 1."""
-    pts = list(P.points)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if not (P.leq(x, y) or P.leq(y, x)):
-                return False
-    chain = sorted(pts, key=lambda x: sum(P.leq(x, y) for y in pts), reverse=True)
-    seen_strong = False
-    for x in chain:
-        if P.is_strong(x):
-            seen_strong = True
-        elif seen_strong:
-            return False  # weak point above a strong one
-    weak = [x for x in chain if not P.is_strong(x)]
-    for i, x in enumerate(weak):
-        for y in weak[i + 1:]:
-            lo, hi = (x, y) if P.leq(x, y) else (y, x)
-            if P.rel[(lo, hi)] != 1:
-                return False
-    return True
+    pts, rel = P.points, P.rel
+    if any((x, y) not in rel and (y, x) not in rel for i, x in enumerate(pts) for y in pts[i + 1:]):
+        return False
+    chain = sorted(pts, key=lambda x: sum((x, y) in rel for y in pts), reverse=True)
+    weak = [x for x in chain if x not in P.strong]
+    return weak == chain[:len(weak)] and all(  # no weak point above a strong one
+        rel.get((x, y), rel.get((y, x))) == 1 for i, x in enumerate(weak) for y in weak[i + 1:])

@@ -10,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from eqposet import (EquippedPoset, Flavor, RatVec, build_model, default_tower, load_poset,
-                     quadratic, validate, verify_admissible)
+from eqposet import (EquippedPoset, Flavor, InjectiveProfile, Label, ModelError, RadicalInfo, RatVec,
+                     build_model, default_tower, injective_profiles, is_hereditary, load_poset,
+                     projective_cd, projective_udimF, quadratic, radical_info, validate,
+                     verify_admissible)
+from eqposet.model import _loc
+from eqposet.poset import P_LIMIT, P_RANGE, Violation, _is_prime, shown
 
 FIXTURES = resources.files("eqposet") / "fixtures"
 TABLES = resources.files("eqposet") / "tables"
@@ -167,3 +171,192 @@ def check_component_invariants(M, G, where) -> None:
     # vertex identity is unique
     keys = {(v.udimF, v.label) for v in G.vertices}
     assert len(keys) == n
+
+
+# ---------------------------------------------------------------- references
+# The per-point arithmetic of the model and the validation loops as they were
+# written before the indexed tables: every lookup goes through point names.
+# The tables of model.py and poset.py are checked against them.
+
+def reference_violations(P) -> list:
+    """validate(P).violations, from a pair x point loop over `rel`."""
+    out = []
+    add = out.append
+    if P.p >= P_LIMIT:
+        add(Violation("p-range", f"p is {P_RANGE}"))
+    elif not _is_prime(P.p):
+        add(Violation("p-not-prime", f"p = {shown(P.p)} is not prime"))
+    pts = set(P.points)
+    if len(pts) != len(P.points):
+        add(Violation("duplicate-point", "duplicate point names"))
+    for (x, y), l in P.rel.items():
+        if x not in pts or y not in pts:
+            add(Violation("unknown-point", "relation references unknown point", (x, y)))
+        if not (1 <= l <= P.p):
+            add(Violation("ell-range", f"ell = {shown(l)} outside 1..{shown(P.p)}", (x, y)))
+    for x in P.points:
+        want = P.p if P.is_strong(x) else 1
+        got = P.rel.get((x, x))
+        if got is None:
+            add(Violation("reflexive", "missing reflexive relation", (x,)))
+        elif got != want:
+            add(Violation("reflexive", f"reflexive ell = {shown(got)}, expected {shown(want)}", (x,)))
+    strict = [(x, y) for (x, y) in P.rel if x != y]
+    for (x, y) in strict:
+        if P.leq(y, x):
+            add(Violation("antisymmetry", "both x <= y and y <= x", (x, y)))
+        if (P.is_strong(x) or P.is_strong(y)) and P.rel[(x, y)] != P.p:
+            add(Violation("strong-relation",
+                          f"relation touching a strong point has ell = {shown(P.rel[(x, y)])} != p", (x, y)))
+    for (x, y) in strict:
+        for z in P.points:
+            if z in (x, y) or not P.leq(y, z):
+                continue
+            if not P.leq(x, z):
+                add(Violation("transitivity", "x <= y <= z but x, z incomparable", (x, y, z)))
+                continue
+            need = min(P.rel[(x, y)] + P.rel[(y, z)] - 1, P.p)
+            got = P.rel[(x, z)]
+            if got < need:
+                add(Violation("composition",
+                              f"ell(x, z) = {shown(got)} < {shown(need)} forced by the chain", (x, y, z)))
+    return out
+
+
+def reference_hasse(P) -> dict:
+    """Covering successors of each point, in declaration order."""
+    rel = P.rel
+    succ = {x: [] for x in P.points}
+    for (x, y) in rel:
+        if x != y and not any((x, z) in rel and (z, y) in rel and z not in (x, y) for z in P.points):
+            succ[x].append(y)
+    return {x: tuple(sorted(ys, key=P.index.__getitem__)) for x, ys in succ.items()}
+
+
+def _reference_hom_piece(flavor, P, x: str, y: str, e: int) -> int:
+    if flavor is Flavor.C:
+        return e
+    num = e * _loc(flavor, P.is_strong(x), P.p) * _loc(flavor, P.is_strong(y), P.p)
+    if num % P.p:
+        raise ModelError(f"non-integral hom dimension at ({x}, {y})")
+    return num // P.p
+
+
+def _reference_c_coeff(M, x: str) -> int:
+    P = M.poset
+    a, b = M.hom_dim(P.zero, x), M.hom_dim(P.zero, P.zero)
+    if a % b:
+        raise ModelError(f"socle coefficient at {x} is not integral")
+    c = a // b
+    a2, b2 = M.hom_dim(x, P.max), M.hom_dim(P.max, P.max)
+    if a2 != c * b2:
+        raise ModelError(f"socle coefficient mismatch at {x}: {a}/{b} vs {a2}/{b2}")
+    return c
+
+
+def reference_projective_cd(M, x: str):
+    P = M.poset
+    if x == P.zero:
+        raise ModelError("the minimal point carries no vertex projective")
+    n = P.n
+    return RatVec.unit(n, P.index[x]) + _reference_c_coeff(M, x) * RatVec.unit(n, P.index[P.zero])
+
+
+def reference_radical_info(M, x: str):
+    P = M.poset
+    p = P.p
+    if x == P.max:
+        raise ModelError("the radical at the maximal point is zero")
+    rel, idx, hom = P.rel, P.index, M.hom
+    uppers = [y for y in P.points if (x, y) in rel and y != x]
+    label = Label.STRONG if (x in P.strong or all(rel[x, y] == p for y in uppers)) else Label.WEAK
+    tee = M.flavor is Flavor.R and label is Label.STRONG and x not in P.strong
+    mult = p if tee else 1
+    row = hom[idx[P.zero] if tee else idx[x]]
+    udimF = [0] * P.n
+    for y in uppers:
+        udimF[idx[y]] = row[idx[y]]
+    cd = [0] * P.n
+    for z in uppers:
+        e_z = max((min(rel[x, y] + rel[y, z] - 1, p)
+                   for y in uppers if y != z and (y, z) in rel), default=0)
+        top = _reference_hom_piece(M.flavor, P, x, z, rel[x, z]) - _reference_hom_piece(M.flavor, P, x, z, e_z)
+        k = idx[z]
+        if top < 0 or top % hom[k][k]:
+            raise ModelError(f"cover multiplicity at ({x}, {z}) is not integral")
+        cd[k] = top // hom[k][k]
+    cd[idx[P.zero]] = _reference_c_coeff(M, x)
+    if any(e % mult for e in cd):
+        raise ModelError(f"radical summand coordinates at {x} are not integral")
+    succ = reference_hasse(P)[x]
+    proj = None
+    if len(succ) == 1:
+        j = succ[0]
+        if all(rel[x, u] == rel[j, u] for u in P.points if (j, u) in rel):
+            proj = j
+    return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
+                       RatVec(tuple(e // mult for e in cd)), proj)
+
+
+def reference_is_hereditary(M, x: str) -> bool:
+    while x != M.poset.max:
+        info = reference_radical_info(M, x)
+        if info.is_projective is None:
+            return False
+        x = info.is_projective
+    return True
+
+
+def reference_injective_profiles(M) -> dict:
+    P = M.poset
+    idx = P.index
+    bottom = M.hom[idx[P.zero]]
+    out, seen = {}, {}
+    for x in P.points:
+        if x == P.max:
+            continue
+        c = _reference_c_coeff(M, x)
+        vals = []
+        for j, y in enumerate(P.points):
+            v = c * bottom[j] - M.hom_dim(y, x)
+            if v < 0:
+                raise ModelError(f"negative injective profile entry at ({x}, {y})")
+            vals.append(v)
+        if vals[idx[P.max]] <= 0:
+            raise ModelError(f"injective profile at {x} misses the socle")
+        label = Label.STRONG if P.is_strong(x) else Label.WEAK
+        prof = InjectiveProfile(x, label, RatVec.from_seq(vals))
+        key = (prof.udimF, label)
+        if key in seen:
+            raise ModelError(f"injective profiles collide: {seen[key]} vs {x}")
+        seen[key] = x
+        out[x] = prof
+    return out
+
+
+def outcome(f, *args):
+    """("ok", value) or ("error", ModelError text) of a call."""
+    try:
+        return "ok", f(*args)
+    except ModelError as e:
+        return "error", str(e)
+
+
+def assert_table_matches_reference(M, where=None) -> list[str]:
+    """Every per-point answer of the model equals the reference's: equal
+    objects, or ModelErrors with equal text.  Returns the error texts seen."""
+    P = M.poset
+    errors = []
+    for x in P.points:
+        for f, ref in ((radical_info, reference_radical_info),
+                       (projective_cd, reference_projective_cd)):
+            got, want = outcome(f, M, x), outcome(ref, M, x)
+            assert got == want, (where, M.flavor.value, f.__name__, x)
+            errors += [got[1]] if got[0] == "error" else []
+        assert projective_udimF(M, x) == RatVec.from_seq(M.hom[P.index[x]])
+    got, want = outcome(injective_profiles, M), outcome(reference_injective_profiles, M)
+    assert got == want, (where, M.flavor.value)
+    errors += [got[1]] if got[0] == "error" else []
+    for x in P.points:
+        assert outcome(is_hereditary, M, x) == outcome(reference_is_hereditary, M, x), (where, x)
+    return errors
