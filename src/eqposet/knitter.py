@@ -78,9 +78,6 @@ class ComponentGraph:
     sections: list[list[int]] = field(default_factory=list)
     tau_inv: dict[int, int] = field(default_factory=dict)
 
-    def vertex(self, vid: int) -> ArVertex:
-        return self.vertices[vid]
-
     def out_arrows(self, vid: int) -> list[ArArrow]:
         """The arrows out of `vid`, in the order of `arrows`."""
         return [a for a in self.arrows if a.src == vid]
@@ -174,8 +171,6 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 lab = code[Label.STRONG if P.is_strong(j) else Label.WEAK]
                 pj = add_vertex(section, lab, projective_udimF(M, j).entries,
                                 cd=projective_cd(M, j), proj_point=j)
-                if z >= pj:
-                    raise KnitError("arrow against creation order")
                 a, b = valuation[labs[z]][lab]
                 arrows.append(new_arrow(ArArrow, (z, pj, a, b)))
                 outs[z].append((pj, b))
@@ -220,8 +215,6 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 raise KnitError(f"mesh at vertex {x} failed: {e}") from None
             tau_inv[x] = y
             for d, _ in out:
-                if d >= y:
-                    raise KnitError("arrow against creation order")
                 a, b = valuation[labs[d]][lab]
                 arrows.append(new_arrow(ArArrow, (d, y, a, b)))
                 outs[d].append((y, b))

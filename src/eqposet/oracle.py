@@ -2,7 +2,10 @@
 
 Each comparable pair (x, y) gets a concrete F-subspace R_{x,y} (operators on
 G for flavor r, elements of G for flavor c) whose product, `RFamily.compose`,
-is honest algebra multiplication; every product table is built from it.  A
+is honest algebra multiplication; every product table is built from it.
+The order and the strengths come from `EquippedPoset.view` alone:
+`RFamily.above[x]` lists the points y >= x, x too, in declaration order, and
+every loop over comparable pairs, blocks and intervals walks those lists.  A
 member depends only on the strengths of x and y and on l(x, y) (flavor r),
 or on l(x, y) alone (flavor c), so each distinct member is built once per
 family and its product table, action table and A.2 verdict are shared by
@@ -41,6 +44,7 @@ class RFamily:
     basis: dict[tuple[str, str], list] = field(default_factory=dict)
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
+    above: dict[str, list[str]] = field(default_factory=dict)  # y >= x, x too, declaration order
     # build_family gives equal members one basis list.  Products, actions and hom
     # systems are cached by the identity of the bases they read, and generator
     # picks and equation blocks by that of the bases and action tables they read,
@@ -81,8 +85,8 @@ class RFamily:
         family.  One closure is run per distinct configuration: l == l', the
         basis of R_{l,l'} and the action tables it reads, each looked up by
         identity on every call, so a replaced basis is seen."""
-        lin, P, B = self.tower.lin, self.poset, self.basis[(l, lp)]
-        mid = [y for y in P.points if y not in (l, lp) and P.leq(l, y) and P.leq(y, lp)]
+        lin, B, above = self.tower.lin, self.basis[(l, lp)], self.above
+        mid = [y for y in above[l] if y not in (l, lp) and lp in above[y]]
         left, right = self.action(l, l, lp), self.action(l, lp, lp)
         inner = [self.action(l, y, lp) for y in mid]
 
@@ -129,32 +133,29 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
     lin, r = tower.lin, flavor is Flavor.R
     fam = RFamily(tower, P, flavor)
     ops = tower.a_ell_basis(P.p) if r else []  # a_ell_basis(ell) is ops[:ell * p]
-    members = {}
-    for x in P.points:
-        for y in P.points:
-            if not P.leq(x, y):
-                continue
-            ell = P.ell(x, y)
-            key = (P.is_strong(x), P.is_strong(y), ell) if r else ell
+    units = {s: tower.flatten(tower.eps(s)) if r else tower.xi_pow(0) for s in (False, True)}
+    pts, (ells, strong, up), members = P.points, P.view, {}
+    for i, x in enumerate(pts):
+        js = sorted((i, *up[i]))
+        fam.unit[x], fam.above[x] = units[r and strong[i]], [pts[j] for j in js]
+        for j in js:
+            ell = ells[i][j]
+            key = (strong[i], strong[j], ell) if r else ell
             if key not in members:
                 if r:
                     ex, ey = tower.eps(key[0]), tower.eps(key[1])
                     gens = [tower.flatten(lin.matmul(lin.matmul(ey, a), ex))
                             for a in ops[:ell * tower.p]]
                 else:
-                    gens = [tower.xi_pow(j) for j in range(ell)]
+                    gens = [tower.xi_pow(k) for k in range(ell)]
                 members[key] = lin.rref(lin.mat(gens))
-            fam.basis[(x, y)], fam.piv[(x, y)] = members[key]
-    units = {s: tower.flatten(tower.eps(s)) if r else tower.xi_pow(0) for s in (False, True)}
-    for x in P.points:
-        fam.unit[x] = units[r and P.is_strong(x)]
+            fam.basis[(x, pts[j])], fam.piv[(x, pts[j])] = members[key]
     return fam
 
 
 def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
-    P = fam.poset
     return [f"dim R_({x},{y}) = {fam.dim(x, y)}, table says {M.hom_dim(x, y)}"
-            for x in P.points for y in P.points if P.leq(x, y) and fam.dim(x, y) != M.hom_dim(x, y)]
+            for x, above in fam.above.items() for y in above if fam.dim(x, y) != M.hom_dim(x, y)]
 
 
 @dataclass
@@ -172,12 +173,13 @@ class AdmReport:
 
 def verify_admissible(fam: RFamily) -> AdmReport:
     P, lin, rep = fam.poset, fam.tower.lin, AdmReport()
-    comp = [(x, y) for x in P.points for y in P.points if P.leq(x, y)]
+    above = fam.above
+    comp = [(x, y) for x in P.points for y in above[x]]
 
     # A.1 — products land in the right member, including the reflexive cases
     for (x, y) in comp:
-        for z in P.points:
-            if P.leq(y, z) and any(C is None for C in fam.action(x, y, z)):
+        for z in above[y]:
+            if any(C is None for C in fam.action(x, y, z)):
                 rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
 
     # A.2 — units act as identities and every nonzero local element divides;
@@ -191,9 +193,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         if not lin.in_span(fam.basis[(x, x)], fam.piv[(x, x)], ux):
             rep.a2_failures.append(f"unit of R_{x} is not in the member")
             continue
-        for y in P.points:
-            if not P.leq(x, y):
-                continue
+        for y in above[x]:
             B, uy = fam.basis[(x, y)], fam.unit[y]
             fix = _shared(fixes, (ux, B, uy), lambda: [
                 (fam.compose(ux, u) == u, fam.compose(u, uy) == u) for u in B])
@@ -219,8 +219,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         d = fam.dim(x, y)
         if d == 0:
             continue
-        images = [W for l in P.points if P.leq(y, l) and l != y
-                  for W in fam.products(x, y, l)]
+        images = [W for l in above[y] if l != y for W in fam.products(x, y, l)]
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
             continue
@@ -326,7 +325,7 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str],
 
 
 def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str], reads: dict) -> int:
-    P, lin = fam.poset, fam.tower.lin
+    lin = fam.tower.lin
     d = {l: fam.dim(i, l) for l in blocks}
     e = {l: fam.dim(j, l) for l in blocks}
     off, N = {}, 0
@@ -345,9 +344,7 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str], reads: di
     for l in blocks:
         if d[l] == 0:
             continue
-        for lp in blocks:
-            if not P.leq(l, lp):
-                continue
+        for lp in fam.above[l]:  # inside the blocks, which are closed upward
             Ci, ti = side(i, l, lp)                            # S_i^T per s
             Cj, tj = side(j, l, lp) if e[l] else (None, [None])  # S_j^T per s
             bad = [(t[0], base) for base, t in ((i, ti), (j, tj)) if t[0] is not None]
@@ -383,9 +380,7 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str], reads: di
 def oracle_hom_dim(fam: RFamily, i: str, j: str, reads: dict | None = None) -> int:
     """dim Hom(e_i A, e_j A) recomputed from the realization alone; `reads`
     may be shared by the calls of one pass while no basis is replaced."""
-    P = fam.poset
-    blocks = [l for l in P.points if P.leq(i, l)]
-    return _grade_preserving_hom_dim(fam, i, j, blocks, reads)
+    return _grade_preserving_hom_dim(fam, i, j, fam.above[i], reads)
 
 
 @dataclass(frozen=True)
@@ -401,7 +396,7 @@ def oracle_radical(fam: RFamily, i: str, reads: dict | None = None) -> OracleRad
     P, p = fam.poset, fam.tower.p
     if i == P.max:
         raise OracleError("the radical at the maximal point is zero")
-    blocks = [l for l in P.points if P.leq(i, l) and l != i]
+    blocks = [l for l in fam.above[i] if l != i]
     end_dim = _grade_preserving_hom_dim(fam, i, i, blocks, reads)
     dims = {l: fam.dim(i, l) for l in blocks}
     mult, kind = {p * p: (p, "F"), p: (1, "G"), 1: (1, "F")}.get(end_dim, (None, None))

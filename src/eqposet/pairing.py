@@ -15,11 +15,7 @@ from typing import Sequence
 from .forms import RatVec
 from .knitter import ArArrow, ComponentGraph
 from .model import AlgebraModel, Label
-from .poset import P_LIMIT, P_RANGE, EquippedPoset, _is_prime, shown
-
-
-def strengths_of(P: EquippedPoset) -> tuple[bool, ...]:
-    return tuple(P.is_strong(x) for x in P.points)
+from .poset import P_LIMIT, _is_prime, shown
 
 
 def _scales(p: int, strengths: Sequence[bool], on_strong: bool) -> tuple[int, ...]:
@@ -147,8 +143,7 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
 
     # the scales of the two laws, by label: w^-1 on udimF and s on udim at a
     # strong vertex, which multiply; s^-1 and w at a weak one, which divide
-    strengths = strengths_of(P)
-    on_strong, on_weak = _scales(p, strengths, True), _scales(p, strengths, False)
+    on_strong, on_weak = _scales(p, P.view.strong, True), _scales(p, P.view.strong, False)
     laws = {Label.STRONG: (on_strong, on_weak, False), Label.WEAK: (on_weak, on_strong, True)}
     out_r, out_c = _out_map(Gr), _out_map(Gc)
     arrows_c = {(a.src, a.dst): a for a in Gc.arrows}

@@ -10,7 +10,7 @@ ell = p; reflexive equipment is 1 on weak points and p on strong ones.
 
 `EquippedPoset.view` indexes a poset by declaration order: ell rows, strength
 and the points strictly above each point.  Validation walks the chains
-x <= y <= z over those up-lists; model.py builds its tables on the same view.
+x <= y <= z over those up-lists; the model, oracle and pairing read the view.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ def parse_poset(text: str, check: bool = True) -> EquippedPoset:
 
 def load_poset(path: str, check: bool = True) -> EquippedPoset:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise PosetError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from None

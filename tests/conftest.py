@@ -150,12 +150,12 @@ def check_component_invariants(M, G, where) -> None:
     assert sorted(flat) == list(range(n))
     # tau-orbit label constancy
     for x, y in G.tau_inv.items():
-        assert G.vertex(x).label == G.vertex(y).label
+        assert G.vertices[x].label == G.vertices[y].label
     # mesh conservation, recomputed from arrows alone
     for x, y in G.tau_inv.items():
-        total = sum((a.a * G.vertex(a.src).udimF for a in G.arrows if a.dst == y),
+        total = sum((a.a * G.vertices[a.src].udimF for a in G.arrows if a.dst == y),
                     RatVec.zeros(M.poset.n))
-        assert total == G.vertex(x).udimF + G.vertex(y).udimF, (where, x)
+        assert total == G.vertices[x].udimF + G.vertices[y].udimF, (where, x)
     # q-label law at cd-bearing vertices
     for v in G.vertices:
         if v.cd is not None:

@@ -117,7 +117,7 @@ def test_criterion_4_star_component_against_oracle():
     assert rad.multiplicity == 2 == Gr.out_arrows(0)[0].a
     assert rad.end_kind == "F" and rad.block_dims == {"m": 2}
     # and the middle vertex is the w-projective with its hom-table row
-    assert Gr.vertex(1).udimF == RatVec.of(1, 2, 2) - RatVec.of(1, 0, 0)
+    assert Gr.vertices[1].udimF == RatVec.of(1, 2, 2) - RatVec.of(1, 0, 0)
     assert fam_r.dim("w", "m") == 2 and fam_r.dim("w", "w") == 2
     print("criterion 4: PASS — star fixture knits the exact 3-vertex components, "
           "valuations and radical multiplicity confirmed by the realization")

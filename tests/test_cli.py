@@ -262,6 +262,18 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "knit"])
+def test_byte_order_mark_is_ignored(capsys, tmp_path, command):
+    """An editor's "UTF-8 with BOM" file reads as the same poset."""
+    text = Path(fixture_path("star2")).read_bytes()
+    outs = []
+    for name, data in (("plain.eqp", text), ("bom.eqp", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).write_bytes(data)
+        assert main([command, str(tmp_path / name)]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[1].out == outs[0].out != "" and outs[1].err == outs[0].err == ""
+
+
 UNBOUNDED_POSET = "p 3\npoint a weak\npoint b weak\nrel a b 1\n"
 
 

@@ -233,7 +233,7 @@ def test_chain3_ell1_reproduces_published_grids():
         got = []
         for sec in G.sections:
             for i in sec:
-                v = G.vertex(i)
+                v = G.vertices[i]
                 got.append((list(v.udimF.entries[1:]), v.label.value))
         want = [(pair[col], pair["label"]) for pair in table["pairs"]]
         assert got == want
@@ -253,7 +253,7 @@ def test_ids_and_sections_are_well_formed():
                 assert a.src < a.dst
             for k, sec in enumerate(G.sections):
                 for i in sec:
-                    assert G.vertex(i).section == k
+                    assert G.vertices[i].section == k
 
 
 def test_knit_is_deterministic():
@@ -265,7 +265,7 @@ def test_tau_inverse_preserves_labels():
     for name in ALL_FIXTURES:
         G = knit(model(name, "r"))
         for src, dst in G.tau_inv.items():
-            assert G.vertex(src).label == G.vertex(dst).label
+            assert G.vertices[src].label == G.vertices[dst].label
 
 
 def all_ints(vec) -> bool:

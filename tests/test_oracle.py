@@ -354,6 +354,76 @@ def test_failing_report_text():
         assert str(rep) == "\n".join(lines), fl
 
 
+# the strong maximum first and the strong minimum last; with no `augment`
+# the points keep this order, which is not a linear extension
+OUT_OF_ORDER = """\
+p 3
+point m strong
+point d weak
+point c weak
+point b weak
+point a weak
+point z strong
+rel b c 2
+rel a b 1
+rel a d 2
+rel z a 3
+rel c m 3
+rel d m 3
+closure
+"""
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_oracle_keeps_declaration_order(monkeypatch, flavor):
+    """Reports list pairs, blocks and hom systems in declaration order, also
+    when that order is not a linear extension; a member is cut to provoke
+    them, and a second cut's A.1 lines and error name the first product in
+    that order."""
+    P = parse_poset(OUT_OF_ORDER)
+    assert P.points == ("m", "d", "c", "b", "a", "z") and (P.zero, P.max) == ("z", "m")
+    M, t, build = build_model(P, flavor), default_tower(3), oracle.build_family
+    assert str(run_verification(M, t)) == "\n".join([
+        f"flavor {flavor}:", "  member dimensions: ok", "  admissibility: ok",
+        "  radicals: ok", "  hom dimensions: ok"])
+
+    def cut(x, y, k):
+        def cut_family(*args):
+            fam = build(*args)
+            fam.basis[(x, y)], fam.piv[(x, y)] = fam.basis[(x, y)][:k], fam.piv[(x, y)][:k]
+            return fam
+        monkeypatch.setattr(oracle, "build_family", cut_family)
+
+    cut("d", "m", 0)
+    end_d, end_a = {"r": (9, "15, table says 3"), "c": (3, "5, table says 1")}[flavor]
+    assert str(run_verification(M, t)) == "\n".join([
+        f"flavor {flavor}:",
+        "  member dimensions: FAIL",
+        "    dim R_(d,m) = 0, table says 3",
+        "  admissibility: FAIL",
+        "    A.3: R_(d,d) has nothing above to hit",
+        "    A.3: R_(a,d) has nothing above to hit",
+        "    A.3: R_(z,d) has nothing above to hit",
+        "  radicals: FAIL",
+        "    rad(e_d A) has dim 0 at m, table says 3",
+        f"    End rad(e_d A) has dim 0, table says {end_d}",
+        f"    End rad(e_a A) has dim {end_a}",
+        "  hom dimensions: FAIL",
+        "    dim Hom(e_m A, e_d A) = 0, table says 3"])
+
+    # every A.1 failure is met again by a hom system, which raises
+    cut("a", "m", 1)
+    first = {"r": [], "c": ["R_(a,m) * R_(m,m) leaves R_(a,m)"]}[flavor]
+    last = {"r": ["R_(a,a) * R_(a,m) leaves R_(a,m)"], "c": []}[flavor]
+    assert verify_admissible(oracle.build_family(t, P, flavor)).a1_failures == first + [
+        "R_(a,d) * R_(d,m) leaves R_(a,m)", "R_(a,c) * R_(c,m) leaves R_(a,m)",
+        "R_(a,b) * R_(b,m) leaves R_(a,m)"] + last
+    with pytest.raises(OracleError) as err:
+        run_verification(M, t)
+    assert str(err.value) == {"r": "product from R_(a,d) by R_(d,m) leaves the family",
+                              "c": "product from R_(a,m) by R_(m,m) leaves the family"}[flavor]
+
+
 # ---------------------------------------------------------------- radicals
 
 def test_oracle_radical_star2():

@@ -10,7 +10,6 @@ from eqposet import (check_table_correspondence, knit, map_s, map_s_inv,
 from eqposet.forms import RatVec
 from eqposet.knitter import ArArrow
 from eqposet.model import Label
-from eqposet.pairing import strengths_of
 
 
 def test_star2_coordinate_pairs():
@@ -49,7 +48,7 @@ def test_scaling_maps_divide_exactly():
 
 def test_strengths_of_matches_points():
     P = model("star2", "r").poset
-    assert strengths_of(P) == (True, False, True)
+    assert P.view.strong == (True, False, True)
 
 
 def pair(name):
@@ -69,7 +68,7 @@ def test_pairing_holds_on_every_fixture():
 
 def test_pairing_detects_dimension_tampering():
     Gr, Gc, Mr, Mc = pair("star2")
-    Gc.vertex(1).udimF = RatVec.of(0, 1, 3)
+    Gc.vertices[1].udimF = RatVec.of(0, 1, 3)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("udimF law fails" in m for pc in report.pairs for m in pc.problems)
@@ -78,8 +77,8 @@ def test_pairing_detects_dimension_tampering():
 
 def test_pairing_reports_non_integral_image():
     Gr, Gc, Mr, Mc = pair("star2")
-    assert Gr.vertex(1).label is Label.WEAK and Gc.vertex(1).udimF == RatVec.of(0, 1, 2)
-    Gr.vertex(1).udimF = RatVec.of(0, 3, 2)  # s^-1 halves the weak coordinate 3
+    assert Gr.vertices[1].label is Label.WEAK and Gc.vertices[1].udimF == RatVec.of(0, 1, 2)
+    Gr.vertices[1].udimF = RatVec.of(0, 3, 2)  # s^-1 halves the weak coordinate 3
     report = pair_components(Gr, Gc, Mr, Mc)
     assert [(pc.r_id, pc.problems) for pc in report.pairs if not pc.ok] == [
         (1, ["udimF law fails: p = 2 does not divide (0, 3, 2), got (0, 1, 2)"])]
@@ -87,7 +86,7 @@ def test_pairing_reports_non_integral_image():
 
 def test_pairing_detects_label_tampering():
     Gr, Gc, Mr, Mc = pair("star3")
-    Gc.vertex(2).label = Label.WEAK
+    Gc.vertices[2].label = Label.WEAK
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("labels differ" in m for pc in report.pairs for m in pc.problems)
