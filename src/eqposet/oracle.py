@@ -7,11 +7,11 @@ The order and the strengths come from `EquippedPoset.view` alone:
 `RFamily.above[x]` lists the points y >= x, x too, in declaration order, and
 every loop over comparable pairs, blocks and intervals walks those lists.  A
 member depends only on the strengths of x and y and on l(x, y) (flavor r),
-or on l(x, y) alone (flavor c), so each distinct member is built once per
-family and its product table, action table and A.2 verdict are shared by
-every pair that has it; so are generator picks and the hom systems' equation
-blocks.  A hom system is looked up by the bases it reads and solved once per
-family; a new one reads each action table and pick list once per pass.
+or on l(x, y) alone (flavor c): that key names it in `RFamily.member`, and
+each distinct member is built once per family.  Every cache is keyed by the
+names of the members it reads, so product tables, action tables with their
+equation blocks, generator picks and hom systems are computed once per
+family and shared by every pair that has them.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
 then re-derived here by linear algebra alone.  Over F_q, A.2 proves or
@@ -45,18 +45,21 @@ class RFamily:
     piv: dict[tuple[str, str], list[int]] = field(default_factory=dict)
     unit: dict[str, object] = field(default_factory=dict)
     above: dict[str, list[str]] = field(default_factory=dict)  # y >= x, x too, declaration order
-    # build_family gives equal members one basis list.  Products, actions and hom
-    # systems are cached by the identity of the bases they read, and generator
-    # picks and equation blocks by that of the bases and action tables they read,
-    # so equal members share them.  Replace a basis, never mutate it.
-    _products: dict = field(default_factory=dict, repr=False)
-    _actions: dict = field(default_factory=dict, repr=False)
-    _closures: dict = field(default_factory=dict, repr=False)    # per configuration
-    _blocks: dict = field(default_factory=dict, repr=False)      # per action table
-    _systems: dict = field(default_factory=dict, repr=False)     # per hom system
+    member: dict[tuple[str, str], object] = field(default_factory=dict)  # the name of R_{x,y}
+    # Each cache is keyed by the names of the members it reads, so equal members
+    # share its entries.  Change a member through `replace` only.
+    _products: dict = field(default_factory=dict, repr=False)  # per (m_xy, m_yz)
+    _actions: dict = field(default_factory=dict, repr=False)   # per (m_xy, m_yz, m_xz)
+    _closures: dict = field(default_factory=dict, repr=False)  # per configuration
+    _systems: dict = field(default_factory=dict, repr=False)   # per hom system
 
     def dim(self, x: str, y: str) -> int:
         return len(self.basis.get((x, y), ()))
+
+    def replace(self, x: str, y: str, basis: list, piv: list[int]) -> None:
+        """Make R_{x,y} the span of basis (rref, pivots piv) under a fresh name:
+        no cached answer is reused for it; pairs that shared the old keep theirs."""
+        self.basis[(x, y)], self.piv[(x, y)], self.member[(x, y)] = basis, piv, object()
 
     def compose(self, u, v):
         """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v)."""
@@ -67,68 +70,76 @@ class RFamily:
 
     def products(self, x: str, y: str, z: str) -> list:
         """For each basis element s of R_{y,z}, the rows b * s over the basis b of R_{x,y}."""
-        B, S = self.basis[(x, y)], self.basis[(y, z)]
-        return _shared(self._products, (B, S), lambda: [[self.compose(b, s) for b in B] for s in S])
+        key = (self.member[(x, y)], self.member[(y, z)])
+        if (hit := self._products.get(key)) is None:
+            B, S = self.basis[(x, y)], self.basis[(y, z)]
+            hit = self._products[key] = [[self.compose(b, s) for b in B] for s in S]
+        return hit
 
     def action(self, x: str, y: str, z: str) -> list:
-        """For each basis element s of R_{y,z}, the d_xy x d_xz matrix whose row
-        b holds the coordinates of b * s in R_{x,z}, or None when some b * s
-        leaves R_{x,z}."""
-        R = self.basis[(x, z)]
-        return _shared(self._actions, (self.basis[(x, y)], self.basis[(y, z)], R), lambda: [
-            self.tower.lin.coords_rows(R, self.piv[(x, z)], W) for W in self.products(x, y, z)])
+        """The action table C of `table`."""
+        return self.table(x, y, z)[0]
+
+    def table(self, x: str, y: str, z: str) -> tuple:
+        """C, where C[k] is the d_xy x d_xz matrix of row b the coordinates of b * s
+        in R_{x,z} for the k-th basis element s of R_{y,z}, or None when some b * s
+        leaves it; the first k with C[k] None, or None; the blocks read (`_block`)."""
+        m = self.member
+        key = (m[(x, y)], m[(y, z)], m[(x, z)])
+        if (hit := self._actions.get(key)) is None:
+            R, piv, coords = self.basis[(x, z)], self.piv[(x, z)], self.tower.lin.coords_rows
+            C = [coords(R, piv, W) for W in self.products(x, y, z)]
+            hit = self._actions[key] = (C, C.index(None) if None in C else None, {})
+        return hit
 
     def generators(self, l: str, lp: str) -> list[int]:
         """Indices of basis elements of R_{l,l'} that, with the members R_{a,b}
         for l <= a <= b <= l' and (a, b) != (l, l'), generate R_{l,l'} under
         sums and products; every index when some product involved leaves the
-        family.  One closure is run per distinct configuration: l == l', the
-        basis of R_{l,l'} and the action tables it reads, each looked up by
-        identity on every call, so a replaced basis is seen."""
-        lin, B, above = self.tower.lin, self.basis[(l, lp)], self.above
-        mid = [y for y in above[l] if y not in (l, lp) and lp in above[y]]
-        left, right = self.action(l, l, lp), self.action(l, lp, lp)
-        inner = [self.action(l, y, lp) for y in mid]
-
-        def close():
-            d, ys = len(B), [C for T in inner for C in T]
-            if any(C is None for C in left + right + ys):
-                return list(range(d))
-            picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
-            flat = [[x for row in C for x in row] for C in left]
-            for k in range(d):
-                unit = lin.mat([[int(i == k) for i in range(d)]])
-                if len(piv) == d or lin.in_span(R, piv, unit[0]):
-                    continue
-                picks.append(k)
-                if l == lp:  # close the span under products: v w = v (sum_s w_s C_s)
-                    size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
-                    while len(piv) > size:
-                        size = len(piv)
-                        R, piv = lin.rref(lin.vstack(
-                            [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
-                                   for m in lin.matmul(R, flat)]))
-                else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
-                    rows = [unit, left[k]]
-                    R, piv = lin.rref(lin.vstack(
-                        [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
-            return picks
-
-        return _shared(self._closures, (B, left, right, *inner), close, l == lp)
+        family.  `_close` runs once per configuration: l == l' and the names of
+        R_{l,l'}, R_{l,l}, R_{l',l'}, then R_{l,y}, R_{y,l'} for each y between."""
+        m, above, mid = self.member, self.above, []
+        key = [l == lp, m[(l, lp)], m[(l, l)], m[(lp, lp)]]
+        for y in above[l] if l != lp else ():  # the points strictly between
+            if y not in (l, lp) and lp in above[y]:
+                key += m[(l, y)], m[(y, lp)]
+                mid.append(y)
+        if (hit := self._closures.get(key := tuple(key))) is None:
+            hit = self._closures[key] = _close(self.tower.lin, l == lp, self.action(l, l, lp),
+                                               self.action(l, lp, lp),
+                                               [self.action(l, y, lp) for y in mid])
+        return hit
 
 
-def _shared(cache: dict, objs, make, tag=None):
-    """make(), computed once per tag and identity of the objects in objs; the
-    entry keeps them alive, so that no id is reused."""
-    key = (tag, *map(id, objs))
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = (objs, make())
-    return hit[1]
+def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
+    """`RFamily.generators` from the tables (l, l, l'), (l, l', l') and (l, y, l')."""
+    d, ys = len(left), [C for T in inner for C in T]
+    if any(C is None for C in left + right + ys):
+        return list(range(d))
+    picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
+    flat = [[x for row in C for x in row] for C in left]
+    for k in range(d):
+        unit = lin.mat([[int(i == k) for i in range(d)]])
+        if len(piv) == d or lin.in_span(R, piv, unit[0]):
+            continue
+        picks.append(k)
+        if local:  # close the span under products: v w = v (sum_s w_s C_s)
+            size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
+            while len(piv) > size:
+                size = len(piv)
+                R, piv = lin.rref(lin.vstack(
+                    [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
+                           for m in lin.matmul(R, flat)]))
+        else:  # add the sub-bimodule R_{l,l} b_k R_{l',l'}
+            rows = [unit, left[k]]
+            R, piv = lin.rref(lin.vstack(
+                [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
+    return picks
 
 
 def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamily:
-    """One basis and pivot list per (x strong?, y strong?, l(x, y)), or per l(x, y)."""
+    """One basis and pivot list per (x strong?, y strong?, l(x, y)), or per
+    l(x, y); that key is the member's name in `RFamily.member`."""
     flavor = Flavor(flavor)
     lin, r = tower.lin, flavor is Flavor.R
     fam = RFamily(tower, P, flavor)
@@ -148,8 +159,8 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
                             for a in ops[:ell * tower.p]]
                 else:
                     gens = [tower.xi_pow(k) for k in range(ell)]
-                members[key] = lin.rref(lin.mat(gens))
-            fam.basis[(x, pts[j])], fam.piv[(x, pts[j])] = members[key]
+                members[key] = (*lin.rref(lin.mat(gens)), key)
+            fam.basis[(x, pts[j])], fam.piv[(x, pts[j])], fam.member[(x, pts[j])] = members[key]
     return fam
 
 
@@ -160,6 +171,7 @@ def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
 
 @dataclass
 class AdmReport:
+    # never in run_verification's report: a hom system reading the table raises first
     a1_failures: list[str] = field(default_factory=list)
     a2_failures: list[str] = field(default_factory=list)
     a3_failures: list[str] = field(default_factory=list)
@@ -172,8 +184,7 @@ class AdmReport:
 
 
 def verify_admissible(fam: RFamily) -> AdmReport:
-    P, lin, rep = fam.poset, fam.tower.lin, AdmReport()
-    above = fam.above
+    P, lin, rep, above = fam.poset, fam.tower.lin, AdmReport(), fam.above
     comp = [(x, y) for x in P.points for y in above[x]]
 
     # A.1 — products land in the right member, including the reflexive cases
@@ -183,7 +194,8 @@ def verify_admissible(fam: RFamily) -> AdmReport:
                 rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
 
     # A.2 — units act as identities and every nonzero local element divides;
-    # each verdict is reached once per distinct (unit, member, unit) and (R_x, unit)
+    # each verdict is reached once per (unit, member, unit) and (R_x, unit): by
+    # member name, and by the identity of the units, which fam.unit keeps alive
     fixes, divides = {}, {}
     for x in P.points:
         ux, d = fam.unit[x], fam.dim(x, x)
@@ -194,9 +206,10 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             rep.a2_failures.append(f"unit of R_{x} is not in the member")
             continue
         for y in above[x]:
-            B, uy = fam.basis[(x, y)], fam.unit[y]
-            fix = _shared(fixes, (ux, B, uy), lambda: [
-                (fam.compose(ux, u) == u, fam.compose(u, uy) == u) for u in B])
+            key = (id(ux), fam.member[(x, y)], id(uy := fam.unit[y]))
+            if (fix := fixes.get(key)) is None:
+                fix = fixes[key] = [(fam.compose(ux, u) == u, fam.compose(u, uy) == u)
+                                    for u in fam.basis[(x, y)]]
             for left, right in fix:
                 if not left:
                     rep.a2_failures.append(f"unit of R_{x} does not fix R_({x},{y}) on the left")
@@ -205,19 +218,16 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             if y == x:
                 unital = all(map(all, fix))
         rep.division_exhaustive &= lin.size is not None  # F_p(t): the basis alone
-        verdict = _shared(divides, (fam.basis[(x, x)], ux), lambda: _certify_division(
-            fam, x, unital) if lin.size else _basis_divides(fam, x))
-        if verdict is None:
+        if (key := (fam.member[(x, x)], id(ux))) not in divides:
+            divides[key] = _certify_division(fam, x, unital) if lin.size else _basis_divides(fam, x)
+        if (verdict := divides[key]) is None:
             rep.a2_failures.append(f"division in R_{x} not certified")
         elif not verdict:
             rep.a2_failures.append(f"element of R_{x} has no right inverse")
 
     # A.3 — below the maximum, nothing multiplies everything above to zero
     for (x, y) in comp:
-        if y == P.max:
-            continue
-        d = fam.dim(x, y)
-        if d == 0:
+        if y == P.max or not (d := fam.dim(x, y)):
             continue
         images = [W for l in above[y] if l != y for W in fam.products(x, y, l)]
         if not images:
@@ -282,26 +292,18 @@ def _irreducible(f: tuple, q: int) -> bool:
     return len(g) == 1 and xpow(q ** (len(f) - 1)) == (0, 1)
 
 
-def _table(fam: RFamily, C: list) -> list:
-    """The equation blocks of the action table C: its first index whose
-    product leaves the family, or None, and the entries of `_block`."""
-    return _shared(fam._blocks, (C,), lambda: [
-        next((k for k, S in enumerate(C) if S is None), None), {}])
-
-
-def _block(lin, table: list, C: list, k: int) -> tuple:
-    """Whether C[k] is the identity, and the nonzeros of its rows and columns."""
-    hit = table[1].get(k)
-    if hit is None:
+def _block(lin, done: dict, C: list, k: int) -> tuple:
+    """Whether C[k] is the identity, and the nonzeros of its rows and columns;
+    done holds the blocks of C already read (`RFamily.table`)."""
+    if (hit := done.get(k)) is None:
         rows = [[(b, x) for b, x in enumerate(row) if x] for row in C[k]]
         cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*C[k])]
         unit = len(rows) == len(cols) and all(r == [(a, lin.one)] for a, r in enumerate(rows))
-        hit = table[1][k] = (unit, rows, cols)
+        hit = done[k] = (unit, rows, cols)
     return hit
 
 
-def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str],
-                              reads: dict | None) -> int:
+def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     """dim of {phi : e_i A -> e_j A, A-linear and block-graded}, blocks given.
 
     The unknowns are the blocks phi_l (e_l x d_l, row-major, from off[l]).
@@ -312,49 +314,38 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str],
     impose A-linearity.  Every basis element is still checked to act inside
     the family.  The answer is N minus the rank of the system; the rows of
     the unit of R_{l,l}, the identity on both sides, and other zero rows are
-    not kept.  The blocks are closed upward, so the system is fixed by the
-    bases R_{i,l}, R_{j,l} and R_{l,l'} (or None) for blocks l, l': they key
-    it, and each distinct system is solved once per family.  A new one reads
-    each action table with its equation blocks, per (x, l, l'), and each
-    pick list, per (l, l'), once per `reads`, a dict kept for one pass."""
-    get = fam.basis.get
-    bases = [get((x, l)) for l in blocks for x in (i, j)]
-    bases += [get((l, lp)) for l in blocks for lp in blocks]
-    return _shared(fam._systems, bases, lambda: _solve_hom_system(
-        fam, i, j, blocks, {} if reads is None else reads))
+    not kept.  The blocks are closed upward, so the names of the members R_{i,l},
+    R_{j,l} and R_{l,l'} for blocks l, l' (None where a pair is not comparable)
+    fix the system: they key it, and each distinct system is solved once."""
+    m = fam.member.get
+    key = (*[m((x, l)) for l in blocks for x in (i, j)],
+           *[m((l, lp)) for l in blocks for lp in blocks])
+    if (hit := fam._systems.get(key)) is None:
+        hit = fam._systems[key] = _solve_hom_system(fam, i, j, blocks)
+    return hit
 
 
-def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str], reads: dict) -> int:
+def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     lin = fam.tower.lin
-    d = {l: fam.dim(i, l) for l in blocks}
-    e = {l: fam.dim(j, l) for l in blocks}
-    off, N = {}, 0
+    d, e, off, N = {}, {}, {}, 0
     for l in blocks:
-        off[l], N = N, N + e[l] * d[l]
+        d[l], e[l], off[l] = fam.dim(i, l), fam.dim(j, l), N
+        N += e[l] * d[l]
     if N == 0:
         return 0
-
-    def side(x, l, lp):  # the action table of R_{l,l'} on R_{x,l} and its blocks
-        if (x, l, lp) not in reads:
-            C = fam.action(x, l, lp)
-            reads[(x, l, lp)] = C, _table(fam, C)
-        return reads[(x, l, lp)]
-
     parts = []
     for l in blocks:
         if d[l] == 0:
             continue
         for lp in fam.above[l]:  # inside the blocks, which are closed upward
-            Ci, ti = side(i, l, lp)                            # S_i^T per s
-            Cj, tj = side(j, l, lp) if e[l] else (None, [None])  # S_j^T per s
-            bad = [(t[0], base) for base, t in ((i, ti), (j, tj)) if t[0] is not None]
+            Ci, fi, ti = fam.table(i, l, lp)                          # S_i^T per s
+            Cj, fj, tj = fam.table(j, l, lp) if e[l] else (None, None, None)  # S_j^T
+            bad = [(f, base) for base, f in ((i, fi), (j, fj)) if f is not None]
             if bad:  # the smallest index, i before j
                 raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
                                   f"by R_({l},{lp}) leaves the family")
             if e[lp]:
-                if (l, lp) not in reads:
-                    reads[(l, lp)] = fam.generators(l, lp)
-                parts.append((l, lp, Ci, Cj, ti, tj, reads[(l, lp)]))
+                parts.append((l, lp, Ci, Cj, ti, tj, fam.generators(l, lp)))
 
     def rows():
         for l, lp, Ci, Cj, ti, tj, picks in parts:
@@ -377,10 +368,9 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str], reads: di
     return N - lin.rank(rows())
 
 
-def oracle_hom_dim(fam: RFamily, i: str, j: str, reads: dict | None = None) -> int:
-    """dim Hom(e_i A, e_j A) recomputed from the realization alone; `reads`
-    may be shared by the calls of one pass while no basis is replaced."""
-    return _grade_preserving_hom_dim(fam, i, j, fam.above[i], reads)
+def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:
+    """dim Hom(e_i A, e_j A) recomputed from the realization alone."""
+    return _grade_preserving_hom_dim(fam, i, j, fam.above[i])
 
 
 @dataclass(frozen=True)
@@ -392,12 +382,12 @@ class OracleRadical:
     end_kind: str | None  # "F" | "G" | None when the shape is not recognized
 
 
-def oracle_radical(fam: RFamily, i: str, reads: dict | None = None) -> OracleRadical:
+def oracle_radical(fam: RFamily, i: str) -> OracleRadical:
     P, p = fam.poset, fam.tower.p
     if i == P.max:
         raise OracleError("the radical at the maximal point is zero")
     blocks = [l for l in fam.above[i] if l != i]
-    end_dim = _grade_preserving_hom_dim(fam, i, i, blocks, reads)
+    end_dim = _grade_preserving_hom_dim(fam, i, i, blocks)
     dims = {l: fam.dim(i, l) for l in blocks}
     mult, kind = {p * p: (p, "F"), p: (1, "G"), 1: (1, "F")}.get(end_dim, (None, None))
     return OracleRadical(i, end_dim, dims, mult, kind)
@@ -433,19 +423,18 @@ class OracleReport:
 
 
 def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
+    """Re-derive M from its realization over tower.  The report never holds an
+    A.1 line: a product that leaves the family makes a hom system that reads
+    it raise OracleError first."""
     P = M.poset
     if tower.p != P.p:
         raise ParameterError(f"tower is for p = {tower.p}, poset has p = {P.p}")
     fam = build_family(tower, P, M.flavor)
-    rep = OracleReport(flavor=M.flavor.value)
-    rep.dim_mismatches = verify_dims(fam, M)
-    rep.adm = verify_admissible(fam)
-    reads = {}  # action tables and picks, read once for every system below
-
+    rep = OracleReport(M.flavor.value, verify_dims(fam, M), verify_admissible(fam))
     for x in P.points:
         if x == P.max:
             continue
-        orad = oracle_radical(fam, x, reads)
+        orad = oracle_radical(fam, x)
         info = radical_info(M, x)
         for l, dim in orad.block_dims.items():
             if dim != (want := info.multiplicity * info.udimF[P.index[l]]):
@@ -459,7 +448,7 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
 
     for i in P.points:
         for j in P.points:
-            if (got := oracle_hom_dim(fam, i, j, reads)) != (want := M.hom_dim(j, i)):
+            if (got := oracle_hom_dim(fam, i, j)) != (want := M.hom_dim(j, i)):
                 rep.hom_mismatches.append(
                     f"dim Hom(e_{i} A, e_{j} A) = {got}, table says {want}")
     return rep

@@ -201,23 +201,32 @@ class TableReport:
         return f"{self.name}: " + "; ".join(self.mismatches)
 
 
+def _listed(obj: dict, key: str, where: str = "") -> list:
+    """obj[key], which must be a list."""
+    if type(value := obj.get(key)) is not list:
+        raise ValueError(f"{where}{key} is {'not a list' if key in obj else 'missing'}")
+    return value
+
+
 def check_table_correspondence(table: dict) -> TableReport:
     """Verify a stored grid of (flavor r, flavor c) dimension-vector pairs.
 
     Table schema: {"name", "p", "strengths": ["weak"|"strong", ...],
     "pairs": [{"pos", "label": "Strong"|"Weak", "r": [...], "c": [...]}]}.
-    A p that is not a prime int, or a bad strength or entry, raises ValueError.
+    A p that is not a prime int, a missing list or one that is not a list, or
+    a bad strength or entry, raises ValueError naming the field.
     """
-    p = table["p"]
+    p = table.get("p")
     if type(p) is not int or p >= P_LIMIT or not _is_prime(p):
         raise ValueError(f"p = {shown(p) if type(p) is int else repr(p)} is not a prime int "
                          "below 2^31")
-    if bad := [s for s in table["strengths"] if s not in ("weak", "strong")]:
+    if bad := [s for s in _listed(table, "strengths") if s not in ("weak", "strong")]:
         raise ValueError(f"strengths: {bad[0]!r} is neither 'weak' nor 'strong'")
     strengths = tuple(s == "strong" for s in table["strengths"])
-    rep = TableReport(table["name"], len(table["pairs"]))
+    rep = TableReport(table["name"], len(_listed(table, "pairs")))
     for pair in table["pairs"]:
-        if bad := [k for k in ("r", "c") if any(type(x) is not int for x in pair[k])]:
+        if bad := [k for k in ("r", "c")
+                   if any(type(x) is not int for x in _listed(pair, k, f"{pair['pos']}: "))]:
             raise ValueError(f"{pair['pos']}: {bad[0]} has an entry that is not an int")
         rv = RatVec.from_seq(pair["r"])
         cv = RatVec.from_seq(pair["c"])

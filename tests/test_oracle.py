@@ -191,8 +191,7 @@ def test_admissibility_negative_control():
     P = load_fixture("trivial")
     fam = build_family(t, P, "r")
     key = (P.zero, P.max)
-    fam.basis[key] = fam.basis[key][:0]
-    fam.piv[key] = []
+    fam.replace(*key, fam.basis[key][:0], [])
     rep = verify_admissible(fam)
     assert not rep.ok
     assert rep.a3_failures
@@ -273,8 +272,7 @@ def test_division_not_certified_when_products_leave_r_x():
     cannot read the powers of sigma."""
     t = default_tower(3)
     fam = build_family(t, load_fixture("star3"), "r")
-    fam.basis[("w", "w")], fam.piv[("w", "w")] = t.lin.rref(
-        [t.flatten(t.lin.eye(3)), t.flatten(t.theta)])
+    fam.replace("w", "w", *t.lin.rref([t.flatten(t.lin.eye(3)), t.flatten(t.theta)]))
     rep = verify_admissible(fam)
     assert "R_(w,w) * R_(w,w) leaves R_(w,w)" in rep.a1_failures
     assert rep.a2_failures == ["division in R_w not certified"]
@@ -285,8 +283,8 @@ def test_division_refuted_when_e_spans_less_than_r_x():
     minimal polynomial X^2 - X, of degree 2 < 3, so R_w is no field."""
     t = default_tower(3)
     fam = build_family(t, load_fixture("star3"), "r")
-    fam.basis[("w", "w")], fam.piv[("w", "w")] = t.lin.rref(
-        [t.flatten([[int(i == j == k) for j in range(3)] for i in range(3)]) for k in range(3)])
+    fam.replace("w", "w", *t.lin.rref(
+        [t.flatten([[int(i == j == k) for j in range(3)] for i in range(3)]) for k in range(3)]))
     assert "element of R_w has no right inverse" in verify_admissible(fam).a2_failures
     assert_division_agrees(fam)
 
@@ -296,7 +294,7 @@ def test_division_refuted_in_a_one_dimensional_r_x_that_squares_to_zero():
     t = default_tower(2)
     fam = build_family(t, load_fixture("star2"), "r")
     fam.unit["0"] = [0, 1, 0, 0]
-    fam.basis[("0", "0")], fam.piv[("0", "0")] = [fam.unit["0"]], [1]
+    fam.replace("0", "0", [fam.unit["0"]], [1])
     assert "element of R_0 has no right inverse" in verify_admissible(fam).a2_failures
     assert_division_agrees(fam)
 
@@ -306,7 +304,7 @@ def test_division_not_certified_in_composite_dimension():
     dimension 4, where a subfield's degree need not be 1 or 4."""
     t = default_tower(2)
     fam = build_family(t, load_fixture("star2"), "r")
-    fam.basis[("w", "w")], fam.piv[("w", "w")] = t.lin.rref(t.lin.eye(4))
+    fam.replace("w", "w", *t.lin.rref(t.lin.eye(4)))
     rep = verify_admissible(fam)
     assert "division in R_w not certified" in rep.a2_failures
     assert not enumerated_division(fam, "w")
@@ -316,7 +314,7 @@ def test_division_not_certified_in_composite_dimension():
 def test_a2_reports_a_zero_local_member(flavor):
     """A zero R_x fails A.2 as zero, before its unit is looked for in it."""
     fam = build_family(default_tower(2), load_fixture("star2"), flavor)
-    fam.basis[("w", "w")], fam.piv[("w", "w")] = [], []
+    fam.replace("w", "w", [], [])
     rep = verify_admissible(fam)
     assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == ([], ["R_w is zero"], [])
 
@@ -390,7 +388,7 @@ def test_oracle_keeps_declaration_order(monkeypatch, flavor):
     def cut(x, y, k):
         def cut_family(*args):
             fam = build(*args)
-            fam.basis[(x, y)], fam.piv[(x, y)] = fam.basis[(x, y)][:k], fam.piv[(x, y)][:k]
+            fam.replace(x, y, fam.basis[(x, y)][:k], fam.piv[(x, y)][:k])
             return fam
         monkeypatch.setattr(oracle, "build_family", cut_family)
 
@@ -566,18 +564,21 @@ def test_products_match_right_multiplication(name, flavor, mode):
 ])
 def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, flavor, a, b,
                                                                         want):
-    """Pairs a and b have equal members, so they share one basis and one
-    pivot list.  Once every table is built, R_a is replaced by a part of its
-    basis: the actions and A.1 see it at a only, and b keeps its products."""
+    """Pairs a and b have equal members, so they share one name, one basis
+    and one pivot list.  Once every table is built, R_a is replaced by a part
+    of its basis under a name of its own: the actions and A.1 see it at a
+    only, and b keeps its products."""
     P = load_fixture(name)
     tower = cached_tower(P.p, "cyclic")
     fam, fresh = build_family(tower, P, flavor), build_family(tower, P, flavor)
     assert fam.basis[a] is fam.basis[b] and fam.piv[a] is fam.piv[b]
+    assert fam.member[a] == fam.member[b]
     assert verify_admissible(fam).ok
     triples = [t for t in itertools.product(P.points, repeat=3) if P.leq(*t[:2]) and P.leq(*t[1:])]
     for t in triples:
         fam.action(*t)
-    fam.basis[a], fam.piv[a] = fam.basis[a][:1], fam.piv[a][:1]
+    fam.replace(*a, fam.basis[a][:1], fam.piv[a][:1])
+    assert fam.member[a] != fam.member[b] and fam.member[b] == fresh.member[b]
     seen = [t for t in triples if fam.action(*t) != fresh.action(*t)]
     assert seen and all(a in ((x, y), (y, z), (x, z)) for x, y, z in seen)
     rep = verify_admissible(fam)
@@ -753,8 +754,7 @@ def test_generators_keep_every_index_when_a_product_leaves_the_family():
     P = load_fixture("chain3_ell1")
     fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
     assert fam.generators("0", "b") == []
-    fam.basis[("0", "b")] = fam.basis[("0", "b")][:2]
-    fam.piv[("0", "b")] = fam.piv[("0", "b")][:2]
+    fam.replace("0", "b", fam.basis[("0", "b")][:2], fam.piv[("0", "b")][:2])
     assert any(C is None for C in fam.action("0", "a", "b"))
     assert fam.generators("0", "b") == [0, 1]
 
@@ -765,8 +765,7 @@ def test_hom_dim_errors_when_a_product_leaves_the_family():
     product leaves it first."""
     P = load_fixture("chain3_ell1")
     fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
-    fam.basis[("0", "b")] = fam.basis[("0", "b")][:2]
-    fam.piv[("0", "b")] = fam.piv[("0", "b")][:2]
+    fam.replace("0", "b", fam.basis[("0", "b")][:2], fam.piv[("0", "b")][:2])
     ab = "product from R_(0,a) by R_(a,b) leaves the family"
     bb = "product from R_(0,b) by R_(b,b) leaves the family"
     want = [[ab, ab, ab, ab], [ab, 3, 0, 0], [bb, 3, 3, 0], [1, 3, 3, 1]]
@@ -796,54 +795,97 @@ def _hom_answers(fam):
 
 @pytest.mark.parametrize("flavor", ["r", "c"])
 def test_hom_systems_see_a_replaced_basis(flavor):
-    """Hom systems are looked up by the bases they read, not by point names:
-    once every system of a family is solved, R_(0,b) of chain3_ell1 is cut,
-    and every answer then equals that of a fresh family with the same cut."""
+    """Hom systems are looked up by the names of the members they read, not
+    by point names: once every system of a family is solved, R_(0,b) of
+    chain3_ell1 is cut, and every answer then equals that of a fresh family
+    with the same cut."""
     P = load_fixture("chain3_ell1")
     tower = cached_tower(P.p, "cyclic")
     fam, fresh = build_family(tower, P, flavor), build_family(tower, P, flavor)
     before = _hom_answers(fam)
     for f in (fam, fresh):
-        f.basis[("0", "b")] = f.basis[("0", "b")][:2]
-        f.piv[("0", "b")] = f.piv[("0", "b")][:2]
+        f.replace("0", "b", f.basis[("0", "b")][:2], f.piv[("0", "b")][:2])
     after = _hom_answers(fam)
     assert after == _hom_answers(fresh) and after != before
+
+
+def _closure_key(fam, l, lp):
+    """l == l' and the names of R_{l,l'}, R_{l,l}, R_{l',l'}, then of R_{l,y}
+    and R_{y,l'} for each y strictly between."""
+    m, above = fam.member, fam.above
+    mid = [y for y in above[l] if y not in (l, lp) and lp in above[y]]
+    return (l == lp, m[(l, lp)], m[(l, l)], m[(lp, lp)],
+            *[m[ab] for y in mid for ab in ((l, y), (y, lp))])
+
+
+def _member_keys(fam):
+    """By member names: dim R_{y,z} per action table (x <= y <= z), and the
+    set of hom and radical systems that have unknowns."""
+    m, above = fam.member, fam.above
+    tables = {(m[(x, y)], m[(y, z)], m[(x, z)]): fam.dim(y, z)
+              for x in above for y in above[x] for z in above[y]}
+    systems = set()
+    for i in above:
+        asked = [(j, above[i]) for j in above]
+        asked += [(i, [l for l in above[i] if l != i])] if i != fam.poset.max else []
+        for j, blocks in asked:
+            if any(fam.dim(i, l) and fam.dim(j, l) for l in blocks):
+                systems.add((*[m.get((x, l)) for l in blocks for x in (i, j)],
+                             *[m.get((l, lp)) for l in blocks for lp in blocks]))
+    return tables, systems
 
 
 @pytest.mark.parametrize("flavor", ["r", "c"])
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monkeypatch):
-    """Across one run_verification, after A.1, the hom systems read each
-    action table (x, l, l') at most once, outside the generator closures,
-    and each pick list (l, l') at most once.  Asked again afterwards, a
-    system already solved reads neither."""
-    reads, families, inside = Counter(), [], [0]
-    action, generators, verify = RFamily.action, RFamily.generators, oracle.verify_admissible
+    """Every cache is keyed by member names, so one run_verification builds
+    each action table once per member triple (coords_rows once per basis
+    element of R_{y,z}), runs each generator closure once per key, and ranks
+    each distinct hom system with unknowns once.  Asked again afterwards,
+    no system reaches rank, rref or coords_rows."""
+    P = load_fixture(name)
+    lin, families, asked = cached_tower(P.p, "cyclic").lin, [], []
+    calls, generators = Counter(), RFamily.generators
+    verify, close = oracle.verify_admissible, oracle._close
 
-    def spy_action(self, *xyz):
-        if families and not inside[0]:
-            reads[xyz] += 1
-        return action(self, *xyz)
+    def spy(attr):
+        real = getattr(lin, attr)
+
+        def counted(*args):
+            calls[attr, bool(families)] += 1
+            return real(*args)
+        monkeypatch.setattr(lin, attr, counted)
 
     def spy_generators(self, l, lp):
-        reads[(l, lp)] += 1
-        inside[0] += 1
-        try:
-            return generators(self, l, lp)
-        finally:
-            inside[0] -= 1
+        asked.append((l, lp))
+        return generators(self, l, lp)
+
+    def spy_close(*args):
+        calls["close", asked[-1]] += 1
+        return close(*args)
 
     def spy_verify(fam):
         rep = verify(fam)
         families.append(fam)
         return rep
 
-    monkeypatch.setattr(RFamily, "action", spy_action)
+    for fn in ("rank", "rref", "coords_rows"):
+        spy(fn)
     monkeypatch.setattr(RFamily, "generators", spy_generators)
+    monkeypatch.setattr(oracle, "_close", spy_close)
     monkeypatch.setattr(oracle, "verify_admissible", spy_verify)
-    P = load_fixture(name)
     assert run_verification(model(name, flavor), cached_tower(P.p, "cyclic")).ok
-    assert len(families) == 1 and reads and max(reads.values()) == 1
-    reads.clear()
-    _hom_answers(families[0])
-    assert not reads
+    fam = families[0]
+    tables, systems = _member_keys(fam)
+    built = calls["coords_rows", False] + calls["coords_rows", True]
+    assert len(families) == 1 and built == sum(tables.values())
+    # the first (l, l') asked of each closure key runs the closure, no later one
+    first = {}
+    for l, lp in asked:
+        first.setdefault(_closure_key(fam, l, lp), (l, lp))
+    assert {k[1]: n for k, n in calls.items() if k[0] == "close"} == dict.fromkeys(
+        first.values(), 1)
+    assert calls["rank", True] == len(systems) > 0
+    calls.clear()
+    _hom_answers(fam)
+    assert not calls

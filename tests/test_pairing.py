@@ -164,10 +164,14 @@ def _twopoint2(**changes):
     return table
 
 
-def _entry(key, x):
+def _pair(**changes):
     table = load_table("twopoint2")
-    table["pairs"][1] = dict(table["pairs"][1], **{key: [x, 2]})
+    table["pairs"][1] = dict(table["pairs"][1], **changes)
     return table
+
+
+def _entry(key, x):
+    return _pair(**{key: [x, 2]})
 
 
 @pytest.mark.parametrize("table, message", [
@@ -182,6 +186,11 @@ def _entry(key, x):
                  "below 2^31", id="p-2^61-1"),
     pytest.param(_entry("r", True), "P2: r has an entry that is not an int", id="r-true"),
     pytest.param(_entry("c", 1.0), "P2: c has an entry that is not an int", id="c-float"),
+    # a missing list, or a field that is not a list, is named, not a KeyError or TypeError
+    pytest.param({k: v for k, v in load_table("twopoint2").items() if k != "pairs"},
+                 "pairs is missing", id="no-pairs"),
+    pytest.param(_pair(r=3), "P2: r is not a list", id="r-int"),
+    pytest.param(_twopoint2(strengths="weak"), "strengths is not a list", id="strengths-str"),
 ])
 def test_table_rejects_malformed_fields(table, message):
     with pytest.raises(ValueError) as err:
