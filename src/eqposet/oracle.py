@@ -2,16 +2,16 @@
 
 Each comparable pair (x, y) gets a concrete F-subspace R_{x,y} (operators on
 G for flavor r, elements of G for flavor c) whose product, `RFamily.compose`,
-is honest algebra multiplication; every product table is built from it.
+is honest algebra multiplication, used on basis elements by `RFamily.table` alone.
 The order and the strengths come from `EquippedPoset.view` alone:
 `RFamily.above[x]` lists the points y >= x, x too, in declaration order, and
 every loop over comparable pairs, blocks and intervals walks those lists.  A
 member depends only on the strengths of x and y and on l(x, y) (flavor r),
 or on l(x, y) alone (flavor c): that key names it in `RFamily.member`, and
 each distinct member is built once per family.  Every cache is keyed by the
-names of the members it reads, so product tables, action tables with their
-equation blocks, generator picks and hom systems are computed once per
-family and shared by every pair that has them.
+names of the members it reads, so action tables with their equation blocks,
+generator picks and hom systems are computed once per family and shared by
+every pair that has them.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
 then re-derived here by linear algebra alone.  Over F_q, A.2 proves or
@@ -48,7 +48,6 @@ class RFamily:
     member: dict[tuple[str, str], object] = field(default_factory=dict)  # the name of R_{x,y}
     # Each cache is keyed by the names of the members it reads, so equal members
     # share its entries.  Change a member through `replace` only.
-    _products: dict = field(default_factory=dict, repr=False)  # per (m_xy, m_yz)
     _actions: dict = field(default_factory=dict, repr=False)   # per (m_xy, m_yz, m_xz)
     _closures: dict = field(default_factory=dict, repr=False)  # per configuration
     _systems: dict = field(default_factory=dict, repr=False)   # per hom system
@@ -68,14 +67,6 @@ class RFamily:
             return t.flatten(t.lin.matmul(t.unflatten(v), t.unflatten(u)))
         return t.g_mul(u, v)
 
-    def products(self, x: str, y: str, z: str) -> list:
-        """For each basis element s of R_{y,z}, the rows b * s over the basis b of R_{x,y}."""
-        key = (self.member[(x, y)], self.member[(y, z)])
-        if (hit := self._products.get(key)) is None:
-            B, S = self.basis[(x, y)], self.basis[(y, z)]
-            hit = self._products[key] = [[self.compose(b, s) for b in B] for s in S]
-        return hit
-
     def action(self, x: str, y: str, z: str) -> list:
         """The action table C of `table`."""
         return self.table(x, y, z)[0]
@@ -87,8 +78,9 @@ class RFamily:
         m = self.member
         key = (m[(x, y)], m[(y, z)], m[(x, z)])
         if (hit := self._actions.get(key)) is None:
-            R, piv, coords = self.basis[(x, z)], self.piv[(x, z)], self.tower.lin.coords_rows
-            C = [coords(R, piv, W) for W in self.products(x, y, z)]
+            B, R, piv = self.basis[(x, y)], self.basis[(x, z)], self.piv[(x, z)]
+            C = [self.tower.lin.coords_rows(R, piv, [self.compose(b, s) for b in B])
+                 for s in self.basis[(y, z)]]
             hit = self._actions[key] = (C, C.index(None) if None in C else None, {})
         return hit
 
@@ -171,7 +163,7 @@ def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
 
 @dataclass
 class AdmReport:
-    # never in run_verification's report: a hom system reading the table raises first
+    # the one report of a leaving product; never in run_verification's: a hom system raises first
     a1_failures: list[str] = field(default_factory=list)
     a2_failures: list[str] = field(default_factory=list)
     a3_failures: list[str] = field(default_factory=list)
@@ -194,8 +186,8 @@ def verify_admissible(fam: RFamily) -> AdmReport:
                 rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
 
     # A.2 — units act as identities and every nonzero local element divides;
-    # each verdict is reached once per (unit, member, unit) and (R_x, unit): by
-    # member name, and by the identity of the units, which fam.unit keeps alive
+    # each verdict is reached once per (unit, member, unit) and (R_x, unit), by
+    # member name and by the value of the units
     fixes, divides = {}, {}
     for x in P.points:
         ux, d = fam.unit[x], fam.dim(x, x)
@@ -206,7 +198,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             rep.a2_failures.append(f"unit of R_{x} is not in the member")
             continue
         for y in above[x]:
-            key = (id(ux), fam.member[(x, y)], id(uy := fam.unit[y]))
+            key = (tuple(ux), fam.member[(x, y)], tuple(uy := fam.unit[y]))
             if (fix := fixes.get(key)) is None:
                 fix = fixes[key] = [(fam.compose(ux, u) == u, fam.compose(u, uy) == u)
                                     for u in fam.basis[(x, y)]]
@@ -218,48 +210,47 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             if y == x:
                 unital = all(map(all, fix))
         rep.division_exhaustive &= lin.size is not None  # F_p(t): the basis alone
-        if (key := (fam.member[(x, x)], id(ux))) not in divides:
-            divides[key] = _certify_division(fam, x, unital) if lin.size else _basis_divides(fam, x)
+        if (key := (fam.member[(x, x)], tuple(ux))) not in divides:  # None: R_x R_x leaves R_x
+            divides[key] = None if fam.table(x, x, x)[1] is not None else (
+                _certify_division(fam, x, unital) if lin.size else _basis_divides(fam, x))
         if (verdict := divides[key]) is None:
             rep.a2_failures.append(f"division in R_{x} not certified")
         elif not verdict:
             rep.a2_failures.append(f"element of R_{x} has no right inverse")
 
-    # A.3 — below the maximum, nothing multiplies everything above to zero
+    # A.3 — below the maximum, nothing multiplies everything above to zero; a
+    # pair with a product that leaves the family gets no verdict, as A.1 has one
     for (x, y) in comp:
         if y == P.max or not (d := fam.dim(x, y)):
             continue
-        images = [W for l in above[y] if l != y for W in fam.products(x, y, l)]
+        images = [C for l in above[y] if l != y for C in fam.action(x, y, l)]
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
-            continue
-        if lin.rank(dict(enumerate(row)) for row in lin.hstack(images)) < d:
+        elif None not in images and lin.rank(dict(enumerate(r)) for r in lin.hstack(images)) < d:
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
 
 
 def _basis_divides(fam: RFamily, x: str) -> bool:
-    """Whether each basis element b of R_x divides: exactly when b * b_1, ...,
-    b * b_d have rank d, as then bR_x = R_x (A.1 puts it inside), so bc = 1 and
-    cg = 1 for some c, g, and b = b(cg) = (bc)g = g.  Structural only."""
-    lin, W = fam.tower.lin, fam.products(x, x, x)  # W[k][n] = b_n * b_k
-    return all(lin.rank(dict(enumerate(S[n])) for S in W) == len(W) for n in range(len(W)))
+    """Whether each basis element b of R_x divides (structural only): exactly
+    when b * b_1, ..., b * b_d, read in R_x's action table, have rank d, as then
+    bR_x = R_x, so bc = 1 and cg = 1 for some c, g, and b = b(cg) = (bc)g = g."""
+    lin, C = fam.tower.lin, fam.action(x, x, x)  # C[k][n]: b_n * b_k in R_x
+    return all(lin.rank(dict(enumerate(S[n])) for S in C) == len(C) for n in range(len(C)))
 
 
 def _certify_division(fam: RFamily, x: str, unital: bool) -> bool | None:
-    """Whether R_x, of dimension d over F_q, is a field, or None when the
-    certificate cannot be read: R_x's products leave it, its unit u does not
-    fix it, or d is neither 1 nor prime.  For d = 1, R_x is a field exactly
-    when b_1 b_1 != 0.  Otherwise let f be the minimal polynomial of e, the
-    first basis element outside F_q u.  A finite division ring is a field
-    (Wedderburn), and its subfield F_q[e] = F_q[X]/(f) has degree 1 or d, so
-    R_x is a field exactly when deg f = d (then R_x = F_q[e]) and f is
-    irreducible.  u, e, ..., e^d are read off R_x's action table, f by one rref."""
-    lin, d = fam.tower.lin, fam.dim(x, x)
+    """Whether R_x, of dimension d over F_q and closed under products, is a
+    field, or None when its unit u does not fix it or d is neither 1 nor prime.
+    For d = 1, R_x is a field exactly when b_1 b_1 != 0.  Otherwise let f be the
+    minimal polynomial of e, the first basis element outside F_q u.  A finite
+    division ring is a field (Wedderburn), and its subfield F_q[e] = F_q[X]/(f)
+    has degree 1 or d, so R_x is a field exactly when deg f = d (then R_x =
+    F_q[e]) and f is irreducible.  f comes from R_x's action table by one rref."""
+    lin, d, C = fam.tower.lin, fam.dim(x, x), fam.action(x, x, x)
     if d == 1:
-        return any(fam.products(x, x, x)[0][0])
-    C = fam.action(x, x, x)
-    if not (unital and _is_prime(d)) or any(S is None for S in C):
+        return any(C[0][0])
+    if not (unital and _is_prime(d)):
         return None
     powers = [[fam.unit[x][c] for c in fam.piv[(x, x)]]]
     k = next(k for k in range(d) if any(a for i, a in enumerate(powers[0]) if i != k))

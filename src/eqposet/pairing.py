@@ -201,11 +201,12 @@ class TableReport:
         return f"{self.name}: " + "; ".join(self.mismatches)
 
 
-def _listed(obj: dict, key: str, where: str = "") -> list:
-    """obj[key], which must be a list."""
-    if type(value := obj.get(key)) is not list:
-        raise ValueError(f"{where}{key} is {'not a list' if key in obj else 'missing'}")
-    return value
+def _field(obj: dict, key: str, where: str = "", kind: type | None = None):
+    """obj[key], which must be there, and of type kind when one is given."""
+    if key not in obj or kind and type(obj[key]) is not kind:
+        raise ValueError(f"{where}{key} is "
+                         + (f"not a {kind.__name__}" if key in obj else "missing"))
+    return obj[key]
 
 
 def check_table_correspondence(table: dict) -> TableReport:
@@ -213,31 +214,38 @@ def check_table_correspondence(table: dict) -> TableReport:
 
     Table schema: {"name", "p", "strengths": ["weak"|"strong", ...],
     "pairs": [{"pos", "label": "Strong"|"Weak", "r": [...], "c": [...]}]}.
-    A p that is not a prime int, a missing list or one that is not a list, or
-    a bad strength or entry, raises ValueError naming the field.
+    A table or pair that is not a dict, a p that is not a prime int, a missing
+    field, a non-list where the schema has a list, or a bad strength, label or
+    entry raises ValueError naming the field, and the pair by pos or index.
     """
+    if type(table) is not dict:
+        raise ValueError("the table is not a dict")
     p = table.get("p")
     if type(p) is not int or p >= P_LIMIT or not _is_prime(p):
         raise ValueError(f"p = {shown(p) if type(p) is int else repr(p)} is not a prime int "
                          "below 2^31")
-    if bad := [s for s in _listed(table, "strengths") if s not in ("weak", "strong")]:
+    if bad := [s for s in _field(table, "strengths", kind=list) if s not in ("weak", "strong")]:
         raise ValueError(f"strengths: {bad[0]!r} is neither 'weak' nor 'strong'")
     strengths = tuple(s == "strong" for s in table["strengths"])
-    rep = TableReport(table["name"], len(_listed(table, "pairs")))
-    for pair in table["pairs"]:
+    rep = TableReport(_field(table, "name"), len(_field(table, "pairs", kind=list)))
+    for i, pair in enumerate(table["pairs"]):
+        if type(pair) is not dict:
+            raise ValueError(f"pairs[{i}] is not a dict")
+        where = f"{_field(pair, 'pos', f'pairs[{i}]: ')}: "
         if bad := [k for k in ("r", "c")
-                   if any(type(x) is not int for x in _listed(pair, k, f"{pair['pos']}: "))]:
-            raise ValueError(f"{pair['pos']}: {bad[0]} has an entry that is not an int")
+                   if any(type(x) is not int for x in _field(pair, k, where, list))]:
+            raise ValueError(f"{where}{bad[0]} has an entry that is not an int")
         rv = RatVec.from_seq(pair["r"])
         cv = RatVec.from_seq(pair["c"])
         if not len(rv) == len(cv) == len(strengths):
-            raise ValueError(f"{pair['pos']}: vectors and strengths differ in length")
-        label = Label(pair["label"])
+            raise ValueError(f"{where}vectors and strengths differ in length")
+        if (label := _field(pair, "label", where)) not in ("Strong", "Weak"):
+            raise ValueError(f"{where}label {label!r} is neither 'Strong' nor 'Weak'")
         try:
-            want = (map_w_inv if label is Label.STRONG else map_s_inv)(p, strengths, rv)
+            want = (map_w_inv if label == Label.STRONG else map_s_inv)(p, strengths, rv)
         except ValueError:
-            rep.mismatches.append(f"{pair['pos']}: non-integral image of {rv}")
+            rep.mismatches.append(f"{where}non-integral image of {rv}")
             continue
         if want != cv:
-            rep.mismatches.append(f"{pair['pos']}: expected {want}, got {cv}")
+            rep.mismatches.append(f"{where}expected {want}, got {cv}")
     return rep

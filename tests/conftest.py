@@ -87,12 +87,13 @@ def enumerated_division(fam, x: str) -> bool:
     element of R_x has a right inverse, found by one rank per line of R_x
     through 0 (the element whose first nonzero coordinate is 1), so
     (q^d - 1) / (q - 1) ranks for a d-dimensional R_x.  e divides exactly
-    when e * b_1, ..., e * b_d have rank d, and the products come from the
-    table of basis products: e * b_k = sum_a e_a (b_a * b_k)."""
-    lin, d = fam.tower.lin, fam.dim(x, x)
+    when e * b_1, ..., e * b_d have rank d, and the products come from those
+    of basis elements, multiplied by `RFamily.compose`: e * b_k = sum_a e_a
+    (b_a * b_k)."""
+    lin, d, B = fam.tower.lin, fam.dim(x, x), fam.basis[(x, x)]
     coeffs = [(0,) * i + (1,) + tail for i in range(d)
               for tail in itertools.product(range(lin.size), repeat=d - 1 - i)]
-    e_b = [lin.matmul(coeffs, W) for W in fam.products(x, x, x)]
+    e_b = [lin.matmul(coeffs, [fam.compose(b, s) for b in B]) for s in B]
     return all(lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) == d
                for n in range(len(coeffs)))
 

@@ -319,6 +319,36 @@ def test_a2_reports_a_zero_local_member(flavor):
     assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == ([], ["R_w is zero"], [])
 
 
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_a_leaving_product_is_reported_by_a1_alone(mode, monkeypatch):
+    """With R_w of star3 cut to span(1, theta), A.1 names the product that
+    leaves it; A.2 gives no division verdict on R_w over either field, and
+    run_verification raises at the first hom system that reads the product.
+    With R_(w,m) = span(E_10) instead, R_(0,w) R_(w,m) leaves R_(0,m), and A.3
+    gives no verdict on R_(0,w), whose images would be read from that table."""
+    t, P, build = default_tower(3, mode), load_fixture("star3"), oracle.build_family
+
+    def cut(*args):
+        fam = build(*args)
+        fam.replace("w", "w", *t.lin.rref([t.flatten(t.lin.eye(3)), t.flatten(t.theta)]))
+        return fam
+    rep = verify_admissible(cut(t, P, "r"))
+    assert rep.a1_failures == ["R_(w,w) * R_(w,w) leaves R_(w,w)"]
+    assert (rep.a2_failures, rep.a3_failures) == (["division in R_w not certified"], [])
+    monkeypatch.setattr(oracle, "build_family", cut)
+    with pytest.raises(OracleError) as err:
+        run_verification(build_model(P, Flavor.R), t)
+    assert str(err.value) == "product from R_(w,w) by R_(w,w) leaves the family"
+
+    fam, one, zero = build(t, P, "r"), t.lin.one, t.lin.zero
+    fam.replace("w", "m", [t.flatten([[one if (i, j) == (1, 0) else zero for j in range(3)]
+                                      for i in range(3)])], [3])
+    rep = verify_admissible(fam)
+    assert rep.a1_failures == ["R_(0,w) * R_(w,m) leaves R_(0,m)",
+                               "R_(w,w) * R_(w,m) leaves R_(w,m)"]
+    assert None in fam.action("0", "w", "m") and rep.a3_failures == []
+
+
 def test_basis_only_division_check_misses_zero_divisors():
     """Only a non-basis element shows the defect: the basis-only check, which
     F_p(t) towers still use, passes the split tower's R_0 in flavor c."""
@@ -543,19 +573,40 @@ def right_mults(fam, y, z):
     return [lin.transpose(t.mu_mat(s)) for s in fam.basis[(y, z)]]
 
 
+def assert_table_matches_right_multiplication(fam, x, y, z):
+    """C[k] of the action table (x, y, z) holds the coordinates in R_{x,z} of
+    B M_s, for the basis B of R_{x,y} and the right multiplication M_s by the
+    k-th basis element s of R_{y,z}, and is None exactly when a row of B M_s
+    leaves R_{x,z}, which an rref of R_{x,z} with that row tells."""
+    lin, R = fam.tower.lin, fam.basis[(x, z)]
+    C = fam.action(x, y, z)
+    want = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
+    assert len(C) == len(want), (x, y, z)
+    for k, (Ck, W) in enumerate(zip(C, want)):
+        leaves = any(len(lin.rref(R + [w])[1]) > len(R) for w in W)
+        assert (Ck is None) == leaves, (x, y, z, k)
+        if not leaves:
+            assert (lin.matmul(Ck, R) if R else [[lin.zero] * len(w) for w in W]) == W
+
+
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
 @pytest.mark.parametrize("flavor", ["r", "c"])
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_products_match_right_multiplication(name, flavor, mode):
-    """Every product table, built from RFamily.compose, is B M_s for the
-    basis B of R_{x,y} and the right multiplications M_s of R_{y,z}."""
+    """Every action table, built from RFamily.compose, holds the coordinates
+    of B M_s; once R_{0,max} loses a basis element, the tables whose products
+    leave it hold None there, and only those."""
     P = load_fixture(name)
     fam = build_family(cached_tower(P.p, mode), P, flavor)
-    lin = fam.tower.lin
-    for x, y, z in itertools.product(P.points, repeat=3):
-        if P.leq(x, y) and P.leq(y, z):
-            want = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
-            assert fam.products(x, y, z) == want, (x, y, z)
+    triples = [(x, y, z) for x in fam.above for y in fam.above[x] for z in fam.above[y]]
+    for t in triples:
+        assert_table_matches_right_multiplication(fam, *t)
+    key = (P.zero, P.max)
+    fam.replace(*key, fam.basis[key][1:], fam.piv[key][1:])
+    for t in triples:
+        assert_table_matches_right_multiplication(fam, *t)
+    # in trivial's flavor r, R_0 and R_max are F, so every subspace of R_{0,max} is closed
+    assert any(None in fam.action(*t) for t in triples) or (name, flavor) == ("trivial", "r")
 
 
 @pytest.mark.parametrize("name, flavor, a, b, want", [
@@ -567,7 +618,7 @@ def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, fl
     """Pairs a and b have equal members, so they share one name, one basis
     and one pivot list.  Once every table is built, R_a is replaced by a part
     of its basis under a name of its own: the actions and A.1 see it at a
-    only, and b keeps its products."""
+    only, and every table, b's too, still holds the coordinates of its products."""
     P = load_fixture(name)
     tower = cached_tower(P.p, "cyclic")
     fam, fresh = build_family(tower, P, flavor), build_family(tower, P, flavor)
@@ -583,11 +634,8 @@ def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, fl
     assert seen and all(a in ((x, y), (y, z), (x, z)) for x, y, z in seen)
     rep = verify_admissible(fam)
     assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == (want, [], [])
-    lin = tower.lin
-    for x, y, z in triples:
-        if b in ((x, y), (y, z)) and a not in ((x, y), (y, z)):
-            want_b = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
-            assert fam.products(x, y, z) == want_b, (x, y, z)
+    for t in triples:
+        assert_table_matches_right_multiplication(fam, *t)
 
 
 # ---------------------------------------------------------------- generators

@@ -170,6 +170,16 @@ def _pair(**changes):
     return table
 
 
+def _p2_as(value):
+    table = load_table("twopoint2")
+    table["pairs"][1] = value
+    return table
+
+
+def _without(key):
+    return _p2_as({k: v for k, v in load_table("twopoint2")["pairs"][1].items() if k != key})
+
+
 def _entry(key, x):
     return _pair(**{key: [x, 2]})
 
@@ -191,6 +201,16 @@ def _entry(key, x):
                  "pairs is missing", id="no-pairs"),
     pytest.param(_pair(r=3), "P2: r is not a list", id="r-int"),
     pytest.param(_twopoint2(strengths="weak"), "strengths is not a list", id="strengths-str"),
+    pytest.param({k: v for k, v in load_table("twopoint2").items() if k != "name"},
+                 "name is missing", id="no-name"),
+    # a pair without pos is named by its index in pairs
+    pytest.param(_without("pos"), "pairs[1]: pos is missing", id="no-pos"),
+    pytest.param(_without("label"), "P2: label is missing", id="no-label"),
+    pytest.param(_p2_as(3), "pairs[1] is not a dict", id="pair-int"),
+    pytest.param(_p2_as(["P2", "Weak", [2, 2], [1, 2]]), "pairs[1] is not a dict", id="pair-list"),
+    pytest.param([load_table("twopoint2")], "the table is not a dict", id="table-list"),
+    pytest.param(_pair(label="Medium"), "P2: label 'Medium' is neither 'Strong' nor 'Weak'",
+                 id="label-medium"),
 ])
 def test_table_rejects_malformed_fields(table, message):
     with pytest.raises(ValueError) as err:
