@@ -2,7 +2,7 @@
 Auslander-Reiten components of the simple projective, with an exact
 finite-field oracle for everything the numerics claim."""
 
-from .fields import ParameterError, Tower, TowerSpec, default_tower
+from .fields import Tower, default_tower
 from .forms import RatVec, bilinear, euler_pairing, gram_matrix, quadratic
 from .knitter import (FINITE, TRUNCATED, ArArrow, ArVertex, ComponentGraph,
                       KnitError, knit)
@@ -14,7 +14,7 @@ from .oracle import (OracleError, OracleReport, RFamily, build_family,
                      verify_admissible, verify_dims)
 from .pairing import (PairingReport, TableReport, check_table_correspondence,
                       map_s, map_s_inv, map_w, map_w_inv, pair_components)
-from .poset import (EquippedPoset, PosetError, ValidationReport, Violation,
+from .poset import (EquippedPoset, ParameterError, PosetError, ValidationReport, Violation,
                     augment, is_slender, load_poset, min_equipment_closure,
                     parse_poset, validate)
 
@@ -25,7 +25,7 @@ __all__ = [
     "FINITE", "Flavor", "InjectiveProfile", "KnitError", "Label", "ModelError",
     "OracleError", "OracleReport", "PairingReport", "ParameterError",
     "PosetError", "RFamily", "RadicalInfo", "RatVec", "TRUNCATED",
-    "TableReport", "Tower", "TowerSpec", "ValidationReport", "Violation",
+    "TableReport", "Tower", "ValidationReport", "Violation",
     "augment", "bilinear", "build_family", "build_model",
     "check_table_correspondence", "default_tower", "euler_pairing",
     "gram_matrix", "injective_profiles", "is_hereditary", "is_slender", "knit", "load_poset", "map_s", "map_s_inv", "map_w",

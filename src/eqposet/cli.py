@@ -8,14 +8,14 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper of json.dumps
 from operator import attrgetter
 
-from .fields import ParameterError, Tower, TowerSpec, default_tower
+from .fields import Tower
 from .forms import gram_matrix, quadratic
 from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, knit
 from .model import (Flavor, ModelError, build_model, injective_profiles,
                     is_hereditary, projective_cd, radical_info)
 from .oracle import OracleError, run_verification
 from .pairing import pair_components
-from .poset import EquippedPoset, PosetError, load_poset, validate
+from .poset import EquippedPoset, ParameterError, PosetError, load_poset, validate
 
 
 # ---------------------------------------------------------------- emitters
@@ -141,59 +141,34 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
             print(f"  q(cd P_{x}) = {quadratic(M, cd)}")
 
 
-def _model_poset(path: str) -> EquippedPoset:
-    """The poset at path, refused like any invalid one when it lacks the
-    strong minimum or maximum that a model needs."""
-    P = load_poset(path)
-    if P.zero is None or P.max is None:
-        raise PosetError(str(validate(P, require_bounds=True)))
-    return P
-
-
 def cmd_info(args) -> int:
-    P = _model_poset(args.path)
-    _print_info(P, Flavor(args.flavor), args.forms)
+    _print_info(load_poset(args.path), Flavor(args.flavor), args.forms)
     return 0
 
 
-def _max_sections(args) -> int:
-    if args.max_sections < 1:
-        raise ParameterError("--max-sections must be >= 1")
-    return args.max_sections
-
-
 def cmd_knit(args) -> int:
-    max_sections = _max_sections(args)
-    P = _model_poset(args.path)
-    G = knit(build_model(P, Flavor(args.flavor)), max_sections=max_sections)
+    G = knit(build_model(load_poset(args.path), Flavor(args.flavor)), max_sections=args.max_sections)
     sys.stdout.write((emit_json if args.format == "json" else emit_dot)(G))
     return 0
 
 
 def cmd_compare(args) -> int:
-    max_sections = _max_sections(args)
-    P = _model_poset(args.path)
+    P = load_poset(args.path)
     Mr, Mc = build_model(P, Flavor.R), build_model(P, Flavor.C)
-    Gr, Gc = knit(Mr, max_sections=max_sections), knit(Mc, max_sections=max_sections)
+    Gr, Gc = knit(Mr, max_sections=args.max_sections), knit(Mc, max_sections=args.max_sections)
     report = pair_components(Gr, Gc, Mr, Mc)
     print(report)
     return 0 if report.ok else 1
 
 
 def cmd_oracle(args) -> int:
-    P = _model_poset(args.path)
-    if args.q is None and args.c is None:
-        tower = default_tower(P.p, args.mode)
-    elif args.mode == "inseparable":
-        raise ParameterError("--q and --c apply to cyclic towers only")
-    elif args.q is None or args.c is None:
-        raise ParameterError("cyclic towers need both --q and --c")
-    else:
-        tower = Tower(TowerSpec(P.p, "cyclic", args.q, args.c))
+    P = load_poset(args.path)
     flavors = [Flavor.R, Flavor.C] if args.flavor == "both" else [Flavor(args.flavor)]
+    models = [build_model(P, fl) for fl in flavors]  # a poset error comes before a tower error
+    tower = Tower(P.p, args.mode, args.q, args.c)
     ok = True
-    for fl in flavors:
-        rep = run_verification(build_model(P, fl), tower)
+    for M in models:
+        rep = run_verification(M, tower)
         print(rep)
         ok = ok and rep.ok
     return 0 if ok else 1

@@ -1,9 +1,12 @@
 """Degree-p field extensions G = F[xi]/(xi^p - c) with a distinguished operator.
 
-Cyclic mode: F = F_q (q prime, p | q - 1), c a non-p-th power, and the
-operator is the automorphism sigma(xi) = omega*xi for the smallest primitive
-p-th root of unity omega.  Inseparable mode: F = F_p(t) (`RatFunc`), c = t,
-and the operator is the derivation delta(xi^i) = i*xi^(i-1).
+`Tower(p, mode, q, c)` builds G and checks its own parameters, raising
+`ParameterError` (defined in poset.py) on any it refuses.  Cyclic mode: F =
+F_q (q prime, p | q - 1), c a non-p-th power, both given or both taken from
+`DEFAULT_TOWERS`, and the operator is the automorphism sigma(xi) = omega*xi
+for the smallest primitive p-th root of unity omega.  Inseparable mode: F =
+F_p(t) (`RatFunc`), c = t, and the operator is the derivation
+delta(xi^i) = i*xi^(i-1).
 
 G-elements are coefficient vectors of length p in the basis 1, xi, ...,
 xi^(p-1), multiplied by convolution modulo xi^p - c (`Tower.g_mul`); operators
@@ -19,28 +22,15 @@ reduce by Euclid's algorithm.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .linalg import GenericField, ModQ
-from .poset import P_LIMIT, P_RANGE, _is_prime, shown
+from .poset import P_LIMIT, P_RANGE, ParameterError, _is_prime, shown
 
 # Parameter policy, not arithmetic limits: the primality of q is checked by
 # trial division, about sqrt(q) steps, and a tower's operators are p x p
 # matrices, so the oracle's hom systems have up to p^4 unknowns per block.
 MAX_Q = 3037000500
 MAX_TOWER_P = 31
-
-
-class ParameterError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class TowerSpec:
-    p: int
-    mode: str = "cyclic"
-    q: int | None = None
-    c: int | None = None
 
 
 DEFAULT_TOWERS = {2: (3, -1), 3: (7, 3), 5: (11, 2)}
@@ -230,21 +220,25 @@ def _field(p: int) -> type:
 
 
 class Tower:
-    def __init__(self, spec: TowerSpec):
-        if spec.p >= P_LIMIT:
-            raise ParameterError(f"p is {P_RANGE}")
-        if not _is_prime(spec.p):
-            raise ParameterError(f"p = {shown(spec.p)} is not prime")
-        if spec.p > MAX_TOWER_P:
-            raise ParameterError(f"p = {spec.p} is too large for a tower: its operators "
-                                 f"are p x p matrices, so p <= {MAX_TOWER_P}")
-        self.spec = spec
-        p = self.p = spec.p
+    """F < G for a prime p <= MAX_TOWER_P.  A cyclic tower takes q and c, or neither
+    and then p's entry in `DEFAULT_TOWERS`; an inseparable one takes neither."""
 
-        if spec.mode == "cyclic":
-            if spec.q is None or spec.c is None:
-                raise ParameterError("cyclic tower needs q and c")
-            q = spec.q
+    def __init__(self, p: int, mode: str = "cyclic", q: int | None = None, c: int | None = None):
+        if p >= P_LIMIT:
+            raise ParameterError(f"p is {P_RANGE}")
+        if not _is_prime(p):
+            raise ParameterError(f"p = {shown(p)} is not prime")
+        if p > MAX_TOWER_P:
+            raise ParameterError(f"p = {p} is too large for a tower: its operators "
+                                 f"are p x p matrices, so p <= {MAX_TOWER_P}")
+        self.p = p
+        if mode == "cyclic":
+            if q is None and c is None:
+                if p not in DEFAULT_TOWERS:
+                    raise ParameterError(f"no default tower for p = {p}; pass q and c explicitly")
+                q, c = DEFAULT_TOWERS[p]
+            elif q is None or c is None:
+                raise ParameterError("cyclic towers need both q and c")
             if q > MAX_Q:
                 raise ParameterError(f"q = {shown(q)} is too large: the primality of q is "
                                      f"checked by trial division, so q <= {MAX_Q}")
@@ -252,19 +246,17 @@ class Tower:
                 raise ParameterError(f"q = {shown(q)} is not prime")
             if (q - 1) % p:
                 raise ParameterError(f"p = {p} does not divide q - 1 = {q - 1}")
-            c = spec.c % q
-            if c == 0 or pow(c, (q - 1) // p, q) == 1:
-                raise ParameterError(f"c = {shown(spec.c)} is a p-th power in F_{q}")
-            self.q = q
-            self.c = c
+            if c % q == 0 or pow(c, (q - 1) // p, q) == 1:
+                raise ParameterError(f"c = {shown(c)} is a p-th power in F_{q}")
+            self.q, self.c = q, c % q
             self.lin = ModQ(q)
             self.omega = _smallest_root_of_unity(p, q)
             # sigma: xi^i -> omega^i xi^i
             self.theta = self.lin.mat([[pow(self.omega, i, q) if j == i else 0 for j in range(p)]
                                        for i in range(p)])
-        elif spec.mode == "inseparable":
-            if spec.q is not None or spec.c is not None:
-                raise ParameterError("inseparable tower takes no q or c")
+        elif mode == "inseparable":
+            if q is not None or c is not None:
+                raise ParameterError("q and c apply to cyclic towers only")
             self.c = RatFunc((0, 1), (1,), p)
             self.lin = GenericField(lambda x: x if isinstance(x, RatFunc)
                                     else RatFunc((x % p,) if x % p else (), (1,), p))
@@ -272,7 +264,7 @@ class Tower:
             # delta: xi^i -> i xi^(i-1)
             self.theta = self.lin.mat([[j if j == i + 1 else 0 for j in range(p)] for i in range(p)])
         else:
-            raise ParameterError(f"unknown tower mode {spec.mode!r}")
+            raise ParameterError(f"unknown tower mode {mode!r}")
 
         a1 = self.a_ell_basis(1)
         if len(self.lin.rref(self.flatten_all(a1))[1]) != self.p:
@@ -349,8 +341,4 @@ def _smallest_root_of_unity(p: int, q: int) -> int:
 
 
 def default_tower(p: int, mode: str = "cyclic") -> Tower:
-    if mode != "cyclic":  # Tower refuses a mode it does not know
-        return Tower(TowerSpec(p, mode))
-    if p not in DEFAULT_TOWERS:
-        raise ParameterError(f"no default tower for p = {p}; pass q and c explicitly")
-    return Tower(TowerSpec(p, "cyclic", *DEFAULT_TOWERS[p]))
+    return Tower(p, mode)

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .forms import RatVec
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
+from .poset import ParameterError
 
 DEFAULT_MAX_SECTIONS = 12
 
@@ -96,7 +97,7 @@ _LABELS = (Label.STRONG, Label.WEAK)
 
 def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> ComponentGraph:
     if max_sections < 1:
-        raise KnitError("max_sections must be >= 1")
+        raise ParameterError("max_sections must be >= 1")
     P = M.poset
     code = {lab: c for c, lab in enumerate(_LABELS)}
     # identity (udimF entries, label code) -> vertex id, or the point of an

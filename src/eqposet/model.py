@@ -19,7 +19,7 @@ from operator import floordiv, mul
 from typing import NamedTuple
 
 from .forms import RatVec
-from .poset import EquippedPoset, validate
+from .poset import EquippedPoset, PosetError, validate
 
 
 class ModelError(ValueError):
@@ -87,7 +87,10 @@ class AlgebraModel:
     @cached_property
     def t_socle(self) -> int:
         P = self.poset
-        return self.hom_dim(P.zero, P.max) // self.hom_dim(P.max, P.max)
+        a, b = self.hom_dim(P.zero, P.max), self.hom_dim(P.max, P.max)
+        if a % b:
+            raise ModelError(f"t_socle = {a}/{b} is not integral")
+        return a // b
 
     def kdim(self, label: Label) -> int:
         """Division-ring dimension attached to a vertex label (1 or p)."""
@@ -102,10 +105,12 @@ def _loc(flavor: Flavor, strong: bool, p: int) -> int:
 
 
 def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
+    """The hom table of P in the given flavor; PosetError, with the report's text,
+    when P fails validate(P, require_bounds=True)."""
     flavor = Flavor(flavor)
     report = validate(P, require_bounds=True)
     if not report.ok:
-        raise ModelError(f"cannot build a model on an invalid poset\n{report}")
+        raise PosetError(str(report))
     if flavor is Flavor.C:
         return AlgebraModel(P, flavor, P.view.ell)
     # ell(x, y) * loc(x) * loc(y) / p, whole as ell = p on pairs touching a

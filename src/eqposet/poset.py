@@ -33,6 +33,10 @@ class PosetError(ValueError):
         super().__init__(message)
 
 
+class ParameterError(ValueError):
+    """A tower parameter or knitting depth that the library refuses."""
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -154,14 +158,16 @@ class EquippedPoset:
 
 
 def validate(P: EquippedPoset, require_bounds: bool = False) -> ValidationReport:
-    """Check every structural invariant (found once per poset: `P.violations`) and,
-    with require_bounds, a strong minimum and maximum; the report lists all violations."""
+    """Check every structural invariant (found once per poset: `P.violations`) and, with
+    require_bounds, a strong minimum and a distinct strong maximum; the report lists all."""
     report = ValidationReport(list(P.violations))
     if require_bounds:
         if P.zero is None:
             report.violations.append(Violation("missing-zero", "no strong global minimum"))
         if P.max is None:
             report.violations.append(Violation("missing-max", "no strong global maximum"))
+        elif P.max == P.zero:
+            report.violations.append(Violation("bounds-coincide", "one point is both bounds", (P.max,)))
     return report
 
 

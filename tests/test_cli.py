@@ -240,16 +240,16 @@ def test_knit_options_ignore_the_environment(capsys, monkeypatch):
     pytest.param(["validate", "{latin1}"], "not UTF-8", id="argv0-None-not UTF-8"),
     pytest.param(["knit", "{latin1}"], "not UTF-8", id="argv1-None-not UTF-8"),
     pytest.param(["oracle", "{latin1}"], "not UTF-8", id="argv2-None-not UTF-8"),
-    pytest.param(["knit", "{star2}", "--max-sections", "0"], "--max-sections must be >= 1",
+    pytest.param(["knit", "{star2}", "--max-sections", "0"], "max_sections must be >= 1",
                  id="argv3-None---max-sections must be >= 1"),
-    pytest.param(["compare", "{star2}", "--max-sections", "-3"], "--max-sections must be >= 1",
+    pytest.param(["compare", "{star2}", "--max-sections", "-3"], "max_sections must be >= 1",
                  id="argv4-None---max-sections must be >= 1"),
     pytest.param(["oracle", "{star2}", "--q", "4294967311", "--c", "3"], "too large",
                  id="argv7-None-too large"),
     pytest.param(["oracle", "{star2}", "--mode", "inseparable", "--q", "4", "--c", "0"],
-                 "--q and --c apply to cyclic towers only",
+                 "q and c apply to cyclic towers only",
                  id="argv8-None---q and --c apply to cyclic towers only"),
-    pytest.param(["oracle", "{star2}", "--q", "3"], "cyclic towers need both --q and --c",
+    pytest.param(["oracle", "{star2}", "--q", "3"], "cyclic towers need both q and c",
                  id="argv9-None-cyclic towers need both --q and --c"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
@@ -291,6 +291,24 @@ def test_poset_without_strong_bounds_exits_2(capsys, tmp_path, command):
     assert out.err == ("error: 2 violation(s):\n"
                        "  - missing-zero: no strong global minimum\n"
                        "  - missing-max: no strong global maximum\n")
+    assert out.out == ""
+
+
+ONE_STRONG_POINT = "p 2\npoint a strong\n"
+
+
+@pytest.mark.parametrize("command", ["info", "knit", "compare", "oracle"])
+def test_one_point_as_both_bounds_exits_2(capsys, tmp_path, command):
+    """A lone strong point is both the strong minimum and maximum. A model
+    needs two bounds (augment adjoins both), so every command that builds
+    one refuses it before any output, while validate accepts it."""
+    path = tmp_path / "one.eqp"
+    path.write_text(ONE_STRONG_POINT)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: 1 violation(s):\n  - bounds-coincide: one point is both bounds [a]\n"
     assert out.out == ""
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import ALL_FIXTURES, load_table, model
-from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, RatVec, build_model,
+from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model,
                      default_tower, gram_matrix, injective_profiles, knit, knitter,
                      pair_components, parse_poset, projective_cd, projective_udimF,
                      radical_info, run_verification)
@@ -218,7 +218,7 @@ def test_finite_component_ignores_max_sections():
 
 
 def test_max_sections_argument_must_be_positive():
-    with pytest.raises(KnitError):
+    with pytest.raises(ParameterError, match="^max_sections must be >= 1$"):
         knit(model("star2", "r"), max_sections=0)
 
 

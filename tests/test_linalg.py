@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python, src_imports
-from eqposet import ParameterError, Tower, TowerSpec, default_tower
+from eqposet import ParameterError, Tower, default_tower
 from eqposet.fields import MAX_Q, RatFunc
 from eqposet.linalg import ModQ
 from eqposet.poset import _is_prime
@@ -116,13 +116,13 @@ def test_tower_refuses_q_past_max_q():
     assert not any(_is_prime(q) for q in range(LARGEST_Q + 1, MAX_Q + 1))
     q = next(q for q in range(MAX_Q + 1, MAX_Q + 100) if _is_prime(q))
     with pytest.raises(ParameterError, match="too large"):
-        Tower(TowerSpec(2, "cyclic", q, 3))
+        Tower(2, "cyclic", q, 3)
 
 
 def largest_q_tower():
     q = LARGEST_Q
     c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) != 1)
-    return Tower(TowerSpec(2, "cyclic", q, c))
+    return Tower(2, "cyclic", q, c)
 
 
 def test_tower_accepts_the_largest_q():
@@ -190,7 +190,7 @@ def test_omega_matches_the_scan(p):
             continue
         c = next(c for c in range(2, q) if pow(c, (q - 1) // p, q) != 1)
         scan = next(a for a in range(2, q) if pow(a, p, q) == 1)
-        assert Tower(TowerSpec(p, "cyclic", q, c)).omega == scan, q
+        assert Tower(p, "cyclic", q, c).omega == scan, q
 
 
 def dense_generic_rref(lin, A):
@@ -219,7 +219,7 @@ def dense_generic_rref(lin, A):
 @given(st.data())
 def test_generic_rref_matches_dense_reference(data):
     """Sparse matrices over F_3(t), with entries c t^k / (t + 1)^m."""
-    lin = Tower(TowerSpec(3, "inseparable")).lin
+    lin = Tower(3, "inseparable").lin
     t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
 
     def entry():
@@ -287,7 +287,7 @@ def test_sparse_rank_matches_reference_mod_q(q, data):
 @given(data=st.data())
 def test_sparse_rank_matches_reference_over_f3t(data):
     """Entries c t^k / (t + 1)^m over F_3(t)."""
-    lin = Tower(TowerSpec(3, "inseparable")).lin
+    lin = Tower(3, "inseparable").lin
     t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
 
     def entry(c, k, m):

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ALL_FIXTURES, load_fixture, model
-from eqposet import (Flavor, Label, ModelError, RatVec, build_model,
+from eqposet import (AlgebraModel, Flavor, Label, ModelError, PosetError, RatVec, build_model,
                      injective_profiles, is_hereditary, projective_cd,
                      projective_udimF, radical_info)
 
@@ -76,8 +76,20 @@ def test_kdim_convention():
 def test_build_model_requires_bounds():
     from eqposet import EquippedPoset
     P = EquippedPoset(2, ("x",), frozenset(), {("x", "x"): 1})
-    with pytest.raises(ModelError):
+    with pytest.raises(PosetError, match="missing-zero"):
         build_model(P, Flavor.R)
+
+
+def test_t_socle_refuses_a_remainder():
+    """t_socle = hom(0, m)/hom(m, m) is an exact quotient: 3/2 raises, where
+    a floor division gave 1."""
+    M = model("star2", "r")
+    hom = [list(row) for row in M.hom]
+    hom[0][2], hom[2][2] = 3, 2
+    bad = AlgebraModel(M.poset, M.flavor, tuple(map(tuple, hom)))
+    with pytest.raises(ModelError, match=r"^t_socle = 3/2 is not integral$"):
+        bad.t_socle
+    assert M.t_socle == 1
 
 
 # ---------------------------------------------------------------- radicals

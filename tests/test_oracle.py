@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (ALL_FIXTURES, assert_division_agrees, cached_tower,
                       enumerated_division, load_fixture, model)
-from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower, TowerSpec,
+from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower,
                      augment, build_family, build_model, default_tower,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      parse_poset, run_verification, verify_admissible, verify_dims)
-from eqposet.fields import _pdivmod
+from eqposet.fields import DEFAULT_TOWERS, _pdivmod
 
 
 # ---------------------------------------------------------------- towers
@@ -60,40 +60,44 @@ def test_tower_operator_basis_ranks():
 
 
 @pytest.mark.parametrize("spec, fragment", [
-    (TowerSpec(3, "cyclic", 5, 2), "does not divide"),
-    (TowerSpec(2, "cyclic", 3, 1), "p-th power"),
-    (TowerSpec(2, "cyclic", 3, 3), "p-th power"),      # c = 0 mod q
-    (TowerSpec(2, "cyclic", 9, 2), "not prime"),
-    (TowerSpec(4, "cyclic", 5, 2), "not prime"),
-    (TowerSpec(2, "weird"), "unknown tower mode"),
-    (TowerSpec(2, "cyclic"), "needs q and c"),
+    ((3, "cyclic", 5, 2), "does not divide"),
+    ((2, "cyclic", 3, 1), "p-th power"),
+    ((2, "cyclic", 3, 3), "p-th power"),      # c = 0 mod q
+    ((2, "cyclic", 9, 2), "not prime"),
+    ((4, "cyclic", 5, 2), "not prime"),
+    ((2, "weird"), "unknown tower mode"),
+    pytest.param((2, "cyclic", 3), "^cyclic towers need both q and c$", id="spec6-needs q and c"),
     # a prime past MAX_Q, the bound on q's trial division
-    (TowerSpec(2, "cyclic", 4294967311, 3), "too large"),
+    ((2, "cyclic", 4294967311, 3), "too large"),
     # below "weird" in spirit; here, so that the ids above keep their numbers
-    pytest.param(TowerSpec(3, "inseparable", q=7, c=3), "takes no q or c",
+    pytest.param((3, "inseparable", 7, 3), "^q and c apply to cyclic towers only$",
                  id="inseparable-q-c"),
-    pytest.param(TowerSpec(3, "inseparable", c=3), "takes no q or c", id="inseparable-c"),
+    pytest.param((3, "inseparable", None, 3), "^q and c apply to cyclic towers only$",
+                 id="inseparable-c"),
     pytest.param(lambda: default_tower(2, "inseperable"), "unknown tower mode 'inseperable'",
                  id="default-misspelled-mode"),
-    pytest.param(TowerSpec(37, "cyclic", 149, 2), "p = 37 is too large for a tower",
+    pytest.param((37, "cyclic", 149, 2), "p = 37 is too large for a tower",
                  id="p-past-max-tower-p"),
     # refused before the p x p operators are built: O(p^2) memory at this p
-    pytest.param(TowerSpec(2147483647, "inseparable"),
+    pytest.param((2147483647, "inseparable"),
                  "p = 2147483647 is too large for a tower: its operators are p x p matrices, "
                  "so p <= 31", id="p-2^31-1-inseparable"),
+    pytest.param((2, "cyclic", None, 3), "^cyclic towers need both q and c$", id="c-without-q"),
+    # p is checked before a default tower is looked up
+    pytest.param((37,), "p = 37 is too large for a tower", id="p-past-max-tower-p-default"),
 ])
 def test_bad_tower_parameters(spec, fragment):
-    """A spec goes to Tower; a callable builds its tower itself."""
+    """A tuple holds Tower's arguments; a callable builds its tower itself."""
     with pytest.raises(ParameterError, match=fragment):
-        spec() if callable(spec) else Tower(spec)
+        spec() if callable(spec) else Tower(*spec)
 
 
 @pytest.mark.parametrize("spec, message", [
-    (TowerSpec(-10 ** 5000, "cyclic", 3, 2), "p = -10000000000... (5001 digits) is not prime"),
-    (TowerSpec(2, "cyclic", -10 ** 5000, 2), "q = -10000000000... (5001 digits) is not prime"),
-    (TowerSpec(2, "cyclic", 3, 3 * 10 ** 5000),
+    ((-10 ** 5000, "cyclic", 3, 2), "p = -10000000000... (5001 digits) is not prime"),
+    ((2, "cyclic", -10 ** 5000, 2), "q = -10000000000... (5001 digits) is not prime"),
+    ((2, "cyclic", 3, 3 * 10 ** 5000),
      "c = 300000000000... (5001 digits) is a p-th power in F_3"),
-    (TowerSpec(2, "cyclic", 10 ** 5000, 3),
+    ((2, "cyclic", 10 ** 5000, 3),
      "q = 100000000000... (5001 digits) is too large: the primality of q is "
      "checked by trial division, so q <= 3037000500"),
 ], ids=["p", "q prime", "c", "q large"])
@@ -101,9 +105,17 @@ def test_huge_tower_parameters_are_parameter_errors(spec, message):
     """Integers past str()'s 4300-digit limit give the library's own error,
     with the number shortened."""
     with pytest.raises(ParameterError) as err:
-        Tower(spec)
+        Tower(*spec)
     assert str(err.value) == message
     assert len(message) < 100 or "too large" in message
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tower_without_q_and_c_is_the_default_tower(p):
+    """A cyclic Tower given only p takes p's entry in DEFAULT_TOWERS, as
+    default_tower does."""
+    towers = Tower(p), default_tower(p), Tower(p, "cyclic", *DEFAULT_TOWERS[p])
+    assert len({(t.q, t.c, t.omega, str(t.theta)) for t in towers}) == 1
 
 
 def test_no_default_tower_for_p7():

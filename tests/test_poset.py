@@ -124,6 +124,16 @@ def test_validate_missing_bounds_only_when_required():
     assert codes == {"missing-zero", "missing-max"}
 
 
+def test_validate_one_point_as_both_bounds_only_when_required():
+    """A lone strong point is the strong minimum and the maximum at once;
+    augment would keep it inner and adjoin both bounds."""
+    P = _poset(2, ["s"], ["s"], {})
+    assert P.zero == P.max == "s" and validate(P).ok
+    assert [(v.code, v.witness) for v in validate(P, require_bounds=True).violations] == \
+        [("bounds-coincide", ("s",))]
+    assert validate(augment(P), require_bounds=True).ok
+
+
 # ---------------------------------------------------------------- closure
 
 def test_closure_chain_sum():
