@@ -33,7 +33,10 @@ MAX_Q = 3037000500
 MAX_TOWER_P = 31
 
 
-DEFAULT_TOWERS = {2: (3, -1), 3: (7, 3), 5: (11, 2)}
+# (q, c) per prime p <= MAX_TOWER_P: from p = 7 on, the least prime q = 1 mod p
+# and the least c with c^((q - 1)/p) != 1 mod q, so c is not a p-th power
+DEFAULT_TOWERS = {2: (3, -1), 3: (7, 3), 5: (11, 2), 7: (29, 2), 11: (23, 2), 13: (53, 2),
+                  17: (103, 2), 19: (191, 2), 23: (47, 2), 29: (59, 2), 31: (311, 2)}
 
 
 # -- F_p(t): a polynomial over F_p is a tuple of residues, constant term first,
@@ -234,8 +237,6 @@ class Tower:
         self.p = p
         if mode == "cyclic":
             if q is None and c is None:
-                if p not in DEFAULT_TOWERS:
-                    raise ParameterError(f"no default tower for p = {p}; pass q and c explicitly")
                 q, c = DEFAULT_TOWERS[p]
             elif q is None or c is None:
                 raise ParameterError("cyclic towers need both q and c")

@@ -19,7 +19,9 @@ refutes that each R_{x,x} is a field by Rabin's irreducibility test on the
 minimal polynomial of one element; over F_p(t) it tests basis elements only.
 Hom dimensions impose A-linearity on a generating set of the realized algebra
 only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
-modulo what the members inside [l, l'] generate (rad/rad^2).
+modulo what the members inside [l, l'] generate (rad/rad^2).  Nearly every
+row of such a system has one or two entries: those merge classes of unknowns,
+and only the rows left with three or more reach the sparse rank.
 """
 
 from __future__ import annotations
@@ -303,9 +305,9 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
     (e_l' x e_l) are the actions of s on the blocks of e_i A and e_j A.  A map
     that commutes with s and t commutes with s + t and s t, so the generators
     impose A-linearity.  Every basis element is still checked to act inside
-    the family.  The answer is N minus the rank of the system; the rows of
-    the unit of R_{l,l}, the identity on both sides, and other zero rows are
-    not kept.  The blocks are closed upward, so the names of the members R_{i,l},
+    the family.  The answer is N minus the rank of the system, found by
+    `_solve_hom_system`; the rows of the unit of R_{l,l}, the identity on both
+    sides, are not built.  The blocks are closed upward, so the names of R_{i,l},
     R_{j,l} and R_{l,l'} for blocks l, l' (None where a pair is not comparable)
     fix the system: they key it, and each distinct system is solved once."""
     m = fam.member.get
@@ -317,7 +319,19 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
 
 
 def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
+    """Nearly every row has one or two nonzeros, read straight from the `_block`
+    lists, so they are merged first (LaMacchia-Odlyzko, CRYPTO '90).  Unknown c
+    is x_c = gain[c] x_root, and each root lists its class, so a merge relabels
+    the smaller class.  a x = 0 zeroes the class of x.  a x + b y = 0 zeroes
+    the class of y if that of x is zero, and the other way round; else it
+    merges two classes by x_rx = -(b g_y / a g_x) x_ry, or zeroes their one
+    class unless a g_x + b g_y = 0 (so entries on one column, at l = l', r = u,
+    a = b, add up).  Rows of three or more are rewritten in the live roots'
+    coordinates until none becomes light.  Each step keeps the solutions over
+    any field, and the light rows leave one free coordinate per live (not
+    zero) root, so the dimension is the live roots minus the heavy rows' rank."""
     lin = fam.tower.lin
+    norm, inv = lin.norm, lin.inv
     d, e, off, N = {}, {}, {}, 0
     for l in blocks:
         d[l], e[l], off[l] = fam.dim(i, l), fam.dim(j, l), N
@@ -338,25 +352,68 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
             if e[lp]:
                 parts.append((l, lp, Ci, Cj, ti, tj, fam.generators(l, lp)))
 
-    def rows():
-        for l, lp, Ci, Cj, ti, tj, picks in parts:
-            for k in picks:
-                unit_i, C, _ = _block(lin, ti, Ci, k)
-                unit_j, _, Dt = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
-                if l == lp and unit_i and unit_j:
-                    continue  # phi_l 1 - 1 phi_l
-                # row (s, r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
-                # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
-                for r in range(e[lp]):
-                    for a in range(d[l]):
-                        row = {off[lp] + r * d[lp] + b: x for b, x in C[a]}
-                        for u, x in Dt[r]:
-                            col = off[l] + u * d[l] + a
-                            row[col] = row[col] - x if col in row else -x
-                        if any(row.values()):
-                            yield row
-
-    return N - lin.rank(rows())
+    dead, edges, heavy = set(), [], []  # zero roots; rows a x + b y = 0 as (x, a, y, b)
+    for l, lp, Ci, Cj, ti, tj, picks in parts:
+        for k in picks:
+            unit_i, C, _ = _block(lin, ti, Ci, k)
+            unit_j, _, Dt = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
+            if l == lp and unit_i and unit_j:
+                continue  # phi_l 1 - 1 phi_l
+            # row (r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
+            # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
+            one = [(a, *Ca[0]) for a, Ca in enumerate(C) if len(Ca) == 1]
+            none = [a for a, Ca in enumerate(C) if not Ca]
+            rest = [(a, Ca) for a, Ca in enumerate(C) if len(Ca) > 1]
+            for r, Dr in enumerate(Dt):
+                base, Dr = off[lp] + r * d[lp], [(off[l] + u * d[l], -x) for u, x in Dr]
+                if not Dr:
+                    dead.update([base + b for _, b, _ in one])
+                elif len(Dr) == 1:
+                    (c, y), = Dr
+                    edges += [(base + b, x, c + a, y) for a, b, x in one]
+                    dead.update([c + a for a in none])
+                for a, Ca in rest if len(Dr) < 2 else enumerate(C):
+                    row = [(base + b, x) for b, x in Ca] + [(c + a, x) for c, x in Dr]
+                    if len(row) == 2:
+                        edges.append((*row[0], *row[1]))
+                    else:
+                        heavy.append(row)
+    root, gain, cls = list(range(N)), [lin.one] * N, [[c] for c in range(N)]
+    while True:
+        for x, a, y, b in edges:  # a x_rx + b x_ry = 0 after the gains
+            rx, ry = root[x], root[y]
+            if rx in dead:
+                dead.add(ry)
+            elif ry in dead:
+                dead.add(rx)
+            elif rx == ry:
+                if norm(a * gain[x] + b * gain[y]):
+                    dead.add(rx)
+            else:
+                a, b = a * gain[x], b * gain[y]
+                if len(cls[rx]) > len(cls[ry]):
+                    rx, ry, a, b = ry, rx, b, a
+                f = -b * inv(a)
+                for c in cls[rx]:
+                    root[c], gain[c] = ry, norm(gain[c] * f)
+                cls[ry] += cls[rx]
+                cls[rx] = None  # dead holds roots only: a zero class is never relabelled
+        edges, rows = [], []
+        for row in heavy:  # in the coordinates of the live roots
+            sub = {}
+            for c, x in row:
+                if (rc := root[c]) not in dead:
+                    sub[rc] = norm(sub.get(rc, lin.zero) + x * gain[c])
+            sub = [(c, x) for c, x in sub.items() if x]
+            if len(sub) == 2:
+                edges.append((*sub[0], *sub[1]))
+            elif len(sub) == 1:
+                dead.add(sub[0][0])
+            elif sub:
+                rows.append(sub)
+        if len(rows) == len(heavy):
+            return N - cls.count(None) - len(dead) - (lin.rank(map(dict, rows)) if rows else 0)
+        heavy = rows
 
 
 def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:

@@ -15,6 +15,7 @@ from eqposet import (EquippedPoset, Flavor, InjectiveProfile, Label, ModelError,
                      projective_cd, projective_udimF, quadratic, radical_info, validate,
                      verify_admissible)
 from eqposet.model import _loc
+from eqposet.oracle import OracleError, _block, _solve_hom_system
 from eqposet.poset import P_LIMIT, P_RANGE, Violation, _is_prime, shown
 
 FIXTURES = resources.files("eqposet") / "fixtures"
@@ -106,6 +107,75 @@ def assert_division_agrees(fam) -> None:
         assert f"division in R_{x} not certified" not in rep.a2_failures, x
         field = f"element of R_{x} has no right inverse" not in rep.a2_failures
         assert field == enumerated_division(fam, x), (x, fam.flavor)
+
+
+def rank_hom_dim(fam, i: str, j: str, blocks: list[str]) -> int:
+    """The reference for `oracle._solve_hom_system`: the same system, every
+    nonzero row built as a dict and handed to one sparse rank, N minus it."""
+    lin = fam.tower.lin
+    d, e, off, N = {}, {}, {}, 0
+    for l in blocks:
+        d[l], e[l], off[l] = fam.dim(i, l), fam.dim(j, l), N
+        N += e[l] * d[l]
+    if N == 0:
+        return 0
+    parts = []
+    for l in blocks:
+        if d[l] == 0:
+            continue
+        for lp in fam.above[l]:
+            Ci, fi, ti = fam.table(i, l, lp)
+            Cj, fj, tj = fam.table(j, l, lp) if e[l] else (None, None, None)
+            bad = [(f, base) for base, f in ((i, fi), (j, fj)) if f is not None]
+            if bad:
+                raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
+                                  f"by R_({l},{lp}) leaves the family")
+            if e[lp]:
+                parts.append((l, lp, Ci, Cj, ti, tj, fam.generators(l, lp)))
+
+    def rows():
+        for l, lp, Ci, Cj, ti, tj, picks in parts:
+            for k in picks:
+                unit_i, C, _ = _block(lin, ti, Ci, k)
+                unit_j, _, Dt = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
+                if l == lp and unit_i and unit_j:
+                    continue
+                for r in range(e[lp]):
+                    for a in range(d[l]):
+                        row = {off[lp] + r * d[lp] + b: x for b, x in C[a]}
+                        for u, x in Dt[r]:
+                            col = off[l] + u * d[l] + a
+                            row[col] = row[col] - x if col in row else -x
+                        if any(row.values()):
+                            yield row
+
+    return N - lin.rank(rows())
+
+
+def hom_systems(fam):
+    """Every hom and radical system the oracle asks of fam, as (i, j, blocks),
+    once per key of `oracle._grade_preserving_hom_dim`."""
+    m, seen = fam.member.get, set()
+    for i, above in fam.above.items():
+        asked = [(j, above) for j in fam.above]
+        asked += [(i, [l for l in above if l != i])] if i != fam.poset.max else []
+        for j, blocks in asked:
+            key = (*[m((x, l)) for l in blocks for x in (i, j)],
+                   *[m((l, lp)) for l in blocks for lp in blocks])
+            if key not in seen:
+                seen.add(key)
+                yield i, j, blocks
+
+
+def assert_solver_matches_reference(fam) -> int:
+    """`_solve_hom_system` equals `rank_hom_dim` on every distinct system of
+    fam; returns the number of systems."""
+    n = 0
+    for i, j, blocks in hom_systems(fam):
+        assert _solve_hom_system(fam, i, j, blocks) == rank_hom_dim(fam, i, j, blocks), \
+            (fam.poset, fam.flavor.value, i, j, blocks)
+        n += 1
+    return n
 
 
 def enumerate_equipped(p: int, n: int):

@@ -4,18 +4,21 @@ import itertools
 import json
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ALL_FIXTURES, assert_division_agrees, cached_tower,
-                      enumerated_division, load_fixture, model)
+from conftest import (ALL_FIXTURES, assert_division_agrees, assert_solver_matches_reference,
+                      cached_tower, enumerated_division, hom_systems, load_fixture, model,
+                      rank_hom_dim)
 from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower,
                      augment, build_family, build_model, default_tower,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      parse_poset, run_verification, verify_admissible, verify_dims)
-from eqposet.fields import DEFAULT_TOWERS, _pdivmod
+from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P, _pdivmod
+from eqposet.linalg import ModQ
 
 
 # ---------------------------------------------------------------- towers
@@ -118,9 +121,20 @@ def test_tower_without_q_and_c_is_the_default_tower(p):
     assert len({(t.q, t.c, t.omega, str(t.theta)) for t in towers}) == 1
 
 
-def test_no_default_tower_for_p7():
-    with pytest.raises(ParameterError, match="no default tower"):
-        default_tower(7)
+def test_default_towers_for_p7_to_p31_follow_the_rule():
+    """Every prime p <= 31 has a default cyclic tower.  From p = 7 on it is
+    the least prime q = 1 mod p and the least c >= 2 with c^((q - 1)/p) != 1
+    mod q (Euler's criterion: c is not a p-th power); p = 2, 3, 5 keep their
+    towers, so no output of theirs moves."""
+    primes = [p for p in range(2, MAX_TOWER_P + 1) if all(p % k for k in range(2, p))]
+    assert sorted(DEFAULT_TOWERS) == primes
+    assert {p: DEFAULT_TOWERS[p] for p in (2, 3, 5)} == {2: (3, -1), 3: (7, 3), 5: (11, 2)}
+    for p in primes[3:]:
+        q = next(q for q in itertools.count(p + 1, p) if all(q % k for k in range(2, q)))
+        c = next(c for c in itertools.count(2) if pow(c, (q - 1) // p, q) != 1)
+        assert DEFAULT_TOWERS[p] == (q, c), p
+        t = default_tower(p)
+        assert (t.q, t.c) == (q, c) and pow(t.omega, p, q) == 1 != t.omega
 
 
 def _entries(lin, A):
@@ -710,19 +724,25 @@ def test_reduced_systems_match_all_basis_systems(name, flavor, mode):
 @pytest.mark.parametrize("flavor", ["r", "c"])
 def test_hom_systems_hold_no_zero_row_and_equal_systems_are_ranked_once(flavor, monkeypatch):
     """On wide2, whose hom systems repeat, every row handed to rank has a
-    nonzero entry (the rows of a unit pick are not built), and there are
-    fewer rank calls than systems with unknowns."""
+    nonzero entry (the rows of a unit pick are not built, and heavy rows
+    that vanish in root coordinates are dropped), and fewer systems with
+    unknowns are solved than are asked."""
     P = load_fixture("wide2")
     fam = build_family(cached_tower(P.p, "cyclic"), P, flavor)
-    lin, calls = fam.tower.lin, []
-    rank = lin.rank
+    lin, calls, solved = fam.tower.lin, [], []
+    rank, solve = lin.rank, oracle._solve_hom_system
 
     def spy(rows):
         rows = list(rows)
         calls.append(rows)
         return rank(rows)
 
+    def spy_solve(fam, i, j, blocks):
+        solved.append(any(fam.dim(i, l) and fam.dim(j, l) for l in blocks))
+        return solve(fam, i, j, blocks)
+
     monkeypatch.setattr(lin, "rank", spy)
+    monkeypatch.setattr(oracle, "_solve_hom_system", spy_solve)
     systems = 0
     for i in P.points:
         up = [l for l in P.points if P.leq(i, l)]
@@ -733,7 +753,7 @@ def test_hom_systems_hold_no_zero_row_and_equal_systems_are_ranked_once(flavor, 
             systems += any(fam.dim(i, l) for l in up if l != i)
             oracle_radical(fam, i)
     assert all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
-    assert 0 < len(calls) < systems
+    assert len(calls) <= sum(solved) and 0 < sum(solved) < systems
 
 
 @pytest.mark.parametrize("flavor", ["r", "c"])
@@ -761,6 +781,126 @@ def small_posets(draw):
 @given(small_posets(), st.sampled_from(["r", "c"]))
 def test_reduced_systems_match_on_random_posets(P, flavor):
     assert_reduced_systems_match(build_family(cached_tower(P.p, "cyclic"), P, flavor))
+
+
+# ---------------------------------------------------------------- merged rows
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_solver_matches_rank_reference(name, flavor, mode):
+    P = load_fixture(name)
+    assert assert_solver_matches_reference(build_family(cached_tower(P.p, mode), P, flavor))
+
+
+@pytest.mark.parametrize("name", ["star2", "star3", "chain3_ell1", "mixed3", "four3"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_solver_matches_rank_reference_on_split_towers(name, flavor):
+    """Local rings that are not fields: cycles of merges whose gains do not
+    multiply to 1 zero a class, and the reference must agree."""
+    P = load_fixture(name)
+    assert assert_solver_matches_reference(build_family(_split_tower(P.p), P, flavor))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_posets(), st.sampled_from(["r", "c"]), st.sampled_from(["cyclic", "inseparable"]))
+def test_solver_matches_rank_reference_on_random_posets(P, flavor, mode):
+    assert assert_solver_matches_reference(build_family(cached_tower(P.p, mode), P, flavor))
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_heavy_rows_reach_rank_without_zero_rows(mode, monkeypatch):
+    """chain3_ell2 in flavor r keeps heavy rows past the merges (wide2 has
+    none): they reach rank in root coordinates, each with a nonzero entry."""
+    P = load_fixture("chain3_ell2")
+    fam = build_family(cached_tower(P.p, mode), P, "r")
+    lin, calls, rank = fam.tower.lin, [], fam.tower.lin.rank
+
+    def spy(rows):
+        calls.append(list(rows))
+        return rank(calls[-1])
+
+    monkeypatch.setattr(lin, "rank", spy)
+    got = [oracle._solve_hom_system(fam, *s) for s in hom_systems(fam)]
+    monkeypatch.undo()
+    assert calls and all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
+    assert got == [rank_hom_dim(fam, *s) for s in hom_systems(fam)]
+
+
+class StubFamily:
+    """What a hom system reads of a family, given by hand: points i and j,
+    blocks (d_l, e_l) = (dim R_{i,l}, dim R_{j,l}) and, per block pair (l, l'),
+    the picks as pairs of matrices (S_i^T, S_j^T) of `RFamily.table`."""
+
+    def __init__(self, lin, blocks: dict, picks: dict):
+        self.tower, self.picks, names = SimpleNamespace(lin=lin), picks, list(blocks)
+        self.dims = {(x, l): de[n] for l, de in blocks.items() for n, x in enumerate("ij")}
+        self.above = {l: names[k:] for k, l in enumerate(names)}
+        self.done = {}
+
+    def dim(self, x, l):
+        return self.dims[(x, l)]
+
+    def table(self, x, l, lp):
+        C = [self.tower.lin.mat(pair["ij".index(x)]) for pair in self.picks.get((l, lp), [])]
+        return C, None, self.done.setdefault((x, l, lp), {})
+
+    def generators(self, l, lp):
+        return list(range(len(self.picks.get((l, lp), []))))
+
+
+HAND_CASES = {
+    # 2 phi_m = 0: one entry
+    "one entry": ({"l": (1, 0), "m": (1, 1)}, {("l", "m"): [([[2]], None)]}, 0),
+    # 2 phi_m - 3 phi_l = 0: one entry on each side, a merge
+    "one on each side": ({"l": (1, 1), "m": (1, 1)}, {("l", "m"): [([[2]], [[3]])]}, 1),
+    # x + 2 y = 0 from C[a] alone, then x = 0: y is zeroed through the merge
+    "two from C": ({"l": (1, 0), "m": (2, 1)},
+                   {("l", "m"): [([[1, 2]], None), ([[1, 0]], None)]}, 0),
+    # -u - 3 v = 0 from Dt[r] alone, then -u = 0: phi_m stays free
+    "two from Dt": ({"l": (1, 2), "m": (1, 1)},
+                    {("l", "m"): [([[0]], [[1], [3]]), ([[0]], [[1], [0]])]}, 1),
+    # (2 - 2) phi = 0 and (2 - 3) phi = 0: both entries on one column
+    "one column, cancelling": ({"l": (1, 1)}, {("l", "l"): [([[2]], [[2]])]}, 1),
+    "one column": ({"l": (1, 1)}, {("l", "l"): [([[2]], [[3]])]}, 0),
+    # x_0 = 5 x_2, x_1 = 2 x_0, x_2 = 3 x_1: gains multiply to 30 = 2, or to 36 = 1
+    "cycle": ({"l": (1, 3)}, {("l", "l"): [([[1]], [[0, 2, 0], [0, 0, 3], [5, 0, 0]])]}, 0),
+    "cycle of gain 1": ({"l": (1, 3)}, {("l", "l"): [([[1]], [[0, 2, 0], [0, 0, 3], [6, 0, 0]])]},
+                        1),
+    # x + y + z = 0 is zero once x + y = 0 and z = 0 are in, z = 0 once
+    # x + y = 0 is, and x + y = 0 once z = 0 is; alone, it is ranked
+    "heavy to zero": ({"l": (1, 0), "m": (3, 1)},
+                      {("l", "m"): [([[1, 1, 1]], None), ([[1, 1, 0]], None),
+                                    ([[0, 0, 1]], None)]}, 1),
+    "heavy to one entry": ({"l": (1, 0), "m": (3, 1)},
+                           {("l", "m"): [([[1, 1, 1]], None), ([[1, 1, 0]], None)]}, 1),
+    "heavy to two entries": ({"l": (1, 0), "m": (3, 1)},
+                             {("l", "m"): [([[1, 1, 1]], None), ([[0, 0, 1]], None)]}, 1),
+    "heavy": ({"l": (1, 0), "m": (3, 1)}, {("l", "m"): [([[1, 1, 1]], None)]}, 2),
+}
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("case", list(HAND_CASES))
+def test_solver_on_each_row_shape(case, mode, monkeypatch):
+    """Each row shape the merge tells apart, over F_7 and F_7(t), against
+    the dimension worked out by hand and the rank reference.  A misread row
+    changes the answer: read as one entry, "two from C" and "two from Dt"
+    give 1 and 2.  Every row handed to rank has a nonzero entry, and only
+    a heavy row still heavy in root coordinates reaches it."""
+    blocks, picks, want = HAND_CASES[case]
+    lin, calls = ModQ(7) if mode == "cyclic" else Tower(7, mode).lin, []
+    fam, rank = StubFamily(lin, blocks, picks), lin.rank
+
+    def spy(rows):
+        calls.append(list(rows))
+        return rank(calls[-1])
+
+    monkeypatch.setattr(lin, "rank", spy)
+    assert oracle._solve_hom_system(fam, "i", "j", list(blocks)) == want
+    assert all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
+    assert len(calls) == (case == "heavy")
+    assert rank_hom_dim(fam, "i", "j", list(blocks)) == want
 
 
 def generated_spans(fam):
@@ -900,13 +1040,13 @@ def _member_keys(fam):
 def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monkeypatch):
     """Every cache is keyed by member names, so one run_verification builds
     each action table once per member triple (coords_rows once per basis
-    element of R_{y,z}), runs each generator closure once per key, and ranks
+    element of R_{y,z}), runs each generator closure once per key, and solves
     each distinct hom system with unknowns once.  Asked again afterwards,
-    no system reaches rank, rref or coords_rows."""
+    no system is solved again or reaches rank, rref or coords_rows."""
     P = load_fixture(name)
     lin, families, asked = cached_tower(P.p, "cyclic").lin, [], []
     calls, generators = Counter(), RFamily.generators
-    verify, close = oracle.verify_admissible, oracle._close
+    verify, close, solve = oracle.verify_admissible, oracle._close, oracle._solve_hom_system
 
     def spy(attr):
         real = getattr(lin, attr)
@@ -929,8 +1069,13 @@ def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monk
         families.append(fam)
         return rep
 
+    def spy_solve(fam, i, j, blocks):
+        calls["solve", any(fam.dim(i, l) and fam.dim(j, l) for l in blocks)] += 1
+        return solve(fam, i, j, blocks)
+
     for fn in ("rank", "rref", "coords_rows"):
         spy(fn)
+    monkeypatch.setattr(oracle, "_solve_hom_system", spy_solve)
     monkeypatch.setattr(RFamily, "generators", spy_generators)
     monkeypatch.setattr(oracle, "_close", spy_close)
     monkeypatch.setattr(oracle, "verify_admissible", spy_verify)
@@ -945,7 +1090,8 @@ def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monk
         first.setdefault(_closure_key(fam, l, lp), (l, lp))
     assert {k[1]: n for k, n in calls.items() if k[0] == "close"} == dict.fromkeys(
         first.values(), 1)
-    assert calls["rank", True] == len(systems) > 0
+    assert calls["solve", True] == len(systems) > 0
+    assert calls["rank", True] <= len(systems)
     calls.clear()
     _hom_answers(fam)
     assert not calls

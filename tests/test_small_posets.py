@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_division_agrees, cached_tower, check_component_invariants,
-                      enumerate_equipped)
+from conftest import (assert_division_agrees, assert_solver_matches_reference, cached_tower,
+                      check_component_invariants, enumerate_equipped)
 from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model, knit,
                      min_equipment_closure, pair_components, run_verification)
 
@@ -53,6 +53,17 @@ def test_every_small_poset_knits_pairs_and_passes_the_oracle(p, n):
                 assert_division_agrees(build_family(cached_tower(p, "cyclic"), A, M.flavor))
 
 
+@pytest.mark.parametrize("p, n", SIZES)
+def test_every_small_poset_solves_hom_systems_as_the_rank_reference(p, n):
+    """The merged hom systems equal the sparse rank of every row, over the
+    towers of the sweep above."""
+    for P in enumerate_equipped(p, n):
+        A = augment(P)
+        for mode in _oracle_modes(p, n):
+            for flavor in (Flavor.R, Flavor.C):
+                assert assert_solver_matches_reference(build_family(cached_tower(p, mode), A, flavor))
+
+
 @st.composite
 def equipped_posets(draw):
     """A valid equipped poset on 4 or 5 points at p in {2, 3, 5}: random
@@ -83,3 +94,11 @@ def test_random_posets_knit_and_pair(P):
         for M in (Mr, Mc):
             rep = run_verification(M, cached_tower(P.p, mode))
             assert rep.ok, f"{P} {mode}:\n{rep}"
+
+
+@settings(deadline=None)
+@given(equipped_posets())
+def test_random_posets_solve_hom_systems_as_the_rank_reference(P):
+    for mode in ["cyclic", "inseparable"] if P.p in (2, 3) else ["cyclic"]:
+        for flavor in (Flavor.R, Flavor.C):
+            assert assert_solver_matches_reference(build_family(cached_tower(P.p, mode), P, flavor))
