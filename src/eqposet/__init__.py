@@ -3,7 +3,7 @@ Auslander-Reiten components of the simple projective, with an exact
 finite-field oracle for everything the numerics claim."""
 
 from .fields import Tower, default_tower
-from .forms import RatVec, bilinear, euler_pairing, gram_matrix, quadratic
+from .forms import RatVec, bilinear, gram_matrix, quadratic
 from .knitter import (FINITE, TRUNCATED, ArArrow, ArVertex, ComponentGraph,
                       KnitError, knit)
 from .model import (AlgebraModel, Flavor, InjectiveProfile, Label, ModelError,
@@ -12,25 +12,23 @@ from .model import (AlgebraModel, Flavor, InjectiveProfile, Label, ModelError,
 from .oracle import (OracleError, OracleReport, RFamily, build_family,
                      oracle_hom_dim, oracle_radical, run_verification,
                      verify_admissible, verify_dims)
-from .pairing import (PairingReport, TableReport, check_table_correspondence,
-                      map_s, map_s_inv, map_w, map_w_inv, pair_components)
+from .pairing import (PairingReport, map_s, map_s_inv, map_w, map_w_inv,
+                      pair_components)
 from .poset import (EquippedPoset, ParameterError, PosetError, ValidationReport, Violation,
-                    augment, is_slender, load_poset, min_equipment_closure,
-                    parse_poset, validate)
+                    augment, load_poset, min_equipment_closure, parse_poset, validate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraModel", "ArArrow", "ArVertex", "ComponentGraph", "EquippedPoset",
-    "FINITE", "Flavor", "InjectiveProfile", "KnitError", "Label", "ModelError",
-    "OracleError", "OracleReport", "PairingReport", "ParameterError",
-    "PosetError", "RFamily", "RadicalInfo", "RatVec", "TRUNCATED",
-    "TableReport", "Tower", "ValidationReport", "Violation",
-    "augment", "bilinear", "build_family", "build_model",
-    "check_table_correspondence", "default_tower", "euler_pairing",
-    "gram_matrix", "injective_profiles", "is_hereditary", "is_slender", "knit", "load_poset", "map_s", "map_s_inv", "map_w",
-    "map_w_inv", "min_equipment_closure", "oracle_hom_dim", "oracle_radical",
-    "pair_components", "parse_poset", "projective_cd", "projective_udimF",
-    "quadratic", "radical_info", "run_verification", "validate",
-    "verify_admissible", "verify_dims",
+    "FINITE", "Flavor", "InjectiveProfile", "KnitError", "Label",
+    "ModelError", "OracleError", "OracleReport", "PairingReport",
+    "ParameterError", "PosetError", "RFamily", "RadicalInfo", "RatVec",
+    "TRUNCATED", "Tower", "ValidationReport", "Violation", "augment",
+    "bilinear", "build_family", "build_model", "default_tower", "gram_matrix",
+    "injective_profiles", "is_hereditary", "knit", "load_poset", "map_s",
+    "map_s_inv", "map_w", "map_w_inv", "min_equipment_closure",
+    "oracle_hom_dim", "oracle_radical", "pair_components", "parse_poset",
+    "projective_cd", "projective_udimF", "quadratic", "radical_info",
+    "run_verification", "validate", "verify_admissible", "verify_dims",
 ]

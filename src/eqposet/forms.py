@@ -100,8 +100,3 @@ def bilinear(model, d1: RatVec, d2: RatVec) -> int:
 
 def quadratic(model, d: RatVec) -> int:
     return bilinear(model, d, d)
-
-
-def euler_pairing(model, cd_x: RatVec, cd_y: RatVec) -> int:
-    """Pairing <X, Y> = dim Hom(X, Y) on coordinate vectors of projectives."""
-    return bilinear(model, cd_y, cd_x)

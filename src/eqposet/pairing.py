@@ -15,7 +15,6 @@ from typing import Sequence
 from .forms import RatVec
 from .knitter import ArArrow, ComponentGraph
 from .model import AlgebraModel, Label
-from .poset import P_LIMIT, _is_prime, shown
 
 
 def _scales(p: int, strengths: Sequence[bool], on_strong: bool) -> tuple[int, ...]:
@@ -183,69 +182,3 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         if extra:
             pc.problems.append(f"extra flavor-c arrows to {sorted(extra)}")
     return report
-
-
-@dataclass
-class TableReport:
-    name: str
-    n_pairs: int
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"{self.name}: {self.n_pairs} pairs ok"
-        return f"{self.name}: " + "; ".join(self.mismatches)
-
-
-def _field(obj: dict, key: str, where: str = "", kind: type | None = None):
-    """obj[key], which must be there, and of type kind when one is given."""
-    if key not in obj or kind and type(obj[key]) is not kind:
-        raise ValueError(f"{where}{key} is "
-                         + (f"not a {kind.__name__}" if key in obj else "missing"))
-    return obj[key]
-
-
-def check_table_correspondence(table: dict) -> TableReport:
-    """Verify a stored grid of (flavor r, flavor c) dimension-vector pairs.
-
-    Table schema: {"name", "p", "strengths": ["weak"|"strong", ...],
-    "pairs": [{"pos", "label": "Strong"|"Weak", "r": [...], "c": [...]}]}.
-    A table or pair that is not a dict, a p that is not a prime int, a missing
-    field, a non-list where the schema has a list, or a bad strength, label or
-    entry raises ValueError naming the field, and the pair by pos or index.
-    """
-    if type(table) is not dict:
-        raise ValueError("the table is not a dict")
-    p = table.get("p")
-    if type(p) is not int or p >= P_LIMIT or not _is_prime(p):
-        raise ValueError(f"p = {shown(p) if type(p) is int else repr(p)} is not a prime int "
-                         "below 2^31")
-    if bad := [s for s in _field(table, "strengths", kind=list) if s not in ("weak", "strong")]:
-        raise ValueError(f"strengths: {bad[0]!r} is neither 'weak' nor 'strong'")
-    strengths = tuple(s == "strong" for s in table["strengths"])
-    rep = TableReport(_field(table, "name"), len(_field(table, "pairs", kind=list)))
-    for i, pair in enumerate(table["pairs"]):
-        if type(pair) is not dict:
-            raise ValueError(f"pairs[{i}] is not a dict")
-        where = f"{_field(pair, 'pos', f'pairs[{i}]: ')}: "
-        if bad := [k for k in ("r", "c")
-                   if any(type(x) is not int for x in _field(pair, k, where, list))]:
-            raise ValueError(f"{where}{bad[0]} has an entry that is not an int")
-        rv = RatVec.from_seq(pair["r"])
-        cv = RatVec.from_seq(pair["c"])
-        if not len(rv) == len(cv) == len(strengths):
-            raise ValueError(f"{where}vectors and strengths differ in length")
-        if (label := _field(pair, "label", where)) not in ("Strong", "Weak"):
-            raise ValueError(f"{where}label {label!r} is neither 'Strong' nor 'Weak'")
-        try:
-            want = (map_w_inv if label == Label.STRONG else map_s_inv)(p, strengths, rv)
-        except ValueError:
-            rep.mismatches.append(f"{where}non-integral image of {rv}")
-            continue
-        if want != cv:
-            rep.mismatches.append(f"{where}expected {want}, got {cv}")
-    return rep

@@ -117,12 +117,6 @@ class EquippedPoset:
     def leq(self, x: str, y: str) -> bool:
         return (x, y) in self.rel
 
-    def ell(self, x: str, y: str) -> int:
-        try:
-            return self.rel[(x, y)]
-        except KeyError:
-            raise ValueError(f"points not comparable: {x} <= {y}") from None
-
     def is_strong(self, x: str) -> bool:
         return x in self.strong
 
@@ -148,13 +142,6 @@ class EquippedPoset:
                          tuple([x in self.strong for x in pts]),
                          tuple([tuple([j for j, y in enumerate(pts) if (x, y) in rel and j != i])
                                 for i, x in enumerate(pts)]))
-
-    def up_set(self, x: str) -> "EquippedPoset":
-        """Restriction to {y : x <= y}, preserving declaration order."""
-        keep = [y for y in self.points if self.leq(x, y)]
-        ks = set(keep)
-        rel = {(a, b): l for (a, b), l in self.rel.items() if a in ks and b in ks}
-        return EquippedPoset(self.p, tuple(keep), self.strong & ks, rel)
 
 
 def validate(P: EquippedPoset, require_bounds: bool = False) -> ValidationReport:
@@ -402,14 +389,3 @@ def load_poset(path: str, check: bool = True) -> EquippedPoset:
     except UnicodeDecodeError as e:
         raise PosetError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_poset(text, check=check)
-
-
-def is_slender(P: EquippedPoset) -> bool:
-    """Chain whose weak points form a lower segment pairwise related by ell = 1."""
-    pts, rel = P.points, P.rel
-    if any((x, y) not in rel and (y, x) not in rel for i, x in enumerate(pts) for y in pts[i + 1:]):
-        return False
-    chain = sorted(pts, key=lambda x: sum((x, y) in rel for y in pts), reverse=True)
-    weak = [x for x in chain if x not in P.strong]
-    return weak == chain[:len(weak)] and all(  # no weak point above a strong one
-        rel.get((x, y), rel.get((y, x))) == 1 for i, x in enumerate(weak) for y in weak[i + 1:])

@@ -12,14 +12,14 @@ import pytest
 
 from eqposet import (EquippedPoset, Flavor, InjectiveProfile, Label, ModelError, RadicalInfo, RatVec,
                      build_model, default_tower, injective_profiles, is_hereditary, load_poset,
-                     projective_cd, projective_udimF, quadratic, radical_info, validate,
-                     verify_admissible)
+                     map_s_inv, map_w_inv, projective_cd, projective_udimF, quadratic,
+                     radical_info, validate, verify_admissible)
 from eqposet.model import _loc
 from eqposet.oracle import OracleError, _block, _solve_hom_system
 from eqposet.poset import P_LIMIT, P_RANGE, Violation, _is_prime, shown
 
 FIXTURES = resources.files("eqposet") / "fixtures"
-TABLES = resources.files("eqposet") / "tables"
+TABLES = Path(__file__).parent / "data" / "tables"
 
 ALL_FIXTURES = [
     "trivial", "star2", "star3", "chain2_strong", "twochain2",
@@ -67,6 +67,24 @@ def load_fixture(name: str):
 
 def load_table(name: str) -> dict:
     return json.loads((TABLES / f"{name}.json").read_text())
+
+
+def table_mismatches(table: dict) -> list[str]:
+    """The pairs of a stored grid whose flavor-c vector is not the image of
+    their flavor-r one: under w^-1 for a Strong label, s^-1 for a Weak one."""
+    strengths = tuple(s == "strong" for s in table["strengths"])
+    out = []
+    for pair in table["pairs"]:
+        rv, cv = RatVec.from_seq(pair["r"]), RatVec.from_seq(pair["c"])
+        try:
+            want = (map_w_inv if pair["label"] == Label.STRONG else map_s_inv)(
+                table["p"], strengths, rv)
+        except ValueError:
+            out.append(f"{pair['pos']}: non-integral image of {rv}")
+            continue
+        if want != cv:
+            out.append(f"{pair['pos']}: expected {want}, got {cv}")
+    return out
 
 
 def model(name: str, flavor):
@@ -204,6 +222,19 @@ def enumerate_equipped(p: int, n: int):
                 P = EquippedPoset(p, names, strong, rel)
                 if validate(P).ok:
                     yield P
+
+
+def is_slender_above(P, x: str) -> bool:
+    """Whether {y : x <= y} is slender: a chain whose weak points form a lower
+    segment, pairwise related by ell = 1."""
+    rel = P.rel
+    up = [y for y in P.points if (x, y) in rel]
+    if any((a, b) not in rel and (b, a) not in rel for a, b in itertools.combinations(up, 2)):
+        return False
+    chain = sorted(up, key=lambda y: sum((y, z) in rel for z in up), reverse=True)
+    weak = [y for y in chain if y not in P.strong]
+    return weak == chain[:len(weak)] and all(
+        rel[(a, b)] == 1 for a, b in itertools.combinations(weak, 2))
 
 
 def check_component_invariants(M, G, where) -> None:

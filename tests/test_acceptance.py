@@ -8,12 +8,11 @@ import random
 import time
 
 from conftest import (ALL_FIXTURES, FINITE_FIXTURES, TABLE_NAMES, check_component_invariants,
-                      enumerate_equipped, load_fixture, load_table, model)
-from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model,
-                     check_table_correspondence, default_tower, euler_pairing,
-                     is_hereditary, is_slender, knit, oracle_hom_dim,
-                     oracle_radical, pair_components, parse_poset,
-                     projective_cd, run_verification, validate)
+                      enumerate_equipped, is_slender_above, load_fixture, load_table, model,
+                      table_mismatches)
+from eqposet import (EquippedPoset, Flavor, augment, bilinear, build_family, build_model,
+                     default_tower, is_hereditary, knit, oracle_hom_dim, oracle_radical,
+                     pair_components, parse_poset, projective_cd, run_verification, validate)
 from eqposet.forms import RatVec
 from eqposet.knitter import FINITE, TRUNCATED
 from eqposet.model import Label
@@ -23,9 +22,9 @@ def test_criterion_1_table_correspondence():
     t0 = time.perf_counter()
     counts = {}
     for name in TABLE_NAMES:
-        rep = check_table_correspondence(load_table(name))
-        assert rep.ok, str(rep)
-        counts[name] = rep.n_pairs
+        table = load_table(name)
+        assert table_mismatches(table) == [], name
+        counts[name] = len(table["pairs"])
     elapsed = time.perf_counter() - t0
     assert counts == {"twopoint2": 4, "twopoint3": 6, "chain3": 12,
                       "reorient3": 12, "wild3": 12}
@@ -47,7 +46,7 @@ def test_criterion_2_heredity_equals_slenderness():
                 Mr = build_model(A, Flavor.R)
                 Mc = build_model(A, Flavor.C)
                 for x in A.points:
-                    want = is_slender(A.up_set(x))
+                    want = is_slender_above(A, x)
                     assert is_hereditary(Mr, x) == want, (p, P, x)
                     assert is_hereditary(Mc, x) == want, (p, P, x)
                     checked += 1
@@ -78,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
                     if j == P.zero:
                         continue
                     assert oracle_hom_dim(fam, i, j) == \
-                        euler_pairing(M, cdi, projective_cd(M, j)), (name, fl, i, j)
+                        bilinear(M, projective_cd(M, j), cdi), (name, fl, i, j)
             runs += 1
     elapsed = time.perf_counter() - t0
     assert runs == 2 * len(ALL_FIXTURES) >= 20

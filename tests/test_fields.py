@@ -1,7 +1,8 @@
 """F_p(t) arithmetic of the inseparable tower, and the package's runtime
-dependencies."""
+dependencies and exports."""
 
 import pickle
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -179,3 +180,16 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
     assert meta["project"]["dependencies"] == []
+
+
+def test_star_import_binds_exactly_all():
+    """`__all__` is sorted, holds no name twice and names every public
+    attribute of the package that is not a submodule."""
+    import eqposet
+    names = eqposet.__all__
+    assert names == sorted(set(names))
+    assert set(names) == {n for n, v in vars(eqposet).items()
+                          if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    scope = {}
+    exec("from eqposet import *", scope)
+    assert scope.keys() - {"__builtins__"} == set(names)

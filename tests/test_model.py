@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import ALL_FIXTURES, load_fixture, model
+from conftest import ALL_FIXTURES, is_slender_above, load_fixture, model
 from eqposet import (AlgebraModel, Flavor, Label, ModelError, PosetError, RatVec, build_model,
                      injective_profiles, is_hereditary, projective_cd,
                      projective_udimF, radical_info)
@@ -216,11 +216,9 @@ def test_heredity_examples():
 
 
 def test_heredity_flavor_agreement_and_slenderness():
-    from eqposet import is_slender
-
     for name in ALL_FIXTURES:
         Mr, Mc = model(name, "r"), model(name, "c")
         for x in Mr.poset.points:
-            want = is_slender(Mr.poset.up_set(x))
+            want = is_slender_above(Mr.poset, x)
             assert is_hereditary(Mr, x) == want, (name, x)
             assert is_hereditary(Mc, x) == want, (name, x)

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIXTURES, load_fixture, run_python
-from eqposet import (EquippedPoset, PosetError, augment, is_slender,
-                     min_equipment_closure, parse_poset, validate)
+from conftest import ALL_FIXTURES, is_slender_above, load_fixture, run_python
+from eqposet import EquippedPoset, PosetError, augment, min_equipment_closure, parse_poset, validate
 from eqposet.poset import _is_prime, shown
 
 
@@ -16,9 +15,9 @@ def test_parse_basic():
     P = parse_poset("p 3\npoint a weak\npoint b weak\nrel a b 1\naugment\n")
     assert P.points == ("0", "a", "b", "m")
     assert P.strong == frozenset({"0", "m"})
-    assert P.ell("0", "a") == 3 and P.ell("a", "b") == 1
-    assert P.ell("a", "m") == 3 and P.ell("0", "m") == 3
-    assert P.ell("0", "b") == 3
+    assert P.rel[("0", "a")] == 3 and P.rel[("a", "b")] == 1
+    assert P.rel[("a", "m")] == 3 and P.rel[("0", "m")] == 3
+    assert P.rel[("0", "b")] == 3
 
 
 def test_parse_comments_and_blank_lines():
@@ -140,33 +139,33 @@ def test_closure_chain_sum():
     # 2-step chain with ell = 2 twice: longest path 1+1 -> ell = min(3, 5) = 3
     P = _poset(5, ["a", "b", "c"], [], {("a", "b"): 2, ("b", "c"): 2})
     Q = min_equipment_closure(P)
-    assert Q.ell("a", "c") == 3
+    assert Q.rel[("a", "c")] == 3
 
 
 def test_closure_weakest_chain():
     P = _poset(5, ["a", "b", "c"], [], {("a", "b"): 1, ("b", "c"): 1})
     Q = min_equipment_closure(P)
-    assert Q.ell("a", "c") == 1
+    assert Q.rel[("a", "c")] == 1
 
 
 def test_closure_diamond_takes_longest_path():
     rels = {("a", "b"): 2, ("a", "c"): 1, ("b", "d"): 2, ("c", "d"): 1}
     P = _poset(5, ["a", "b", "c", "d"], [], rels)
     Q = min_equipment_closure(P)
-    assert Q.ell("a", "d") == 3  # via b: (2-1)+(2-1)+1
+    assert Q.rel[("a", "d")] == 3  # via b: (2-1)+(2-1)+1
 
 
 def test_closure_caps_at_p():
     P = _poset(2, ["a", "b", "c"], [], {("a", "b"): 2, ("b", "c"): 2})
     Q = min_equipment_closure(P)
-    assert Q.ell("a", "c") == 2
+    assert Q.rel[("a", "c")] == 2
 
 
 def test_closure_keeps_declared_edges():
     P = _poset(5, ["a", "b", "c"], [], {("a", "b"): 3, ("b", "c"): 1})
     Q = min_equipment_closure(P)
-    assert Q.ell("a", "b") == 3 and Q.ell("b", "c") == 1
-    assert Q.ell("a", "c") == 3
+    assert Q.rel[("a", "b")] == 3 and Q.rel[("b", "c")] == 1
+    assert Q.rel[("a", "c")] == 3
 
 
 def test_closure_rejects_cycles():
@@ -192,7 +191,7 @@ def test_closure_is_minimal():
     # lowering any derived value below the closure's choice breaks validity
     P = _poset(5, ["a", "b", "c"], [], {("a", "b"): 3, ("b", "c"): 2})
     Q = min_equipment_closure(P)
-    got = Q.ell("a", "c")
+    got = Q.rel[("a", "c")]
     assert got == 4
     rel = dict(Q.rel)
     rel[("a", "c")] = got - 1
@@ -207,7 +206,7 @@ def test_augment_adjoins_both_bounds():
     Q = augment(P)
     assert Q.points == ("0", "a", "b", "m")
     assert Q.zero == "0" and Q.max == "m"
-    assert Q.ell("0", "a") == 3 and Q.ell("b", "m") == 3 and Q.ell("0", "m") == 3
+    assert Q.rel[("0", "a")] == 3 and Q.rel[("b", "m")] == 3 and Q.rel[("0", "m")] == 3
 
 
 def test_augment_adopts_strong_extrema():
@@ -227,7 +226,7 @@ def test_augment_empty_poset():
     P = _poset(2, [], [], {})
     Q = augment(P)
     assert Q.points == ("0", "m")
-    assert Q.ell("0", "m") == 2
+    assert Q.rel[("0", "m")] == 2
 
 
 def test_augment_idempotent():
@@ -255,24 +254,24 @@ def test_augment_two_strong_maxima_gets_fresh_bound():
     P = _poset(2, ["s", "t"], ["s", "t"], {})
     Q = augment(P)
     assert Q.max == "m"
-    assert Q.ell("s", "m") == 2 and Q.ell("t", "m") == 2
+    assert Q.rel[("s", "m")] == 2 and Q.rel[("t", "m")] == 2
 
 
 # ---------------------------------------------------------------- slender
 
 def test_slender_examples():
     star = load_fixture("star2")
-    assert is_slender(star.up_set("w"))
-    assert not is_slender(star.up_set("0"))  # weak above strong
+    assert is_slender_above(star, "w")
+    assert not is_slender_above(star, "0")  # weak above strong
 
     four = load_fixture("four3")
-    assert is_slender(four.up_set("a"))
+    assert is_slender_above(four, "a")
 
     jump = load_fixture("chain3_ell2")
-    assert not is_slender(jump.up_set("a"))  # weak pair needs ell = 1
+    assert not is_slender_above(jump, "a")  # weak pair needs ell = 1
 
     dia = load_fixture("diamond3")
-    assert not is_slender(dia.up_set("a"))  # not a chain
+    assert not is_slender_above(dia, "a")  # not a chain
 
 
 # ---------------------------------------------------------------- properties
