@@ -12,8 +12,7 @@ from .model import (AlgebraModel, Flavor, InjectiveProfile, Label, ModelError,
 from .oracle import (OracleError, OracleReport, RFamily, build_family,
                      oracle_hom_dim, oracle_radical, run_verification,
                      verify_admissible, verify_dims)
-from .pairing import (PairingReport, map_s, map_s_inv, map_w, map_w_inv,
-                      pair_components)
+from .pairing import PairingReport, pair_components
 from .poset import (EquippedPoset, ParameterError, PosetError, ValidationReport, Violation,
                     augment, load_poset, min_equipment_closure, parse_poset, validate)
 
@@ -26,9 +25,9 @@ __all__ = [
     "ParameterError", "PosetError", "RFamily", "RadicalInfo", "RatVec",
     "TRUNCATED", "Tower", "ValidationReport", "Violation", "augment",
     "bilinear", "build_family", "build_model", "default_tower", "gram_matrix",
-    "injective_profiles", "is_hereditary", "knit", "load_poset", "map_s",
-    "map_s_inv", "map_w", "map_w_inv", "min_equipment_closure",
-    "oracle_hom_dim", "oracle_radical", "pair_components", "parse_poset",
-    "projective_cd", "projective_udimF", "quadratic", "radical_info",
-    "run_verification", "validate", "verify_admissible", "verify_dims",
+    "injective_profiles", "is_hereditary", "knit", "load_poset",
+    "min_equipment_closure", "oracle_hom_dim", "oracle_radical",
+    "pair_components", "parse_poset", "projective_cd", "projective_udimF",
+    "quadratic", "radical_info", "run_verification", "validate",
+    "verify_admissible", "verify_dims",
 ]

@@ -1,9 +1,13 @@
-"""The coordinate bijection between the two flavor components.
+"""The bijection between the two flavor components, vertex id for vertex id.
 
-The scaling maps act coordinatewise by strength: s multiplies weak
-coordinates by p, w divides strong coordinates by p (so s = p * w).  A pair
-of knitted components matches when projective anchors, tau-orbits, kinds,
-labels, both dimension-vector laws and arrow valuations all correspond.
+The knitter is a deterministic function of the model: it attaches
+projectives in point order and completes meshes in id order.  The scaling
+w^-1 at a strong vertex, s^-1 at a weak one (s multiplies weak coordinates
+by p, w divides strong ones by p) carries flavor r's projectives, radical
+summands and injective profiles to flavor c's, and the valuations swap; so
+both flavors are knitted in the same order, and r#i pairs with c#i.
+`pair_components` checks that pairing: statuses, sections, tau^-1, and per
+id kinds, labels, both dimension-vector laws and swapped arrow valuations.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from operator import floordiv, mod, mul
 from typing import Sequence
 
 from .forms import RatVec
-from .knitter import ArArrow, ComponentGraph
+from .knitter import ComponentGraph
 from .model import AlgebraModel, Label
 
 
@@ -34,26 +38,9 @@ def _scale(p: int, scale: tuple[int, ...], v: RatVec, divide: bool = False) -> R
     return RatVec(tuple(map(floordiv, v.entries, scale)))
 
 
-def map_s(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(p, _scales(p, strengths, False), v)
-
-
-def map_s_inv(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(p, _scales(p, strengths, False), v, divide=True)
-
-
-def map_w(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(p, _scales(p, strengths, True), v, divide=True)
-
-
-def map_w_inv(p: int, strengths: Sequence[bool], v: RatVec) -> RatVec:
-    return _scale(p, _scales(p, strengths, True), v)
-
-
 @dataclass
 class PairCheck:
-    r_id: int
-    c_id: int
+    id: int
     problems: list[str] = field(default_factory=list)
 
     @property
@@ -76,18 +63,10 @@ class PairingReport:
             lines.append(f"component mismatch: {msg}")
         for pc in self.pairs:
             verdict = "ok" if pc.ok else "FAIL"
-            lines.append(f"pair r#{pc.r_id} <-> c#{pc.c_id}: {verdict}")
+            lines.append(f"pair r#{pc.id} <-> c#{pc.id}: {verdict}")
             lines += [f"    {m}" for m in pc.problems]
         lines.append("correspondence " + ("holds" if self.ok else "FAILS"))
         return "\n".join(lines)
-
-
-def _out_map(G: ComponentGraph) -> dict[int, list[ArArrow]]:
-    """The arrows out of each vertex, read from `G.arrows` in its order."""
-    out: dict[int, list[ArArrow]] = {}
-    for a in G.arrows:
-        out.setdefault(a.src, []).append(a)
-    return out
 
 
 def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
@@ -95,7 +74,7 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
     report = PairingReport()
     P = Mr.poset
     p = P.p
-    if Mr.poset.points != Mc.poset.points:
+    if P.points != Mc.poset.points:
         report.problems.append("models live on different posets")
         return report
 
@@ -104,52 +83,22 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
     if len(Gr.sections) != len(Gc.sections):
         report.problems.append(f"section counts differ: {len(Gr.sections)} vs {len(Gc.sections)}")
         return report
-
-    proj_c = {v.proj_point: v.id for v in Gc.vertices if v.proj_point is not None}
-    matched: dict[int, int] = {}
-    queue: list[tuple[int, int]] = []
-    for v in Gr.vertices:
-        if v.proj_point is None:
-            continue
-        cid = proj_c.pop(v.proj_point, None)
-        if cid is None:
-            report.problems.append(f"projective at {v.proj_point} has no counterpart")
-            continue
-        matched[v.id] = cid
-        queue.append((v.id, cid))
-    for pt in proj_c:
-        report.problems.append(f"projective at {pt} appears only in flavor c")
-
-    while queue:
-        x, y = queue.pop()
-        tx, ty = Gr.tau_inv.get(x), Gc.tau_inv.get(y)
-        if (tx is None) != (ty is None):
-            report.problems.append(f"tau-orbit of pair ({x}, {y}) breaks off on one side")
-            continue
-        if tx is None:
-            continue
-        if tx in matched:
-            if matched[tx] != ty:
-                report.problems.append(f"tau-orbits disagree at ({tx}, {ty})")
-            continue
-        matched[tx] = ty
-        queue.append((tx, ty))
-
-    if len(matched) != len(Gr.vertices) or len(set(matched.values())) != len(Gc.vertices):
-        report.problems.append(
-            f"pairing covers {len(matched)}/{len(Gr.vertices)} flavor-r vertices and "
-            f"{len(set(matched.values()))}/{len(Gc.vertices)} flavor-c vertices")
+    if Gr.sections != Gc.sections:
+        # each id lies in one section, so equal sections make r#i <-> c#i a bijection
+        k = next(k for k, ids in enumerate(Gr.sections) if ids != Gc.sections[k])
+        report.problems.append(f"section {k} ids differ: {Gr.sections[k]} vs {Gc.sections[k]}")
+        return report
+    if Gr.tau_inv != Gc.tau_inv:
+        diff = [x for x in sorted(Gr.tau_inv.keys() | Gc.tau_inv.keys())
+                if Gr.tau_inv.get(x) != Gc.tau_inv.get(x)]
+        report.problems.append(f"tau^-1 differs at {diff}")
 
     # the scales of the two laws, by label: w^-1 on udimF and s on udim at a
     # strong vertex, which multiply; s^-1 and w at a weak one, which divide
     on_strong, on_weak = _scales(p, P.view.strong, True), _scales(p, P.view.strong, False)
     laws = {Label.STRONG: (on_strong, on_weak, False), Label.WEAK: (on_weak, on_strong, True)}
-    out_r, out_c = _out_map(Gr), _out_map(Gc)
-    arrows_c = {(a.src, a.dst): a for a in Gc.arrows}
-    for x in sorted(matched):
-        y = matched[x]
-        vx, vy = Gr.vertices[x], Gc.vertices[y]
-        pc = PairCheck(x, y)
+    for vx, vy in zip(Gr.vertices, Gc.vertices):
+        pc = PairCheck(vx.id)
         report.pairs.append(pc)
         if vx.kind != vy.kind:
             pc.problems.append(f"kinds differ: {vx.kind} vs {vy.kind}")
@@ -166,19 +115,16 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                 continue
             if got != want:
                 pc.problems.append(f"{law} law fails: expected {want}, got {got}")
-        if vx.section != vy.section:
-            pc.problems.append(f"sections differ: {vx.section} vs {vy.section}")
-        ours = out_r.get(x, ())
-        for ar in ours:
-            if ar.dst not in matched:
-                continue
-            br = arrows_c.get((y, matched[ar.dst]))
-            if br is None:
-                pc.problems.append(f"arrow {x}->{ar.dst} has no counterpart")
-            elif (br.a, br.b) != (ar.b, ar.a):
-                pc.problems.append(
-                    f"arrow valuations do not swap: ({ar.a},{ar.b}) vs ({br.a},{br.b})")
-        extra = {a.dst for a in out_c.get(y, ())} - {matched[a.dst] for a in ours if a.dst in matched}
-        if extra:
-            pc.problems.append(f"extra flavor-c arrows to {sorted(extra)}")
+
+    pairs = report.pairs
+    arrows_c = {(a.src, a.dst): a for a in Gc.arrows}
+    for ar in Gr.arrows:
+        br = arrows_c.pop((ar.src, ar.dst), None)
+        if br is None:
+            pairs[ar.src].problems.append(f"arrow {ar.src}->{ar.dst} has no counterpart")
+        elif (br.a, br.b) != (ar.b, ar.a):
+            pairs[ar.src].problems.append(
+                f"arrow valuations do not swap: ({ar.a},{ar.b}) vs ({br.a},{br.b})")
+    for src, dst in arrows_c:
+        pairs[src].problems.append(f"extra flavor-c arrow {src}->{dst}")
     return report

@@ -12,8 +12,8 @@ import pytest
 
 from eqposet import (EquippedPoset, Flavor, InjectiveProfile, Label, ModelError, RadicalInfo, RatVec,
                      build_model, default_tower, injective_profiles, is_hereditary, load_poset,
-                     map_s_inv, map_w_inv, projective_cd, projective_udimF, quadratic,
-                     radical_info, validate, verify_admissible)
+                     projective_cd, projective_udimF, quadratic, radical_info, validate,
+                     verify_admissible)
 from eqposet.model import _loc
 from eqposet.oracle import OracleError, _block, _solve_hom_system
 from eqposet.poset import P_LIMIT, P_RANGE, Violation, _is_prime, shown
@@ -71,17 +71,20 @@ def load_table(name: str) -> dict:
 
 def table_mismatches(table: dict) -> list[str]:
     """The pairs of a stored grid whose flavor-c vector is not the image of
-    their flavor-r one: under w^-1 for a Strong label, s^-1 for a Weak one."""
-    strengths = tuple(s == "strong" for s in table["strengths"])
+    their flavor-r one: under w^-1, which multiplies the strong coordinates
+    by p, for a Strong label; under s^-1, which divides the weak ones by p,
+    for a Weak one."""
+    p, strong = table["p"], [s == "strong" for s in table["strengths"]]
     out = []
     for pair in table["pairs"]:
         rv, cv = RatVec.from_seq(pair["r"]), RatVec.from_seq(pair["c"])
-        try:
-            want = (map_w_inv if pair["label"] == Label.STRONG else map_s_inv)(
-                table["p"], strengths, rv)
-        except ValueError:
+        if pair["label"] == Label.STRONG:
+            want = RatVec.from_seq([e * p if s else e for e, s in zip(rv, strong)])
+        elif any(e % p for e, s in zip(rv, strong) if not s):
             out.append(f"{pair['pos']}: non-integral image of {rv}")
             continue
+        else:
+            want = RatVec.from_seq([e if s else e // p for e, s in zip(rv, strong)])
         if want != cv:
             out.append(f"{pair['pos']}: expected {want}, got {cv}")
     return out

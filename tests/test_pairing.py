@@ -1,48 +1,13 @@
-"""Scaling maps and the component correspondence between the two flavors."""
+"""The component correspondence between the two flavors, and the stored grids."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import ALL_FIXTURES, TABLE_NAMES, load_table, model, table_mismatches
-from eqposet import knit, map_s, map_s_inv, map_w, map_w_inv, pair_components
+from eqposet import TRUNCATED, knit, pair_components
 from eqposet.forms import RatVec
 from eqposet.knitter import ArArrow
 from eqposet.model import Label
-
-
-def test_star2_coordinate_pairs():
-    p, strengths = 2, (True, False, True)
-    for rv, cv, label in [
-        ((0, 0, 1), (0, 0, 2), Label.STRONG),
-        ((0, 2, 2), (0, 1, 2), Label.WEAK),
-        ((0, 2, 1), (0, 2, 2), Label.STRONG),
-    ]:
-        fwd = map_w_inv if label is Label.STRONG else map_s_inv
-        assert fwd(p, strengths, RatVec.of(*rv)) == RatVec.of(*cv)
-
-
-@given(st.data())
-def test_scaling_map_identities(data):
-    p = data.draw(st.sampled_from([2, 3, 5]))
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    strengths = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    v = RatVec.from_seq(data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)))
-    # the total directions: each inverse undoes its map, and s = p * w
-    assert map_s_inv(p, strengths, map_s(p, strengths, v)) == v
-    assert map_w(p, strengths, map_w_inv(p, strengths, v)) == v
-    assert map_s(p, strengths, v) == map_w(p, strengths, v * p)
-    assert map_s(p, strengths, map_w_inv(p, strengths, v)) == v * p
-
-
-def test_scaling_maps_divide_exactly():
-    strengths = (True, False, True)
-    img = map_s_inv(2, strengths, RatVec.of(3, 4, 5))
-    assert img.entries == (3, 2, 5) and all(type(e) is int for e in img)
-    with pytest.raises(ValueError, match=r"^p = 2 does not divide \(3, 4, 5\)$"):
-        map_w(2, strengths, RatVec.of(3, 4, 5))
-    with pytest.raises(ValueError, match=r"^p = 3 does not divide \(3, 4, 5\)$"):
-        map_s_inv(3, strengths, RatVec.of(3, 4, 5))
+from eqposet.pairing import _scale, _scales
 
 
 def test_strengths_of_matches_points():
@@ -77,9 +42,13 @@ def test_pairing_detects_dimension_tampering():
 def test_pairing_reports_non_integral_image():
     Gr, Gc, Mr, Mc = pair("star2")
     assert Gr.vertices[1].label is Label.WEAK and Gc.vertices[1].udimF == RatVec.of(0, 1, 2)
+    assert pair_components(Gr, Gc, Mr, Mc).ok
+    # s^-1 halves the weak coordinate of the passing pair's udimF; the image holds ints
+    img = _scale(2, _scales(2, Mr.poset.view.strong, False), Gr.vertices[1].udimF, divide=True)
+    assert img == Gc.vertices[1].udimF and all(type(e) is int for e in img)
     Gr.vertices[1].udimF = RatVec.of(0, 3, 2)  # s^-1 halves the weak coordinate 3
     report = pair_components(Gr, Gc, Mr, Mc)
-    assert [(pc.r_id, pc.problems) for pc in report.pairs if not pc.ok] == [
+    assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
         (1, ["udimF law fails: p = 2 does not divide (0, 3, 2), got (0, 1, 2)"])]
 
 
@@ -119,6 +88,39 @@ def test_pairing_detects_status_mismatch():
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("section counts differ" in m for m in report.problems)
+
+
+def _ok_pairs(*ids):
+    return "".join(f"pair r#{i} <-> c#{i}: ok\n" for i in ids)
+
+
+@pytest.mark.parametrize("name, max_sections, tamper, text", [
+    ("star2", 12, lambda G: setattr(G, "status", TRUNCATED),
+     "component mismatch: statuses differ: Finite vs TruncatedAtMaxSections\n"
+     + _ok_pairs(0, 1, 2)),
+    ("vee2", 2, lambda G: G.sections[1].reverse(),
+     "component mismatch: section 1 ids differ: [3, 4, 5] vs [5, 4, 3]\n"),
+    ("star2", 12, lambda G: G.tau_inv.update({0: 1}),
+     "component mismatch: tau^-1 differs at [0]\n" + _ok_pairs(0, 1, 2)),
+    ("star2", 12, lambda G: setattr(G.vertices[0], "inj_point", "m"),
+     "pair r#0 <-> c#0: FAIL\n    kinds differ: Projective(m) vs ProjectiveInjective(m,m)\n"
+     + _ok_pairs(1, 2)),
+    ("star2", 12, lambda G: G.arrows.pop(1),
+     _ok_pairs(0) + "pair r#1 <-> c#1: FAIL\n    arrow 1->2 has no counterpart\n"
+     + _ok_pairs(2)),
+    ("star2", 12, lambda G: G.arrows.append(ArArrow(2, 0, 1, 1)),
+     _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    extra flavor-c arrow 2->0\n"),
+], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow"])
+def test_pairing_reports_each_id_mismatch(name, max_sections, tamper, text):
+    """Each check of the id-for-id pairing, failed once on a tampered flavor-c
+    graph, with its full report."""
+    Mr, Mc = model(name, "r"), model(name, "c")
+    Gr, Gc = knit(Mr, max_sections=max_sections), knit(Mc, max_sections=max_sections)
+    assert pair_components(Gr, Gc, Mr, Mc).ok
+    tamper(Gc)
+    report = pair_components(Gr, Gc, Mr, Mc)
+    assert not report.ok
+    assert str(report) == text + "correspondence FAILS"
 
 
 # ---------------------------------------------------------------- tables
