@@ -104,6 +104,11 @@ def _loc(flavor: Flavor, strong: bool, p: int) -> int:
     return p if strong == (flavor is Flavor.C) else 1
 
 
+def _weights(flavor: Flavor, P: EquippedPoset) -> tuple[list[int], int]:
+    """(w, d): equipment e gives a part of e_x A e_y of F-dimension e * w[x] * w[y] / d."""
+    return ([_loc(flavor, s, P.p) for s in P.view.strong], P.p) if flavor is Flavor.R else ([1] * P.n, 1)
+
+
 def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
     """The hom table of P in the given flavor; PosetError, with the report's text,
     when P fails validate(P, require_bounds=True)."""
@@ -113,11 +118,10 @@ def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
         raise PosetError(str(report))
     if flavor is Flavor.C:
         return AlgebraModel(P, flavor, P.view.ell)
-    # ell(x, y) * loc(x) * loc(y) / p, whole as ell = p on pairs touching a
-    # strong point; on the diagonal too, as ell(x, x) is p (strong) or 1 (weak)
-    loc = [_loc(flavor, s, P.p) for s in P.view.strong]
-    return AlgebraModel(P, flavor, tuple([tuple(map(floordiv, map(mul, row, loc), repeat(P.p // lx)))
-                                          for row, lx in zip(P.view.ell, loc)]))
+    # exact: ell = p on pairs touching a strong point, and ell(x, x) is p or 1
+    w, d = _weights(flavor, P)
+    return AlgebraModel(P, flavor, tuple([tuple(map(floordiv, map(mul, row, w), repeat(d // wx)))
+                                          for row, wx in zip(P.view.ell, w)]))
 
 
 def _value(entry):
@@ -133,9 +137,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
     ell, strong, up = P.view
     z0, top = P.index[P.zero], P.index[P.max]
     bottom, b, b2 = hom[z0], hom[z0][z0], hom[top][top]
-    # equipment e gives a part of e_x A e_y of dimension e * w[x] * w[y] / d
-    flavor_r = M.flavor is Flavor.R
-    w, d = ([_loc(Flavor.R, s, p) for s in strong], p) if flavor_r else ([1] * n, 1)
+    flavor_r, (w, d) = M.flavor is Flavor.R, _weights(M.flavor, P)
 
     # socle coefficients: hom(0, x)/hom(0, 0), which also equals hom(x, max)/hom(max, max)
     cs: list[int | str] = []

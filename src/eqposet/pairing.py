@@ -1,41 +1,24 @@
 """The bijection between the two flavor components, vertex id for vertex id.
 
-The knitter is a deterministic function of the model: it attaches
-projectives in point order and completes meshes in id order.  The scaling
-w^-1 at a strong vertex, s^-1 at a weak one (s multiplies weak coordinates
-by p, w divides strong ones by p) carries flavor r's projectives, radical
-summands and injective profiles to flavor c's, and the valuations swap; so
-both flavors are knitted in the same order, and r#i pairs with c#i.
-`pair_components` checks that pairing: statuses, sections, tau^-1, and per
-id kinds, labels, both dimension-vector laws and swapped arrow valuations.
+At a pair of label L, each point k gives one integer equation per law:
+
+    kdim_r(L) * udimF_c[k] = loc_c(k) * udimF_r[k]
+    kdim_r(L) * udim_c[k]  = loc_r(k) * udim_r[k]
+
+with kdim_r(L) = 1 (Strong) or p (Weak) and loc the local dimension of k in
+each flavor (`model._loc`): w^-1 at a strong vertex, s^-1 at a weak one, and
+unsolvable where p does not divide.  They carry flavor r's projectives,
+radical summands and injective profiles to flavor c's, and the valuations
+swap; the knitter attaches projectives in point order and completes meshes
+in id order, so both flavors are knitted alike and r#i pairs with c#i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import floordiv, mod, mul
-from typing import Sequence
 
-from .forms import RatVec
 from .knitter import ComponentGraph
-from .model import AlgebraModel, Label
-
-
-def _scales(p: int, strengths: Sequence[bool], on_strong: bool) -> tuple[int, ...]:
-    """p at the coordinates of one strength, 1 elsewhere."""
-    return tuple(p if s == on_strong else 1 for s in strengths)
-
-
-def _scale(p: int, scale: tuple[int, ...], v: RatVec, divide: bool = False) -> RatVec:
-    """Multiply or divide each coordinate of v by its entry of `scale`; a
-    division is exact and raises ValueError on a remainder."""
-    if len(v) != len(scale):
-        raise ValueError(f"{v} and the strengths differ in length")
-    if not divide:
-        return RatVec(tuple(map(mul, v.entries, scale)))
-    if any(map(mod, v.entries, scale)):
-        raise ValueError(f"p = {p} does not divide {v}")
-    return RatVec(tuple(map(floordiv, v.entries, scale)))
+from .model import AlgebraModel, Flavor, _loc
 
 
 @dataclass
@@ -58,12 +41,9 @@ class PairingReport:
         return not self.problems and all(pc.ok for pc in self.pairs)
 
     def __str__(self) -> str:
-        lines = []
-        for msg in self.problems:
-            lines.append(f"component mismatch: {msg}")
+        lines = [f"component mismatch: {msg}" for msg in self.problems]
         for pc in self.pairs:
-            verdict = "ok" if pc.ok else "FAIL"
-            lines.append(f"pair r#{pc.id} <-> c#{pc.id}: {verdict}")
+            lines.append(f"pair r#{pc.id} <-> c#{pc.id}: {'ok' if pc.ok else 'FAIL'}")
             lines += [f"    {m}" for m in pc.problems]
         lines.append("correspondence " + ("holds" if self.ok else "FAILS"))
         return "\n".join(lines)
@@ -72,8 +52,10 @@ class PairingReport:
 def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                     Mr: AlgebraModel, Mc: AlgebraModel) -> PairingReport:
     report = PairingReport()
+    if (Mr.flavor, Mc.flavor) != (Flavor.R, Flavor.C):
+        report.problems.append(f"models are flavors {Mr.flavor.value} and {Mc.flavor.value}, not r and c")
+        return report
     P = Mr.poset
-    p = P.p
     if P.points != Mc.poset.points:
         report.problems.append("models live on different posets")
         return report
@@ -93,28 +75,21 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                 if Gr.tau_inv.get(x) != Gc.tau_inv.get(x)]
         report.problems.append(f"tau^-1 differs at {diff}")
 
-    # the scales of the two laws, by label: w^-1 on udimF and s on udim at a
-    # strong vertex, which multiply; s^-1 and w at a weak one, which divide
-    on_strong, on_weak = _scales(p, P.view.strong, True), _scales(p, P.view.strong, False)
-    laws = {Label.STRONG: (on_strong, on_weak, False), Label.WEAK: (on_weak, on_strong, True)}
+    loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
     for vx, vy in zip(Gr.vertices, Gc.vertices):
-        pc = PairCheck(vx.id)
-        report.pairs.append(pc)
+        report.pairs.append(pc := PairCheck(vx.id))
         if vx.kind != vy.kind:
             pc.problems.append(f"kinds differ: {vx.kind} vs {vy.kind}")
         if vx.label != vy.label:
             pc.problems.append(f"labels differ: {vx.label.value} vs {vy.label.value}")
             continue
-        udimF_scale, udim_scale, divide = laws[vx.label]
-        for law, scale, v, got in (("udimF", udimF_scale, vx.udimF, vy.udimF),
-                                   ("udim", udim_scale, vx.udim, vy.udim)):
-            try:
-                want = _scale(p, scale, v, divide)
-            except ValueError as e:
-                pc.problems.append(f"{law} law fails: {e}, got {got}")
+        kd = Mr.kdim(vx.label)
+        for law, loc, r, c in (("udimF", loc_c, vx.udimF, vy.udimF), ("udim", loc_r, vx.udim, vy.udim)):
+            if not len(r.entries) == len(c.entries) == len(loc):
+                pc.problems.append(f"{law} law fails: {r} vs {c}, not both of length {len(loc)}")
                 continue
-            if got != want:
-                pc.problems.append(f"{law} law fails: expected {want}, got {got}")
+            pc.problems += [f"{law} law fails at {x}: {kd}*{b} (c) != {lk}*{a} (r)"
+                            for x, lk, a, b in zip(P.points, loc, r.entries, c.entries) if kd * b != lk * a]
 
     pairs = report.pairs
     arrows_c = {(a.src, a.dst): a for a in Gc.arrows}

@@ -7,7 +7,6 @@ from eqposet import TRUNCATED, knit, pair_components
 from eqposet.forms import RatVec
 from eqposet.knitter import ArArrow
 from eqposet.model import Label
-from eqposet.pairing import _scale, _scales
 
 
 def test_strengths_of_matches_points():
@@ -40,16 +39,25 @@ def test_pairing_detects_dimension_tampering():
 
 
 def test_pairing_reports_non_integral_image():
+    """At a Weak pair, p = 2 and loc_c(w) = 1, so the udimF law at the weak point w
+    reads 2*c = r: an odd r has no integer c."""
     Gr, Gc, Mr, Mc = pair("star2")
     assert Gr.vertices[1].label is Label.WEAK and Gc.vertices[1].udimF == RatVec.of(0, 1, 2)
     assert pair_components(Gr, Gc, Mr, Mc).ok
-    # s^-1 halves the weak coordinate of the passing pair's udimF; the image holds ints
-    img = _scale(2, _scales(2, Mr.poset.view.strong, False), Gr.vertices[1].udimF, divide=True)
-    assert img == Gc.vertices[1].udimF and all(type(e) is int for e in img)
-    Gr.vertices[1].udimF = RatVec.of(0, 3, 2)  # s^-1 halves the weak coordinate 3
+    Gr.vertices[1].udimF = RatVec.of(0, 3, 2)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
-        (1, ["udimF law fails: p = 2 does not divide (0, 3, 2), got (0, 1, 2)"])]
+        (1, ["udimF law fails at w: 2*1 (c) != 1*3 (r)"])]
+
+
+def test_pairing_refuses_swapped_models():
+    """The laws read flavor r's kdim from Mr, so the models must come in the order r, c."""
+    Gr, Gc, Mr, Mc = pair("star2")
+    report = pair_components(Gr, Gc, Mc, Mr)
+    assert str(report) == ("component mismatch: models are flavors c and r, not r and c\n"
+                           "correspondence FAILS")
+    assert str(pair_components(Gr, Gc, Mr, Mr)).startswith(
+        "component mismatch: models are flavors r and r, not r and c\n")
 
 
 def test_pairing_detects_label_tampering():
@@ -110,7 +118,13 @@ def _ok_pairs(*ids):
      + _ok_pairs(2)),
     ("star2", 12, lambda G: G.arrows.append(ArArrow(2, 0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    extra flavor-c arrow 2->0\n"),
-], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow"])
+    ("star2", 12, lambda G: setattr(G.vertices[2], "udim", RatVec.of(0, 1, 1)),
+     _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    udim law fails at w: 1*1 (c) != 2*1 (r)\n"),
+    ("star2", 12, lambda G: setattr(G.vertices[0], "udimF", RatVec.of(0, 2)),
+     "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (0, 2), not both of length 3\n"
+     + _ok_pairs(1, 2)),
+], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "udim",
+        "udimF_length"])
 def test_pairing_reports_each_id_mismatch(name, max_sections, tamper, text):
     """Each check of the id-for-id pairing, failed once on a tampered flavor-c
     graph, with its full report."""
