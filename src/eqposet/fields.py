@@ -268,7 +268,7 @@ class Tower:
             raise ParameterError(f"unknown tower mode {mode!r}")
 
         a1 = self.a_ell_basis(1)
-        if len(self.lin.rref(self.flatten_all(a1))[1]) != self.p:
+        if len(self.lin.rref([self.flatten(m) for m in a1])[1]) != self.p:
             raise ParameterError("operator basis is degenerate")
 
     # -- G arithmetic -------------------------------------------------------
@@ -326,9 +326,6 @@ class Tower:
 
     def unflatten(self, v):
         return [list(v[i:i + self.p]) for i in range(0, self.p * self.p, self.p)]
-
-    def flatten_all(self, mats: list):
-        return [self.flatten(m) for m in mats]
 
 
 def _smallest_root_of_unity(p: int, q: int) -> int:

@@ -5,8 +5,9 @@ augmented poset, from the ell rows of `EquippedPoset.view`.  Everything
 downstream is computed from this table and the equipment.  `AlgebraModel.table`
 holds the per-point part, made in one pass over the points: each socle
 coefficient, each radical shape with its Hasse covers, the injective profiles
-and the projective vectors.  A failed entry holds the text of the ModelError
-that the call for its point raises.
+and the projective vectors.  A table that fails raises its first ModelError
+on every call that reads it: the socle coefficients are checked in point order,
+then the radicals in point order, then the injective profiles.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ class InjectiveProfile:
 
 
 class ModelTable(NamedTuple):
-    """A model's per-point data by point index; a str is a ModelError's text."""
+    """A model's per-point data by point index; None at the maximal point's
+    radical and at the minimal point's vertex projective."""
 
-    radicals: tuple[RadicalInfo | str, ...]
-    profiles: dict[str, InjectiveProfile] | str
+    radicals: tuple[RadicalInfo | None, ...]
+    profiles: dict[str, InjectiveProfile]
     udimF: tuple[RatVec, ...]
-    cd: tuple[RatVec | str, ...]
+    cd: tuple[RatVec | None, ...]
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,6 @@ def build_model(P: EquippedPoset, flavor: Flavor | str) -> AlgebraModel:
                                           for row, wx in zip(P.view.ell, w)]))
 
 
-def _value(entry):
-    """A table entry, or its ModelError raised."""
-    if type(entry) is str:
-        raise ModelError(entry)
-    return entry
-
-
 def _tabulate(M: AlgebraModel) -> ModelTable:
     P, hom, n = M.poset, M.hom, M.poset.n
     pts, p = P.points, P.p
@@ -140,11 +135,14 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
     flavor_r, (w, d) = M.flavor is Flavor.R, _weights(M.flavor, P)
 
     # socle coefficients: hom(0, x)/hom(0, 0), which also equals hom(x, max)/hom(max, max)
-    cs: list[int | str] = []
+    cs: list[int] = []
     for x, a, row in zip(pts, bottom, hom):
+        if a % b:
+            raise ModelError(f"socle coefficient at {x} is not integral")
         c = a // b
-        cs.append(f"socle coefficient at {x} is not integral" if a % b else c if row[top] == c * b2
-                  else f"socle coefficient mismatch at {x}: {a}/{b} vs {row[top]}/{b2}")
+        if row[top] != c * b2:
+            raise ModelError(f"socle coefficient mismatch at {x}: {a}/{b} vs {row[top]}/{b2}")
+        cs.append(c)
 
     def radical(i: int) -> RadicalInfo:
         x, row_ell, wi, uppers = pts[i], ell[i], w[i], up[i]
@@ -175,7 +173,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
             cd[k] = t // hk
             if not e[k]:
                 covers.append(k)
-        cd[z0] = _value(cs[i])
+        cd[z0] = cs[i]
         if mult > 1 and any(v % mult for v in cd):
             raise ModelError(f"radical summand coordinates at {x} are not integral")
         j = covers[0] if len(covers) == 1 else None
@@ -184,37 +182,25 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
         return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
                            RatVec(tuple([v // mult for v in cd]) if mult > 1 else tuple(cd)), proj)
 
-    def profiles() -> dict[str, InjectiveProfile]:
-        out: dict[str, InjectiveProfile] = {}
-        seen: dict[tuple, str] = {}   # (udimF entries, strong) -> point
-        for i, (x, col) in enumerate(zip(pts, zip(*hom))):
-            if i == top:
-                continue
-            c = _value(cs[i])
-            vals = tuple([c * v - h for v, h in zip(bottom, col)])
-            if min(vals) < 0:
-                y = next(y for y, v in zip(pts, vals) if v < 0)
-                raise ModelError(f"negative injective profile entry at ({x}, {y})")
-            if vals[top] <= 0:
-                raise ModelError(f"injective profile at {x} misses the socle")
-            if (other := seen.setdefault((vals, strong[i]), x)) != x:
-                raise ModelError(f"injective profiles collide: {other} vs {x}")
-            out[x] = InjectiveProfile(x, Label.STRONG if strong[i] else Label.WEAK, RatVec(vals))
-        return out
-
-    def settle(f, *args):
-        try:
-            return f(*args)
-        except ModelError as err:
-            return str(err)
-
-    return ModelTable(
-        tuple([settle(radical, i) if i != top else "the radical at the maximal point is zero"
-               for i in range(n)]),
-        settle(profiles), tuple([RatVec(tuple(row)) for row in hom]),
-        tuple(["the minimal point carries no vertex projective" if i == z0 else c if type(c) is str
-               else RatVec(tuple([1 if k == i else c if k == z0 else 0 for k in range(n)]))
-               for i, c in enumerate(cs)]))
+    radicals = tuple([radical(i) if i != top else None for i in range(n)])
+    profiles: dict[str, InjectiveProfile] = {}
+    seen: dict[tuple, str] = {}   # (udimF entries, strong) -> point
+    for i, (x, col, c) in enumerate(zip(pts, zip(*hom), cs)):
+        if i == top:
+            continue
+        vals = tuple([c * v - h for v, h in zip(bottom, col)])
+        if min(vals) < 0:
+            y = next(y for y, v in zip(pts, vals) if v < 0)
+            raise ModelError(f"negative injective profile entry at ({x}, {y})")
+        if vals[top] <= 0:
+            raise ModelError(f"injective profile at {x} misses the socle")
+        if (other := seen.setdefault((vals, strong[i]), x)) != x:
+            raise ModelError(f"injective profiles collide: {other} vs {x}")
+        profiles[x] = InjectiveProfile(x, Label.STRONG if strong[i] else Label.WEAK, RatVec(vals))
+    return ModelTable(radicals, profiles, tuple([RatVec(tuple(row)) for row in hom]),
+                      tuple([None if i == z0 else
+                             RatVec(tuple([1 if k == i else c if k == z0 else 0 for k in range(n)]))
+                             for i, c in enumerate(cs)]))
 
 
 def projective_udimF(M: AlgebraModel, x: str) -> RatVec:
@@ -224,12 +210,16 @@ def projective_udimF(M: AlgebraModel, x: str) -> RatVec:
 
 def projective_cd(M: AlgebraModel, x: str) -> RatVec:
     """Coordinate vector e_x + c_x e_0 of the vertex attached to e_x A."""
-    return _value(M.table.cd[M.poset.index[x]])
+    if x == M.poset.zero:
+        raise ModelError("the minimal point carries no vertex projective")
+    return M.table.cd[M.poset.index[x]]
 
 
 def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
     """Shape of rad(e_x A); the radical at the maximal point is zero."""
-    return _value(M.table.radicals[M.poset.index[x]])
+    if x == M.poset.max:
+        raise ModelError("the radical at the maximal point is zero")
+    return M.table.radicals[M.poset.index[x]]
 
 
 def is_hereditary(M: AlgebraModel, x: str) -> bool:
@@ -242,4 +232,4 @@ def is_hereditary(M: AlgebraModel, x: str) -> bool:
 
 def injective_profiles(M: AlgebraModel) -> dict[str, InjectiveProfile]:
     """Dimension vectors of the injective vertices, one per point below max."""
-    return dict(_value(M.table.profiles))
+    return dict(M.table.profiles)

@@ -426,19 +426,16 @@ class OracleRadical:
     point: str
     end_dim: int
     block_dims: dict[str, int]
-    multiplicity: int | None
-    end_kind: str | None  # "F" | "G" | None when the shape is not recognized
 
 
 def oracle_radical(fam: RFamily, i: str) -> OracleRadical:
-    P, p = fam.poset, fam.tower.p
+    P = fam.poset
     if i == P.max:
         raise OracleError("the radical at the maximal point is zero")
     blocks = [l for l in fam.above[i] if l != i]
     end_dim = _grade_preserving_hom_dim(fam, i, i, blocks)
     dims = {l: fam.dim(i, l) for l in blocks}
-    mult, kind = {p * p: (p, "F"), p: (1, "G"), 1: (1, "F")}.get(end_dim, (None, None))
-    return OracleRadical(i, end_dim, dims, mult, kind)
+    return OracleRadical(i, end_dim, dims)
 
 
 @dataclass
@@ -488,8 +485,8 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
             if dim != (want := info.multiplicity * info.udimF[P.index[l]]):
                 rep.radical_mismatches.append(
                     f"rad(e_{x} A) has dim {dim} at {l}, table says {want}")
-        # m^2 * k with m, k in {1, p} determines (m, k): this one test also
-        # covers the multiplicity and end kind that oracle_radical decides
+        # m^2 * k with m, k in {1, p} determines (m, k): this one test checks
+        # the table's multiplicity and label against the realization
         if orad.end_dim != (expected_end := info.multiplicity ** 2 * M.kdim(info.label)):
             rep.radical_mismatches.append(
                 f"End rad(e_{x} A) has dim {orad.end_dim}, table says {expected_end}")

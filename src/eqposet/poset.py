@@ -114,9 +114,6 @@ class EquippedPoset:
     def n(self) -> int:
         return len(self.points)
 
-    def leq(self, x: str, y: str) -> bool:
-        return (x, y) in self.rel
-
     def is_strong(self, x: str) -> bool:
         return x in self.strong
 

@@ -113,8 +113,8 @@ def test_criterion_4_star_component_against_oracle():
     fam_r = build_family(tower, P, "r")
     rad = oracle_radical(fam_r, "w")
     Gr = knit(build_model(P, "r"))
-    assert rad.multiplicity == 2 == Gr.out_arrows(0)[0].a
-    assert rad.end_kind == "F" and rad.block_dims == {"m": 2}
+    assert rad.end_dim == Gr.out_arrows(0)[0].a ** 2
+    assert rad.block_dims == {"m": 2}
     # and the middle vertex is the w-projective with its hom-table row
     assert Gr.vertices[1].udimF == RatVec.of(1, 2, 2) - RatVec.of(1, 0, 0)
     assert fam_r.dim("w", "m") == 2 and fam_r.dim("w", "w") == 2

@@ -424,6 +424,39 @@ def test_parser_reuse_matches_fresh_runs(monkeypatch):
     assert build_parser() is build_parser()
 
 
+def fixture_mutants():
+    """Every fixture with one line deleted, with one line duplicated, or with
+    the ell of one rel line set to 0, 9 or x."""
+    for name in ALL_FIXTURES:
+        lines = Path(fixture_path(name)).read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            yield lines[:i] + lines[i + 1:]
+            yield lines[:i + 1] + lines[i:]
+            if line.startswith("rel "):
+                for ell in ("0", "9", "x"):
+                    yield lines[:i] + [" ".join(line.split()[:3] + [ell]) + "\n"] + lines[i + 1:]
+
+
+FUZZ_COMMANDS = {"validate": [], "info --forms": ["--forms"], "info --flavor c": ["--flavor", "c"],
+                 "knit": [], "compare": []}
+
+
+def test_fixture_mutants_keep_the_exit_code_contract(tmp_path):
+    """On each mutant, no exception escapes cli.main, only validate exits 1
+    (a violation), and every other run exits 0 or 2: a model built from a
+    file never fails its table."""
+    path = tmp_path / "mutant.eqp"
+    codes = {command: [0, 0, 0] for command in FUZZ_COMMANDS}
+    for lines in fixture_mutants():
+        path.write_text("".join(lines))
+        for command, options in FUZZ_COMMANDS.items():
+            code = run_in_process([command.split()[0], str(path), *options])[0]
+            assert code in ((0, 1, 2) if command == "validate" else (0, 2)), (lines, command, code)
+            codes[command][code] += 1
+    assert codes == {"validate": [74, 3, 114], "info --forms": [61, 0, 130],
+                     "info --flavor c": [61, 0, 130], "knit": [61, 0, 130], "compare": [61, 0, 130]}
+
+
 # ---------------------------------------------------------------- digests
 
 DATA = Path(__file__).parent / "data"

@@ -320,7 +320,7 @@ def test_negative_mesh_reports_integer_vector(monkeypatch):
         info = radical_info(M, x)
         if x != "x0":
             return info
-        above = [M.hom_dim(x, y) if P.leq(x, y) and y != x else 0 for y in P.points]
+        above = [M.hom_dim(x, y) if (x, y) in P.rel and y != x else 0 for y in P.points]
         return replace(info, multiplicity=1, udimF=RatVec.from_seq(above),
                        cd=info.multiplicity * info.cd)
 

@@ -161,7 +161,7 @@ def test_radical_dim_sum_property():
                     continue
                 info = radical_info(M, x)
                 for j, y in enumerate(P.points):
-                    want = M.hom_dim(x, y) if (P.leq(x, y) and y != x) else 0
+                    want = M.hom_dim(x, y) if ((x, y) in P.rel and y != x) else 0
                     assert info.multiplicity * info.udimF[j] == want, (name, fl, x, y)
 
 

@@ -58,7 +58,7 @@ def test_tower_operator_basis_ranks():
         for ell in range(1, p + 1):
             mats = t.a_ell_basis(ell)
             assert len(mats) == p * ell
-            assert len(t.lin.rref(t.flatten_all(mats))[1]) == p * ell
+            assert len(t.lin.rref([t.flatten(m) for m in mats])[1]) == p * ell
             assert mats == full[:ell * p], (p, mode, ell)
 
 
@@ -149,14 +149,13 @@ def test_driver_parity(p, mode):
     t = cached_tower(p, mode)
     lin = t.lin
     mats = t.a_ell_basis(p)
-    flat = t.flatten_all(mats)
+    flat = [t.flatten(m) for m in mats]
     assert len(flat) == len(mats)
     for k, m in enumerate(mats):
         v = t.flatten(m)
         assert list(v) == [x for row in _entries(lin, m) for x in row]
         assert list(flat[k]) == list(v)
         assert _entries(lin, t.unflatten(v)) == _entries(lin, m)
-    assert t.flatten_all([]) == []
     if mode == "cyclic":
         theta = [[pow(t.omega, i, t.q) if j == i else 0 for j in range(p)] for i in range(p)]
     else:
@@ -483,18 +482,20 @@ def test_oracle_keeps_declaration_order(monkeypatch, flavor):
 def test_oracle_radical_star2():
     t = default_tower(2)
     P = load_fixture("star2")
+    # End(rad) has dimension m^2 * k: m = 2 copies of a summand with k = 1
+    # in flavor r, one summand with k = p = 2 in flavor c
     rad_r = oracle_radical(build_family(t, P, "r"), "w")
-    assert (rad_r.end_dim, rad_r.multiplicity, rad_r.end_kind) == (4, 2, "F")
+    assert rad_r.end_dim == 2 ** 2 * 1
     assert rad_r.block_dims == {"m": 2}
     rad_c = oracle_radical(build_family(t, P, "c"), "w")
-    assert (rad_c.end_dim, rad_c.multiplicity, rad_c.end_kind) == (2, 1, "G")
+    assert rad_c.end_dim == 1 ** 2 * 2
 
 
 def test_oracle_radical_weak_chain():
     t = default_tower(3)
     P = load_fixture("chain3_ell1")
     rad = oracle_radical(build_family(t, P, "r"), "a")
-    assert (rad.end_dim, rad.multiplicity, rad.end_kind) == (3, 1, "G")
+    assert rad.end_dim == 1 ** 2 * 3
 
 
 def test_oracle_radical_rejects_maximum():
@@ -557,7 +558,7 @@ def test_oracle_values_pinned(key):
     for x in P.points:
         if x != P.max:
             r = oracle_radical(fam, x)
-            got[x] = [r.end_dim, r.block_dims, r.multiplicity, r.end_kind]
+            got[x] = [r.end_dim, r.block_dims]
     assert got == want["radical"]
 
 
@@ -651,7 +652,7 @@ def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, fl
     assert fam.basis[a] is fam.basis[b] and fam.piv[a] is fam.piv[b]
     assert fam.member[a] == fam.member[b]
     assert verify_admissible(fam).ok
-    triples = [t for t in itertools.product(P.points, repeat=3) if P.leq(*t[:2]) and P.leq(*t[1:])]
+    triples = [t for t in itertools.product(P.points, repeat=3) if t[:2] in P.rel and t[1:] in P.rel]
     for t in triples:
         fam.action(*t)
     fam.replace(*a, fam.basis[a][:1], fam.piv[a][:1])
@@ -681,7 +682,7 @@ def all_basis_hom_dim(fam, i, j, blocks):
         if d[l] == 0:
             continue
         for lp in blocks:
-            if not P.leq(l, lp):
+            if (l, lp) not in P.rel:
                 continue
             Ci = fam.action(i, l, lp)
             Cj = fam.action(j, l, lp) if e[l] else None
@@ -705,7 +706,7 @@ def assert_reduced_systems_match(fam):
     """oracle_hom_dim and oracle_radical's end_dim equal the all-basis systems."""
     P = fam.poset
     for i in P.points:
-        up = [l for l in P.points if P.leq(i, l)]
+        up = [l for l in P.points if (i, l) in P.rel]
         for j in P.points:
             assert oracle_hom_dim(fam, i, j) == all_basis_hom_dim(fam, i, j, up), (i, j)
         if i != P.max:
@@ -745,7 +746,7 @@ def test_hom_systems_hold_no_zero_row_and_equal_systems_are_ranked_once(flavor, 
     monkeypatch.setattr(oracle, "_solve_hom_system", spy_solve)
     systems = 0
     for i in P.points:
-        up = [l for l in P.points if P.leq(i, l)]
+        up = [l for l in P.points if (i, l) in P.rel]
         for j in P.points:
             systems += any(fam.dim(i, l) and fam.dim(j, l) for l in up)
             oracle_hom_dim(fam, i, j)
@@ -908,7 +909,7 @@ def generated_spans(fam):
     fam.generators generate in R_{a,b}: the closure of their spans under
     products R_{a,y} R_{y,b}, taken by multiplying elements with compose."""
     P, lin = fam.poset, fam.tower.lin
-    pairs = [(a, b) for a in P.points for b in P.points if P.leq(a, b)]
+    pairs = [(a, b) for a in P.points for b in P.points if (a, b) in P.rel]
 
     def echelon(vectors):
         return lin.rref(lin.mat([list(v) for v in vectors]))[0] if vectors else []
@@ -919,7 +920,7 @@ def generated_spans(fam):
     while grew:
         grew = False
         for a, b in pairs:
-            products = [fam.compose(u, v) for y in P.points if P.leq(a, y) and P.leq(y, b)
+            products = [fam.compose(u, v) for y in P.points if (a, y) in P.rel and (y, b) in P.rel
                         for u in span[(a, y)] for v in span[(y, b)]]
             new = echelon(span[(a, b)] + products)
             grew |= len(new) > len(span[(a, b)])
@@ -941,7 +942,7 @@ def test_generators_generate_every_member(name, flavor):
 def test_generators_drop_basis_elements_on_chain3_ell1(flavor, mode):
     P = load_fixture("chain3_ell1")
     fam = build_family(cached_tower(P.p, mode), P, flavor)
-    pairs = [(a, b) for a in P.points for b in P.points if P.leq(a, b)]
+    pairs = [(a, b) for a in P.points for b in P.points if (a, b) in P.rel]
     assert all(len(rows) == fam.dim(*ab) for ab, rows in generated_spans(fam).items())
     assert sum(len(fam.generators(*ab)) for ab in pairs) < sum(fam.dim(*ab) for ab in pairs)
 
