@@ -5,18 +5,19 @@
 F_q (q prime, p | q - 1), c a non-p-th power, both given or both taken from
 `DEFAULT_TOWERS`, and the operator is the automorphism sigma(xi) = omega*xi
 for the smallest primitive p-th root of unity omega.  Inseparable mode: F =
-F_p(t) (`RatFunc`), c = t, and the operator is the derivation
+F_p(t) (driver `FpT`), c = t, and the operator is the derivation
 delta(xi^i) = i*xi^(i-1).
 
 G-elements are coefficient vectors of length p in the basis 1, xi, ...,
 xi^(p-1), multiplied by convolution modulo xi^p - c (`Tower.g_mul`); operators
 on G are p x p matrices over F acting on columns.
 
-An element of F_p(t) is a tuple: (n, d) in lowest terms with d monic, or ()
-for 0, so the truth tests, comparisons and hashes of the linear algebra run
-at C level.  Zero, constants and monomials c t^k (k in Z), which are nearly
-all the entries the oracle meets, take direct arithmetic paths; the rest
-reduce by Euclid's algorithm.
+A constant of F_p(t), 0 included, is a Python int in [0, p), as an entry of
+F_q is; any other element is a `RatFunc`, the tuple (n, d) in lowest terms
+with d monic.  So the constant arithmetic that is most of the oracle's runs
+on ints, and truth tests, comparisons and hashes run at C level.  Monomials
+c t^k (k in Z), nearly all the other entries the oracle meets, take direct
+arithmetic paths; the rest reduce by Euclid's algorithm.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _pdivmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
     return tuple(q), tuple(r)
 
 
-def _frac(n: tuple, d: tuple, K: type) -> RatFunc:
-    """n/d in lowest terms, for polynomials n and d, d monic, in K's F_p(t)."""
+def _frac(n: tuple, d: tuple, K: type) -> RatFunc | int:
+    """n/d in lowest terms, for polynomials n and d, d monic, in K's F_p(t): a
+    `RatFunc`, or an int when it is constant."""
     p = K.p
     if any(d[:-1]):
         g, r = d, n
@@ -78,7 +80,9 @@ def _frac(n: tuple, d: tuple, K: type) -> RatFunc:
     elif len(d) > 1:  # d = t^m: the common factor is the power of t dividing n
         k = min(len(d) - 1, next((i for i, x in enumerate(n) if x), len(d)))
         n, d = n[k:], d[k:]
-    return _new(K, (n, d) if n else ())
+    if len(n) < 2 and len(d) == 1:
+        return n[0] if n else 0
+    return _new(K, (n, d))
 
 
 def _monomial(n: tuple, d: tuple):
@@ -91,40 +95,52 @@ def _monomial(n: tuple, d: tuple):
     return None
 
 
-def _mono(K: type, c: int, k: int) -> RatFunc:
-    """c t^k in K's F_p(t), for a residue c != 0 and k in Z."""
-    return _new(K, ((0,) * k + (c,), _ONE) if k >= 0 else ((c,), (0,) * -k + _ONE))
+def _mono(K: type, c: int, k: int) -> RatFunc | int:
+    """c t^k in K's F_p(t), for a residue c != 0 and k in Z; c itself for k = 0."""
+    if not k:
+        return c
+    return _new(K, ((0,) * k + (c,), _ONE) if k > 0 else ((c,), (0,) * -k + _ONE))
+
+
+def _inv(c: int, p: int) -> int:
+    """1/c in F_p for any int c; ZeroDivisionError when p divides c."""
+    if c % p:
+        return pow(c, -1, p)
+    raise ZeroDivisionError("division by zero in F_p(t)")
 
 
 _new, _ONE = tuple.__new__, (1,)
 
 
 class RatFunc(tuple):
-    """n/d in F_p(t), stored as the tuple (n, d) with d monic and gcd(n, d) = 1,
-    or as () for 0, so equal elements are equal tuples: truth, == and hash
-    are tuple's own.  `RatFunc(n, d, p)` takes n and d in that form and gives
-    an instance of the one subclass for p, which holds p.  Elements of
-    different p compare as tuples; they never meet, as a family works in one
-    tower.
+    """A non-constant n/d in F_p(t), stored as the tuple (n, d) with d monic and
+    gcd(n, d) = 1.  A constant of F_p(t), 0 included, is a Python int in [0, p)
+    and never a RatFunc, so equal elements are equal ints or equal tuples:
+    truth, == and hash are the built-in ones.  `RatFunc(n, d, p)` takes
+    polynomials n and d, d monic, and gives n/d in lowest terms: an instance
+    of the one subclass for p, which holds p, or an int when it is constant.
+    Elements of different p compare as tuples; they never meet, as a family
+    works in one tower.
 
-    Nearly every entry the oracle meets is 0, a constant or c t^k (k in Z).
-    Those operands are multiplied, divided, added and negated directly; any
-    other operand goes through `_frac`, where a gcd with t^m needs no Euclid."""
+    +, -, * and / take a RatFunc or any int (read mod p) on either side, and
+    give a RatFunc or an int in [0, p).  Nearly every element the oracle meets
+    is a constant or c t^k (k in Z): an int operand scales or shifts the
+    numerator, two monomials combine directly, and any other pair goes
+    through `_frac`, where a gcd with t^m needs no Euclid."""
 
     __slots__ = ()
-    p: int           # both set on each subclass:
-    consts: _Consts  # consts[c] is the constant c, 0 included
+    p: int  # set on each subclass
 
-    def __new__(cls, n: tuple, d: tuple, p: int) -> RatFunc:
-        return _new(_field(p), (n, d) if n else ())
+    def __new__(cls, n: tuple, d: tuple, p: int) -> RatFunc | int:
+        return _frac(n, d, _field(p))
 
     @property
     def n(self) -> tuple:
-        return self[0] if self else ()
+        return self[0]
 
     @property
     def d(self) -> tuple:
-        return self[1] if self else _ONE
+        return self[1]
 
     def __repr__(self) -> str:
         return f"RatFunc(n={self.n}, d={self.d}, p={self.p})"
@@ -132,29 +148,24 @@ class RatFunc(tuple):
     def __reduce__(self):
         return RatFunc, (self.n, self.d, self.p)
 
-    def __rmul__(self, o):  # not tuple's repetition: int * RatFunc raises TypeError
-        return NotImplemented
-
     def __neg__(self) -> RatFunc:
-        if not self:
-            return self
         p, (n, d) = self.p, self
-        if len(n) == len(d) == 1:
-            return self.consts[-n[0] % p]
         return _new(type(self), (tuple(-x % p for x in n), d))
 
-    def __add__(self, o: RatFunc) -> RatFunc:
-        if not (self and o):
-            return self or o
-        p, (a, b), (c, e) = self.p, self, o
-        if len(a) == len(b) == len(c) == len(e) == 1:
-            return self.consts[(a[0] + c[0]) % p]
+    def __add__(self, o: RatFunc | int) -> RatFunc | int:
+        p, (a, b) = self.p, self
+        if isinstance(o, int):
+            if not (o := o % p):
+                return self
+            c, e = (o,), _ONE
+        else:
+            c, e = o
         u, v = _monomial(a, b), _monomial(c, e)
         if u and v:
             (x, k), (y, j) = (u, v) if u[1] <= v[1] else (v, u)
             if k == j:
                 x = (x + y) % p
-                return _mono(type(self), x, k) if x else self.consts[0]
+                return _mono(type(self), x, k) if x else 0
             n = (x,) + (0,) * (j - k - 1) + (y,)  # t^-k (x t^k + y t^j)
             return _new(type(self), ((0,) * k + n, _ONE) if k >= 0 else (n, (0,) * -k + _ONE))
         x, y, d = (a, c, b) if b == e else (_pmul(a, e, p), _pmul(c, b, p), _pmul(b, e, p))
@@ -165,20 +176,20 @@ class RatFunc(tuple):
             out.pop()
         return _frac(tuple(out), d, type(self))
 
-    def __sub__(self, o: RatFunc) -> RatFunc:
+    __radd__ = __add__
+
+    def __sub__(self, o: RatFunc | int) -> RatFunc | int:
         return self + -o
 
-    def __mul__(self, o: RatFunc) -> RatFunc:
-        if not (self and o):
-            return o if self else self  # the zero one
-        p, (a, b), (c, e) = self.p, self, o
-        if len(a) == len(b) == 1:  # a constant times o: scale o's numerator
-            x = a[0]
-            if len(c) == len(e) == 1:
-                return self.consts[x * c[0] % p]
-            return _new(type(self), (tuple(x * y % p for y in c), e))
-        if len(c) == len(e) == 1:
-            return o * self
+    def __rsub__(self, o: int) -> RatFunc | int:
+        return -self + o
+
+    def __mul__(self, o: RatFunc | int) -> RatFunc | int:
+        p, (a, b) = self.p, self
+        if isinstance(o, int):  # scale the numerator
+            o %= p
+            return _new(type(self), (tuple(o * x % p for x in a), b)) if o else 0
+        c, e = o
         u, v = _monomial(a, b), _monomial(c, e)
         if u and v:
             return _mono(type(self), u[0] * v[0] % p, u[1] + v[1])
@@ -186,40 +197,41 @@ class RatFunc(tuple):
             return _new(type(self), (_pmul(a, c, p), _ONE))
         return _frac(_pmul(a, c, p), _pmul(b, e, p), type(self))
 
-    def __truediv__(self, o: RatFunc) -> RatFunc:
-        if not o:
-            raise ZeroDivisionError("division by zero in F_p(t)")
-        if not self:
-            return self
-        p, (a, b), (c, e) = self.p, self, o
-        inv = pow(c[-1], -1, p)
-        if len(c) == len(e) == 1:
-            return self.consts[inv] * self
-        u, v = _monomial(a, b), _monomial(c, e)
-        if u and v:
-            return _mono(type(self), u[0] * inv % p, u[1] - v[1])
-        return self * _new(type(self), (_pmul((inv,), e, p), _pmul((inv,), c, p)))
+    __rmul__ = __mul__
 
+    def __truediv__(self, o: RatFunc | int) -> RatFunc | int:
+        return self * (_inv(o, self.p) if isinstance(o, int) else o.inverse())
 
-class _Consts(dict):
-    """consts[c] = c for the residues c of one F_p(t), each built on first use."""
+    def __rtruediv__(self, o: int) -> RatFunc | int:
+        return self.inverse() * o
 
-    __slots__ = ("K",)
-
-    def __init__(self, K: type):
-        self.K = K
-
-    def __missing__(self, c: int) -> RatFunc:
-        x = self[c] = _new(self.K, ((c,), _ONE) if c else ())
-        return x
+    def inverse(self) -> RatFunc:
+        """d/n, with its denominator made monic."""
+        p, (n, d) = self.p, self
+        c = pow(n[-1], -1, p)
+        return _new(type(self), (_pmul((c,), d, p), _pmul((c,), n, p)))
 
 
 @functools.cache
 def _field(p: int) -> type:
     """The subclass of `RatFunc` for F_p(t)."""
-    K = type(f"RatFunc{p}", (RatFunc,), {"__slots__": (), "p": p})
-    K.consts = _Consts(K)
-    return K
+    return type(f"RatFunc{p}", (RatFunc,), {"__slots__": (), "p": p})
+
+
+class FpT(GenericField):
+    """The driver over F_p(t): a constant is an int in [0, p), and `convert`
+    and `norm` take an int mod p; any other element is a `RatFunc`, already
+    canonical."""
+
+    def __init__(self, p: int):
+        self.p = p
+        super().__init__(self.norm)
+
+    def norm(self, x):
+        return x if isinstance(x, RatFunc) else x % self.p
+
+    def inv(self, x):
+        return x.inverse() if isinstance(x, RatFunc) else _inv(x, self.p)
 
 
 class Tower:
@@ -259,8 +271,7 @@ class Tower:
             if q is not None or c is not None:
                 raise ParameterError("q and c apply to cyclic towers only")
             self.c = RatFunc((0, 1), (1,), p)
-            self.lin = GenericField(lambda x: x if isinstance(x, RatFunc)
-                                    else RatFunc((x % p,) if x % p else (), (1,), p))
+            self.lin = FpT(p)
             self.omega = None
             # delta: xi^i -> i xi^(i-1)
             self.theta = self.lin.mat([[j if j == i + 1 else 0 for j in range(p)] for i in range(p)])

@@ -1,11 +1,11 @@
 """Exact linear algebra over small fields.
 
-One driver on lists of rows of Python scalars, for F_q with q prime
-(`ModQ`, entries are ints in [0, q)) and for any exact field whose elements
-support +, -, *, / and truthiness (`GenericField`, used for rational-function
-coefficients).  A field supplies only `convert`, `norm` (the canonical form
-of an entry: x mod q, or the entry itself), `inv`, `zero`/`one` and `size`.
-Every matrix handed in or out holds canonical entries.  Row reduction gives
+One driver on lists of rows of Python scalars (`GenericField`).  A field is
+a subclass that supplies only `convert`, `norm` (the canonical form of an
+entry), `inv`, `zero`/`one` and `size`: `ModQ` for F_q with q prime, whose
+entries are ints in [0, q), and `fields.FpT` for F_p(t), whose constants are
+ints in [0, p) and whose other entries are `RatFunc`s.  Every matrix handed
+in or out holds canonical entries.  Row reduction gives
 reduced row echelon bases, so span bases are canonical and coordinate
 extraction reads off pivot columns; ranks of systems given row by row go
 through one sparse elimination.  No floating point is used.
@@ -15,20 +15,14 @@ from __future__ import annotations
 
 
 class GenericField:
-    """The driver over an exact field; `convert` maps an int or a field
-    element to a canonical field element."""
+    """The driver over an exact field; a subclass supplies `norm` and `inv`,
+    and `convert` maps an int or a field element to a canonical one."""
 
     size = None  # the field is infinite
 
     def __init__(self, convert):
         self.convert = convert
         self.zero, self.one = convert(0), convert(1)
-
-    def norm(self, x):
-        return x
-
-    def inv(self, x):
-        return self.one / x
 
     def mat(self, rows):
         return [[self.convert(x) for x in row] for row in rows]

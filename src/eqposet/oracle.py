@@ -53,6 +53,9 @@ class RFamily:
     _actions: dict = field(default_factory=dict, repr=False)   # per (m_xy, m_yz, m_xz)
     _closures: dict = field(default_factory=dict, repr=False)  # per configuration
     _systems: dict = field(default_factory=dict, repr=False)   # per hom system
+    # answers of `table` by (x, y, z) and of `generators` by (l, l'), so a repeat
+    # call builds no key of member names; `replace` empties it
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def dim(self, x: str, y: str) -> int:
         return len(self.basis.get((x, y), ()))
@@ -61,6 +64,7 @@ class RFamily:
         """Make R_{x,y} the span of basis (rref, pivots piv) under a fresh name:
         no cached answer is reused for it; pairs that shared the old keep theirs."""
         self.basis[(x, y)], self.piv[(x, y)], self.member[(x, y)] = basis, piv, object()
+        self._memo.clear()
 
     def compose(self, u, v):
         """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v)."""
@@ -77,6 +81,8 @@ class RFamily:
         """C, where C[k] is the d_xy x d_xz matrix of row b the coordinates of b * s
         in R_{x,z} for the k-th basis element s of R_{y,z}, or None when some b * s
         leaves it; the first k with C[k] None, or None; the blocks read (`_block`)."""
+        if (hit := self._memo.get((x, y, z))) is not None:
+            return hit
         m = self.member
         key = (m[(x, y)], m[(y, z)], m[(x, z)])
         if (hit := self._actions.get(key)) is None:
@@ -84,6 +90,7 @@ class RFamily:
             C = [self.tower.lin.coords_rows(R, piv, [self.compose(b, s) for b in B])
                  for s in self.basis[(y, z)]]
             hit = self._actions[key] = (C, C.index(None) if None in C else None, {})
+        self._memo[(x, y, z)] = hit
         return hit
 
     def generators(self, l: str, lp: str) -> list[int]:
@@ -92,6 +99,8 @@ class RFamily:
         sums and products; every index when some product involved leaves the
         family.  `_close` runs once per configuration: l == l' and the names of
         R_{l,l'}, R_{l,l}, R_{l',l'}, then R_{l,y}, R_{y,l'} for each y between."""
+        if (hit := self._memo.get((l, lp))) is not None:
+            return hit
         m, above, mid = self.member, self.above, []
         key = [l == lp, m[(l, lp)], m[(l, l)], m[(lp, lp)]]
         for y in above[l] if l != lp else ():  # the points strictly between
@@ -102,6 +111,7 @@ class RFamily:
             hit = self._closures[key] = _close(self.tower.lin, l == lp, self.action(l, l, lp),
                                                self.action(l, lp, lp),
                                                [self.action(l, y, lp) for y in mid])
+        self._memo[(l, lp)] = hit
         return hit
 
 

@@ -8,20 +8,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SRC, run_python, src_imports
-from eqposet.fields import RatFunc
+from conftest import ALL_FIXTURES, SRC, cached_tower, enumerate_equipped, load_fixture, run_python, src_imports
+from eqposet import Flavor, augment, build_family, oracle_hom_dim, verify_admissible
+from eqposet.fields import FpT, RatFunc
 
 
-def _const(c: int, p: int) -> RatFunc:
-    return RatFunc((c % p,) if c % p else (), (1,), p)
+class E:
+    """An element of F_p(t) whose +, -, * and / are the driver's: each raw
+    result is normed, and / multiplies by `inv`."""
+
+    __slots__ = ("x", "K")
+
+    def __init__(self, x, K: FpT):
+        self.x, self.K = K.norm(x), K
+
+    def __add__(self, o):
+        return E(self.x + o.x, self.K)
+
+    def __sub__(self, o):
+        return E(self.x - o.x, self.K)
+
+    def __mul__(self, o):
+        return E(self.x * o.x, self.K)
+
+    def __truediv__(self, o):
+        return E(self.x * self.K.inv(o.x), self.K)
+
+    def __neg__(self):
+        return E(-self.x, self.K)
+
+    def __bool__(self):
+        return bool(self.x)
+
+    def __eq__(self, o):
+        return self.x == o.x
+
+    def __hash__(self):
+        return hash(self.x)
 
 
-def _poly(coeffs, p: int) -> RatFunc:
+def _t(p: int) -> RatFunc:
+    return RatFunc((0, 1), (1,), p)
+
+
+def _poly(coeffs, p: int) -> E:
     """sum_i coeffs[i] t^i, built with the field operations (Horner)."""
-    acc, t = _const(0, p), RatFunc((0, 1), (1,), p)
+    K = cached_tower(p, "inseparable").lin
+    acc, t = E(0, K), E(_t(p), K)
     for c in reversed(coeffs):
-        acc = acc * t + _const(c, p)
+        acc = acc * t + E(c, K)
     return acc
+
+
+def _nd(x) -> tuple[tuple, tuple]:
+    """(n, d) of an F_p(t) element; a constant c is c/1."""
+    return (((x,) if x else ()), (1,)) if type(x) is int else (x.n, x.d)
 
 
 def _ref_mul(a, b, p: int) -> list[int]:
@@ -48,11 +89,25 @@ def _ref_gcd_degree(a, b, p: int) -> int:
     return len(a) - 1
 
 
-def _eval(x: RatFunc, t0: int):
+def assert_canonical(x, p: int) -> None:
+    """x is an int in [0, p), or a RatFunc of p that is not constant, with d
+    monic, gcd(n, d) = 1 and every coefficient a residue.  Neither bool nor
+    float passes."""
+    if type(x) is int:
+        assert 0 <= x < p, x
+        return
+    assert type(x) is type(_t(p)) and x.p == p, x
+    n, d = x
+    assert len(n) > 1 or len(d) > 1, x
+    assert n[-1] and d[-1] == 1 and all(0 <= c < p for c in n + d), x
+    assert _ref_gcd_degree(n, d, p) == 0, x
+
+
+def _eval(x, t0: int, p: int):
     """x(t0) in F_p, or None where its denominator vanishes."""
-    p = x.p
-    num = sum(c * t0 ** i for i, c in enumerate(x.n)) % p
-    den = sum(c * t0 ** i for i, c in enumerate(x.d)) % p
+    n, d = _nd(x)
+    num = sum(c * t0 ** i for i, c in enumerate(n)) % p
+    den = sum(c * t0 ** i for i, c in enumerate(d)) % p
     return num * pow(den, -1, p) % p if den else None
 
 
@@ -86,22 +141,24 @@ def elements(draw, k: int = 3):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), quotients(p))))
 def test_canonical_form(case):
-    """n/d keeps the value of num/den, d is monic and gcd(n, d) = 1."""
+    """n/d keeps the value of num/den, d is monic and gcd(n, d) = 1; a
+    constant is an int and nothing else is."""
     p, (num, den, x) = case
-    assert x.p == p and x.d and x.d[-1] == 1
-    assert _ref_gcd_degree(x.n, x.d, p) == 0
-    assert _ref_mul(x.n, den, p) == _ref_mul(num, x.d, p)
+    n, d = _nd(x.x)
+    assert_canonical(x.x, p)  # d monic, gcd(n, d) = 1, residues in [0, p)
+    assert (type(x.x) is int) == (len(n) < 2 and d == (1,))
+    assert _ref_mul(n, den, p) == _ref_mul(num, d, p)
     assert bool(x) == any(num)
-    # residues stay in [0, p): -x negates each coefficient mod p
-    assert (-x).n == tuple(-c % p for c in x.n) and (-x).d == x.d
-    assert all(0 <= c < p for c in x.n + x.d)
+    # -x negates each coefficient mod p
+    assert _nd((-x).x) == (tuple(-c % p for c in n), d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(elements())
 def test_field_axioms(case):
     p, a, b, c = case
-    zero, one = _const(0, p), _const(1, p)
+    K = a.K
+    zero, one = E(0, K), E(1, K)
     assert a + b == b + a and a * b == b * a
     assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
@@ -109,9 +166,11 @@ def test_field_axioms(case):
     assert a + (-a) == zero and a - b == a + (-b) and a - a == zero
     if b:
         assert (a / b) * b == a and b * (one / b) == one
-    if b and c:  # equal values reached two ways are equal tuples
+    if b and c:  # equal values reached two ways are equal ints or tuples
         x, y = (a * c) / (b * c), a / b
-        assert (x.n, x.d) == (y.n, y.d) and hash(x) == hash(y)
+        assert _nd(x.x) == _nd(y.x) and hash(x.x) == hash(y.x)
+    for v in (a, b, c, a * b, a + b, a - b):
+        assert_canonical(v.x, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,34 +178,126 @@ def test_field_axioms(case):
 def test_evaluation_is_a_homomorphism(case, t0):
     p, a, b = case
     t0 %= p
-    va, vb = _eval(a, t0), _eval(b, t0)
+    va, vb = _eval(a.x, t0, p), _eval(b.x, t0, p)
     if va is None or vb is None:
         return
-    assert _eval(a + b, t0) == (va + vb) % p
-    assert _eval(a - b, t0) == (va - vb) % p
-    assert _eval(a * b, t0) == va * vb % p
-    assert _eval(-a, t0) == -va % p
+    assert _eval((a + b).x, t0, p) == (va + vb) % p
+    assert _eval((a - b).x, t0, p) == (va - vb) % p
+    assert _eval((a * b).x, t0, p) == va * vb % p
+    assert _eval((-a).x, t0, p) == -va % p
     if vb:
-        assert _eval(a / b, t0) == va * pow(vb, -1, p) % p
+        assert _eval((a / b).x, t0, p) == va * pow(vb, -1, p) % p
 
 
 def test_truth_equality_and_hash_are_tuples():
-    """Truth, == and hash of an F_p(t) element are tuple's own C slots, not
-    Python-level methods; 0 is the empty tuple and keeps its p and d."""
+    """Truth, == and hash of an F_p(t) element are int's or tuple's own C
+    slots, not Python-level methods; 0 and every constant are ints, and an
+    int operand is read mod p on either side of a RatFunc."""
     for p in (2, 3, 5):
-        zero = RatFunc((), (1,), p)
-        for cls in (RatFunc, type(zero)):
+        K = FpT(p)
+        for cls in (RatFunc, type(_t(p))):
             assert not {"__bool__", "__eq__", "__hash__", "__len__"} & set(vars(cls))
-        assert not zero and zero == () and zero.p == p and zero.d == (1,) and zero.n == ()
-        t = RatFunc((0, 1), (1,), p)
+        assert type(K.zero) is int and K.zero == 0 and type(K.one) is int and K.one == 1
+        assert RatFunc((), (1,), p) == 0 and RatFunc((1,), (1,), p) == 1
+        assert type(RatFunc((1,), (1,), p)) is int
+        assert RatFunc((0, 1), (0, 1), p) == 1  # t/t, reduced to the constant
+        t = _t(p)
         assert t and t == ((0, 1), (1,)) and hash(t) == hash(((0, 1), (1,)))
-        assert type(t) is type(zero) and isinstance(t, RatFunc) and t.p == p
+        assert isinstance(t, RatFunc) and t.p == p and type(t) is type(RatFunc((1, 1), (1,), p))
         assert repr(t) == f"RatFunc(n=(0, 1), d=(1,), p={p})"
-        with pytest.raises(TypeError):
-            2 * t  # not tuple repetition
-        with pytest.raises(ZeroDivisionError):
-            t / zero
-        assert pickle.loads(pickle.dumps(t)) == t and pickle.loads(pickle.dumps(zero)).p == p
+        two_t = 0 if p == 2 else RatFunc((0, 2), (1,), p)
+        assert 2 * t == t * 2 == two_t and (p + 2) * t == t * (2 - p) == two_t  # not repetition
+        assert t - t == 0 and type(t - t) is int and t / t == 1 and type(t / t) is int
+        assert (t + 1) - t == 1 and type((t + 1) - t) is int
+        for zero in (0, p, -p):
+            with pytest.raises(ZeroDivisionError):
+                t / zero
+            with pytest.raises(ZeroDivisionError):
+                K.inv(zero)
+        assert K.inv(t) == RatFunc((1,), (0, 1), p) and K.inv(p - 1) == p - 1
+        assert K.convert(True) == 1 and type(K.convert(True)) is int
+        assert pickle.loads(pickle.dumps(t)) == t and pickle.loads(pickle.dumps(t)).p == p
+
+
+def _rf(x, p: int) -> RatFunc:
+    """The constant x as the tuple ((x,), (1,)) of p's RatFunc subclass, which
+    canonical arithmetic never makes: the all-RatFunc reference operand."""
+    return tuple.__new__(type(_t(p)), ((x % p,), (1,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(1), st.integers(-7, 7), st.integers(0, 4))
+def test_int_operands_match_the_ratfunc_reference(case, c, t0):
+    """int o RatFunc and RatFunc o int, for +, -, * and / in both orders, give
+    canonical results whose values at t0 are those of the operation in F_p
+    and of the same operation with c as a constant RatFunc, which takes the
+    general paths; dividing by a multiple of p raises ZeroDivisionError."""
+    p, a = case
+    a, t0 = a.x, t0 % p
+    if type(a) is int:
+        a = a * _t(p) if a else _t(p)  # a non-constant operand
+    va = _eval(a, t0, p)
+    if va is None:
+        return
+    ops = [(lambda x, y: x + y, lambda u, v: (u + v) % p),
+           (lambda x, y: x - y, lambda u, v: (u - v) % p),
+           (lambda x, y: x * y, lambda u, v: u * v % p),
+           (lambda x, y: x / y, lambda u, v: u * pow(v, -1, p) % p if v else None if u else 0)]
+    for x, y in ((a, c), (c, a)):
+        for k, (op, value) in enumerate(ops):
+            if k == 3 and y is c and not c % p:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            assert_canonical(got, p)
+            assert _eval(got, t0, p) == value(*[va if v is a else c % p for v in (x, y)])
+            if c % p:
+                ref = op(*[_rf(c, p) if v is c else v for v in (x, y)])
+                assert _eval(ref, t0, p) == _eval(got, t0, p)
+
+
+def _oracle_entries(fam):
+    """Every entry of every basis, unit and action table of fam."""
+    above = fam.above
+    for B in fam.basis.values():
+        yield from (x for row in B for x in row)
+    for u in fam.unit.values():
+        yield from u
+    for x in above:
+        for y in above[x]:
+            for z in above[y]:
+                for C in fam.action(x, y, z):
+                    yield from (v for row in C or () for v in row)
+
+
+def _assert_oracle_scalars(P) -> int:
+    """Run the inseparable oracle's A.1-A.3 and hom systems on P in both flavors,
+    then check every entry it built; the number of entries checked."""
+    count, tower = 0, cached_tower(P.p, "inseparable")
+    for flavor in (Flavor.R, Flavor.C):
+        fam = build_family(tower, P, flavor)
+        verify_admissible(fam)
+        for i in fam.above:
+            for j in fam.above:
+                oracle_hom_dim(fam, i, j)
+        for x in _oracle_entries(fam):
+            assert_canonical(x, P.p)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_inseparable_oracle_scalars_are_canonical_on_fixtures(name):
+    assert _assert_oracle_scalars(load_fixture(name)) > 0
+
+
+def test_inseparable_oracle_scalars_are_canonical_on_small_posets():
+    """The [2-3] sweep of test_small_posets: every valid p = 2 poset of three
+    points, augmented."""
+    posets = list(enumerate_equipped(2, 3))
+    assert len(posets) == 230
+    assert all(_assert_oracle_scalars(augment(P)) > 0 for P in posets)
 
 
 def test_src_never_imports_sympy():

@@ -204,12 +204,12 @@ def dense_generic_rref(lin, A):
         if sel is None:
             continue
         A[r], A[sel] = A[sel], A[r]
-        inv = lin.one / A[r][c]
-        A[r] = [x * inv for x in A[r]]
+        inv = lin.inv(A[r][c])
+        A[r] = [lin.norm(x * inv) for x in A[r]]
         for i in range(len(A)):
             if i != r and A[i][c]:
                 f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+                A[i] = [lin.norm(x - f * y) for x, y in zip(A[i], A[r])]
         piv.append(c)
         r += 1
     return A[:r], piv
@@ -225,9 +225,9 @@ def test_generic_rref_matches_dense_reference(data):
     def entry():
         x = lin.convert(data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])))
         for _ in range(data.draw(st.integers(0, 2))):
-            x = x * t
+            x = lin.norm(x * t)
         for _ in range(data.draw(st.integers(0, 1))):
-            x = x / t1
+            x = lin.norm(x * lin.inv(t1))
         return x
 
     def matrix():
@@ -293,14 +293,16 @@ def test_sparse_rank_matches_reference_over_f3t(data):
     def entry(c, k, m):
         x = lin.convert(c)
         for _ in range(k):
-            x = x * t
+            x = lin.norm(x * t)
         for _ in range(m):
-            x = x / t1
+            x = lin.norm(x * lin.inv(t1))
         return x
 
     entries = st.builds(entry, st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
     rows = data.draw(fill_in_rows(entries, lin.zero))
-    assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(dense_generic_rref(lin, rows)[1])
+    # the rank norms its raw entries (products and sums of ints may leave
+    # [0, 3)); the dense reference takes them normed
+    assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(dense_generic_rref(lin, lin.mat(rows))[1])
 
 
 def test_no_module_imports_numpy():

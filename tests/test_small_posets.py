@@ -6,10 +6,9 @@ oracle fails where the other succeeds is a model bug.  These tests run the
 whole pipeline on every valid equipped poset with at most three points at
 p in {2, 3} and at most one point at p = 5, augmented, and on random ones
 with four or five points.  The oracle runs over the default cyclic tower on
-all of them, and over the inseparable one too on all but the 3-point p = 3
-posets and the random ones at p = 5.  On every poset of the sweep, A.2's
-division certificate over the cyclic tower agrees with the enumeration of
-each R_x.
+all of them, and over the inseparable one too on all but the random ones at
+p = 5.  On every poset of the sweep, A.2's division certificate over the
+cyclic tower agrees with the enumeration of each R_x.
 """
 
 import pytest
@@ -24,14 +23,13 @@ from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model, 
 SIZES = [(p, n) for p in (2, 3) for n in (0, 1, 2, 3)] + [(5, 1)]
 
 
-def _oracle_modes(p: int, n: int) -> list[str]:
-    """The towers each poset is checked over: both the cyclic and the
-    inseparable one on every p = 2 poset, on p = 3 posets of at most 2
-    points and on p = 5 posets of one point; the cyclic one alone on the
-    344 p = 3 posets of 3 points.  The inseparable oracle takes at most
-    0.07 s on any one of those, but several seconds over all of them, so
-    they are left to a one-off sweep."""
-    return ["cyclic", "inseparable"] if n <= {2: 3, 3: 2, 5: 1}[p] else ["cyclic"]
+def _reference_modes(p: int, n: int) -> list[str]:
+    """The towers the hom-system reference checks each poset over: the cyclic
+    and the inseparable one on every poset of the sweep but the 344 p = 3
+    posets of 3 points, which take the cyclic one alone.  The inseparable
+    one there takes about 8 s, more than tier-1 has room for; the oracle
+    itself runs over both towers on those posets too."""
+    return ["cyclic", "inseparable"] if (p, n) != (3, 3) else ["cyclic"]
 
 
 @pytest.mark.parametrize("p, n", SIZES)
@@ -44,7 +42,7 @@ def test_every_small_poset_knits_pairs_and_passes_the_oracle(p, n):
             check_component_invariants(M, G, (P, M.flavor.value))
         report = pair_components(Gr, Gc, Mr, Mc)
         assert report.ok, f"{P}:\n{report}"
-        for mode in _oracle_modes(p, n):
+        for mode in ("cyclic", "inseparable"):
             for M in (Mr, Mc):
                 rep = run_verification(M, cached_tower(p, mode))
                 assert rep.ok, f"{P} {mode}:\n{rep}"
@@ -56,10 +54,10 @@ def test_every_small_poset_knits_pairs_and_passes_the_oracle(p, n):
 @pytest.mark.parametrize("p, n", SIZES)
 def test_every_small_poset_solves_hom_systems_as_the_rank_reference(p, n):
     """The merged hom systems equal the sparse rank of every row, over the
-    towers of the sweep above."""
+    towers of `_reference_modes`."""
     for P in enumerate_equipped(p, n):
         A = augment(P)
-        for mode in _oracle_modes(p, n):
+        for mode in _reference_modes(p, n):
             for flavor in (Flavor.R, Flavor.C):
                 assert assert_solver_matches_reference(build_family(cached_tower(p, mode), A, flavor))
 
