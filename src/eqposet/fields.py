@@ -287,7 +287,7 @@ class Tower:
     def xi_pow(self, j: int):
         if not 0 <= j < self.p:
             raise ValueError(f"xi_pow takes 0 <= j < p = {self.p}, not j = {j}")
-        return self.lin.mat([[int(i == j) for i in range(self.p)]])[0]
+        return [self.lin.one if i == j else self.lin.zero for i in range(self.p)]
 
     def g_mul(self, a, b):
         """Product of two G-elements (coefficient vectors): their convolution,
@@ -310,33 +310,28 @@ class Tower:
 
     # -- operator algebra ---------------------------------------------------
 
-    def eps(self, strong: bool):
-        """Idempotent attached to a point: corner projection when strong,
-        the identity operator when weak."""
-        if not strong:
-            return self.lin.eye(self.p)
-        e = self.lin.zeros(self.p, self.p)
-        e[0][0] = self.lin.one
-        return e
-
     def a_ell_basis(self, ell: int) -> list:
-        """Spanning operators mu_(xi^j) . theta^i for j < p, i < ell."""
-        lin = self.lin
-        out = []
-        theta_pow = lin.eye(self.p)
-        for _ in range(ell):
-            for j in range(self.p):
-                out.append(lin.matmul(self.mu_mat(self.xi_pow(j)), theta_pow))
+        """Spanning operators mu_(xi^j) . theta^i for i < ell, j < p, i major, as
+        new lists.  Each mu_(xi^j) is built once, and theta^0 = 1 takes no product."""
+        lin, mus = self.lin, [self.mu_mat(self.xi_pow(j)) for j in range(self.p)]
+        out, theta_pow = list(mus), self.theta
+        for _ in range(1, ell):
+            out += [lin.matmul(mu, theta_pow) for mu in mus]
             theta_pow = lin.matmul(self.theta, theta_pow)
         return out
+
+    def cut(self, a, strong_x: bool, strong_y: bool) -> list:
+        """eps_y . a . eps_x, flattened, where eps is the corner projection at a
+        strong point and the identity at a weak one: row 0 alone at a strong y,
+        column 0 alone at a strong x, zero everywhere else."""
+        zero = self.lin.zero
+        return [x if (i == 0 or not strong_y) and (j == 0 or not strong_x) else zero
+                for i, row in enumerate(a) for j, x in enumerate(row)]
 
     # operators flatten row-major into vectors of length p^2
 
     def flatten(self, m):
         return [x for row in m for x in row]
-
-    def unflatten(self, v):
-        return [list(v[i:i + self.p]) for i in range(0, self.p * self.p, self.p)]
 
 
 def _smallest_root_of_unity(p: int, q: int) -> int:

@@ -67,11 +67,20 @@ class RFamily:
         self._memo.clear()
 
     def compose(self, u, v):
-        """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v)."""
+        """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v).  For
+        flavor r that is the matrix product v u on the flattened operators, with
+        the loop order and zero skips of `lin.matmul`."""
         t = self.tower
-        if self.flavor is Flavor.R:
-            return t.flatten(t.lin.matmul(t.unflatten(v), t.unflatten(u)))
-        return t.g_mul(u, v)
+        if self.flavor is not Flavor.R:
+            return t.g_mul(u, v)
+        p, norm, out = t.p, t.lin.norm, [t.lin.zero] * len(u)
+        for i in range(0, len(u), p):  # row i // p of v u
+            for k, x in enumerate(v[i:i + p]):
+                if x:
+                    for j, y in enumerate(u[k * p:k * p + p], i):
+                        if y:
+                            out[j] = norm(out[j] + x * y)
+        return out
 
     def action(self, x: str, y: str, z: str) -> list:
         """The action table C of `table`."""
@@ -116,7 +125,9 @@ class RFamily:
 
 
 def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
-    """`RFamily.generators` from the tables (l, l, l'), (l, l', l') and (l, y, l')."""
+    """`RFamily.generators` from the tables (l, l, l'), (l, l', l') and (l, y, l').
+    A local closure stops once its span is the whole member, which is closed
+    under products already."""
     d, ys = len(left), [C for T in inner for C in T]
     if any(C is None for C in left + right + ys):
         return list(range(d))
@@ -129,7 +140,7 @@ def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
         picks.append(k)
         if local:  # close the span under products: v w = v (sum_s w_s C_s)
             size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
-            while len(piv) > size:
+            while size < len(piv) < d:  # the whole member is closed already
                 size = len(piv)
                 R, piv = lin.rref(lin.vstack(
                     [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
@@ -148,7 +159,7 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
     lin, r = tower.lin, flavor is Flavor.R
     fam = RFamily(tower, P, flavor)
     ops = tower.a_ell_basis(P.p) if r else []  # a_ell_basis(ell) is ops[:ell * p]
-    units = {s: tower.flatten(tower.eps(s)) if r else tower.xi_pow(0) for s in (False, True)}
+    units = {s: tower.cut(lin.eye(tower.p), s, s) if r else tower.xi_pow(0) for s in (False, True)}
     pts, (ells, strong, up), members = P.points, P.view, {}
     for i, x in enumerate(pts):
         js = sorted((i, *up[i]))
@@ -158,12 +169,10 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
             key = (strong[i], strong[j], ell) if r else ell
             if key not in members:
                 if r:
-                    ex, ey = tower.eps(key[0]), tower.eps(key[1])
-                    gens = [tower.flatten(lin.matmul(lin.matmul(ey, a), ex))
-                            for a in ops[:ell * tower.p]]
+                    gens = [tower.cut(a, key[0], key[1]) for a in ops[:ell * tower.p]]
                 else:
                     gens = [tower.xi_pow(k) for k in range(ell)]
-                members[key] = (*lin.rref(lin.mat(gens)), key)
+                members[key] = (*lin.rref(gens), key)
             fam.basis[(x, pts[j])], fam.piv[(x, pts[j])], fam.member[(x, pts[j])] = members[key]
     return fam
 

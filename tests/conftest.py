@@ -278,6 +278,87 @@ def check_component_invariants(M, G, where) -> None:
     assert len(keys) == n
 
 
+# ---------------------------------------------------------------- operator references
+# The flavor-r realization as it was built before members were cut and
+# operator products were flattened: every product a `matmul` on nested lists.
+
+def unflatten(t, v):
+    """The p x p operator of a row-major vector of length p^2."""
+    return [list(v[i:i + t.p]) for i in range(0, t.p * t.p, t.p)]
+
+
+def reference_eps(t, strong: bool):
+    """The idempotent of a point: the corner projection when strong, the
+    identity when weak."""
+    return t.lin.mat([[int(i == j and (i == 0 or not strong)) for j in range(t.p)]
+                      for i in range(t.p)])
+
+
+def reference_a_ell_basis(t, ell: int) -> list:
+    """mu_(xi^j) . theta^i for i < ell, j < p: one `mu_mat` per (i, j), times
+    theta^i, the powers starting from the identity."""
+    lin, out, theta_pow = t.lin, [], t.lin.eye(t.p)
+    for _ in range(ell):
+        for j in range(t.p):
+            out.append(lin.matmul(t.mu_mat(t.xi_pow(j)), theta_pow))
+        theta_pow = lin.matmul(t.theta, theta_pow)
+    return out
+
+
+def reference_member_gens(t, strong_x: bool, strong_y: bool, ell: int) -> list:
+    """The flattened eps_y . a . eps_x, two matmuls each, for every a of
+    `reference_a_ell_basis(t, ell)`: the rows that span R_{x,y} in flavor r."""
+    lin, ex, ey = t.lin, reference_eps(t, strong_x), reference_eps(t, strong_y)
+    return [t.flatten(lin.matmul(lin.matmul(ey, a), ex)) for a in reference_a_ell_basis(t, ell)]
+
+
+def reference_compose(t, u, v):
+    """The flavor-r product u * v: the matrix product v u, unflattened and
+    flattened back."""
+    return t.flatten(t.lin.matmul(unflatten(t, v), unflatten(t, u)))
+
+
+def reference_close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
+    """`oracle._close` without the early stop: a local closure runs until a
+    round of products adds nothing, also after its span is the whole member."""
+    d, ys = len(left), [C for T in inner for C in T]
+    if any(C is None for C in left + right + ys):
+        return list(range(d))
+    picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
+    flat = [[x for row in C for x in row] for C in left]
+    for k in range(d):
+        unit = lin.mat([[int(i == k) for i in range(d)]])
+        if len(piv) == d or lin.in_span(R, piv, unit[0]):
+            continue
+        picks.append(k)
+        if local:
+            size, (R, piv) = 0, lin.rref(lin.vstack([R, unit]))
+            while len(piv) > size:
+                size = len(piv)
+                R, piv = lin.rref(lin.vstack(
+                    [R] + [lin.matmul(R, [m[a * d:(a + 1) * d] for a in range(d)])
+                           for m in lin.matmul(R, flat)]))
+        else:
+            rows = [unit, left[k]]
+            R, piv = lin.rref(lin.vstack(
+                [R] + rows + [lin.matmul(X, C) for X in rows for C in right]))
+    return picks
+
+
+def assert_picks_match_reference(fam) -> int:
+    """`RFamily.generators` equals `reference_close` on the same action tables
+    for every comparable pair (l, l') of fam; returns the number of pairs."""
+    lin, above, n = fam.tower.lin, fam.above, 0
+    for l in above:
+        for lp in above[l]:
+            mid = [y for y in above[l] if y not in (l, lp) and lp in above[y]]
+            want = reference_close(lin, l == lp, fam.action(l, l, lp), fam.action(l, lp, lp),
+                                   [fam.action(l, y, lp) for y in mid])
+            assert fam.generators(l, lp) == want, (fam.poset, fam.flavor.value, l, lp)
+            n += 1
+    return n
+
+
 # ---------------------------------------------------------------- references
 # The per-point arithmetic of the model and the validation loops as they were
 # written before the indexed tables: every lookup goes through point names.

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,15 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ALL_FIXTURES, assert_division_agrees, assert_solver_matches_reference,
-                      cached_tower, enumerated_division, hom_systems, load_fixture, model,
-                      rank_hom_dim)
+from conftest import (ALL_FIXTURES, assert_division_agrees, assert_picks_match_reference,
+                      assert_solver_matches_reference, cached_tower, enumerated_division,
+                      hom_systems, load_fixture, model, rank_hom_dim, reference_a_ell_basis,
+                      reference_compose, reference_eps, reference_member_gens, unflatten)
 from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower,
-                     augment, build_family, build_model, default_tower,
+                     augment, build_family, build_model, default_tower, load_poset,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      parse_poset, run_verification, verify_admissible, verify_dims)
-from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P, _pdivmod
+from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P, RatFunc, _pdivmod
 from eqposet.linalg import ModQ
+from test_fields import assert_canonical
+
+DATA = Path(__file__).parent / "data"
+DEEP_P5 = ["deep_p5_n6", "deep_p5_n7", "deep_p5_n8a", "deep_p5_n8b"]
+
+
+def _fixture_or_deep(name: str):
+    return load_fixture(name) if name in ALL_FIXTURES else load_poset(str(DATA / f"{name}.eqp"))
 
 
 # ---------------------------------------------------------------- towers
@@ -155,15 +165,15 @@ def test_driver_parity(p, mode):
         v = t.flatten(m)
         assert list(v) == [x for row in _entries(lin, m) for x in row]
         assert list(flat[k]) == list(v)
-        assert _entries(lin, t.unflatten(v)) == _entries(lin, m)
+        assert _entries(lin, unflatten(t, v)) == _entries(lin, m)
     if mode == "cyclic":
         theta = [[pow(t.omega, i, t.q) if j == i else 0 for j in range(p)] for i in range(p)]
     else:
         theta = [[j if j == i + 1 else 0 for j in range(p)] for i in range(p)]
     assert _entries(lin, t.theta) == _entries(lin, lin.mat(theta))
     corner = [[int(i == j == 0) for j in range(p)] for i in range(p)]
-    assert _entries(lin, t.eps(True)) == _entries(lin, lin.mat(corner))
-    assert _entries(lin, t.eps(False)) == _entries(lin, lin.eye(p))
+    assert t.cut(lin.eye(p), True, True) == t.flatten(lin.mat(corner))
+    assert t.cut(lin.eye(p), False, False) == t.flatten(lin.eye(p))
 
 
 def test_inseparable_tower_arithmetic():
@@ -186,6 +196,87 @@ def test_inseparable_tower_arithmetic():
                 lhs = delta(t.g_mul(u, v))
                 rhs = [lin.norm(a + b) for a, b in zip(t.g_mul(delta(u), v), t.g_mul(u, delta(v)))]
                 assert list(lhs) == rhs, (p, i, j)
+
+
+# ---------------------------------------------------------------- operator constructions
+# a_ell_basis, the cut members and the flat product against the matmul
+# references of conftest, which form every operator product on nested lists
+
+OPERATOR_TOWERS = [(p, mode) for p in (2, 3, 5, 7) for mode in ("cyclic", "inseparable")]
+
+
+@pytest.mark.parametrize("p, mode", OPERATOR_TOWERS)
+def test_operator_basis_and_cuts_match_the_matmul_references(p, mode):
+    """a_ell_basis(ell) equals the reference entry for entry and hands out new
+    lists on every call; the cut of each of its operators is eps_y a eps_x
+    for every (x strong?, y strong?, ell); over F_p(t) every entry is
+    canonical."""
+    t = Tower(p, mode)
+    for ell in range(1, p + 1):
+        mats, again = t.a_ell_basis(ell), t.a_ell_basis(ell)
+        assert mats == reference_a_ell_basis(t, ell), ell
+        ids = [{id(m) for m in ms} | {id(row) for m in ms for row in m} for ms in (mats, again)]
+        assert not ids[0] & ids[1] and len(ids[0]) == len(mats) * (p + 1)
+        for sx, sy in itertools.product((False, True), repeat=2):
+            gens = [t.cut(a, sx, sy) for a in mats]
+            assert gens == reference_member_gens(t, sx, sy, ell), (ell, sx, sy)
+            if mode == "inseparable":
+                for x in itertools.chain(*gens, *itertools.chain(*mats)):
+                    assert_canonical(x, p)
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("name", ALL_FIXTURES + DEEP_P5)
+def test_flavor_r_members_and_units_are_the_reference_cuts(name, mode):
+    """build_family's R_{x,y} is the rref of the reference rows of its key,
+    and each unit is the flattened reference idempotent."""
+    P = _fixture_or_deep(name)
+    t = cached_tower(P.p, mode)
+    fam = build_family(t, P, "r")
+    for x, above in fam.above.items():
+        assert fam.unit[x] == t.flatten(reference_eps(t, P.is_strong(x))), x
+        for y in above:
+            gens = reference_member_gens(t, P.is_strong(x), P.is_strong(y), P.rel[(x, y)])
+            assert (fam.basis[(x, y)], fam.piv[(x, y)]) == tuple(t.lin.rref(gens)), (x, y)
+
+
+@pytest.mark.parametrize("p, mode", OPERATOR_TOWERS)
+def test_flat_compose_matches_the_matmul_reference(p, mode, monkeypatch):
+    """The flavor-r product of flattened operators equals the reference's on
+    random operators with zero entries, through the same norm calls in the
+    same order; over F_p(t) its entries are canonical."""
+    t = Tower(p, mode)
+    lin, rng, fam = t.lin, random.Random(p), RFamily(t, None, Flavor.R)
+    x, x1 = RatFunc((0, 1), (1,), p), RatFunc((1, 1), (1,), p)  # t and t + 1 in F_p(t)
+
+    def entry():
+        """0 half the time; else a residue over F_q, c t^k / (t + 1)^m over F_p(t)."""
+        if rng.randrange(2):
+            return lin.zero
+        if lin.size is not None:
+            return rng.randrange(lin.size)
+        e = lin.convert(rng.randrange(p))
+        for _ in range(rng.randrange(3)):
+            e = e * x
+        return e / x1 if rng.randrange(2) else e
+
+    seen, norm = [], lin.norm
+
+    def spy(v):
+        seen.append(v)
+        return norm(v)
+
+    monkeypatch.setattr(lin, "norm", spy)
+    for _ in range(20):
+        u, v = [entry() for _ in range(p * p)], [entry() for _ in range(p * p)]
+        got, calls = fam.compose(u, v), seen[:]
+        seen.clear()
+        assert got == reference_compose(t, u, v)
+        assert seen == calls
+        seen.clear()
+        if mode == "inseparable":
+            for e in got:
+                assert_canonical(e, p)
 
 
 # ---------------------------------------------------------------- families
@@ -595,7 +686,7 @@ def right_mults(fam, y, z):
     t = fam.tower
     lin = t.lin
     if fam.flavor is Flavor.R:
-        return [kron(lin, lin.transpose(t.unflatten(s)), lin.eye(t.p))
+        return [kron(lin, lin.transpose(unflatten(t, s)), lin.eye(t.p))
                 for s in fam.basis[(y, z)]]
     return [lin.transpose(t.mu_mat(s)) for s in fam.basis[(y, z)]]
 
@@ -666,6 +757,16 @@ def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, fl
 
 
 # ---------------------------------------------------------------- generators
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES + DEEP_P5)
+def test_picks_match_the_closure_without_early_stop(name, flavor, mode):
+    """A local closure that stops at the whole member picks what one that
+    runs on picks, at every comparable pair."""
+    P = _fixture_or_deep(name)
+    assert assert_picks_match_reference(build_family(cached_tower(P.p, mode), P, flavor))
+
 
 def all_basis_hom_dim(fam, i, j, blocks):
     """The reference: dim of the block-graded A-linear maps e_i A -> e_j A,

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_division_agrees, assert_solver_matches_reference, cached_tower,
-                      check_component_invariants, enumerate_equipped)
+from conftest import (assert_division_agrees, assert_picks_match_reference,
+                      assert_solver_matches_reference, cached_tower, check_component_invariants,
+                      enumerate_equipped)
 from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model, knit,
                      min_equipment_closure, pair_components, run_verification)
 
@@ -60,6 +61,20 @@ def test_every_small_poset_solves_hom_systems_as_the_rank_reference(p, n):
         for mode in _reference_modes(p, n):
             for flavor in (Flavor.R, Flavor.C):
                 assert assert_solver_matches_reference(build_family(cached_tower(p, mode), A, flavor))
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_every_two_three_poset_picks_as_the_closure_without_early_stop(mode):
+    """On the 230 posets of 3 points at p = 2, augmented, `RFamily.generators`
+    picks what `reference_close` picks at every comparable pair, in both
+    flavors."""
+    n = 0
+    for P in enumerate_equipped(2, 3):
+        A = augment(P)
+        for flavor in (Flavor.R, Flavor.C):
+            assert assert_picks_match_reference(build_family(cached_tower(2, mode), A, flavor))
+        n += 1
+    assert n == 230
 
 
 @st.composite
