@@ -278,10 +278,6 @@ class Tower:
         else:
             raise ParameterError(f"unknown tower mode {mode!r}")
 
-        a1 = self.a_ell_basis(1)
-        if len(self.lin.rref([self.flatten(m) for m in a1])[1]) != self.p:
-            raise ParameterError("operator basis is degenerate")
-
     # -- G arithmetic -------------------------------------------------------
 
     def xi_pow(self, j: int):

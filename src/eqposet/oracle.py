@@ -20,8 +20,8 @@ minimal polynomial of one element; over F_p(t) it tests basis elements only.
 Hom dimensions impose A-linearity on a generating set of the realized algebra
 only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
 modulo what the members inside [l, l'] generate (rad/rad^2).  Nearly every
-row of such a system has one or two entries: those merge classes of unknowns,
-and only the rows left with three or more reach the sparse rank.
+row of such a system has one or two entries and merges classes of unknowns as
+it is read; only the rows left with three or more reach the sparse rank.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class RFamily:
     # answers of `table` by (x, y, z) and of `generators` by (l, l'), so a repeat
     # call builds no key of member names; `replace` empties it
     _memo: dict = field(default_factory=dict, repr=False)
+    a1_ok: bool | None = field(default=None, repr=False)  # A.1 passed? None: unread or replaced
 
     def dim(self, x: str, y: str) -> int:
         return len(self.basis.get((x, y), ()))
@@ -65,6 +66,7 @@ class RFamily:
         no cached answer is reused for it; pairs that shared the old keep theirs."""
         self.basis[(x, y)], self.piv[(x, y)], self.member[(x, y)] = basis, piv, object()
         self._memo.clear()
+        self.a1_ok = None
 
     def compose(self, u, v):
         """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v).  For
@@ -126,16 +128,20 @@ class RFamily:
 
 def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
     """`RFamily.generators` from the tables (l, l, l'), (l, l', l') and (l, y, l').
-    A local closure stops once its span is the whole member, which is closed
-    under products already."""
+    Nothing is added once the span is the whole member, which is closed under
+    products already: no further inner block, candidate or closure round."""
     d, ys = len(left), [C for T in inner for C in T]
     if any(C is None for C in left + right + ys):
         return list(range(d))
-    picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
-    flat = [[x for row in C for x in row] for C in left]
+    picks, R, piv = [], [], []
+    for C in ys:  # the products through the points between, until they span R_{l,l'}
+        R, piv = lin.rref(R + C) if len(piv) < d else (R, piv)
+    flat = [[x for row in C for x in row] for C in left] if local else None
     for k in range(d):
-        unit = lin.mat([[int(i == k) for i in range(d)]])
-        if len(piv) == d or lin.in_span(R, piv, unit[0]):
+        if len(piv) == d:
+            break
+        unit = [[lin.one if i == k else lin.zero for i in range(d)]]
+        if lin.in_span(R, piv, unit[0]):
             continue
         picks.append(k)
         if local:  # close the span under products: v w = v (sum_s w_s C_s)
@@ -205,6 +211,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         for z in above[y]:
             if any(C is None for C in fam.action(x, y, z)):
                 rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
+    fam.a1_ok = not rep.a1_failures
 
     # A.2 — units act as identities and every nonzero local element divides;
     # each verdict is reached once per (unit, member, unit) and (R_x, unit), by
@@ -247,9 +254,22 @@ def verify_admissible(fam: RFamily) -> AdmReport:
         images = [C for l in above[y] if l != y for C in fam.action(x, y, l)]
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
-        elif None not in images and lin.rank(dict(enumerate(r)) for r in lin.hstack(images)) < d:
+        elif None not in images and _kills(lin, d, images):
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
+
+
+def _kills(lin, d: int, images: list) -> bool:
+    """Whether image blocks C (row b: coordinates of b s, a block per s above)
+    side by side have rank below d.  A first block of rank d settles it; else K,
+    the b killed so far, becomes N K, N the left kernel of K C, until K is empty."""
+    if lin.rank(dict(enumerate(r)) for r in images[0]) == d:
+        return False
+    K = lin.eye(d)
+    for C in images:
+        if K and any(map(any, C)):  # a zero block, also one of width 0, kills every b
+            K = lin.matmul(lin.nullspace(lin.transpose(lin.matmul(K, C))), K)
+    return bool(K)
 
 
 def _basis_divides(fam: RFamily, x: str) -> bool:
@@ -305,13 +325,15 @@ def _irreducible(f: tuple, q: int) -> bool:
 
 
 def _block(lin, done: dict, C: list, k: int) -> tuple:
-    """Whether C[k] is the identity, and the nonzeros of its rows and columns;
-    done holds the blocks of C already read (`RFamily.table`)."""
+    """Whether C[k] is the identity, the nonzeros of its rows and columns, and its
+    rows with one (a, b, x), none (a) and more (a, row); done caches them per k."""
     if (hit := done.get(k)) is None:
         rows = [[(b, x) for b, x in enumerate(row) if x] for row in C[k]]
         cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*C[k])]
         unit = len(rows) == len(cols) and all(r == [(a, lin.one)] for a, r in enumerate(rows))
-        hit = done[k] = (unit, rows, cols)
+        hit = done[k] = (unit, rows, cols, [(a, *r[0]) for a, r in enumerate(rows) if len(r) == 1],
+                         [a for a, r in enumerate(rows) if not r],
+                         [(a, r) for a, r in enumerate(rows) if len(r) > 1])
     return hit
 
 
@@ -323,12 +345,12 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
     equations phi_l' S_i = S_j phi_l, where S_i (d_l' x d_l) and S_j
     (e_l' x e_l) are the actions of s on the blocks of e_i A and e_j A.  A map
     that commutes with s and t commutes with s + t and s t, so the generators
-    impose A-linearity.  Every basis element is still checked to act inside
-    the family.  The answer is N minus the rank of the system, found by
-    `_solve_hom_system`; the rows of the unit of R_{l,l}, the identity on both
-    sides, are not built.  The blocks are closed upward, so the names of R_{i,l},
-    R_{j,l} and R_{l,l'} for blocks l, l' (None where a pair is not comparable)
-    fix the system: they key it, and each distinct system is solved once."""
+    impose A-linearity.  Every basis element is still checked to act inside the
+    family, by A.1's verdict or table by table.  The answer is N minus the rank
+    of the system, found by `_solve_hom_system`; the rows of the unit of R_{l,l},
+    the identity on both sides, are not built.  The blocks are closed upward, so
+    the names of R_{i,l}, R_{j,l} and R_{l,l'} for blocks l, l' (None where a pair
+    is not comparable) fix the system: they key it; each is solved once."""
     m = fam.member.get
     key = (*[m((x, l)) for l in blocks for x in (i, j)],
            *[m((l, lp)) for l in blocks for lp in blocks])
@@ -339,16 +361,17 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
 
 def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     """Nearly every row has one or two nonzeros, read straight from the `_block`
-    lists, so they are merged first (LaMacchia-Odlyzko, CRYPTO '90).  Unknown c
-    is x_c = gain[c] x_root, and each root lists its class, so a merge relabels
-    the smaller class.  a x = 0 zeroes the class of x.  a x + b y = 0 zeroes
-    the class of y if that of x is zero, and the other way round; else it
-    merges two classes by x_rx = -(b g_y / a g_x) x_ry, or zeroes their one
-    class unless a g_x + b g_y = 0 (so entries on one column, at l = l', r = u,
-    a = b, add up).  Rows of three or more are rewritten in the live roots'
-    coordinates until none becomes light.  Each step keeps the solutions over
-    any field, and the light rows leave one free coordinate per live (not
-    zero) root, so the dimension is the live roots minus the heavy rows' rank."""
+    lists, so each is merged as it is read (LaMacchia-Odlyzko, CRYPTO '90).
+    Unknown c is x_c = gain[c] x_root, and each root lists its class, so a
+    merge relabels the smaller class.  a x = 0 zeroes the class of x.
+    a x + b y = 0 zeroes the class of y if that of x is zero, and the other way
+    round; else it merges two classes by x_rx = -(b g_y / a g_x) x_ry, or zeroes
+    their one class unless a g_x + b g_y = 0 (so entries on one column, at
+    l = l', r = u, a = b, add up).  Rows of three or more are rewritten in the
+    live roots' coordinates until none becomes light.  Each step keeps the
+    solutions over any field, and the light rows leave one free coordinate per
+    live (not zero) root, so the dimension is the live roots minus the heavy
+    rows' rank.  Unless A.1 passed on fam, every table read is checked."""
     lin = fam.tower.lin
     norm, inv = lin.norm, lin.inv
     d, e, off, N = {}, {}, {}, 0
@@ -357,75 +380,76 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
         N += e[l] * d[l]
     if N == 0:
         return 0
-    parts = []
+    checked = getattr(fam, "a1_ok", None)  # a stand-in family has no verdict
+    root, gain, cls, dead, heavy = list(range(N)), [lin.one] * N, [[c] for c in range(N)], set(), []
+    def merge(x, a, y, b):  # a x_rx + b x_ry = 0 after the gains
+        rx, ry = root[x], root[y]
+        if rx in dead:
+            dead.add(ry)
+        elif ry in dead:
+            dead.add(rx)
+        elif rx == ry:
+            if norm(a * gain[x] + b * gain[y]):
+                dead.add(rx)
+        else:
+            a, b = a * gain[x], b * gain[y]
+            if len(cls[rx]) > len(cls[ry]):
+                rx, ry, a, b = ry, rx, b, a
+            f = -b * inv(a)
+            for c in cls[rx]:
+                root[c], gain[c] = ry, norm(gain[c] * f)
+            cls[ry] += cls[rx]
+            cls[rx] = None  # dead holds roots only: a zero class is never relabelled
+
     for l in blocks:
-        if d[l] == 0:
-            continue
-        for lp in fam.above[l]:  # inside the blocks, which are closed upward
+        ol, dl = off[l], d[l]
+        for lp in fam.above[l] if dl else ():  # inside the blocks, which are closed upward
+            if not (picks := fam.generators(l, lp) if e[lp] else ()) and checked:
+                continue  # no rows, and no table to check
             Ci, fi, ti = fam.table(i, l, lp)                          # S_i^T per s
             Cj, fj, tj = fam.table(j, l, lp) if e[l] else (None, None, None)  # S_j^T
-            bad = [(f, base) for base, f in ((i, fi), (j, fj)) if f is not None]
-            if bad:  # the smallest index, i before j
+            if not checked and (bad := [(f, b) for b, f in ((i, fi), (j, fj)) if f is not None]):
                 raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
-                                  f"by R_({l},{lp}) leaves the family")
-            if e[lp]:
-                parts.append((l, lp, Ci, Cj, ti, tj, fam.generators(l, lp)))
-
-    dead, edges, heavy = set(), [], []  # zero roots; rows a x + b y = 0 as (x, a, y, b)
-    for l, lp, Ci, Cj, ti, tj, picks in parts:
-        for k in picks:
-            unit_i, C, _ = _block(lin, ti, Ci, k)
-            unit_j, _, Dt = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
-            if l == lp and unit_i and unit_j:
-                continue  # phi_l 1 - 1 phi_l
-            # row (r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
-            # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
-            one = [(a, *Ca[0]) for a, Ca in enumerate(C) if len(Ca) == 1]
-            none = [a for a, Ca in enumerate(C) if not Ca]
-            rest = [(a, Ca) for a, Ca in enumerate(C) if len(Ca) > 1]
-            for r, Dr in enumerate(Dt):
-                base, Dr = off[lp] + r * d[lp], [(off[l] + u * d[l], -x) for u, x in Dr]
-                if not Dr:
-                    dead.update([base + b for _, b, _ in one])
-                elif len(Dr) == 1:
-                    (c, y), = Dr
-                    edges += [(base + b, x, c + a, y) for a, b, x in one]
-                    dead.update([c + a for a in none])
-                for a, Ca in rest if len(Dr) < 2 else enumerate(C):
-                    row = [(base + b, x) for b, x in Ca] + [(c + a, x) for c, x in Dr]
-                    if len(row) == 2:
-                        edges.append((*row[0], *row[1]))
+                                  f"by R_({l},{lp}) leaves the family")  # i before j
+            for k in picks:
+                unit_i, C, _, one, none, rest = ti.get(k) or _block(lin, ti, Ci, k)
+                unit_j, _, Dt, *_ = tj.get(k) or _block(lin, tj, Cj, k) if e[l] else (
+                    False, None, [()] * e[lp])
+                if l == lp and unit_i and unit_j:
+                    continue  # phi_l 1 - 1 phi_l
+                # row (r, a) is entry (r, a) of phi_l' S_i(s) - S_j(s) phi_l:
+                # C[a][b] at phi_l'[r][b], minus D[u][r] at phi_l[u][a]
+                for base, Dr in zip(range(off[lp], off[lp] + len(Dt) * d[lp], d[lp]), Dt):
+                    if len(Dr) == 1:  # the common rows first, with no list built
+                        (u, y), = Dr
+                        c, y = ol + u * dl, -y
+                        for a, b, x in one:
+                            merge(base + b, x, c + a, y)
+                        if none:
+                            dead.update([root[c + a] for a in none])
+                        if not rest:
+                            continue
+                        Dr = [(c, y)]
+                    elif not Dr:
+                        dead.update([root[base + b] for _, b, _ in one])
                     else:
-                        heavy.append(row)
-    root, gain, cls = list(range(N)), [lin.one] * N, [[c] for c in range(N)]
+                        Dr = [(ol + u * dl, -x) for u, x in Dr]
+                    for a, Ca in rest if len(Dr) < 2 else enumerate(C):
+                        row = [(base + b, x) for b, x in Ca] + [(c + a, x) for c, x in Dr]
+                        if len(row) == 2:
+                            merge(*row[0], *row[1])
+                        else:
+                            heavy.append(row)
     while True:
-        for x, a, y, b in edges:  # a x_rx + b x_ry = 0 after the gains
-            rx, ry = root[x], root[y]
-            if rx in dead:
-                dead.add(ry)
-            elif ry in dead:
-                dead.add(rx)
-            elif rx == ry:
-                if norm(a * gain[x] + b * gain[y]):
-                    dead.add(rx)
-            else:
-                a, b = a * gain[x], b * gain[y]
-                if len(cls[rx]) > len(cls[ry]):
-                    rx, ry, a, b = ry, rx, b, a
-                f = -b * inv(a)
-                for c in cls[rx]:
-                    root[c], gain[c] = ry, norm(gain[c] * f)
-                cls[ry] += cls[rx]
-                cls[rx] = None  # dead holds roots only: a zero class is never relabelled
-        edges, rows = [], []
-        for row in heavy:  # in the coordinates of the live roots
+        rows = []
+        for row in heavy:  # in the coordinates of the live roots, whose gain is 1
             sub = {}
             for c, x in row:
                 if (rc := root[c]) not in dead:
                     sub[rc] = norm(sub.get(rc, lin.zero) + x * gain[c])
             sub = [(c, x) for c, x in sub.items() if x]
             if len(sub) == 2:
-                edges.append((*sub[0], *sub[1]))
+                merge(*sub[0], *sub[1])
             elif len(sub) == 1:
                 dead.add(sub[0][0])
             elif sub:

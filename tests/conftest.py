@@ -157,8 +157,8 @@ def rank_hom_dim(fam, i: str, j: str, blocks: list[str]) -> int:
     def rows():
         for l, lp, Ci, Cj, ti, tj, picks in parts:
             for k in picks:
-                unit_i, C, _ = _block(lin, ti, Ci, k)
-                unit_j, _, Dt = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
+                unit_i, C, *_ = _block(lin, ti, Ci, k)
+                unit_j, _, Dt, *_ = _block(lin, tj, Cj, k) if e[l] else (False, None, [()] * e[lp])
                 if l == lp and unit_i and unit_j:
                     continue
                 for r in range(e[lp]):

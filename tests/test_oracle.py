@@ -465,6 +465,132 @@ def test_a_leaving_product_is_reported_by_a1_alone(mode, monkeypatch):
     assert None in fam.action("0", "w", "m") and rep.a3_failures == []
 
 
+class ReadLog(list):
+    """A.3's image blocks, recording the index of each block handed out."""
+
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        self.read = []
+
+    def __getitem__(self, k):
+        self.read.append(k)
+        return super().__getitem__(k)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def _a3_calls(fam, monkeypatch):
+    """verify_admissible's report on fam, and per pair that A.3 hands `_kills`
+    its d, image blocks, verdict and the indices of the blocks it read."""
+    calls, kills = [], oracle._kills
+
+    def spy(lin, d, images):
+        log = ReadLog(images)
+        calls.append((d, list(images), kills(lin, d, log), log.read))
+        return calls[-1][2]
+
+    monkeypatch.setattr(oracle, "_kills", spy)
+    rep = verify_admissible(fam)
+    monkeypatch.undo()
+    return rep, calls
+
+
+def _rank(lin, rows) -> int:
+    return lin.rank(dict(enumerate(r)) for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_a3_verdict_is_the_rank_of_all_blocks_and_stops_at_a_full_first_block(name, flavor,
+                                                                              mode, monkeypatch):
+    """A.3 says "kills" exactly when the image blocks side by side have rank
+    below d, and reads only the first block when that block has rank d."""
+    P = load_fixture(name)
+    fam = build_family(cached_tower(P.p, mode), P, flavor)
+    lin = fam.tower.lin
+    rep, calls = _a3_calls(fam, monkeypatch)
+    assert calls and rep.a3_failures == []
+    for d, images, kills, read in calls:
+        assert kills == (_rank(lin, lin.hstack(images)) < d)
+        if _rank(lin, images[0]) == d:
+            assert read == [0]
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_a3_reads_one_block_of_a_pair_whose_first_block_has_rank_d(flavor, mode, monkeypatch):
+    """In chain3_ell1, R_(0,a) has images in R_(0,b) and R_(0,m); the first
+    block already has rank dim R_(0,a), and the others are not read."""
+    P = load_fixture("chain3_ell1")
+    fam = build_family(cached_tower(P.p, mode), P, flavor)
+    _, calls = _a3_calls(fam, monkeypatch)
+    pairs = [(x, y) for x in P.points for y in fam.above[x] if y != P.max]
+    assert len(calls) == len(pairs)
+    d, images, kills, read = calls[pairs.index(("0", "a"))]
+    assert d == fam.dim("0", "a") and len(images) > 1
+    assert _rank(fam.tower.lin, images[0]) == d and read == [0] and not kills
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_a3_zero_blocks_kill_everything(mode):
+    """A zero block, or one of width 0 (R_(x,l) = 0), kills every b; a later
+    identity block still separates."""
+    lin = cached_tower(2, mode).lin
+    zero, eye = [[lin.zero] * 2] * 2, lin.eye(2)
+    assert oracle._kills(lin, 2, [zero, [[], []]])
+    assert not oracle._kills(lin, 2, [[[], []], zero, eye])
+
+
+def _e(t, i, j) -> list:
+    """E_ij, flattened: the p x p operator with a single 1 at (i, j)."""
+    return [t.lin.one if (a, b) == (i, j) else t.lin.zero for a in range(t.p) for b in range(t.p)]
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_a3_reads_past_a_deficient_first_block(mode, monkeypatch):
+    """A first block below rank d that a later block makes up for gives no
+    A.3 line.  In star2 (flavor r) each image block of R_(0,w) lands in
+    R_(0,m), of dimension 1 < 2.  In chain2_strong, tampered so that
+    R_(s,m) is span(E_01, E_00) with E_01 first, E_01 kills R_(0,s) =
+    span(E_00) and R_(s,s), and E_00 does not; no product leaves the family."""
+    t = cached_tower(2, mode)
+    star = build_family(t, load_fixture("star2"), "r")
+    chain = build_family(t, load_fixture("chain2_strong"), "r")
+    chain.replace("s", "m", [_e(t, 0, 1), _e(t, 0, 0)], [1, 0])
+    for fam, pairs in ((star, 1), (chain, 2)):
+        rep, calls = _a3_calls(fam, monkeypatch)
+        assert (rep.a1_failures, rep.a3_failures) == ([], [])
+        deficient = [(d, read) for d, images, kills, read in calls
+                     if _rank(t.lin, images[0]) < d]
+        assert len(deficient) == pairs and all(len(read) > 1 for _, read in deficient)
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_a3_reports_an_element_that_every_block_kills(mode, monkeypatch):
+    """chain2_strong with R_(0,s) tampered to span(E_10): every operator of
+    R_(s,m) and R_(s,s) has column 0 alone, so it kills E_10, and every block
+    is zero, while no product leaves the family.  The report names the pair."""
+    P, t, build = load_fixture("chain2_strong"), cached_tower(2, mode), oracle.build_family
+
+    def cut(*args):
+        fam = build(*args)
+        fam.replace("0", "s", [_e(t, 1, 0)], [2])
+        return fam
+    monkeypatch.setattr(oracle, "build_family", cut)
+    assert str(run_verification(build_model(P, Flavor.R), t)) == "\n".join([
+        "flavor r:",
+        "  member dimensions: ok",
+        "  admissibility: FAIL" + ("" if mode == "cyclic" else " (structural division check)"),
+        "    A.2: unit of R_s does not fix R_(0,s) on the right",
+        "    A.3: nonzero element of R_(0,s) kills everything above s",
+        "  radicals: FAIL",
+        "    End rad(e_0 A) has dim 2, table says 1",
+        "  hom dimensions: FAIL",
+        "    dim Hom(e_s A, e_0 A) = 0, table says 1"])
+
+
 def test_basis_only_division_check_misses_zero_divisors():
     """Only a non-basis element shows the defect: the basis-only check, which
     F_p(t) towers still use, passes the split tower's R_0 in flavor c."""
@@ -1005,6 +1131,18 @@ def test_solver_on_each_row_shape(case, mode, monkeypatch):
     assert rank_hom_dim(fam, "i", "j", list(blocks)) == want
 
 
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+def test_solver_reads_the_heavy_rows_beside_a_one_entry_row_of_d(mode):
+    """C = [[1, 0], [1, 1]] beside D = [[1]]: phi_m0 - phi_l0 = 0 is merged as
+    it is read, and phi_m0 + phi_m1 - phi_l1 = 0, three entries, is kept for
+    the rank; 4 unknowns less 2 rows."""
+    lin = ModQ(7) if mode == "cyclic" else Tower(7, mode).lin
+    blocks = {"l": (2, 1), "m": (2, 1)}
+    fam = StubFamily(lin, blocks, {("l", "m"): [([[1, 0], [1, 1]], [[1]])]})
+    assert oracle._solve_hom_system(fam, "i", "j", list(blocks)) == 2
+    assert rank_hom_dim(fam, "i", "j", list(blocks)) == 2
+
+
 def generated_spans(fam):
     """Per comparable pair (a, b), an echelon basis of what the picks of
     fam.generators generate in R_{a,b}: the closure of their spans under
@@ -1109,6 +1247,29 @@ def test_hom_systems_see_a_replaced_basis(flavor):
         f.replace("0", "b", f.basis[("0", "b")][:2], f.piv[("0", "b")][:2])
     after = _hom_answers(fam)
     assert after == _hom_answers(fresh) and after != before
+
+
+LEAVES = "product from R_({},{}) by R_({},{}) leaves the family".format
+A1_CUT_ANSWERS = {  # as the oracle gave them when every hom system checked every table
+    "r": [*[LEAVES("0", "a", "a", "b")] * 5, 3, 0, 0, LEAVES("0", "b", "b", "b"), 3, 3, 0,
+          1, 3, 3, 1, LEAVES("0", "a", "a", "b"), 3, 9],
+    "c": [*[LEAVES("0", "0", "0", "b")] * 4, LEAVES("0", "a", "a", "b"), 1, 0, 0, 2, 1, 1, 0,
+          3, 3, 3, 3, LEAVES("0", "a", "a", "b"), 1, 3],
+}
+
+
+@pytest.mark.parametrize("flavor", ["r", "c"])
+def test_replace_clears_the_a1_verdict(flavor):
+    """A passing A.1 is recorded, and hom systems then check no table and
+    still equal the rank reference.  Cutting R_(0,b) of chain3_ell1 clears
+    the verdict, so every system that reads a product leaving the family
+    raises as it did before the verdict was recorded."""
+    P = load_fixture("chain3_ell1")
+    fam = build_family(cached_tower(P.p, "cyclic"), P, flavor)
+    assert fam.a1_ok is None and verify_admissible(fam).ok and fam.a1_ok is True
+    assert assert_solver_matches_reference(fam) and _hom_answers(fam)
+    fam.replace("0", "b", fam.basis[("0", "b")][:2], fam.piv[("0", "b")][:2])
+    assert fam.a1_ok is None and _hom_answers(fam) == A1_CUT_ANSWERS[flavor]
 
 
 def _closure_key(fam, l, lp):
