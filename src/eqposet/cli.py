@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii as _quote  # the C escaper of j
 from operator import attrgetter
 
 from .fields import Tower
-from .forms import gram_matrix, quadratic
+from .forms import _text, gram_matrix, quadratic
 from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, knit
 from .model import (Flavor, ModelError, build_model, injective_profiles,
                     is_hereditary, projective_cd, radical_info)
@@ -32,7 +32,7 @@ class _Digits(dict):
     """The decimal text of each int looked up, made once per emit: entries
     repeat, and udim repeats udimF wherever the local dimension is 1."""
     def __missing__(self, n: int) -> str:
-        s = self[n] = str(n)
+        s = self[n] = _text(n)
         return s
 
 
@@ -51,25 +51,6 @@ _by_id = attrgetter("id")
 _by_ends = attrgetter("src", "dst")
 
 
-def _all_digits(emit):
-    """emit, run again with Python's global limit on the digits of int -> str
-    lifted, then restored, when an entry is past that limit."""
-    @functools.wraps(emit)
-    def wrapper(G: ComponentGraph) -> str:
-        try:
-            return emit(G)
-        except ValueError:
-            if not (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()):
-                raise  # no limit to lift: some other error
-            sys.set_int_max_str_digits(0)
-            try:
-                return emit(G)
-            finally:
-                sys.set_int_max_str_digits(limit)
-    return wrapper
-
-
-@_all_digits
 def emit_json(G: ComponentGraph) -> str:
     """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
     digits = _Digits()
@@ -85,11 +66,11 @@ def emit_json(G: ComponentGraph) -> str:
             f'  "arrows": {_json_list(arrows, "    ")}\n}}\n')
 
 
-@_all_digits
 def emit_dot(G: ComponentGraph) -> str:
+    digits = _Digits()
     lines = ["digraph component {", "  rankdir=LR;", "  node [shape=box];"]
     lines += ["  { rank=same; " + " ".join([f"v{i};" for i in sec]) + " }" for sec in G.sections]
-    lines += [f'  v{v.id} [label="{v.id}: (' + ", ".join(map(str, v.udimF.entries))
+    lines += [f'  v{v.id} [label="{v.id}: (' + ", ".join(map(digits.__getitem__, v.udimF.entries))
               + f') {v.label.letter}"];' for v in sorted(G.vertices, key=_by_id)]
     lines += ['  v%s -> v%s [label="(%s,%s)"];' % a for a in sorted(G.arrows, key=_by_ends)]
     lines.append("}")

@@ -18,6 +18,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+def _text(n: int) -> str:
+    """The decimal text of n, in full: past Python's limit on the digits of
+    int -> str it is Decimal's exact text, which has no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # here only: importing it costs every run about 2 ms
+        return str(Decimal(n))
+
+
 @dataclass(frozen=True)
 class RatVec:
     """A vector of Python ints."""
@@ -65,7 +75,7 @@ class RatVec:
         return RatVec(tuple(-a for a in self.entries))
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(a) for a in self.entries) + ")"
+        return "(" + ", ".join(map(_text, self.entries)) + ")"
 
 
 def gram_matrix(model) -> tuple[tuple[int, ...], ...]:

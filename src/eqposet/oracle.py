@@ -380,7 +380,7 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
         N += e[l] * d[l]
     if N == 0:
         return 0
-    checked = getattr(fam, "a1_ok", None)  # a stand-in family has no verdict
+    checked = fam.a1_ok
     root, gain, cls, dead, heavy = list(range(N)), [lin.one] * N, [[c] for c in range(N)], set(), []
     def merge(x, a, y, b):  # a x_rx + b x_ry = 0 after the gains
         rx, ry = root[x], root[y]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .forms import _text
 from .knitter import ComponentGraph
 from .model import AlgebraModel, Flavor, _loc
 
@@ -88,7 +89,7 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
             if not len(r.entries) == len(c.entries) == len(loc):
                 pc.problems.append(f"{law} law fails: {r} vs {c}, not both of length {len(loc)}")
                 continue
-            pc.problems += [f"{law} law fails at {x}: {kd}*{b} (c) != {lk}*{a} (r)"
+            pc.problems += [f"{law} law fails at {x}: {kd}*{_text(b)} (c) != {lk}*{_text(a)} (r)"
                             for x, lk, a, b in zip(P.points, loc, r.entries, c.entries) if kd * b != lk * a]
 
     pairs = report.pairs

@@ -104,6 +104,20 @@ def star2():
     return load_fixture("star2")
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on the digits of int -> str, where it has one,
+    for the test; the limit found before is put back afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old = limit and limit()
+    if limit:
+        sys.set_int_max_str_digits(4300)
+    yield
+    if limit:
+        assert sys.get_int_max_str_digits() == 4300  # the emitters never change the limit
+        sys.set_int_max_str_digits(old)
+
+
 def enumerated_division(fam, x: str) -> bool:
     """The reference for A.2's division verdict over F_q: whether every nonzero
     element of R_x has a right inverse, found by one rank per line of R_x

@@ -72,6 +72,11 @@ def test_rational_vector_arithmetic():
     assert str(u + v) == "(2, 0, 3)"
 
 
+def test_vectors_print_entries_past_the_int_digit_limit(default_digit_limit):
+    huge = 10 ** 4400  # past Python's default of 4300 digits for int -> str
+    assert str(RatVec.of(huge, -huge, 1)) == f"(1{'0' * 4400}, -1{'0' * 4400}, 1)"
+
+
 def test_integral_entries_are_ints():
     v = RatVec.from_seq([3, -4, 0])
     assert v.entries == (3, -4, 0)

@@ -1060,6 +1060,8 @@ class StubFamily:
     blocks (d_l, e_l) = (dim R_{i,l}, dim R_{j,l}) and, per block pair (l, l'),
     the picks as pairs of matrices (S_i^T, S_j^T) of `RFamily.table`."""
 
+    a1_ok = None  # no A.1 verdict: every table read is checked
+
     def __init__(self, lin, blocks: dict, picks: dict):
         self.tower, self.picks, names = SimpleNamespace(lin=lin), picks, list(blocks)
         self.dims = {(x, l): de[n] for l, de in blocks.items() for n, x in enumerate("ij")}

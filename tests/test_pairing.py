@@ -50,6 +50,14 @@ def test_pairing_reports_non_integral_image():
         (1, ["udimF law fails at w: 2*1 (c) != 1*3 (r)"])]
 
 
+def test_pairing_reports_entries_past_the_int_digit_limit(default_digit_limit):
+    Gr, Gc, Mr, Mc = pair("star2")
+    Gc.vertices[1].udimF = RatVec.of(0, 10 ** 4400, 2)
+    report = pair_components(Gr, Gc, Mr, Mc)
+    assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
+        (1, [f"udimF law fails at w: 2*1{'0' * 4400} (c) != 1*2 (r)"])]
+
+
 def test_pairing_refuses_swapped_models():
     """The laws read flavor r's kdim from Mr, so the models must come in the order r, c."""
     Gr, Gc, Mr, Mc = pair("star2")
