@@ -2,7 +2,8 @@
 
 Each comparable pair (x, y) gets a concrete F-subspace R_{x,y} (operators on
 G for flavor r, elements of G for flavor c) whose product, `RFamily.compose`,
-is honest algebra multiplication, used on basis elements by `RFamily.table` alone.
+is honest algebra multiplication, used on basis elements by `RFamily.table`
+alone, the one check that a product stays in the family (A.1).
 The order and the strengths come from `EquippedPoset.view` alone:
 `RFamily.above[x]` lists the points y >= x, x too, in declaration order, and
 every loop over comparable pairs, blocks and intervals walks those lists.  A
@@ -56,7 +57,6 @@ class RFamily:
     # answers of `table` by (x, y, z) and of `generators` by (l, l'), so a repeat
     # call builds no key of member names; `replace` empties it
     _memo: dict = field(default_factory=dict, repr=False)
-    a1_ok: bool | None = field(default=None, repr=False)  # A.1 passed? None: unread or replaced
 
     def dim(self, x: str, y: str) -> int:
         return len(self.basis.get((x, y), ()))
@@ -66,7 +66,6 @@ class RFamily:
         no cached answer is reused for it; pairs that shared the old keep theirs."""
         self.basis[(x, y)], self.piv[(x, y)], self.member[(x, y)] = basis, piv, object()
         self._memo.clear()
-        self.a1_ok = None
 
     def compose(self, u, v):
         """Product u * v for u in R_{x,y}, v in R_{y,z} (apply u, then v).  For
@@ -89,9 +88,9 @@ class RFamily:
         return self.table(x, y, z)[0]
 
     def table(self, x: str, y: str, z: str) -> tuple:
-        """C, where C[k] is the d_xy x d_xz matrix of row b the coordinates of b * s
-        in R_{x,z} for the k-th basis element s of R_{y,z}, or None when some b * s
-        leaves it; the first k with C[k] None, or None; the blocks read (`_block`)."""
+        """C and the blocks read of it (`_block`), where C[k] is the d_xy x d_xz
+        matrix of row b the coordinates of b * s in R_{x,z} for the k-th basis
+        element s of R_{y,z}.  Raises OracleError when some b * s leaves R_{x,z}."""
         if (hit := self._memo.get((x, y, z))) is not None:
             return hit
         m = self.member
@@ -100,16 +99,18 @@ class RFamily:
             B, R, piv = self.basis[(x, y)], self.basis[(x, z)], self.piv[(x, z)]
             C = [self.tower.lin.coords_rows(R, piv, [self.compose(b, s) for b in B])
                  for s in self.basis[(y, z)]]
-            hit = self._actions[key] = (C, C.index(None) if None in C else None, {})
+            if None in C:
+                raise OracleError(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
+            hit = self._actions[key] = (C, {})
         self._memo[(x, y, z)] = hit
         return hit
 
     def generators(self, l: str, lp: str) -> list[int]:
         """Indices of basis elements of R_{l,l'} that, with the members R_{a,b}
         for l <= a <= b <= l' and (a, b) != (l, l'), generate R_{l,l'} under
-        sums and products; every index when some product involved leaves the
-        family.  `_close` runs once per configuration: l == l' and the names of
-        R_{l,l'}, R_{l,l}, R_{l',l'}, then R_{l,y}, R_{y,l'} for each y between."""
+        sums and products.  `_close` runs once per configuration: l == l' and
+        the names of R_{l,l'}, R_{l,l}, R_{l',l'}, then R_{l,y}, R_{y,l'} for each
+        y between."""
         if (hit := self._memo.get((l, lp))) is not None:
             return hit
         m, above, mid = self.member, self.above, []
@@ -131,8 +132,6 @@ def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
     Nothing is added once the span is the whole member, which is closed under
     products already: no further inner block, candidate or closure round."""
     d, ys = len(left), [C for T in inner for C in T]
-    if any(C is None for C in left + right + ys):
-        return list(range(d))
     picks, R, piv = [], [], []
     for C in ys:  # the products through the points between, until they span R_{l,l'}
         R, piv = lin.rref(R + C) if len(piv) < d else (R, piv)
@@ -190,8 +189,6 @@ def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
 
 @dataclass
 class AdmReport:
-    # the one report of a leaving product; never in run_verification's: a hom system raises first
-    a1_failures: list[str] = field(default_factory=list)
     a2_failures: list[str] = field(default_factory=list)
     a3_failures: list[str] = field(default_factory=list)
     # False once some R_x was tested on its basis alone (F_p(t)); true over F_q
@@ -199,19 +196,17 @@ class AdmReport:
 
     @property
     def ok(self) -> bool:
-        return not (self.a1_failures or self.a2_failures or self.a3_failures)
+        return not (self.a2_failures or self.a3_failures)
 
 
 def verify_admissible(fam: RFamily) -> AdmReport:
     P, lin, rep, above = fam.poset, fam.tower.lin, AdmReport(), fam.above
     comp = [(x, y) for x in P.points for y in above[x]]
 
-    # A.1 — products land in the right member, including the reflexive cases
+    # A.1 — `table` raises at the first product, reflexive cases too, that leaves its member
     for (x, y) in comp:
         for z in above[y]:
-            if any(C is None for C in fam.action(x, y, z)):
-                rep.a1_failures.append(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
-    fam.a1_ok = not rep.a1_failures
+            fam.table(x, y, z)
 
     # A.2 — units act as identities and every nonzero local element divides;
     # each verdict is reached once per (unit, member, unit) and (R_x, unit), by
@@ -238,23 +233,21 @@ def verify_admissible(fam: RFamily) -> AdmReport:
             if y == x:
                 unital = all(map(all, fix))
         rep.division_exhaustive &= lin.size is not None  # F_p(t): the basis alone
-        if (key := (fam.member[(x, x)], tuple(ux))) not in divides:  # None: R_x R_x leaves R_x
-            divides[key] = None if fam.table(x, x, x)[1] is not None else (
-                _certify_division(fam, x, unital) if lin.size else _basis_divides(fam, x))
+        if (key := (fam.member[(x, x)], tuple(ux))) not in divides:
+            divides[key] = _certify_division(fam, x, unital) if lin.size else _basis_divides(fam, x)
         if (verdict := divides[key]) is None:
             rep.a2_failures.append(f"division in R_{x} not certified")
         elif not verdict:
             rep.a2_failures.append(f"element of R_{x} has no right inverse")
 
-    # A.3 — below the maximum, nothing multiplies everything above to zero; a
-    # pair with a product that leaves the family gets no verdict, as A.1 has one
+    # A.3 — below the maximum, nothing multiplies everything above to zero
     for (x, y) in comp:
         if y == P.max or not (d := fam.dim(x, y)):
             continue
         images = [C for l in above[y] if l != y for C in fam.action(x, y, l)]
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
-        elif None not in images and _kills(lin, d, images):
+        elif _kills(lin, d, images):
             rep.a3_failures.append(f"nonzero element of R_({x},{y}) kills everything above {y}")
     return rep
 
@@ -344,13 +337,13 @@ def _grade_preserving_hom_dim(fam: RFamily, i: str, j: str, blocks: list[str]) -
     Each generator s of R_{l,l'}, l <= l' (`RFamily.generators`), gives the
     equations phi_l' S_i = S_j phi_l, where S_i (d_l' x d_l) and S_j
     (e_l' x e_l) are the actions of s on the blocks of e_i A and e_j A.  A map
-    that commutes with s and t commutes with s + t and s t, so the generators
-    impose A-linearity.  Every basis element is still checked to act inside the
-    family, by A.1's verdict or table by table.  The answer is N minus the rank
-    of the system, found by `_solve_hom_system`; the rows of the unit of R_{l,l},
-    the identity on both sides, are not built.  The blocks are closed upward, so
-    the names of R_{i,l}, R_{j,l} and R_{l,l'} for blocks l, l' (None where a pair
-    is not comparable) fix the system: they key it; each is solved once."""
+    that commutes with s and t commutes with s + t and s t, so on a family
+    closed under products (A.1) the generators impose A-linearity.  The answer
+    is N minus the rank of the system, found by `_solve_hom_system`; the rows of
+    the unit of R_{l,l}, the identity on both sides, are not built.  The blocks
+    are closed upward, so the names of R_{i,l}, R_{j,l} and R_{l,l'} for blocks
+    l, l' (None where a pair is not comparable) fix the system: they key it;
+    each is solved once."""
     m = fam.member.get
     key = (*[m((x, l)) for l in blocks for x in (i, j)],
            *[m((l, lp)) for l in blocks for lp in blocks])
@@ -371,7 +364,7 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     live roots' coordinates until none becomes light.  Each step keeps the
     solutions over any field, and the light rows leave one free coordinate per
     live (not zero) root, so the dimension is the live roots minus the heavy
-    rows' rank.  Unless A.1 passed on fam, every table read is checked."""
+    rows' rank."""
     lin = fam.tower.lin
     norm, inv = lin.norm, lin.inv
     d, e, off, N = {}, {}, {}, 0
@@ -380,7 +373,6 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
         N += e[l] * d[l]
     if N == 0:
         return 0
-    checked = fam.a1_ok
     root, gain, cls, dead, heavy = list(range(N)), [lin.one] * N, [[c] for c in range(N)], set(), []
     def merge(x, a, y, b):  # a x_rx + b x_ry = 0 after the gains
         rx, ry = root[x], root[y]
@@ -404,13 +396,10 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     for l in blocks:
         ol, dl = off[l], d[l]
         for lp in fam.above[l] if dl else ():  # inside the blocks, which are closed upward
-            if not (picks := fam.generators(l, lp) if e[lp] else ()) and checked:
-                continue  # no rows, and no table to check
-            Ci, fi, ti = fam.table(i, l, lp)                          # S_i^T per s
-            Cj, fj, tj = fam.table(j, l, lp) if e[l] else (None, None, None)  # S_j^T
-            if not checked and (bad := [(f, b) for b, f in ((i, fi), (j, fj)) if f is not None]):
-                raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
-                                  f"by R_({l},{lp}) leaves the family")  # i before j
+            if not (picks := fam.generators(l, lp) if e[lp] else ()):
+                continue
+            Ci, ti = fam.table(i, l, lp)                            # S_i^T per s
+            Cj, tj = fam.table(j, l, lp) if e[l] else (None, None)  # S_j^T
             for k in picks:
                 unit_i, C, _, one, none, rest = ti.get(k) or _block(lin, ti, Ci, k)
                 unit_j, _, Dt, *_ = tj.get(k) or _block(lin, tj, Cj, k) if e[l] else (
@@ -500,8 +489,7 @@ class OracleReport:
         lines += [f"    {m}" for m in self.dim_mismatches]
         lines.append(f"  admissibility: {'ok' if self.adm.ok else 'FAIL'}"
                      + ("" if self.adm.division_exhaustive else " (structural division check)"))
-        for tag, fails in (("A.1", self.adm.a1_failures), ("A.2", self.adm.a2_failures),
-                           ("A.3", self.adm.a3_failures)):
+        for tag, fails in (("A.2", self.adm.a2_failures), ("A.3", self.adm.a3_failures)):
             lines += [f"    {tag}: {f}" for f in fails]
         lines.append(f"  radicals: {'ok' if not self.radical_mismatches else 'FAIL'}")
         lines += [f"    {m}" for m in self.radical_mismatches]
@@ -511,9 +499,8 @@ class OracleReport:
 
 
 def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
-    """Re-derive M from its realization over tower.  The report never holds an
-    A.1 line: a product that leaves the family makes a hom system that reads
-    it raise OracleError first."""
+    """Re-derive M from its realization over tower.  A product that leaves the
+    family makes A.1 raise OracleError before any hom system is solved."""
     P = M.poset
     if tower.p != P.p:
         raise ParameterError(f"tower is for p = {tower.p}, poset has p = {P.p}")

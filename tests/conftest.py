@@ -15,7 +15,7 @@ from eqposet import (EquippedPoset, Flavor, InjectiveProfile, Label, ModelError,
                      projective_cd, projective_udimF, quadratic, radical_info, validate,
                      verify_admissible)
 from eqposet.model import _loc
-from eqposet.oracle import OracleError, _block, _solve_hom_system
+from eqposet.oracle import _block, _solve_hom_system
 from eqposet.poset import P_LIMIT, P_RANGE, Violation, _is_prime, shown
 
 FIXTURES = resources.files("eqposet") / "fixtures"
@@ -159,12 +159,8 @@ def rank_hom_dim(fam, i: str, j: str, blocks: list[str]) -> int:
         if d[l] == 0:
             continue
         for lp in fam.above[l]:
-            Ci, fi, ti = fam.table(i, l, lp)
-            Cj, fj, tj = fam.table(j, l, lp) if e[l] else (None, None, None)
-            bad = [(f, base) for base, f in ((i, fi), (j, fj)) if f is not None]
-            if bad:
-                raise OracleError(f"product from R_({min(bad, key=lambda b: b[0])[1]},{l}) "
-                                  f"by R_({l},{lp}) leaves the family")
+            Ci, ti = fam.table(i, l, lp)
+            Cj, tj = fam.table(j, l, lp) if e[l] else (None, None)
             if e[lp]:
                 parts.append((l, lp, Ci, Cj, ti, tj, fam.generators(l, lp)))
 
@@ -336,8 +332,6 @@ def reference_close(lin, local: bool, left: list, right: list, inner: list) -> l
     """`oracle._close` without the early stop: a local closure runs until a
     round of products adds nothing, also after its span is the whole member."""
     d, ys = len(left), [C for T in inner for C in T]
-    if any(C is None for C in left + right + ys):
-        return list(range(d))
     picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
     flat = [[x for row in C for x in row] for C in left]
     for k in range(d):

@@ -268,7 +268,7 @@ def _oracle_entries(fam):
         for y in above[x]:
             for z in above[y]:
                 for C in fam.action(x, y, z):
-                    yield from (v for row in C or () for v in row)
+                    yield from (v for row in C for v in row)
 
 
 def _assert_oracle_scalars(P) -> int:

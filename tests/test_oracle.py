@@ -331,7 +331,7 @@ def test_division_check_finds_zero_divisors():
         fam = build_family(_split_tower(), P, fl)
         rep = verify_admissible(fam)
         assert rep.a2_failures == want, fl
-        assert rep.a1_failures == rep.a3_failures == []
+        assert rep.a3_failures == []
         assert rep.division_exhaustive
         assert_division_agrees(fam)
 
@@ -343,7 +343,7 @@ def test_division_check_finds_zero_divisors_at_p3(flavor):
     rep = verify_admissible(fam)
     split = [x for x in fam.poset.points if fam.dim(x, x) == 3]
     assert split and rep.a2_failures == [f"element of R_{x} has no right inverse" for x in split]
-    assert rep.a1_failures == rep.a3_failures == []
+    assert rep.a3_failures == []
     assert rep.division_exhaustive
     assert_division_agrees(fam)
 
@@ -383,15 +383,17 @@ def test_division_not_certified_when_the_unit_does_not_fix_r_x():
     assert not rep.ok
 
 
-def test_division_not_certified_when_products_leave_r_x():
-    """R_w cut to span(1, sigma), which sigma^2 leaves: A.1 fails, and A.2
-    cannot read the powers of sigma."""
+def test_division_is_never_asked_of_an_r_x_that_products_leave(monkeypatch):
+    """R_w cut to span(1, sigma), which sigma^2 leaves: A.1 raises, and A.2
+    never asks whether R_w divides."""
     t = default_tower(3)
     fam = build_family(t, load_fixture("star3"), "r")
     fam.replace("w", "w", *t.lin.rref([t.flatten(t.lin.eye(3)), t.flatten(t.theta)]))
-    rep = verify_admissible(fam)
-    assert "R_(w,w) * R_(w,w) leaves R_(w,w)" in rep.a1_failures
-    assert rep.a2_failures == ["division in R_w not certified"]
+    asked = []
+    monkeypatch.setattr(oracle, "_certify_division", lambda fam, x, unital: asked.append(x))
+    with pytest.raises(OracleError) as err:
+        verify_admissible(fam)
+    assert str(err.value) == "R_(w,w) * R_(w,w) leaves R_(w,w)" and asked == []
 
 
 def test_division_refuted_when_e_spans_less_than_r_x():
@@ -406,13 +408,17 @@ def test_division_refuted_when_e_spans_less_than_r_x():
 
 
 def test_division_refuted_in_a_one_dimensional_r_x_that_squares_to_zero():
-    """R_0 = span(E_12) with E_12 as its unit: b_1 b_1 = 0, so R_0 is no field."""
+    """R_0 = span(E_12) with E_12 as its unit: b_1 b_1 = 0, so R_0 is no field.
+    R_0 R_(0,w) leaves R_(0,w), so A.1 refuses the family, and the verdict,
+    which reads R_0's own table alone, is asked of the certificate directly."""
     t = default_tower(2)
     fam = build_family(t, load_fixture("star2"), "r")
     fam.unit["0"] = [0, 1, 0, 0]
     fam.replace("0", "0", [fam.unit["0"]], [1])
-    assert "element of R_0 has no right inverse" in verify_admissible(fam).a2_failures
-    assert_division_agrees(fam)
+    with pytest.raises(OracleError, match=r"^R_\(0,0\) \* R_\(0,w\) leaves R_\(0,w\)$"):
+        verify_admissible(fam)
+    assert oracle._certify_division(fam, "0", False) is False
+    assert not enumerated_division(fam, "0")
 
 
 def test_division_not_certified_in_composite_dimension():
@@ -432,37 +438,40 @@ def test_a2_reports_a_zero_local_member(flavor):
     fam = build_family(default_tower(2), load_fixture("star2"), flavor)
     fam.replace("w", "w", [], [])
     rep = verify_admissible(fam)
-    assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == ([], ["R_w is zero"], [])
+    assert (rep.a2_failures, rep.a3_failures) == (["R_w is zero"], [])
 
 
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
 def test_a_leaving_product_is_reported_by_a1_alone(mode, monkeypatch):
-    """With R_w of star3 cut to span(1, theta), A.1 names the product that
-    leaves it; A.2 gives no division verdict on R_w over either field, and
-    run_verification raises at the first hom system that reads the product.
-    With R_(w,m) = span(E_10) instead, R_(0,w) R_(w,m) leaves R_(0,m), and A.3
-    gives no verdict on R_(0,w), whose images would be read from that table."""
+    """With R_w of star3 cut to span(1, theta), A.1 raises at the product that
+    leaves it, over either field, and so does run_verification, before any
+    hom system.  With R_(w,m) = span(E_10) instead, R_(0,w) R_(w,m) leaves
+    R_(0,m) and R_(w,w) R_(w,m) leaves R_(w,m): A.1 raises at the first in
+    declaration order, and each table raises with its own text."""
     t, P, build = default_tower(3, mode), load_fixture("star3"), oracle.build_family
 
     def cut(*args):
         fam = build(*args)
         fam.replace("w", "w", *t.lin.rref([t.flatten(t.lin.eye(3)), t.flatten(t.theta)]))
         return fam
-    rep = verify_admissible(cut(t, P, "r"))
-    assert rep.a1_failures == ["R_(w,w) * R_(w,w) leaves R_(w,w)"]
-    assert (rep.a2_failures, rep.a3_failures) == (["division in R_w not certified"], [])
+    with pytest.raises(OracleError) as err:
+        verify_admissible(cut(t, P, "r"))
+    assert str(err.value) == "R_(w,w) * R_(w,w) leaves R_(w,w)"
     monkeypatch.setattr(oracle, "build_family", cut)
+    monkeypatch.setattr(oracle, "_solve_hom_system", None)  # never reached
     with pytest.raises(OracleError) as err:
         run_verification(build_model(P, Flavor.R), t)
-    assert str(err.value) == "product from R_(w,w) by R_(w,w) leaves the family"
+    assert str(err.value) == "R_(w,w) * R_(w,w) leaves R_(w,w)"
 
     fam, one, zero = build(t, P, "r"), t.lin.one, t.lin.zero
     fam.replace("w", "m", [t.flatten([[one if (i, j) == (1, 0) else zero for j in range(3)]
                                       for i in range(3)])], [3])
-    rep = verify_admissible(fam)
-    assert rep.a1_failures == ["R_(0,w) * R_(w,m) leaves R_(0,m)",
-                               "R_(w,w) * R_(w,m) leaves R_(w,m)"]
-    assert None in fam.action("0", "w", "m") and rep.a3_failures == []
+    with pytest.raises(OracleError) as err:
+        verify_admissible(fam)
+    assert str(err.value) == "R_(0,w) * R_(w,m) leaves R_(0,m)"
+    with pytest.raises(OracleError) as err:
+        fam.table("w", "w", "m")
+    assert str(err.value) == "R_(w,w) * R_(w,m) leaves R_(w,m)"
 
 
 class ReadLog(list):
@@ -561,7 +570,7 @@ def test_a3_reads_past_a_deficient_first_block(mode, monkeypatch):
     chain.replace("s", "m", [_e(t, 0, 1), _e(t, 0, 0)], [1, 0])
     for fam, pairs in ((star, 1), (chain, 2)):
         rep, calls = _a3_calls(fam, monkeypatch)
-        assert (rep.a1_failures, rep.a3_failures) == ([], [])
+        assert rep.a3_failures == []
         deficient = [(d, read) for d, images, kills, read in calls
                      if _rank(t.lin, images[0]) < d]
         assert len(deficient) == pairs and all(len(read) > 1 for _, read in deficient)
@@ -624,6 +633,20 @@ def test_failing_report_text():
         assert str(rep) == "\n".join(lines), fl
 
 
+def _leaving(fam) -> list[str]:
+    """The error text of every action table of fam that raises, over the
+    triples x <= y <= z in declaration order, the order A.1 walks them in."""
+    out = []
+    for x in fam.poset.points:
+        for y in fam.above[x]:
+            for z in fam.above[y]:
+                try:
+                    fam.table(x, y, z)
+                except OracleError as err:
+                    out.append(str(err))
+    return out
+
+
 # the strong maximum first and the strong minimum last; with no `augment`
 # the points keep this order, which is not a linear extension
 OUT_OF_ORDER = """\
@@ -648,8 +671,8 @@ closure
 def test_oracle_keeps_declaration_order(monkeypatch, flavor):
     """Reports list pairs, blocks and hom systems in declaration order, also
     when that order is not a linear extension; a member is cut to provoke
-    them, and a second cut's A.1 lines and error name the first product in
-    that order."""
+    them, and after a second cut A.1, in verify_admissible and in
+    run_verification alike, raises at the first leaving product in that order."""
     P = parse_poset(OUT_OF_ORDER)
     assert P.points == ("m", "d", "c", "b", "a", "z") and (P.zero, P.max) == ("z", "m")
     M, t, build = build_model(P, flavor), default_tower(3), oracle.build_family
@@ -681,17 +704,17 @@ def test_oracle_keeps_declaration_order(monkeypatch, flavor):
         "  hom dimensions: FAIL",
         "    dim Hom(e_m A, e_d A) = 0, table says 3"])
 
-    # every A.1 failure is met again by a hom system, which raises
     cut("a", "m", 1)
     first = {"r": [], "c": ["R_(a,m) * R_(m,m) leaves R_(a,m)"]}[flavor]
     last = {"r": ["R_(a,a) * R_(a,m) leaves R_(a,m)"], "c": []}[flavor]
-    assert verify_admissible(oracle.build_family(t, P, flavor)).a1_failures == first + [
-        "R_(a,d) * R_(d,m) leaves R_(a,m)", "R_(a,c) * R_(c,m) leaves R_(a,m)",
-        "R_(a,b) * R_(b,m) leaves R_(a,m)"] + last
-    with pytest.raises(OracleError) as err:
-        run_verification(M, t)
-    assert str(err.value) == {"r": "product from R_(a,d) by R_(d,m) leaves the family",
-                              "c": "product from R_(a,m) by R_(m,m) leaves the family"}[flavor]
+    leaving = first + ["R_(a,d) * R_(d,m) leaves R_(a,m)", "R_(a,c) * R_(c,m) leaves R_(a,m)",
+                       "R_(a,b) * R_(b,m) leaves R_(a,m)"] + last
+    assert _leaving(oracle.build_family(t, P, flavor)) == leaving
+    for run in (lambda: verify_admissible(oracle.build_family(t, P, flavor)),
+                lambda: run_verification(M, t)):
+        with pytest.raises(OracleError) as err:
+            run()
+        assert str(err.value) == leaving[0]
 
 
 # ---------------------------------------------------------------- radicals
@@ -798,6 +821,26 @@ def test_p5_weak_chain_flavor_r_passes(n, ell):
     assert rep.ok, str(rep)
 
 
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("p", [11, 13])
+def test_weak_chain_of_three_at_p11_and_p13(p, flavor, mode, monkeypatch):
+    """The oracle past p = 7: the weak chain a < b < c with l = 2, closed and
+    augmented, passes run_verification over the default tower, and every hom
+    system of its family equals the rank reference."""
+    P = parse_poset(f"p {p}\npoint a weak\npoint b weak\npoint c weak\n"
+                    "rel a b 2\nrel b c 2\nclosure\naugment\n")
+    families, build = [], oracle.build_family
+
+    def spy(*args):
+        families.append(build(*args))
+        return families[-1]
+    monkeypatch.setattr(oracle, "build_family", spy)
+    rep = run_verification(build_model(P, Flavor(flavor)), cached_tower(p, mode))
+    assert rep.ok, str(rep)
+    assert len(families) == 1 and assert_solver_matches_reference(families[0])
+
+
 # ---------------------------------------------------------------- products
 
 def kron(lin, A, B):
@@ -817,20 +860,24 @@ def right_mults(fam, y, z):
     return [lin.transpose(t.mu_mat(s)) for s in fam.basis[(y, z)]]
 
 
-def assert_table_matches_right_multiplication(fam, x, y, z):
+def assert_table_matches_right_multiplication(fam, x, y, z) -> bool:
     """C[k] of the action table (x, y, z) holds the coordinates in R_{x,z} of
     B M_s, for the basis B of R_{x,y} and the right multiplication M_s by the
-    k-th basis element s of R_{y,z}, and is None exactly when a row of B M_s
-    leaves R_{x,z}, which an rref of R_{x,z} with that row tells."""
+    k-th basis element s of R_{y,z}.  The table raises, naming (x, y, z),
+    exactly when a row of some B M_s leaves R_{x,z}, which an rref of R_{x,z}
+    with that row tells; returns whether it raised."""
     lin, R = fam.tower.lin, fam.basis[(x, z)]
-    C = fam.action(x, y, z)
     want = [lin.matmul(fam.basis[(x, y)], M) for M in right_mults(fam, y, z)]
+    if any(len(lin.rref(R + [w])[1]) > len(R) for W in want for w in W):
+        with pytest.raises(OracleError) as err:
+            fam.table(x, y, z)
+        assert str(err.value) == f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})"
+        return True
+    C = fam.action(x, y, z)
     assert len(C) == len(want), (x, y, z)
-    for k, (Ck, W) in enumerate(zip(C, want)):
-        leaves = any(len(lin.rref(R + [w])[1]) > len(R) for w in W)
-        assert (Ck is None) == leaves, (x, y, z, k)
-        if not leaves:
-            assert (lin.matmul(Ck, R) if R else [[lin.zero] * len(w) for w in W]) == W
+    for Ck, W in zip(C, want):
+        assert (lin.matmul(Ck, R) if R else [[lin.zero] * len(w) for w in W]) == W
+    return False
 
 
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
@@ -839,30 +886,37 @@ def assert_table_matches_right_multiplication(fam, x, y, z):
 def test_products_match_right_multiplication(name, flavor, mode):
     """Every action table, built from RFamily.compose, holds the coordinates
     of B M_s; once R_{0,max} loses a basis element, the tables whose products
-    leave it hold None there, and only those."""
+    leave it raise, each naming its own triple, and only those."""
     P = load_fixture(name)
     fam = build_family(cached_tower(P.p, mode), P, flavor)
     triples = [(x, y, z) for x in fam.above for y in fam.above[x] for z in fam.above[y]]
-    for t in triples:
-        assert_table_matches_right_multiplication(fam, *t)
+    assert not any(assert_table_matches_right_multiplication(fam, *t) for t in triples)
     key = (P.zero, P.max)
     fam.replace(*key, fam.basis[key][1:], fam.piv[key][1:])
-    for t in triples:
-        assert_table_matches_right_multiplication(fam, *t)
+    raised = [assert_table_matches_right_multiplication(fam, *t) for t in triples]
     # in trivial's flavor r, R_0 and R_max are F, so every subspace of R_{0,max} is closed
-    assert any(None in fam.action(*t) for t in triples) or (name, flavor) == ("trivial", "r")
+    assert any(raised) or (name, flavor) == ("trivial", "r")
+
+
+def _action_or_error(fam, t):
+    """The action table t of fam, or the text of the OracleError it raises."""
+    try:
+        return fam.action(*t)
+    except OracleError as err:
+        return str(err)
 
 
 @pytest.mark.parametrize("name, flavor, a, b, want", [
-    ("chain3_ell1", "r", ("0", "a"), ("0", "b"), ["R_(0,a) * R_(a,a) leaves R_(0,a)"]),
-    ("star2", "c", ("0", "w"), ("w", "m"), ["R_(0,0) * R_(0,w) leaves R_(0,w)"]),
+    ("chain3_ell1", "r", ("0", "a"), ("0", "b"), "R_(0,a) * R_(a,a) leaves R_(0,a)"),
+    ("star2", "c", ("0", "w"), ("w", "m"), "R_(0,0) * R_(0,w) leaves R_(0,w)"),
 ])
 def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, flavor, a, b,
                                                                         want):
     """Pairs a and b have equal members, so they share one name, one basis
     and one pivot list.  Once every table is built, R_a is replaced by a part
     of its basis under a name of its own: the actions and A.1 see it at a
-    only, and every table, b's too, still holds the coordinates of its products."""
+    only, and every table, b's too, still holds the coordinates of its products
+    or raises when they leave the family."""
     P = load_fixture(name)
     tower = cached_tower(P.p, "cyclic")
     fam, fresh = build_family(tower, P, flavor), build_family(tower, P, flavor)
@@ -874,10 +928,11 @@ def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, fl
         fam.action(*t)
     fam.replace(*a, fam.basis[a][:1], fam.piv[a][:1])
     assert fam.member[a] != fam.member[b] and fam.member[b] == fresh.member[b]
-    seen = [t for t in triples if fam.action(*t) != fresh.action(*t)]
+    seen = [t for t in triples if _action_or_error(fam, t) != _action_or_error(fresh, t)]
     assert seen and all(a in ((x, y), (y, z), (x, z)) for x, y, z in seen)
-    rep = verify_admissible(fam)
-    assert (rep.a1_failures, rep.a2_failures, rep.a3_failures) == (want, [], [])
+    with pytest.raises(OracleError) as err:
+        verify_admissible(fam)
+    assert str(err.value) == want
     for t in triples:
         assert_table_matches_right_multiplication(fam, *t)
 
@@ -1060,8 +1115,6 @@ class StubFamily:
     blocks (d_l, e_l) = (dim R_{i,l}, dim R_{j,l}) and, per block pair (l, l'),
     the picks as pairs of matrices (S_i^T, S_j^T) of `RFamily.table`."""
 
-    a1_ok = None  # no A.1 verdict: every table read is checked
-
     def __init__(self, lin, blocks: dict, picks: dict):
         self.tower, self.picks, names = SimpleNamespace(lin=lin), picks, list(blocks)
         self.dims = {(x, l): de[n] for l, de in blocks.items() for n, x in enumerate("ij")}
@@ -1073,7 +1126,7 @@ class StubFamily:
 
     def table(self, x, l, lp):
         C = [self.tower.lin.mat(pair["ij".index(x)]) for pair in self.picks.get((l, lp), [])]
-        return C, None, self.done.setdefault((x, l, lp), {})
+        return C, self.done.setdefault((x, l, lp), {})
 
     def generators(self, l, lp):
         return list(range(len(self.picks.get((l, lp), []))))
@@ -1188,29 +1241,31 @@ def test_generators_drop_basis_elements_on_chain3_ell1(flavor, mode):
     assert sum(len(fam.generators(*ab)) for ab in pairs) < sum(fam.dim(*ab) for ab in pairs)
 
 
-def test_generators_keep_every_index_when_a_product_leaves_the_family():
+def test_generators_raise_when_a_product_leaves_the_family():
     """R_(0,b) of chain3_ell1 is generated by R_(0,a) R_(a,b); cut to two of
-    its three basis elements, those products leave it, and both stay.  The
-    family is the same one, so the picks cached for the uncut basis must not
-    answer for the cut one."""
+    its three basis elements, products leave it, and generators raises at the
+    first table it reads that holds one.  The family is the same one, so the
+    picks cached for the uncut basis must not answer for the cut one."""
     P = load_fixture("chain3_ell1")
     fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
     assert fam.generators("0", "b") == []
     fam.replace("0", "b", fam.basis[("0", "b")][:2], fam.piv[("0", "b")][:2])
-    assert any(C is None for C in fam.action("0", "a", "b"))
-    assert fam.generators("0", "b") == [0, 1]
+    assert _action_or_error(fam, ("0", "a", "b")) == "R_(0,a) * R_(a,b) leaves R_(0,b)"
+    with pytest.raises(OracleError) as err:
+        fam.generators("0", "b")
+    assert str(err.value) == "R_(0,b) * R_(b,b) leaves R_(0,b)"
 
 
 def test_hom_dim_errors_when_a_product_leaves_the_family():
     """With R_(0,b) of chain3_ell1 cut as above, a hom system fails at the
-    first block pair whose action leaves the family, naming the base whose
-    product leaves it first."""
+    first table it reads, for its generators or its rows, that leaves the
+    family, with that table's text."""
     P = load_fixture("chain3_ell1")
     fam = build_family(cached_tower(P.p, "cyclic"), P, "r")
     fam.replace("0", "b", fam.basis[("0", "b")][:2], fam.piv[("0", "b")][:2])
-    ab = "product from R_(0,a) by R_(a,b) leaves the family"
-    bb = "product from R_(0,b) by R_(b,b) leaves the family"
-    want = [[ab, ab, ab, ab], [ab, 3, 0, 0], [bb, 3, 3, 0], [1, 3, 3, 1]]
+    ab = "R_(0,a) * R_(a,b) leaves R_(0,b)"
+    bb = "R_(0,b) * R_(b,b) leaves R_(0,b)"
+    want = [[bb, bb, bb, 0], [ab, 3, 0, 0], [bb, 3, 3, 0], [1, 3, 3, 1]]
     got = []
     for i in P.points:
         got.append([])
@@ -1251,27 +1306,41 @@ def test_hom_systems_see_a_replaced_basis(flavor):
     assert after == _hom_answers(fresh) and after != before
 
 
-LEAVES = "product from R_({},{}) by R_({},{}) leaves the family".format
-A1_CUT_ANSWERS = {  # as the oracle gave them when every hom system checked every table
-    "r": [*[LEAVES("0", "a", "a", "b")] * 5, 3, 0, 0, LEAVES("0", "b", "b", "b"), 3, 3, 0,
-          1, 3, 3, 1, LEAVES("0", "a", "a", "b"), 3, 9],
-    "c": [*[LEAVES("0", "0", "0", "b")] * 4, LEAVES("0", "a", "a", "b"), 1, 0, 0, 2, 1, 1, 0,
-          3, 3, 3, 3, LEAVES("0", "a", "a", "b"), 1, 3],
+LEAVES = "R_(0,{0}) * R_({0},b) leaves R_(0,b)".format
+# the fourth answer, dim Hom(e_0 A, e_m A), was an error when each system
+# checked every table; every other number is one the oracle gave then
+CUT_ANSWERS = {
+    "r": [*[LEAVES("b")] * 3, 0, LEAVES("a"), 3, 0, 0, LEAVES("b"), 3, 3, 0, 1, 3, 3, 1,
+          LEAVES("a"), 3, 9],
+    "c": [*[LEAVES("0")] * 3, 0, LEAVES("a"), 1, 0, 0, 2, 1, 1, 0, 3, 3, 3, 3, LEAVES("a"), 1, 3],
 }
 
 
 @pytest.mark.parametrize("flavor", ["r", "c"])
-def test_replace_clears_the_a1_verdict(flavor):
-    """A passing A.1 is recorded, and hom systems then check no table and
-    still equal the rank reference.  Cutting R_(0,b) of chain3_ell1 clears
-    the verdict, so every system that reads a product leaving the family
-    raises as it did before the verdict was recorded."""
+def test_cut_family_answers_come_from_checked_products(flavor):
+    """Hom systems read the tables that give rows, each checked as it is
+    built.  Cutting R_(0,b) of chain3_ell1 makes A.1 raise at its first
+    leaving product; a system that reads a leaving table raises with its
+    text, and every system that the rank reference, which reads every table
+    of its blocks, can solve gives the reference's number."""
     P = load_fixture("chain3_ell1")
     fam = build_family(cached_tower(P.p, "cyclic"), P, flavor)
-    assert fam.a1_ok is None and verify_admissible(fam).ok and fam.a1_ok is True
+    assert verify_admissible(fam).ok
     assert assert_solver_matches_reference(fam) and _hom_answers(fam)
     fam.replace("0", "b", fam.basis[("0", "b")][:2], fam.piv[("0", "b")][:2])
-    assert fam.a1_ok is None and _hom_answers(fam) == A1_CUT_ANSWERS[flavor]
+    with pytest.raises(OracleError) as err:
+        verify_admissible(fam)
+    assert str(err.value) == _leaving(fam)[0]
+    assert _hom_answers(fam) == CUT_ANSWERS[flavor]
+    solved = 0
+    for s in hom_systems(fam):
+        try:
+            want = rank_hom_dim(fam, *s)
+        except OracleError:
+            continue
+        assert oracle._solve_hom_system(fam, *s) == want, s
+        solved += 1
+    assert solved
 
 
 def _closure_key(fam, l, lp):
