@@ -88,7 +88,7 @@ def cmd_validate(args) -> int:
 def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
     M = build_model(P, flavor)
     print(f"p = {P.p}, flavor {flavor.value}")
-    marks = {x: "strong" if P.is_strong(x) else "weak" for x in P.points}
+    marks = {x: "strong" if x in P.strong else "weak" for x in P.points}
     print("points: " + "  ".join(f"{x} ({marks[x]})" for x in P.points))
     print("t_socle =", M.t_socle)
     print("hom table (rows = first index):")

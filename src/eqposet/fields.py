@@ -122,11 +122,12 @@ class RatFunc(tuple):
     Elements of different p compare as tuples; they never meet, as a family
     works in one tower.
 
-    +, -, * and / take a RatFunc or any int (read mod p) on either side, and
-    give a RatFunc or an int in [0, p).  Nearly every element the oracle meets
-    is a constant or c t^k (k in Z): an int operand scales or shifts the
-    numerator, two monomials combine directly, and any other pair goes
-    through `_frac`, where a gcd with t^m needs no Euclid."""
+    +, - and * take a RatFunc or any int (read mod p) on either side, and
+    give a RatFunc or an int in [0, p); there is no /, as the driver divides
+    through `inv`.  Nearly every element the oracle meets is a constant or
+    c t^k (k in Z): an int operand scales or shifts the numerator, two
+    monomials combine directly, and any other pair goes through `_frac`,
+    where a gcd with t^m needs no Euclid."""
 
     __slots__ = ()
     p: int  # set on each subclass
@@ -199,12 +200,6 @@ class RatFunc(tuple):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o: RatFunc | int) -> RatFunc | int:
-        return self * (_inv(o, self.p) if isinstance(o, int) else o.inverse())
-
-    def __rtruediv__(self, o: int) -> RatFunc | int:
-        return self.inverse() * o
-
     def inverse(self) -> RatFunc:
         """d/n, with its denominator made monic."""
         p, (n, d) = self.p, self
@@ -219,13 +214,11 @@ def _field(p: int) -> type:
 
 
 class FpT(GenericField):
-    """The driver over F_p(t): a constant is an int in [0, p), and `convert`
-    and `norm` take an int mod p; any other element is a `RatFunc`, already
-    canonical."""
+    """The driver over F_p(t): a constant is an int in [0, p), and `norm`
+    takes an int mod p; any other element is a `RatFunc`, already canonical."""
 
     def __init__(self, p: int):
         self.p = p
-        super().__init__(self.norm)
 
     def norm(self, x):
         return x if isinstance(x, RatFunc) else x % self.p
@@ -323,11 +316,6 @@ class Tower:
         zero = self.lin.zero
         return [x if (i == 0 or not strong_y) and (j == 0 or not strong_x) else zero
                 for i, row in enumerate(a) for j, x in enumerate(row)]
-
-    # operators flatten row-major into vectors of length p^2
-
-    def flatten(self, m):
-        return [x for row in m for x in row]
 
 
 def _smallest_root_of_unity(p: int, q: int) -> int:

@@ -85,7 +85,7 @@ class ComponentGraph:
 
 
 def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
-    p = M.p
+    p = M.poset.p
     a = p if (M.kdim(dst) == p and M.kdim(src) == 1) else 1
     b = p if (M.kdim(src) == p and M.kdim(dst) == 1) else 1
     return a, b
@@ -169,7 +169,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                     raise KnitError(
                         f"radical of {j} matches projective {Z.proj_point} by dimensions "
                         f"but not by equipment")
-                lab = code[Label.STRONG if P.is_strong(j) else Label.WEAK]
+                lab = code[Label.STRONG if j in P.strong else Label.WEAK]
                 pj = add_vertex(section, lab, projective_udimF(M, j).entries,
                                 cd=projective_cd(M, j), proj_point=j)
                 a, b = valuation[labs[z]][lab]

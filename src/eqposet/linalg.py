@@ -1,12 +1,12 @@
 """Exact linear algebra over small fields.
 
 One driver on lists of rows of Python scalars (`GenericField`).  A field is
-a subclass that supplies only `convert`, `norm` (the canonical form of an
-entry), `inv`, `zero`/`one` and `size`: `ModQ` for F_q with q prime, whose
-entries are ints in [0, q), and `fields.FpT` for F_p(t), whose constants are
-ints in [0, p) and whose other entries are `RatFunc`s.  Every matrix handed
-in or out holds canonical entries.  Row reduction gives
-reduced row echelon bases, so span bases are canonical and coordinate
+a subclass that supplies only `norm` (the canonical form of an int or an
+entry), `inv` and `size`: `ModQ` for F_q with q prime, whose entries are ints
+in [0, q), and `fields.FpT` for F_p(t), whose constants are ints in [0, p) and
+whose other entries are `RatFunc`s; zero and one are the ints 0 and 1 in
+both.  Every matrix handed in or out holds canonical entries.  Row reduction
+gives reduced row echelon bases, so span bases are canonical and coordinate
 extraction reads off pivot columns; ranks of systems given row by row go
 through one sparse elimination.  No floating point is used.
 """
@@ -15,29 +15,20 @@ from __future__ import annotations
 
 
 class GenericField:
-    """The driver over an exact field; a subclass supplies `norm` and `inv`,
-    and `convert` maps an int or a field element to a canonical one."""
+    """The driver over an exact field; a subclass supplies `norm`, which maps
+    an int or a field element to a canonical one, and `inv`."""
 
     size = None  # the field is infinite
-
-    def __init__(self, convert):
-        self.convert = convert
-        self.zero, self.one = convert(0), convert(1)
+    zero, one = 0, 1
 
     def mat(self, rows):
-        return [[self.convert(x) for x in row] for row in rows]
-
-    def zeros(self, r, c):
-        return [[self.zero] * c for _ in range(r)]
+        return [[self.norm(x) for x in row] for row in rows]
 
     def eye(self, n):
         return [[self.one if i == j else self.zero for j in range(n)] for i in range(n)]
 
     def transpose(self, A):
         return [list(col) for col in zip(*A)]
-
-    def hstack(self, mats):
-        return [[x for part in parts for x in part] for parts in zip(*mats)]
 
     def vstack(self, mats):
         return [row for m in mats for row in m]
@@ -155,12 +146,10 @@ class GenericField:
 
 
 class ModQ(GenericField):
-    """The driver over F_q, q prime: entries are Python ints in [0, q), and
-    `convert` is `norm`."""
+    """The driver over F_q, q prime: entries are Python ints in [0, q)."""
 
     def __init__(self, q: int):
         self.q = self.size = q
-        super().__init__(self.norm)
 
     def norm(self, x) -> int:
         return x % self.q

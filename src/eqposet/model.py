@@ -47,7 +47,6 @@ class RadicalInfo:
     summand with the recorded label, dimension vector and coordinate vector.
     `is_projective` names j when the summand is e_j A itself."""
 
-    point: str
     multiplicity: int
     label: Label
     udimF: RatVec
@@ -57,7 +56,6 @@ class RadicalInfo:
 
 @dataclass(frozen=True)
 class InjectiveProfile:
-    point: str
     label: Label
     udimF: RatVec
 
@@ -82,10 +80,6 @@ class AlgebraModel:
         idx = self.poset.index
         return self.hom[idx[x]][idx[y]]
 
-    @property
-    def p(self) -> int:
-        return self.poset.p
-
     @cached_property
     def t_socle(self) -> int:
         P = self.poset
@@ -96,7 +90,7 @@ class AlgebraModel:
 
     def kdim(self, label: Label) -> int:
         """Division-ring dimension attached to a vertex label (1 or p)."""
-        return _loc(self.flavor, label is Label.STRONG, self.p)
+        return _loc(self.flavor, label is Label.STRONG, self.poset.p)
 
     table = cached_property(lambda self: _tabulate(self))
 
@@ -179,7 +173,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
         j = covers[0] if len(covers) == 1 else None
         proj = pts[j] if j is not None and row_ell[j] == ell[j][j] and all(
             row_ell[u] == ell[j][u] for u in up[j]) else None
-        return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
+        return RadicalInfo(mult, label, RatVec(tuple(udimF)),
                            RatVec(tuple([v // mult for v in cd]) if mult > 1 else tuple(cd)), proj)
 
     radicals = tuple([radical(i) if i != top else None for i in range(n)])
@@ -196,7 +190,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
             raise ModelError(f"injective profile at {x} misses the socle")
         if (other := seen.setdefault((vals, strong[i]), x)) != x:
             raise ModelError(f"injective profiles collide: {other} vs {x}")
-        profiles[x] = InjectiveProfile(x, Label.STRONG if strong[i] else Label.WEAK, RatVec(vals))
+        profiles[x] = InjectiveProfile(Label.STRONG if strong[i] else Label.WEAK, RatVec(vals))
     return ModelTable(radicals, profiles, tuple([RatVec(tuple(row)) for row in hom]),
                       tuple([None if i == z0 else
                              RatVec(tuple([1 if k == i else c if k == z0 else 0 for k in range(n)]))

@@ -83,10 +83,6 @@ class RFamily:
                             out[j] = norm(out[j] + x * y)
         return out
 
-    def action(self, x: str, y: str, z: str) -> list:
-        """The action table C of `table`."""
-        return self.table(x, y, z)[0]
-
     def table(self, x: str, y: str, z: str) -> tuple:
         """C and the blocks read of it (`_block`), where C[k] is the d_xy x d_xz
         matrix of row b the coordinates of b * s in R_{x,z} for the k-th basis
@@ -120,9 +116,9 @@ class RFamily:
                 key += m[(l, y)], m[(y, lp)]
                 mid.append(y)
         if (hit := self._closures.get(key := tuple(key))) is None:
-            hit = self._closures[key] = _close(self.tower.lin, l == lp, self.action(l, l, lp),
-                                               self.action(l, lp, lp),
-                                               [self.action(l, y, lp) for y in mid])
+            hit = self._closures[key] = _close(self.tower.lin, l == lp, self.table(l, l, lp)[0],
+                                               self.table(l, lp, lp)[0],
+                                               [self.table(l, y, lp)[0] for y in mid])
         self._memo[(l, lp)] = hit
         return hit
 
@@ -244,7 +240,7 @@ def verify_admissible(fam: RFamily) -> AdmReport:
     for (x, y) in comp:
         if y == P.max or not (d := fam.dim(x, y)):
             continue
-        images = [C for l in above[y] if l != y for C in fam.action(x, y, l)]
+        images = [C for l in above[y] if l != y for C in fam.table(x, y, l)[0]]
         if not images:
             rep.a3_failures.append(f"R_({x},{y}) has nothing above to hit")
         elif _kills(lin, d, images):
@@ -269,7 +265,7 @@ def _basis_divides(fam: RFamily, x: str) -> bool:
     """Whether each basis element b of R_x divides (structural only): exactly
     when b * b_1, ..., b * b_d, read in R_x's action table, have rank d, as then
     bR_x = R_x, so bc = 1 and cg = 1 for some c, g, and b = b(cg) = (bc)g = g."""
-    lin, C = fam.tower.lin, fam.action(x, x, x)  # C[k][n]: b_n * b_k in R_x
+    lin, C = fam.tower.lin, fam.table(x, x, x)[0]  # C[k][n]: b_n * b_k in R_x
     return all(lin.rank(dict(enumerate(S[n])) for S in C) == len(C) for n in range(len(C)))
 
 
@@ -281,7 +277,7 @@ def _certify_division(fam: RFamily, x: str, unital: bool) -> bool | None:
     division ring is a field (Wedderburn), and its subfield F_q[e] = F_q[X]/(f)
     has degree 1 or d, so R_x is a field exactly when deg f = d (then R_x =
     F_q[e]) and f is irreducible.  f comes from R_x's action table by one rref."""
-    lin, d, C = fam.tower.lin, fam.dim(x, x), fam.action(x, x, x)
+    lin, d, C = fam.tower.lin, fam.dim(x, x), fam.table(x, x, x)[0]
     if d == 1:
         return any(C[0][0])
     if not (unital and _is_prime(d)):
@@ -455,7 +451,6 @@ def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:
 
 @dataclass(frozen=True)
 class OracleRadical:
-    point: str
     end_dim: int
     block_dims: dict[str, int]
 
@@ -467,7 +462,7 @@ def oracle_radical(fam: RFamily, i: str) -> OracleRadical:
     blocks = [l for l in fam.above[i] if l != i]
     end_dim = _grade_preserving_hom_dim(fam, i, i, blocks)
     dims = {l: fam.dim(i, l) for l in blocks}
-    return OracleRadical(i, end_dim, dims)
+    return OracleRadical(end_dim, dims)
 
 
 @dataclass

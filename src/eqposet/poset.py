@@ -114,9 +114,6 @@ class EquippedPoset:
     def n(self) -> int:
         return len(self.points)
 
-    def is_strong(self, x: str) -> bool:
-        return x in self.strong
-
     violations = cached_property(lambda self: _structural_violations(self))
 
     @cached_property

@@ -254,7 +254,7 @@ def check_component_invariants(M, G, where) -> None:
     """The structural invariants of a knitted component: ids, sections,
     tau-orbit labels, mesh conservation, the q-label law, divisibility and
     unique vertex identity."""
-    p = M.p
+    p = M.poset.p
     n = len(G.vertices)
     # acyclicity and id sanity
     assert [v.id for v in G.vertices] == list(range(n))
@@ -292,6 +292,11 @@ def check_component_invariants(M, G, where) -> None:
 # The flavor-r realization as it was built before members were cut and
 # operator products were flattened: every product a `matmul` on nested lists.
 
+def flatten(m):
+    """The row-major vector of an operator: the flavor-r form of a member."""
+    return [x for row in m for x in row]
+
+
 def unflatten(t, v):
     """The p x p operator of a row-major vector of length p^2."""
     return [list(v[i:i + t.p]) for i in range(0, t.p * t.p, t.p)]
@@ -319,20 +324,20 @@ def reference_member_gens(t, strong_x: bool, strong_y: bool, ell: int) -> list:
     """The flattened eps_y . a . eps_x, two matmuls each, for every a of
     `reference_a_ell_basis(t, ell)`: the rows that span R_{x,y} in flavor r."""
     lin, ex, ey = t.lin, reference_eps(t, strong_x), reference_eps(t, strong_y)
-    return [t.flatten(lin.matmul(lin.matmul(ey, a), ex)) for a in reference_a_ell_basis(t, ell)]
+    return [flatten(lin.matmul(lin.matmul(ey, a), ex)) for a in reference_a_ell_basis(t, ell)]
 
 
 def reference_compose(t, u, v):
     """The flavor-r product u * v: the matrix product v u, unflattened and
     flattened back."""
-    return t.flatten(t.lin.matmul(unflatten(t, v), unflatten(t, u)))
+    return flatten(t.lin.matmul(unflatten(t, v), unflatten(t, u)))
 
 
 def reference_close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
     """`oracle._close` without the early stop: a local closure runs until a
     round of products adds nothing, also after its span is the whole member."""
     d, ys = len(left), [C for T in inner for C in T]
-    picks, (R, piv) = [], lin.rref(lin.vstack([lin.zeros(0, d)] + ys))
+    picks, (R, piv) = [], lin.rref(lin.vstack(ys))
     flat = [[x for row in C for x in row] for C in left]
     for k in range(d):
         unit = lin.mat([[int(i == k) for i in range(d)]])
@@ -360,8 +365,8 @@ def assert_picks_match_reference(fam) -> int:
     for l in above:
         for lp in above[l]:
             mid = [y for y in above[l] if y not in (l, lp) and lp in above[y]]
-            want = reference_close(lin, l == lp, fam.action(l, l, lp), fam.action(l, lp, lp),
-                                   [fam.action(l, y, lp) for y in mid])
+            want = reference_close(lin, l == lp, fam.table(l, l, lp)[0], fam.table(l, lp, lp)[0],
+                                   [fam.table(l, y, lp)[0] for y in mid])
             assert fam.generators(l, lp) == want, (fam.poset, fam.flavor.value, l, lp)
             n += 1
     return n
@@ -389,7 +394,7 @@ def reference_violations(P) -> list:
         if not (1 <= l <= P.p):
             add(Violation("ell-range", f"ell = {shown(l)} outside 1..{shown(P.p)}", (x, y)))
     for x in P.points:
-        want = P.p if P.is_strong(x) else 1
+        want = P.p if x in P.strong else 1
         got = P.rel.get((x, x))
         if got is None:
             add(Violation("reflexive", "missing reflexive relation", (x,)))
@@ -399,7 +404,7 @@ def reference_violations(P) -> list:
     for (x, y) in strict:
         if (y, x) in P.rel:
             add(Violation("antisymmetry", "both x <= y and y <= x", (x, y)))
-        if (P.is_strong(x) or P.is_strong(y)) and P.rel[(x, y)] != P.p:
+        if (x in P.strong or y in P.strong) and P.rel[(x, y)] != P.p:
             add(Violation("strong-relation",
                           f"relation touching a strong point has ell = {shown(P.rel[(x, y)])} != p", (x, y)))
     for (x, y) in strict:
@@ -430,7 +435,7 @@ def reference_hasse(P) -> dict:
 def _reference_hom_piece(flavor, P, x: str, y: str, e: int) -> int:
     if flavor is Flavor.C:
         return e
-    num = e * _loc(flavor, P.is_strong(x), P.p) * _loc(flavor, P.is_strong(y), P.p)
+    num = e * _loc(flavor, x in P.strong, P.p) * _loc(flavor, y in P.strong, P.p)
     if num % P.p:
         raise ModelError(f"non-integral hom dimension at ({x}, {y})")
     return num // P.p
@@ -488,7 +493,7 @@ def reference_radical_info(M, x: str):
         j = succ[0]
         if all(rel[x, u] == rel[j, u] for u in P.points if (j, u) in rel):
             proj = j
-    return RadicalInfo(x, mult, label, RatVec(tuple(udimF)),
+    return RadicalInfo(mult, label, RatVec(tuple(udimF)),
                        RatVec(tuple(e // mult for e in cd)), proj)
 
 
@@ -518,8 +523,8 @@ def reference_injective_profiles(M) -> dict:
             vals.append(v)
         if vals[idx[P.max]] <= 0:
             raise ModelError(f"injective profile at {x} misses the socle")
-        label = Label.STRONG if P.is_strong(x) else Label.WEAK
-        prof = InjectiveProfile(x, label, RatVec.from_seq(vals))
+        label = Label.STRONG if x in P.strong else Label.WEAK
+        prof = InjectiveProfile(label, RatVec.from_seq(vals))
         key = (prof.udimF, label)
         if key in seen:
             raise ModelError(f"injective profiles collide: {seen[key]} vs {x}")

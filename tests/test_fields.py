@@ -1,6 +1,8 @@
 """F_p(t) arithmetic of the inseparable tower, and the package's runtime
-dependencies and exports."""
+dependencies, exports and surface."""
 
+import ast
+import importlib.util
 import pickle
 import types
 
@@ -207,15 +209,15 @@ def test_truth_equality_and_hash_are_tuples():
         assert repr(t) == f"RatFunc(n=(0, 1), d=(1,), p={p})"
         two_t = 0 if p == 2 else RatFunc((0, 2), (1,), p)
         assert 2 * t == t * 2 == two_t and (p + 2) * t == t * (2 - p) == two_t  # not repetition
-        assert t - t == 0 and type(t - t) is int and t / t == 1 and type(t / t) is int
+        assert t - t == 0 and type(t - t) is int
         assert (t + 1) - t == 1 and type((t + 1) - t) is int
+        with pytest.raises(TypeError):
+            t / t  # no / on an element: the driver divides through `inv`
         for zero in (0, p, -p):
-            with pytest.raises(ZeroDivisionError):
-                t / zero
             with pytest.raises(ZeroDivisionError):
                 K.inv(zero)
         assert K.inv(t) == RatFunc((1,), (0, 1), p) and K.inv(p - 1) == p - 1
-        assert K.convert(True) == 1 and type(K.convert(True)) is int
+        assert K.norm(True) == 1 and type(K.norm(True)) is int
         assert pickle.loads(pickle.dumps(t)) == t and pickle.loads(pickle.dumps(t)).p == p
 
 
@@ -228,10 +230,10 @@ def _rf(x, p: int) -> RatFunc:
 @settings(max_examples=300, deadline=None)
 @given(elements(1), st.integers(-7, 7), st.integers(0, 4))
 def test_int_operands_match_the_ratfunc_reference(case, c, t0):
-    """int o RatFunc and RatFunc o int, for +, -, * and / in both orders, give
+    """int o RatFunc and RatFunc o int, for +, - and * in both orders, give
     canonical results whose values at t0 are those of the operation in F_p
     and of the same operation with c as a constant RatFunc, which takes the
-    general paths; dividing by a multiple of p raises ZeroDivisionError."""
+    general paths."""
     p, a = case
     a, t0 = a.x, t0 % p
     if type(a) is int:
@@ -241,14 +243,9 @@ def test_int_operands_match_the_ratfunc_reference(case, c, t0):
         return
     ops = [(lambda x, y: x + y, lambda u, v: (u + v) % p),
            (lambda x, y: x - y, lambda u, v: (u - v) % p),
-           (lambda x, y: x * y, lambda u, v: u * v % p),
-           (lambda x, y: x / y, lambda u, v: u * pow(v, -1, p) % p if v else None if u else 0)]
+           (lambda x, y: x * y, lambda u, v: u * v % p)]
     for x, y in ((a, c), (c, a)):
-        for k, (op, value) in enumerate(ops):
-            if k == 3 and y is c and not c % p:
-                with pytest.raises(ZeroDivisionError):
-                    op(x, y)
-                continue
+        for op, value in ops:
             got = op(x, y)
             assert_canonical(got, p)
             assert _eval(got, t0, p) == value(*[va if v is a else c % p for v in (x, y)])
@@ -267,7 +264,7 @@ def _oracle_entries(fam):
     for x in above:
         for y in above[x]:
             for z in above[y]:
-                for C in fam.action(x, y, z):
+                for C in fam.table(x, y, z)[0]:
                     yield from (v for row in C for v in row)
 
 
@@ -344,3 +341,45 @@ def test_star_import_binds_exactly_all():
     scope = {}
     exec("from eqposet import *", scope)
     assert scope.keys() - {"__builtins__"} == set(names)
+
+
+def test_every_src_name_has_a_reader_in_src():
+    """Every module function, method, class attribute and dataclass field of
+    the package is read somewhere in src, by name or as an attribute.  Exempt:
+    dunders, the exports of `__all__`, the names perfbench's tracer wraps
+    (`SPANS`, `COUNTED`), and `RFamily.replace`, with which tests tamper with
+    a family while it keeps the member-name caches consistent."""
+    import eqposet
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", SRC.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    exempt = {attr for _, attr, _ in tracing.SPANS + tracing.COUNTED}
+    exempt |= {*eqposet.__all__, "RFamily.replace"}
+    defined, loaded = [], set()
+    for path in sorted((SRC / "eqposet").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = [item.name]
+                    elif isinstance(item, ast.AnnAssign):
+                        names = [item.target.id]
+                    elif isinstance(item, ast.Assign):  # also `a, b = ...`
+                        names = [n.id for t in item.targets for n in ast.walk(t)
+                                 if isinstance(n, ast.Name)]
+                    else:
+                        continue
+                    defined += [f"{node.name}.{name}" for name in names]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+    assert len(defined) > 200
+    unread = [q for q in defined if q not in exempt and (name := q.rpartition(".")[2]) not in loaded
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == [], unread

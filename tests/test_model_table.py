@@ -91,7 +91,7 @@ def test_tampered_tables_match_the_reference_on_every_error_branch():
             pts = M.poset.points
             for x in pts:
                 for y in pts:
-                    for delta in (-1, 1, M.p):
+                    for delta in (-1, 1, M.poset.p):
                         v = M.hom_dim(x, y) + delta
                         if x == y and v <= 0:
                             continue
