@@ -1,30 +1,36 @@
-"""Degree-p field extensions G = F[xi]/(xi^p - c) with a distinguished operator.
+"""Degree-p extensions G = F[xi]/(xi^p - c) with a distinguished operator.
 
 `Tower(p, mode, q, c)` builds G and checks its own parameters, raising
 `ParameterError` (defined in poset.py) on any it refuses.  Cyclic mode: F =
 F_q (q prime, p | q - 1), c a non-p-th power, both given or both taken from
 `DEFAULT_TOWERS`, and the operator is the automorphism sigma(xi) = omega*xi
-for the smallest primitive p-th root of unity omega.  Inseparable mode: F =
-F_p(t) (driver `FpT`), c = t, and the operator is the derivation
-delta(xi^i) = i*xi^(i-1).
+for the smallest primitive p-th root of unity omega.  Inseparable mode: the
+paper's G = F_p(t)[xi]/(xi^p - t) with the derivation delta(xi^i) =
+i*xi^(i-1), computed over F = F_p at t = 1, so c = 1 and the operator is
+delta over F_p.  Both towers use the one driver `ModQ`.
 
 G-elements are coefficient vectors of length p in the basis 1, xi, ...,
 xi^(p-1), multiplied by convolution modulo xi^p - c (`Tower.g_mul`); operators
 on G are p x p matrices over F acting on columns.
 
-A constant of F_p(t), 0 included, is a Python int in [0, p), as an entry of
-F_q is; any other element is a `RatFunc`, the tuple (n, d) in lowest terms
-with d monic.  So the constant arithmetic that is most of the oracle's runs
-on ints, and truth tests, comparisons and hashes run at C level.  Monomials
-c t^k (k in Z), nearly all the other entries the oracle meets, take direct
-arithmetic paths; the rest reduce by Euclid's algorithm.
+Why t = 1 loses nothing.  Grade G by deg xi = 1 and deg t = p.  mu_(xi^j)
+is homogeneous of degree j and delta of degree -1, and the cut to a corner
+keeps homogeneity, so every spanning operator is homogeneous and each of its
+entries is some c t^k.  A position has one degree: (row - col) mod p for an
+operator, k for the coefficient of xi^k in G.  So row reduction combines
+vectors of one degree only, and every basis, action table, hom-system row
+and kernel the oracle builds stays homogeneous with monomial entries.  The
+ring map t -> 1 from F_p[t, 1/t] to F_p commutes with products, and on a
+homogeneous matrix rref(M) = D1 rref(M(1)) D2 with D1, D2 diagonal in powers
+of t^(1/p).  So t = 1 keeps every rank, pivot list and generator pick, and
+every number the oracle derives over F_p(t) is the one it derives over
+G1 = F_p[xi]/(xi^p - 1) with theta = delta.  G1 is no field, so A.2 tests
+the basis and checks that every member is graded (`oracle.verify_admissible`).
 """
 
 from __future__ import annotations
 
-import functools
-
-from .linalg import GenericField, ModQ
+from .linalg import ModQ
 from .poset import P_LIMIT, P_RANGE, ParameterError, _is_prime, shown
 
 # Parameter policy, not arithmetic limits: the primality of q is checked by
@@ -40,193 +46,6 @@ DEFAULT_TOWERS = {2: (3, -1), 3: (7, 3), 5: (11, 2), 7: (29, 2), 11: (23, 2), 13
                   17: (103, 2), 19: (191, 2), 23: (47, 2), 29: (59, 2), 31: (311, 2)}
 
 
-# -- F_p(t): a polynomial over F_p is a tuple of residues, constant term first,
-# without trailing zeros (() is 0)
-
-def _pmul(a: tuple, b: tuple, p: int) -> tuple:
-    """a*b for a, b != 0; F_p has no zero divisors, so the top stays nonzero."""
-    if len(a) == 1:
-        return tuple(a[0] * y % p for y in b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(v % p for v in out)
-
-
-def _pdivmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
-    """Quotient and remainder of a by b != 0."""
-    db, inv = len(b) - 1, pow(b[-1], -1, p)
-    r, q = list(a), [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] * inv % p
-        for j, y in enumerate(b):
-            r[k + j] = (r[k + j] - c * y) % p
-    while len(r) > db or (r and not r[-1]):  # the cancelled top, then zeros
-        r.pop()
-    return tuple(q), tuple(r)
-
-
-def _frac(n: tuple, d: tuple, K: type) -> RatFunc | int:
-    """n/d in lowest terms, for polynomials n and d, d monic, in K's F_p(t): a
-    `RatFunc`, or an int when it is constant."""
-    p = K.p
-    if any(d[:-1]):
-        g, r = d, n
-        while r:  # Euclid: g ends as a gcd of n and d; made monic, d/g stays monic
-            g, r = r, _pdivmod(g, r, p)[1]
-        g = _pmul((pow(g[-1], -1, p),), g, p)
-        n, d = _pdivmod(n, g, p)[0], _pdivmod(d, g, p)[0]
-    elif len(d) > 1:  # d = t^m: the common factor is the power of t dividing n
-        k = min(len(d) - 1, next((i for i, x in enumerate(n) if x), len(d)))
-        n, d = n[k:], d[k:]
-    if len(n) < 2 and len(d) == 1:
-        return n[0] if n else 0
-    return _new(K, (n, d))
-
-
-def _monomial(n: tuple, d: tuple):
-    """(c, k) with n/d = c t^k, k in Z, for n/d != 0 in lowest terms, or None."""
-    if len(d) == 1:
-        if n.count(0) == len(n) - 1:  # the top coefficient is nonzero
-            return n[-1], len(n) - 1
-    elif len(n) == 1 and d.count(0) == len(d) - 1:
-        return n[0], 1 - len(d)
-    return None
-
-
-def _mono(K: type, c: int, k: int) -> RatFunc | int:
-    """c t^k in K's F_p(t), for a residue c != 0 and k in Z; c itself for k = 0."""
-    if not k:
-        return c
-    return _new(K, ((0,) * k + (c,), _ONE) if k > 0 else ((c,), (0,) * -k + _ONE))
-
-
-def _inv(c: int, p: int) -> int:
-    """1/c in F_p for any int c; ZeroDivisionError when p divides c."""
-    if c % p:
-        return pow(c, -1, p)
-    raise ZeroDivisionError("division by zero in F_p(t)")
-
-
-_new, _ONE = tuple.__new__, (1,)
-
-
-class RatFunc(tuple):
-    """A non-constant n/d in F_p(t), stored as the tuple (n, d) with d monic and
-    gcd(n, d) = 1.  A constant of F_p(t), 0 included, is a Python int in [0, p)
-    and never a RatFunc, so equal elements are equal ints or equal tuples:
-    truth, == and hash are the built-in ones.  `RatFunc(n, d, p)` takes
-    polynomials n and d, d monic, and gives n/d in lowest terms: an instance
-    of the one subclass for p, which holds p, or an int when it is constant.
-    Elements of different p compare as tuples; they never meet, as a family
-    works in one tower.
-
-    +, - and * take a RatFunc or any int (read mod p) on either side, and
-    give a RatFunc or an int in [0, p); there is no /, as the driver divides
-    through `inv`.  Nearly every element the oracle meets is a constant or
-    c t^k (k in Z): an int operand scales or shifts the numerator, two
-    monomials combine directly, and any other pair goes through `_frac`,
-    where a gcd with t^m needs no Euclid."""
-
-    __slots__ = ()
-    p: int  # set on each subclass
-
-    def __new__(cls, n: tuple, d: tuple, p: int) -> RatFunc | int:
-        return _frac(n, d, _field(p))
-
-    @property
-    def n(self) -> tuple:
-        return self[0]
-
-    @property
-    def d(self) -> tuple:
-        return self[1]
-
-    def __repr__(self) -> str:
-        return f"RatFunc(n={self.n}, d={self.d}, p={self.p})"
-
-    def __reduce__(self):
-        return RatFunc, (self.n, self.d, self.p)
-
-    def __neg__(self) -> RatFunc:
-        p, (n, d) = self.p, self
-        return _new(type(self), (tuple(-x % p for x in n), d))
-
-    def __add__(self, o: RatFunc | int) -> RatFunc | int:
-        p, (a, b) = self.p, self
-        if isinstance(o, int):
-            if not (o := o % p):
-                return self
-            c, e = (o,), _ONE
-        else:
-            c, e = o
-        u, v = _monomial(a, b), _monomial(c, e)
-        if u and v:
-            (x, k), (y, j) = (u, v) if u[1] <= v[1] else (v, u)
-            if k == j:
-                x = (x + y) % p
-                return _mono(type(self), x, k) if x else 0
-            n = (x,) + (0,) * (j - k - 1) + (y,)  # t^-k (x t^k + y t^j)
-            return _new(type(self), ((0,) * k + n, _ONE) if k >= 0 else (n, (0,) * -k + _ONE))
-        x, y, d = (a, c, b) if b == e else (_pmul(a, e, p), _pmul(c, b, p), _pmul(b, e, p))
-        out = list(x) + [0] * (len(y) - len(x))
-        for i, v in enumerate(y):
-            out[i] = (out[i] + v) % p
-        while out and not out[-1]:
-            out.pop()
-        return _frac(tuple(out), d, type(self))
-
-    __radd__ = __add__
-
-    def __sub__(self, o: RatFunc | int) -> RatFunc | int:
-        return self + -o
-
-    def __rsub__(self, o: int) -> RatFunc | int:
-        return -self + o
-
-    def __mul__(self, o: RatFunc | int) -> RatFunc | int:
-        p, (a, b) = self.p, self
-        if isinstance(o, int):  # scale the numerator
-            o %= p
-            return _new(type(self), (tuple(o * x % p for x in a), b)) if o else 0
-        c, e = o
-        u, v = _monomial(a, b), _monomial(c, e)
-        if u and v:
-            return _mono(type(self), u[0] * v[0] % p, u[1] + v[1])
-        if len(b) == len(e) == 1:
-            return _new(type(self), (_pmul(a, c, p), _ONE))
-        return _frac(_pmul(a, c, p), _pmul(b, e, p), type(self))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> RatFunc:
-        """d/n, with its denominator made monic."""
-        p, (n, d) = self.p, self
-        c = pow(n[-1], -1, p)
-        return _new(type(self), (_pmul((c,), d, p), _pmul((c,), n, p)))
-
-
-@functools.cache
-def _field(p: int) -> type:
-    """The subclass of `RatFunc` for F_p(t)."""
-    return type(f"RatFunc{p}", (RatFunc,), {"__slots__": (), "p": p})
-
-
-class FpT(GenericField):
-    """The driver over F_p(t): a constant is an int in [0, p), and `norm`
-    takes an int mod p; any other element is a `RatFunc`, already canonical."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def norm(self, x):
-        return x if isinstance(x, RatFunc) else x % self.p
-
-    def inv(self, x):
-        return x.inverse() if isinstance(x, RatFunc) else _inv(x, self.p)
-
-
 class Tower:
     """F < G for a prime p <= MAX_TOWER_P.  A cyclic tower takes q and c, or neither
     and then p's entry in `DEFAULT_TOWERS`; an inseparable one takes neither."""
@@ -239,7 +58,7 @@ class Tower:
         if p > MAX_TOWER_P:
             raise ParameterError(f"p = {p} is too large for a tower: its operators "
                                  f"are p x p matrices, so p <= {MAX_TOWER_P}")
-        self.p = p
+        self.p, self.mode = p, mode
         if mode == "cyclic":
             if q is None and c is None:
                 q, c = DEFAULT_TOWERS[p]
@@ -263,8 +82,7 @@ class Tower:
         elif mode == "inseparable":
             if q is not None or c is not None:
                 raise ParameterError("q and c apply to cyclic towers only")
-            self.c = RatFunc((0, 1), (1,), p)
-            self.lin = FpT(p)
+            self.c, self.lin = 1, ModQ(p)  # t = 1: see the module docstring
             self.omega = None
             # delta: xi^i -> i xi^(i-1)
             self.theta = self.lin.mat([[j if j == i + 1 else 0 for j in range(p)] for i in range(p)])

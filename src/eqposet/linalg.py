@@ -1,14 +1,15 @@
 """Exact linear algebra over small fields.
 
-One driver on lists of rows of Python scalars (`GenericField`).  A field is
-a subclass that supplies only `norm` (the canonical form of an int or an
-entry), `inv` and `size`: `ModQ` for F_q with q prime, whose entries are ints
-in [0, q), and `fields.FpT` for F_p(t), whose constants are ints in [0, p) and
-whose other entries are `RatFunc`s; zero and one are the ints 0 and 1 in
-both.  Every matrix handed in or out holds canonical entries.  Row reduction
-gives reduced row echelon bases, so span bases are canonical and coordinate
-extraction reads off pivot columns; ranks of systems given row by row go
-through one sparse elimination.  No floating point is used.
+One driver on lists of rows of Python scalars (`GenericField`) and one field
+class, `ModQ`, for F_q with q prime: entries are ints in [0, q), and zero and
+one are the ints 0 and 1.  Both towers run on it, the inseparable one over
+F_p (fields.py says why t = 1 suffices).  A field supplies only `norm` (the
+canonical form of an int) and `inv`; `GenericField` stays a class of its own
+because perfbench's tracer wraps its methods.  Every matrix handed in or out
+holds canonical entries.  Row reduction gives reduced row echelon bases, so
+span bases are canonical and coordinate extraction reads off pivot columns;
+ranks of systems given row by row go through one sparse elimination.  No
+floating point is used.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 class GenericField:
     """The driver over an exact field; a subclass supplies `norm`, which maps
-    an int or a field element to a canonical one, and `inv`."""
+    an int to a canonical element, and `inv`."""
 
-    size = None  # the field is infinite
     zero, one = 0, 1
 
     def mat(self, rows):
@@ -149,7 +149,7 @@ class ModQ(GenericField):
     """The driver over F_q, q prime: entries are Python ints in [0, q)."""
 
     def __init__(self, q: int):
-        self.q = self.size = q
+        self.q = q
 
     def norm(self, x) -> int:
         return x % self.q

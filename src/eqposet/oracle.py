@@ -15,9 +15,12 @@ generator picks and hom systems are computed once per family and shared by
 every pair that has them.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
-then re-derived here by linear algebra alone.  Over F_q, A.2 proves or
-refutes that each R_{x,x} is a field by Rabin's irreducibility test on the
-minimal polynomial of one element; over F_p(t) it tests basis elements only.
+then re-derived here by linear algebra alone.  On a cyclic tower, A.2 proves
+or refutes that each R_{x,x} is a field by Rabin's irreducibility test on the
+minimal polynomial of one element.  An inseparable tower computes over F_p
+at t = 1 (fields.py), where R_{x,x} need not be a field: A.2 tests its basis
+elements and checks that every member is graded, the premise under which
+t = 1 gives the F_p(t) numbers.
 Hom dimensions impose A-linearity on a generating set of the realized algebra
 only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
 modulo what the members inside [l, l'] generate (rad/rad^2).  Nearly every
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .fields import ParameterError, Tower, _pdivmod, _pmul
+from .fields import ParameterError, Tower
 from .model import AlgebraModel, Flavor, radical_info
 from .poset import EquippedPoset, _is_prime
 
@@ -187,7 +190,7 @@ def verify_dims(fam: RFamily, M: AlgebraModel) -> list[str]:
 class AdmReport:
     a2_failures: list[str] = field(default_factory=list)
     a3_failures: list[str] = field(default_factory=list)
-    # False once some R_x was tested on its basis alone (F_p(t)); true over F_q
+    # False when each R_x was tested on its basis alone (inseparable towers)
     division_exhaustive: bool = True
 
     @property
@@ -198,6 +201,7 @@ class AdmReport:
 def verify_admissible(fam: RFamily) -> AdmReport:
     P, lin, rep, above = fam.poset, fam.tower.lin, AdmReport(), fam.above
     comp = [(x, y) for x in P.points for y in above[x]]
+    inseparable = fam.tower.mode == "inseparable"  # over F_p at t = 1 (fields.py)
 
     # A.1 — `table` raises at the first product, reflexive cases too, that leaves its member
     for (x, y) in comp:
@@ -206,8 +210,16 @@ def verify_admissible(fam: RFamily) -> AdmReport:
 
     # A.2 — units act as identities and every nonzero local element divides;
     # each verdict is reached once per (unit, member, unit) and (R_x, unit), by
-    # member name and by the value of the units
+    # member name and by the value of the units.  At t = 1 the basis test gives
+    # the F_p(t) verdict when every member is graded (fields.py), so an
+    # inseparable tower checks the grading too.
     fixes, divides = {}, {}
+    if inseparable:
+        rep.division_exhaustive = False
+        pair_of = {fam.member[xy]: xy for xy in comp}  # one pair per member
+        mixed = {m for m, xy in pair_of.items() if not all(_graded(fam, b) for b in fam.basis[xy])}
+        rep.a2_failures += [f"member R_({x},{y}) is not graded" for (x, y) in comp
+                            if fam.member[(x, y)] in mixed]
     for x in P.points:
         ux, d = fam.unit[x], fam.dim(x, x)
         if d == 0:
@@ -228,9 +240,8 @@ def verify_admissible(fam: RFamily) -> AdmReport:
                     rep.a2_failures.append(f"unit of R_{y} does not fix R_({x},{y}) on the right")
             if y == x:
                 unital = all(map(all, fix))
-        rep.division_exhaustive &= lin.size is not None  # F_p(t): the basis alone
         if (key := (fam.member[(x, x)], tuple(ux))) not in divides:
-            divides[key] = _certify_division(fam, x, unital) if lin.size else _basis_divides(fam, x)
+            divides[key] = _basis_divides(fam, x) if inseparable else _certify_division(fam, x, unital)
         if (verdict := divides[key]) is None:
             rep.a2_failures.append(f"division in R_{x} not certified")
         elif not verdict:
@@ -259,6 +270,14 @@ def _kills(lin, d: int, images: list) -> bool:
         if K and any(map(any, C)):  # a zero block, also one of width 0, kills every b
             K = lin.matmul(lin.nullspace(lin.transpose(lin.matmul(K, C))), K)
     return bool(K)
+
+
+def _graded(fam: RFamily, v) -> bool:
+    """Whether v, a flattened operator (flavor r) or an element of G (flavor c),
+    has its support in one degree: (row - col) mod p at row-major position k of
+    an operator, k at the coefficient of xi^k."""
+    p, r = fam.tower.p, fam.flavor is Flavor.R
+    return len({(k // p - k % p) % p if r else k for k, x in enumerate(v) if x}) < 2
 
 
 def _basis_divides(fam: RFamily, x: str) -> bool:
@@ -290,9 +309,36 @@ def _certify_division(fam: RFamily, x: str, unital: bool) -> bool | None:
     return len(piv) == d and _irreducible(tuple(-R[i][d] % lin.q for i in range(d)) + (1,), lin.q)
 
 
+# a polynomial over F_q is a tuple of residues, constant term first, without
+# trailing zeros (() is 0)
+
+def _pmul(a: tuple, b: tuple, q: int) -> tuple:
+    """a*b for a, b != 0; F_q has no zero divisors, so the top stays nonzero."""
+    if len(a) == 1:
+        return tuple(a[0] * y % q for y in b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(v % q for v in out)
+
+
+def _pdivmod(a: tuple, b: tuple, q: int) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by b != 0."""
+    db, inv = len(b) - 1, pow(b[-1], -1, q)
+    r, quo = list(a), [0] * max(len(a) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = r[k + db] * inv % q
+        for j, y in enumerate(b):
+            r[k + j] = (r[k + j] - c * y) % q
+    while len(r) > db or (r and not r[-1]):  # the cancelled top, then zeros
+        r.pop()
+    return tuple(quo), tuple(r)
+
+
 @functools.lru_cache(maxsize=1024)
 def _irreducible(f: tuple, q: int) -> bool:
-    """Whether the monic f over F_q (a tuple as in `fields._pmul`) of prime
+    """Whether the monic f over F_q (a tuple as in `_pmul`) of prime
     degree d is irreducible.  Rabin's test: exactly when gcd(f, X^q - X) = 1
     and X^(q^d) = X mod f.  Equal members of different families share f."""
     if not f[0]:  # X divides f; otherwise X and its powers are units mod f

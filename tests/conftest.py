@@ -19,7 +19,8 @@ from eqposet.oracle import _block, _solve_hom_system
 from eqposet.poset import P_LIMIT, P_RANGE, Violation, _is_prime, shown
 
 FIXTURES = resources.files("eqposet") / "fixtures"
-TABLES = Path(__file__).parent / "data" / "tables"
+DATA = Path(__file__).parent / "data"
+TABLES = DATA / "tables"
 
 ALL_FIXTURES = [
     "trivial", "star2", "star3", "chain2_strong", "twochain2",
@@ -29,6 +30,7 @@ ALL_FIXTURES = [
 FINITE_FIXTURES = ["trivial", "star2", "star3", "chain2_strong", "twochain2",
                    "twochain2_mixed", "chain3_ell2", "mixed3"]
 TABLE_NAMES = ["twopoint2", "twopoint3", "chain3", "reorient3", "wild3"]
+DEEP_P5 = ["deep_p5_n6", "deep_p5_n7", "deep_p5_n8a", "deep_p5_n8b"]  # p = 5 posets of 6-8 points
 
 
 SRC = Path(__file__).parents[1] / "src"
@@ -63,6 +65,11 @@ def fixture_path(name: str) -> str:
 
 def load_fixture(name: str):
     return load_poset(fixture_path(name))
+
+
+def load_fixture_or_deep(name: str):
+    """A fixture, or one of the `DEEP_P5` posets of tests/data."""
+    return load_fixture(name) if name in ALL_FIXTURES else load_poset(str(DATA / f"{name}.eqp"))
 
 
 def load_table(name: str) -> dict:
@@ -128,7 +135,7 @@ def enumerated_division(fam, x: str) -> bool:
     (b_a * b_k)."""
     lin, d, B = fam.tower.lin, fam.dim(x, x), fam.basis[(x, x)]
     coeffs = [(0,) * i + (1,) + tail for i in range(d)
-              for tail in itertools.product(range(lin.size), repeat=d - 1 - i)]
+              for tail in itertools.product(range(lin.q), repeat=d - 1 - i)]
     e_b = [lin.matmul(coeffs, [fam.compose(b, s) for b in B]) for s in B]
     return all(lin.rank(dict(enumerate(e_b[k][n])) for k in range(d)) == d
                for n in range(len(coeffs)))

@@ -1,5 +1,5 @@
-"""The driver over F_q against a plain per-pivot elimination on Python ints,
-over F_p(t) against a dense elimination, and its sparse rank against those
+"""The driver over F_q against a plain per-pivot elimination on Python ints
+and against a dense elimination, and its sparse rank against those
 references."""
 
 import random
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import run_python, src_imports
 from eqposet import ParameterError, Tower, default_tower
-from eqposet.fields import MAX_Q, RatFunc
+from eqposet.fields import MAX_Q
 from eqposet.linalg import ModQ
 from eqposet.poset import _is_prime
 
@@ -161,16 +161,10 @@ def test_g_mul_matches_naive_product(tower):
     t = tower()
     lin, p = t.lin, t.p
     rng = random.Random(p)
-    x, x1 = RatFunc((0, 1), (1,), p), RatFunc((1, 1), (1,), p)  # t and t + 1 in F_p(t)
 
     def entry():
-        """c t^k / (t + 1)^m over F_p(t), k < 3 and m < 2; over F_q, 0 or a residue."""
-        if lin.size is not None:
-            return rng.choice([0, rng.randrange(lin.size)])
-        e = lin.norm(rng.randrange(p))
-        for _ in range(rng.randrange(3)):
-            e = e * x
-        return e * lin.inv(x1) if rng.randrange(2) else e
+        """0 or a residue of F_q (F_p for an inseparable tower)."""
+        return rng.choice([0, rng.randrange(lin.q)])
 
     for _ in range(30):
         a, b = [entry() for _ in range(p)], [entry() for _ in range(p)]
@@ -218,17 +212,11 @@ def dense_generic_rref(lin, A):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_generic_rref_matches_dense_reference(data):
-    """Sparse matrices over F_3(t), with entries c t^k / (t + 1)^m."""
+    """Sparse matrices over F_3, the inseparable tower's field for p = 3."""
     lin = Tower(3, "inseparable").lin
-    t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
 
     def entry():
-        x = lin.norm(data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])))
-        for _ in range(data.draw(st.integers(0, 2))):
-            x = lin.norm(x * t)
-        for _ in range(data.draw(st.integers(0, 1))):
-            x = lin.norm(x * lin.inv(t1))
-        return x
+        return data.draw(st.sampled_from([0, 0, 0, 1, 1, 2]))
 
     def matrix():
         rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
@@ -285,21 +273,10 @@ def test_sparse_rank_matches_reference_mod_q(q, data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_sparse_rank_matches_reference_over_f3t(data):
-    """Entries c t^k / (t + 1)^m over F_3(t)."""
+def test_sparse_rank_matches_reference_over_f3(data):
+    """Residues of F_3, the inseparable tower's field for p = 3."""
     lin = Tower(3, "inseparable").lin
-    t, t1 = RatFunc((0, 1), (1,), 3), RatFunc((1, 1), (1,), 3)
-
-    def entry(c, k, m):
-        x = lin.norm(c)
-        for _ in range(k):
-            x = lin.norm(x * t)
-        for _ in range(m):
-            x = lin.norm(x * lin.inv(t1))
-        return x
-
-    entries = st.builds(entry, st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
-    rows = data.draw(fill_in_rows(entries, lin.zero))
+    rows = data.draw(fill_in_rows(st.integers(0, 2), lin.zero))
     # the rank norms its raw entries (products and sums of ints may leave
     # [0, 3)); the dense reference takes them normed
     assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(dense_generic_rref(lin, lin.mat(rows))[1])

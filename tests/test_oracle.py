@@ -11,25 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ALL_FIXTURES, assert_division_agrees, assert_picks_match_reference,
+from conftest import (ALL_FIXTURES, DEEP_P5, assert_division_agrees, assert_picks_match_reference,
                       assert_solver_matches_reference, cached_tower, enumerated_division,
-                      flatten, hom_systems, load_fixture, model, rank_hom_dim,
+                      flatten, hom_systems, load_fixture, load_fixture_or_deep, model, rank_hom_dim,
                       reference_a_ell_basis, reference_compose, reference_eps,
                       reference_member_gens, unflatten)
 from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower,
-                     augment, build_family, build_model, default_tower, load_poset,
+                     augment, build_family, build_model, default_tower,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      parse_poset, run_verification, verify_admissible, verify_dims)
-from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P, RatFunc, _pdivmod
+from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P
 from eqposet.linalg import ModQ
-from test_fields import assert_canonical
 
-DATA = Path(__file__).parent / "data"
-DEEP_P5 = ["deep_p5_n6", "deep_p5_n7", "deep_p5_n8a", "deep_p5_n8b"]
-
-
-def _fixture_or_deep(name: str):
-    return load_fixture(name) if name in ALL_FIXTURES else load_poset(str(DATA / f"{name}.eqp"))
 
 
 # ---------------------------------------------------------------- towers
@@ -155,13 +148,15 @@ def _entries(lin, A):
 @pytest.mark.parametrize("p, mode", [(2, "cyclic"), (3, "cyclic"), (5, "cyclic"),
                                      (2, "inseparable"), (3, "inseparable")])
 def test_driver_parity(p, mode):
-    """Both drivers take zero and one as the ints 0 and 1 and reduce ints by
-    `norm` in `mat`; operators flatten row-major and back, and the tower's
-    fixed operators are the same matrices under either driver."""
+    """Both towers run on `ModQ`, the inseparable one over F_p with c = 1 (the
+    F_p(t) tower at t = 1), which takes zero and one as the ints 0 and 1 and
+    reduces ints by `norm` in `mat`; operators flatten row-major and back, and
+    the tower's fixed operators are the expected matrices."""
     t = cached_tower(p, mode)
     lin = t.lin
     assert type(lin.zero) is int and lin.zero == 0 and type(lin.one) is int and lin.one == 1
     n = t.q if mode == "cyclic" else p
+    assert (type(lin), lin.q, t.mode) == (ModQ, n, mode) and (mode == "cyclic" or t.c == 1)
     row = lin.mat([[-1, n + 1, n]])[0]
     assert row == [n - 1, 1, 0] and all(type(x) is int for x in row)
     for m in t.a_ell_basis(p):
@@ -177,8 +172,8 @@ def test_driver_parity(p, mode):
 
 
 def test_inseparable_tower_arithmetic():
-    """xi^p = t, and theta is a derivation: delta(uv) = delta(u) v + u delta(v)
-    on every product of basis elements xi^i xi^j."""
+    """xi^p = c (t, at t = 1), and theta is a derivation: delta(uv) =
+    delta(u) v + u delta(v) on every product of basis elements xi^i xi^j."""
     for p in (2, 3, 5):
         t = default_tower(p, "inseparable")
         lin = t.lin
@@ -209,8 +204,7 @@ OPERATOR_TOWERS = [(p, mode) for p in (2, 3, 5, 7) for mode in ("cyclic", "insep
 def test_operator_basis_and_cuts_match_the_matmul_references(p, mode):
     """a_ell_basis(ell) equals the reference entry for entry and hands out new
     lists on every call; the cut of each of its operators is eps_y a eps_x
-    for every (x strong?, y strong?, ell); over F_p(t) every entry is
-    canonical."""
+    for every (x strong?, y strong?, ell); every entry is an int in [0, q)."""
     t = Tower(p, mode)
     for ell in range(1, p + 1):
         mats, again = t.a_ell_basis(ell), t.a_ell_basis(ell)
@@ -220,9 +214,8 @@ def test_operator_basis_and_cuts_match_the_matmul_references(p, mode):
         for sx, sy in itertools.product((False, True), repeat=2):
             gens = [t.cut(a, sx, sy) for a in mats]
             assert gens == reference_member_gens(t, sx, sy, ell), (ell, sx, sy)
-            if mode == "inseparable":
-                for x in itertools.chain(*gens, *itertools.chain(*mats)):
-                    assert_canonical(x, p)
+            for x in itertools.chain(*gens, *itertools.chain(*mats)):
+                assert type(x) is int and 0 <= x < t.lin.q
 
 
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
@@ -230,7 +223,7 @@ def test_operator_basis_and_cuts_match_the_matmul_references(p, mode):
 def test_flavor_r_members_and_units_are_the_reference_cuts(name, mode):
     """build_family's R_{x,y} is the rref of the reference rows of its key,
     and each unit is the flattened reference idempotent."""
-    P = _fixture_or_deep(name)
+    P = load_fixture_or_deep(name)
     t = cached_tower(P.p, mode)
     fam = build_family(t, P, "r")
     for x, above in fam.above.items():
@@ -244,21 +237,13 @@ def test_flavor_r_members_and_units_are_the_reference_cuts(name, mode):
 def test_flat_compose_matches_the_matmul_reference(p, mode, monkeypatch):
     """The flavor-r product of flattened operators equals the reference's on
     random operators with zero entries, through the same norm calls in the
-    same order; over F_p(t) its entries are canonical."""
+    same order; its entries are ints in [0, q)."""
     t = Tower(p, mode)
     lin, rng, fam = t.lin, random.Random(p), RFamily(t, None, Flavor.R)
-    x, x1 = RatFunc((0, 1), (1,), p), RatFunc((1, 1), (1,), p)  # t and t + 1 in F_p(t)
 
     def entry():
-        """0 half the time; else a residue over F_q, c t^k / (t + 1)^m over F_p(t)."""
-        if rng.randrange(2):
-            return lin.zero
-        if lin.size is not None:
-            return rng.randrange(lin.size)
-        e = rng.randrange(p)  # canonical already: the spy below sees no norm call for it
-        for _ in range(rng.randrange(3)):
-            e = e * x
-        return e * lin.inv(x1) if rng.randrange(2) else e
+        """0 half the time; else a residue of F_q (F_p for an inseparable tower)."""
+        return lin.zero if rng.randrange(2) else rng.randrange(lin.q)
 
     seen, norm = [], lin.norm
 
@@ -274,9 +259,7 @@ def test_flat_compose_matches_the_matmul_reference(p, mode, monkeypatch):
         assert got == reference_compose(t, u, v)
         assert seen == calls
         seen.clear()
-        if mode == "inseparable":
-            for e in got:
-                assert_canonical(e, p)
+        assert all(type(e) is int and 0 <= e < lin.q for e in got)
 
 
 # ---------------------------------------------------------------- families
@@ -368,7 +351,7 @@ def test_rabin_test_matches_trial_division(q, d):
     over F_2 and F_3 reaches f with no root that is still reducible."""
     factors = [g for k in range(1, d // 2 + 1) for g in _monic(q, k)]
     got = [f for f in _monic(q, d) if oracle._irreducible(f, q)]
-    assert got == [f for f in _monic(q, d) if all(_pdivmod(f, g, q)[1] for g in factors)]
+    assert got == [f for f in _monic(q, d) if all(oracle._pdivmod(f, g, q)[1] for g in factors)]
     assert len(got) == (q ** d - q) // d
 
 
@@ -601,9 +584,32 @@ def test_a3_reports_an_element_that_every_block_kills(mode, monkeypatch):
         "    dim Hom(e_s A, e_0 A) = 0, table says 1"])
 
 
+def test_a2_reports_a_member_that_is_not_graded(monkeypatch):
+    """star2 over the inseparable tower with R_w tampered to span(1, A), A =
+    [[0, 1], [1, 1]]: at t = 1 that is the field F_4, closed under products,
+    but A has support in degrees 0 and 1, so the basis test at t = 1 says
+    nothing about F_p(t).  A.2 reports the member, and nothing else fails."""
+    P, t, build = load_fixture("star2"), cached_tower(2, "inseparable"), oracle.build_family
+
+    def cut(*args):
+        fam = build(*args)
+        fam.replace("w", "w", [[1, 0, 0, 1], [0, 1, 1, 1]], [0, 1])
+        return fam
+    monkeypatch.setattr(oracle, "build_family", cut)
+    assert str(run_verification(build_model(P, Flavor.R), t)) == "\n".join([
+        "flavor r:",
+        "  member dimensions: ok",
+        "  admissibility: FAIL (structural division check)",
+        "    A.2: member R_(w,w) is not graded",
+        "  radicals: ok",
+        "  hom dimensions: ok"])
+    fam = cut(default_tower(2), P, "r")  # the cyclic tower asks no grading of it
+    assert not any("graded" in f for f in verify_admissible(fam).a2_failures)
+
+
 def test_basis_only_division_check_misses_zero_divisors():
     """Only a non-basis element shows the defect: the basis-only check, which
-    F_p(t) towers still use, passes the split tower's R_0 in flavor c."""
+    inseparable towers still use, passes the split tower's R_0 in flavor c."""
     fam = build_family(_split_tower(), load_fixture("star2"), "c")
     assert oracle._basis_divides(fam, "0")
     assert not enumerated_division(fam, "0")
@@ -946,7 +952,7 @@ def test_equal_members_share_one_realization_and_a_replaced_one_is_seen(name, fl
 def test_picks_match_the_closure_without_early_stop(name, flavor, mode):
     """A local closure that stops at the whole member picks what one that
     runs on picks, at every comparable pair."""
-    P = _fixture_or_deep(name)
+    P = load_fixture_or_deep(name)
     assert assert_picks_match_reference(build_family(cached_tower(P.p, mode), P, flavor))
 
 

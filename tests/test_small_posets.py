@@ -24,15 +24,6 @@ from eqposet import (EquippedPoset, Flavor, augment, build_family, build_model, 
 SIZES = [(p, n) for p in (2, 3) for n in (0, 1, 2, 3)] + [(5, 1)]
 
 
-def _reference_modes(p: int, n: int) -> list[str]:
-    """The towers the hom-system reference checks each poset over: the cyclic
-    and the inseparable one on every poset of the sweep but the 344 p = 3
-    posets of 3 points, which take the cyclic one alone.  The inseparable
-    one there takes about 8 s, more than tier-1 has room for; the oracle
-    itself runs over both towers on those posets too."""
-    return ["cyclic", "inseparable"] if (p, n) != (3, 3) else ["cyclic"]
-
-
 @pytest.mark.parametrize("p, n", SIZES)
 def test_every_small_poset_knits_pairs_and_passes_the_oracle(p, n):
     for P in enumerate_equipped(p, n):
@@ -54,11 +45,11 @@ def test_every_small_poset_knits_pairs_and_passes_the_oracle(p, n):
 
 @pytest.mark.parametrize("p, n", SIZES)
 def test_every_small_poset_solves_hom_systems_as_the_rank_reference(p, n):
-    """The merged hom systems equal the sparse rank of every row, over the
-    towers of `_reference_modes`."""
+    """The merged hom systems equal the sparse rank of every row, over both
+    towers."""
     for P in enumerate_equipped(p, n):
         A = augment(P)
-        for mode in _reference_modes(p, n):
+        for mode in ("cyclic", "inseparable"):
             for flavor in (Flavor.R, Flavor.C):
                 assert assert_solver_matches_reference(build_family(cached_tower(p, mode), A, flavor))
 
