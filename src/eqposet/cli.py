@@ -6,11 +6,10 @@ import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper of json.dumps
-from operator import attrgetter
 
 from .fields import Tower
 from .forms import _text, gram_matrix, quadratic
-from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, knit
+from .knitter import DEFAULT_MAX_SECTIONS, LABELS, ComponentGraph, KnitError, _kind, knit
 from .model import (Flavor, ModelError, build_model, injective_profiles,
                     is_hereditary, projective_cd, radical_info)
 from .oracle import OracleError, run_verification
@@ -36,29 +35,30 @@ class _Digits(dict):
         return s
 
 
-def _json_vec(v, digits: _Digits) -> str:
+def _json_vec(v: tuple[int, ...], digits: _Digits) -> str:
     """An integer vector as a JSON array of strings, laid out as a vertex
     field of emit_json."""
-    if not v.entries:
+    if not v:
         return "[]"
-    return '[\n        "' + '",\n        "'.join(map(digits.__getitem__, v.entries)) + '"\n      ]'
+    return '[\n        "' + '",\n        "'.join(map(digits.__getitem__, v)) + '"\n      ]'
 
 
 _JSON_VERTEX = ('{\n      "id": %s,\n      "section": %s,\n      "kind": %s,\n'
                 '      "label": %s,\n      "udimF": %s,\n      "udim": %s%s\n    }')
 _JSON_ARROW = '{\n      "src": %s,\n      "dst": %s,\n      "a": %s,\n      "b": %s\n    }'
-_by_id = attrgetter("id")
-_by_ends = attrgetter("src", "dst")
+_JSON_LABEL = tuple(_quote(lab.value) for lab in LABELS)
+_JSON_REGULAR = _quote(_kind(None, None))
 
 
 def emit_json(G: ComponentGraph) -> str:
     """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
     digits = _Digits()
-    vertices = [_JSON_VERTEX % (v.id, v.section, _quote(v.kind), _quote(v.label.value),
-                                _json_vec(v.udimF, digits), _json_vec(v.udim, digits),
-                                "" if v.cd is None else f',\n      "cd": {_json_vec(v.cd, digits)}')
-                for v in sorted(G.vertices, key=_by_id)]
-    arrows = [_JSON_ARROW % a for a in sorted(G.arrows, key=_by_ends)]
+    vertices = [_JSON_VERTEX % (i, s, _JSON_REGULAR if pp is None and ip is None else _quote(_kind(pp, ip)),
+                                _JSON_LABEL[lab], _json_vec(f, digits), _json_vec(u, digits),
+                                "" if c is None else f',\n      "cd": {_json_vec(c, digits)}')
+                for i, (s, lab, f, u, c, pp, ip) in enumerate(zip(
+                    G.section_of, G.labels, G.udimF, G.udim, G.cd, G.proj_point, G.inj_point))]
+    arrows = [_JSON_ARROW % a for a in G.arrows]
     sections = [_json_list(list(map(str, s)), " " * 6) for s in G.sections]
     return (f'{{\n  "flavor": {_quote(G.flavor)},\n  "status": {_quote(G.status)},\n'
             f'  "sections": {_json_list(sections, "    ")},\n'
@@ -66,13 +66,16 @@ def emit_json(G: ComponentGraph) -> str:
             f'  "arrows": {_json_list(arrows, "    ")}\n}}\n')
 
 
+_DOT_LETTER = tuple(lab.letter for lab in LABELS)
+
+
 def emit_dot(G: ComponentGraph) -> str:
     digits = _Digits()
     lines = ["digraph component {", "  rankdir=LR;", "  node [shape=box];"]
     lines += ["  { rank=same; " + " ".join([f"v{i};" for i in sec]) + " }" for sec in G.sections]
-    lines += [f'  v{v.id} [label="{v.id}: (' + ", ".join(map(digits.__getitem__, v.udimF.entries))
-              + f') {v.label.letter}"];' for v in sorted(G.vertices, key=_by_id)]
-    lines += ['  v%s -> v%s [label="(%s,%s)"];' % a for a in sorted(G.arrows, key=_by_ends)]
+    lines += [f'  v{i} [label="{i}: (' + ", ".join(map(digits.__getitem__, f)) + f') {_DOT_LETTER[lab]}"];'
+              for i, (f, lab) in enumerate(zip(G.udimF, G.labels))]
+    lines += ['  v%s -> v%s [label="(%s,%s)"];' % a for a in G.arrows]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -28,6 +28,12 @@ def _text(n: int) -> str:
         return str(Decimal(n))
 
 
+def _vec_text(entries) -> str:
+    """An integer vector as "(a, b, ...)": "(a)" at one entry, where a tuple
+    would print "(a,)"."""
+    return "(" + ", ".join(map(_text, entries)) + ")"
+
+
 @dataclass(frozen=True)
 class RatVec:
     """A vector of Python ints."""
@@ -75,7 +81,7 @@ class RatVec:
         return RatVec(tuple(-a for a in self.entries))
 
     def __str__(self) -> str:
-        return "(" + ", ".join(map(_text, self.entries)) + ")"
+        return _vec_text(self.entries)
 
 
 def gram_matrix(model) -> tuple[tuple[int, ...], ...]:

@@ -7,25 +7,28 @@ power of an already-placed projective; later sections alternate mesh
 completion (in id order) with attachment of projectives whose radical
 summand just appeared.
 
-While it knits, the knitter keeps what the mesh reads in lists indexed by
-vertex id: each vertex's udimF entries, its label and the (dst, b) pair of
-each arrow out of it.  The mesh at X is then -udimF(X) plus b * udimF(dst)
-over those pairs, summed entrywise.  One dict maps each vertex identity to
-its id; before a vertex takes an identity, the dict maps the identity of an
-injective profile to its point, so one lookup both finds a collision and
-names an injective vertex.  The returned `ComponentGraph` holds the
-`ArVertex` and `ArArrow` records built along the way, and nothing else
-indexes them.
+The component is kept as lists indexed by vertex id: each vertex's
+section, label code, udimF and udim entries, coordinate vector, projective
+point and injective point, the same lists the mesh reads while knitting.  The
+mesh at X is -udimF(X) plus b * udimF(dst) over the arrows out of X, summed
+entrywise; each vertex's out-list is in dst order, since every arrow ends at
+a new vertex, so the arrows joined in source order come in (src, dst) order.
+One dict maps each vertex identity to its id; before a vertex takes an
+identity, the dict maps the identity of an injective profile to its point,
+so one lookup both finds a collision and names an injective vertex.
+`ComponentGraph.vertices` builds `ArVertex` records from the lists on each
+read; the knitter and the emitters never build one, and the pairing only
+to print kinds that differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, floordiv, mod, mul, neg
 from typing import NamedTuple
 
-from .forms import RatVec
+from .forms import RatVec, _vec_text
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
 from .poset import ParameterError
 
@@ -37,6 +40,16 @@ TRUNCATED = "TruncatedAtMaxSections"
 
 class KnitError(RuntimeError):
     pass
+
+
+def _kind(proj_point: str | None, inj_point: str | None) -> str:
+    if proj_point is not None and inj_point is not None:
+        return f"ProjectiveInjective({proj_point},{inj_point})"
+    if proj_point is not None:
+        return f"Projective({proj_point})"
+    if inj_point is not None:
+        return f"Injective({inj_point})"
+    return "Regular"
 
 
 @dataclass(slots=True)
@@ -52,13 +65,7 @@ class ArVertex:
 
     @property
     def kind(self) -> str:
-        if self.proj_point is not None and self.inj_point is not None:
-            return f"ProjectiveInjective({self.proj_point},{self.inj_point})"
-        if self.proj_point is not None:
-            return f"Projective({self.proj_point})"
-        if self.inj_point is not None:
-            return f"Injective({self.inj_point})"
-        return "Regular"
+        return _kind(self.proj_point, self.inj_point)
 
 
 class ArArrow(NamedTuple):
@@ -70,14 +77,37 @@ class ArArrow(NamedTuple):
     b: int
 
 
+# a vertex's label code: its index here
+LABELS = (Label.STRONG, Label.WEAK)
+
+
 @dataclass
 class ComponentGraph:
+    """A knitted component.  The data of vertex i is entry i of each
+    per-vertex list, ids in creation order; `arrows` come in (src, dst)
+    order."""
+
     flavor: str
     status: str
-    vertices: list[ArVertex] = field(default_factory=list)
+    section_of: list[int] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)   # codes into LABELS
+    udimF: list[tuple[int, ...]] = field(default_factory=list)
+    udim: list[tuple[int, ...]] = field(default_factory=list)
+    cd: list[tuple[int, ...] | None] = field(default_factory=list)
+    proj_point: list[str | None] = field(default_factory=list)
+    inj_point: list[str | None] = field(default_factory=list)
     arrows: list[ArArrow] = field(default_factory=list)
     sections: list[list[int]] = field(default_factory=list)
     tau_inv: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def vertices(self) -> list[ArVertex]:
+        """The vertices as records, built anew on each read: a change to a
+        record does not reach the graph."""
+        return [ArVertex(i, s, LABELS[lab], RatVec(f), RatVec(u), None if c is None else RatVec(c), pp, ip)
+                for i, (s, lab, f, u, c, pp, ip) in enumerate(zip(
+                    self.section_of, self.labels, self.udimF, self.udim, self.cd,
+                    self.proj_point, self.inj_point))]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
         """The arrows out of `vid`, in the order of `arrows`."""
@@ -91,57 +121,56 @@ def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
     return a, b
 
 
-# a vertex's label in the knitter's lists: its index here
-_LABELS = (Label.STRONG, Label.WEAK)
-
-
 def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> ComponentGraph:
     if max_sections < 1:
         raise ParameterError("max_sections must be >= 1")
     P = M.poset
-    code = {lab: c for c, lab in enumerate(_LABELS)}
+    code = {lab: c for c, lab in enumerate(LABELS)}
     # identity (udimF entries, label code) -> vertex id, or the point of an
     # injective profile while no vertex has that identity
     ident: dict[tuple[tuple[int, ...], int], int | str] = {
         (pr.udimF.entries, code[pr.label]): x for x, pr in injective_profiles(M).items()}
     homdiag = tuple(M.hom[i][i] for i in range(P.n))
     max_idx = P.index[P.max]
-    valuation = [[_valuation(M, s, d) for d in _LABELS] for s in _LABELS]
+    valuation = [[_valuation(M, s, d) for d in LABELS] for s in LABELS]
     new_arrow = tuple.__new__   # ArArrow's own __new__ is a Python call per arrow
 
     G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
-    vertices, arrows, sections, tau_inv = G.vertices, G.arrows, G.sections, G.tau_inv
-    ents: list[tuple[int, ...]] = []        # udimF entries, by vertex id
-    labs: list[int] = []                    # label codes
-    outs: list[list[tuple[int, int]]] = []  # (dst, b) of each arrow out
-    injs: list[str | None] = []             # injective points
+    sections, tau_inv = G.sections, G.tau_inv
+    section_of, labs, ents, udims, cds, projs, injs = (
+        G.section_of, G.labels, G.udimF, G.udim, G.cd, G.proj_point, G.inj_point)
+    outs: list[list[ArArrow]] = []   # the arrows out of each vertex
 
     def add_vertex(section: int, lab: int, ent: tuple[int, ...],
-                   cd: RatVec | None = None, proj_point: str | None = None) -> int:
+                   cd: tuple[int, ...] | None = None, proj_point: str | None = None) -> int:
         # local dimensions are positive, so a quotient is negative exactly
         # where its entry is
         if min(ent) < 0:
-            raise KnitError(f"mesh produced a bad dimension vector {RatVec(ent)}")
+            raise KnitError(f"mesh produced a bad dimension vector {_vec_text(ent)}")
         if ent[max_idx] < 1:
-            raise KnitError(f"dimension vector {RatVec(ent)} misses the socle")
-        if any(map(mod, ent, homdiag)):
-            raise KnitError(f"dimension vector {RatVec(ent)} is not divisible by the local dimensions")
-        vid = len(vertices)
+            raise KnitError(f"dimension vector {_vec_text(ent)} misses the socle")
+        # a mesh vector is an integer combination of placed vectors, so only
+        # a projective's can fail this
+        if proj_point is not None and any(map(mod, ent, homdiag)):
+            raise KnitError(f"dimension vector {_vec_text(ent)} is not divisible by the local dimensions")
+        vid = len(ents)
         key = (ent, lab)
         inj = ident.setdefault(key, vid)
         if inj != vid:
             if type(inj) is int:
-                raise KnitError(f"vertex identity collision at {RatVec(ent)} {_LABELS[lab].value}")
+                raise KnitError(f"vertex identity collision at {_vec_text(ent)} {LABELS[lab].value}")
             ident[key] = vid
         else:
             inj = None
-        vertices.append(ArVertex(vid, section, _LABELS[lab], RatVec(ent),
-                                 RatVec(tuple(map(floordiv, ent, homdiag))), cd, proj_point, inj))
         sections[section].append(vid)
-        ents.append(ent)
+        section_of.append(section)
         labs.append(lab)
-        outs.append([])
+        ents.append(ent)
+        udims.append(tuple(map(floordiv, ent, homdiag)))
+        cds.append(cd)
+        projs.append(proj_point)
         injs.append(inj)
+        outs.append([])
         return vid
 
     placed: set[str] = {P.max}
@@ -159,37 +188,33 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 if j in placed:
                     continue
                 z = ident.get(rad_keys[j])
-                if type(z) is not int:   # no vertex, or only an injective profile
-                    continue
-                Z = vertices[z]
-                if Z.section != section:
+                if type(z) is not int or section_of[z] != section:   # no vertex there yet
                     continue
                 info = radicals[j]
-                if Z.proj_point is not None and info.is_projective != Z.proj_point:
+                if projs[z] is not None and info.is_projective != projs[z]:
                     raise KnitError(
-                        f"radical of {j} matches projective {Z.proj_point} by dimensions "
+                        f"radical of {j} matches projective {projs[z]} by dimensions "
                         f"but not by equipment")
                 lab = code[Label.STRONG if j in P.strong else Label.WEAK]
                 pj = add_vertex(section, lab, projective_udimF(M, j).entries,
-                                cd=projective_cd(M, j), proj_point=j)
+                                cd=projective_cd(M, j).entries, proj_point=j)
                 a, b = valuation[labs[z]][lab]
-                arrows.append(new_arrow(ArArrow, (z, pj, a, b)))
-                outs[z].append((pj, b))
+                outs[z].append(new_arrow(ArArrow, (z, pj, a, b)))
                 if a != info.multiplicity:
                     raise KnitError(
                         f"arrow valuation {a} disagrees with radical multiplicity "
                         f"{info.multiplicity} at {j}")
-                if Z.cd is None:
-                    Z.cd = info.cd
-                elif Z.cd != info.cd:
-                    raise KnitError(f"coordinate vector mismatch at vertex {Z.id}: "
-                                    f"{Z.cd} vs {info.cd}")
+                if cds[z] is None:
+                    cds[z] = info.cd.entries
+                elif cds[z] != info.cd.entries:
+                    raise KnitError(f"coordinate vector mismatch at vertex {z}: "
+                                    f"{_vec_text(cds[z])} vs {info.cd}")
                 placed.add(j)
                 changed = True
 
     sections.append([])
     add_vertex(0, 0, projective_udimF(M, P.max).entries,
-               cd=projective_cd(M, P.max), proj_point=P.max)
+               cd=projective_cd(M, P.max).entries, proj_point=P.max)
     attach_projectives(0)
 
     cur = 0
@@ -206,7 +231,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             out = outs[x]
             # mesh: each middle term counts with its arrow's second valuation
             acc = map(neg, ents[x])
-            for d, b in out:
+            for _, d, _, b in out:
                 e = ents[d]
                 acc = map(add, acc, e if b == 1 else map(mul, e, repeat(b)))
             lab = labs[x]
@@ -215,10 +240,10 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             except KnitError as e:
                 raise KnitError(f"mesh at vertex {x} failed: {e}") from None
             tau_inv[x] = y
-            for d, _ in out:
+            for _, d, _, _ in out:
                 a, b = valuation[labs[d]][lab]
-                arrows.append(new_arrow(ArArrow, (d, y, a, b)))
-                outs[d].append((y, b))
+                outs[d].append(new_arrow(ArArrow, (d, y, a, b)))
         attach_projectives(cur + 1)
         cur += 1
+    G.arrows.extend(chain.from_iterable(outs))
     return G

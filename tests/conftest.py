@@ -262,9 +262,10 @@ def check_component_invariants(M, G, where) -> None:
     tau-orbit labels, mesh conservation, the q-label law, divisibility and
     unique vertex identity."""
     p = M.poset.p
-    n = len(G.vertices)
+    V = G.vertices   # built on each read
+    n = len(V)
     # acyclicity and id sanity
-    assert [v.id for v in G.vertices] == list(range(n))
+    assert [v.id for v in V] == list(range(n))
     for a in G.arrows:
         assert 0 <= a.src < a.dst < n
     # sections are disjoint and cover everything
@@ -272,26 +273,26 @@ def check_component_invariants(M, G, where) -> None:
     assert sorted(flat) == list(range(n))
     # tau-orbit label constancy
     for x, y in G.tau_inv.items():
-        assert G.vertices[x].label == G.vertices[y].label
+        assert V[x].label == V[y].label
     # mesh conservation, recomputed from arrows alone
     for x, y in G.tau_inv.items():
-        total = sum((a.a * G.vertices[a.src].udimF for a in G.arrows if a.dst == y),
+        total = sum((a.a * V[a.src].udimF for a in G.arrows if a.dst == y),
                     RatVec.zeros(M.poset.n))
-        assert total == G.vertices[x].udimF + G.vertices[y].udimF, (where, x)
+        assert total == V[x].udimF + V[y].udimF, (where, x)
     # q-label law at cd-bearing vertices
-    for v in G.vertices:
+    for v in V:
         if v.cd is not None:
             q = quadratic(M, v.cd)
             assert q in (1, p)
             assert q == M.kdim(v.label), (where, v.id)
     # divisibility of udimF and the udim law
-    for v in G.vertices:
+    for v in V:
         k = M.kdim(v.label)
         assert all(e % k == 0 for e in v.udimF.entries)
         for j, pt in enumerate(M.poset.points):
             assert v.udim[j] * M.hom_dim(pt, pt) == v.udimF[j]
     # vertex identity is unique
-    keys = {(v.udimF, v.label) for v in G.vertices}
+    keys = {(v.udimF, v.label) for v in V}
     assert len(keys) == n
 
 

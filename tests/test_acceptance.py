@@ -137,7 +137,7 @@ def test_criterion_5_component_bijection():
     assert [(a.a, a.b) for a in Gr.arrows] == [(2, 1), (1, 2)]
     assert [(a.a, a.b) for a in Gc.arrows] == [(1, 2), (2, 1)]
     # negative control: a corrupted component must be rejected
-    Gc.vertices[1].udimF = RatVec.of(9, 9, 9)
+    Gc.udimF[1] = (9, 9, 9)
     bad = pair_components(Gr, Gc, model("star2", "r"), model("star2", "c"))
     assert not bad.ok
     print(f"criterion 5: PASS — bijection (kinds, labels, both dimension laws, "

@@ -6,9 +6,12 @@ data/deep_digests.json.
 """
 
 import contextlib
+import functools
 import hashlib
+import importlib.util
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -16,11 +19,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIXTURES, fixture_path, model, run_python
-from eqposet import (EquippedPoset, Flavor, RatVec, augment, build_model, cli, knit,
-                     min_equipment_closure, validate)
+from conftest import ALL_FIXTURES, SRC, fixture_path, load_fixture, model, run_python
+from eqposet import (EquippedPoset, Flavor, augment, build_model, cli, knit,
+                     min_equipment_closure, parse_poset, validate)
 from eqposet.cli import build_parser, emit_dot, emit_json, main
-from eqposet.knitter import ArVertex, ComponentGraph
+from eqposet.knitter import LABELS, ComponentGraph
 from eqposet.model import Label
 
 BAD_POSET = """\
@@ -108,13 +111,37 @@ def test_knit_json_matches_library(capsys):
     assert got["vertices"][0]["udimF"] == ["0", "0", "1"]
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+# one name per (p, inner points) stratum of perfbench's knit workload
+GENERATED = [f"p{p}-n{n}" for p in (2, 3, 5) for n in range(2, 9)]
+
+
+@functools.cache
+def _gen():
+    """perfbench/gen.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", SRC.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def generated_poset(name: str) -> EquippedPoset:
+    """The first random poset of the stratum `name`, drawn from a seed fixed by the name."""
+    p, n = (int(t[1:]) for t in name.split("-"))
+    return parse_poset(_gen().random_poset(random.Random(name), p, n, 0))
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + GENERATED)
 def test_emit_json_matches_json_dumps(name):
     """emit_json writes the bytes of json.dumps(..., indent=2) at every depth,
-    truncated or finite."""
+    truncated or finite, on the fixtures and on a generated poset of each
+    stratum of the knit workload."""
+    if name in GENERATED:
+        P, depths = generated_poset(name), (12, 200)
+    else:
+        P, depths = load_fixture(name), (1, 2, 12, 200)
     for fl in ("r", "c"):
-        M = model(name, fl)
-        for depth in (1, 2, 12, 200):
+        M = build_model(P, fl)
+        for depth in depths:
             G = knit(M, max_sections=depth)
             assert emit_json(G) == reference_json(G), (fl, depth)
 
@@ -178,8 +205,9 @@ HUGE = "1" + "0" * 4400  # 10**4400, past Python's default of 4300 digits for in
 
 
 def _huge_component() -> ComponentGraph:
-    v = ArVertex(0, 0, Label.WEAK, RatVec.of(10 ** 4400, 1), RatVec.of(1, 10 ** 4400))
-    return ComponentGraph("r", "Finite", vertices=[v], sections=[[0]])
+    return ComponentGraph("r", "Finite", section_of=[0], labels=[LABELS.index(Label.WEAK)],
+                          udimF=[(10 ** 4400, 1)], udim=[(1, 10 ** 4400)], cd=[None],
+                          proj_point=[None], inj_point=[None], sections=[[0]])
 
 
 def _check_huge(fmt: str, out: str) -> None:

@@ -1,14 +1,17 @@
 """Knitted components: golden graphs, truncation, grid reproduction."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from conftest import ALL_FIXTURES, load_table, model
+from conftest import ALL_FIXTURES, load_fixture, load_table, model
 from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model,
                      default_tower, gram_matrix, injective_profiles, knit, knitter,
                      pair_components, parse_poset, projective_cd, projective_udimF,
                      radical_info, run_verification)
+from eqposet.cli import emit_dot, emit_json
+from eqposet.knitter import ArVertex
 
 
 def snap(G):
@@ -212,6 +215,42 @@ def test_truncation_prefix_property():
             assert a in big.arrows
 
 
+def test_knit_emit_and_pair_build_no_record_per_vertex(monkeypatch):
+    """knit, both emitters and the pairing read the per-vertex lists: on
+    wide2 they construct no more RatVec or ArVertex objects at 200 sections
+    (800 vertices a flavor) than at 12."""
+    built = Counter()
+    for cls in (RatVec, ArVertex):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def run(sections):
+        built.clear()
+        Mr, Mc = (build_model(load_fixture("wide2"), fl) for fl in ("r", "c"))
+        Gr, Gc = knit(Mr, sections), knit(Mc, sections)
+        for G in (Gr, Gc):
+            emit_json(G), emit_dot(G)
+        assert pair_components(Gr, Gc, Mr, Mc).ok
+        return sum(map(len, Gr.sections)), built["RatVec"], built["ArVertex"]
+
+    (few, ratvecs, records), (many, ratvecs_deep, records_deep) = run(12), run(200)
+    assert (few, many) == (48, 800)
+    assert ratvecs_deep <= ratvecs and records_deep <= records == 0
+
+
+def test_vertices_are_records_built_on_each_read():
+    G = knit(model("star2", "r"))
+    V = G.vertices
+    assert [(v.id, v.kind, v.label, v.udimF, v.udim, v.cd) for v in V] == [
+        (0, "Projective(m)", Label.STRONG, RatVec.of(0, 0, 1), RatVec.of(0, 0, 1), RatVec.of(1, 0, 1)),
+        (1, "ProjectiveInjective(w,w)", Label.WEAK, RatVec.of(0, 2, 2), RatVec.of(0, 1, 2), RatVec.of(2, 1, 0)),
+        (2, "Injective(0)", Label.STRONG, RatVec.of(0, 2, 1), RatVec.of(0, 1, 1), None)]
+    V[1].udimF = RatVec.of(9, 9, 9)
+    assert G.udimF[1] == (0, 2, 2) and G.vertices[1].udimF == RatVec.of(0, 2, 2)
+
+
 def test_finite_component_ignores_max_sections():
     M = model("star2", "r")
     assert knit(M, max_sections=50).status == FINITE
@@ -231,9 +270,10 @@ def test_chain3_ell1_reproduces_published_grids():
     for fl, col in (("r", "r"), ("c", "c")):
         G = knit(model("chain3_ell1", fl), max_sections=4)
         got = []
+        V = G.vertices
         for sec in G.sections:
             for i in sec:
-                v = G.vertices[i]
+                v = V[i]
                 got.append((list(v.udimF.entries[1:]), v.label.value))
         want = [(pair[col], pair["label"]) for pair in table["pairs"]]
         assert got == want
@@ -251,9 +291,10 @@ def test_ids_and_sections_are_well_formed():
             assert sorted(flat) == list(range(len(ids)))
             for a in G.arrows:
                 assert a.src < a.dst
+            V = G.vertices
             for k, sec in enumerate(G.sections):
                 for i in sec:
-                    assert G.vertices[i].section == k
+                    assert V[i].section == k
 
 
 def test_knit_is_deterministic():
@@ -265,7 +306,7 @@ def test_tau_inverse_preserves_labels():
     for name in ALL_FIXTURES:
         G = knit(model(name, "r"))
         for src, dst in G.tau_inv.items():
-            assert G.vertices[src].label == G.vertices[dst].label
+            assert G.labels[src] == G.labels[dst]
 
 
 def all_ints(vec) -> bool:

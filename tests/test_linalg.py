@@ -1,6 +1,5 @@
-"""The driver over F_q against a plain per-pivot elimination on Python ints
-and against a dense elimination, and its sparse rank against those
-references."""
+"""The driver over F_q, and its sparse rank, against a plain per-pivot
+elimination on Python ints."""
 
 import random
 
@@ -187,28 +186,6 @@ def test_omega_matches_the_scan(p):
         assert Tower(p, "cyclic", q, c).omega == scan, q
 
 
-def dense_generic_rref(lin, A):
-    """Gauss-Jordan elimination over whole rows, as the generic driver did
-    before it touched only the nonzero columns of each pivot row."""
-    A = [list(row) for row in A]
-    cols = len(A[0]) if A else 0
-    piv, r = [], 0
-    for c in range(cols):
-        sel = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = lin.inv(A[r][c])
-        A[r] = [lin.norm(x * inv) for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [lin.norm(x - f * y) for x, y in zip(A[i], A[r])]
-        piv.append(c)
-        r += 1
-    return A[:r], piv
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_generic_rref_matches_dense_reference(data):
@@ -223,7 +200,7 @@ def test_generic_rref_matches_dense_reference(data):
         return [[entry() for _ in range(cols)] for _ in range(rows)]
 
     A = matrix()
-    assert lin.rref(A) == dense_generic_rref(lin, A)
+    assert lin.rref(A) == reference_rref(A, 3)
 
 
 @st.composite
@@ -278,8 +255,8 @@ def test_sparse_rank_matches_reference_over_f3(data):
     lin = Tower(3, "inseparable").lin
     rows = data.draw(fill_in_rows(st.integers(0, 2), lin.zero))
     # the rank norms its raw entries (products and sums of ints may leave
-    # [0, 3)); the dense reference takes them normed
-    assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(dense_generic_rref(lin, lin.mat(rows))[1])
+    # [0, 3)), as the reference does
+    assert lin.rank(as_dicts(data.draw, rows, lin.zero)) == len(reference_rref(rows, 3)[1])
 
 
 def test_no_module_imports_numpy():

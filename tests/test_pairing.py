@@ -4,8 +4,7 @@ import pytest
 
 from conftest import ALL_FIXTURES, TABLE_NAMES, load_table, model, table_mismatches
 from eqposet import TRUNCATED, knit, pair_components
-from eqposet.forms import RatVec
-from eqposet.knitter import ArArrow
+from eqposet.knitter import LABELS, ArArrow
 from eqposet.model import Label
 
 
@@ -31,7 +30,7 @@ def test_pairing_holds_on_every_fixture():
 
 def test_pairing_detects_dimension_tampering():
     Gr, Gc, Mr, Mc = pair("star2")
-    Gc.vertices[1].udimF = RatVec.of(0, 1, 3)
+    Gc.udimF[1] = (0, 1, 3)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("udimF law fails" in m for pc in report.pairs for m in pc.problems)
@@ -42,9 +41,9 @@ def test_pairing_reports_non_integral_image():
     """At a Weak pair, p = 2 and loc_c(w) = 1, so the udimF law at the weak point w
     reads 2*c = r: an odd r has no integer c."""
     Gr, Gc, Mr, Mc = pair("star2")
-    assert Gr.vertices[1].label is Label.WEAK and Gc.vertices[1].udimF == RatVec.of(0, 1, 2)
+    assert LABELS[Gr.labels[1]] is Label.WEAK and Gc.udimF[1] == (0, 1, 2)
     assert pair_components(Gr, Gc, Mr, Mc).ok
-    Gr.vertices[1].udimF = RatVec.of(0, 3, 2)
+    Gr.udimF[1] = (0, 3, 2)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
         (1, ["udimF law fails at w: 2*1 (c) != 1*3 (r)"])]
@@ -52,7 +51,7 @@ def test_pairing_reports_non_integral_image():
 
 def test_pairing_reports_entries_past_the_int_digit_limit(default_digit_limit):
     Gr, Gc, Mr, Mc = pair("star2")
-    Gc.vertices[1].udimF = RatVec.of(0, 10 ** 4400, 2)
+    Gc.udimF[1] = (0, 10 ** 4400, 2)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
         (1, [f"udimF law fails at w: 2*1{'0' * 4400} (c) != 1*2 (r)"])]
@@ -70,7 +69,7 @@ def test_pairing_refuses_swapped_models():
 
 def test_pairing_detects_label_tampering():
     Gr, Gc, Mr, Mc = pair("star3")
-    Gc.vertices[2].label = Label.WEAK
+    Gc.labels[2] = LABELS.index(Label.WEAK)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("labels differ" in m for pc in report.pairs for m in pc.problems)
@@ -118,7 +117,7 @@ def _ok_pairs(*ids):
      "component mismatch: section 1 ids differ: [3, 4, 5] vs [5, 4, 3]\n"),
     ("star2", 12, lambda G: G.tau_inv.update({0: 1}),
      "component mismatch: tau^-1 differs at [0]\n" + _ok_pairs(0, 1, 2)),
-    ("star2", 12, lambda G: setattr(G.vertices[0], "inj_point", "m"),
+    ("star2", 12, lambda G: G.inj_point.__setitem__(0, "m"),
      "pair r#0 <-> c#0: FAIL\n    kinds differ: Projective(m) vs ProjectiveInjective(m,m)\n"
      + _ok_pairs(1, 2)),
     ("star2", 12, lambda G: G.arrows.pop(1),
@@ -126,13 +125,16 @@ def _ok_pairs(*ids):
      + _ok_pairs(2)),
     ("star2", 12, lambda G: G.arrows.append(ArArrow(2, 0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    extra flavor-c arrow 2->0\n"),
-    ("star2", 12, lambda G: setattr(G.vertices[2], "udim", RatVec.of(0, 1, 1)),
+    ("star2", 12, lambda G: G.udim.__setitem__(2, (0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    udim law fails at w: 1*1 (c) != 2*1 (r)\n"),
-    ("star2", 12, lambda G: setattr(G.vertices[0], "udimF", RatVec.of(0, 2)),
+    ("star2", 12, lambda G: G.udimF.__setitem__(0, (0, 2)),
      "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (0, 2), not both of length 3\n"
      + _ok_pairs(1, 2)),
+    ("star2", 12, lambda G: G.udimF.__setitem__(0, (2,)),
+     "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (2), not both of length 3\n"
+     + _ok_pairs(1, 2)),
 ], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "udim",
-        "udimF_length"])
+        "udimF_length", "udimF_one_entry"])
 def test_pairing_reports_each_id_mismatch(name, max_sections, tamper, text):
     """Each check of the id-for-id pairing, failed once on a tampered flavor-c
     graph, with its full report."""
