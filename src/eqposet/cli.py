@@ -9,8 +9,8 @@ from json.encoder import encode_basestring_ascii as _quote  # the C escaper of j
 
 from .fields import Tower
 from .forms import _text, gram_matrix, quadratic
-from .knitter import DEFAULT_MAX_SECTIONS, LABELS, ComponentGraph, KnitError, _kind, knit
-from .model import (Flavor, ModelError, build_model, injective_profiles,
+from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, _kind, knit
+from .model import (Flavor, Label, ModelError, build_model, injective_profiles,
                     is_hereditary, projective_cd, radical_info)
 from .oracle import OracleError, run_verification
 from .pairing import pair_components
@@ -46,7 +46,7 @@ def _json_vec(v: tuple[int, ...], digits: _Digits) -> str:
 _JSON_VERTEX = ('{\n      "id": %s,\n      "section": %s,\n      "kind": %s,\n'
                 '      "label": %s,\n      "udimF": %s,\n      "udim": %s%s\n    }')
 _JSON_ARROW = '{\n      "src": %s,\n      "dst": %s,\n      "a": %s,\n      "b": %s\n    }'
-_JSON_LABEL = tuple(_quote(lab.value) for lab in LABELS)
+_JSON_LABEL = {lab: _quote(lab.value) for lab in Label}
 _JSON_REGULAR = _quote(_kind(None, None))
 
 
@@ -66,7 +66,7 @@ def emit_json(G: ComponentGraph) -> str:
             f'  "arrows": {_json_list(arrows, "    ")}\n}}\n')
 
 
-_DOT_LETTER = tuple(lab.letter for lab in LABELS)
+_DOT_LETTER = {lab: lab.letter for lab in Label}
 
 
 def emit_dot(G: ComponentGraph) -> str:

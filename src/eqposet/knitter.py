@@ -8,7 +8,7 @@ completion (in id order) with attachment of projectives whose radical
 summand just appeared.
 
 The component is kept as lists indexed by vertex id: each vertex's
-section, label code, udimF and udim entries, coordinate vector, projective
+section, label, udimF and udim entries, coordinate vector, projective
 point and injective point, the same lists the mesh reads while knitting.  The
 mesh at X is -udimF(X) plus b * udimF(dst) over the arrows out of X, summed
 entrywise; each vertex's out-list is in dst order, since every arrow ends at
@@ -77,10 +77,6 @@ class ArArrow(NamedTuple):
     b: int
 
 
-# a vertex's label code: its index here
-LABELS = (Label.STRONG, Label.WEAK)
-
-
 @dataclass
 class ComponentGraph:
     """A knitted component.  The data of vertex i is entry i of each
@@ -90,7 +86,7 @@ class ComponentGraph:
     flavor: str
     status: str
     section_of: list[int] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)   # codes into LABELS
+    labels: list[Label] = field(default_factory=list)
     udimF: list[tuple[int, ...]] = field(default_factory=list)
     udim: list[tuple[int, ...]] = field(default_factory=list)
     cd: list[tuple[int, ...] | None] = field(default_factory=list)
@@ -104,7 +100,7 @@ class ComponentGraph:
     def vertices(self) -> list[ArVertex]:
         """The vertices as records, built anew on each read: a change to a
         record does not reach the graph."""
-        return [ArVertex(i, s, LABELS[lab], RatVec(f), RatVec(u), None if c is None else RatVec(c), pp, ip)
+        return [ArVertex(i, s, lab, RatVec(f), RatVec(u), None if c is None else RatVec(c), pp, ip)
                 for i, (s, lab, f, u, c, pp, ip) in enumerate(zip(
                     self.section_of, self.labels, self.udimF, self.udim, self.cd,
                     self.proj_point, self.inj_point))]
@@ -125,14 +121,13 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     if max_sections < 1:
         raise ParameterError("max_sections must be >= 1")
     P = M.poset
-    code = {lab: c for c, lab in enumerate(LABELS)}
-    # identity (udimF entries, label code) -> vertex id, or the point of an
+    # identity (udimF entries, label) -> vertex id, or the point of an
     # injective profile while no vertex has that identity
-    ident: dict[tuple[tuple[int, ...], int], int | str] = {
-        (pr.udimF.entries, code[pr.label]): x for x, pr in injective_profiles(M).items()}
+    ident: dict[tuple[tuple[int, ...], Label], int | str] = {
+        (pr.udimF.entries, pr.label): x for x, pr in injective_profiles(M).items()}
     homdiag = tuple(M.hom[i][i] for i in range(P.n))
     max_idx = P.index[P.max]
-    valuation = [[_valuation(M, s, d) for d in LABELS] for s in LABELS]
+    valuation = {s: {d: _valuation(M, s, d) for d in Label} for s in Label}
     new_arrow = tuple.__new__   # ArArrow's own __new__ is a Python call per arrow
 
     G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
@@ -141,7 +136,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
         G.section_of, G.labels, G.udimF, G.udim, G.cd, G.proj_point, G.inj_point)
     outs: list[list[ArArrow]] = []   # the arrows out of each vertex
 
-    def add_vertex(section: int, lab: int, ent: tuple[int, ...],
+    def add_vertex(section: int, lab: Label, ent: tuple[int, ...],
                    cd: tuple[int, ...] | None = None, proj_point: str | None = None) -> int:
         # local dimensions are positive, so a quotient is negative exactly
         # where its entry is
@@ -158,7 +153,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
         inj = ident.setdefault(key, vid)
         if inj != vid:
             if type(inj) is int:
-                raise KnitError(f"vertex identity collision at {_vec_text(ent)} {LABELS[lab].value}")
+                raise KnitError(f"vertex identity collision at {_vec_text(ent)} {lab.value}")
             ident[key] = vid
         else:
             inj = None
@@ -176,7 +171,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     placed: set[str] = {P.max}
     inner = [x for x in P.points if x not in (P.zero, P.max)]
     radicals = {j: radical_info(M, j) for j in inner}
-    rad_keys = {j: (info.udimF.entries, code[info.label]) for j, info in radicals.items()}
+    rad_keys = {j: (info.udimF.entries, info.label) for j, info in radicals.items()}
 
     def attach_projectives(section: int) -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
@@ -195,7 +190,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                     raise KnitError(
                         f"radical of {j} matches projective {projs[z]} by dimensions "
                         f"but not by equipment")
-                lab = code[Label.STRONG if j in P.strong else Label.WEAK]
+                lab = Label.STRONG if j in P.strong else Label.WEAK
                 pj = add_vertex(section, lab, projective_udimF(M, j).entries,
                                 cd=projective_cd(M, j).entries, proj_point=j)
                 a, b = valuation[labs[z]][lab]
@@ -213,7 +208,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 changed = True
 
     sections.append([])
-    add_vertex(0, 0, projective_udimF(M, P.max).entries,
+    add_vertex(0, Label.STRONG, projective_udimF(M, P.max).entries,
                cd=projective_cd(M, P.max).entries, proj_point=P.max)
     attach_projectives(0)
 

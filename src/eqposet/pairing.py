@@ -16,11 +16,9 @@ in id order, so both flavors are knitted alike and r#i pairs with c#i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, cycle
-from operator import mul
 
 from .forms import _text, _vec_text
-from .knitter import LABELS, ComponentGraph
+from .knitter import ComponentGraph
 from .model import AlgebraModel, Flavor, _loc
 
 
@@ -79,25 +77,23 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         report.problems.append(f"tau^-1 differs at {diff}")
 
     loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
-    laws = (("udimF", loc_c), ("udim", loc_r))
     pairs = report.pairs = list(map(PairCheck, range(min(len(Gr.labels), len(Gc.labels)))))
     if Gr.proj_point != Gc.proj_point or Gr.inj_point != Gc.inj_point:
         for vx, vy in zip(Gr.vertices, Gc.vertices):
             if vx.kind != vy.kind:
                 pairs[vx.id].problems.append(f"kinds differ: {vx.kind} vs {vy.kind}")
-    if not (Gr.labels == Gc.labels and _laws_hold(Mr, Gr, Gc, loc_c, loc_r)):
-        for pc, lr, lc, fr, fc, ur, uc in zip(pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim):
-            if lr != lc:
-                pc.problems.append(f"labels differ: {LABELS[lr].value} vs {LABELS[lc].value}")
+    for pc, lr, lc, fr, fc, ur, uc in zip(pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim):
+        if lr != lc:
+            pc.problems.append(f"labels differ: {lr.value} vs {lc.value}")
+            continue
+        kd = Mr.kdim(lr)
+        for law, loc, r, c in (("udimF", loc_c, fr, fc), ("udim", loc_r, ur, uc)):
+            if not len(r) == len(c) == len(loc):
+                pc.problems.append(f"{law} law fails: {_vec_text(r)} vs {_vec_text(c)}, "
+                                   f"not both of length {len(loc)}")
                 continue
-            kd = Mr.kdim(LABELS[lr])
-            for (law, loc), r, c in zip(laws, (fr, ur), (fc, uc)):
-                if not len(r) == len(c) == len(loc):
-                    pc.problems.append(f"{law} law fails: {_vec_text(r)} vs {_vec_text(c)}, "
-                                       f"not both of length {len(loc)}")
-                    continue
-                pc.problems += [f"{law} law fails at {x}: {kd}*{_text(b)} (c) != {lk}*{_text(a)} (r)"
-                                for x, lk, a, b in zip(P.points, loc, r, c) if kd * b != lk * a]
+            pc.problems += [f"{law} law fails at {x}: {kd}*{_text(b)} (c) != {lk}*{_text(a)} (r)"
+                            for x, lk, a, b in zip(P.points, loc, r, c) if kd * b != lk * a]
 
     arrows_c = {(a.src, a.dst): a for a in Gc.arrows}
     for ar in Gr.arrows:
@@ -110,16 +106,3 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
     for src, dst in arrows_c:
         pairs[src].problems.append(f"extra flavor-c arrow {src}->{dst}")
     return report
-
-
-def _laws_hold(Mr: AlgebraModel, Gr: ComponentGraph, Gc: ComponentGraph,
-               loc_c: list[int], loc_r: list[int]) -> bool:
-    """Whether both laws hold at every pair, the labels being equal: one
-    comparison of products over the entries of all vertices at once, so the
-    per-pair loop runs only to name what fails."""
-    n = len(loc_c)
-    kds = [(Mr.kdim(lab),) * n for lab in LABELS]
-    kd = list(chain.from_iterable(map(kds.__getitem__, Gr.labels)))
-    return all({*map(len, r), *map(len, c)} <= {n}
-               and list(map(mul, chain.from_iterable(c), kd)) == list(map(mul, chain.from_iterable(r), cycle(loc)))
-               for loc, r, c in ((loc_c, Gr.udimF, Gc.udimF), (loc_r, Gr.udim, Gc.udim)))

@@ -23,7 +23,7 @@ from conftest import ALL_FIXTURES, SRC, fixture_path, load_fixture, model, run_p
 from eqposet import (EquippedPoset, Flavor, augment, build_model, cli, knit,
                      min_equipment_closure, parse_poset, validate)
 from eqposet.cli import build_parser, emit_dot, emit_json, main
-from eqposet.knitter import LABELS, ComponentGraph
+from eqposet.knitter import ComponentGraph
 from eqposet.model import Label
 
 BAD_POSET = """\
@@ -205,7 +205,7 @@ HUGE = "1" + "0" * 4400  # 10**4400, past Python's default of 4300 digits for in
 
 
 def _huge_component() -> ComponentGraph:
-    return ComponentGraph("r", "Finite", section_of=[0], labels=[LABELS.index(Label.WEAK)],
+    return ComponentGraph("r", "Finite", section_of=[0], labels=[Label.WEAK],
                           udimF=[(10 ** 4400, 1)], udim=[(1, 10 ** 4400)], cd=[None],
                           proj_point=[None], inj_point=[None], sections=[[0]])
 
