@@ -8,7 +8,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper of json.dumps
 
 from .fields import Tower
-from .forms import _text, gram_matrix, quadratic
+from .forms import _text, _vec_text, gram_matrix, quadratic
 from .knitter import DEFAULT_MAX_SECTIONS, ComponentGraph, KnitError, _kind, knit
 from .model import (Flavor, Label, ModelError, build_model, injective_profiles,
                     is_hereditary, projective_cd, radical_info)
@@ -95,9 +95,8 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
     print("points: " + "  ".join(f"{x} ({marks[x]})" for x in P.points))
     print("t_socle =", M.t_socle)
     print("hom table (rows = first index):")
-    for x in P.points:
-        row = ", ".join(str(M.hom_dim(x, y)) for y in P.points)
-        print(f"  {x}: ({row})")
+    for x, row in zip(P.points, M.hom):
+        print(f"  {x}: {_vec_text(row)}")
     print("radicals:")
     for x in P.points:
         if x == P.max:
@@ -105,18 +104,18 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
             continue
         info = radical_info(M, x)
         pj = info.is_projective if info.is_projective is not None else "-"
-        print(f"  rad(e_{x}) = {info.multiplicity} x [udimF {info.udimF}, "
-              f"label {info.label.value}, cd {info.cd}, projective: {pj}]")
+        print(f"  rad(e_{x}) = {info.multiplicity} x [udimF {_vec_text(info.udimF)}, "
+              f"label {info.label.value}, cd {_vec_text(info.cd)}, projective: {pj}]")
     print("hereditary:")
     for x in P.points:
         print(f"  e_{x}: {'yes' if is_hereditary(M, x) else 'no'}")
     print("injective profiles:")
     for x, prof in injective_profiles(M).items():
-        print(f"  inj({x}): label {prof.label.value}, udimF {prof.udimF}")
+        print(f"  inj({x}): label {prof.label.value}, udimF {_vec_text(prof.udimF)}")
     if forms:
         print("gram matrix:")
         for row in gram_matrix(M):
-            print("  (" + ", ".join(str(v) for v in row) + ")")
+            print("  " + _vec_text(row))
         print("q on projectives:")
         for x in P.points:
             if x == P.zero:

@@ -1,5 +1,8 @@
 """Integer coordinate vectors and the bilinear form of a model.
 
+Models and components hold vectors as int tuples, printed by `_vec_text`;
+`RatVec`, entrywise arithmetic on one, is public API no library path builds.
+
 The Gram matrix of a model is its hom table with the row of the strong
 minimum 0 (minus the diagonal entry) negated:
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def _text(n: int) -> str:
@@ -100,7 +103,7 @@ def gram_matrix(model) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def bilinear(model, d1: RatVec, d2: RatVec) -> int:
+def bilinear(model, d1: Sequence[int], d2: Sequence[int]) -> int:
     B = gram_matrix(model)
     n = len(B)
     if len(d1) != n or len(d2) != n:
@@ -114,5 +117,5 @@ def bilinear(model, d1: RatVec, d2: RatVec) -> int:
     return total
 
 
-def quadratic(model, d: RatVec) -> int:
+def quadratic(model, d: Sequence[int]) -> int:
     return bilinear(model, d, d)

@@ -16,9 +16,10 @@ a new vertex, so the arrows joined in source order come in (src, dst) order.
 One dict maps each vertex identity to its id; before a vertex takes an
 identity, the dict maps the identity of an injective profile to its point,
 so one lookup both finds a collision and names an injective vertex.
-`ComponentGraph.vertices` builds `ArVertex` records from the lists on each
-read; the knitter and the emitters never build one, and the pairing only
-to print kinds that differ.
+The model table's vectors are tuples too, read as they are.
+`ComponentGraph.vertices` builds `ArVertex` records, holding the same
+tuples, from the lists on each read; the knitter, the emitters and the
+pairing never build one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import chain, repeat
 from operator import add, floordiv, mod, mul, neg
 from typing import NamedTuple
 
-from .forms import RatVec, _vec_text
+from .forms import _vec_text
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
 from .poset import ParameterError
 
@@ -57,9 +58,9 @@ class ArVertex:
     id: int
     section: int
     label: Label
-    udimF: RatVec
-    udim: RatVec
-    cd: RatVec | None = None
+    udimF: tuple[int, ...]
+    udim: tuple[int, ...]
+    cd: tuple[int, ...] | None = None
     proj_point: str | None = None
     inj_point: str | None = None
 
@@ -100,10 +101,8 @@ class ComponentGraph:
     def vertices(self) -> list[ArVertex]:
         """The vertices as records, built anew on each read: a change to a
         record does not reach the graph."""
-        return [ArVertex(i, s, lab, RatVec(f), RatVec(u), None if c is None else RatVec(c), pp, ip)
-                for i, (s, lab, f, u, c, pp, ip) in enumerate(zip(
-                    self.section_of, self.labels, self.udimF, self.udim, self.cd,
-                    self.proj_point, self.inj_point))]
+        return [ArVertex(i, *v) for i, v in enumerate(zip(
+            self.section_of, self.labels, self.udimF, self.udim, self.cd, self.proj_point, self.inj_point))]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
         """The arrows out of `vid`, in the order of `arrows`."""
@@ -124,7 +123,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     # identity (udimF entries, label) -> vertex id, or the point of an
     # injective profile while no vertex has that identity
     ident: dict[tuple[tuple[int, ...], Label], int | str] = {
-        (pr.udimF.entries, pr.label): x for x, pr in injective_profiles(M).items()}
+        (pr.udimF, pr.label): x for x, pr in injective_profiles(M).items()}
     homdiag = tuple(M.hom[i][i] for i in range(P.n))
     max_idx = P.index[P.max]
     valuation = {s: {d: _valuation(M, s, d) for d in Label} for s in Label}
@@ -171,7 +170,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     placed: set[str] = {P.max}
     inner = [x for x in P.points if x not in (P.zero, P.max)]
     radicals = {j: radical_info(M, j) for j in inner}
-    rad_keys = {j: (info.udimF.entries, info.label) for j, info in radicals.items()}
+    rad_keys = {j: (info.udimF, info.label) for j, info in radicals.items()}
 
     def attach_projectives(section: int) -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
@@ -191,8 +190,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                         f"radical of {j} matches projective {projs[z]} by dimensions "
                         f"but not by equipment")
                 lab = Label.STRONG if j in P.strong else Label.WEAK
-                pj = add_vertex(section, lab, projective_udimF(M, j).entries,
-                                cd=projective_cd(M, j).entries, proj_point=j)
+                pj = add_vertex(section, lab, projective_udimF(M, j), cd=projective_cd(M, j), proj_point=j)
                 a, b = valuation[labs[z]][lab]
                 outs[z].append(new_arrow(ArArrow, (z, pj, a, b)))
                 if a != info.multiplicity:
@@ -200,16 +198,15 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                         f"arrow valuation {a} disagrees with radical multiplicity "
                         f"{info.multiplicity} at {j}")
                 if cds[z] is None:
-                    cds[z] = info.cd.entries
-                elif cds[z] != info.cd.entries:
+                    cds[z] = info.cd
+                elif cds[z] != info.cd:
                     raise KnitError(f"coordinate vector mismatch at vertex {z}: "
-                                    f"{_vec_text(cds[z])} vs {info.cd}")
+                                    f"{_vec_text(cds[z])} vs {_vec_text(info.cd)}")
                 placed.add(j)
                 changed = True
 
     sections.append([])
-    add_vertex(0, Label.STRONG, projective_udimF(M, P.max).entries,
-               cd=projective_cd(M, P.max).entries, proj_point=P.max)
+    add_vertex(0, Label.STRONG, projective_udimF(M, P.max), cd=projective_cd(M, P.max), proj_point=P.max)
     attach_projectives(0)
 
     cur = 0

@@ -5,9 +5,9 @@ augmented poset, from the ell rows of `EquippedPoset.view`.  Everything
 downstream is computed from this table and the equipment.  `AlgebraModel.table`
 holds the per-point part, made in one pass over the points: each socle
 coefficient, each radical shape with its Hasse covers, the injective profiles
-and the projective vectors.  A table that fails raises its first ModelError
-on every call that reads it: the socle coefficients are checked in point order,
-then the radicals in point order, then the injective profiles.
+and the projective coordinate vectors, each a tuple of ints.  A table that
+fails raises its first ModelError on every call that reads it: the socle
+coefficients are checked in point order, then the radicals, then the profiles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from itertools import repeat
 from operator import floordiv, mul
 from typing import NamedTuple
 
-from .forms import RatVec
 from .poset import EquippedPoset, PosetError, validate
 
 
@@ -49,15 +48,15 @@ class RadicalInfo:
 
     multiplicity: int
     label: Label
-    udimF: RatVec
-    cd: RatVec
+    udimF: tuple[int, ...]
+    cd: tuple[int, ...]
     is_projective: str | None
 
 
 @dataclass(frozen=True)
 class InjectiveProfile:
     label: Label
-    udimF: RatVec
+    udimF: tuple[int, ...]
 
 
 class ModelTable(NamedTuple):
@@ -66,8 +65,7 @@ class ModelTable(NamedTuple):
 
     radicals: tuple[RadicalInfo | None, ...]
     profiles: dict[str, InjectiveProfile]
-    udimF: tuple[RatVec, ...]
-    cd: tuple[RatVec | None, ...]
+    cd: tuple[tuple[int, ...] | None, ...]
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
         j = covers[0] if len(covers) == 1 else None
         proj = pts[j] if j is not None and row_ell[j] == ell[j][j] and all(
             row_ell[u] == ell[j][u] for u in up[j]) else None
-        return RadicalInfo(mult, label, RatVec(tuple(udimF)),
-                           RatVec(tuple([v // mult for v in cd]) if mult > 1 else tuple(cd)), proj)
+        return RadicalInfo(mult, label, tuple(udimF), tuple([v // mult for v in cd]), proj)
 
     radicals = tuple([radical(i) if i != top else None for i in range(n)])
     profiles: dict[str, InjectiveProfile] = {}
@@ -190,19 +187,19 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
             raise ModelError(f"injective profile at {x} misses the socle")
         if (other := seen.setdefault((vals, strong[i]), x)) != x:
             raise ModelError(f"injective profiles collide: {other} vs {x}")
-        profiles[x] = InjectiveProfile(Label.STRONG if strong[i] else Label.WEAK, RatVec(vals))
-    return ModelTable(radicals, profiles, tuple([RatVec(tuple(row)) for row in hom]),
-                      tuple([None if i == z0 else
-                             RatVec(tuple([1 if k == i else c if k == z0 else 0 for k in range(n)]))
-                             for i, c in enumerate(cs)]))
+        profiles[x] = InjectiveProfile(Label.STRONG if strong[i] else Label.WEAK, vals)
+    return ModelTable(radicals, profiles, tuple([
+        None if i == z0 else tuple([1 if k == i else c if k == z0 else 0 for k in range(n)])
+        for i, c in enumerate(cs)]))
 
 
-def projective_udimF(M: AlgebraModel, x: str) -> RatVec:
+def projective_udimF(M: AlgebraModel, x: str) -> tuple[int, ...]:
     """Dimension vector of e_x A: its row of the hom table."""
-    return M.table.udimF[M.poset.index[x]]
+    M.table   # a failing table raises its first ModelError here too
+    return M.hom[M.poset.index[x]]
 
 
-def projective_cd(M: AlgebraModel, x: str) -> RatVec:
+def projective_cd(M: AlgebraModel, x: str) -> tuple[int, ...]:
     """Coordinate vector e_x + c_x e_0 of the vertex attached to e_x A."""
     if x == M.poset.zero:
         raise ModelError("the minimal point carries no vertex projective")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .forms import _text, _vec_text
-from .knitter import ComponentGraph
+from .knitter import ComponentGraph, _kind
 from .model import AlgebraModel, Flavor, _loc
 
 
@@ -79,9 +79,10 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
     loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
     pairs = report.pairs = list(map(PairCheck, range(min(len(Gr.labels), len(Gc.labels)))))
     if Gr.proj_point != Gc.proj_point or Gr.inj_point != Gc.inj_point:
-        for vx, vy in zip(Gr.vertices, Gc.vertices):
-            if vx.kind != vy.kind:
-                pairs[vx.id].problems.append(f"kinds differ: {vx.kind} vs {vy.kind}")
+        for pc, kr, kc in zip(pairs, map(_kind, Gr.proj_point, Gr.inj_point),
+                              map(_kind, Gc.proj_point, Gc.inj_point)):
+            if kr != kc:
+                pc.problems.append(f"kinds differ: {kr} vs {kc}")
     for pc, lr, lc, fr, fc, ur, uc in zip(pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim):
         if lr != lc:
             pc.problems.append(f"labels differ: {lr.value} vs {lc.value}")

@@ -211,18 +211,22 @@ def augment(P: EquippedPoset) -> EquippedPoset:
 
     An existing strong global extremum is adopted whatever its name.  When a
     bound must be adjoined it is named "0" (below) or "m" (above); a point
-    already carrying that name — which necessarily failed to be adopted —
-    conflicts and raises.  Idempotent.
+    already carrying that name — which was not adopted, or was released as
+    both extremes — conflicts and raises.  Idempotent.
     """
     points, strong, rel, p = list(P.points), set(P.strong), dict(P.rel), P.p
     zero, top = P.zero, P.max
-    if zero is not None and zero == top:
+    both = zero is not None and zero == top
+    if both:
         # a single strong point qualifies as both extremes; it can serve as
         # at most one bound, so keep it inner and adjoin both
         zero = top = None
+    for name, bound, kept in (("0", "minimum", zero), ("m", "maximum", top)):
+        if kept is None and name in points:
+            why = (f"{P.zero} is both the strong global minimum and maximum, and one point cannot be both bounds"
+                   if both else f"it is not a strong global {bound}")
+            raise PosetError(f'point named "{name}" conflicts with augmentation ({why})')
     if zero is None:
-        if "0" in points:
-            raise PosetError('point named "0" conflicts with augmentation (it is not a strong global minimum)')
         zero = "0"
         rel.update(((zero, y), p) for y in points)
         points.insert(0, zero)
@@ -230,8 +234,6 @@ def augment(P: EquippedPoset) -> EquippedPoset:
         rel[(zero, zero)] = p
 
     if top is None:
-        if "m" in points:
-            raise PosetError('point named "m" conflicts with augmentation (it is not a strong global maximum)')
         top = "m"
         rel.update(((x, top), p) for x in points)
         points.append(top)

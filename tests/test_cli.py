@@ -459,20 +459,45 @@ FUZZ_COMMANDS = {"validate": [], "info --forms": ["--forms"], "info --flavor c":
                  "knit": [], "compare": []}
 
 
-def test_fixture_mutants_keep_the_exit_code_contract(tmp_path):
-    """On each mutant, no exception escapes cli.main, only validate exits 1
-    (a violation), and every other run exits 0 or 2: a model built from a
-    file never fails its table."""
-    path = tmp_path / "mutant.eqp"
-    codes = {command: [0, 0, 0] for command in FUZZ_COMMANDS}
+@pytest.fixture(scope="module")
+def mutant_runs(tmp_path_factory):
+    """(mutant lines, command, exit code, stdout, stderr) of every
+    FUZZ_COMMANDS entry on every fixture mutant, in order, with the mutant's
+    path replaced by "{path}"."""
+    path = tmp_path_factory.mktemp("mutants") / "mutant.eqp"
+    runs = []
     for lines in fixture_mutants():
         path.write_text("".join(lines))
         for command, options in FUZZ_COMMANDS.items():
-            code = run_in_process([command.split()[0], str(path), *options])[0]
-            assert code in ((0, 1, 2) if command == "validate" else (0, 2)), (lines, command, code)
-            codes[command][code] += 1
+            code, out, err = run_in_process([command.split()[0], str(path), *options])
+            runs.append((lines, command, code, out.replace(str(path), "{path}"),
+                         err.replace(str(path), "{path}")))
+    return runs
+
+
+def test_fixture_mutants_keep_the_exit_code_contract(mutant_runs):
+    """On each mutant, no exception escapes cli.main, only validate exits 1
+    (a violation), and every other run exits 0 or 2: a model built from a
+    file never fails its table."""
+    codes = {command: [0, 0, 0] for command in FUZZ_COMMANDS}
+    for lines, command, code, _, _ in mutant_runs:
+        assert code in ((0, 1, 2) if command == "validate" else (0, 2)), (lines, command, code)
+        codes[command][code] += 1
     assert codes == {"validate": [74, 3, 114], "info --forms": [61, 0, 130],
                      "info --flavor c": [61, 0, 130], "knit": [61, 0, 130], "compare": [61, 0, 130]}
+
+
+MUTANT_DIGEST = "c1cae48d054a0edc38ec22c4985626fc0c9fcd404585917f27fe2619953e7b00"
+
+
+def test_fixture_mutants_keep_their_bytes(mutant_runs):
+    """Every mutant run keeps its command, exit code, stdout and stderr,
+    hashed in order into one sha256: an error text that changes or moves
+    changes it."""
+    digest = hashlib.sha256()
+    for _, command, code, out, err in mutant_runs:
+        digest.update(json.dumps([command, code, out, err]).encode())
+    assert digest.hexdigest() == MUTANT_DIGEST
 
 
 # ---------------------------------------------------------------- digests

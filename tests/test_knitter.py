@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import ALL_FIXTURES, load_fixture, load_table, model
-from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model,
+from conftest import ALL_FIXTURES, fixture_path, load_fixture, load_table, model
+from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model, cli,
                      default_tower, gram_matrix, injective_profiles, knit, knitter,
                      pair_components, parse_poset, projective_cd, projective_udimF,
                      radical_info, run_verification)
@@ -19,8 +19,7 @@ def snap(G):
         "status": G.status,
         "sections": [list(s) for s in G.sections],
         "vertices": [
-            (v.id, v.kind, v.label.letter, v.udimF.entries, v.udim.entries,
-             v.cd.entries if v.cd is not None else None)
+            (v.id, v.kind, v.label.letter, v.udimF, v.udim, v.cd)
             for v in sorted(G.vertices, key=lambda v: v.id)
         ],
         "arrows": sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
@@ -175,7 +174,7 @@ def test_chain2_strong_both_flavors():
         "arrows": [(0, 1, 1, 1)],
     }
     Gc = knit(model("chain2_strong", "c"))
-    assert [v.udimF.entries for v in Gc.vertices] == [(0, 0, 2), (0, 2, 2)]
+    assert [v.udimF for v in Gc.vertices] == [(0, 0, 2), (0, 2, 2)]
     assert [(a.a, a.b) for a in Gc.arrows] == [(1, 1)]
 
 
@@ -186,7 +185,7 @@ def test_trivial_both_flavors():
         assert len(G.vertices) == 1 and not G.arrows
         v = G.vertices[0]
         assert v.kind == "ProjectiveInjective(m,0)"
-        assert v.udimF.entries == vec
+        assert v.udimF == vec
 
 
 # ---------------------------------------------------------------- truncation
@@ -215,10 +214,11 @@ def test_truncation_prefix_property():
             assert a in big.arrows
 
 
-def test_knit_emit_and_pair_build_no_record_per_vertex(monkeypatch):
-    """knit, both emitters and the pairing read the per-vertex lists: on
-    wide2 they construct no more RatVec or ArVertex objects at 200 sections
-    (800 vertices a flavor) than at 12."""
+def test_knit_emit_and_pair_build_no_record_per_vertex(monkeypatch, capsys):
+    """No src path constructs a RatVec or an ArVertex: on wide2, the model
+    table, knit, both emitters and the pairing at 12 and 200 sections (800
+    vertices a flavor), `info --forms` in both flavors, and a pairing that
+    reports kinds that differ."""
     built = Counter()
     for cls in (RatVec, ArVertex):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -227,28 +227,34 @@ def test_knit_emit_and_pair_build_no_record_per_vertex(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting)
 
     def run(sections):
-        built.clear()
         Mr, Mc = (build_model(load_fixture("wide2"), fl) for fl in ("r", "c"))
+        Mr.table, Mc.table
         Gr, Gc = knit(Mr, sections), knit(Mc, sections)
         for G in (Gr, Gc):
             emit_json(G), emit_dot(G)
         assert pair_components(Gr, Gc, Mr, Mc).ok
-        return sum(map(len, Gr.sections)), built["RatVec"], built["ArVertex"]
+        return sum(map(len, Gr.sections))
 
-    (few, ratvecs, records), (many, ratvecs_deep, records_deep) = run(12), run(200)
-    assert (few, many) == (48, 800)
-    assert ratvecs_deep <= ratvecs and records_deep <= records == 0
+    assert (run(12), run(200)) == (48, 800)
+    for fl in ("r", "c"):
+        assert cli.main(["info", fixture_path("wide2"), "--forms", "--flavor", fl]) == 0
+    assert "q on projectives:" in capsys.readouterr().out
+    Mr, Mc = model("star2", "r"), model("star2", "c")
+    Gr, Gc = knit(Mr), knit(Mc)
+    Gc.inj_point[0] = "m"
+    assert "kinds differ: Projective(m) vs ProjectiveInjective(m,m)" in str(pair_components(Gr, Gc, Mr, Mc))
+    assert built == Counter()
 
 
 def test_vertices_are_records_built_on_each_read():
     G = knit(model("star2", "r"))
     V = G.vertices
     assert [(v.id, v.kind, v.label, v.udimF, v.udim, v.cd) for v in V] == [
-        (0, "Projective(m)", Label.STRONG, RatVec.of(0, 0, 1), RatVec.of(0, 0, 1), RatVec.of(1, 0, 1)),
-        (1, "ProjectiveInjective(w,w)", Label.WEAK, RatVec.of(0, 2, 2), RatVec.of(0, 1, 2), RatVec.of(2, 1, 0)),
-        (2, "Injective(0)", Label.STRONG, RatVec.of(0, 2, 1), RatVec.of(0, 1, 1), None)]
-    V[1].udimF = RatVec.of(9, 9, 9)
-    assert G.udimF[1] == (0, 2, 2) and G.vertices[1].udimF == RatVec.of(0, 2, 2)
+        (0, "Projective(m)", Label.STRONG, (0, 0, 1), (0, 0, 1), (1, 0, 1)),
+        (1, "ProjectiveInjective(w,w)", Label.WEAK, (0, 2, 2), (0, 1, 2), (2, 1, 0)),
+        (2, "Injective(0)", Label.STRONG, (0, 2, 1), (0, 1, 1), None)]
+    V[1].udimF = (9, 9, 9)
+    assert G.udimF[1] == (0, 2, 2) and G.vertices[1].udimF == (0, 2, 2)
 
 
 def test_finite_component_ignores_max_sections():
@@ -274,7 +280,7 @@ def test_chain3_ell1_reproduces_published_grids():
         for sec in G.sections:
             for i in sec:
                 v = V[i]
-                got.append((list(v.udimF.entries[1:]), v.label.value))
+                got.append((list(v.udimF[1:]), v.label.value))
         want = [(pair[col], pair["label"]) for pair in table["pairs"]]
         assert got == want
 
@@ -362,8 +368,8 @@ def test_negative_mesh_reports_integer_vector(monkeypatch):
         if x != "x0":
             return info
         above = [M.hom_dim(x, y) if (x, y) in P.rel and y != x else 0 for y in P.points]
-        return replace(info, multiplicity=1, udimF=RatVec.from_seq(above),
-                       cd=info.multiplicity * info.cd)
+        return replace(info, multiplicity=1, udimF=tuple(above),
+                       cd=tuple(info.multiplicity * e for e in info.cd))
 
     monkeypatch.setattr(knitter, "radical_info", one_copy)
     with pytest.raises(KnitError) as exc:
@@ -423,7 +429,7 @@ def tampered_radical(point, **changes):
     pytest.param({"multiplicity": 2},
                  "arrow valuation 1 disagrees with radical multiplicity 2 at s",
                  id="multiplicity"),
-    pytest.param({"cd": RatVec.of(9, 9, 9)},
+    pytest.param({"cd": (9, 9, 9)},
                  "coordinate vector mismatch at vertex 0: (1, 0, 1) vs (9, 9, 9)",
                  id="coordinates"),
 ])
@@ -452,10 +458,10 @@ def test_strong_minimum_need_not_be_declared_first():
 
     def moved(vec):
         """A vector of `late` in the coordinate order of `early`."""
-        return None if vec is None else tuple(vec.entries[i] for i in perm)
+        return None if vec is None else tuple(vec[i] for i in perm)
 
     def kept(vec):
-        return None if vec is None else vec.entries
+        return vec
 
     def shape(G, move):
         return (G.status, G.sections, G.tau_inv, sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),

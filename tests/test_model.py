@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ALL_FIXTURES, is_slender_above, load_fixture, model
-from eqposet import (AlgebraModel, Flavor, Label, ModelError, PosetError, RatVec, build_model,
+from eqposet import (AlgebraModel, Flavor, Label, ModelError, PosetError, build_model,
                      injective_profiles, is_hereditary, projective_cd,
                      projective_udimF, radical_info)
 
@@ -98,12 +98,12 @@ def test_star2_radicals_flavor_r():
     M = model("star2", "r")
     w = radical_info(M, "w")
     assert (w.multiplicity, w.label) == (2, Label.STRONG)
-    assert w.udimF == RatVec.of(0, 0, 1)
-    assert w.cd == RatVec.of(1, 0, 1)
+    assert w.udimF == (0, 0, 1)
+    assert w.cd == (1, 0, 1)
     assert w.is_projective == "m"
     z = radical_info(M, "0")
     assert (z.multiplicity, z.label) == (1, Label.STRONG)
-    assert z.udimF == RatVec.of(0, 2, 1)
+    assert z.udimF == (0, 2, 1)
     assert z.is_projective is None
     with pytest.raises(ModelError):
         radical_info(M, "m")
@@ -113,7 +113,7 @@ def test_star2_radicals_flavor_c():
     M = model("star2", "c")
     w = radical_info(M, "w")
     assert (w.multiplicity, w.label) == (1, Label.STRONG)
-    assert w.udimF == RatVec.of(0, 0, 2)
+    assert w.udimF == (0, 0, 2)
     assert w.is_projective == "m"
 
 
@@ -121,7 +121,7 @@ def test_chain3_ell1_radical_at_a_is_whole_projective():
     M = model("chain3_ell1", "r")
     a = radical_info(M, "a")
     assert (a.multiplicity, a.label) == (1, Label.WEAK)
-    assert a.udimF == RatVec.of(0, 0, 3, 3)  # = udimF of e_b A
+    assert a.udimF == (0, 0, 3, 3)  # = udimF of e_b A
     assert a.is_projective == "b"
     assert a.cd == projective_cd(M, "b")
 
@@ -130,7 +130,7 @@ def test_chain3_ell2_radical_at_a_not_projective():
     M = model("chain3_ell2", "r")
     a = radical_info(M, "a")
     assert (a.multiplicity, a.label) == (1, Label.WEAK)
-    assert a.udimF == RatVec.of(0, 0, 6, 3)
+    assert a.udimF == (0, 0, 6, 3)
     assert a.is_projective is None
 
 
@@ -138,7 +138,7 @@ def test_mixed3_tee_case_spans_two_strong_points():
     M = model("mixed3", "r")
     a = radical_info(M, "a")
     assert (a.multiplicity, a.label) == (3, Label.STRONG)
-    assert a.udimF == RatVec.of(0, 0, 1, 1)  # socle row restricted above a
+    assert a.udimF == (0, 0, 1, 1)  # socle row restricted above a
     assert a.is_projective == "s"
 
 
@@ -146,7 +146,7 @@ def test_diamond3_multi_successor_radical():
     M = model("diamond3", "r")
     a = radical_info(M, "a")
     assert (a.multiplicity, a.label) == (1, Label.WEAK)
-    assert a.udimF == RatVec.of(0, 0, 3, 3, 3)
+    assert a.udimF == (0, 0, 3, 3, 3)
     assert a.is_projective is None
 
 
@@ -167,10 +167,10 @@ def test_radical_dim_sum_property():
 
 def test_projective_vectors():
     M = model("star2", "r")
-    assert projective_udimF(M, "m") == RatVec.of(0, 0, 1)
-    assert projective_udimF(M, "w") == RatVec.of(0, 2, 2)
-    assert projective_cd(M, "w") == RatVec.of(2, 1, 0)
-    assert projective_cd(M, "m") == RatVec.of(1, 0, 1)
+    assert projective_udimF(M, "m") == (0, 0, 1)
+    assert projective_udimF(M, "w") == (0, 2, 2)
+    assert projective_cd(M, "w") == (2, 1, 0)
+    assert projective_cd(M, "m") == (1, 0, 1)
     with pytest.raises(ModelError):
         projective_cd(M, "0")
 
@@ -181,12 +181,12 @@ def test_star2_profiles():
     Mr = model("star2", "r")
     pr = injective_profiles(Mr)
     assert set(pr) == {"0", "w"}
-    assert pr["0"].label is Label.STRONG and pr["0"].udimF == RatVec.of(0, 2, 1)
-    assert pr["w"].label is Label.WEAK and pr["w"].udimF == RatVec.of(0, 2, 2)
+    assert pr["0"].label is Label.STRONG and pr["0"].udimF == (0, 2, 1)
+    assert pr["w"].label is Label.WEAK and pr["w"].udimF == (0, 2, 2)
     Mc = model("star2", "c")
     pc = injective_profiles(Mc)
-    assert pc["0"].udimF == RatVec.of(0, 2, 2)
-    assert pc["w"].udimF == RatVec.of(0, 1, 2)
+    assert pc["0"].udimF == (0, 2, 2)
+    assert pc["w"].udimF == (0, 1, 2)
 
 
 def test_profiles_are_distinct_on_all_fixtures():

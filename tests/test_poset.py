@@ -58,6 +58,57 @@ def test_parse_errors(text, fragment):
     assert len(str(exc.value)) < 100
 
 
+PARSE_ERRORS = {
+    "p arguments": ("p\n", "line 1, col 1: directive 'p' takes 1 argument(s), got 0"),
+    "point arguments": ("p 2\npoint  a\n", "line 2, col 1: directive 'point' takes 2 argument(s), got 1"),
+    "rel arguments": ("p 2\npoint a weak\npoint b weak\n  rel a b\n",
+                      "line 4, col 3: directive 'rel' takes 3 argument(s), got 2"),
+    "closure arguments": ("p 2\nclosure now\n", "line 2, col 1: directive 'closure' takes 0 argument(s), got 1"),
+    "augment arguments": ("p 2\n\taugment  twice # comment\n",
+                          "line 2, col 2: directive 'augment' takes 0 argument(s), got 1"),
+    "p not an integer": ("p\t two\n", "line 1, col 4: p must be an integer, got 'two'"),
+    "p duplicate": ("p 2\n  p 3\n", "line 2, col 3: duplicate p directive"),
+    "p digits": ("p   123456789012\n", "line 1, col 5: p = 123456789012 is out of range (p < 2^31)"),
+    "p range": ("p  2147483648\n", "line 1, col 4: p = 2147483648 is out of range (p < 2^31)"),
+    "p not prime": ("point a weak\np\t9\n", "line 2, col 3: p = 9 is not prime"),
+    "point duplicate": ("p 2\npoint a weak\npoint\t a  strong\n", "line 3, col 8: duplicate point 'a'"),
+    "point kind": ("p 2\npoint a  medium\n", "line 2, col 10: point kind must be weak or strong, got 'medium'"),
+    "rel before p": ("point a weak\npoint b weak\n rel a b 1\np 2\n", "line 3, col 2: p must be declared before rel"),
+    "rel unknown x": ("p 2\npoint a weak\nrel\tc a 1\n", "line 3, col 5: unknown point 'c'"),
+    "rel unknown y": ("p 2\npoint a weak\nrel a   c 1\n", "line 3, col 9: unknown point 'c'"),
+    "rel reflexive": ("p 2\npoint a weak\nrel a\ta 1\n",
+                      "line 3, col 7: reflexive equipment is implicit; rel needs two distinct points"),
+    "rel ell not an integer": ("p 2\npoint a weak\npoint b weak\nrel a b  -1\n",
+                               "line 4, col 10: ell must be a positive integer, got '-1'"),
+    "rel ell range": ("p 3\npoint a weak\npoint b weak\nrel a b\t\t4\n", "line 4, col 10: ell = 4 outside 1..3"),
+    "rel ell digits": ("p 3\npoint a weak\npoint b weak\nrel a b 000000000012345678901\n",
+                       "line 4, col 9: ell = 12345678901 outside 1..3"),
+    "rel duplicate": ("p 2\npoint a weak\npoint b weak\nrel a b 1\n\n  rel a b 2\n",
+                      "line 6, col 3: duplicate relation a <= b"),
+    "unknown directive": ("p 2\n\n\tedge a b\n", "line 3, col 2: unknown directive 'edge'"),
+    "missing p": ("# no p\npoint a weak\naugment\n", "missing p directive"),
+    "closure strong relation": ("p 3\npoint a weak\npoint s strong\nrel a s 2\nclosure\n",
+                                "declared relation a <= s with ell = 2 touches a strong point (needs p)"),
+    "closure cycle": ("p 2\npoint a weak\npoint b weak\nrel a b 1\nrel b a 1\nclosure\n",
+                      "cycle through point 'a' in declared relations"),
+    "augment weak 0": ("p 2\npoint 0 weak\npoint a weak\nrel 0 a 1\naugment\n",
+                       'point named "0" conflicts with augmentation (it is not a strong global minimum)'),
+    "augment weak m": ("p 2\npoint a weak\npoint m weak\nrel a m 1\naugment\n",
+                       'point named "m" conflicts with augmentation (it is not a strong global maximum)'),
+    "validation": ("p 3\npoint x weak\npoint y weak\npoint z weak\nrel x y 2\nrel y z 2\nrel x z 1\n",
+                   "1 violation(s):\n  - composition: ell(x, z) = 1 < 3 forced by the chain [x, y, z]"),
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_texts(text, message):
+    """The full text of each PosetError that parse_poset raises, one case
+    per raise site; a column counts a tab as one character."""
+    with pytest.raises(PosetError) as exc:
+        parse_poset(text)
+    assert str(exc.value) == message
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(PosetError) as exc:
         parse_poset("p 2\npoint a weak\npoint a weak\n")
@@ -243,11 +294,31 @@ def test_augment_weak_minimum_is_not_adopted():
 
 def test_augment_name_conflicts():
     P = _poset(2, ["0", "a"], [], {("0", "a"): 1})  # weak "0" cannot be adopted
-    with pytest.raises(PosetError, match='"0" conflicts'):
+    with pytest.raises(PosetError, match='^point named "0" conflicts with augmentation '
+                                         r'\(it is not a strong global minimum\)$'):
         augment(P)
     P = _poset(2, ["m", "a"], [], {("m", "a"): 1})
-    with pytest.raises(PosetError, match='"m" conflicts'):
+    with pytest.raises(PosetError, match='^point named "m" conflicts with augmentation '
+                                         r'\(it is not a strong global maximum\)$'):
         augment(P)
+
+
+@pytest.mark.parametrize("name", ["0", "m"])
+def test_augment_name_conflict_at_both_extremes(name):
+    """A lone strong point is both the strong global minimum and maximum; it
+    cannot be both bounds, so augment adjoins both, and its own name blocks
+    one of them.  The reason says so, for one point and for a strong 2-cycle."""
+    both = (f'point named "{name}" conflicts with augmentation '
+            f"({name} is both the strong global minimum and maximum, and one point cannot be both bounds)")
+    for P in (_poset(2, [name], [name], {}),
+              _poset(2, [name, "b"], [name, "b"], {(name, "b"): 2, ("b", name): 2})):
+        assert P.zero == P.max == name
+        with pytest.raises(PosetError) as exc:
+            augment(P)
+        assert str(exc.value) == both
+    with pytest.raises(PosetError) as exc:
+        parse_poset(f"p 2\npoint {name} strong\naugment\n")
+    assert str(exc.value) == both
 
 
 def test_augment_two_strong_maxima_gets_fresh_bound():
