@@ -55,7 +55,7 @@ def _kind(proj_point: str | None, inj_point: str | None) -> str:
 
 @dataclass(slots=True)
 class ArVertex:
-    id: int
+    """Entry i of each list of a graph; its id is i, its place in `vertices`."""
     section: int
     label: Label
     udimF: tuple[int, ...]
@@ -101,8 +101,8 @@ class ComponentGraph:
     def vertices(self) -> list[ArVertex]:
         """The vertices as records, built anew on each read: a change to a
         record does not reach the graph."""
-        return [ArVertex(i, *v) for i, v in enumerate(zip(
-            self.section_of, self.labels, self.udimF, self.udim, self.cd, self.proj_point, self.inj_point))]
+        return [ArVertex(*v) for v in zip(
+            self.section_of, self.labels, self.udimF, self.udim, self.cd, self.proj_point, self.inj_point)]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
         """The arrows out of `vid`, in the order of `arrows`."""

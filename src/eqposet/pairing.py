@@ -23,29 +23,22 @@ from .model import AlgebraModel, Flavor, _loc
 
 
 @dataclass
-class PairCheck:
-    id: int
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-@dataclass
 class PairingReport:
-    pairs: list[PairCheck] = field(default_factory=list)
+    """The ids compared, and the problems of each failing pair by its id."""
+    pairs: range = range(0)
+    failures: dict[int, list[str]] = field(default_factory=dict)
     problems: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.problems and all(pc.ok for pc in self.pairs)
+        return not self.problems and not self.failures
 
     def __str__(self) -> str:
         lines = [f"component mismatch: {msg}" for msg in self.problems]
-        for pc in self.pairs:
-            lines.append(f"pair r#{pc.id} <-> c#{pc.id}: {'ok' if pc.ok else 'FAIL'}")
-            lines += [f"    {m}" for m in pc.problems]
+        for i in self.pairs:
+            fails = self.failures.get(i, ())
+            lines.append(f"pair r#{i} <-> c#{i}: {'FAIL' if fails else 'ok'}")
+            lines += [f"    {m}" for m in fails]
         lines.append("correspondence " + ("holds" if self.ok else "FAILS"))
         return "\n".join(lines)
 
@@ -77,33 +70,36 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         report.problems.append(f"tau^-1 differs at {diff}")
 
     loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
-    pairs = report.pairs = list(map(PairCheck, range(min(len(Gr.labels), len(Gc.labels)))))
-    if Gr.proj_point != Gc.proj_point or Gr.inj_point != Gc.inj_point:
-        for pc, kr, kc in zip(pairs, map(_kind, Gr.proj_point, Gr.inj_point),
-                              map(_kind, Gc.proj_point, Gc.inj_point)):
-            if kr != kc:
-                pc.problems.append(f"kinds differ: {kr} vs {kc}")
-    for pc, lr, lc, fr, fc, ur, uc in zip(pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim):
+    failures = report.failures
+    report.pairs = range(min(len(Gr.labels), len(Gc.labels)))
+    for i, lr, lc, fr, fc, ur, uc, jr, jc, ir, ic in zip(
+            report.pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim,
+            Gr.proj_point, Gc.proj_point, Gr.inj_point, Gc.inj_point):
+        fails = []
+        if (jr != jc or ir != ic) and (kr := _kind(jr, ir)) != (kc := _kind(jc, ic)):
+            fails.append(f"kinds differ: {kr} vs {kc}")
         if lr != lc:
-            pc.problems.append(f"labels differ: {lr.value} vs {lc.value}")
-            continue
-        kd = Mr.kdim(lr)
-        for law, loc, r, c in (("udimF", loc_c, fr, fc), ("udim", loc_r, ur, uc)):
-            if not len(r) == len(c) == len(loc):
-                pc.problems.append(f"{law} law fails: {_vec_text(r)} vs {_vec_text(c)}, "
-                                   f"not both of length {len(loc)}")
-                continue
-            pc.problems += [f"{law} law fails at {x}: {kd}*{_text(b)} (c) != {lk}*{_text(a)} (r)"
-                            for x, lk, a, b in zip(P.points, loc, r, c) if kd * b != lk * a]
+            fails.append(f"labels differ: {lr.value} vs {lc.value}")
+        else:
+            kd = Mr.kdim(lr)
+            for law, loc, r, c in (("udimF", loc_c, fr, fc), ("udim", loc_r, ur, uc)):
+                if not len(r) == len(c) == len(loc):
+                    fails.append(f"{law} law fails: {_vec_text(r)} vs {_vec_text(c)}, "
+                                 f"not both of length {len(loc)}")
+                    continue
+                fails += [f"{law} law fails at {x}: {kd}*{_text(b)} (c) != {lk}*{_text(a)} (r)"
+                          for x, lk, a, b in zip(P.points, loc, r, c) if kd * b != lk * a]
+        if fails:
+            failures[i] = fails
 
     arrows_c = {(a.src, a.dst): a for a in Gc.arrows}
     for ar in Gr.arrows:
         br = arrows_c.pop((ar.src, ar.dst), None)
         if br is None:
-            pairs[ar.src].problems.append(f"arrow {ar.src}->{ar.dst} has no counterpart")
+            failures.setdefault(ar.src, []).append(f"arrow {ar.src}->{ar.dst} has no counterpart")
         elif (br.a, br.b) != (ar.b, ar.a):
-            pairs[ar.src].problems.append(
+            failures.setdefault(ar.src, []).append(
                 f"arrow valuations do not swap: ({ar.a},{ar.b}) vs ({br.a},{br.b})")
     for src, dst in arrows_c:
-        pairs[src].problems.append(f"extra flavor-c arrow {src}->{dst}")
+        failures.setdefault(src, []).append(f"extra flavor-c arrow {src}->{dst}")
     return report

@@ -264,8 +264,9 @@ def check_component_invariants(M, G, where) -> None:
     p = M.poset.p
     V = G.vertices   # built on each read
     n = len(V)
-    # acyclicity and id sanity
-    assert [v.id for v in V] == list(range(n))
+    # acyclicity and id sanity: vertex i is entry i of every per-vertex list
+    assert {len(G.section_of), len(G.labels), len(G.udimF), len(G.udim), len(G.cd),
+            len(G.proj_point), len(G.inj_point)} == {n}
     for a in G.arrows:
         assert 0 <= a.src < a.dst < n
     # sections are disjoint and cover everything
@@ -280,11 +281,11 @@ def check_component_invariants(M, G, where) -> None:
                     RatVec.zeros(M.poset.n))
         assert total == RatVec(V[x].udimF) + RatVec(V[y].udimF), (where, x)
     # q-label law at cd-bearing vertices
-    for v in V:
+    for i, v in enumerate(V):
         if v.cd is not None:
             q = quadratic(M, v.cd)
             assert q in (1, p)
-            assert q == M.kdim(v.label), (where, v.id)
+            assert q == M.kdim(v.label), (where, i)
     # divisibility of udimF and the udim law
     for v in V:
         k = M.kdim(v.label)

@@ -75,9 +75,9 @@ def reference_dict(G) -> dict:
     """The JSON schema of a component, as a dict in key order: json.dumps of
     it with indent=2 gives the bytes emit_json must write."""
     vertices = []
-    for v in sorted(G.vertices, key=lambda v: v.id):
+    for i, v in enumerate(G.vertices):
         entry = {
-            "id": v.id,
+            "id": i,
             "section": v.section,
             "kind": v.kind,
             "label": v.label.value,
@@ -375,6 +375,25 @@ def test_info_with_forms(capsys):
 def test_compare_ok(capsys):
     assert main(["compare", fixture_path("mixed3")]) == 0
     assert "correspondence holds" in capsys.readouterr().out
+
+
+def test_compare_exits_1_on_a_failing_pairing(monkeypatch, capsys):
+    """Flavor c's first arrow keeps flavor r's valuation, so only pair 0 fails."""
+    def swapped_knit(M, **kw):
+        G = knit(M, **kw)
+        if G.flavor == "c":
+            a = G.arrows[0]
+            G.arrows[0] = a._replace(a=a.b, b=a.a)
+        return G
+
+    monkeypatch.setattr(cli, "knit", swapped_knit)
+    assert main(["compare", fixture_path("star2")]) == 1
+    assert capsys.readouterr().out == (
+        "pair r#0 <-> c#0: FAIL\n"
+        "    arrow valuations do not swap: (2,1) vs (2,1)\n"
+        "pair r#1 <-> c#1: ok\n"
+        "pair r#2 <-> c#2: ok\n"
+        "correspondence FAILS\n")
 
 
 def test_oracle_default_tower(capsys):

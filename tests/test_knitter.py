@@ -19,8 +19,8 @@ def snap(G):
         "status": G.status,
         "sections": [list(s) for s in G.sections],
         "vertices": [
-            (v.id, v.kind, v.label.letter, v.udimF, v.udim, v.cd)
-            for v in sorted(G.vertices, key=lambda v: v.id)
+            (i, v.kind, v.label.letter, v.udimF, v.udim, v.cd)
+            for i, v in enumerate(G.vertices)
         ],
         "arrows": sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
     }
@@ -204,11 +204,11 @@ def test_truncation_prefix_property():
     big = knit(M, max_sections=6)
     assert small.status == TRUNCATED
     assert [list(s) for s in big.sections][:3] == [list(s) for s in small.sections]
-    small_ids = {v.id for v in small.vertices}
-    big_by_id = {v.id: v for v in big.vertices}
-    for v in small.vertices:
-        assert big_by_id[v.id].udimF == v.udimF
-        assert big_by_id[v.id].label == v.label
+    small_ids = range(len(small.vertices))
+    big_V = big.vertices
+    for i, v in enumerate(small.vertices):
+        assert big_V[i].udimF == v.udimF
+        assert big_V[i].label == v.label
     for a in small.arrows:
         if a.src in small_ids and a.dst in small_ids:
             assert a in big.arrows
@@ -249,7 +249,7 @@ def test_knit_emit_and_pair_build_no_record_per_vertex(monkeypatch, capsys):
 def test_vertices_are_records_built_on_each_read():
     G = knit(model("star2", "r"))
     V = G.vertices
-    assert [(v.id, v.kind, v.label, v.udimF, v.udim, v.cd) for v in V] == [
+    assert [(i, v.kind, v.label, v.udimF, v.udim, v.cd) for i, v in enumerate(V)] == [
         (0, "Projective(m)", Label.STRONG, (0, 0, 1), (0, 0, 1), (1, 0, 1)),
         (1, "ProjectiveInjective(w,w)", Label.WEAK, (0, 2, 2), (0, 1, 2), (2, 1, 0)),
         (2, "Injective(0)", Label.STRONG, (0, 2, 1), (0, 1, 1), None)]
@@ -291,10 +291,9 @@ def test_ids_and_sections_are_well_formed():
     for name in ALL_FIXTURES:
         for fl in ("r", "c"):
             G = knit(model(name, fl))
-            ids = [v.id for v in G.vertices]
-            assert ids == sorted(ids) == list(range(len(ids)))
+            n = len(G.vertices)
             flat = [i for sec in G.sections for i in sec]
-            assert sorted(flat) == list(range(len(ids)))
+            assert sorted(flat) == list(range(n))
             for a in G.arrows:
                 assert a.src < a.dst
             V = G.vertices
@@ -327,9 +326,9 @@ def test_vectors_hold_ints(fl, sections):
     for name in ALL_FIXTURES:
         M = model(name, fl)
         P = M.poset
-        for v in knit(M, max_sections=sections).vertices:
+        for i, v in enumerate(knit(M, max_sections=sections).vertices):
             vecs = [v.udimF, v.udim] + ([v.cd] if v.cd is not None else [])
-            assert all(all_ints(vec) for vec in vecs), (name, v.id)
+            assert all(all_ints(vec) for vec in vecs), (name, i)
         for x in P.points:
             assert all_ints(projective_udimF(M, x))
             if x != P.zero:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import ALL_FIXTURES, TABLE_NAMES, load_table, model, table_mismatches
-from eqposet import TRUNCATED, knit, pair_components
+from conftest import ALL_FIXTURES, TABLE_NAMES, check_component_invariants, load_table, model, table_mismatches
+from eqposet import TRUNCATED, Flavor, build_model, knit, pair_components, parse_poset
 from eqposet.knitter import ArArrow
 from eqposet.model import Label
 
@@ -33,7 +33,7 @@ def test_pairing_detects_dimension_tampering():
     Gc.udimF[1] = (0, 1, 3)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
-    assert any("udimF law fails" in m for pc in report.pairs for m in pc.problems)
+    assert any("udimF law fails" in m for fails in report.failures.values() for m in fails)
     assert "FAILS" in str(report)
 
 
@@ -45,16 +45,14 @@ def test_pairing_reports_non_integral_image():
     assert pair_components(Gr, Gc, Mr, Mc).ok
     Gr.udimF[1] = (0, 3, 2)
     report = pair_components(Gr, Gc, Mr, Mc)
-    assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
-        (1, ["udimF law fails at w: 2*1 (c) != 1*3 (r)"])]
+    assert report.failures == {1: ["udimF law fails at w: 2*1 (c) != 1*3 (r)"]}
 
 
 def test_pairing_reports_entries_past_the_int_digit_limit(default_digit_limit):
     Gr, Gc, Mr, Mc = pair("star2")
     Gc.udimF[1] = (0, 10 ** 4400, 2)
     report = pair_components(Gr, Gc, Mr, Mc)
-    assert [(pc.id, pc.problems) for pc in report.pairs if not pc.ok] == [
-        (1, [f"udimF law fails at w: 2*1{'0' * 4400} (c) != 1*2 (r)"])]
+    assert report.failures == {1: [f"udimF law fails at w: 2*1{'0' * 4400} (c) != 1*2 (r)"]}
 
 
 def test_pairing_refuses_swapped_models():
@@ -72,7 +70,7 @@ def test_pairing_detects_label_tampering():
     Gc.labels[2] = Label.WEAK
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
-    assert any("labels differ" in m for pc in report.pairs for m in pc.problems)
+    assert any("labels differ" in m for fails in report.failures.values() for m in fails)
 
 
 def test_pairing_detects_valuation_tampering():
@@ -81,7 +79,7 @@ def test_pairing_detects_valuation_tampering():
     Gc.arrows[0] = ArArrow(a.src, a.dst, a.b, a.a)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
-    assert any("valuations do not swap" in m for pc in report.pairs for m in pc.problems)
+    assert any("valuations do not swap" in m for fails in report.failures.values() for m in fails)
 
 
 def test_pairing_detects_flavor_r_valuation_tampering():
@@ -93,7 +91,7 @@ def test_pairing_detects_flavor_r_valuation_tampering():
     assert Gr.out_arrows(a.src) == [Gr.arrows[0]]
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
-    assert any("valuations do not swap" in m for pc in report.pairs for m in pc.problems)
+    assert any("valuations do not swap" in m for fails in report.failures.values() for m in fails)
 
 
 def test_pairing_detects_status_mismatch():
@@ -103,6 +101,32 @@ def test_pairing_detects_status_mismatch():
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("section counts differ" in m for m in report.problems)
+
+
+def _posets_at(p):
+    """Weak chains of 2-4 points with ell 1, 2 and p, an antichain of three
+    weak points, and a weak point on each side of an inner strong point."""
+    def weak_chain(n, ell):
+        return "".join(f"point x{i} weak\n" for i in range(n)) + "".join(
+            f"rel x{i} x{i + 1} {ell}\n" for i in range(n - 1))
+    bodies = [weak_chain(n, ell) for n in (2, 3, 4) for ell in (1, 2, p)]
+    bodies += ["point a weak\npoint b weak\npoint c weak\n",
+               f"point a weak\npoint s strong\npoint b weak\nrel a s {p}\nrel s b {p}\n"]
+    return [parse_poset(f"p {p}\n{body}closure\naugment\n") for body in bodies]
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_knit_and_pair_above_p5(p):
+    """Both flavors knit to well-formed components that pair, at 12 and 60
+    sections, for primes past the fixtures' 2 and 3 and the sweeps' 5."""
+    for P in _posets_at(p):
+        Mr, Mc = build_model(P, Flavor.R), build_model(P, Flavor.C)
+        for sections in (12, 60):
+            Gr, Gc = knit(Mr, max_sections=sections), knit(Mc, max_sections=sections)
+            for M, G in ((Mr, Gr), (Mc, Gc)):
+                check_component_invariants(M, G, (P, M.flavor.value, sections))
+            report = pair_components(Gr, Gc, Mr, Mc)
+            assert report.ok and len(report.pairs) == len(Gr.labels) > 0, (P, sections, str(report))
 
 
 def _ok_pairs(*ids):
