@@ -37,6 +37,8 @@ DEFAULT_MAX_SECTIONS = 12
 
 FINITE = "Finite"
 TRUNCATED = "TruncatedAtMaxSections"
+# the per-vertex lists of a `ComponentGraph`, in the order of `ArVertex`'s fields
+_PER_VERTEX = ("section_of", "labels", "udimF", "udim", "cd", "proj_point", "inj_point")
 
 
 class KnitError(RuntimeError):
@@ -101,8 +103,7 @@ class ComponentGraph:
     def vertices(self) -> list[ArVertex]:
         """The vertices as records, built anew on each read: a change to a
         record does not reach the graph."""
-        return [ArVertex(*v) for v in zip(
-            self.section_of, self.labels, self.udimF, self.udim, self.cd, self.proj_point, self.inj_point)]
+        return [ArVertex(*v) for v in zip(*(getattr(self, k) for k in _PER_VERTEX))]
 
     def out_arrows(self, vid: int) -> list[ArArrow]:
         """The arrows out of `vid`, in the order of `arrows`."""

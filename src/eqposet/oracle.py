@@ -16,11 +16,11 @@ every pair that has them.
 Everything a model claims — hom table entries, the three axioms of an
 admissible family, radical shapes, hom dimensions between projectives — is
 then re-derived here by linear algebra alone.  On a cyclic tower, A.2 proves
-or refutes that each R_{x,x} is a field by Rabin's irreducibility test on the
-minimal polynomial of one element.  An inseparable tower computes over F_p
-at t = 1 (fields.py), where R_{x,x} need not be a field: A.2 tests its basis
-elements and checks that every member is graded, the premise under which
-t = 1 gives the F_p(t) numbers.
+or refutes that each R_{x,x} is a field by two ranks, of the q-th powers of
+the powers of one element and of their differences with them (Berlekamp).
+An inseparable tower computes over F_p at t = 1 (fields.py), where R_{x,x}
+need not be a field: A.2 tests its basis elements and checks that every
+member is graded, the premise under which t = 1 gives the F_p(t) numbers.
 Hom dimensions impose A-linearity on a generating set of the realized algebra
 only: algebra generators of each R_{x,x} and, for l < l', a basis of R_{l,l'}
 modulo what the members inside [l, l'] generate (rad/rad^2).  Nearly every
@@ -30,7 +30,6 @@ it is read; only the rows left with three or more reach the sparse rank.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .fields import ParameterError, Tower
@@ -291,72 +290,32 @@ def _basis_divides(fam: RFamily, x: str) -> bool:
 def _certify_division(fam: RFamily, x: str, unital: bool) -> bool | None:
     """Whether R_x, of dimension d over F_q and closed under products, is a
     field, or None when its unit u does not fix it or d is neither 1 nor prime.
-    For d = 1, R_x is a field exactly when b_1 b_1 != 0.  Otherwise let f be the
-    minimal polynomial of e, the first basis element outside F_q u.  A finite
-    division ring is a field (Wedderburn), and its subfield F_q[e] = F_q[X]/(f)
-    has degree 1 or d, so R_x is a field exactly when deg f = d (then R_x =
-    F_q[e]) and f is irreducible.  f comes from R_x's action table by one rref."""
+    For d = 1, R_x is a field exactly when b_1 b_1 != 0.  Otherwise e is the first
+    basis element outside F_q u, g = e^q, and C[k] and C[k]^q, right multiplication
+    by e and g, give the rows E = (u, e, ..., e^(d-1)) and F = (u, g, ..., g^(d-1)).
+    R_x is a field exactly when F and F - E have ranks d and d - 1.  A finite
+    division ring is a field (Wedderburn), and its subfield F_q[e] has degree 1
+    or d, not 1, so E is a basis, mapped to F by a -> a^q, an automorphism
+    fixing F_q alone.  Conversely, F lies in F_q[e], the span of E, so rank F =
+    d makes R_x = F_q[e] commutative, and a -> a^q, then F_q-linear, maps E to
+    F and is injective: R_x has no nilpotents and is a product of fields, where
+    a -> a^q fixes one F_q per factor; rank d - 1 of F - E leaves one (Berlekamp)."""
     lin, d, C = fam.tower.lin, fam.dim(x, x), fam.table(x, x, x)[0]
     if d == 1:
         return any(C[0][0])
     if not (unital and _is_prime(d)):
         return None
-    powers = [[fam.unit[x][c] for c in fam.piv[(x, x)]]]
-    k = next(k for k in range(d) if any(a for i, a in enumerate(powers[0]) if i != k))
-    for _ in range(d):
-        powers += lin.matmul(powers[-1:], C[k])  # e^(n+1) = e^n e
-    R, piv = lin.rref(lin.transpose(powers))  # pivots 0..n-1, e^n = sum_i R[i][n] e^i
-    return len(piv) == d and _irreducible(tuple(-R[i][d] % lin.q for i in range(d)) + (1,), lin.q)
-
-
-# a polynomial over F_q is a tuple of residues, constant term first, without
-# trailing zeros (() is 0)
-
-def _pmul(a: tuple, b: tuple, q: int) -> tuple:
-    """a*b for a, b != 0; F_q has no zero divisors, so the top stays nonzero."""
-    if len(a) == 1:
-        return tuple(a[0] * y % q for y in b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(v % q for v in out)
-
-
-def _pdivmod(a: tuple, b: tuple, q: int) -> tuple[tuple, tuple]:
-    """Quotient and remainder of a by b != 0."""
-    db, inv = len(b) - 1, pow(b[-1], -1, q)
-    r, quo = list(a), [0] * max(len(a) - db, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = r[k + db] * inv % q
-        for j, y in enumerate(b):
-            r[k + j] = (r[k + j] - c * y) % q
-    while len(r) > db or (r and not r[-1]):  # the cancelled top, then zeros
-        r.pop()
-    return tuple(quo), tuple(r)
-
-
-@functools.lru_cache(maxsize=1024)
-def _irreducible(f: tuple, q: int) -> bool:
-    """Whether the monic f over F_q (a tuple as in `_pmul`) of prime
-    degree d is irreducible.  Rabin's test: exactly when gcd(f, X^q - X) = 1
-    and X^(q^d) = X mod f.  Equal members of different families share f."""
-    if not f[0]:  # X divides f; otherwise X and its powers are units mod f
-        return False
-
-    def xpow(k):  # X^k mod f
-        out, sq = (1,), (0, 1)
-        while k:
-            out = _pdivmod(_pmul(out, sq, q), f, q)[1] if k & 1 else out
-            k, sq = k >> 1, _pdivmod(_pmul(sq, sq, q), f, q)[1]
-        return out
-
-    h = [*xpow(q), 0, 0]
-    h[1] = (h[1] - 1) % q
-    g, r = f, _pdivmod(h, f, q)[1]  # X^q - X mod f, without trailing zeros
-    while r:  # Euclid: g ends as a gcd of f and X^q - X
-        g, r = r, _pdivmod(g, r, q)[1]
-    return len(g) == 1 and xpow(q ** (len(f) - 1)) == (0, 1)
+    u = [fam.unit[x][c] for c in fam.piv[(x, x)]]
+    k = next(k for k in range(d) if any(a for i, a in enumerate(u) if i != k))
+    Q, S, n = C[k], C[k], lin.q >> 1  # Q = C[k]^q, as q is odd: p | q - 1
+    while n:
+        S = lin.matmul(S, S)
+        Q, n = lin.matmul(Q, S) if n & 1 else Q, n >> 1
+    E, F = [u], [u]
+    for _ in range(d - 1):
+        E, F = E + lin.matmul(E[-1:], C[k]), F + lin.matmul(F[-1:], Q)
+    D = lin.mat([[a - b for a, b in zip(f, e)] for f, e in zip(F, E)])
+    return len(lin.rref(F)[1]) == d and len(lin.rref(D)[1]) == d - 1
 
 
 def _block(lin, done: dict, C: list, k: int) -> tuple:

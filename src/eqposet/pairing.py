@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .forms import _text, _vec_text
-from .knitter import ComponentGraph, _kind
+from .knitter import _PER_VERTEX, ComponentGraph, _kind
 from .model import AlgebraModel, Flavor, _loc
 
 
@@ -68,10 +68,15 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         diff = [x for x in sorted(Gr.tau_inv.keys() | Gc.tau_inv.keys())
                 if Gr.tau_inv.get(x) != Gc.tau_inv.get(x)]
         report.problems.append(f"tau^-1 differs at {diff}")
+    n = sum(map(len, Gr.sections))  # the sections are equal: one count of ids for both
+    if short := [f"{G.flavor} {k} ({len(getattr(G, k))})" for G in (Gr, Gc) for k in _PER_VERTEX
+                 if len(getattr(G, k)) != n]:
+        report.problems.append(f"per-vertex lists not of {n} entries, one per id: {', '.join(short)}")
+        return report
 
     loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
     failures = report.failures
-    report.pairs = range(min(len(Gr.labels), len(Gc.labels)))
+    report.pairs = range(n)
     for i, lr, lc, fr, fc, ur, uc, jr, jc, ir, ic in zip(
             report.pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim,
             Gr.proj_point, Gc.proj_point, Gr.inj_point, Gc.inj_point):

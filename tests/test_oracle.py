@@ -343,16 +343,66 @@ def _monic(q: int, d: int):
     return [tuple(c) + (1,) for c in itertools.product(range(q), repeat=d)]
 
 
-@pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5),
-                                  (5, 3), (7, 2), (7, 3)])
-def test_rabin_test_matches_trial_division(q, d):
-    """f of prime degree d is irreducible exactly when no monic polynomial of
-    degree 1 to d // 2 divides it, and (q^d - q) / d such f exist.  Degree 5
-    over F_2 and F_3 reaches f with no root that is still reducible."""
+def _remainder(f: tuple, g: tuple, q: int) -> list:
+    """f mod the monic g over F_q, both constant term first, with the
+    cancelled top left as zeros."""
+    r = list(f)
+    for k in range(len(f) - len(g), -1, -1):
+        c = r[k + len(g) - 1]
+        for j, y in enumerate(g):
+            r[k + j] = (r[k + j] - c * y) % q
+    return r
+
+
+@pytest.mark.parametrize("q, d, sample", [(3, 2, None), (7, 3, None), (11, 5, 40)])
+def test_division_certificate_on_companion_algebras(q, d, sample):
+    """R_w := F_q[C_f], spanned by the powers of the companion matrix of the
+    monic f of prime degree d, is F_q[X]/(f): a field exactly when no monic
+    polynomial of degree 1 to d // 2 divides f, and (q^d - q) / d such f
+    exist.  At (11, 5) a seeded sample is taken, with the product of an
+    irreducible quadratic and an irreducible cubic: reducible, with no root.
+    One flavor-r family over the default tower for p = d serves every f."""
+    t = default_tower(d)
+    assert t.q == q
+    lin = t.lin
+    fam = build_family(t, parse_poset(f"p {d}\npoint w weak\naugment\n"), "r")
+    fam.unit["w"] = flatten(lin.eye(d))
     factors = [g for k in range(1, d // 2 + 1) for g in _monic(q, k)]
-    got = [f for f in _monic(q, d) if oracle._irreducible(f, q)]
-    assert got == [f for f in _monic(q, d) if all(oracle._pdivmod(f, g, q)[1] for g in factors)]
-    assert len(got) == (q ** d - q) // d
+
+    def irreducible(f):  # no monic factor of degree 1 to deg f // 2
+        return all(any(_remainder(f, g, q)) for g in factors if 2 * len(g) <= len(f) + 1)
+
+    fs = _monic(q, d)
+    if sample:
+        quad, cubic = (next(g for g in _monic(q, k) if irreducible(g)) for k in (2, 3))
+        product = tuple(sum(a * cubic[n - i] for i, a in enumerate(quad) if 0 <= n - i < 4) % q
+                        for n in range(6))
+        assert not irreducible(product) and all(any(_remainder(product, (a, 1), q)) for a in range(q))
+        fs = [product] + random.Random(45).sample(fs, sample)
+    got = []
+    for f in fs:
+        comp = [[int(i == j + 1) if j < d - 1 else -f[i] % q for j in range(d)] for i in range(d)]
+        powers = [lin.eye(d)]
+        for _ in range(d - 1):
+            powers.append(lin.matmul(powers[-1], comp))
+        fam.replace("w", "w", *lin.rref([flatten(m) for m in powers]))
+        got.append(oracle._certify_division(fam, "w", True))
+    assert got == [irreducible(f) for f in fs]
+    if sample:
+        assert not got[0] and True in got[1:]
+    else:
+        assert got.count(True) == (q ** d - q) // d
+
+
+@pytest.mark.parametrize("p", [p for p in DEFAULT_TOWERS if p > 13])
+def test_a2_at_every_default_tower_above_p13(p):
+    """p P / point w strong / augment in flavor c: R_0, R_w and R_m are G, a
+    field over the default tower and F_q[xi]/(xi^p - 1) over the split one."""
+    P = parse_poset(f"p {p}\npoint w strong\naugment\n")
+    assert verify_admissible(build_family(Tower(p), P, "c")).ok
+    rep = verify_admissible(build_family(_split_tower(p), P, "c"))
+    assert (rep.a2_failures, rep.a3_failures) == (
+        [f"element of R_{x} has no right inverse" for x in ("0", "w", "m")], [])
 
 
 def test_division_not_certified_when_the_unit_does_not_fix_r_x():

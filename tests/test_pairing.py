@@ -157,8 +157,12 @@ def _ok_pairs(*ids):
     ("star2", 12, lambda G: G.udimF.__setitem__(0, (2,)),
      "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (2), not both of length 3\n"
      + _ok_pairs(1, 2)),
+    ("star2", 12, lambda G: G.labels.pop(),
+     "component mismatch: per-vertex lists not of 3 entries, one per id: c labels (2)\n"),
+    ("star2", 12, lambda G: G.cd.pop(),
+     "component mismatch: per-vertex lists not of 3 entries, one per id: c cd (2)\n"),
 ], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "udim",
-        "udimF_length", "udimF_one_entry"])
+        "udimF_length", "udimF_one_entry", "short_labels", "short_cd"])
 def test_pairing_reports_each_id_mismatch(name, max_sections, tamper, text):
     """Each check of the id-for-id pairing, failed once on a tampered flavor-c
     graph, with its full report."""
