@@ -37,9 +37,7 @@ class _Digits(dict):
 
 def _json_vec(v: tuple[int, ...], digits: _Digits) -> str:
     """An integer vector as a JSON array of strings, laid out as a vertex
-    field of emit_json."""
-    if not v:
-        return "[]"
+    field of emit_json; never empty, as each has an entry per point."""
     return '[\n        "' + '",\n        "'.join(map(digits.__getitem__, v)) + '"\n      ]'
 
 

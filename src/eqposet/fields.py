@@ -94,21 +94,21 @@ class Tower:
     def xi_pow(self, j: int):
         if not 0 <= j < self.p:
             raise ValueError(f"xi_pow takes 0 <= j < p = {self.p}, not j = {j}")
-        return [self.lin.one if i == j else self.lin.zero for i in range(self.p)]
+        return [int(i == j) for i in range(self.p)]
 
     def g_mul(self, a, b):
         """Product of two G-elements (coefficient vectors): their convolution,
         with xi^(p+k) = c xi^k folded back in."""
-        p, norm = self.p, self.lin.norm
-        acc = [self.lin.zero] * (2 * p - 1)
+        p, q = self.p, self.lin.q
+        acc = [0] * (2 * p - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
-                        acc[i + j] = norm(acc[i + j] + x * y)
+                        acc[i + j] = (acc[i + j] + x * y) % q
         for k in range(p - 1):
             if acc[p + k]:
-                acc[k] = norm(acc[k] + self.c * acc[p + k])
+                acc[k] = (acc[k] + self.c * acc[p + k]) % q
         return acc[:p]
 
     def mu_mat(self, g):
@@ -117,12 +117,13 @@ class Tower:
 
     # -- operator algebra ---------------------------------------------------
 
-    def a_ell_basis(self, ell: int) -> list:
-        """Spanning operators mu_(xi^j) . theta^i for i < ell, j < p, i major, as
-        new lists.  Each mu_(xi^j) is built once, and theta^0 = 1 takes no product."""
+    def a_ell_basis(self) -> list:
+        """Spanning operators mu_(xi^j) . theta^i for i, j < p, i major, as new
+        lists; those of A_ell, i < ell, are the first ell * p.  Each mu_(xi^j) is
+        built once, and theta^0 = 1 takes no product."""
         lin, mus = self.lin, [self.mu_mat(self.xi_pow(j)) for j in range(self.p)]
         out, theta_pow = list(mus), self.theta
-        for _ in range(1, ell):
+        for _ in range(1, self.p):
             out += [lin.matmul(mu, theta_pow) for mu in mus]
             theta_pow = lin.matmul(self.theta, theta_pow)
         return out
@@ -131,8 +132,7 @@ class Tower:
         """eps_y . a . eps_x, flattened, where eps is the corner projection at a
         strong point and the identity at a weak one: row 0 alone at a strong y,
         column 0 alone at a strong x, zero everywhere else."""
-        zero = self.lin.zero
-        return [x if (i == 0 or not strong_y) and (j == 0 or not strong_x) else zero
+        return [x if (i == 0 or not strong_y) and (j == 0 or not strong_x) else 0
                 for i, row in enumerate(a) for j, x in enumerate(row)]
 
 

@@ -66,10 +66,6 @@ class ArVertex:
     proj_point: str | None = None
     inj_point: str | None = None
 
-    @property
-    def kind(self) -> str:
-        return _kind(self.proj_point, self.inj_point)
-
 
 class ArArrow(NamedTuple):
     """An arrow src -> dst with valuation (a, b); immutable and hashable."""

@@ -1,31 +1,30 @@
-"""Exact linear algebra over small fields.
+"""Exact linear algebra mod a prime q.
 
-One driver on lists of rows of Python scalars (`GenericField`) and one field
-class, `ModQ`, for F_q with q prime: entries are ints in [0, q), and zero and
-one are the ints 0 and 1.  Both towers run on it, the inseparable one over
-F_p (fields.py says why t = 1 suffices).  A field supplies only `norm` (the
-canonical form of an int) and `inv`; `GenericField` stays a class of its own
-because perfbench's tracer wraps its methods.  Every matrix handed in or out
-holds canonical entries.  Row reduction gives reduced row echelon bases, so
-span bases are canonical and coordinate extraction reads off pivot columns;
-ranks of systems given row by row go through one sparse elimination.  No
-floating point is used.
+One driver on lists of rows of Python ints, `GenericField`, which computes mod
+the prime `self.q` in place: entries are ints in [0, q), zero and one are the
+ints 0 and 1, sums and products are reduced by `% q` and an inverse is
+`pow(x, -1, q)`.  `ModQ(q)` sets q.  Both towers run on it, the inseparable
+one over F_p (fields.py says why t = 1 suffices).  The two classes stay apart
+only because perfbench's tracer wraps the methods of each (ROADMAP item 5
+decides, after item 18a).  Every matrix handed in or out holds entries in
+[0, q).  Row reduction gives reduced row echelon bases, so span bases are
+canonical and coordinate extraction reads off pivot columns; ranks of systems
+given row by row go through one sparse elimination.  No floating point is used.
 """
 
 from __future__ import annotations
 
 
 class GenericField:
-    """The driver over an exact field; a subclass supplies `norm`, which maps
-    an int to a canonical element, and `inv`."""
-
-    zero, one = 0, 1
+    """The driver: arithmetic mod the prime `self.q`, which `ModQ` sets.  It is a
+    class apart from `ModQ` only because perfbench's tracer wraps both."""
 
     def mat(self, rows):
-        return [[self.norm(x) for x in row] for row in rows]
+        q = self.q
+        return [[x % q for x in row] for row in rows]
 
     def eye(self, n):
-        return [[self.one if i == j else self.zero for j in range(n)] for i in range(n)]
+        return [[int(i == j) for j in range(n)] for i in range(n)]
 
     def transpose(self, A):
         return [list(col) for col in zip(*A)]
@@ -36,16 +35,14 @@ class GenericField:
     def matmul(self, A, B):
         """A B, skipping zero factors.  Most rows of B meet one row of A, so
         entries are tested where they are used rather than listed first."""
-        norm, zero = self.norm, self.zero
-        cols = len(B[0]) if B else 0
-        out = []
+        q, cols, out = self.q, len(B[0]) if B else 0, []
         for row in A:
-            acc = [zero] * cols
+            acc = [0] * cols
             for x, Bk in zip(row, B):
                 if x:
                     for j, y in enumerate(Bk):
                         if y:
-                            acc[j] = norm(acc[j] + x * y)
+                            acc[j] = (acc[j] + x * y) % q
             out.append(acc)
         return out
 
@@ -55,7 +52,7 @@ class GenericField:
         A = [list(row) for row in A]
         rows = len(A)
         cols = len(A[0]) if rows else 0
-        norm, piv, r = self.norm, [], 0
+        q, piv, r = self.q, [], 0
         for c in range(cols):
             if r >= rows:
                 break
@@ -66,15 +63,15 @@ class GenericField:
             row = A[r]
             # entries left of c are zero in every row from r on
             nz = [k for k in range(c, cols) if row[k]]
-            inv = self.inv(row[c])
+            inv = pow(row[c], -1, q)
             for k in nz:
-                row[k] = norm(row[k] * inv)
+                row[k] = row[k] * inv % q
             for i in range(rows):
                 f = A[i][c]
                 if f and i != r:
                     Ai = A[i]
                     for k in nz:
-                        Ai[k] = norm(Ai[k] - f * row[k])
+                        Ai[k] = (Ai[k] - f * row[k]) % q
             piv.append(c)
             r += 1
         return A[:r], piv
@@ -85,21 +82,21 @@ class GenericField:
         R, piv = self.rref(A)
         basis = []
         for fc in sorted(set(range(cols)) - set(piv)):
-            vec = [self.zero] * cols
-            vec[fc] = self.one
+            vec = [0] * cols
+            vec[fc] = 1
             for Ri, pc in zip(R, piv):
-                vec[pc] = self.norm(-Ri[fc])
+                vec[pc] = -Ri[fc] % self.q
             basis.append(vec)
         return basis
 
     def reduce(self, R, piv, v):
-        norm, v = self.norm, list(v)
+        q, v = self.q, list(v)
         for Ri, pc in zip(R, piv):
             f = v[pc]
             if f:
                 for k, y in enumerate(Ri):
                     if y:
-                        v[k] = norm(v[k] - f * y)
+                        v[k] = (v[k] - f * y) % q
         return v
 
     def in_span(self, R, piv, v) -> bool:
@@ -128,19 +125,19 @@ class GenericField:
         leads at a new column.  A pivot row is kept without its leading entry,
         scaled by -1/lead, so that reducing by it adds multiples.  Zero
         entries and rows drop out."""
-        norm, inv, zero, pivots = self.norm, self.inv, self.zero, {}
+        q, pivots = self.q, {}
         for row in rows:
-            row = {c: x for c, v in row.items() if (x := norm(v))}
+            row = {c: x for c, v in row.items() if (x := v % q)}
             while row:
                 c = min(row)
                 f = row.pop(c)
                 pr = pivots.get(c)
                 if pr is None:
-                    f = norm(-inv(f))
-                    pivots[c] = {k: norm(v * f) for k, v in row.items()}
+                    f = -pow(f, -1, q) % q
+                    pivots[c] = {k: v * f % q for k, v in row.items()}
                     break
                 for k, v in pr.items():
-                    if x := norm(row.pop(k, zero) + f * v):
+                    if x := (row.pop(k, 0) + f * v) % q:
                         row[k] = x
         return len(pivots)
 
@@ -150,12 +147,6 @@ class ModQ(GenericField):
 
     def __init__(self, q: int):
         self.q = q
-
-    def norm(self, x) -> int:
-        return x % self.q
-
-    def inv(self, x: int) -> int:
-        return pow(x, -1, self.q)
 
     # perfbench's tracer wraps these per class, so ModQ holds a binding of its
     # own until the library records its spans itself (ROADMAP item 3)

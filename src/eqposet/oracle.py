@@ -76,13 +76,13 @@ class RFamily:
         t = self.tower
         if self.flavor is not Flavor.R:
             return t.g_mul(u, v)
-        p, norm, out = t.p, t.lin.norm, [t.lin.zero] * len(u)
+        p, q, out = t.p, t.lin.q, [0] * len(u)
         for i in range(0, len(u), p):  # row i // p of v u
             for k, x in enumerate(v[i:i + p]):
                 if x:
                     for j, y in enumerate(u[k * p:k * p + p], i):
                         if y:
-                            out[j] = norm(out[j] + x * y)
+                            out[j] = (out[j] + x * y) % q
         return out
 
     def table(self, x: str, y: str, z: str) -> tuple:
@@ -137,7 +137,7 @@ def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
     for k in range(d):
         if len(piv) == d:
             break
-        unit = [[lin.one if i == k else lin.zero for i in range(d)]]
+        unit = [[int(i == k) for i in range(d)]]
         if lin.in_span(R, piv, unit[0]):
             continue
         picks.append(k)
@@ -161,7 +161,7 @@ def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamil
     flavor = Flavor(flavor)
     lin, r = tower.lin, flavor is Flavor.R
     fam = RFamily(tower, P, flavor)
-    ops = tower.a_ell_basis(P.p) if r else []  # a_ell_basis(ell) is ops[:ell * p]
+    ops = tower.a_ell_basis() if r else []  # those of A_ell are ops[:ell * p]
     units = {s: tower.cut(lin.eye(tower.p), s, s) if r else tower.xi_pow(0) for s in (False, True)}
     pts, (ells, strong, up), members = P.points, P.view, {}
     for i, x in enumerate(pts):
@@ -318,13 +318,13 @@ def _certify_division(fam: RFamily, x: str, unital: bool) -> bool | None:
     return len(lin.rref(F)[1]) == d and len(lin.rref(D)[1]) == d - 1
 
 
-def _block(lin, done: dict, C: list, k: int) -> tuple:
+def _block(done: dict, C: list, k: int) -> tuple:
     """Whether C[k] is the identity, the nonzeros of its rows and columns, and its
     rows with one (a, b, x), none (a) and more (a, row); done caches them per k."""
     if (hit := done.get(k)) is None:
         rows = [[(b, x) for b, x in enumerate(row) if x] for row in C[k]]
         cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*C[k])]
-        unit = len(rows) == len(cols) and all(r == [(a, lin.one)] for a, r in enumerate(rows))
+        unit = len(rows) == len(cols) and all(r == [(a, 1)] for a, r in enumerate(rows))
         hit = done[k] = (unit, rows, cols, [(a, *r[0]) for a, r in enumerate(rows) if len(r) == 1],
                          [a for a, r in enumerate(rows) if not r],
                          [(a, r) for a, r in enumerate(rows) if len(r) > 1])
@@ -366,15 +366,14 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
     solutions over any field, and the light rows leave one free coordinate per
     live (not zero) root, so the dimension is the live roots minus the heavy
     rows' rank."""
-    lin = fam.tower.lin
-    norm, inv = lin.norm, lin.inv
+    lin, q = fam.tower.lin, fam.tower.lin.q
     d, e, off, N = {}, {}, {}, 0
     for l in blocks:
         d[l], e[l], off[l] = fam.dim(i, l), fam.dim(j, l), N
         N += e[l] * d[l]
     if N == 0:
         return 0
-    root, gain, cls, dead, heavy = list(range(N)), [lin.one] * N, [[c] for c in range(N)], set(), []
+    root, gain, cls, dead, heavy = list(range(N)), [1] * N, [[c] for c in range(N)], set(), []
     def merge(x, a, y, b):  # a x_rx + b x_ry = 0 after the gains
         rx, ry = root[x], root[y]
         if rx in dead:
@@ -382,15 +381,15 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
         elif ry in dead:
             dead.add(rx)
         elif rx == ry:
-            if norm(a * gain[x] + b * gain[y]):
+            if (a * gain[x] + b * gain[y]) % q:
                 dead.add(rx)
         else:
             a, b = a * gain[x], b * gain[y]
             if len(cls[rx]) > len(cls[ry]):
                 rx, ry, a, b = ry, rx, b, a
-            f = -b * inv(a)
+            f = -b * pow(a, -1, q)
             for c in cls[rx]:
-                root[c], gain[c] = ry, norm(gain[c] * f)
+                root[c], gain[c] = ry, gain[c] * f % q
             cls[ry] += cls[rx]
             cls[rx] = None  # dead holds roots only: a zero class is never relabelled
 
@@ -402,8 +401,8 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
             Ci, ti = fam.table(i, l, lp)                            # S_i^T per s
             Cj, tj = fam.table(j, l, lp) if e[l] else (None, None)  # S_j^T
             for k in picks:
-                unit_i, C, _, one, none, rest = ti.get(k) or _block(lin, ti, Ci, k)
-                unit_j, _, Dt, *_ = tj.get(k) or _block(lin, tj, Cj, k) if e[l] else (
+                unit_i, C, _, one, none, rest = ti.get(k) or _block(ti, Ci, k)
+                unit_j, _, Dt, *_ = tj.get(k) or _block(tj, Cj, k) if e[l] else (
                     False, None, [()] * e[lp])
                 if l == lp and unit_i and unit_j:
                     continue  # phi_l 1 - 1 phi_l
@@ -436,7 +435,7 @@ def _solve_hom_system(fam: RFamily, i: str, j: str, blocks: list[str]) -> int:
             sub = {}
             for c, x in row:
                 if (rc := root[c]) not in dead:
-                    sub[rc] = norm(sub.get(rc, lin.zero) + x * gain[c])
+                    sub[rc] = (sub.get(rc, 0) + x * gain[c]) % q
             sub = [(c, x) for c, x in sub.items() if x]
             if len(sub) == 2:
                 merge(*sub[0], *sub[1])

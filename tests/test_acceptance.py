@@ -14,7 +14,7 @@ from eqposet import (EquippedPoset, Flavor, augment, bilinear, build_family, bui
                      default_tower, is_hereditary, knit, oracle_hom_dim, oracle_radical,
                      pair_components, parse_poset, projective_cd, run_verification, validate)
 from eqposet.forms import RatVec
-from eqposet.knitter import FINITE, TRUNCATED
+from eqposet.knitter import FINITE, TRUNCATED, _kind
 from eqposet.model import Label
 
 
@@ -104,7 +104,7 @@ def test_criterion_4_star_component_against_oracle():
         got = []
         for i, v in enumerate(G.vertices):
             inc = [(a.a, a.b) for a in G.arrows if a.dst == i]
-            got.append((v.kind, v.label.value, v.udimF,
+            got.append((_kind(v.proj_point, v.inj_point), v.label.value, v.udimF,
                         inc[0] if inc else None))
         assert got == want[fl], fl
         rep = run_verification(M, tower)

@@ -12,6 +12,7 @@ import importlib.util
 import io
 import json
 import random
+import runpy
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from conftest import ALL_FIXTURES, SRC, fixture_path, load_fixture, model, run_p
 from eqposet import (EquippedPoset, Flavor, augment, build_model, cli, knit,
                      min_equipment_closure, parse_poset, validate)
 from eqposet.cli import build_parser, emit_dot, emit_json, main
-from eqposet.knitter import ComponentGraph
+from eqposet.knitter import ComponentGraph, _kind
 from eqposet.model import Label
 
 BAD_POSET = """\
@@ -79,7 +80,7 @@ def reference_dict(G) -> dict:
         entry = {
             "id": i,
             "section": v.section,
-            "kind": v.kind,
+            "kind": _kind(v.proj_point, v.inj_point),
             "label": v.label.value,
             "udimF": [str(e) for e in v.udimF],
             "udim": [str(e) for e in v.udim],
@@ -351,6 +352,21 @@ def test_prime_p_past_any_tower_exits_2(tmp_path):
     assert out.stderr == ("error: p = 2147483647 is too large for a tower: its operators "
                           "are p x p matrices, so p <= 31\n")
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("text, code, out", [
+    ("p 2\npoint w weak\naugment\n", 0, "valid\n"),
+    ("p 2\npoint a weak\npoint b weak\nrel a b 2\nrel b a 2\n", 1, "2 violation(s):\n  - antisymmetry"),
+], ids=["valid", "violation"])
+def test_python_m_eqposet_exits_with_main(tmp_path, monkeypatch, capsys, text, code, out):
+    """`python -m eqposet`, run in process by runpy, exits with main's code."""
+    path = tmp_path / "poset.eqp"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "argv", ["eqposet", "validate", str(path)])
+    monkeypatch.delitem(sys.modules, "eqposet.__main__", raising=False)
+    with pytest.raises(SystemExit) as err:
+        runpy.run_module("eqposet", run_name="__main__")
+    assert err.value.code == code and capsys.readouterr().out.startswith(out)
 
 
 def test_huge_ell_exits_2(tmp_path):

@@ -62,6 +62,14 @@ def test_bilinearity(u, v, w, s):
     assert quadratic(M, u) == bilinear(M, u, u)
 
 
+def test_bilinear_refuses_a_vector_of_the_wrong_length():
+    M = model("star2", "r")
+    for d1, d2 in (((1,), (1, 0, 0)), ((1, 0, 0), (1,)), ((1,), (1,))):
+        with pytest.raises(ValueError) as err:
+            bilinear(M, d1, d2)
+        assert str(err.value) == "vector length does not match the model"
+
+
 def test_rational_vector_arithmetic():
     u = RatVec.of(1, 1, 0)
     v = RatVec.of(1, -1, 3)

@@ -11,7 +11,7 @@ from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError
                      pair_components, parse_poset, projective_cd, projective_udimF,
                      radical_info, run_verification)
 from eqposet.cli import emit_dot, emit_json
-from eqposet.knitter import ArVertex
+from eqposet.knitter import ArVertex, _kind
 
 
 def snap(G):
@@ -19,7 +19,7 @@ def snap(G):
         "status": G.status,
         "sections": [list(s) for s in G.sections],
         "vertices": [
-            (i, v.kind, v.label.letter, v.udimF, v.udim, v.cd)
+            (i, _kind(v.proj_point, v.inj_point), v.label.letter, v.udimF, v.udim, v.cd)
             for i, v in enumerate(G.vertices)
         ],
         "arrows": sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
@@ -184,7 +184,7 @@ def test_trivial_both_flavors():
         assert G.status == FINITE
         assert len(G.vertices) == 1 and not G.arrows
         v = G.vertices[0]
-        assert v.kind == "ProjectiveInjective(m,0)"
+        assert _kind(v.proj_point, v.inj_point) == "ProjectiveInjective(m,0)"
         assert v.udimF == vec
 
 
@@ -249,7 +249,8 @@ def test_knit_emit_and_pair_build_no_record_per_vertex(monkeypatch, capsys):
 def test_vertices_are_records_built_on_each_read():
     G = knit(model("star2", "r"))
     V = G.vertices
-    assert [(i, v.kind, v.label, v.udimF, v.udim, v.cd) for i, v in enumerate(V)] == [
+    assert [(i, _kind(v.proj_point, v.inj_point), v.label, v.udimF, v.udim, v.cd)
+            for i, v in enumerate(V)] == [
         (0, "Projective(m)", Label.STRONG, (0, 0, 1), (0, 0, 1), (1, 0, 1)),
         (1, "ProjectiveInjective(w,w)", Label.WEAK, (0, 2, 2), (0, 1, 2), (2, 1, 0)),
         (2, "Injective(0)", Label.STRONG, (0, 2, 1), (0, 1, 1), None)]
@@ -464,8 +465,8 @@ def test_strong_minimum_need_not_be_declared_first():
 
     def shape(G, move):
         return (G.status, G.sections, G.tau_inv, sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
-                [(v.kind, v.label, v.section, move(v.udimF), move(v.udim), move(v.cd))
-                 for v in G.vertices])
+                [(_kind(v.proj_point, v.inj_point), v.label, v.section, move(v.udimF), move(v.udim),
+                  move(v.cd)) for v in G.vertices])
 
     models = {}
     for fl in ("r", "c"):

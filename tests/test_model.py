@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ALL_FIXTURES, is_slender_above, load_fixture, model
-from eqposet import (AlgebraModel, Flavor, Label, ModelError, PosetError, build_model,
+from eqposet import (AlgebraModel, EquippedPoset, Flavor, Label, ModelError, PosetError, build_model,
                      injective_profiles, is_hereditary, projective_cd,
                      projective_udimF, radical_info)
 
@@ -90,6 +90,18 @@ def test_t_socle_refuses_a_remainder():
     with pytest.raises(ModelError, match=r"^t_socle = 3/2 is not integral$"):
         bad.t_socle
     assert M.t_socle == 1
+
+
+def test_table_refuses_a_non_integral_hom_dimension():
+    """An unvalidated poset with strong points 0 < a < m at p = 3 and
+    l(0, a) = 1: flavor r gives R_(0,a) dimension l/p = 1/3."""
+    pts = ("0", "a", "m")
+    rel = {**{(x, x): 3 for x in pts}, ("0", "a"): 1, ("0", "m"): 3, ("a", "m"): 3}
+    P = EquippedPoset(3, pts, frozenset(pts), rel)
+    hom = tuple(tuple(int((x, y) in rel) for y in pts) for x in pts)
+    with pytest.raises(ModelError) as err:
+        AlgebraModel(P, Flavor.R, hom).table
+    assert str(err.value) == "non-integral hom dimension at (0, a)"
 
 
 # ---------------------------------------------------------------- radicals

@@ -53,17 +53,17 @@ def test_xi_pow_refuses_exponents_outside_0_to_p_minus_1(mode):
 
 
 def test_tower_operator_basis_ranks():
-    """a_ell_basis(ell) has rank p * ell and is the first ell * p operators of
-    a_ell_basis(p), which build_family slices once per family."""
+    """a_ell_basis() holds p * p operators, and its first ell * p, the slice
+    build_family takes once per family, have rank p * ell."""
     for p, mode in [(2, "cyclic"), (3, "cyclic"), (5, "cyclic"),
                     (2, "inseparable"), (3, "inseparable")]:
         t = cached_tower(p, mode)
-        full = t.a_ell_basis(p)
+        full = t.a_ell_basis()
+        assert len(full) == p * p, (p, mode)
         for ell in range(1, p + 1):
-            mats = t.a_ell_basis(ell)
+            mats = full[:ell * p]
             assert len(mats) == p * ell
-            assert len(t.lin.rref([flatten(m) for m in mats])[1]) == p * ell
-            assert mats == full[:ell * p], (p, mode, ell)
+            assert len(t.lin.rref([flatten(m) for m in mats])[1]) == p * ell, (p, mode, ell)
 
 
 @pytest.mark.parametrize("spec, fragment", [
@@ -92,6 +92,8 @@ def test_tower_operator_basis_ranks():
     pytest.param((2, "cyclic", None, 3), "^cyclic towers need both q and c$", id="c-without-q"),
     # p is checked before a default tower is looked up
     pytest.param((37,), "p = 37 is too large for a tower", id="p-past-max-tower-p-default"),
+    # refused before its primality is tested
+    pytest.param((2 ** 31,), r"^p is out of range \(p < 2\^31\)$", id="p-2^31"),
 ])
 def test_bad_tower_parameters(spec, fragment):
     """A tuple holds Tower's arguments; a callable builds its tower itself."""
@@ -149,17 +151,18 @@ def _entries(lin, A):
                                      (2, "inseparable"), (3, "inseparable")])
 def test_driver_parity(p, mode):
     """Both towers run on `ModQ`, the inseparable one over F_p with c = 1 (the
-    F_p(t) tower at t = 1), which takes zero and one as the ints 0 and 1 and
-    reduces ints by `norm` in `mat`; operators flatten row-major and back, and
-    the tower's fixed operators are the expected matrices."""
+    F_p(t) tower at t = 1), whose zero and one are the ints 0 and 1 and whose
+    `mat` reduces ints mod q; operators flatten row-major and back, and the
+    tower's fixed operators are the expected matrices."""
     t = cached_tower(p, mode)
     lin = t.lin
-    assert type(lin.zero) is int and lin.zero == 0 and type(lin.one) is int and lin.one == 1
+    assert lin.eye(2) == [[1, 0], [0, 1]] and t.xi_pow(0) == [1] + [0] * (p - 1)
+    assert all(type(x) is int for v in (*lin.eye(2), t.xi_pow(0)) for x in v)
     n = t.q if mode == "cyclic" else p
     assert (type(lin), lin.q, t.mode) == (ModQ, n, mode) and (mode == "cyclic" or t.c == 1)
     row = lin.mat([[-1, n + 1, n]])[0]
     assert row == [n - 1, 1, 0] and all(type(x) is int for x in row)
-    for m in t.a_ell_basis(p):
+    for m in t.a_ell_basis():
         assert _entries(lin, unflatten(t, flatten(m))) == _entries(lin, m)
     if mode == "cyclic":
         theta = [[pow(t.omega, i, t.q) if j == i else 0 for j in range(p)] for i in range(p)]
@@ -180,7 +183,7 @@ def test_inseparable_tower_arithmetic():
         xi, power = t.xi_pow(1), t.xi_pow(0)
         for _ in range(p):
             power = t.g_mul(power, xi)
-        assert list(power) == [t.c] + [lin.zero] * (p - 1)
+        assert list(power) == [t.c] + [0] * (p - 1)
 
         def delta(g):
             return lin.matmul(lin.mat([list(g)]), lin.transpose(t.theta))[0]
@@ -189,7 +192,7 @@ def test_inseparable_tower_arithmetic():
             for j in range(p):
                 u, v = t.xi_pow(i), t.xi_pow(j)
                 lhs = delta(t.g_mul(u, v))
-                rhs = [lin.norm(a + b) for a, b in zip(t.g_mul(delta(u), v), t.g_mul(u, delta(v)))]
+                rhs = [(a + b) % lin.q for a, b in zip(t.g_mul(delta(u), v), t.g_mul(u, delta(v)))]
                 assert list(lhs) == rhs, (p, i, j)
 
 
@@ -202,15 +205,17 @@ OPERATOR_TOWERS = [(p, mode) for p in (2, 3, 5, 7) for mode in ("cyclic", "insep
 
 @pytest.mark.parametrize("p, mode", OPERATOR_TOWERS)
 def test_operator_basis_and_cuts_match_the_matmul_references(p, mode):
-    """a_ell_basis(ell) equals the reference entry for entry and hands out new
-    lists on every call; the cut of each of its operators is eps_y a eps_x
-    for every (x strong?, y strong?, ell); every entry is an int in [0, q)."""
+    """a_ell_basis() hands out new lists on every call, and its first ell * p
+    operators equal the reference entry for entry; the cut of each of them is
+    eps_y a eps_x for every (x strong?, y strong?, ell); every entry is an int
+    in [0, q)."""
     t = Tower(p, mode)
+    full, again = t.a_ell_basis(), t.a_ell_basis()
+    ids = [{id(m) for m in ms} | {id(row) for m in ms for row in m} for ms in (full, again)]
+    assert not ids[0] & ids[1] and len(ids[0]) == len(full) * (p + 1)
     for ell in range(1, p + 1):
-        mats, again = t.a_ell_basis(ell), t.a_ell_basis(ell)
+        mats = full[:ell * p]
         assert mats == reference_a_ell_basis(t, ell), ell
-        ids = [{id(m) for m in ms} | {id(row) for m in ms for row in m} for ms in (mats, again)]
-        assert not ids[0] & ids[1] and len(ids[0]) == len(mats) * (p + 1)
         for sx, sy in itertools.product((False, True), repeat=2):
             gens = [t.cut(a, sx, sy) for a in mats]
             assert gens == reference_member_gens(t, sx, sy, ell), (ell, sx, sy)
@@ -236,22 +241,26 @@ def test_flavor_r_members_and_units_are_the_reference_cuts(name, mode):
 @pytest.mark.parametrize("p, mode", OPERATOR_TOWERS)
 def test_flat_compose_matches_the_matmul_reference(p, mode, monkeypatch):
     """The flavor-r product of flattened operators equals the reference's on
-    random operators with zero entries, through the same norm calls in the
-    same order; its entries are ints in [0, q)."""
+    random operators with zero entries, through the same reductions mod q in
+    the same order; its entries are ints in [0, q)."""
     t = Tower(p, mode)
     lin, rng, fam = t.lin, random.Random(p), RFamily(t, None, Flavor.R)
 
     def entry():
         """0 half the time; else a residue of F_q (F_p for an inseparable tower)."""
-        return lin.zero if rng.randrange(2) else rng.randrange(lin.q)
+        return 0 if rng.randrange(2) else rng.randrange(lin.q)
 
-    seen, norm = [], lin.norm
+    seen = []
 
-    def spy(v):
-        seen.append(v)
-        return norm(v)
+    class Spy(int):
+        """q, noting each int reduced mod it: `v % q` calls `q.__rmod__`."""
 
-    monkeypatch.setattr(lin, "norm", spy)
+        def __rmod__(self, v):
+            seen.append(v)
+            return v % int(self)
+
+    monkeypatch.setattr(lin, "q", Spy(lin.q))
+    reductions = 0
     for _ in range(20):
         u, v = [entry() for _ in range(p * p)], [entry() for _ in range(p * p)]
         got, calls = fam.compose(u, v), seen[:]
@@ -259,7 +268,9 @@ def test_flat_compose_matches_the_matmul_reference(p, mode, monkeypatch):
         assert got == reference_compose(t, u, v)
         assert seen == calls
         seen.clear()
+        reductions += len(calls)
         assert all(type(e) is int and 0 <= e < lin.q for e in got)
+    assert reductions  # the spy saw them
 
 
 # ---------------------------------------------------------------- families
@@ -474,6 +485,16 @@ def test_a2_reports_a_zero_local_member(flavor):
     assert (rep.a2_failures, rep.a3_failures) == (["R_w is zero"], [])
 
 
+def test_a2_reports_a_unit_outside_its_member():
+    """R_w of a weak point cut to span{E_00}, which is closed under products
+    but holds not its unit, the identity: A.2 says so, and nothing else fails."""
+    t = Tower(3)
+    fam = build_family(t, parse_poset("p 3\npoint w weak\naugment\n"), "r")
+    fam.replace("w", "w", [t.cut(t.lin.eye(3), True, True)], [0])
+    rep = verify_admissible(fam)
+    assert (rep.a2_failures, rep.a3_failures) == (["unit of R_w is not in the member"], [])
+
+
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
 def test_a_leaving_product_is_reported_by_a1_alone(mode, monkeypatch):
     """With R_w of star3 cut to span(1, theta), A.1 raises at the product that
@@ -496,9 +517,8 @@ def test_a_leaving_product_is_reported_by_a1_alone(mode, monkeypatch):
         run_verification(build_model(P, Flavor.R), t)
     assert str(err.value) == "R_(w,w) * R_(w,w) leaves R_(w,w)"
 
-    fam, one, zero = build(t, P, "r"), t.lin.one, t.lin.zero
-    fam.replace("w", "m", [flatten([[one if (i, j) == (1, 0) else zero for j in range(3)]
-                                      for i in range(3)])], [3])
+    fam = build(t, P, "r")
+    fam.replace("w", "m", [flatten([[int((i, j) == (1, 0)) for j in range(3)] for i in range(3)])], [3])
     with pytest.raises(OracleError) as err:
         verify_admissible(fam)
     assert str(err.value) == "R_(0,w) * R_(w,m) leaves R_(0,m)"
@@ -581,14 +601,14 @@ def test_a3_zero_blocks_kill_everything(mode):
     """A zero block, or one of width 0 (R_(x,l) = 0), kills every b; a later
     identity block still separates."""
     lin = cached_tower(2, mode).lin
-    zero, eye = [[lin.zero] * 2] * 2, lin.eye(2)
+    zero, eye = [[0] * 2] * 2, lin.eye(2)
     assert oracle._kills(lin, 2, [zero, [[], []]])
     assert not oracle._kills(lin, 2, [[[], []], zero, eye])
 
 
 def _e(t, i, j) -> list:
     """E_ij, flattened: the p x p operator with a single 1 at (i, j)."""
-    return [t.lin.one if (a, b) == (i, j) else t.lin.zero for a in range(t.p) for b in range(t.p)]
+    return [int((a, b) == (i, j)) for a in range(t.p) for b in range(t.p)]
 
 
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
@@ -902,7 +922,7 @@ def test_weak_chain_of_three_at_p11_and_p13(p, flavor, mode, monkeypatch):
 
 def kron(lin, A, B):
     """The Kronecker product of A and B, with canonical entries."""
-    return [[lin.norm(a * b) for a in ra for b in rb] for ra in A for rb in B]
+    return [[a * b % lin.q for a in ra for b in rb] for ra in A for rb in B]
 
 
 def right_mults(fam, y, z):
@@ -933,7 +953,7 @@ def assert_table_matches_right_multiplication(fam, x, y, z) -> bool:
     C = fam.table(x, y, z)[0]
     assert len(C) == len(want), (x, y, z)
     for Ck, W in zip(C, want):
-        assert (lin.matmul(Ck, R) if R else [[lin.zero] * len(w) for w in W]) == W
+        assert (lin.matmul(Ck, R) if R else [[0] * len(w) for w in W]) == W
     return False
 
 
@@ -1028,7 +1048,7 @@ def all_basis_hom_dim(fam, i, j, blocks):
             if not Ci or e[lp] == 0:
                 continue
             n = len(Ci) * e[lp] * d[l]
-            parts = {m: [[lin.zero] * (e[m] * d[m]) for _ in range(n)] for m in blocks}
+            parts = {m: [[0] * (e[m] * d[m]) for _ in range(n)] for m in blocks}
             parts[lp] = lin.vstack([kron(lin, lin.eye(e[lp]), C) for C in Ci])
             if e[l]:
                 eye = lin.eye(d[l])
@@ -1092,7 +1112,7 @@ def test_hom_systems_hold_no_zero_row_and_equal_systems_are_ranked_once(flavor, 
         if i != P.max:
             systems += any(fam.dim(i, l) for l in up if l != i)
             oracle_radical(fam, i)
-    assert all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
+    assert all(any(x % lin.q for x in row.values()) for rows in calls for row in rows)
     assert len(calls) <= sum(solved) and 0 < sum(solved) < systems
 
 
@@ -1163,7 +1183,7 @@ def test_heavy_rows_reach_rank_without_zero_rows(mode, monkeypatch):
     monkeypatch.setattr(lin, "rank", spy)
     got = [oracle._solve_hom_system(fam, *s) for s in hom_systems(fam)]
     monkeypatch.undo()
-    assert calls and all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
+    assert calls and all(any(x % lin.q for x in row.values()) for rows in calls for row in rows)
     assert got == [rank_hom_dim(fam, *s) for s in hom_systems(fam)]
 
 
@@ -1238,7 +1258,7 @@ def test_solver_on_each_row_shape(case, mode, monkeypatch):
 
     monkeypatch.setattr(lin, "rank", spy)
     assert oracle._solve_hom_system(fam, "i", "j", list(blocks)) == want
-    assert all(any(map(lin.norm, row.values())) for rows in calls for row in rows)
+    assert all(any(x % lin.q for x in row.values()) for rows in calls for row in rows)
     assert len(calls) == (case == "heavy")
     assert rank_hom_dim(fam, "i", "j", list(blocks)) == want
 

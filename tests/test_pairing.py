@@ -55,6 +55,12 @@ def test_pairing_reports_entries_past_the_int_digit_limit(default_digit_limit):
     assert report.failures == {1: [f"udimF law fails at w: 2*1{'0' * 4400} (c) != 1*2 (r)"]}
 
 
+def test_pairing_refuses_models_on_different_posets():
+    Gr, Gc, Mr, _ = pair("star2")
+    report = pair_components(Gr, Gc, Mr, model("chain2_strong", "c"))
+    assert str(report) == "component mismatch: models live on different posets\ncorrespondence FAILS"
+
+
 def test_pairing_refuses_swapped_models():
     """The laws read flavor r's kdim from Mr, so the models must come in the order r, c."""
     Gr, Gc, Mr, Mc = pair("star2")

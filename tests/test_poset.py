@@ -408,6 +408,12 @@ def test_validate_refuses_huge_p_quickly():
     assert out.stdout == "1 violation(s):\n  - p-range: p is out of range (p < 2^31)\n"
 
 
+def test_validate_reports_p_out_of_range():
+    """2^31 is the least p out of range, reported as one violation."""
+    report = validate(EquippedPoset(2 ** 31, ("x",), frozenset(), {("x", "x"): 1}))
+    assert str(report) == "1 violation(s):\n  - p-range: p is out of range (p < 2^31)"
+
+
 def test_is_prime_small_values():
     assert [n for n in range(2, 20) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
