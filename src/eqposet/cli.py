@@ -205,7 +205,3 @@ def main(argv=None) -> int:
     except (ModelError, KnitError, OracleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

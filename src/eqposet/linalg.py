@@ -8,8 +8,8 @@ one over F_p (fields.py says why t = 1 suffices).  The two classes stay apart
 only because perfbench's tracer wraps the methods of each (ROADMAP item 5
 decides, after item 18a).  Every matrix handed in or out holds entries in
 [0, q).  Row reduction gives reduced row echelon bases, so span bases are
-canonical and coordinate extraction reads off pivot columns; ranks of systems
-given row by row go through one sparse elimination.  No floating point is used.
+canonical and `coords` reads each product of A.1's tables off pivot columns;
+ranks of systems given row by row go through one sparse elimination.
 """
 
 from __future__ import annotations
@@ -107,16 +107,6 @@ class GenericField:
         if not self.in_span(R, piv, v):
             raise ValueError("vector outside span")
         return [v[pc] for pc in piv]
-
-    def coords_rows(self, R, piv, W):
-        """Coefficients of every row of W in the rref basis R, one row each,
-        or None when some row of W is outside the span."""
-        out = []
-        for w in W:
-            if not self.in_span(R, piv, w):
-                return None
-            out.append([w[pc] for pc in piv])
-        return out
 
     def rank(self, rows) -> int:
         """Rank of the rows, each a dict column -> entry, not necessarily

@@ -87,18 +87,19 @@ class RFamily:
 
     def table(self, x: str, y: str, z: str) -> tuple:
         """C and the blocks read of it (`_block`), where C[k] is the d_xy x d_xz
-        matrix of row b the coordinates of b * s in R_{x,z} for the k-th basis
-        element s of R_{y,z}.  Raises OracleError when some b * s leaves R_{x,z}."""
+        matrix of row b the `coords` of b * s in R_{x,z}, s the k-th basis element
+        of R_{y,z}.  Raises OracleError at the first b * s that leaves R_{x,z}."""
         if (hit := self._memo.get((x, y, z))) is not None:
             return hit
         m = self.member
         key = (m[(x, y)], m[(y, z)], m[(x, z)])
         if (hit := self._actions.get(key)) is None:
-            B, R, piv = self.basis[(x, y)], self.basis[(x, z)], self.piv[(x, z)]
-            C = [self.tower.lin.coords_rows(R, piv, [self.compose(b, s) for b in B])
-                 for s in self.basis[(y, z)]]
-            if None in C:
-                raise OracleError(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})")
+            R, piv, coords = self.basis[(x, z)], self.piv[(x, z)], self.tower.lin.coords
+            try:
+                C = [[coords(R, piv, self.compose(b, s)) for b in self.basis[(x, y)]]
+                     for s in self.basis[(y, z)]]
+            except ValueError:
+                raise OracleError(f"R_({x},{y}) * R_({y},{z}) leaves R_({x},{z})") from None
             hit = self._actions[key] = (C, {})
         self._memo[(x, y, z)] = hit
         return hit
@@ -453,20 +454,11 @@ def oracle_hom_dim(fam: RFamily, i: str, j: str) -> int:
     return _grade_preserving_hom_dim(fam, i, j, fam.above[i])
 
 
-@dataclass(frozen=True)
-class OracleRadical:
-    end_dim: int
-    block_dims: dict[str, int]
-
-
-def oracle_radical(fam: RFamily, i: str) -> OracleRadical:
-    P = fam.poset
-    if i == P.max:
+def oracle_radical(fam: RFamily, i: str) -> int:
+    """dim End(rad e_i A) from the realization alone, over the blocks l > i."""
+    if i == fam.poset.max:
         raise OracleError("the radical at the maximal point is zero")
-    blocks = [l for l in fam.above[i] if l != i]
-    end_dim = _grade_preserving_hom_dim(fam, i, i, blocks)
-    dims = {l: fam.dim(i, l) for l in blocks}
-    return OracleRadical(end_dim, dims)
+    return _grade_preserving_hom_dim(fam, i, i, [l for l in fam.above[i] if l != i])
 
 
 @dataclass
@@ -498,8 +490,8 @@ class OracleReport:
 
 
 def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
-    """Re-derive M from its realization over tower.  A product that leaves the
-    family makes A.1 raise OracleError before any hom system is solved."""
+    """Re-derive M from its realization over tower; A.1 raises OracleError at a
+    leaving product first.  rad(e_x A) has blocks fam.dim(x, l), l > x."""
     P = M.poset
     if tower.p != P.p:
         raise ParameterError(f"tower is for p = {tower.p}, poset has p = {P.p}")
@@ -508,17 +500,17 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
     for x in P.points:
         if x == P.max:
             continue
-        orad = oracle_radical(fam, x)
+        end_dim = oracle_radical(fam, x)
         info = radical_info(M, x)
-        for l, dim in orad.block_dims.items():
-            if dim != (want := info.multiplicity * info.udimF[P.index[l]]):
+        for l in fam.above[x]:
+            if l != x and (dim := fam.dim(x, l)) != (want := info.multiplicity * info.udimF[P.index[l]]):
                 rep.radical_mismatches.append(
                     f"rad(e_{x} A) has dim {dim} at {l}, table says {want}")
         # m^2 * k with m, k in {1, p} determines (m, k): this one test checks
         # the table's multiplicity and label against the realization
-        if orad.end_dim != (expected_end := info.multiplicity ** 2 * M.kdim(info.label)):
+        if end_dim != (expected_end := info.multiplicity ** 2 * M.kdim(info.label)):
             rep.radical_mismatches.append(
-                f"End rad(e_{x} A) has dim {orad.end_dim}, table says {expected_end}")
+                f"End rad(e_{x} A) has dim {end_dim}, table says {expected_end}")
 
     for i in P.points:
         for j in P.points:

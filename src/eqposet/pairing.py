@@ -73,6 +73,10 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                  if len(getattr(G, k)) != n]:
         report.problems.append(f"per-vertex lists not of {n} entries, one per id: {', '.join(short)}")
         return report
+    if stray := [f"{G.flavor} arrow {a.src}->{a.dst} ends outside the ids 0..{n - 1}" for G in (Gr, Gc)
+                 for a in G.arrows if not (0 <= a.src < n and 0 <= a.dst < n)]:
+        report.problems += stray
+        return report
 
     loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
     failures = report.failures

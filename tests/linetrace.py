@@ -5,9 +5,8 @@
 Loaded with -p, the plugin starts tracing when pytest imports it, before
 conftest.py imports eqposet, so module-level statements count too.  At the
 end it fails the run on every executable src line (per `co_lines()`) that
-never ran, outside ALLOWED: qualified names of code objects and texts of
-lines.  Traced, tier-1 runs four to five times slower, so it runs as a CI step
-of its own.  Needs Python 3.11 or later (`co_qualname`).
+never ran.  Traced, tier-1 runs four to five times slower, so it runs as a CI
+step of its own.
 """
 
 import os
@@ -17,10 +16,6 @@ import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eqposet"
-ALLOWED = {
-    "GenericField.coords",  # no src caller; kept while perfbench's tracer wraps it
-    "raise SystemExit(main())",  # the console entry points run in subprocesses only
-}
 _mine, _ran = {}, set()
 
 
@@ -42,16 +37,15 @@ threading.settrace(_global)
 
 
 def _codes(code):
-    """code and the code objects inside it, skipping those ALLOWED names."""
-    if code.co_qualname not in ALLOWED:
-        yield code
-        for c in code.co_consts:
-            if isinstance(c, types.CodeType):
-                yield from _codes(c)
+    """code and the code objects inside it."""
+    yield code
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            yield from _codes(c)
 
 
 def unreached() -> list[str]:
-    """path:line text, for each executable src line that neither ran nor is allowed."""
+    """path:line text, for each executable src line that never ran."""
     ran = {(os.path.realpath(f), n) for f, n in _ran}
     out = []
     for path in sorted(SRC.glob("*.py")):
@@ -59,7 +53,7 @@ def unreached() -> list[str]:
         text, codes = source.splitlines(), _codes(compile(source, str(path), "exec"))
         lines = {n for code in codes for *_, n in code.co_lines() if n}
         out += [f"{path.relative_to(SRC.parent.parent)}:{n} {text[n - 1].strip()}" for n in sorted(lines)
-                if (str(path), n) not in ran and text[n - 1].strip() not in ALLOWED]
+                if (str(path), n) not in ran]
     return out
 
 

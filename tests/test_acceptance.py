@@ -111,10 +111,9 @@ def test_criterion_4_star_component_against_oracle():
         assert rep.ok, str(rep)
     # the oracle reproduces the flavor-r arrow valuation 2 = radical multiplicity
     fam_r = build_family(tower, P, "r")
-    rad = oracle_radical(fam_r, "w")
     Gr = knit(build_model(P, "r"))
-    assert rad.end_dim == Gr.out_arrows(0)[0].a ** 2
-    assert rad.block_dims == {"m": 2}
+    assert oracle_radical(fam_r, "w") == Gr.out_arrows(0)[0].a ** 2
+    assert {l: fam_r.dim("w", l) for l in fam_r.above["w"] if l != "w"} == {"m": 2}
     # and the middle vertex is the w-projective with its hom-table row
     assert RatVec(Gr.vertices[1].udimF) == RatVec.of(1, 2, 2) - RatVec.of(1, 0, 0)
     assert fam_r.dim("w", "m") == 2 and fam_r.dim("w", "w") == 2

@@ -1,5 +1,6 @@
 """Field towers and the exact realization oracle."""
 
+import gc
 import itertools
 import json
 import random
@@ -17,9 +18,10 @@ from conftest import (ALL_FIXTURES, DEEP_P5, assert_division_agrees, assert_pick
                       reference_a_ell_basis, reference_compose, reference_eps,
                       reference_member_gens, unflatten)
 from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower,
-                     augment, build_family, build_model, default_tower,
+                     augment, build_family, build_model, default_tower, knit,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
-                     parse_poset, run_verification, verify_admissible, verify_dims)
+                     pair_components, parse_poset, run_verification, verify_admissible,
+                     verify_dims)
 from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P
 from eqposet.linalg import ModQ
 
@@ -801,18 +803,16 @@ def test_oracle_radical_star2():
     P = load_fixture("star2")
     # End(rad) has dimension m^2 * k: m = 2 copies of a summand with k = 1
     # in flavor r, one summand with k = p = 2 in flavor c
-    rad_r = oracle_radical(build_family(t, P, "r"), "w")
-    assert rad_r.end_dim == 2 ** 2 * 1
-    assert rad_r.block_dims == {"m": 2}
-    rad_c = oracle_radical(build_family(t, P, "c"), "w")
-    assert rad_c.end_dim == 1 ** 2 * 2
+    fam_r = build_family(t, P, "r")
+    assert oracle_radical(fam_r, "w") == 2 ** 2 * 1
+    assert {l: fam_r.dim("w", l) for l in fam_r.above["w"] if l != "w"} == {"m": 2}
+    assert oracle_radical(build_family(t, P, "c"), "w") == 1 ** 2 * 2
 
 
 def test_oracle_radical_weak_chain():
     t = default_tower(3)
     P = load_fixture("chain3_ell1")
-    rad = oracle_radical(build_family(t, P, "r"), "a")
-    assert rad.end_dim == 1 ** 2 * 3
+    assert oracle_radical(build_family(t, P, "r"), "a") == 1 ** 2 * 3
 
 
 def test_oracle_radical_rejects_maximum():
@@ -874,8 +874,7 @@ def test_oracle_values_pinned(key):
     got = {}
     for x in P.points:
         if x != P.max:
-            r = oracle_radical(fam, x)
-            got[x] = [r.end_dim, r.block_dims]
+            got[x] = [oracle_radical(fam, x), {l: fam.dim(x, l) for l in fam.above[x] if l != x}]
     assert got == want["radical"]
 
 
@@ -916,6 +915,41 @@ def test_weak_chain_of_three_at_p11_and_p13(p, flavor, mode, monkeypatch):
     rep = run_verification(build_model(P, Flavor(flavor)), cached_tower(p, mode))
     assert rep.ok, str(rep)
     assert len(families) == 1 and assert_solver_matches_reference(families[0])
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("p", [17, 19])
+def test_two_weak_points_at_p17_and_p19(p, mode):
+    """a < b, both weak, l = 2, closed and augmented, in flavor r: the whole
+    report over the default towers past p = 13."""
+    P = parse_poset(f"p {p}\npoint a weak\npoint b weak\nrel a b 2\nclosure\naugment\n")
+    rep = run_verification(build_model(P, Flavor.R), cached_tower(p, mode))
+    suffix = " (structural division check)" if mode == "inseparable" else ""
+    assert str(rep) == ("flavor r:\n  member dimensions: ok\n  admissibility: ok" + suffix
+                        + "\n  radicals: ok\n  hom dimensions: ok")
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + DEEP_P5)
+def test_oracle_knit_and_pairing_make_no_reference_cycles(name):
+    """With the collector off, reference counting alone frees all that
+    run_verification (both flavors, both towers), knit and pair_components
+    build: the collector then finds nothing unreachable after each run."""
+    P = load_fixture_or_deep(name)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        models = [build_model(P, Flavor(fl)) for fl in ("r", "c")]
+        for M in models:
+            for mode in ("cyclic", "inseparable"):
+                assert run_verification(M, cached_tower(P.p, mode)).ok
+                assert gc.collect() == 0, (M.flavor, mode)
+        graphs = [knit(M, max_sections=40) for M in models]
+        assert pair_components(*graphs, *models).ok
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------- products
@@ -1062,7 +1096,7 @@ def all_basis_hom_dim(fam, i, j, blocks):
 
 
 def assert_reduced_systems_match(fam):
-    """oracle_hom_dim and oracle_radical's end_dim equal the all-basis systems."""
+    """oracle_hom_dim and oracle_radical equal the all-basis systems."""
     P = fam.poset
     for i in P.points:
         up = [l for l in P.points if (i, l) in P.rel]
@@ -1070,7 +1104,7 @@ def assert_reduced_systems_match(fam):
             assert oracle_hom_dim(fam, i, j) == all_basis_hom_dim(fam, i, j, up), (i, j)
         if i != P.max:
             want = all_basis_hom_dim(fam, i, i, [l for l in up if l != i])
-            assert oracle_radical(fam, i).end_dim == want, i
+            assert oracle_radical(fam, i) == want, i
 
 
 @pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
@@ -1355,10 +1389,10 @@ def test_hom_dim_errors_when_a_product_leaves_the_family():
 
 
 def _hom_answers(fam):
-    """Every oracle_hom_dim and radical end_dim of fam, or its OracleError text."""
+    """Every oracle_hom_dim and oracle_radical of fam, or its OracleError text."""
     P, out = fam.poset, []
     calls = [(oracle_hom_dim, (i, j)) for i in P.points for j in P.points]
-    calls += [(lambda f, i: oracle_radical(f, i).end_dim, (i,)) for i in P.points if i != P.max]
+    calls += [(oracle_radical, (i,)) for i in P.points if i != P.max]
     for fn, args in calls:
         try:
             out.append(fn(fam, *args))
@@ -1430,10 +1464,10 @@ def _closure_key(fam, l, lp):
 
 
 def _member_keys(fam):
-    """By member names: dim R_{y,z} per action table (x <= y <= z), and the
-    set of hom and radical systems that have unknowns."""
+    """By member names: the products d_xy d_yz per action table (x <= y <= z),
+    and the set of hom and radical systems that have unknowns."""
     m, above = fam.member, fam.above
-    tables = {(m[(x, y)], m[(y, z)], m[(x, z)]): fam.dim(y, z)
+    tables = {(m[(x, y)], m[(y, z)], m[(x, z)]): fam.dim(x, y) * fam.dim(y, z)
               for x in above for y in above[x] for z in above[y]}
     systems = set()
     for i in above:
@@ -1450,10 +1484,10 @@ def _member_keys(fam):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monkeypatch):
     """Every cache is keyed by member names, so one run_verification builds
-    each action table once per member triple (coords_rows once per basis
-    element of R_{y,z}), runs each generator closure once per key, and solves
+    each action table once per member triple (coords once per product, d_xy
+    d_yz per table), runs each generator closure once per key, and solves
     each distinct hom system with unknowns once.  Asked again afterwards,
-    no system is solved again or reaches rank, rref or coords_rows."""
+    no system is solved again or reaches rank, rref or coords."""
     P = load_fixture(name)
     lin, families, asked = cached_tower(P.p, "cyclic").lin, [], []
     calls, generators = Counter(), RFamily.generators
@@ -1484,7 +1518,7 @@ def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monk
         calls["solve", any(fam.dim(i, l) and fam.dim(j, l) for l in blocks)] += 1
         return solve(fam, i, j, blocks)
 
-    for fn in ("rank", "rref", "coords_rows"):
+    for fn in ("rank", "rref", "coords"):
         spy(fn)
     monkeypatch.setattr(oracle, "_solve_hom_system", spy_solve)
     monkeypatch.setattr(RFamily, "generators", spy_generators)
@@ -1493,7 +1527,7 @@ def test_one_verification_reads_each_table_and_pick_list_once(name, flavor, monk
     assert run_verification(model(name, flavor), cached_tower(P.p, "cyclic")).ok
     fam = families[0]
     tables, systems = _member_keys(fam)
-    built = calls["coords_rows", False] + calls["coords_rows", True]
+    built = calls["coords", False] + calls["coords", True]
     assert len(families) == 1 and built == sum(tables.values())
     # the first (l, l') asked of each closure key runs the closure, no later one
     first = {}

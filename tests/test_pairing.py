@@ -139,43 +139,48 @@ def _ok_pairs(*ids):
     return "".join(f"pair r#{i} <-> c#{i}: ok\n" for i in ids)
 
 
-@pytest.mark.parametrize("name, max_sections, tamper, text", [
-    ("star2", 12, lambda G: setattr(G, "status", TRUNCATED),
+@pytest.mark.parametrize("name, max_sections, flavor, tamper, text", [
+    ("star2", 12, "c", lambda G: setattr(G, "status", TRUNCATED),
      "component mismatch: statuses differ: Finite vs TruncatedAtMaxSections\n"
      + _ok_pairs(0, 1, 2)),
-    ("vee2", 2, lambda G: G.sections[1].reverse(),
+    ("vee2", 2, "c", lambda G: G.sections[1].reverse(),
      "component mismatch: section 1 ids differ: [3, 4, 5] vs [5, 4, 3]\n"),
-    ("star2", 12, lambda G: G.tau_inv.update({0: 1}),
+    ("star2", 12, "c", lambda G: G.tau_inv.update({0: 1}),
      "component mismatch: tau^-1 differs at [0]\n" + _ok_pairs(0, 1, 2)),
-    ("star2", 12, lambda G: G.inj_point.__setitem__(0, "m"),
+    ("star2", 12, "c", lambda G: G.inj_point.__setitem__(0, "m"),
      "pair r#0 <-> c#0: FAIL\n    kinds differ: Projective(m) vs ProjectiveInjective(m,m)\n"
      + _ok_pairs(1, 2)),
-    ("star2", 12, lambda G: G.arrows.pop(1),
+    ("star2", 12, "c", lambda G: G.arrows.pop(1),
      _ok_pairs(0) + "pair r#1 <-> c#1: FAIL\n    arrow 1->2 has no counterpart\n"
      + _ok_pairs(2)),
-    ("star2", 12, lambda G: G.arrows.append(ArArrow(2, 0, 1, 1)),
+    ("star2", 12, "c", lambda G: G.arrows.append(ArArrow(2, 0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    extra flavor-c arrow 2->0\n"),
-    ("star2", 12, lambda G: G.udim.__setitem__(2, (0, 1, 1)),
+    ("star2", 12, "c", lambda G: G.udim.__setitem__(2, (0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    udim law fails at w: 1*1 (c) != 2*1 (r)\n"),
-    ("star2", 12, lambda G: G.udimF.__setitem__(0, (0, 2)),
+    ("star2", 12, "c", lambda G: G.udimF.__setitem__(0, (0, 2)),
      "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (0, 2), not both of length 3\n"
      + _ok_pairs(1, 2)),
-    ("star2", 12, lambda G: G.udimF.__setitem__(0, (2,)),
+    ("star2", 12, "c", lambda G: G.udimF.__setitem__(0, (2,)),
      "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (2), not both of length 3\n"
      + _ok_pairs(1, 2)),
-    ("star2", 12, lambda G: G.labels.pop(),
+    ("star2", 12, "c", lambda G: G.labels.pop(),
      "component mismatch: per-vertex lists not of 3 entries, one per id: c labels (2)\n"),
-    ("star2", 12, lambda G: G.cd.pop(),
+    ("star2", 12, "c", lambda G: G.cd.pop(),
      "component mismatch: per-vertex lists not of 3 entries, one per id: c cd (2)\n"),
+    ("star2", 12, "r", lambda G: G.arrows.append(ArArrow(3, 0, 1, 1)),
+     "component mismatch: r arrow 3->0 ends outside the ids 0..2\n"),
+    ("star2", 12, "c", lambda G: G.arrows.append(ArArrow(3, 0, 1, 1)),
+     "component mismatch: c arrow 3->0 ends outside the ids 0..2\n"),
 ], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "udim",
-        "udimF_length", "udimF_one_entry", "short_labels", "short_cd"])
-def test_pairing_reports_each_id_mismatch(name, max_sections, tamper, text):
-    """Each check of the id-for-id pairing, failed once on a tampered flavor-c
-    graph, with its full report."""
+        "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r",
+        "stray_arrow_c"])
+def test_pairing_reports_each_id_mismatch(name, max_sections, flavor, tamper, text):
+    """Each check of the id-for-id pairing, failed once on a tampered graph of
+    the flavor given, with its full report."""
     Mr, Mc = model(name, "r"), model(name, "c")
     Gr, Gc = knit(Mr, max_sections=max_sections), knit(Mc, max_sections=max_sections)
     assert pair_components(Gr, Gc, Mr, Mc).ok
-    tamper(Gc)
+    tamper({"r": Gr, "c": Gc}[flavor])
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert str(report) == text + "correspondence FAILS"
