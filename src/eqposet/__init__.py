@@ -4,11 +4,10 @@ finite-field oracle for everything the numerics claim."""
 
 from .fields import Tower, default_tower
 from .forms import RatVec, bilinear, gram_matrix, quadratic
-from .knitter import (FINITE, TRUNCATED, ArArrow, ArVertex, ComponentGraph,
-                      KnitError, knit)
-from .model import (AlgebraModel, Flavor, InjectiveProfile, Label, ModelError,
-                    RadicalInfo, build_model, injective_profiles, is_hereditary,
-                    projective_cd, projective_udimF, radical_info)
+from .knitter import FINITE, TRUNCATED, ArVertex, ComponentGraph, KnitError, knit
+from .model import (AlgebraModel, Flavor, Label, ModelError, RadicalInfo, build_model,
+                    injective_profiles, is_hereditary, projective_cd, projective_udimF,
+                    radical_info)
 from .oracle import (OracleError, OracleReport, RFamily, build_family,
                      oracle_hom_dim, oracle_radical, run_verification,
                      verify_admissible, verify_dims)
@@ -19,11 +18,10 @@ from .poset import (EquippedPoset, ParameterError, PosetError, ValidationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraModel", "ArArrow", "ArVertex", "ComponentGraph", "EquippedPoset",
-    "FINITE", "Flavor", "InjectiveProfile", "KnitError", "Label",
-    "ModelError", "OracleError", "OracleReport", "PairingReport",
-    "ParameterError", "PosetError", "RFamily", "RadicalInfo", "RatVec",
-    "TRUNCATED", "Tower", "ValidationReport", "Violation", "augment",
+    "AlgebraModel", "ArVertex", "ComponentGraph", "EquippedPoset", "FINITE",
+    "Flavor", "KnitError", "Label", "ModelError", "OracleError", "OracleReport",
+    "PairingReport", "ParameterError", "PosetError", "RFamily", "RadicalInfo",
+    "RatVec", "TRUNCATED", "Tower", "ValidationReport", "Violation", "augment",
     "bilinear", "build_family", "build_model", "default_tower", "gram_matrix",
     "injective_profiles", "is_hereditary", "knit", "load_poset",
     "min_equipment_closure", "oracle_hom_dim", "oracle_radical",

@@ -108,8 +108,8 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
     for x in P.points:
         print(f"  e_{x}: {'yes' if is_hereditary(M, x) else 'no'}")
     print("injective profiles:")
-    for x, prof in injective_profiles(M).items():
-        print(f"  inj({x}): label {prof.label.value}, udimF {_vec_text(prof.udimF)}")
+    for x, (ent, lab) in injective_profiles(M).items():
+        print(f"  inj({x}): label {lab.value}, udimF {_vec_text(ent)}")
     if forms:
         print("gram matrix:")
         for row in gram_matrix(M):

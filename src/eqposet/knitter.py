@@ -10,13 +10,13 @@ summand just appeared.
 The component is kept as lists indexed by vertex id: each vertex's
 section, label, udimF and udim entries, coordinate vector, projective
 point and injective point, the same lists the mesh reads while knitting.  The
-mesh at X is -udimF(X) plus b * udimF(dst) over the arrows out of X, summed
-entrywise; each vertex's out-list is in dst order, since every arrow ends at
-a new vertex, so the arrows joined in source order come in (src, dst) order.
-One dict maps each vertex identity to its id; before a vertex takes an
-identity, the dict maps the identity of an injective profile to its point,
-so one lookup both finds a collision and names an injective vertex.
-The model table's vectors are tuples too, read as they are.
+mesh at X is -udimF(X) plus b * udimF(dst) over the arrows (X, dst, a, b) out
+of X, summed entrywise; each vertex's out-list is in dst order, since every
+arrow ends at a new vertex, so the arrows joined in source order come in
+(src, dst) order.  One dict maps each vertex identity to its id; before a
+vertex takes an identity, the dict maps each injective profile, the identity
+of its vertex, to its point, so one lookup both finds a collision and names an
+injective vertex.  The model table's vectors are tuples too, read as they are.
 `ComponentGraph.vertices` builds `ArVertex` records, holding the same
 tuples, from the lists on each read; the knitter, the emitters and the
 pairing never build one.
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, floordiv, mod, mul, neg
-from typing import NamedTuple
 
 from .forms import _vec_text
 from .model import AlgebraModel, Label, injective_profiles, projective_cd, projective_udimF, radical_info
@@ -67,20 +66,11 @@ class ArVertex:
     inj_point: str | None = None
 
 
-class ArArrow(NamedTuple):
-    """An arrow src -> dst with valuation (a, b); immutable and hashable."""
-
-    src: int
-    dst: int
-    a: int
-    b: int
-
-
 @dataclass
 class ComponentGraph:
     """A knitted component.  The data of vertex i is entry i of each
-    per-vertex list, ids in creation order; `arrows` come in (src, dst)
-    order."""
+    per-vertex list, ids in creation order; `arrows` are the tuples
+    (src, dst, a, b) in (src, dst) order."""
 
     flavor: str
     status: str
@@ -91,7 +81,7 @@ class ComponentGraph:
     cd: list[tuple[int, ...] | None] = field(default_factory=list)
     proj_point: list[str | None] = field(default_factory=list)
     inj_point: list[str | None] = field(default_factory=list)
-    arrows: list[ArArrow] = field(default_factory=list)
+    arrows: list[tuple[int, int, int, int]] = field(default_factory=list)
     sections: list[list[int]] = field(default_factory=list)
     tau_inv: dict[int, int] = field(default_factory=dict)
 
@@ -101,9 +91,9 @@ class ComponentGraph:
         record does not reach the graph."""
         return [ArVertex(*v) for v in zip(*(getattr(self, k) for k in _PER_VERTEX))]
 
-    def out_arrows(self, vid: int) -> list[ArArrow]:
+    def out_arrows(self, vid: int) -> list[tuple[int, int, int, int]]:
         """The arrows out of `vid`, in the order of `arrows`."""
-        return [a for a in self.arrows if a.src == vid]
+        return [a for a in self.arrows if a[0] == vid]
 
 
 def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
@@ -120,17 +110,16 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     # identity (udimF entries, label) -> vertex id, or the point of an
     # injective profile while no vertex has that identity
     ident: dict[tuple[tuple[int, ...], Label], int | str] = {
-        (pr.udimF, pr.label): x for x, pr in injective_profiles(M).items()}
+        key: x for x, key in injective_profiles(M).items()}
     homdiag = tuple(M.hom[i][i] for i in range(P.n))
     max_idx = P.index[P.max]
     valuation = {s: {d: _valuation(M, s, d) for d in Label} for s in Label}
-    new_arrow = tuple.__new__   # ArArrow's own __new__ is a Python call per arrow
 
     G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
     sections, tau_inv = G.sections, G.tau_inv
     section_of, labs, ents, udims, cds, projs, injs = (
         G.section_of, G.labels, G.udimF, G.udim, G.cd, G.proj_point, G.inj_point)
-    outs: list[list[ArArrow]] = []   # the arrows out of each vertex
+    outs: list[list[tuple[int, int, int, int]]] = []   # the arrows out of each vertex
 
     def add_vertex(section: int, lab: Label, ent: tuple[int, ...],
                    cd: tuple[int, ...] | None = None, proj_point: str | None = None) -> int:
@@ -189,7 +178,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 lab = Label.STRONG if j in P.strong else Label.WEAK
                 pj = add_vertex(section, lab, projective_udimF(M, j), cd=projective_cd(M, j), proj_point=j)
                 a, b = valuation[labs[z]][lab]
-                outs[z].append(new_arrow(ArArrow, (z, pj, a, b)))
+                outs[z].append((z, pj, a, b))
                 if a != info.multiplicity:
                     raise KnitError(
                         f"arrow valuation {a} disagrees with radical multiplicity "
@@ -231,7 +220,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             tau_inv[x] = y
             for _, d, _, _ in out:
                 a, b = valuation[labs[d]][lab]
-                outs[d].append(new_arrow(ArArrow, (d, y, a, b)))
+                outs[d].append((d, y, a, b))
         attach_projectives(cur + 1)
         cur += 1
     G.arrows.extend(chain.from_iterable(outs))

@@ -5,7 +5,8 @@ augmented poset, from the ell rows of `EquippedPoset.view`.  Everything
 downstream is computed from this table and the equipment.  `AlgebraModel.table`
 holds the per-point part, made in one pass over the points: each socle
 coefficient, each radical shape with its Hasse covers, the injective profiles
-and the projective coordinate vectors, each a tuple of ints.  A table that
+and the projective coordinate vectors, all tuples.  An injective profile is
+the identity (udimF, label) of its vertex in the component.  A table that
 fails raises its first ModelError on every call that reads it: the socle
 coefficients are checked in point order, then the radicals, then the profiles.
 """
@@ -53,18 +54,12 @@ class RadicalInfo:
     is_projective: str | None
 
 
-@dataclass(frozen=True)
-class InjectiveProfile:
-    label: Label
-    udimF: tuple[int, ...]
-
-
 class ModelTable(NamedTuple):
     """A model's per-point data by point index; None at the maximal point's
     radical and at the minimal point's vertex projective."""
 
     radicals: tuple[RadicalInfo | None, ...]
-    profiles: dict[str, InjectiveProfile]
+    profiles: dict[str, tuple[tuple[int, ...], Label]]
     cd: tuple[tuple[int, ...] | None, ...]
 
 
@@ -174,8 +169,8 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
         return RadicalInfo(mult, label, tuple(udimF), tuple([v // mult for v in cd]), proj)
 
     radicals = tuple([radical(i) if i != top else None for i in range(n)])
-    profiles: dict[str, InjectiveProfile] = {}
-    seen: dict[tuple, str] = {}   # (udimF entries, strong) -> point
+    profiles: dict[str, tuple[tuple[int, ...], Label]] = {}
+    seen: dict[tuple, str] = {}   # profile -> point
     for i, (x, col, c) in enumerate(zip(pts, zip(*hom), cs)):
         if i == top:
             continue
@@ -185,9 +180,10 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
             raise ModelError(f"negative injective profile entry at ({x}, {y})")
         if vals[top] <= 0:
             raise ModelError(f"injective profile at {x} misses the socle")
-        if (other := seen.setdefault((vals, strong[i]), x)) != x:
+        prof = (vals, Label.STRONG if strong[i] else Label.WEAK)
+        if (other := seen.setdefault(prof, x)) != x:
             raise ModelError(f"injective profiles collide: {other} vs {x}")
-        profiles[x] = InjectiveProfile(Label.STRONG if strong[i] else Label.WEAK, vals)
+        profiles[x] = prof
     return ModelTable(radicals, profiles, tuple([
         None if i == z0 else tuple([1 if k == i else c if k == z0 else 0 for k in range(n)])
         for i, c in enumerate(cs)]))
@@ -221,6 +217,7 @@ def is_hereditary(M: AlgebraModel, x: str) -> bool:
     return True
 
 
-def injective_profiles(M: AlgebraModel) -> dict[str, InjectiveProfile]:
-    """Dimension vectors of the injective vertices, one per point below max."""
+def injective_profiles(M: AlgebraModel) -> dict[str, tuple[tuple[int, ...], Label]]:
+    """The identity (udimF, label) of each injective vertex, by its point
+    below max."""
     return dict(M.table.profiles)

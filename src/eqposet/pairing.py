@@ -10,7 +10,8 @@ each flavor (`model._loc`): w^-1 at a strong vertex, s^-1 at a weak one, and
 unsolvable where p does not divide.  They carry flavor r's projectives,
 radical summands and injective profiles to flavor c's, and the valuations
 swap; the knitter attaches projectives in point order and completes meshes
-in id order, so both flavors are knitted alike and r#i pairs with c#i.
+in id order, so both flavors are knitted alike and r#i pairs with c#i.  Both
+models must be of one poset: equal point names are not enough.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ class PairingReport:
 
 def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                     Mr: AlgebraModel, Mc: AlgebraModel) -> PairingReport:
+    """Compare Gr, knitted from Mr, with Gc from Mc pair by pair; Mr and Mc model one poset."""
     report = PairingReport()
     if (Mr.flavor, Mc.flavor) != (Flavor.R, Flavor.C):
         report.problems.append(f"models are flavors {Mr.flavor.value} and {Mc.flavor.value}, not r and c")
         return report
     P = Mr.poset
-    if P.points != Mc.poset.points:
+    if P != Mc.poset:
         report.problems.append("models live on different posets")
         return report
 
@@ -73,8 +75,8 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                  if len(getattr(G, k)) != n]:
         report.problems.append(f"per-vertex lists not of {n} entries, one per id: {', '.join(short)}")
         return report
-    if stray := [f"{G.flavor} arrow {a.src}->{a.dst} ends outside the ids 0..{n - 1}" for G in (Gr, Gc)
-                 for a in G.arrows if not (0 <= a.src < n and 0 <= a.dst < n)]:
+    if stray := [f"{G.flavor} arrow {s}->{d} ends outside the ids 0..{n - 1}" for G in (Gr, Gc)
+                 for s, d, _, _ in G.arrows if not (0 <= s < n and 0 <= d < n)]:
         report.problems += stray
         return report
 
@@ -101,14 +103,14 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         if fails:
             failures[i] = fails
 
-    arrows_c = {(a.src, a.dst): a for a in Gc.arrows}
-    for ar in Gr.arrows:
-        br = arrows_c.pop((ar.src, ar.dst), None)
-        if br is None:
-            failures.setdefault(ar.src, []).append(f"arrow {ar.src}->{ar.dst} has no counterpart")
-        elif (br.a, br.b) != (ar.b, ar.a):
-            failures.setdefault(ar.src, []).append(
-                f"arrow valuations do not swap: ({ar.a},{ar.b}) vs ({br.a},{br.b})")
+    arrows_c = {(s, d): (a, b) for s, d, a, b in Gc.arrows}
+    for s, d, a, b in Gr.arrows:
+        val = arrows_c.pop((s, d), None)
+        if val is None:
+            failures.setdefault(s, []).append(f"arrow {s}->{d} has no counterpart")
+        elif val != (b, a):
+            failures.setdefault(s, []).append(
+                f"arrow valuations do not swap: ({a},{b}) vs ({val[0]},{val[1]})")
     for src, dst in arrows_c:
         failures.setdefault(src, []).append(f"extra flavor-c arrow {src}->{dst}")
     return report

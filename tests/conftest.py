@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eqposet import (EquippedPoset, Flavor, InjectiveProfile, Label, ModelError, RadicalInfo, RatVec,
+from eqposet import (EquippedPoset, Flavor, Label, ModelError, RadicalInfo, RatVec,
                      build_model, default_tower, injective_profiles, is_hereditary, load_poset,
                      projective_cd, projective_udimF, quadratic, radical_info, validate,
                      verify_admissible)
@@ -267,8 +267,8 @@ def check_component_invariants(M, G, where) -> None:
     # acyclicity and id sanity: vertex i is entry i of every per-vertex list
     assert {len(G.section_of), len(G.labels), len(G.udimF), len(G.udim), len(G.cd),
             len(G.proj_point), len(G.inj_point)} == {n}
-    for a in G.arrows:
-        assert 0 <= a.src < a.dst < n
+    for src, dst, _, _ in G.arrows:
+        assert 0 <= src < dst < n
     # sections are disjoint and cover everything
     flat = [i for sec in G.sections for i in sec]
     assert sorted(flat) == list(range(n))
@@ -277,7 +277,7 @@ def check_component_invariants(M, G, where) -> None:
         assert V[x].label == V[y].label
     # mesh conservation, recomputed from arrows alone
     for x, y in G.tau_inv.items():
-        total = sum((a.a * RatVec(V[a.src].udimF) for a in G.arrows if a.dst == y),
+        total = sum((a * RatVec(V[src].udimF) for src, dst, a, _ in G.arrows if dst == y),
                     RatVec.zeros(M.poset.n))
         assert total == RatVec(V[x].udimF) + RatVec(V[y].udimF), (where, x)
     # q-label law at cd-bearing vertices
@@ -532,11 +532,10 @@ def reference_injective_profiles(M) -> dict:
         if vals[idx[P.max]] <= 0:
             raise ModelError(f"injective profile at {x} misses the socle")
         label = Label.STRONG if x in P.strong else Label.WEAK
-        prof = InjectiveProfile(label, tuple(vals))
-        key = (prof.udimF, label)
-        if key in seen:
-            raise ModelError(f"injective profiles collide: {seen[key]} vs {x}")
-        seen[key] = x
+        prof = (tuple(vals), label)
+        if prof in seen:
+            raise ModelError(f"injective profiles collide: {seen[prof]} vs {x}")
+        seen[prof] = x
         out[x] = prof
     return out
 

@@ -103,7 +103,7 @@ def test_criterion_4_star_component_against_oracle():
         assert G.status == FINITE and len(G.vertices) == 3
         got = []
         for i, v in enumerate(G.vertices):
-            inc = [(a.a, a.b) for a in G.arrows if a.dst == i]
+            inc = [(a, b) for _, dst, a, b in G.arrows if dst == i]
             got.append((_kind(v.proj_point, v.inj_point), v.label.value, v.udimF,
                         inc[0] if inc else None))
         assert got == want[fl], fl
@@ -112,7 +112,7 @@ def test_criterion_4_star_component_against_oracle():
     # the oracle reproduces the flavor-r arrow valuation 2 = radical multiplicity
     fam_r = build_family(tower, P, "r")
     Gr = knit(build_model(P, "r"))
-    assert oracle_radical(fam_r, "w") == Gr.out_arrows(0)[0].a ** 2
+    assert oracle_radical(fam_r, "w") == Gr.out_arrows(0)[0][2] ** 2
     assert {l: fam_r.dim("w", l) for l in fam_r.above["w"] if l != "w"} == {"m": 2}
     # and the middle vertex is the w-projective with its hom-table row
     assert RatVec(Gr.vertices[1].udimF) == RatVec.of(1, 2, 2) - RatVec.of(1, 0, 0)
@@ -133,8 +133,8 @@ def test_criterion_5_component_bijection():
         checked_pairs += len(report.pairs)
     # valuation swap, stated explicitly on the star fixture
     Gr, Gc = knit(model("star2", "r")), knit(model("star2", "c"))
-    assert [(a.a, a.b) for a in Gr.arrows] == [(2, 1), (1, 2)]
-    assert [(a.a, a.b) for a in Gc.arrows] == [(1, 2), (2, 1)]
+    assert [(a, b) for _, _, a, b in Gr.arrows] == [(2, 1), (1, 2)]
+    assert [(a, b) for _, _, a, b in Gc.arrows] == [(1, 2), (2, 1)]
     # negative control: a corrupted component must be rejected
     Gc.udimF[1] = (9, 9, 9)
     bad = pair_components(Gr, Gc, model("star2", "r"), model("star2", "c"))

@@ -22,7 +22,7 @@ def snap(G):
             (i, _kind(v.proj_point, v.inj_point), v.label.letter, v.udimF, v.udim, v.cd)
             for i, v in enumerate(G.vertices)
         ],
-        "arrows": sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
+        "arrows": sorted(G.arrows),
     }
 
 
@@ -175,7 +175,7 @@ def test_chain2_strong_both_flavors():
     }
     Gc = knit(model("chain2_strong", "c"))
     assert [v.udimF for v in Gc.vertices] == [(0, 0, 2), (0, 2, 2)]
-    assert [(a.a, a.b) for a in Gc.arrows] == [(1, 1)]
+    assert [(a, b) for _, _, a, b in Gc.arrows] == [(1, 1)]
 
 
 def test_trivial_both_flavors():
@@ -210,7 +210,7 @@ def test_truncation_prefix_property():
         assert big_V[i].udimF == v.udimF
         assert big_V[i].label == v.label
     for a in small.arrows:
-        if a.src in small_ids and a.dst in small_ids:
+        if a[0] in small_ids and a[1] in small_ids:
             assert a in big.arrows
 
 
@@ -295,8 +295,8 @@ def test_ids_and_sections_are_well_formed():
             n = len(G.vertices)
             flat = [i for sec in G.sections for i in sec]
             assert sorted(flat) == list(range(n))
-            for a in G.arrows:
-                assert a.src < a.dst
+            for src, dst, _, _ in G.arrows:
+                assert src < dst
             V = G.vertices
             for k, sec in enumerate(G.sections):
                 for i in sec:
@@ -337,7 +337,22 @@ def test_vectors_hold_ints(fl, sections):
             if x != P.max:
                 info = radical_info(M, x)
                 assert all_ints(info.udimF) and all_ints(info.cd), (name, x)
-        assert all(all_ints(pr.udimF) for pr in injective_profiles(M).values())
+        assert all(all_ints(ent) for ent, _ in injective_profiles(M).values())
+
+
+@pytest.mark.parametrize("sections", [12, 200])
+@pytest.mark.parametrize("fl", ["r", "c"])
+def test_arrows_and_injective_profiles_are_plain_tuples(fl, sections):
+    """Every arrow is a plain tuple (src, dst, a, b) of ints, and each
+    injective vertex's identity (udimF, label) is its point's profile."""
+    for name in ALL_FIXTURES:
+        M = model(name, fl)
+        G = knit(M, max_sections=sections)
+        assert all(type(a) is tuple and len(a) == 4 and all_ints(a) for a in G.arrows), name
+        profiles = injective_profiles(M)
+        for v, x in enumerate(G.inj_point):
+            if x is not None:
+                assert profiles[x] == (G.udimF[v], G.labels[v]), (name, v)
 
 
 WEAK_2CHAIN_ELL2 = "p 2\npoint x0 weak\npoint x1 weak\nrel x0 x1 2\nclosure\naugment\n"
@@ -464,7 +479,7 @@ def test_strong_minimum_need_not_be_declared_first():
         return vec
 
     def shape(G, move):
-        return (G.status, G.sections, G.tau_inv, sorted((a.src, a.dst, a.a, a.b) for a in G.arrows),
+        return (G.status, G.sections, G.tau_inv, sorted(G.arrows),
                 [(_kind(v.proj_point, v.inj_point), v.label, v.section, move(v.udimF), move(v.udim),
                   move(v.cd)) for v in G.vertices])
 
@@ -477,8 +492,8 @@ def test_strong_minimum_need_not_be_declared_first():
             assert (rad_l.multiplicity, rad_l.label, rad_l.is_projective) == \
                 (rad_e.multiplicity, rad_e.label, rad_e.is_projective)
             assert (moved(rad_l.udimF), moved(rad_l.cd)) == (kept(rad_e.udimF), kept(rad_e.cd))
-        assert {x: moved(pr.udimF) for x, pr in injective_profiles(Ml).items()} == \
-            {x: kept(pr.udimF) for x, pr in injective_profiles(Me).items()}
+        assert {x: moved(ent) for x, (ent, _) in injective_profiles(Ml).items()} == \
+            {x: kept(ent) for x, (ent, _) in injective_profiles(Me).items()}
         Bl, Be = gram_matrix(Ml), gram_matrix(Me)
         assert [[Bl[i][j] for j in perm] for i in perm] == [list(row) for row in Be]
         assert shape(knit(Ml), moved) == shape(knit(Me), kept)

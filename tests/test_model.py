@@ -193,19 +193,19 @@ def test_star2_profiles():
     Mr = model("star2", "r")
     pr = injective_profiles(Mr)
     assert set(pr) == {"0", "w"}
-    assert pr["0"].label is Label.STRONG and pr["0"].udimF == (0, 2, 1)
-    assert pr["w"].label is Label.WEAK and pr["w"].udimF == (0, 2, 2)
+    assert pr["0"][1] is Label.STRONG and pr["0"][0] == (0, 2, 1)
+    assert pr["w"][1] is Label.WEAK and pr["w"][0] == (0, 2, 2)
     Mc = model("star2", "c")
     pc = injective_profiles(Mc)
-    assert pc["0"].udimF == (0, 2, 2)
-    assert pc["w"].udimF == (0, 1, 2)
+    assert pc["0"][0] == (0, 2, 2)
+    assert pc["w"][0] == (0, 1, 2)
 
 
 def test_profiles_are_distinct_on_all_fixtures():
     for name in ALL_FIXTURES:
         for fl in ("r", "c"):
             prof = injective_profiles(model(name, fl))
-            keys = {(p.udimF, p.label) for p in prof.values()}
+            keys = {(udimF, label) for udimF, label in prof.values()}
             assert len(keys) == len(prof)
 
 

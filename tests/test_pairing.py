@@ -4,7 +4,6 @@ import pytest
 
 from conftest import ALL_FIXTURES, TABLE_NAMES, check_component_invariants, load_table, model, table_mismatches
 from eqposet import TRUNCATED, Flavor, build_model, knit, pair_components, parse_poset
-from eqposet.knitter import ArArrow
 from eqposet.model import Label
 
 
@@ -59,6 +58,15 @@ def test_pairing_refuses_models_on_different_posets():
     Gr, Gc, Mr, _ = pair("star2")
     report = pair_components(Gr, Gc, Mr, model("chain2_strong", "c"))
     assert str(report) == "component mismatch: models live on different posets\ncorrespondence FAILS"
+    # two posets that share their point names: the components pair id for id
+    # with every law holding, so only the posets tell them apart
+    P1 = parse_poset("p 2\npoint x0 weak\npoint x1 weak\npoint x2 weak\n"
+                     "rel x0 x1 1\nrel x0 x2 1\naugment\n")
+    P2 = parse_poset("p 2\npoint x0 strong\npoint x1 weak\npoint x2 weak\nrel x0 x2 2\naugment\n")
+    assert P1.points == P2.points
+    Mr, Mc = build_model(P1, Flavor.R), build_model(P2, Flavor.C)
+    report = pair_components(knit(Mr, max_sections=12), knit(Mc, max_sections=12), Mr, Mc)
+    assert str(report) == "component mismatch: models live on different posets\ncorrespondence FAILS"
 
 
 def test_pairing_refuses_swapped_models():
@@ -81,8 +89,8 @@ def test_pairing_detects_label_tampering():
 
 def test_pairing_detects_valuation_tampering():
     Gr, Gc, Mr, Mc = pair("star2")
-    a = Gc.arrows[0]
-    Gc.arrows[0] = ArArrow(a.src, a.dst, a.b, a.a)
+    s, d, a, b = Gc.arrows[0]
+    Gc.arrows[0] = (s, d, b, a)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("valuations do not swap" in m for fails in report.failures.values() for m in fails)
@@ -92,9 +100,9 @@ def test_pairing_detects_flavor_r_valuation_tampering():
     """Pairing reads the flavor-r arrows from `arrows` itself, as it reads
     the flavor-c ones."""
     Gr, Gc, Mr, Mc = pair("star2")
-    a = Gr.arrows[0]
-    Gr.arrows[0] = ArArrow(a.src, a.dst, a.b, a.a)
-    assert Gr.out_arrows(a.src) == [Gr.arrows[0]]
+    s, d, a, b = Gr.arrows[0]
+    Gr.arrows[0] = (s, d, b, a)
+    assert Gr.out_arrows(s) == [Gr.arrows[0]]
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("valuations do not swap" in m for fails in report.failures.values() for m in fails)
@@ -153,7 +161,7 @@ def _ok_pairs(*ids):
     ("star2", 12, "c", lambda G: G.arrows.pop(1),
      _ok_pairs(0) + "pair r#1 <-> c#1: FAIL\n    arrow 1->2 has no counterpart\n"
      + _ok_pairs(2)),
-    ("star2", 12, "c", lambda G: G.arrows.append(ArArrow(2, 0, 1, 1)),
+    ("star2", 12, "c", lambda G: G.arrows.append((2, 0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    extra flavor-c arrow 2->0\n"),
     ("star2", 12, "c", lambda G: G.udim.__setitem__(2, (0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    udim law fails at w: 1*1 (c) != 2*1 (r)\n"),
@@ -167,9 +175,9 @@ def _ok_pairs(*ids):
      "component mismatch: per-vertex lists not of 3 entries, one per id: c labels (2)\n"),
     ("star2", 12, "c", lambda G: G.cd.pop(),
      "component mismatch: per-vertex lists not of 3 entries, one per id: c cd (2)\n"),
-    ("star2", 12, "r", lambda G: G.arrows.append(ArArrow(3, 0, 1, 1)),
+    ("star2", 12, "r", lambda G: G.arrows.append((3, 0, 1, 1)),
      "component mismatch: r arrow 3->0 ends outside the ids 0..2\n"),
-    ("star2", 12, "c", lambda G: G.arrows.append(ArArrow(3, 0, 1, 1)),
+    ("star2", 12, "c", lambda G: G.arrows.append((3, 0, 1, 1)),
      "component mismatch: c arrow 3->0 ends outside the ids 0..2\n"),
 ], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "udim",
         "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r",
