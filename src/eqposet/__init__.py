@@ -5,9 +5,8 @@ finite-field oracle for everything the numerics claim."""
 from .fields import Tower, default_tower
 from .forms import RatVec, bilinear, gram_matrix, quadratic
 from .knitter import FINITE, TRUNCATED, ArVertex, ComponentGraph, KnitError, knit
-from .model import (AlgebraModel, Flavor, Label, ModelError, RadicalInfo, build_model,
-                    injective_profiles, is_hereditary, projective_cd, projective_udimF,
-                    radical_info)
+from .model import (AlgebraModel, Flavor, Label, ModelError, build_model, injective_profiles,
+                    is_hereditary, projective_cd, projective_udimF, radical_info)
 from .oracle import (OracleError, OracleReport, RFamily, build_family,
                      oracle_hom_dim, oracle_radical, run_verification,
                      verify_admissible, verify_dims)
@@ -20,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraModel", "ArVertex", "ComponentGraph", "EquippedPoset", "FINITE",
     "Flavor", "KnitError", "Label", "ModelError", "OracleError", "OracleReport",
-    "PairingReport", "ParameterError", "PosetError", "RFamily", "RadicalInfo",
-    "RatVec", "TRUNCATED", "Tower", "ValidationReport", "Violation", "augment",
+    "PairingReport", "ParameterError", "PosetError", "RFamily", "RatVec",
+    "TRUNCATED", "Tower", "ValidationReport", "Violation", "augment",
     "bilinear", "build_family", "build_model", "default_tower", "gram_matrix",
     "injective_profiles", "is_hereditary", "knit", "load_poset",
     "min_equipment_closure", "oracle_hom_dim", "oracle_radical",

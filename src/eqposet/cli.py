@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper of json.dumps
+from operator import floordiv
 
 from .fields import Tower
 from .forms import _text, _vec_text, gram_matrix, quadratic
@@ -35,7 +37,7 @@ class _Digits(dict):
         return s
 
 
-def _json_vec(v: tuple[int, ...], digits: _Digits) -> str:
+def _json_vec(v: Iterable[int], digits: _Digits) -> str:
     """An integer vector as a JSON array of strings, laid out as a vertex
     field of emit_json; never empty, as each has an entry per point."""
     return '[\n        "' + '",\n        "'.join(map(digits.__getitem__, v)) + '"\n      ]'
@@ -49,13 +51,13 @@ _JSON_REGULAR = _quote(_kind(None, None))
 
 
 def emit_json(G: ComponentGraph) -> str:
-    """The component as json.dumps(..., indent=2) writes its dict, byte for byte."""
-    digits = _Digits()
+    """The component as json.dumps(..., indent=2) writes its dict, byte for byte; udim is udimF // local."""
+    digits, local = _Digits(), G.local
     vertices = [_JSON_VERTEX % (i, s, _JSON_REGULAR if pp is None and ip is None else _quote(_kind(pp, ip)),
-                                _JSON_LABEL[lab], _json_vec(f, digits), _json_vec(u, digits),
+                                _JSON_LABEL[lab], _json_vec(f, digits), _json_vec(map(floordiv, f, local), digits),
                                 "" if c is None else f',\n      "cd": {_json_vec(c, digits)}')
-                for i, (s, lab, f, u, c, pp, ip) in enumerate(zip(
-                    G.section_of, G.labels, G.udimF, G.udim, G.cd, G.proj_point, G.inj_point))]
+                for i, (s, lab, f, c, pp, ip) in enumerate(zip(
+                    G.section_of, G.labels, G.udimF, G.cd, G.proj_point, G.inj_point))]
     arrows = [_JSON_ARROW % a for a in G.arrows]
     sections = [_json_list(list(map(str, s)), " " * 6) for s in G.sections]
     return (f'{{\n  "flavor": {_quote(G.flavor)},\n  "status": {_quote(G.status)},\n'
@@ -100,10 +102,9 @@ def _print_info(P: EquippedPoset, flavor: Flavor, forms: bool) -> None:
         if x == P.max:
             print(f"  rad(e_{x}) = 0")
             continue
-        info = radical_info(M, x)
-        pj = info.is_projective if info.is_projective is not None else "-"
-        print(f"  rad(e_{x}) = {info.multiplicity} x [udimF {_vec_text(info.udimF)}, "
-              f"label {info.label.value}, cd {_vec_text(info.cd)}, projective: {pj}]")
+        mult, (ent, lab), cd, pj = radical_info(M, x)
+        print(f"  rad(e_{x}) = {mult} x [udimF {_vec_text(ent)}, "
+              f"label {lab.value}, cd {_vec_text(cd)}, projective: {'-' if pj is None else pj}]")
     print("hereditary:")
     for x in P.points:
         print(f"  e_{x}: {'yes' if is_hereditary(M, x) else 'no'}")

@@ -7,19 +7,20 @@ power of an already-placed projective; later sections alternate mesh
 completion (in id order) with attachment of projectives whose radical
 summand just appeared.
 
-The component is kept as lists indexed by vertex id: each vertex's
-section, label, udimF and udim entries, coordinate vector, projective
-point and injective point, the same lists the mesh reads while knitting.  The
-mesh at X is -udimF(X) plus b * udimF(dst) over the arrows (X, dst, a, b) out
-of X, summed entrywise; each vertex's out-list is in dst order, since every
-arrow ends at a new vertex, so the arrows joined in source order come in
-(src, dst) order.  One dict maps each vertex identity to its id; before a
-vertex takes an identity, the dict maps each injective profile, the identity
-of its vertex, to its point, so one lookup both finds a collision and names an
-injective vertex.  The model table's vectors are tuples too, read as they are.
-`ComponentGraph.vertices` builds `ArVertex` records, holding the same
-tuples, from the lists on each read; the knitter, the emitters and the
-pairing never build one.
+The component is kept as lists indexed by vertex id: each vertex's section,
+label, udimF entries, coordinate vector, projective point and injective
+point, the same lists the mesh reads while knitting; udim is not stored, as
+it is udimF over `local`, the graph's tuple of hom(x, x).  The mesh at X is
+-udimF(X) plus b * udimF(dst) over the arrows (X, dst, a, b) out of X, summed
+entrywise; each vertex's out-list is in dst order, since every arrow ends at
+a new vertex, so the arrows joined in source order come in (src, dst) order.
+One dict maps each vertex identity to its id; before a vertex takes an
+identity, the dict maps each injective profile, the identity of its vertex,
+to its point, so one lookup both finds a collision and names an injective
+vertex, and a radical names its summand by that identity.  The model table's
+vectors are tuples too, read as they are.  `ComponentGraph.vertices` builds
+`ArVertex` records, with the udim it derives, from the lists on each read;
+the knitter, the emitters and the pairing never build one.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ DEFAULT_MAX_SECTIONS = 12
 
 FINITE = "Finite"
 TRUNCATED = "TruncatedAtMaxSections"
-# the per-vertex lists of a `ComponentGraph`, in the order of `ArVertex`'s fields
-_PER_VERTEX = ("section_of", "labels", "udimF", "udim", "cd", "proj_point", "inj_point")
+# the per-vertex lists of a `ComponentGraph`, in the order of `ArVertex`'s fields but udim
+_PER_VERTEX = ("section_of", "labels", "udimF", "cd", "proj_point", "inj_point")
 
 
 class KnitError(RuntimeError):
@@ -56,7 +57,7 @@ def _kind(proj_point: str | None, inj_point: str | None) -> str:
 
 @dataclass(slots=True)
 class ArVertex:
-    """Entry i of each list of a graph; its id is i, its place in `vertices`."""
+    """Entry i of each list of a graph, and udimF // local; its id is i, its place in `vertices`."""
     section: int
     label: Label
     udimF: tuple[int, ...]
@@ -69,15 +70,15 @@ class ArVertex:
 @dataclass
 class ComponentGraph:
     """A knitted component.  The data of vertex i is entry i of each
-    per-vertex list, ids in creation order; `arrows` are the tuples
-    (src, dst, a, b) in (src, dst) order."""
+    per-vertex list, ids in creation order; `local` is each point's hom(x, x);
+    `arrows` are the tuples (src, dst, a, b) in (src, dst) order."""
 
     flavor: str
     status: str
+    local: tuple[int, ...]
     section_of: list[int] = field(default_factory=list)
     labels: list[Label] = field(default_factory=list)
     udimF: list[tuple[int, ...]] = field(default_factory=list)
-    udim: list[tuple[int, ...]] = field(default_factory=list)
     cd: list[tuple[int, ...] | None] = field(default_factory=list)
     proj_point: list[str | None] = field(default_factory=list)
     inj_point: list[str | None] = field(default_factory=list)
@@ -89,7 +90,8 @@ class ComponentGraph:
     def vertices(self) -> list[ArVertex]:
         """The vertices as records, built anew on each read: a change to a
         record does not reach the graph."""
-        return [ArVertex(*v) for v in zip(*(getattr(self, k) for k in _PER_VERTEX))]
+        return [ArVertex(s, lab, f, tuple(map(floordiv, f, self.local)), *rest)
+                for s, lab, f, *rest in zip(*(getattr(self, k) for k in _PER_VERTEX))]
 
     def out_arrows(self, vid: int) -> list[tuple[int, int, int, int]]:
         """The arrows out of `vid`, in the order of `arrows`."""
@@ -115,10 +117,10 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     max_idx = P.index[P.max]
     valuation = {s: {d: _valuation(M, s, d) for d in Label} for s in Label}
 
-    G = ComponentGraph(flavor=M.flavor.value, status=FINITE)
+    G = ComponentGraph(flavor=M.flavor.value, status=FINITE, local=homdiag)
     sections, tau_inv = G.sections, G.tau_inv
-    section_of, labs, ents, udims, cds, projs, injs = (
-        G.section_of, G.labels, G.udimF, G.udim, G.cd, G.proj_point, G.inj_point)
+    section_of, labs, ents, cds, projs, injs = (
+        G.section_of, G.labels, G.udimF, G.cd, G.proj_point, G.inj_point)
     outs: list[list[tuple[int, int, int, int]]] = []   # the arrows out of each vertex
 
     def add_vertex(section: int, lab: Label, ent: tuple[int, ...],
@@ -146,7 +148,6 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
         section_of.append(section)
         labs.append(lab)
         ents.append(ent)
-        udims.append(tuple(map(floordiv, ent, homdiag)))
         cds.append(cd)
         projs.append(proj_point)
         injs.append(inj)
@@ -156,7 +157,6 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     placed: set[str] = {P.max}
     inner = [x for x in P.points if x not in (P.zero, P.max)]
     radicals = {j: radical_info(M, j) for j in inner}
-    rad_keys = {j: (info.udimF, info.label) for j, info in radicals.items()}
 
     def attach_projectives(section: int) -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
@@ -167,11 +167,11 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             for j in inner:
                 if j in placed:
                     continue
-                z = ident.get(rad_keys[j])
+                mult, key, cd, proj = radicals[j]
+                z = ident.get(key)
                 if type(z) is not int or section_of[z] != section:   # no vertex there yet
                     continue
-                info = radicals[j]
-                if projs[z] is not None and info.is_projective != projs[z]:
+                if projs[z] is not None and proj != projs[z]:
                     raise KnitError(
                         f"radical of {j} matches projective {projs[z]} by dimensions "
                         f"but not by equipment")
@@ -179,15 +179,14 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 pj = add_vertex(section, lab, projective_udimF(M, j), cd=projective_cd(M, j), proj_point=j)
                 a, b = valuation[labs[z]][lab]
                 outs[z].append((z, pj, a, b))
-                if a != info.multiplicity:
+                if a != mult:
                     raise KnitError(
-                        f"arrow valuation {a} disagrees with radical multiplicity "
-                        f"{info.multiplicity} at {j}")
+                        f"arrow valuation {a} disagrees with radical multiplicity {mult} at {j}")
                 if cds[z] is None:
-                    cds[z] = info.cd
-                elif cds[z] != info.cd:
+                    cds[z] = cd
+                elif cds[z] != cd:
                     raise KnitError(f"coordinate vector mismatch at vertex {z}: "
-                                    f"{_vec_text(cds[z])} vs {_vec_text(info.cd)}")
+                                    f"{_vec_text(cds[z])} vs {_vec_text(cd)}")
                 placed.add(j)
                 changed = True
 

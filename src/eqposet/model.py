@@ -5,10 +5,12 @@ augmented poset, from the ell rows of `EquippedPoset.view`.  Everything
 downstream is computed from this table and the equipment.  `AlgebraModel.table`
 holds the per-point part, made in one pass over the points: each socle
 coefficient, each radical shape with its Hasse covers, the injective profiles
-and the projective coordinate vectors, all tuples.  An injective profile is
-the identity (udimF, label) of its vertex in the component.  A table that
-fails raises its first ModelError on every call that reads it: the socle
-coefficients are checked in point order, then the radicals, then the profiles.
+and the projective coordinate vectors, all tuples.  A radical is the tuple
+(multiplicity, (udimF, label), cd, is_projective): that many copies of a
+summand with coordinate vector cd, named, as an injective profile is, by the
+identity (udimF, label) of its vertex; is_projective names j when it is e_j A.
+A table that fails raises its first ModelError on every call that reads it:
+the socle coefficients, in point order, then the radicals, then the profiles.
 """
 
 from __future__ import annotations
@@ -41,24 +43,14 @@ class Label(str, Enum):
         return "S" if self is Label.STRONG else "W"
 
 
-@dataclass(frozen=True)
-class RadicalInfo:
-    """Shape of rad(e_i A) as a right module: `multiplicity` copies of one
-    summand with the recorded label, dimension vector and coordinate vector.
-    `is_projective` names j when the summand is e_j A itself."""
-
-    multiplicity: int
-    label: Label
-    udimF: tuple[int, ...]
-    cd: tuple[int, ...]
-    is_projective: str | None
+Radical = tuple[int, tuple[tuple[int, ...], Label], tuple[int, ...], str | None]
 
 
 class ModelTable(NamedTuple):
     """A model's per-point data by point index; None at the maximal point's
     radical and at the minimal point's vertex projective."""
 
-    radicals: tuple[RadicalInfo | None, ...]
+    radicals: tuple[Radical | None, ...]
     profiles: dict[str, tuple[tuple[int, ...], Label]]
     cd: tuple[tuple[int, ...] | None, ...]
 
@@ -131,7 +123,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
             raise ModelError(f"socle coefficient mismatch at {x}: {a}/{b} vs {row[top]}/{b2}")
         cs.append(c)
 
-    def radical(i: int) -> RadicalInfo:
+    def radical(i: int) -> Radical:
         x, row_ell, wi, uppers = pts[i], ell[i], w[i], up[i]
         # ell <= p, so every relation above x has ell = p when they sum to that
         label = Label.STRONG if strong[i] or sum(row_ell) - row_ell[i] == p * len(uppers) else Label.WEAK
@@ -166,7 +158,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
         j = covers[0] if len(covers) == 1 else None
         proj = pts[j] if j is not None and row_ell[j] == ell[j][j] and all(
             row_ell[u] == ell[j][u] for u in up[j]) else None
-        return RadicalInfo(mult, label, tuple(udimF), tuple([v // mult for v in cd]), proj)
+        return mult, (tuple(udimF), label), tuple([v // mult for v in cd]), proj
 
     radicals = tuple([radical(i) if i != top else None for i in range(n)])
     profiles: dict[str, tuple[tuple[int, ...], Label]] = {}
@@ -202,8 +194,8 @@ def projective_cd(M: AlgebraModel, x: str) -> tuple[int, ...]:
     return M.table.cd[M.poset.index[x]]
 
 
-def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
-    """Shape of rad(e_x A); the radical at the maximal point is zero."""
+def radical_info(M: AlgebraModel, x: str) -> Radical:
+    """Shape of rad(e_x A), a `Radical` tuple; the radical at the maximal point is zero."""
     if x == M.poset.max:
         raise ModelError("the radical at the maximal point is zero")
     return M.table.radicals[M.poset.index[x]]
@@ -212,7 +204,7 @@ def radical_info(M: AlgebraModel, x: str) -> RadicalInfo:
 def is_hereditary(M: AlgebraModel, x: str) -> bool:
     """Whether the radical chain above x consists of projectives all the way up."""
     while x != M.poset.max:
-        if (x := radical_info(M, x).is_projective) is None:
+        if (x := radical_info(M, x)[3]) is None:
             return False
     return True
 

@@ -501,14 +501,14 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
         if x == P.max:
             continue
         end_dim = oracle_radical(fam, x)
-        info = radical_info(M, x)
+        mult, (ent, lab), _, _ = radical_info(M, x)
         for l in fam.above[x]:
-            if l != x and (dim := fam.dim(x, l)) != (want := info.multiplicity * info.udimF[P.index[l]]):
+            if l != x and (dim := fam.dim(x, l)) != (want := mult * ent[P.index[l]]):
                 rep.radical_mismatches.append(
                     f"rad(e_{x} A) has dim {dim} at {l}, table says {want}")
         # m^2 * k with m, k in {1, p} determines (m, k): this one test checks
         # the table's multiplicity and label against the realization
-        if end_dim != (expected_end := info.multiplicity ** 2 * M.kdim(info.label)):
+        if end_dim != (expected_end := mult ** 2 * M.kdim(lab)):
             rep.radical_mismatches.append(
                 f"End rad(e_{x} A) has dim {end_dim}, table says {expected_end}")
 

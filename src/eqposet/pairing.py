@@ -1,21 +1,23 @@
 """The bijection between the two flavor components, vertex id for vertex id.
 
-At a pair of label L, each point k gives one integer equation per law:
+At a pair of label L, each point k gives one integer equation:
 
     kdim_r(L) * udimF_c[k] = loc_c(k) * udimF_r[k]
-    kdim_r(L) * udim_c[k]  = loc_r(k) * udim_r[k]
 
 with kdim_r(L) = 1 (Strong) or p (Weak) and loc the local dimension of k in
 each flavor (`model._loc`): w^-1 at a strong vertex, s^-1 at a weak one, and
-unsolvable where p does not divide.  They carry flavor r's projectives,
+unsolvable where p does not divide.  It carries flavor r's projectives,
 radical summands and injective profiles to flavor c's, and the valuations
 swap; the knitter attaches projectives in point order and completes meshes
-in id order, so both flavors are knitted alike and r#i pairs with c#i.  Both
-models must be of one poset: equal point names are not enough.
+in id order, so both flavors are knitted alike and r#i pairs with c#i.  Each
+graph's `local` must be its flavor's loc, which makes the udim law on
+udimF / local this same equation.  Both models must be of one poset: equal
+point names are not enough.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .forms import _text, _vec_text
@@ -46,7 +48,9 @@ class PairingReport:
 
 def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                     Mr: AlgebraModel, Mc: AlgebraModel) -> PairingReport:
-    """Compare Gr, knitted from Mr, with Gc from Mc pair by pair; Mr and Mc model one poset."""
+    """Compare Gr, knitted from Mr, with Gc from Mc pair by pair; Mr and Mc model one poset.
+    An arrow outside the ids or repeated, or local dimensions other than the
+    flavor's, stop it before the pairs."""
     report = PairingReport()
     if (Mr.flavor, Mc.flavor) != (Flavor.R, Flavor.C):
         report.problems.append(f"models are flavors {Mr.flavor.value} and {Mc.flavor.value}, not r and c")
@@ -75,36 +79,38 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                  if len(getattr(G, k)) != n]:
         report.problems.append(f"per-vertex lists not of {n} entries, one per id: {', '.join(short)}")
         return report
-    if stray := [f"{G.flavor} arrow {s}->{d} ends outside the ids 0..{n - 1}" for G in (Gr, Gc)
-                 for s, d, _, _ in G.arrows if not (0 <= s < n and 0 <= d < n)]:
-        report.problems += stray
+    arrows_r, arrows_c = ({(s, d): (a, b) for s, d, a, b in G.arrows} for G in (Gr, Gc))
+    loc_r, loc_c = (tuple([_loc(fl, s, P.p) for s in P.view.strong]) for fl in (Flavor.R, Flavor.C))
+    # the first of the three checks that fails stops the comparison
+    if bad := ([f"{G.flavor} arrow {s}->{d} ends outside the ids 0..{n - 1}" for G in (Gr, Gc)
+                for s, d, _, _ in G.arrows if not (0 <= s < n and 0 <= d < n)]
+               or [f"{G.flavor} arrow {s}->{d} occurs {k} times" for G, arcs in ((Gr, arrows_r), (Gc, arrows_c))
+                   if len(arcs) < len(G.arrows) for (s, d), k in Counter([a[:2] for a in G.arrows]).items() if k > 1]
+               or [f"{G.flavor} local dimensions {_vec_text(G.local)}, not the poset's {_vec_text(loc)}"
+                   for G, loc in ((Gr, loc_r), (Gc, loc_c)) if tuple(G.local) != loc]):
+        report.problems += bad
         return report
 
-    loc_r, loc_c = ([_loc(fl, s, P.p) for s in P.view.strong] for fl in (Flavor.R, Flavor.C))
     failures = report.failures
     report.pairs = range(n)
-    for i, lr, lc, fr, fc, ur, uc, jr, jc, ir, ic in zip(
-            report.pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF, Gr.udim, Gc.udim,
+    for i, lr, lc, fr, fc, jr, jc, ir, ic in zip(
+            report.pairs, Gr.labels, Gc.labels, Gr.udimF, Gc.udimF,
             Gr.proj_point, Gc.proj_point, Gr.inj_point, Gc.inj_point):
         fails = []
         if (jr != jc or ir != ic) and (kr := _kind(jr, ir)) != (kc := _kind(jc, ic)):
             fails.append(f"kinds differ: {kr} vs {kc}")
         if lr != lc:
             fails.append(f"labels differ: {lr.value} vs {lc.value}")
+        elif not len(fr) == len(fc) == P.n:
+            fails.append(f"udimF law fails: {_vec_text(fr)} vs {_vec_text(fc)}, not both of length {P.n}")
         else:
             kd = Mr.kdim(lr)
-            for law, loc, r, c in (("udimF", loc_c, fr, fc), ("udim", loc_r, ur, uc)):
-                if not len(r) == len(c) == len(loc):
-                    fails.append(f"{law} law fails: {_vec_text(r)} vs {_vec_text(c)}, "
-                                 f"not both of length {len(loc)}")
-                    continue
-                fails += [f"{law} law fails at {x}: {kd}*{_text(b)} (c) != {lk}*{_text(a)} (r)"
-                          for x, lk, a, b in zip(P.points, loc, r, c) if kd * b != lk * a]
+            fails += [f"udimF law fails at {x}: {kd}*{_text(c)} (c) != {lk}*{_text(r)} (r)"
+                      for x, lk, r, c in zip(P.points, loc_c, fr, fc) if kd * c != lk * r]
         if fails:
             failures[i] = fails
 
-    arrows_c = {(s, d): (a, b) for s, d, a, b in Gc.arrows}
-    for s, d, a, b in Gr.arrows:
+    for (s, d), (a, b) in arrows_r.items():
         val = arrows_c.pop((s, d), None)
         if val is None:
             failures.setdefault(s, []).append(f"arrow {s}->{d} has no counterpart")

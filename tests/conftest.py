@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eqposet import (EquippedPoset, Flavor, Label, ModelError, RadicalInfo, RatVec,
+from eqposet import (EquippedPoset, Flavor, Label, ModelError, RatVec,
                      build_model, default_tower, injective_profiles, is_hereditary, load_poset,
                      projective_cd, projective_udimF, quadratic, radical_info, validate,
                      verify_admissible)
@@ -259,13 +259,13 @@ def is_slender_above(P, x: str) -> bool:
 
 def check_component_invariants(M, G, where) -> None:
     """The structural invariants of a knitted component: ids, sections,
-    tau-orbit labels, mesh conservation, the q-label law, divisibility and
-    unique vertex identity."""
+    tau-orbit labels, mesh conservation, the q-label law, divisibility by the
+    local dimensions and unique vertex identity."""
     p = M.poset.p
     V = G.vertices   # built on each read
     n = len(V)
     # acyclicity and id sanity: vertex i is entry i of every per-vertex list
-    assert {len(G.section_of), len(G.labels), len(G.udimF), len(G.udim), len(G.cd),
+    assert {len(G.section_of), len(G.labels), len(G.udimF), len(G.cd),
             len(G.proj_point), len(G.inj_point)} == {n}
     for src, dst, _, _ in G.arrows:
         assert 0 <= src < dst < n
@@ -286,12 +286,14 @@ def check_component_invariants(M, G, where) -> None:
             q = quadratic(M, v.cd)
             assert q in (1, p)
             assert q == M.kdim(v.label), (where, i)
-    # divisibility of udimF and the udim law
+    # divisibility of udimF; local is the hom diagonal and divides each
+    # udimF entry exactly, so udim * local gives udimF back
+    assert G.local == tuple(M.hom_dim(pt, pt) for pt in M.poset.points), where
     for v in V:
         k = M.kdim(v.label)
         assert all(e % k == 0 for e in v.udimF)
-        for j, pt in enumerate(M.poset.points):
-            assert v.udim[j] * M.hom_dim(pt, pt) == v.udimF[j]
+        assert all(e % loc == 0 for e, loc in zip(v.udimF, G.local, strict=True)), where
+        assert tuple(u * loc for u, loc in zip(v.udim, G.local, strict=True)) == v.udimF, where
     # vertex identity is unique
     keys = {(v.udimF, v.label) for v in V}
     assert len(keys) == n
@@ -502,15 +504,14 @@ def reference_radical_info(M, x: str):
         j = succ[0]
         if all(rel[x, u] == rel[j, u] for u in P.points if (j, u) in rel):
             proj = j
-    return RadicalInfo(mult, label, tuple(udimF), tuple(e // mult for e in cd), proj)
+    return mult, (tuple(udimF), label), tuple(e // mult for e in cd), proj
 
 
 def reference_is_hereditary(M, x: str) -> bool:
     while x != M.poset.max:
-        info = reference_radical_info(M, x)
-        if info.is_projective is None:
+        x = reference_radical_info(M, x)[3]
+        if x is None:
             return False
-        x = info.is_projective
     return True
 
 

@@ -206,17 +206,19 @@ HUGE = "1" + "0" * 4400  # 10**4400, past Python's default of 4300 digits for in
 
 
 def _huge_component() -> ComponentGraph:
-    return ComponentGraph("r", "Finite", section_of=[0], labels=[Label.WEAK],
-                          udimF=[(10 ** 4400, 1)], udim=[(1, 10 ** 4400)], cd=[None],
+    """One vertex whose udimF (10**4400, 10**4400) over the local dimensions
+    (10**4400, 1) gives the udim (1, 10**4400)."""
+    return ComponentGraph("r", "Finite", (10 ** 4400, 1), section_of=[0], labels=[Label.WEAK],
+                          udimF=[(10 ** 4400, 10 ** 4400)], cd=[None],
                           proj_point=[None], inj_point=[None], sections=[[0]])
 
 
 def _check_huge(fmt: str, out: str) -> None:
     if fmt == "json":
         v = json.loads(out)["vertices"][0]
-        assert (v["udimF"], v["udim"]) == ([HUGE, "1"], ["1", HUGE])
+        assert (v["udimF"], v["udim"]) == ([HUGE, HUGE], ["1", HUGE])
     else:
-        assert f'  v0 [label="0: ({HUGE}, 1) W"];\n' in out
+        assert f'  v0 [label="0: ({HUGE}, {HUGE}) W"];\n' in out
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])

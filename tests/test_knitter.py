@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import ALL_FIXTURES, fixture_path, load_fixture, load_table, model
+from conftest import ALL_FIXTURES, DEEP_P5, fixture_path, load_fixture, load_fixture_or_deep, load_table, model
 from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model, cli,
                      default_tower, gram_matrix, injective_profiles, knit, knitter,
                      pair_components, parse_poset, projective_cd, projective_udimF,
@@ -335,8 +335,8 @@ def test_vectors_hold_ints(fl, sections):
             if x != P.zero:
                 assert all_ints(projective_cd(M, x))
             if x != P.max:
-                info = radical_info(M, x)
-                assert all_ints(info.udimF) and all_ints(info.cd), (name, x)
+                _, (ent, _), cd, _ = radical_info(M, x)
+                assert all_ints(ent) and all_ints(cd), (name, x)
         assert all(all_ints(ent) for ent, _ in injective_profiles(M).values())
 
 
@@ -355,6 +355,44 @@ def test_arrows_and_injective_profiles_are_plain_tuples(fl, sections):
                 assert profiles[x] == (G.udimF[v], G.labels[v]), (name, v)
 
 
+@pytest.mark.parametrize("sections", [12, 200])
+@pytest.mark.parametrize("fl", ["r", "c"])
+def test_udim_is_udimF_over_the_local_dimensions(fl, sections):
+    """A component stores one tuple of local dimensions, the model's hom
+    diagonal; it divides every udimF entry exactly, and each vertex record's
+    udim is the quotient."""
+    for name in ALL_FIXTURES + DEEP_P5:
+        M = build_model(load_fixture_or_deep(name), fl)
+        G = knit(M, max_sections=sections)
+        assert type(G.local) is tuple and G.local == tuple(M.hom[i][i] for i in range(M.poset.n)), name
+        for i, (v, ent) in enumerate(zip(G.vertices, G.udimF, strict=True)):
+            assert all(e % loc == 0 for e, loc in zip(ent, G.local, strict=True)), (name, i)
+            assert v.udim == tuple(e // loc for e, loc in zip(ent, G.local)), (name, i)
+
+
+@pytest.mark.parametrize("sections", [12, 200])
+@pytest.mark.parametrize("fl", ["r", "c"])
+def test_radical_is_a_tuple_naming_its_summand_vertex(fl, sections):
+    """radical_info(M, j) is the plain tuple (multiplicity, (udimF, label),
+    cd, is_projective); its identity is that of the vertex z whose arrow
+    attaches e_j A, the arrow's first valuation is the multiplicity and cd
+    is z's coordinate vector."""
+    for name in ALL_FIXTURES + DEEP_P5:
+        M = build_model(load_fixture_or_deep(name), fl)
+        G = knit(M, max_sections=sections)
+        into = {}
+        for s, d, a, _ in G.arrows:
+            into.setdefault(d, []).append((s, a))
+        for pj, j in enumerate(G.proj_point):
+            if j is None or j == M.poset.max:
+                continue
+            info = radical_info(M, j)
+            assert type(info) is tuple and len(info) == 4 and type(info[1]) is tuple, (name, j)
+            mult, ident, cd, _ = info
+            [(z, a)] = into[pj]
+            assert ident == (G.udimF[z], G.labels[z]) and a == mult and cd == G.cd[z], (name, j)
+
+
 WEAK_2CHAIN_ELL2 = "p 2\npoint x0 weak\npoint x1 weak\nrel x0 x1 2\nclosure\naugment\n"
 
 
@@ -363,8 +401,8 @@ def test_weak_chain_at_ell_p_knits_in_both_flavors():
     p copies; the model, the knit, the pairing and the oracle then agree."""
     P = parse_poset(WEAK_2CHAIN_ELL2)
     Mr, Mc = build_model(P, Flavor.R), build_model(P, Flavor.C)
-    info = radical_info(Mr, "x0")
-    assert (info.multiplicity, info.label) == (2, Label.STRONG)
+    mult, (_, lab), _, _ = radical_info(Mr, "x0")
+    assert (mult, lab) == (2, Label.STRONG)
     assert pair_components(knit(Mr), knit(Mc), Mr, Mc).ok
     for M in (Mr, Mc):
         rep = run_verification(M, default_tower(2))
@@ -382,9 +420,9 @@ def test_negative_mesh_reports_integer_vector(monkeypatch):
         info = radical_info(M, x)
         if x != "x0":
             return info
+        mult, (_, lab), cd, proj = info
         above = [M.hom_dim(x, y) if (x, y) in P.rel and y != x else 0 for y in P.points]
-        return replace(info, multiplicity=1, udimF=tuple(above),
-                       cd=tuple(info.multiplicity * e for e in info.cd))
+        return 1, (tuple(above), lab), tuple(mult * e for e in cd), proj
 
     monkeypatch.setattr(knitter, "radical_info", one_copy)
     with pytest.raises(KnitError) as exc:
@@ -429,11 +467,16 @@ def test_vertex_identity_collision_is_an_error(monkeypatch):
     assert str(exc.value) == "vertex identity collision at (0, 0, 1) Strong"
 
 
+RADICAL_FIELDS = ("multiplicity", "identity", "cd", "is_projective")   # radical_info's tuple
+
+
 def tampered_radical(point, **changes):
-    """radical_info with the fields in `changes` replaced at one point."""
+    """radical_info with the entries named in `changes` replaced at one point."""
     def info(M, x):
         real = radical_info(M, x)
-        return replace(real, **changes) if x == point else real
+        if x != point:
+            return real
+        return tuple(changes.get(k, v) for k, v in zip(RADICAL_FIELDS, real, strict=True))
     return info
 
 
@@ -488,10 +531,10 @@ def test_strong_minimum_need_not_be_declared_first():
         Ml, Me = build_model(late, fl), build_model(early, fl)
         models[fl] = Ml, Me
         for x in ("z", "a"):
-            rad_l, rad_e = radical_info(Ml, x), radical_info(Me, x)
-            assert (rad_l.multiplicity, rad_l.label, rad_l.is_projective) == \
-                (rad_e.multiplicity, rad_e.label, rad_e.is_projective)
-            assert (moved(rad_l.udimF), moved(rad_l.cd)) == (kept(rad_e.udimF), kept(rad_e.cd))
+            (mult_l, (ent_l, lab_l), cd_l, proj_l), (mult_e, (ent_e, lab_e), cd_e, proj_e) = (
+                radical_info(Ml, x), radical_info(Me, x))
+            assert (mult_l, lab_l, proj_l) == (mult_e, lab_e, proj_e)
+            assert (moved(ent_l), moved(cd_l)) == (kept(ent_e), kept(cd_e))
         assert {x: moved(ent) for x, (ent, _) in injective_profiles(Ml).items()} == \
             {x: kept(ent) for x, (ent, _) in injective_profiles(Me).items()}
         Bl, Be = gram_matrix(Ml), gram_matrix(Me)

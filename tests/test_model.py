@@ -108,58 +108,58 @@ def test_table_refuses_a_non_integral_hom_dimension():
 
 def test_star2_radicals_flavor_r():
     M = model("star2", "r")
-    w = radical_info(M, "w")
-    assert (w.multiplicity, w.label) == (2, Label.STRONG)
-    assert w.udimF == (0, 0, 1)
-    assert w.cd == (1, 0, 1)
-    assert w.is_projective == "m"
-    z = radical_info(M, "0")
-    assert (z.multiplicity, z.label) == (1, Label.STRONG)
-    assert z.udimF == (0, 2, 1)
-    assert z.is_projective is None
+    mult, (ent, lab), cd, proj = radical_info(M, "w")
+    assert (mult, lab) == (2, Label.STRONG)
+    assert ent == (0, 0, 1)
+    assert cd == (1, 0, 1)
+    assert proj == "m"
+    mult, (ent, lab), _, proj = radical_info(M, "0")
+    assert (mult, lab) == (1, Label.STRONG)
+    assert ent == (0, 2, 1)
+    assert proj is None
     with pytest.raises(ModelError):
         radical_info(M, "m")
 
 
 def test_star2_radicals_flavor_c():
     M = model("star2", "c")
-    w = radical_info(M, "w")
-    assert (w.multiplicity, w.label) == (1, Label.STRONG)
-    assert w.udimF == (0, 0, 2)
-    assert w.is_projective == "m"
+    mult, (ent, lab), _, proj = radical_info(M, "w")
+    assert (mult, lab) == (1, Label.STRONG)
+    assert ent == (0, 0, 2)
+    assert proj == "m"
 
 
 def test_chain3_ell1_radical_at_a_is_whole_projective():
     M = model("chain3_ell1", "r")
-    a = radical_info(M, "a")
-    assert (a.multiplicity, a.label) == (1, Label.WEAK)
-    assert a.udimF == (0, 0, 3, 3)  # = udimF of e_b A
-    assert a.is_projective == "b"
-    assert a.cd == projective_cd(M, "b")
+    mult, (ent, lab), cd, proj = radical_info(M, "a")
+    assert (mult, lab) == (1, Label.WEAK)
+    assert ent == (0, 0, 3, 3)  # = udimF of e_b A
+    assert proj == "b"
+    assert cd == projective_cd(M, "b")
 
 
 def test_chain3_ell2_radical_at_a_not_projective():
     M = model("chain3_ell2", "r")
-    a = radical_info(M, "a")
-    assert (a.multiplicity, a.label) == (1, Label.WEAK)
-    assert a.udimF == (0, 0, 6, 3)
-    assert a.is_projective is None
+    mult, (ent, lab), _, proj = radical_info(M, "a")
+    assert (mult, lab) == (1, Label.WEAK)
+    assert ent == (0, 0, 6, 3)
+    assert proj is None
 
 
 def test_mixed3_tee_case_spans_two_strong_points():
     M = model("mixed3", "r")
-    a = radical_info(M, "a")
-    assert (a.multiplicity, a.label) == (3, Label.STRONG)
-    assert a.udimF == (0, 0, 1, 1)  # socle row restricted above a
-    assert a.is_projective == "s"
+    mult, (ent, lab), _, proj = radical_info(M, "a")
+    assert (mult, lab) == (3, Label.STRONG)
+    assert ent == (0, 0, 1, 1)  # socle row restricted above a
+    assert proj == "s"
 
 
 def test_diamond3_multi_successor_radical():
     M = model("diamond3", "r")
-    a = radical_info(M, "a")
-    assert (a.multiplicity, a.label) == (1, Label.WEAK)
-    assert a.udimF == (0, 0, 3, 3, 3)
-    assert a.is_projective is None
+    mult, (ent, lab), _, proj = radical_info(M, "a")
+    assert (mult, lab) == (1, Label.WEAK)
+    assert ent == (0, 0, 3, 3, 3)
+    assert proj is None
 
 
 def test_radical_dim_sum_property():
@@ -171,10 +171,10 @@ def test_radical_dim_sum_property():
             for x in P.points:
                 if x == P.max:
                     continue
-                info = radical_info(M, x)
+                mult, (ent, _), _, _ = radical_info(M, x)
                 for j, y in enumerate(P.points):
                     want = M.hom_dim(x, y) if ((x, y) in P.rel and y != x) else 0
-                    assert info.multiplicity * info.udimF[j] == want, (name, fl, x, y)
+                    assert mult * ent[j] == want, (name, fl, x, y)
 
 
 def test_projective_vectors():

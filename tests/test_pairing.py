@@ -163,8 +163,10 @@ def _ok_pairs(*ids):
      + _ok_pairs(2)),
     ("star2", 12, "c", lambda G: G.arrows.append((2, 0, 1, 1)),
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    extra flavor-c arrow 2->0\n"),
-    ("star2", 12, "c", lambda G: G.udim.__setitem__(2, (0, 1, 1)),
-     _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    udim law fails at w: 1*1 (c) != 2*1 (r)\n"),
+    ("star2", 12, "c", lambda G: setattr(G, "local", (2, 2, 2)),
+     "component mismatch: c local dimensions (2, 2, 2), not the poset's (2, 1, 2)\n"),
+    ("star2", 12, "r", lambda G: setattr(G, "local", (1, 2)),
+     "component mismatch: r local dimensions (1, 2), not the poset's (1, 2, 1)\n"),
     ("star2", 12, "c", lambda G: G.udimF.__setitem__(0, (0, 2)),
      "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (0, 2), not both of length 3\n"
      + _ok_pairs(1, 2)),
@@ -179,9 +181,14 @@ def _ok_pairs(*ids):
      "component mismatch: r arrow 3->0 ends outside the ids 0..2\n"),
     ("star2", 12, "c", lambda G: G.arrows.append((3, 0, 1, 1)),
      "component mismatch: c arrow 3->0 ends outside the ids 0..2\n"),
-], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "udim",
-        "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r",
-        "stray_arrow_c"])
+    ("star2", 12, "c", lambda G: G.arrows.append(G.arrows[0]),
+     "component mismatch: c arrow 0->1 occurs 2 times\n"),
+    ("star2", 12, "r", lambda G: G.arrows.extend([G.arrows[0], G.arrows[0], G.arrows[1]]),
+     "component mismatch: r arrow 0->1 occurs 3 times\n"
+     "component mismatch: r arrow 1->2 occurs 2 times\n"),
+], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "local_c",
+        "local_r", "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r",
+        "stray_arrow_c", "repeated_arrow_c", "repeated_arrow_r"])
 def test_pairing_reports_each_id_mismatch(name, max_sections, flavor, tamper, text):
     """Each check of the id-for-id pairing, failed once on a tampered graph of
     the flavor given, with its full report."""

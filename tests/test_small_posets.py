@@ -5,11 +5,14 @@ The paper puts C^(r) and C^(c) in bijection, so a flavor whose knit or
 oracle fails where the other succeeds is a model bug.  These tests run the
 whole pipeline on every valid equipped poset with at most three points at
 p in {2, 3} and at most one point at p = 5, augmented, and on random ones
-with four or five points.  The oracle runs over the default cyclic tower on
+with four or five points.  Every poset of two or three points at p = 5 and
+p = 7 is knitted and paired too, without the oracle.  The oracle runs over the default cyclic tower on
 all of them, and over the inseparable one too on all but the random ones at
 p = 5.  On every poset of the sweep, A.2's division certificate over the
 cyclic tower agrees with the enumeration of each R_x.
 """
+
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,23 @@ def test_every_two_three_poset_picks_as_the_closure_without_early_stop(mode):
             assert assert_picks_match_reference(build_family(cached_tower(2, mode), A, flavor))
         n += 1
     assert n == 230
+
+
+@pytest.mark.parametrize("p, count", [(5, 724), (7, 1304)])
+def test_every_two_and_three_point_poset_pairs_at_p5_and_p7(p, count):
+    """Local dimensions 5 and 7 reach the pairing on every labelled poset of
+    two or three points, augmented, not only through random draws."""
+    n = 0
+    for P in chain(enumerate_equipped(p, 2), enumerate_equipped(p, 3)):
+        A = augment(P)
+        Mr, Mc = build_model(A, Flavor.R), build_model(A, Flavor.C)
+        Gr, Gc = knit(Mr), knit(Mc)
+        for M, G in ((Mr, Gr), (Mc, Gc)):
+            check_component_invariants(M, G, (P, M.flavor.value))
+        report = pair_components(Gr, Gc, Mr, Mc)
+        assert report.ok, f"{P}:\n{report}"
+        n += 1
+    assert n == count
 
 
 @st.composite
