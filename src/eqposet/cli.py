@@ -53,11 +53,12 @@ _JSON_REGULAR = _quote(_kind(None, None))
 def emit_json(G: ComponentGraph) -> str:
     """The component as json.dumps(..., indent=2) writes its dict, byte for byte; udim is udimF // local."""
     digits, local = _Digits(), G.local
-    vertices = [_JSON_VERTEX % (i, s, _JSON_REGULAR if pp is None and ip is None else _quote(_kind(pp, ip)),
+    section = {i: s for s, ids in enumerate(G.sections) for i in ids}
+    vertices = [_JSON_VERTEX % (i, section[i], _JSON_REGULAR if pp is None and ip is None else _quote(_kind(pp, ip)),
                                 _JSON_LABEL[lab], _json_vec(f, digits), _json_vec(map(floordiv, f, local), digits),
                                 "" if c is None else f',\n      "cd": {_json_vec(c, digits)}')
-                for i, (s, lab, f, c, pp, ip) in enumerate(zip(
-                    G.section_of, G.labels, G.udimF, G.cd, G.proj_point, G.inj_point))]
+                for i, (lab, f, c, pp, ip) in enumerate(zip(
+                    G.labels, G.udimF, G.cd, G.proj_point, G.inj_point))]
     arrows = [_JSON_ARROW % a for a in G.arrows]
     sections = [_json_list(list(map(str, s)), " " * 6) for s in G.sections]
     return (f'{{\n  "flavor": {_quote(G.flavor)},\n  "status": {_quote(G.status)},\n'

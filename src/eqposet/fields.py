@@ -73,7 +73,7 @@ class Tower:
                 raise ParameterError(f"p = {p} does not divide q - 1 = {q - 1}")
             if c % q == 0 or pow(c, (q - 1) // p, q) == 1:
                 raise ParameterError(f"c = {shown(c)} is a p-th power in F_{q}")
-            self.q, self.c = q, c % q
+            self.c = c % q
             self.lin = ModQ(q)
             self.omega = _smallest_root_of_unity(p, q)
             # sigma: xi^i -> omega^i xi^i

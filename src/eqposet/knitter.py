@@ -7,10 +7,11 @@ power of an already-placed projective; later sections alternate mesh
 completion (in id order) with attachment of projectives whose radical
 summand just appeared.
 
-The component is kept as lists indexed by vertex id: each vertex's section,
-label, udimF entries, coordinate vector, projective point and injective
-point, the same lists the mesh reads while knitting; udim is not stored, as
-it is udimF over `local`, the graph's tuple of hom(x, x).  The mesh at X is
+The component is kept as lists indexed by vertex id: each vertex's label,
+udimF entries, coordinate vector, projective point and injective point, the
+same lists the mesh reads while knitting.  A vertex's section and the status
+are read off `sections`, and udim is udimF over `local`, each point's
+hom(x, x); none of them is stored a second time.  The mesh at X is
 -udimF(X) plus b * udimF(dst) over the arrows (X, dst, a, b) out of X, summed
 entrywise; each vertex's out-list is in dst order, since every arrow ends at
 a new vertex, so the arrows joined in source order come in (src, dst) order.
@@ -37,8 +38,8 @@ DEFAULT_MAX_SECTIONS = 12
 
 FINITE = "Finite"
 TRUNCATED = "TruncatedAtMaxSections"
-# the per-vertex lists of a `ComponentGraph`, in the order of `ArVertex`'s fields but udim
-_PER_VERTEX = ("section_of", "labels", "udimF", "cd", "proj_point", "inj_point")
+# the per-vertex lists of a `ComponentGraph`, in the order of `ArVertex`'s fields but section and udim
+_PER_VERTEX = ("labels", "udimF", "cd", "proj_point", "inj_point")
 
 
 class KnitError(RuntimeError):
@@ -70,13 +71,12 @@ class ArVertex:
 @dataclass
 class ComponentGraph:
     """A knitted component.  The data of vertex i is entry i of each
-    per-vertex list, ids in creation order; `local` is each point's hom(x, x);
-    `arrows` are the tuples (src, dst, a, b) in (src, dst) order."""
+    per-vertex list, ids in creation order, section by section; `sections`
+    lists each section's ids; `local` is each point's hom(x, x); `arrows` are
+    the tuples (src, dst, a, b) in (src, dst) order."""
 
     flavor: str
-    status: str
     local: tuple[int, ...]
-    section_of: list[int] = field(default_factory=list)
     labels: list[Label] = field(default_factory=list)
     udimF: list[tuple[int, ...]] = field(default_factory=list)
     cd: list[tuple[int, ...] | None] = field(default_factory=list)
@@ -87,11 +87,17 @@ class ComponentGraph:
     tau_inv: dict[int, int] = field(default_factory=dict)
 
     @property
+    def status(self) -> str:
+        """`FINITE` if the last section holds only injectives, where `knit` stops; else `TRUNCATED`."""
+        return FINITE if all(self.inj_point[x] is not None for x in self.sections[-1]) else TRUNCATED
+
+    @property
     def vertices(self) -> list[ArVertex]:
         """The vertices as records, built anew on each read: a change to a
         record does not reach the graph."""
-        return [ArVertex(s, lab, f, tuple(map(floordiv, f, self.local)), *rest)
-                for s, lab, f, *rest in zip(*(getattr(self, k) for k in _PER_VERTEX))]
+        section = {i: s for s, ids in enumerate(self.sections) for i in ids}
+        return [ArVertex(section[i], lab, f, tuple(map(floordiv, f, self.local)), *rest)
+                for i, (lab, f, *rest) in enumerate(zip(*(getattr(self, k) for k in _PER_VERTEX)))]
 
     def out_arrows(self, vid: int) -> list[tuple[int, int, int, int]]:
         """The arrows out of `vid`, in the order of `arrows`."""
@@ -117,16 +123,15 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     max_idx = P.index[P.max]
     valuation = {s: {d: _valuation(M, s, d) for d in Label} for s in Label}
 
-    G = ComponentGraph(flavor=M.flavor.value, status=FINITE, local=homdiag)
+    G = ComponentGraph(flavor=M.flavor.value, local=homdiag)
     sections, tau_inv = G.sections, G.tau_inv
-    section_of, labs, ents, cds, projs, injs = (
-        G.section_of, G.labels, G.udimF, G.cd, G.proj_point, G.inj_point)
+    labs, ents, cds, projs, injs = G.labels, G.udimF, G.cd, G.proj_point, G.inj_point
     outs: list[list[tuple[int, int, int, int]]] = []   # the arrows out of each vertex
 
-    def add_vertex(section: int, lab: Label, ent: tuple[int, ...],
+    def add_vertex(lab: Label, ent: tuple[int, ...],
                    cd: tuple[int, ...] | None = None, proj_point: str | None = None) -> int:
-        # local dimensions are positive, so a quotient is negative exactly
-        # where its entry is
+        # into the last section, the one under construction.  Local dimensions
+        # are positive, so a quotient is negative exactly where its entry is
         if min(ent) < 0:
             raise KnitError(f"mesh produced a bad dimension vector {_vec_text(ent)}")
         if ent[max_idx] < 1:
@@ -144,8 +149,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             ident[key] = vid
         else:
             inj = None
-        sections[section].append(vid)
-        section_of.append(section)
+        sections[-1].append(vid)
         labs.append(lab)
         ents.append(ent)
         cds.append(cd)
@@ -158,9 +162,10 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     inner = [x for x in P.points if x not in (P.zero, P.max)]
     radicals = {j: radical_info(M, j) for j in inner}
 
-    def attach_projectives(section: int) -> None:
+    def attach_projectives() -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
-        # the section under construction
+        # the section under construction, the ids from its first on
+        first = sections[-1][0]
         changed = True
         while changed:
             changed = False
@@ -169,14 +174,14 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                     continue
                 mult, key, cd, proj = radicals[j]
                 z = ident.get(key)
-                if type(z) is not int or section_of[z] != section:   # no vertex there yet
+                if type(z) is not int or z < first:   # no vertex there yet
                     continue
                 if projs[z] is not None and proj != projs[z]:
                     raise KnitError(
                         f"radical of {j} matches projective {projs[z]} by dimensions "
                         f"but not by equipment")
                 lab = Label.STRONG if j in P.strong else Label.WEAK
-                pj = add_vertex(section, lab, projective_udimF(M, j), cd=projective_cd(M, j), proj_point=j)
+                pj = add_vertex(lab, projective_udimF(M, j), cd=projective_cd(M, j), proj_point=j)
                 a, b = valuation[labs[z]][lab]
                 outs[z].append((z, pj, a, b))
                 if a != mult:
@@ -191,18 +196,11 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 changed = True
 
     sections.append([])
-    add_vertex(0, Label.STRONG, projective_udimF(M, P.max), cd=projective_cd(M, P.max), proj_point=P.max)
-    attach_projectives(0)
+    add_vertex(Label.STRONG, projective_udimF(M, P.max), cd=projective_cd(M, P.max), proj_point=P.max)
+    attach_projectives()
 
-    cur = 0
-    while True:
-        todo = [x for x in sections[cur] if injs[x] is None]
-        if not todo:
-            G.status = FINITE
-            break
-        if cur + 1 >= max_sections:
-            G.status = TRUNCATED
-            break
+    # stop when the last section holds only injectives, or at the depth: `status`
+    while (todo := [x for x in sections[-1] if injs[x] is None]) and len(sections) < max_sections:
         sections.append([])
         for x in todo:
             out = outs[x]
@@ -213,14 +211,13 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 acc = map(add, acc, e if b == 1 else map(mul, e, repeat(b)))
             lab = labs[x]
             try:
-                y = add_vertex(cur + 1, lab, tuple(acc))
+                y = add_vertex(lab, tuple(acc))
             except KnitError as e:
                 raise KnitError(f"mesh at vertex {x} failed: {e}") from None
             tau_inv[x] = y
             for _, d, _, _ in out:
                 a, b = valuation[labs[d]][lab]
                 outs[d].append((d, y, a, b))
-        attach_projectives(cur + 1)
-        cur += 1
+        attach_projectives()
     G.arrows.extend(chain.from_iterable(outs))
     return G

@@ -10,15 +10,17 @@ unsolvable where p does not divide.  It carries flavor r's projectives,
 radical summands and injective profiles to flavor c's, and the valuations
 swap; the knitter attaches projectives in point order and completes meshes
 in id order, so both flavors are knitted alike and r#i pairs with c#i.  Each
-graph's `local` must be its flavor's loc, which makes the udim law on
-udimF / local this same equation.  Both models must be of one poset: equal
-point names are not enough.
+graph's `local` must be its flavor's loc and divide each of its udimF
+entries, which makes the udim law on udimF / local this same equation.  Both
+models must be of one poset: equal point names are not enough.  A status is
+read off the last section, so with equal sections `kinds differ` covers it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mod
 
 from .forms import _text, _vec_text
 from .knitter import _PER_VERTEX, ComponentGraph, _kind
@@ -49,8 +51,9 @@ class PairingReport:
 def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
                     Mr: AlgebraModel, Mc: AlgebraModel) -> PairingReport:
     """Compare Gr, knitted from Mr, with Gc from Mc pair by pair; Mr and Mc model one poset.
-    An arrow outside the ids or repeated, or local dimensions other than the
-    flavor's, stop it before the pairs."""
+    An arrow outside the ids or repeated, local dimensions other than the
+    flavor's, or a udimF entry its local dimension does not divide, stop it
+    before the pairs."""
     report = PairingReport()
     if (Mr.flavor, Mc.flavor) != (Flavor.R, Flavor.C):
         report.problems.append(f"models are flavors {Mr.flavor.value} and {Mc.flavor.value}, not r and c")
@@ -60,8 +63,6 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         report.problems.append("models live on different posets")
         return report
 
-    if Gr.status != Gc.status:
-        report.problems.append(f"statuses differ: {Gr.status} vs {Gc.status}")
     if len(Gr.sections) != len(Gc.sections):
         report.problems.append(f"section counts differ: {len(Gr.sections)} vs {len(Gc.sections)}")
         return report
@@ -81,13 +82,15 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         return report
     arrows_r, arrows_c = ({(s, d): (a, b) for s, d, a, b in G.arrows} for G in (Gr, Gc))
     loc_r, loc_c = (tuple([_loc(fl, s, P.p) for s in P.view.strong]) for fl in (Flavor.R, Flavor.C))
-    # the first of the three checks that fails stops the comparison
+    # the first of the four checks that fails stops the comparison
     if bad := ([f"{G.flavor} arrow {s}->{d} ends outside the ids 0..{n - 1}" for G in (Gr, Gc)
                 for s, d, _, _ in G.arrows if not (0 <= s < n and 0 <= d < n)]
                or [f"{G.flavor} arrow {s}->{d} occurs {k} times" for G, arcs in ((Gr, arrows_r), (Gc, arrows_c))
                    if len(arcs) < len(G.arrows) for (s, d), k in Counter([a[:2] for a in G.arrows]).items() if k > 1]
                or [f"{G.flavor} local dimensions {_vec_text(G.local)}, not the poset's {_vec_text(loc)}"
-                   for G, loc in ((Gr, loc_r), (Gc, loc_c)) if tuple(G.local) != loc]):
+                   for G, loc in ((Gr, loc_r), (Gc, loc_c)) if tuple(G.local) != loc]
+               or [f"{G.flavor}#{i} udimF {_vec_text(f)} is not divisible by the local dimensions {_vec_text(G.local)}"
+                   for G in (Gr, Gc) for i, f in enumerate(G.udimF) if any(map(mod, f, G.local))]):
         report.problems += bad
         return report
 

@@ -26,8 +26,6 @@ class PosetError(ValueError):
     """Structural or syntactic problem with an equipped poset."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
         if line is not None:
             message = f"line {line}" + (f", col {col}" if col is not None else "") + f": {message}"
         super().__init__(message)

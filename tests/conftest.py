@@ -265,8 +265,7 @@ def check_component_invariants(M, G, where) -> None:
     V = G.vertices   # built on each read
     n = len(V)
     # acyclicity and id sanity: vertex i is entry i of every per-vertex list
-    assert {len(G.section_of), len(G.labels), len(G.udimF), len(G.cd),
-            len(G.proj_point), len(G.inj_point)} == {n}
+    assert {len(G.labels), len(G.udimF), len(G.cd), len(G.proj_point), len(G.inj_point)} == {n}
     for src, dst, _, _ in G.arrows:
         assert 0 <= src < dst < n
     # sections are disjoint and cover everything

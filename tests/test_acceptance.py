@@ -59,7 +59,7 @@ def test_criterion_2_heredity_equals_slenderness():
 def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     towers = {2: default_tower(2), 3: default_tower(3)}
-    assert (towers[2].q, towers[3].q) == (3, 7)
+    assert (towers[2].lin.q, towers[3].lin.q) == (3, 7)
     runs = 0
     for name in ALL_FIXTURES:
         P = load_fixture(name)

@@ -208,7 +208,7 @@ HUGE = "1" + "0" * 4400  # 10**4400, past Python's default of 4300 digits for in
 def _huge_component() -> ComponentGraph:
     """One vertex whose udimF (10**4400, 10**4400) over the local dimensions
     (10**4400, 1) gives the udim (1, 10**4400)."""
-    return ComponentGraph("r", "Finite", (10 ** 4400, 1), section_of=[0], labels=[Label.WEAK],
+    return ComponentGraph("r", (10 ** 4400, 1), labels=[Label.WEAK],
                           udimF=[(10 ** 4400, 10 ** 4400)], cd=[None],
                           proj_point=[None], inj_point=[None], sections=[[0]])
 

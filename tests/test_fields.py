@@ -111,8 +111,9 @@ def test_star_import_binds_exactly_all():
 
 
 def test_every_src_name_has_a_reader_in_src():
-    """Every module function, method, class attribute and dataclass field of
-    the package is read somewhere in src.  A module function is read by name
+    """Every module function, method, class attribute, dataclass field and
+    attribute that a method assigns on `self` of the package is read
+    somewhere in src.  A module function is read by name
     or as an attribute; a class member only as an attribute, `x.name`, or
     through a string constant naming it (`getattr` over
     `knitter._PER_VERTEX`), so a local variable of the same name is no reader.
@@ -141,7 +142,10 @@ def test_every_src_name_has_a_reader_in_src():
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        defined = [item.name]
+                        # the method, and each attribute it assigns on self
+                        defined = [item.name, *sorted({n.attr for n in ast.walk(item) if isinstance(n, ast.Attribute)
+                                                       and isinstance(n.ctx, ast.Store)
+                                                       and isinstance(n.value, ast.Name) and n.value.id == "self"})]
                     elif isinstance(item, ast.AnnAssign):
                         defined = [item.target.id]
                     elif isinstance(item, ast.Assign):  # also `a, b = ...`

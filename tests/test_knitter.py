@@ -1,7 +1,8 @@
 """Knitted components: golden graphs, truncation, grid reproduction."""
 
+import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -368,6 +369,46 @@ def test_udim_is_udimF_over_the_local_dimensions(fl, sections):
         for i, (v, ent) in enumerate(zip(G.vertices, G.udimF, strict=True)):
             assert all(e % loc == 0 for e, loc in zip(ent, G.local, strict=True)), (name, i)
             assert v.udim == tuple(e // loc for e, loc in zip(ent, G.local)), (name, i)
+
+
+def _check_read_off_sections(G, where) -> None:
+    """Each vertex's section, in `vertices` and in the JSON, is the index of
+    the section listing its id; the status, in the graph and in the JSON, is
+    Finite exactly when every vertex of the last section has an injective point."""
+    listed = sorted((i, k) for k, ids in enumerate(G.sections) for i in ids)
+    assert [i for i, _ in listed] == list(range(len(G.labels))), where
+    want = [k for _, k in listed]
+    status = FINITE if all(G.inj_point[x] is not None for x in G.sections[-1]) else TRUNCATED
+    assert [v.section for v in G.vertices] == want and G.status == status, where
+    got = json.loads(emit_json(G))
+    assert [v["section"] for v in got["vertices"]] == want and got["status"] == status, where
+
+
+@pytest.mark.parametrize("sections", [12, 200])
+@pytest.mark.parametrize("fl", ["r", "c"])
+def test_section_and_status_are_read_off_the_sections(fl, sections):
+    """`sections` is the one store of a vertex's section and of the status:
+    they follow it on every knitted graph, and still follow it after an empty
+    section is put in front (every vertex moves one section on) and after the
+    last section's injective points change (the status flips)."""
+    for name in ALL_FIXTURES + DEEP_P5:
+        G = knit(build_model(load_fixture_or_deep(name), fl), max_sections=sections)
+        assert not {"section_of", "status"} & {f.name for f in fields(G)}, name
+        _check_read_off_sections(G, name)
+        G.sections.insert(0, [])
+        _check_read_off_sections(G, (name, "shifted"))
+        last, finite = G.sections[-1], G.status == FINITE
+        for x in last[:1] if finite else last:
+            G.inj_point[x] = None if finite else G.inj_point[x] or "m"
+        assert G.status == (TRUNCATED if finite else FINITE), name
+        _check_read_off_sections(G, (name, "flipped"))
+
+
+def test_status_cannot_be_assigned():
+    G = knit(model("star2", "r"))
+    with pytest.raises(AttributeError):
+        G.status = TRUNCATED
+    assert G.status == FINITE
 
 
 @pytest.mark.parametrize("sections", [12, 200])

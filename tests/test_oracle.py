@@ -6,6 +6,7 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import (ALL_FIXTURES, DEEP_P5, assert_division_agrees, assert_picks_match_reference,
                       assert_solver_matches_reference, cached_tower, enumerated_division,
-                      flatten, hom_systems, load_fixture, load_fixture_or_deep, model, rank_hom_dim,
+                      fixture_path, flatten, hom_systems, load_fixture, load_fixture_or_deep, model, rank_hom_dim,
                       reference_a_ell_basis, reference_compose, reference_eps,
                       reference_member_gens, unflatten)
-from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower,
+from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily, Tower, cli,
                      augment, build_family, build_model, default_tower, knit,
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      pair_components, parse_poset, run_verification, verify_admissible,
@@ -31,14 +32,14 @@ from eqposet.linalg import ModQ
 
 def test_default_tower_p2():
     t = default_tower(2)
-    assert (t.q, t.c, t.omega) == (3, 2, 2)  # c = -1 mod 3
+    assert (t.lin.q, t.c, t.omega) == (3, 2, 2)  # c = -1 mod 3
     xi = t.xi_pow(1)
     assert list(t.g_mul(xi, xi)) == [2, 0]  # xi^2 = -1
 
 
 def test_default_tower_p3():
     t = default_tower(3)
-    assert (t.q, t.c, t.omega) == (7, 3, 2)
+    assert (t.lin.q, t.c, t.omega) == (7, 3, 2)
     xi = t.xi_pow(1)
     assert list(t.g_mul(t.g_mul(xi, xi), xi)) == [3, 0, 0]  # xi^3 = 3
     assert list(t.g_mul(t.xi_pow(0), xi)) == [0, 1, 0]
@@ -126,7 +127,7 @@ def test_tower_without_q_and_c_is_the_default_tower(p):
     """A cyclic Tower given only p takes p's entry in DEFAULT_TOWERS, as
     default_tower does."""
     towers = Tower(p), default_tower(p), Tower(p, "cyclic", *DEFAULT_TOWERS[p])
-    assert len({(t.q, t.c, t.omega, str(t.theta)) for t in towers}) == 1
+    assert len({(t.lin.q, t.c, t.omega, str(t.theta)) for t in towers}) == 1
 
 
 def test_default_towers_for_p7_to_p31_follow_the_rule():
@@ -142,7 +143,7 @@ def test_default_towers_for_p7_to_p31_follow_the_rule():
         c = next(c for c in itertools.count(2) if pow(c, (q - 1) // p, q) != 1)
         assert DEFAULT_TOWERS[p] == (q, c), p
         t = default_tower(p)
-        assert (t.q, t.c) == (q, c) and pow(t.omega, p, q) == 1 != t.omega
+        assert (t.lin.q, t.c) == (q, c) and pow(t.omega, p, q) == 1 != t.omega
 
 
 def _entries(lin, A):
@@ -160,14 +161,14 @@ def test_driver_parity(p, mode):
     lin = t.lin
     assert lin.eye(2) == [[1, 0], [0, 1]] and t.xi_pow(0) == [1] + [0] * (p - 1)
     assert all(type(x) is int for v in (*lin.eye(2), t.xi_pow(0)) for x in v)
-    n = t.q if mode == "cyclic" else p
+    n = DEFAULT_TOWERS[p][0] if mode == "cyclic" else p
     assert (type(lin), lin.q, t.mode) == (ModQ, n, mode) and (mode == "cyclic" or t.c == 1)
     row = lin.mat([[-1, n + 1, n]])[0]
     assert row == [n - 1, 1, 0] and all(type(x) is int for x in row)
     for m in t.a_ell_basis():
         assert _entries(lin, unflatten(t, flatten(m))) == _entries(lin, m)
     if mode == "cyclic":
-        theta = [[pow(t.omega, i, t.q) if j == i else 0 for j in range(p)] for i in range(p)]
+        theta = [[pow(t.omega, i, t.lin.q) if j == i else 0 for j in range(p)] for i in range(p)]
     else:
         theta = [[j if j == i + 1 else 0 for j in range(p)] for i in range(p)]
     assert _entries(lin, t.theta) == _entries(lin, lin.mat(theta))
@@ -376,7 +377,7 @@ def test_division_certificate_on_companion_algebras(q, d, sample):
     irreducible quadratic and an irreducible cubic: reducible, with no root.
     One flavor-r family over the default tower for p = d serves every f."""
     t = default_tower(d)
-    assert t.q == q
+    assert t.lin.q == q
     lin = t.lin
     fam = build_family(t, parse_poset(f"p {d}\npoint w weak\naugment\n"), "r")
     fam.unit["w"] = flatten(lin.eye(d))
@@ -710,6 +711,47 @@ def test_failing_report_text():
         rep = run_verification(build_model(P, Flavor(fl)), _split_tower())
         assert not rep.ok
         assert str(rep) == "\n".join(lines), fl
+
+
+def _radicals_off_by_one(monkeypatch):
+    """The oracle reads each radical's multiplicity one too high."""
+    real = oracle.radical_info
+    monkeypatch.setattr(oracle, "radical_info", lambda M, x: (real(M, x)[0] + 1, *real(M, x)[1:]))
+
+
+def _hom_at_an_incomparable_pair(monkeypatch):
+    """The table of vee2 claims hom(a, b) = 1 for its incomparable weak points
+    a and b; every cli.build_model call returns such a table."""
+    real = cli.build_model
+
+    def tampered(P, flavor):
+        M = real(P, flavor)
+        i, j = P.index["a"], P.index["b"]
+        return replace(M, hom=tuple(tuple(1 if (x, y) == (i, j) else h for y, h in enumerate(row))
+                                    for x, row in enumerate(M.hom)))
+    monkeypatch.setattr(cli, "build_model", tampered)
+    return tampered
+
+
+def test_report_fails_on_one_failing_section_alone(monkeypatch, capsys):
+    """A report whose only failing section is the radicals, or the hom
+    dimensions, is not ok, and `eqposet oracle` exits 1 on it."""
+    _radicals_off_by_one(monkeypatch)
+    rep = run_verification(model("star2", "r"), cached_tower(2, "cyclic"))
+    assert rep.radical_mismatches and not (rep.dim_mismatches or rep.hom_mismatches) and rep.adm.ok
+    assert not rep.ok
+    assert cli.main(["oracle", fixture_path("star2")]) == 1
+    out = capsys.readouterr().out
+    assert out.count("  radicals: FAIL\n") == 2 and "hom dimensions: FAIL" not in out
+    monkeypatch.undo()
+    tampered = _hom_at_an_incomparable_pair(monkeypatch)
+    rep = run_verification(tampered(load_fixture("vee2"), Flavor.R), cached_tower(2, "cyclic"))
+    assert rep.hom_mismatches == ["dim Hom(e_b A, e_a A) = 0, table says 1"]
+    assert not (rep.dim_mismatches or rep.radical_mismatches) and rep.adm.ok
+    assert not rep.ok
+    assert cli.main(["oracle", fixture_path("vee2")]) == 1
+    out = capsys.readouterr().out
+    assert out.count("  hom dimensions: FAIL\n") == 2 and "radicals: FAIL" not in out
 
 
 def _leaving(fam) -> list[str]:

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ALL_FIXTURES, TABLE_NAMES, check_component_invariants, load_table, model, table_mismatches
-from eqposet import TRUNCATED, Flavor, build_model, knit, pair_components, parse_poset
+from eqposet import FINITE, TRUNCATED, Flavor, build_model, knit, pair_components, parse_poset
 from eqposet.model import Label
 
 
@@ -29,7 +29,7 @@ def test_pairing_holds_on_every_fixture():
 
 def test_pairing_detects_dimension_tampering():
     Gr, Gc, Mr, Mc = pair("star2")
-    Gc.udimF[1] = (0, 1, 3)
+    Gc.udimF[1] = (0, 1, 4)
     report = pair_components(Gr, Gc, Mr, Mc)
     assert not report.ok
     assert any("udimF law fails" in m for fails in report.failures.values() for m in fails)
@@ -38,13 +38,29 @@ def test_pairing_detects_dimension_tampering():
 
 def test_pairing_reports_non_integral_image():
     """At a Weak pair, p = 2 and loc_c(w) = 1, so the udimF law at the weak point w
-    reads 2*c = r: an odd r has no integer c."""
+    reads 2*c = r: an odd r has no integer c.  As loc_r(w) = 2, an odd r is not
+    divisible by its local dimension either, and that check stops the pairing
+    before any pair is compared."""
     Gr, Gc, Mr, Mc = pair("star2")
     assert Gr.labels[1] is Label.WEAK and Gc.udimF[1] == (0, 1, 2)
     assert pair_components(Gr, Gc, Mr, Mc).ok
     Gr.udimF[1] = (0, 3, 2)
     report = pair_components(Gr, Gc, Mr, Mc)
-    assert report.failures == {1: ["udimF law fails at w: 2*1 (c) != 1*3 (r)"]}
+    assert str(report) == ("component mismatch: r#1 udimF (0, 3, 2) is not divisible by the local "
+                           "dimensions (1, 2, 1)\ncorrespondence FAILS")
+
+
+def test_pairing_stops_at_udimF_its_local_dimensions_do_not_divide():
+    """Both flavors tampered at vertex 0 so that the udimF law holds, 1*c = loc_c*r
+    entrywise, while flavor r's entry 3 at w is odd over loc_r(w) = 2: its udim
+    would be a floor.  The pairing names the vertex and compares no pair."""
+    Gr, Gc, Mr, Mc = pair("star2")
+    Gr.udimF[0], Gc.udimF[0] = (0, 3, 1), (0, 3, 2)
+    assert Gr.vertices[0].udim == (0, 1, 1)
+    report = pair_components(Gr, Gc, Mr, Mc)
+    assert not report.pairs and not report.failures
+    assert str(report) == ("component mismatch: r#0 udimF (0, 3, 1) is not divisible by the local "
+                           "dimensions (1, 2, 1)\ncorrespondence FAILS")
 
 
 def test_pairing_reports_entries_past_the_int_digit_limit(default_digit_limit):
@@ -147,10 +163,17 @@ def _ok_pairs(*ids):
     return "".join(f"pair r#{i} <-> c#{i}: ok\n" for i in ids)
 
 
+def _drop_last_injective(G):
+    """Vertex 2, the one vertex of star2's last section, loses its injective
+    point: the status, read off that section, turns to truncated."""
+    assert G.sections[-1] == [2] and G.status == FINITE
+    G.inj_point[2] = None
+    assert G.status == TRUNCATED
+
+
 @pytest.mark.parametrize("name, max_sections, flavor, tamper, text", [
-    ("star2", 12, "c", lambda G: setattr(G, "status", TRUNCATED),
-     "component mismatch: statuses differ: Finite vs TruncatedAtMaxSections\n"
-     + _ok_pairs(0, 1, 2)),
+    ("star2", 12, "c", _drop_last_injective,
+     _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    kinds differ: Injective(0) vs Regular\n"),
     ("vee2", 2, "c", lambda G: G.sections[1].reverse(),
      "component mismatch: section 1 ids differ: [3, 4, 5] vs [5, 4, 3]\n"),
     ("star2", 12, "c", lambda G: G.tau_inv.update({0: 1}),
@@ -158,6 +181,9 @@ def _ok_pairs(*ids):
     ("star2", 12, "c", lambda G: G.inj_point.__setitem__(0, "m"),
      "pair r#0 <-> c#0: FAIL\n    kinds differ: Projective(m) vs ProjectiveInjective(m,m)\n"
      + _ok_pairs(1, 2)),
+    ("star2", 12, "c", lambda G: G.proj_point.__setitem__(1, None),
+     _ok_pairs(0) + "pair r#1 <-> c#1: FAIL\n    kinds differ: ProjectiveInjective(w,w) vs Injective(w)\n"
+     + _ok_pairs(2)),
     ("star2", 12, "c", lambda G: G.arrows.pop(1),
      _ok_pairs(0) + "pair r#1 <-> c#1: FAIL\n    arrow 1->2 has no counterpart\n"
      + _ok_pairs(2)),
@@ -167,6 +193,10 @@ def _ok_pairs(*ids):
      "component mismatch: c local dimensions (2, 2, 2), not the poset's (2, 1, 2)\n"),
     ("star2", 12, "r", lambda G: setattr(G, "local", (1, 2)),
      "component mismatch: r local dimensions (1, 2), not the poset's (1, 2, 1)\n"),
+    ("star2", 12, "r", lambda G: G.udimF.__setitem__(0, (0, 3, 1)),
+     "component mismatch: r#0 udimF (0, 3, 1) is not divisible by the local dimensions (1, 2, 1)\n"),
+    ("star2", 12, "c", lambda G: G.udimF.__setitem__(2, (0, 2, 1)),
+     "component mismatch: c#2 udimF (0, 2, 1) is not divisible by the local dimensions (2, 1, 2)\n"),
     ("star2", 12, "c", lambda G: G.udimF.__setitem__(0, (0, 2)),
      "pair r#0 <-> c#0: FAIL\n    udimF law fails: (0, 0, 1) vs (0, 2), not both of length 3\n"
      + _ok_pairs(1, 2)),
@@ -181,14 +211,17 @@ def _ok_pairs(*ids):
      "component mismatch: r arrow 3->0 ends outside the ids 0..2\n"),
     ("star2", 12, "c", lambda G: G.arrows.append((3, 0, 1, 1)),
      "component mismatch: c arrow 3->0 ends outside the ids 0..2\n"),
+    ("star2", 12, "c", lambda G: G.arrows.append((0, 3, 1, 1)),
+     "component mismatch: c arrow 0->3 ends outside the ids 0..2\n"),
     ("star2", 12, "c", lambda G: G.arrows.append(G.arrows[0]),
      "component mismatch: c arrow 0->1 occurs 2 times\n"),
     ("star2", 12, "r", lambda G: G.arrows.extend([G.arrows[0], G.arrows[0], G.arrows[1]]),
      "component mismatch: r arrow 0->1 occurs 3 times\n"
      "component mismatch: r arrow 1->2 occurs 2 times\n"),
-], ids=["status", "section", "tau_inv", "kind", "missing_arrow", "extra_arrow", "local_c",
-        "local_r", "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r",
-        "stray_arrow_c", "repeated_arrow_c", "repeated_arrow_r"])
+], ids=["last_section_injective", "section", "tau_inv", "kind", "kind_proj_point", "missing_arrow",
+        "extra_arrow", "local_c", "local_r", "udimF_not_divisible_r", "udimF_not_divisible_c",
+        "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r", "stray_arrow_c",
+        "stray_arrow_dst", "repeated_arrow_c", "repeated_arrow_r"])
 def test_pairing_reports_each_id_mismatch(name, max_sections, flavor, tamper, text):
     """Each check of the id-for-id pairing, failed once on a tampered graph of
     the flavor given, with its full report."""
