@@ -9,9 +9,9 @@ summand just appeared.
 
 The component is kept as lists indexed by vertex id: each vertex's label,
 udimF entries, coordinate vector, projective point and injective point, the
-same lists the mesh reads while knitting.  A vertex's section and the status
-are read off `sections`, and udim is udimF over `local`, each point's
-hom(x, x); none of them is stored a second time.  The mesh at X is
+same lists the mesh reads while knitting.  A vertex's section, the status
+and tau^-1 are read off `sections`, and udim is udimF over `local`, each
+point's hom(x, x); none of them is stored a second time.  The mesh at X is
 -udimF(X) plus b * udimF(dst) over the arrows (X, dst, a, b) out of X, summed
 entrywise; each vertex's out-list is in dst order, since every arrow ends at
 a new vertex, so the arrows joined in source order come in (src, dst) order.
@@ -70,10 +70,11 @@ class ArVertex:
 
 @dataclass
 class ComponentGraph:
-    """A knitted component.  The data of vertex i is entry i of each
-    per-vertex list, ids in creation order, section by section; `sections`
-    lists each section's ids; `local` is each point's hom(x, x); `arrows` are
-    the tuples (src, dst, a, b) in (src, dst) order."""
+    """A knitted component.  Vertex i is entry i of each per-vertex list, ids
+    in creation order, section by section; `sections` lists each section's
+    ids; `local` is each point's hom(x, x); `arrows` are the tuples (src, dst,
+    a, b) in (src, dst) order.  tau^-1 maps the non-injective vertices of each
+    section but the last, in order, to the first vertices of the next one."""
 
     flavor: str
     local: tuple[int, ...]
@@ -84,7 +85,6 @@ class ComponentGraph:
     inj_point: list[str | None] = field(default_factory=list)
     arrows: list[tuple[int, int, int, int]] = field(default_factory=list)
     sections: list[list[int]] = field(default_factory=list)
-    tau_inv: dict[int, int] = field(default_factory=dict)
 
     @property
     def status(self) -> str:
@@ -124,7 +124,6 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     valuation = {s: {d: _valuation(M, s, d) for d in Label} for s in Label}
 
     G = ComponentGraph(flavor=M.flavor.value, local=homdiag)
-    sections, tau_inv = G.sections, G.tau_inv
     labs, ents, cds, projs, injs = G.labels, G.udimF, G.cd, G.proj_point, G.inj_point
     outs: list[list[tuple[int, int, int, int]]] = []   # the arrows out of each vertex
 
@@ -149,7 +148,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
             ident[key] = vid
         else:
             inj = None
-        sections[-1].append(vid)
+        G.sections[-1].append(vid)
         labs.append(lab)
         ents.append(ent)
         cds.append(cd)
@@ -165,7 +164,7 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
     def attach_projectives() -> None:
         # fixpoint: place e_j A as soon as its radical summand shows up in
         # the section under construction, the ids from its first on
-        first = sections[-1][0]
+        first = G.sections[-1][0]
         changed = True
         while changed:
             changed = False
@@ -195,13 +194,13 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 placed.add(j)
                 changed = True
 
-    sections.append([])
+    G.sections.append([])
     add_vertex(Label.STRONG, projective_udimF(M, P.max), cd=projective_cd(M, P.max), proj_point=P.max)
     attach_projectives()
 
     # stop when the last section holds only injectives, or at the depth: `status`
-    while (todo := [x for x in sections[-1] if injs[x] is None]) and len(sections) < max_sections:
-        sections.append([])
+    while (todo := [x for x in G.sections[-1] if injs[x] is None]) and len(G.sections) < max_sections:
+        G.sections.append([])
         for x in todo:
             out = outs[x]
             # mesh: each middle term counts with its arrow's second valuation
@@ -214,7 +213,6 @@ def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> Component
                 y = add_vertex(lab, tuple(acc))
             except KnitError as e:
                 raise KnitError(f"mesh at vertex {x} failed: {e}") from None
-            tau_inv[x] = y
             for _, d, _, _ in out:
                 a, b = valuation[labs[d]][lab]
                 outs[d].append((d, y, a, b))

@@ -9,8 +9,8 @@ and the projective coordinate vectors, all tuples.  A radical is the tuple
 (multiplicity, (udimF, label), cd, is_projective): that many copies of a
 summand with coordinate vector cd, named, as an injective profile is, by the
 identity (udimF, label) of its vertex; is_projective names j when it is e_j A.
-A table that fails raises its first ModelError on every call that reads it:
-the socle coefficients, in point order, then the radicals, then the profiles.
+A failing table raises its first ModelError on each call that reads it, in the
+order hom(x, x) > 0, socle coefficients (by point), radicals, profiles.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ class AlgebraModel:
     def t_socle(self) -> int:
         P = self.poset
         a, b = self.hom_dim(P.zero, P.max), self.hom_dim(P.max, P.max)
+        if b < 1:
+            raise ModelError(f"hom({P.max}, {P.max}) = {b} is not positive")
         if a % b:
             raise ModelError(f"t_socle = {a}/{b} is not integral")
         return a // b
@@ -112,6 +114,9 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
     z0, top = P.index[P.zero], P.index[P.max]
     bottom, b, b2 = hom[z0], hom[z0][z0], hom[top][top]
     flavor_r, (w, d) = M.flavor is Flavor.R, _weights(M.flavor, P)
+    for i, x in enumerate(pts):   # each quotient below divides by some hom(x, x)
+        if hom[i][i] < 1:
+            raise ModelError(f"hom({x}, {x}) = {hom[i][i]} is not positive")
 
     # socle coefficients: hom(0, x)/hom(0, 0), which also equals hom(x, max)/hom(max, max)
     cs: list[int] = []

@@ -159,6 +159,8 @@ def _close(lin, local: bool, left: list, right: list, inner: list) -> list[int]:
 def build_family(tower: Tower, P: EquippedPoset, flavor: Flavor | str) -> RFamily:
     """One basis and pivot list per (x strong?, y strong?, l(x, y)), or per
     l(x, y); that key is the member's name in `RFamily.member`."""
+    if tower.p != P.p:
+        raise ParameterError(f"tower is for p = {tower.p}, poset has p = {P.p}")
     flavor = Flavor(flavor)
     lin, r = tower.lin, flavor is Flavor.R
     fam = RFamily(tower, P, flavor)
@@ -493,8 +495,6 @@ def run_verification(M: AlgebraModel, tower: Tower) -> OracleReport:
     """Re-derive M from its realization over tower; A.1 raises OracleError at a
     leaving product first.  rad(e_x A) has blocks fam.dim(x, l), l > x."""
     P = M.poset
-    if tower.p != P.p:
-        raise ParameterError(f"tower is for p = {tower.p}, poset has p = {P.p}")
     fam = build_family(tower, P, M.flavor)
     rep = OracleReport(M.flavor.value, verify_dims(fam, M), verify_admissible(fam))
     for x in P.points:

@@ -12,8 +12,8 @@ swap; the knitter attaches projectives in point order and completes meshes
 in id order, so both flavors are knitted alike and r#i pairs with c#i.  Each
 graph's `local` must be its flavor's loc and divide each of its udimF
 entries, which makes the udim law on udimF / local this same equation.  Both
-models must be of one poset: equal point names are not enough.  A status is
-read off the last section, so with equal sections `kinds differ` covers it.
+models must be of one poset: equal point names are not enough.  The status and
+tau^-1 are read off the sections, so with equal sections `kinds differ` covers both.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ def pair_components(Gr: ComponentGraph, Gc: ComponentGraph,
         k = next(k for k, ids in enumerate(Gr.sections) if ids != Gc.sections[k])
         report.problems.append(f"section {k} ids differ: {Gr.sections[k]} vs {Gc.sections[k]}")
         return report
-    if Gr.tau_inv != Gc.tau_inv:
-        diff = [x for x in sorted(Gr.tau_inv.keys() | Gc.tau_inv.keys())
-                if Gr.tau_inv.get(x) != Gc.tau_inv.get(x)]
-        report.problems.append(f"tau^-1 differs at {diff}")
     n = sum(map(len, Gr.sections))  # the sections are equal: one count of ids for both
     if short := [f"{G.flavor} {k} ({len(getattr(G, k))})" for G in (Gr, Gc) for k in _PER_VERTEX
                  if len(getattr(G, k)) != n]:

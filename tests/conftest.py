@@ -257,6 +257,31 @@ def is_slender_above(P, x: str) -> bool:
         rel[(a, b)] == 1 for a, b in itertools.combinations(weak, 2))
 
 
+def tau_inverse(G) -> dict[int, int]:
+    """tau^-1 read off the sections of G, a component or anything with its
+    `sections` and `inj_point`: in each section but the last, the
+    non-injective vertices, in the order listed, map to the first vertices of
+    the next section, in the same order."""
+    out = {}
+    for sec, nxt in zip(G.sections, G.sections[1:]):
+        todo = [x for x in sec if G.inj_point[x] is None]
+        assert len(todo) <= len(nxt), (todo, nxt)
+        out.update(zip(todo, nxt))
+    return out
+
+
+def assert_meshes(tau_inv: dict[int, int], udimF, arrows, where) -> None:
+    """Mesh conservation at each x -> y of tau_inv, recomputed from the arrows
+    (src, dst, a, b) alone: a * udimF(src), summed over the arrows into y, is
+    udimF(x) + udimF(y)."""
+    into = {}
+    for src, dst, a, _ in arrows:
+        into.setdefault(dst, []).append((src, a))
+    for x, y in tau_inv.items():
+        total = sum((a * RatVec(udimF[src]) for src, a in into.get(y, ())), RatVec.zeros(len(udimF[x])))
+        assert total == RatVec(udimF[x]) + RatVec(udimF[y]), (where, x)
+
+
 def check_component_invariants(M, G, where) -> None:
     """The structural invariants of a knitted component: ids, sections,
     tau-orbit labels, mesh conservation, the q-label law, divisibility by the
@@ -271,14 +296,11 @@ def check_component_invariants(M, G, where) -> None:
     # sections are disjoint and cover everything
     flat = [i for sec in G.sections for i in sec]
     assert sorted(flat) == list(range(n))
-    # tau-orbit label constancy
-    for x, y in G.tau_inv.items():
+    # tau-orbit label constancy, tau^-1 read off the sections
+    tau_inv = tau_inverse(G)
+    for x, y in tau_inv.items():
         assert V[x].label == V[y].label
-    # mesh conservation, recomputed from arrows alone
-    for x, y in G.tau_inv.items():
-        total = sum((a * RatVec(V[src].udimF) for src, dst, a, _ in G.arrows if dst == y),
-                    RatVec.zeros(M.poset.n))
-        assert total == RatVec(V[x].udimF) + RatVec(V[y].udimF), (where, x)
+    assert_meshes(tau_inv, G.udimF, G.arrows, where)
     # q-label law at cd-bearing vertices
     for i, v in enumerate(V):
         if v.cd is not None:
@@ -548,12 +570,18 @@ def outcome(f, *args):
         return "error", str(e)
 
 
+def _reference_local(M, x: str) -> None:
+    if (v := M.hom_dim(x, x)) <= 0:
+        raise ModelError(f"hom({x}, {x}) = {v} is not positive")
+
+
 def reference_first_error(M) -> str | None:
     """The text of the reference's first ModelError in the table's check
-    order: the socle coefficients and then the radicals, each in point order,
-    then the injective profiles; None when it meets none."""
+    order: each hom(x, x), the socle coefficients and then the radicals, each
+    in point order, then the injective profiles; None when it meets none."""
     P = M.poset
-    calls = ([functools.partial(_reference_c_coeff, M, x) for x in P.points]
+    calls = ([functools.partial(_reference_local, M, x) for x in P.points]
+             + [functools.partial(_reference_c_coeff, M, x) for x in P.points]
              + [functools.partial(reference_radical_info, M, x) for x in P.points if x != P.max]
              + [functools.partial(reference_injective_profiles, M)])
     return next((text for kind, text in map(outcome, calls) if kind == "error"), None)

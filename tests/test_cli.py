@@ -15,12 +15,14 @@ import random
 import runpy
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FIXTURES, SRC, fixture_path, load_fixture, model, run_python
+from conftest import (ALL_FIXTURES, SRC, assert_meshes, fixture_path, load_fixture, model, run_python,
+                      tau_inverse)
 from eqposet import (EquippedPoset, Flavor, augment, build_model, cli, knit,
                      min_equipment_closure, parse_poset, validate)
 from eqposet.cli import build_parser, emit_dot, emit_json, main
@@ -600,6 +602,27 @@ def test_deep_stdout_matches_recorded_digest(key):
     """Knit and compare output keep their bytes on components with huge entries."""
     want = json.loads(DEEP_DIGESTS.read_text())[key]
     assert deep_digest(key, deep_cases()[key]) == want
+
+
+@pytest.mark.parametrize("fl", ["r", "c"])
+@pytest.mark.parametrize("path", [fixture_path("chain3_ell2"), str(DATA / "deep_p5_n6.eqp")])
+def test_knit_json_holds_every_mesh(path, fl):
+    """Every mesh of a component is read off its `knit --format json` output
+    alone: tau^-1 from the sections and the kinds, the mesh sum from udimF and
+    the arrows, and each tau-orbit keeps its label."""
+    code, out, err = run_in_process(["knit", path, "--flavor", fl, "--max-sections", "12"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    V = doc["vertices"]
+    assert [v["id"] for v in V] == list(range(len(V)))
+    shape = SimpleNamespace(sections=doc["sections"],
+                            inj_point=[v["kind"] if "Injective(" in v["kind"] else None for v in V])
+    tau_inv = tau_inverse(shape)
+    for x, y in tau_inv.items():
+        assert V[x]["label"] == V[y]["label"], (path, fl, x)
+    udimF = [tuple(map(int, v["udimF"])) for v in V]
+    arrows = [(a["src"], a["dst"], a["a"], a["b"]) for a in doc["arrows"]]
+    assert_meshes(tau_inv, udimF, arrows, (path, fl))
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

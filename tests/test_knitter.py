@@ -6,7 +6,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import ALL_FIXTURES, DEEP_P5, fixture_path, load_fixture, load_fixture_or_deep, load_table, model
+from conftest import (ALL_FIXTURES, DEEP_P5, fixture_path, load_fixture, load_fixture_or_deep, load_table, model,
+                      tau_inverse)
 from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model, cli,
                      default_tower, gram_matrix, injective_profiles, knit, knitter,
                      pair_components, parse_poset, projective_cd, projective_udimF,
@@ -312,7 +313,7 @@ def test_knit_is_deterministic():
 def test_tau_inverse_preserves_labels():
     for name in ALL_FIXTURES:
         G = knit(model(name, "r"))
-        for src, dst in G.tau_inv.items():
+        for src, dst in tau_inverse(G).items():
             assert G.labels[src] == G.labels[dst]
 
 
@@ -563,7 +564,7 @@ def test_strong_minimum_need_not_be_declared_first():
         return vec
 
     def shape(G, move):
-        return (G.status, G.sections, G.tau_inv, sorted(G.arrows),
+        return (G.status, G.sections, sorted(G.arrows),
                 [(_kind(v.proj_point, v.inj_point), v.label, v.section, move(v.udimF), move(v.udim),
                   move(v.cd)) for v in G.vertices])
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (ALL_FIXTURES, assert_table_matches_reference, enumerate_equipped,
                       fixture_path, load_fixture, model, reference_violations)
 from eqposet import (AlgebraModel, EquippedPoset, Flavor, ModelError, augment, build_model,
-                     cli, injective_profiles, is_hereditary, min_equipment_closure, parse_poset,
+                     cli, injective_profiles, is_hereditary, knit, min_equipment_closure, parse_poset,
                      projective_cd, projective_udimF, radical_info, validate)
 
 
@@ -69,6 +69,7 @@ def test_random_poset_tables_match_the_reference(P):
 
 # every ModelError of the per-point arithmetic, by the start of its text
 ERROR_KINDS = {
+    "non-positive local": r"hom\((\w+), \1\) = -?\d+ is not positive",
     "cover multiplicity": r"cover multiplicity at \(\w+, \w+\) is not integral",
     "socle coefficient": r"socle coefficient at \w+ is not integral",
     "socle mismatch": r"socle coefficient mismatch at \w+: -?\d+/\d+ vs -?\d+/\d+",
@@ -81,9 +82,9 @@ ERROR_KINDS = {
 
 def test_tampered_tables_match_the_reference_on_every_error_branch():
     """Each hom entry of each fixture, in both flavors, moved by -1, +1 or
-    +p (keeping the diagonal positive): the table answers as the reference
-    does, point by point or with the reference's first error on every call,
-    and the sweep reaches every error branch as a first error."""
+    +p, a diagonal entry of 1 down to 0 among them: the table answers as the
+    reference does, point by point or with the reference's first error on
+    every call, and the sweep reaches every error branch as a first error."""
     seen = {kind: 0 for kind in ERROR_KINDS}
     for name in ALL_FIXTURES:
         for fl in ("r", "c"):
@@ -93,8 +94,6 @@ def test_tampered_tables_match_the_reference_on_every_error_branch():
                 for y in pts:
                     for delta in (-1, 1, M.poset.p):
                         v = M.hom_dim(x, y) + delta
-                        if x == y and v <= 0:
-                            continue
                         errors = assert_table_matches_reference(tampered(M, {(x, y): v}),
                                                                 (name, x, y, delta))
                         for kind, pattern in ERROR_KINDS.items():
@@ -120,6 +119,19 @@ def test_a_failing_table_raises_its_first_error_on_every_call():
         radical_info(T, "m")
     with pytest.raises(ModelError, match=r"^the minimal point carries no vertex projective$"):
         projective_cd(T, "0")
+
+
+@pytest.mark.parametrize("fl", ["r", "c"])
+@pytest.mark.parametrize("x", ["0", "w", "m"])
+def test_a_zero_local_dimension_is_a_model_error(x, fl):
+    """star2 with hom(x, x) = 0: the table, and so knit, refuse it with a
+    ModelError naming the point, not a division by zero; so does t_socle,
+    which divides by hom(m, m)."""
+    T = tampered(model("star2", fl), {(x, x): 0})
+    calls = [lambda: T.table, lambda: knit(T), lambda: radical_info(T, "0")]
+    for call in calls + [lambda: T.t_socle] * (x == "m"):
+        with pytest.raises(ModelError, match=rf"^hom\({x}, {x}\) = 0 is not positive$"):
+            call()
 
 
 def test_info_prints_up_to_the_failing_point(monkeypatch, capsys):

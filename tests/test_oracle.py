@@ -23,7 +23,7 @@ from eqposet import (EquippedPoset, Flavor, OracleError, ParameterError, RFamily
                      min_equipment_closure, oracle, oracle_hom_dim, oracle_radical,
                      pair_components, parse_poset, run_verification, verify_admissible,
                      verify_dims)
-from eqposet.fields import DEFAULT_TOWERS, MAX_TOWER_P
+from eqposet.fields import DEFAULT_TOWERS, MAX_Q, MAX_TOWER_P
 from eqposet.linalg import ModQ
 
 
@@ -97,6 +97,8 @@ def test_tower_operator_basis_ranks():
     pytest.param((37,), "p = 37 is too large for a tower", id="p-past-max-tower-p-default"),
     # refused before its primality is tested
     pytest.param((2 ** 31,), r"^p is out of range \(p < 2\^31\)$", id="p-2^31"),
+    # MAX_Q itself is not past the bound: its primality is tested
+    pytest.param((2, "cyclic", MAX_Q, 2), r"^q = 3037000500 is not prime$", id="q-max-q"),
 ])
 def test_bad_tower_parameters(spec, fragment):
     """A tuple holds Tower's arguments; a callable builds its tower itself."""
@@ -887,6 +889,16 @@ def test_run_verification_star2():
 def test_run_verification_rejects_wrong_p():
     with pytest.raises(ParameterError, match="tower is for p"):
         run_verification(model("star2", "r"), default_tower(3))
+
+
+@pytest.mark.parametrize("fl", ["r", "c"])
+@pytest.mark.parametrize("tp", [3, 5])
+def test_build_family_rejects_a_tower_of_another_p(tp, fl):
+    """A family over a tower of another p is refused before any member is
+    built, not left to misreport its dimensions or a leaving product."""
+    with pytest.raises(ParameterError) as exc:
+        build_family(default_tower(tp), load_fixture("star2"), fl)
+    assert str(exc.value) == f"tower is for p = {tp}, poset has p = 2"
 
 
 def test_run_verification_inseparable():

@@ -176,8 +176,6 @@ def _drop_last_injective(G):
      _ok_pairs(0, 1) + "pair r#2 <-> c#2: FAIL\n    kinds differ: Injective(0) vs Regular\n"),
     ("vee2", 2, "c", lambda G: G.sections[1].reverse(),
      "component mismatch: section 1 ids differ: [3, 4, 5] vs [5, 4, 3]\n"),
-    ("star2", 12, "c", lambda G: G.tau_inv.update({0: 1}),
-     "component mismatch: tau^-1 differs at [0]\n" + _ok_pairs(0, 1, 2)),
     ("star2", 12, "c", lambda G: G.inj_point.__setitem__(0, "m"),
      "pair r#0 <-> c#0: FAIL\n    kinds differ: Projective(m) vs ProjectiveInjective(m,m)\n"
      + _ok_pairs(1, 2)),
@@ -218,7 +216,7 @@ def _drop_last_injective(G):
     ("star2", 12, "r", lambda G: G.arrows.extend([G.arrows[0], G.arrows[0], G.arrows[1]]),
      "component mismatch: r arrow 0->1 occurs 3 times\n"
      "component mismatch: r arrow 1->2 occurs 2 times\n"),
-], ids=["last_section_injective", "section", "tau_inv", "kind", "kind_proj_point", "missing_arrow",
+], ids=["last_section_injective", "section", "kind", "kind_proj_point", "missing_arrow",
         "extra_arrow", "local_c", "local_r", "udimF_not_divisible_r", "udimF_not_divisible_c",
         "udimF_length", "udimF_one_entry", "short_labels", "short_cd", "stray_arrow_r", "stray_arrow_c",
         "stray_arrow_dst", "repeated_arrow_c", "repeated_arrow_r"])

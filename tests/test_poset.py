@@ -109,6 +109,13 @@ def test_parse_error_texts(text, message):
     assert str(exc.value) == message
 
 
+def test_parse_takes_a_ten_digit_ell():
+    """ell <= p < 2^31 has at most ten digits, and ten digits parse: ell =
+    10^9 under p = 2^31 - 1, a prime."""
+    P = parse_poset("p 2147483647\npoint a weak\npoint b weak\nrel a b 1000000000\n")
+    assert (P.p, P.rel[("a", "b")]) == (2147483647, 10 ** 9)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(PosetError) as exc:
         parse_poset("p 2\npoint a weak\npoint a weak\n")
