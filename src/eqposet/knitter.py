@@ -112,6 +112,8 @@ def _valuation(M: AlgebraModel, src: Label, dst: Label) -> tuple[int, int]:
 
 
 def knit(M: AlgebraModel, max_sections: int = DEFAULT_MAX_SECTIONS) -> ComponentGraph:
+    if not isinstance(max_sections, int):
+        raise ParameterError(f"max_sections must be an int, not {type(max_sections).__name__}")
     if max_sections < 1:
         raise ParameterError("max_sections must be >= 1")
     P = M.poset

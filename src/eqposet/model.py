@@ -158,7 +158,7 @@ def _tabulate(M: AlgebraModel) -> ModelTable:
             if not e[k]:
                 covers.append(k)
         cd[z0] = cs[i]
-        if mult > 1 and any(v % mult for v in cd):
+        if any(v % mult for v in cd):
             raise ModelError(f"radical summand coordinates at {x} are not integral")
         j = covers[0] if len(covers) == 1 else None
         proj = pts[j] if j is not None and row_ell[j] == ell[j][j] and all(

@@ -237,7 +237,6 @@ def augment(P: EquippedPoset) -> EquippedPoset:
         points.append(top)
         strong.add(top)
         rel[(top, top)] = p
-    rel[(zero, top)] = p
 
     inner = [x for x in points if x not in (zero, top)]
     return EquippedPoset(p, tuple([zero] + inner + [top]), frozenset(strong), rel)

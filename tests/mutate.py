@@ -1,6 +1,7 @@
 """A mutation gate over src modules, by the standard library alone.
 
-    python tests/mutate.py src/eqposet/pairing.py src/eqposet/knitter.py src/eqposet/model.py
+    python tests/mutate.py src/eqposet/pairing.py src/eqposet/knitter.py src/eqposet/model.py \
+        src/eqposet/poset.py src/eqposet/fields.py src/eqposet/cli.py
 
 Each mutant changes one site of one module: a comparison flipped (== and !=,
 < and <=, > and >=, in and not in, is and is not), a `not` dropped, or an
@@ -36,9 +37,9 @@ FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
 ALLOWED = [
     ("pairing.py", "pair_components", "len(arcs) < len(G.arrows)", "len(arcs) <= len(G.arrows)",
      "changes work, not answers: the Counter is then built when no arrow repeats, and finds no repeat"),
-    ("model.py", "_tabulate.radical", "mult > 1", "mult >= 1",
-     "equivalent: at mult = 1 every v % 1 is 0"),
     ("model.py", "_tabulate.radical", "(v := lj + row_j[k]) > e[k]", "(v := lj + row_j[k]) >= e[k]",
+     "equivalent: a running maximum takes an equal value as it is"),
+    ("poset.py", "min_equipment_closure", "a >= dik + b", "a > dik + b",
      "equivalent: a running maximum takes an equal value as it is"),
 ]
 

@@ -2,7 +2,8 @@
 
 Run as a script (`PYTHONPATH=src python tests/test_cli.py --record`) to
 re-record the stdout digests in data/knit_digests.json and
-data/deep_digests.json.
+data/deep_digests.json; `python perfbench/goldens.py` re-records the
+benchmark's goldens, which the tests here check too.
 """
 
 import contextlib
@@ -29,6 +30,10 @@ from eqposet.cli import build_parser, emit_dot, emit_json, main
 from eqposet.knitter import ComponentGraph, _kind
 from eqposet.model import Label
 
+sys.path.insert(0, str(SRC.parent / "perfbench"))
+from execute import run_case  # noqa: E402
+from goldens import golden_cases  # noqa: E402
+
 BAD_POSET = """\
 p 3
 point x weak
@@ -47,8 +52,9 @@ def bad_file(tmp_path):
     return str(f)
 
 
-def test_validate_ok(capsys):
-    assert main(["validate", fixture_path("star2")]) == 0
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_validate_ok(capsys, name):
+    assert main(["validate", fixture_path(name)]) == 0
     assert capsys.readouterr().out.strip() == "valid"
 
 
@@ -274,11 +280,18 @@ def test_knit_options_ignore_the_environment(capsys, monkeypatch):
                  id="argv8-None---q and --c apply to cyclic towers only"),
     pytest.param(["oracle", "{star2}", "--q", "3"], "cyclic towers need both q and c",
                  id="argv9-None-cyclic towers need both --q and --c"),
+    *[pytest.param(["knit", "{lone_" + name + "}"],
+                   f"({name} is both the strong global minimum and maximum, and one point cannot be both bounds)",
+                   id=f"lone-strong-point-{name}") for name in "0m"],
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     latin1 = tmp_path / "latin1.eqp"
     latin1.write_bytes("# caf\u00e9\np 2\npoint a weak\naugment\n".encode("latin-1"))
     paths = {"{latin1}": str(latin1), "{star2}": fixture_path("star2")}
+    for name in "0m":   # a lone strong point is both extremes, and its name blocks one bound
+        lone = tmp_path / f"lone_{name}.eqp"
+        lone.write_text(f"p 2\npoint {name} strong\naugment\n")
+        paths["{lone_" + name + "}"] = str(lone)
     assert main([paths.get(a, a) for a in argv]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and fragment in out.err
@@ -416,8 +429,12 @@ def test_compare_exits_1_on_a_failing_pairing(monkeypatch, capsys):
         "correspondence FAILS\n")
 
 
-def test_oracle_default_tower(capsys):
-    assert main(["oracle", fixture_path("star2")]) == 0
+@pytest.mark.parametrize("name, tower", [("star2", []), ("star2", ["--q", "5", "--c", "2"]),
+                                         ("mixed3", ["--q", "13", "--c", "2"])],
+                         ids=["star2-default", "star2-q5-c2", "mixed3-q13-c2"])
+def test_oracle_cyclic_tower(capsys, name, tower):
+    """The oracle over the default cyclic tower and over two given ones."""
+    assert main(["oracle", fixture_path(name), *tower]) == 0
     out = capsys.readouterr().out
     assert "flavor r:" in out and "flavor c:" in out
     assert out.count("admissibility: ok") == 2
@@ -541,6 +558,25 @@ def test_fixture_mutants_keep_their_bytes(mutant_runs):
 
 # ---------------------------------------------------------------- digests
 
+# perfbench/goldens.json pins knit (json/dot, r/c) and compare at 12 and 200
+# sections and oracle per flavor over both towers, on every fixture; the
+# files of data/ pin the rest: info, oracle --flavor both and deep_p5
+
+GOLDENS = json.loads((SRC.parent / "perfbench" / "goldens.json").read_text())
+GOLDEN_CASES = {case.key: case for case in golden_cases()}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CASES))
+def test_stdout_matches_benchmark_golden(key, tmp_path):
+    """Knit, compare and oracle output keep the bytes the benchmark pins,
+    under the benchmark's own check of a case."""
+    case = GOLDEN_CASES[key]
+    path = tmp_path / f"{case.file}.eqp"
+    path.write_text(case.text, encoding="utf-8")
+    outcome = run_case(main, case.argv_for(str(path)), 60.0, golden=GOLDENS[key])
+    assert outcome.status == "ok", f"{key}: {outcome.status} {outcome.detail}"
+
+
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "knit_digests.json"
 DEEP_DIGESTS = DATA / "deep_digests.json"
@@ -552,16 +588,11 @@ KNIT_COMMANDS = [["compare"]] + [["knit", "--format", fmt, "--flavor", fl]
 
 
 def digest_cases() -> dict[str, list[str]]:
-    """Every fixture under knit (json/dot, r/c) and compare, at the default
-    depth and at 200 sections, under info --forms (r, c) and under oracle on
-    the default cyclic and inseparable towers; the key names the case,
+    """Every fixture under info --forms (r, c) and under oracle --flavor both
+    on the default cyclic and inseparable towers; the key names the case,
     "{path}" the file."""
     cases = {}
     for name in ALL_FIXTURES:
-        for depth in ([], ["--max-sections", "200"]):
-            for cmd in KNIT_COMMANDS:
-                argv = [cmd[0], "{path}"] + cmd[1:] + depth
-                cases[" ".join([name] + cmd + (depth or ["default"]))] = argv
         for cmd in (["info", "--forms", "--flavor", "r"], ["info", "--forms", "--flavor", "c"],
                     ["oracle", "--flavor", "both"],
                     ["oracle", "--mode", "inseparable", "--flavor", "both"]):
@@ -592,7 +623,7 @@ def deep_digest(key: str, argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("key", sorted(digest_cases()))
 def test_stdout_matches_recorded_digest(key):
-    """Knit, compare, info and oracle output keep their bytes."""
+    """Info and oracle --flavor both output keep their bytes."""
     want = json.loads(DIGESTS.read_text())[key]
     assert fixture_digest(key, digest_cases()[key]) == want
 

@@ -265,9 +265,12 @@ def test_finite_component_ignores_max_sections():
     assert knit(M, max_sections=50).status == FINITE
 
 
-def test_max_sections_argument_must_be_positive():
-    with pytest.raises(ParameterError, match="^max_sections must be >= 1$"):
-        knit(model("star2", "r"), max_sections=0)
+@pytest.mark.parametrize("depth, text", [(0, ">= 1"), (1.5, "an int, not float"), (2.9, "an int, not float"),
+                                         ("3", "an int, not str")])
+def test_max_sections_argument_must_be_a_positive_int(depth, text):
+    """A depth below 1 or not an int is refused, not rounded up or compared."""
+    with pytest.raises(ParameterError, match=f"^max_sections must be {text}$"):
+        knit(model("vee2", "r"), max_sections=depth)
 
 
 # ---------------------------------------------------------------- grids

@@ -932,34 +932,29 @@ def test_oracle_values_pinned(key):
     assert got == want["radical"]
 
 
-def test_p5_weak_chain_ell2_flavor_r_passes():
-    P = parse_poset("p 5\npoint a weak\npoint b weak\npoint c weak\n"
-                    "rel a b 2\nrel b c 2\nclosure\naugment\n")
-    rep = run_verification(build_model(P, Flavor.R), default_tower(5))
-    assert rep.ok, str(rep)
-
-
-@pytest.mark.parametrize("n, ell", [(3, 5), (4, 2)])
-def test_p5_weak_chain_flavor_r_passes(n, ell):
-    """Two of the weak chains that perfbench's P5_SLOW set keeps out of its
-    p = 5 members: their hom systems run to thousands of rows."""
+@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
+@pytest.mark.parametrize("flavor", ["r", "c"])
+@pytest.mark.parametrize("n, ell", [(2, 5), (3, 2), (3, 5), (4, 2), (4, 5)])
+def test_p5_weak_chain_passes(n, ell, flavor, mode):
+    """The five weak chains that perfbench's P5_SLOW set keeps out of its
+    p = 5 members: in flavor r their hom systems run to thousands of rows."""
     names = "abcd"[:n]
     P = parse_poset("p 5\n" + "".join(f"point {x} weak\n" for x in names)
                     + "".join(f"rel {x} {y} {ell}\n" for x, y in zip(names, names[1:]))
                     + "closure\naugment\n")
-    rep = run_verification(build_model(P, Flavor.R), default_tower(5))
+    rep = run_verification(build_model(P, Flavor(flavor)), cached_tower(5, mode))
     assert rep.ok, str(rep)
 
 
-@pytest.mark.parametrize("mode", ["cyclic", "inseparable"])
 @pytest.mark.parametrize("flavor", ["r", "c"])
-@pytest.mark.parametrize("p", [11, 13])
-def test_weak_chain_of_three_at_p11_and_p13(p, flavor, mode, monkeypatch):
-    """The oracle past p = 7: the weak chain a < b < c with l = 2, closed and
+@pytest.mark.parametrize("p, ell, mode", [(7, 3, "cyclic"), (11, 2, "cyclic"), (11, 2, "inseparable"),
+                                          (13, 2, "cyclic"), (13, 2, "inseparable")])
+def test_weak_chain_of_three_past_p5(p, ell, mode, flavor, monkeypatch):
+    """The oracle past p = 5: the weak chain a < b < c with l = ell, closed and
     augmented, passes run_verification over the default tower, and every hom
     system of its family equals the rank reference."""
     P = parse_poset(f"p {p}\npoint a weak\npoint b weak\npoint c weak\n"
-                    "rel a b 2\nrel b c 2\nclosure\naugment\n")
+                    f"rel a b {ell}\nrel b c {ell}\nclosure\naugment\n")
     families, build = [], oracle.build_family
 
     def spy(*args):

@@ -293,6 +293,26 @@ def test_augment_idempotent():
         assert augment(P) == P
 
 
+@pytest.mark.parametrize("inner, violations", [
+    ("", ["strong-relation: relation touching a strong point has ell = 1 != p [a, b]"]),
+    ("point w weak\nrel a w 3\nrel w b 3\n",
+     ["strong-relation: relation touching a strong point has ell = 1 != p [a, b]",
+      "composition: ell(x, z) = 1 < 3 forced by the chain [a, w, b]"]),
+], ids=["bounds", "bounds-through-w"])
+def test_augment_keeps_every_declared_ell(inner, violations):
+    """Two strong bounds that augment keeps keep their declared ell, so a
+    file whose ell(a, b) breaks an axiom is refused with or without augment."""
+    text = "p 3\npoint a strong\npoint b strong\nrel a b 1\n" + inner
+    P = _poset(3, ["a", "w", "b"] if inner else ["a", "b"], ["a", "b"],
+               {("a", "b"): 1, **({("a", "w"): 3, ("w", "b"): 3} if inner else {})})
+    assert augment(P).rel == P.rel
+    want = f"{len(violations)} violation(s):\n" + "".join(f"  - {v}\n" for v in violations)
+    for tail in ("", "augment\n"):
+        with pytest.raises(PosetError) as exc:
+            parse_poset(text + tail)
+        assert str(exc.value) + "\n" == want
+
+
 def test_augment_weak_minimum_is_not_adopted():
     P = _poset(2, ["w", "t"], ["t"], {("w", "t"): 2})
     Q = augment(P)
