@@ -1,7 +1,7 @@
 """A mutation gate over src modules, by the standard library alone.
 
     python tests/mutate.py src/eqposet/pairing.py src/eqposet/knitter.py src/eqposet/model.py \
-        src/eqposet/poset.py src/eqposet/fields.py src/eqposet/cli.py
+        src/eqposet/poset.py src/eqposet/fields.py src/eqposet/cli.py src/eqposet/forms.py
 
 Each mutant changes one site of one module: a comparison flipped (== and !=,
 < and <=, > and >=, in and not in, is and is not), a `not` dropped, or an

@@ -4,7 +4,7 @@ The criteria below are exact (integer/rational arithmetic throughout); the
 only tolerances are the stated wall-clock budgets.
 """
 
-import random
+import itertools
 import time
 
 from conftest import (ALL_FIXTURES, FINITE_FIXTURES, TABLE_NAMES, check_component_invariants,
@@ -139,9 +139,9 @@ def test_criterion_5_component_bijection():
     Gc.udimF[1] = (9, 9, 9)
     bad = pair_components(Gr, Gc, model("star2", "r"), model("star2", "c"))
     assert not bad.ok
-    print(f"criterion 5: PASS — bijection (kinds, labels, both dimension laws, "
-          f"tau-orbits, swapped valuations) on {checked_pairs} vertex pairs "
-          f"across {len(ALL_FIXTURES)} posets")
+    print(f"criterion 5: PASS — bijection (kinds, labels, the udimF law, swapped "
+          f"valuations; status and tau^-1 read off equal sections) on {checked_pairs} "
+          f"vertex pairs across {len(ALL_FIXTURES)} posets")
 
 
 def test_criterion_6_structural_invariants():
@@ -155,12 +155,9 @@ def test_criterion_6_structural_invariants():
 
 
 def test_criterion_7_axiom_fuzzing():
-    rng = random.Random(0xE9)
-    trials_per_p = 10_000
     accepted = rejected = 0
     for p in (2, 3, 5):
-        for _ in range(trials_per_p):
-            l, m, n = (rng.randint(1, p) for _ in range(3))
+        for l, m, n in itertools.product(range(1, p + 1), repeat=3):
             rel = {("x", "x"): 1, ("y", "y"): 1, ("z", "z"): 1,
                    ("x", "y"): l, ("y", "z"): m, ("x", "z"): n}
             P = EquippedPoset(p, ("x", "y", "z"), frozenset(), rel)
@@ -169,6 +166,6 @@ def test_criterion_7_axiom_fuzzing():
             assert got == want, (p, l, m, n)
             accepted += got
             rejected += not got
-    assert accepted and rejected
-    print(f"criterion 7: PASS — {3 * trials_per_p} random equipment triples, "
+    assert (accepted, rejected) == (63, 97)
+    print(f"criterion 7: PASS — all {accepted + rejected} weak equipment triples at p = 2, 3, 5, "
           f"{accepted} accepted / {rejected} rejected, all matching the bound")

@@ -1,9 +1,9 @@
 """Command-line driver: exit codes, JSON/DOT output, option handling.
 
 Run as a script (`PYTHONPATH=src python tests/test_cli.py --record`) to
-re-record the stdout digests in data/knit_digests.json and
-data/deep_digests.json; `python perfbench/goldens.py` re-records the
-benchmark's goldens, which the tests here check too.
+re-record the stdout digests in data/cli_digests.json; `python
+perfbench/goldens.py` re-records the benchmark's goldens, which the tests
+here check too.
 """
 
 import contextlib
@@ -109,15 +109,6 @@ def reference_dict(G) -> dict:
 
 def reference_json(G) -> str:
     return json.dumps(reference_dict(G), indent=2) + "\n"
-
-
-def test_knit_json_matches_library(capsys):
-    assert main(["knit", fixture_path("star2"), "--flavor", "r"]) == 0
-    out = capsys.readouterr().out
-    assert out == reference_json(knit(model("star2", "r")))
-    got = json.loads(out)
-    assert got["status"] == "Finite"
-    assert got["vertices"][0]["udimF"] == ["0", "0", "1"]
 
 
 # one name per (p, inner points) stratum of perfbench's knit workload
@@ -405,11 +396,6 @@ def test_info_with_forms(capsys):
     assert "gram matrix" in out
 
 
-def test_compare_ok(capsys):
-    assert main(["compare", fixture_path("mixed3")]) == 0
-    assert "correspondence holds" in capsys.readouterr().out
-
-
 def test_compare_exits_1_on_a_failing_pairing(monkeypatch, capsys):
     """Flavor c's first arrow keeps flavor r's valuation, so only pair 0 fails."""
     def swapped_knit(M, **kw):
@@ -430,13 +416,20 @@ def test_compare_exits_1_on_a_failing_pairing(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name, tower", [("star2", []), ("star2", ["--q", "5", "--c", "2"]),
-                                         ("mixed3", ["--q", "13", "--c", "2"])],
-                         ids=["star2-default", "star2-q5-c2", "mixed3-q13-c2"])
+                                         ("mixed3", ["--q", "13", "--c", "2"]),
+                                         ("mixed3", ["--mode", "inseparable"])],
+                         ids=["star2-default", "star2-q5-c2", "mixed3-q13-c2", "mixed3-inseparable"])
 def test_oracle_cyclic_tower(capsys, name, tower):
-    """The oracle over the default cyclic tower and over two given ones."""
-    assert main(["oracle", fixture_path(name), *tower]) == 0
-    out = capsys.readouterr().out
-    assert "flavor r:" in out and "flavor c:" in out
+    """The oracle over the default cyclic tower, over two given ones and over
+    the inseparable tower: its report, of both flavors by default, is the
+    flavor-r report followed by the flavor-c one."""
+    outs = []
+    for flavor in ([], ["--flavor", "r"], ["--flavor", "c"]):
+        assert main(["oracle", fixture_path(name), *tower, *flavor]) == 0
+        outs.append(capsys.readouterr().out)
+    out, r, c = outs
+    assert out == r + c
+    assert r.startswith("flavor r:") and c.startswith("flavor c:")
     assert out.count("admissibility: ok") == 2
 
 
@@ -559,8 +552,10 @@ def test_fixture_mutants_keep_their_bytes(mutant_runs):
 # ---------------------------------------------------------------- digests
 
 # perfbench/goldens.json pins knit (json/dot, r/c) and compare at 12 and 200
-# sections and oracle per flavor over both towers, on every fixture; the
-# files of data/ pin the rest: info, oracle --flavor both and deep_p5
+# sections and oracle per flavor over both towers, on every fixture;
+# data/cli_digests.json pins the rest: info --forms and the deep_p5 runs.
+# `oracle --flavor both` prints the r report, then the c report, so the
+# goldens pin it too (test_oracle_cyclic_tower checks the concatenation)
 
 GOLDENS = json.loads((SRC.parent / "perfbench" / "goldens.json").read_text())
 GOLDEN_CASES = {case.key: case for case in golden_cases()}
@@ -578,8 +573,7 @@ def test_stdout_matches_benchmark_golden(key, tmp_path):
 
 
 DATA = Path(__file__).parent / "data"
-DIGESTS = DATA / "knit_digests.json"
-DEEP_DIGESTS = DATA / "deep_digests.json"
+DIGESTS = DATA / "cli_digests.json"
 # random p = 5 posets whose components reach entries of 635 to 905 bits at
 # 200 sections; no fixture passes 381 bits
 DEEP_POSETS = ["deep_p5_n6", "deep_p5_n7", "deep_p5_n8a", "deep_p5_n8b"]
@@ -588,51 +582,33 @@ KNIT_COMMANDS = [["compare"]] + [["knit", "--format", fmt, "--flavor", fl]
 
 
 def digest_cases() -> dict[str, list[str]]:
-    """Every fixture under info --forms (r, c) and under oracle --flavor both
-    on the default cyclic and inseparable towers; the key names the case,
-    "{path}" the file."""
+    """The argv of each case whose stdout digest data/cli_digests.json holds:
+    every fixture under info --forms (r, c), and each DEEP_POSETS file under
+    knit (json/dot, r/c) and compare at 200 sections."""
     cases = {}
     for name in ALL_FIXTURES:
-        for cmd in (["info", "--forms", "--flavor", "r"], ["info", "--forms", "--flavor", "c"],
-                    ["oracle", "--flavor", "both"],
-                    ["oracle", "--mode", "inseparable", "--flavor", "both"]):
-            cases[" ".join([name] + cmd)] = [cmd[0], "{path}"] + cmd[1:]
+        for fl in ("r", "c"):
+            cases[f"{name} info --forms --flavor {fl}"] = ["info", fixture_path(name), "--forms", "--flavor", fl]
+    for name in DEEP_POSETS:
+        for cmd, *opts in KNIT_COMMANDS:
+            cases[" ".join([name, cmd, *opts])] = [cmd, str(DATA / f"{name}.eqp"), *opts, "--max-sections", "200"]
     return cases
 
 
-def deep_cases() -> dict[str, list[str]]:
-    """Knit (json/dot, r/c) and compare at 200 sections on each DEEP_POSETS file."""
-    return {" ".join([name] + cmd): [cmd[0], "{path}"] + cmd[1:] + ["--max-sections", "200"]
-            for name in DEEP_POSETS for cmd in KNIT_COMMANDS}
+DIGEST_CASES = digest_cases()
 
 
-def digest_of(path: str, argv: list[str]) -> dict:
+def stdout_digest(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([path if a == "{path}" else a for a in argv])
+        code = main(argv)
     return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def fixture_digest(key: str, argv: list[str]) -> dict:
-    return digest_of(fixture_path(key.split()[0]), argv)
-
-
-def deep_digest(key: str, argv: list[str]) -> dict:
-    return digest_of(str(DATA / f"{key.split()[0]}.eqp"), argv)
-
-
-@pytest.mark.parametrize("key", sorted(digest_cases()))
+@pytest.mark.parametrize("key", sorted(DIGEST_CASES))
 def test_stdout_matches_recorded_digest(key):
-    """Info and oracle --flavor both output keep their bytes."""
-    want = json.loads(DIGESTS.read_text())[key]
-    assert fixture_digest(key, digest_cases()[key]) == want
-
-
-@pytest.mark.parametrize("key", sorted(deep_cases()))
-def test_deep_stdout_matches_recorded_digest(key):
-    """Knit and compare output keep their bytes on components with huge entries."""
-    want = json.loads(DEEP_DIGESTS.read_text())[key]
-    assert deep_digest(key, deep_cases()[key]) == want
+    """Info output keeps its bytes, and so do knit and compare on components with huge entries."""
+    assert stdout_digest(DIGEST_CASES[key]) == json.loads(DIGESTS.read_text())[key]
 
 
 @pytest.mark.parametrize("fl", ["r", "c"])
@@ -657,8 +633,6 @@ def test_knit_json_holds_every_mesh(path, fl):
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    for path, cases, digest in ((DIGESTS, digest_cases(), fixture_digest),
-                                (DEEP_DIGESTS, deep_cases(), deep_digest)):
-        recorded = {key: digest(key, argv) for key, argv in sorted(cases.items())}
-        path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(recorded)} digests in {path}")
+    recorded = {key: stdout_digest(argv) for key, argv in sorted(DIGEST_CASES.items())}
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} digests in {DIGESTS}")

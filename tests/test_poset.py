@@ -375,24 +375,6 @@ def test_slender_examples():
 # ---------------------------------------------------------------- properties
 
 @st.composite
-def weak_chain_triples(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    l1 = draw(st.integers(1, p))
-    l2 = draw(st.integers(1, p))
-    n = draw(st.integers(1, p))
-    return p, l1, l2, n
-
-
-@given(weak_chain_triples())
-@settings(max_examples=300)
-def test_composition_axiom_matches_formula(t):
-    p, l1, l2, n = t
-    P = _poset(p, ["x", "y", "z"], [],
-               {("x", "y"): l1, ("y", "z"): l2, ("x", "z"): n})
-    assert validate(P).ok == (n >= min(l1 + l2 - 1, p))
-
-
-@st.composite
 def random_weak_dags(draw):
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 4))
