@@ -415,14 +415,18 @@ def test_compare_exits_1_on_a_failing_pairing(monkeypatch, capsys):
         "correspondence FAILS\n")
 
 
-@pytest.mark.parametrize("name, tower", [("star2", []), ("star2", ["--q", "5", "--c", "2"]),
-                                         ("mixed3", ["--q", "13", "--c", "2"]),
-                                         ("mixed3", ["--mode", "inseparable"])],
-                         ids=["star2-default", "star2-q5-c2", "mixed3-q13-c2", "mixed3-inseparable"])
+# a cyclic tower other than the default one for each p of the fixtures
+SECOND_TOWER = {2: ("q5-c2", ["--q", "5", "--c", "2"]), 3: ("q13-c2", ["--q", "13", "--c", "2"])}
+ORACLE_TOWERS = {f"{name}-{label}": (name, tower) for name in ALL_FIXTURES
+                 for label, tower in [("default", []), SECOND_TOWER[load_fixture(name).p],
+                                      ("inseparable", ["--mode", "inseparable"])]}
+
+
+@pytest.mark.parametrize("name, tower", list(ORACLE_TOWERS.values()), ids=list(ORACLE_TOWERS))
 def test_oracle_cyclic_tower(capsys, name, tower):
-    """The oracle over the default cyclic tower, over two given ones and over
-    the inseparable tower: its report, of both flavors by default, is the
-    flavor-r report followed by the flavor-c one."""
+    """On every fixture, the oracle over the default cyclic tower, over a
+    given one and over the inseparable tower passes, and its report, of both
+    flavors by default, is the flavor-r report followed by the flavor-c one."""
     outs = []
     for flavor in ([], ["--flavor", "r"], ["--flavor", "c"]):
         assert main(["oracle", fixture_path(name), *tower, *flavor]) == 0

@@ -6,7 +6,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import ALL_FIXTURES, DEEP_P5, fixture_path, load_fixture, load_fixture_or_deep, load_table, model
+from conftest import (ALL_FIXTURES, DEEP_P5, fixture_path, load_fixture, load_fixture_or_deep, load_table, model,
+                      tau_inverse)
 from eqposet import (FINITE, TRUNCATED, Flavor, KnitError, Label, ParameterError, RatVec, build_model, cli,
                      default_tower, gram_matrix, injective_profiles, knit, knitter,
                      pair_components, parse_poset, projective_cd, projective_udimF,
@@ -292,9 +293,31 @@ def test_chain3_ell1_reproduces_published_grids():
 
 # ---------------------------------------------------------------- structure
 
+def test_ids_and_sections_are_well_formed():
+    for name in ALL_FIXTURES:
+        for fl in ("r", "c"):
+            G = knit(model(name, fl))
+            n = len(G.vertices)
+            flat = [i for sec in G.sections for i in sec]
+            assert sorted(flat) == list(range(n))
+            for src, dst, _, _ in G.arrows:
+                assert src < dst
+            V = G.vertices
+            for k, sec in enumerate(G.sections):
+                for i in sec:
+                    assert V[i].section == k
+
+
 def test_knit_is_deterministic():
     M = model("twochain2", "r")
     assert snap(knit(M)) == snap(knit(M))
+
+
+def test_tau_inverse_preserves_labels():
+    for name in ALL_FIXTURES:
+        G = knit(model(name, "r"))
+        for src, dst in tau_inverse(G).items():
+            assert G.labels[src] == G.labels[dst]
 
 
 def all_ints(vec) -> bool:
